@@ -19,10 +19,10 @@ use wcp_net::{
     run_multi_net, run_vc_token_net, saturate_loopback, saturate_loopback_observed,
     saturate_loopback_wire, saturate_tcp, NetConfig, SaturationReport,
 };
-use wcp_obs::json::Json;
+use wcp_obs::json::{FromJson, Json, ToJson};
 use wcp_session::{MultiEngine, PredicateId};
 use wcp_sim::SimConfig;
-use wcp_trace::Wcp;
+use wcp_trace::{Computation, Wcp};
 
 use crate::timing;
 use crate::workloads;
@@ -723,6 +723,58 @@ fn parallel_scaling_stats(samples: usize) -> Json {
     parallel_scaling_stats_sized(samples, &PARALLEL_SCALING_SCOPES, PARALLEL_SCALING_EVENTS)
 }
 
+/// Scope widths of the trace-ingest grid.
+const INGEST_SCOPES: [usize; 3] = [8, 32, 128];
+/// Events per process at every width of the ingest grid.
+const INGEST_EVENTS: usize = 24;
+
+/// Times what every offline detection pays before its detector runs, layer
+/// by layer, on one detectable trace per scope width: parsing the JSON
+/// text `wcp generate` writes (`Json::parse` + `Computation::from_json`),
+/// `validate`, `annotate` (which validates as well, since callers may
+/// skip `validate`) and the Figure 2 snapshot-queue build.
+fn ingest_stats_sized(samples: usize, scopes: &[usize], events: usize) -> Json {
+    let per_scope = scopes
+        .iter()
+        .map(|&n| {
+            let computation = workloads::detectable(n, events, 7);
+            let text = computation.to_json().pretty();
+            let wcp = workloads::scope(n);
+            let parse = timing::run(&format!("ingest/{n}/parse"), samples, || {
+                let json = Json::parse(&text).expect("a generated trace is valid JSON");
+                std::hint::black_box(
+                    Computation::from_json(&json).expect("a generated trace parses"),
+                );
+            });
+            let validate = timing::run(&format!("ingest/{n}/validate"), samples, || {
+                std::hint::black_box(computation.validate()).expect("a generated trace is valid");
+            });
+            let annotate = timing::run(&format!("ingest/{n}/annotate"), samples, || {
+                std::hint::black_box(computation.annotate());
+            });
+            let annotated = computation.annotate();
+            let queue_build = timing::run(&format!("ingest/{n}/queue_build"), samples, || {
+                std::hint::black_box(VcSnapshotQueues::build(&annotated, &wcp));
+            });
+            let us = |ns: u64| Json::Float(ns as f64 / 1e3);
+            Json::obj([
+                ("scope", Json::UInt(n as u64)),
+                ("events", Json::UInt(events as u64)),
+                ("json_bytes", Json::UInt(text.len() as u64)),
+                ("parse_us", us(parse.median_ns)),
+                ("parse_min_us", us(parse.min_ns)),
+                ("validate_us", us(validate.median_ns)),
+                ("validate_min_us", us(validate.min_ns)),
+                ("annotate_us", us(annotate.median_ns)),
+                ("annotate_min_us", us(annotate.min_ns)),
+                ("queue_build_us", us(queue_build.median_ns)),
+                ("queue_build_min_us", us(queue_build.min_ns)),
+            ])
+        })
+        .collect();
+    Json::obj([("scopes", Json::Arr(per_scope))])
+}
+
 /// [`multi_saturation_stats_sized`] at the standard shape: 10 000
 /// concurrent predicates over a 16×40 stream, 64 of them re-run through
 /// the socket stack.
@@ -752,6 +804,10 @@ pub fn entry(label: &str, samples: usize) -> Json {
         ("telemetry_overhead", telemetry_overhead_stats(samples)),
         ("multi_saturation", multi_saturation_stats()),
         ("parallel_scaling", parallel_scaling_stats(samples)),
+        (
+            "ingest",
+            ingest_stats_sized(samples, &INGEST_SCOPES, INGEST_EVENTS),
+        ),
     ])
 }
 
@@ -1007,6 +1063,23 @@ mod tests {
             for (w, threads) in widths.iter().zip(PARALLEL_SCALING_THREAD_COUNTS) {
                 assert_eq!(w.get("threads").unwrap().as_u64(), Some(threads as u64));
                 assert!(w.get("median_ns").unwrap().as_u64().unwrap() > 0);
+            }
+        }
+        let text = stats.pretty();
+        assert_eq!(Json::parse(&text).unwrap(), stats);
+    }
+
+    #[test]
+    fn ingest_stats_time_every_layer() {
+        let stats = ingest_stats_sized(1, &[4, 6], 8);
+        let scopes = stats.get("scopes").unwrap().as_array().unwrap();
+        assert_eq!(scopes.len(), 2);
+        for s in scopes {
+            assert!(s.get("json_bytes").unwrap().as_u64().unwrap() > 0);
+            for layer in ["parse", "validate", "annotate", "queue_build"] {
+                for key in [format!("{layer}_us"), format!("{layer}_min_us")] {
+                    assert!(s.get(&key).unwrap().as_f64().unwrap() > 0.0, "{key}");
+                }
             }
         }
         let text = stats.pretty();

@@ -10,7 +10,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, Index};
 
 use crate::{CausalOrder, ProcessId, VectorClock};
 
@@ -118,6 +118,24 @@ impl Deref for ClockRow<'_> {
     }
 }
 
+impl Index<ProcessId> for ClockRow<'_> {
+    type Output = u64;
+
+    fn index(&self, p: ProcessId) -> &u64 {
+        &self.components[p.index()]
+    }
+}
+
+// Kept beside the `ProcessId` impl: with only that one, integer indexing
+// would no longer fall through `Deref` to the slice.
+impl Index<usize> for ClockRow<'_> {
+    type Output = u64;
+
+    fn index(&self, i: usize) -> &u64 {
+        &self.components[i]
+    }
+}
+
 impl fmt::Debug for ClockRow<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ClockRow({:?})", self.components)
@@ -221,6 +239,18 @@ impl ClockArena {
         &mut self.data[start..]
     }
 
+    /// Appends a copy of row `src` and returns the new row's index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is out of range.
+    pub fn push_copy(&mut self, src: usize) -> usize {
+        let s = self.stride;
+        let id = self.len();
+        self.data.extend_from_within(src * s..src * s + s);
+        id
+    }
+
     /// Returns the row at `index`.
     ///
     /// # Panics
@@ -229,6 +259,37 @@ impl ClockArena {
     pub fn row(&self, index: usize) -> ClockRow<'_> {
         let start = index * self.stride;
         ClockRow::new(&self.data[start..start + self.stride])
+    }
+
+    /// Mutable view of the row at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn row_mut(&mut self, index: usize) -> &mut [u64] {
+        let start = index * self.stride;
+        &mut self.data[start..start + self.stride]
+    }
+
+    /// Raises row `dst` to the componentwise maximum of itself and row
+    /// `src`: the vector-clock join.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src == dst` or either index is out of range.
+    pub fn join_row(&mut self, dst: usize, src: usize) {
+        assert_ne!(src, dst, "cannot join a row with itself");
+        let s = self.stride;
+        let (out, from) = if src < dst {
+            let (head, tail) = self.data.split_at_mut(dst * s);
+            (&mut tail[..s], &head[src * s..src * s + s])
+        } else {
+            let (head, tail) = self.data.split_at_mut(src * s);
+            (&mut head[dst * s..dst * s + s], &tail[..s])
+        };
+        for (o, &x) in out.iter_mut().zip(from) {
+            *o = (*o).max(x);
+        }
     }
 
     /// Iterates over all rows in insertion order.
@@ -269,6 +330,29 @@ mod tests {
         row[1] = 9;
         assert_eq!(arena.row(0).as_slice(), &[7, 8]);
         assert_eq!(arena.row(1).as_slice(), &[0, 9]);
+    }
+
+    #[test]
+    fn rows_copy_join_and_update_in_place() {
+        let mut arena = ClockArena::new(3);
+        arena.push(&[1, 0, 4]);
+        arena.push(&[0, 2, 3]);
+        let copy = arena.push_copy(0);
+        assert_eq!(copy, 2);
+        arena.join_row(copy, 1);
+        arena.row_mut(copy)[2] += 1;
+        assert_eq!(arena.row(copy).as_slice(), &[1, 2, 5]);
+        arena.join_row(0, copy); // a later row into an earlier one
+        assert_eq!(arena.row(0).as_slice(), &[1, 2, 5]);
+        assert_eq!(arena.row(1).as_slice(), &[0, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "itself")]
+    fn join_row_with_itself_panics() {
+        let mut arena = ClockArena::new(2);
+        arena.push(&[1, 2]);
+        arena.join_row(0, 0);
     }
 
     #[test]
@@ -314,7 +398,8 @@ mod tests {
         assert_eq!(row.get(ProcessId::new(3)), None);
         assert_eq!(row.wire_size(), 24);
         assert_eq!(row.to_string(), "[5,0,7]");
-        assert_eq!(row[2], 7); // Deref to slice
+        assert_eq!(row[2], 7);
+        assert_eq!(row[ProcessId::new(2)], 7);
         assert_eq!(
             row.to_vector_clock(),
             VectorClock::from_components(vec![5, 0, 7])

@@ -2,24 +2,26 @@
 
 use std::collections::HashMap;
 
-use wcp_clocks::{Cut, Dependence, ProcessId, StateId, VectorClock};
+use wcp_clocks::{ClockArena, ClockRow, Cut, Dependence, ProcessId, StateId};
 
 use crate::computation::Computation;
-use crate::event::Event;
 use crate::predicate::Wcp;
 
 /// A [`Computation`] enriched with per-interval vector clocks and direct
 /// dependences.
 ///
 /// Construction replays the computation once (in an arbitrary valid
-/// interleaving — all interleavings yield the same clocks) and records, for
-/// every interval `(i, k)`:
+/// interleaving — all interleavings yield the same clocks), validating it
+/// on the way, and records, for every interval `(i, k)`:
 ///
 /// - its vector clock `vc_i(k)` over all `N` processes, maintained per the
 ///   Figure 2 protocol,
 /// - the direct dependence recorded when the interval began (i.e. from the
 ///   receive event that started it), if any — Section 4.1's dependence list
 ///   is the union of these over the intervals since the last snapshot.
+///
+/// Every interval clock is one row of a single [`ClockArena`], so
+/// [`clock`](Self::clock) hands out a borrowed [`ClockRow`].
 ///
 /// All happened-before queries, consistency checks, and the reference
 /// ("ground truth") first-cut computations live here.
@@ -44,10 +46,16 @@ use crate::predicate::Wcp;
 #[derive(Debug, Clone)]
 pub struct AnnotatedComputation<'a> {
     computation: &'a Computation,
-    /// `clocks[i][k-1]` = vector clock of interval `(i, k)`.
-    clocks: Vec<Vec<VectorClock>>,
-    /// `deps[i][k-1]` = dependence recorded when interval `(i, k)` began.
-    deps: Vec<Vec<Option<Dependence>>>,
+    /// Index of each process's first interval among all intervals, then
+    /// the interval count: interval `(i, k)` has index
+    /// `first_interval[i] + k - 1`.
+    first_interval: Vec<usize>,
+    /// Vector clock of every interval, one row each, in replay order.
+    clocks: ClockArena,
+    /// Row of `clocks` holding each interval's clock, by interval index.
+    row_of: Vec<usize>,
+    /// Dependence recorded when each interval began, by interval index.
+    deps: Vec<Option<Dependence>>,
     /// Sorted pred-true interval indices per process.
     true_intervals: Vec<Vec<u64>>,
 }
@@ -60,58 +68,40 @@ impl<'a> AnnotatedComputation<'a> {
     /// Panics if the computation is invalid (see
     /// [`Computation::validate`]); validate untrusted input first.
     pub fn new(computation: &'a Computation) -> Self {
-        computation
-            .validate()
-            .expect("cannot annotate an invalid computation");
         let n = computation.process_count();
-
-        let mut clocks: Vec<Vec<VectorClock>> = Vec::with_capacity(n);
-        let mut deps: Vec<Vec<Option<Dependence>>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut first = VectorClock::new(n);
-            first.init_process(ProcessId::new(i as u32));
-            clocks.push(vec![first]);
-            deps.push(vec![None]);
+        let mut first_interval = Vec::with_capacity(n + 1);
+        let mut intervals = 0;
+        for trace in computation.traces() {
+            first_interval.push(intervals);
+            intervals += trace.interval_count();
         }
+        first_interval.push(intervals);
 
-        // Greedy replay (same schedule as validate, which already proved it
-        // completes). `pending` holds the clock attached to each sent,
-        // not-yet-received message.
-        let mut next = vec![0usize; n];
-        let mut pending: HashMap<crate::MsgId, VectorClock> = HashMap::new();
-        let total = computation.total_events();
-        let mut done = 0usize;
-        while done < total {
-            let mut progressed = false;
-            for (i, trace) in computation.traces().iter().enumerate() {
-                while next[i] < trace.events.len() {
-                    let cur = clocks[i].last().expect("at least one interval").clone();
-                    match trace.events[next[i]] {
-                        Event::Send { msg, .. } => {
-                            pending.insert(msg, cur.clone());
-                            let mut advanced = cur;
-                            advanced.tick(ProcessId::new(i as u32));
-                            clocks[i].push(advanced);
-                            deps[i].push(None);
-                        }
-                        Event::Receive { from, msg } => {
-                            let Some(tag) = pending.get(&msg) else {
-                                break; // not yet sent; try another process
-                            };
-                            let sender_interval = tag[from];
-                            let mut advanced = cur.join(tag);
-                            advanced.tick(ProcessId::new(i as u32));
-                            clocks[i].push(advanced);
-                            deps[i].push(Some(Dependence::new(from, sender_interval)));
-                        }
-                    }
-                    next[i] += 1;
-                    done += 1;
-                    progressed = true;
+        // Rows are appended as the replay reaches them, so the buffer is
+        // never zero-filled: first every process's interval 1, then one
+        // row per event.
+        let mut clocks = ClockArena::with_capacity(n, intervals);
+        let mut row_of = vec![0; intervals];
+        let mut deps = vec![None; intervals];
+        for (i, &first) in first_interval[..n].iter().enumerate() {
+            clocks.push_zeroed()[i] = 1;
+            row_of[first] = i;
+        }
+        // Event `e` of process `i` starts interval `(i, e + 2)`: copy the
+        // clock of `(i, e + 1)`, join the clock the matching send carried
+        // (the sender's interval before its send) and tick.
+        computation
+            .replay(|p, e, send| {
+                let at = first_interval[p.index()] + e + 1;
+                let row = clocks.push_copy(row_of[at - 1]);
+                if let Some((from, j)) = send {
+                    clocks.join_row(row, row_of[first_interval[from.index()] + j]);
+                    deps[at] = Some(Dependence::new(from, j as u64 + 1));
                 }
-            }
-            assert!(progressed, "validated computation failed to replay");
-        }
+                clocks.row_mut(row)[p.index()] += 1;
+                row_of[at] = row;
+            })
+            .expect("cannot annotate an invalid computation");
 
         let true_intervals = computation
             .traces()
@@ -127,7 +117,9 @@ impl<'a> AnnotatedComputation<'a> {
 
         AnnotatedComputation {
             computation,
+            first_interval,
             clocks,
+            row_of,
             deps,
             true_intervals,
         }
@@ -145,7 +137,19 @@ impl<'a> AnnotatedComputation<'a> {
 
     /// Number of intervals of process `p`.
     pub fn interval_count(&self, p: ProcessId) -> u64 {
-        self.clocks[p.index()].len() as u64
+        (self.first_interval[p.index() + 1] - self.first_interval[p.index()]) as u64
+    }
+
+    /// Index of state `s` among all intervals.
+    fn interval(&self, s: StateId) -> usize {
+        assert!(s.index >= 1, "interval indices are 1-based");
+        let count = self.interval_count(s.process);
+        assert!(
+            s.index <= count,
+            "state {s} out of range: {} has {count} intervals",
+            s.process
+        );
+        self.first_interval[s.process.index()] + (s.index - 1) as usize
     }
 
     /// Vector clock of state `s` (width `N`).
@@ -153,16 +157,18 @@ impl<'a> AnnotatedComputation<'a> {
     /// # Panics
     ///
     /// Panics if `s` is out of range or has index `0`.
-    pub fn clock(&self, s: StateId) -> &VectorClock {
-        assert!(s.index >= 1, "interval indices are 1-based");
-        &self.clocks[s.process.index()][(s.index - 1) as usize]
+    pub fn clock(&self, s: StateId) -> ClockRow<'_> {
+        self.clocks.row(self.row_of[self.interval(s)])
     }
 
     /// The direct dependence recorded when interval `s` began (`None` for
     /// first intervals and intervals started by a send).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range or has index `0`.
     pub fn dependence_at(&self, s: StateId) -> Option<Dependence> {
-        assert!(s.index >= 1, "interval indices are 1-based");
-        self.deps[s.process.index()][(s.index - 1) as usize]
+        self.deps[self.interval(s)]
     }
 
     /// The dependences a Section 4.1 snapshot at state `s` would carry if
@@ -374,6 +380,31 @@ mod tests {
         assert_eq!(a.clock(s(1, 2)).as_slice(), &[1, 2, 0]); // merged + ticked
         assert_eq!(a.clock(s(1, 3)).as_slice(), &[1, 3, 0]);
         assert_eq!(a.clock(s(2, 2)).as_slice(), &[1, 2, 2]);
+    }
+
+    /// `#[should_panic]` tests querying `$query` at interval `$k` of
+    /// process `$proc` of [`chain`]: P1 is a middle process with 3
+    /// intervals, P2 the last with 2.
+    macro_rules! rejects_interval {
+        ($($name:ident: $query:ident($proc:expr, $k:expr) => $msg:literal;)*) => {$(
+            #[test]
+            #[should_panic(expected = $msg)]
+            fn $name() {
+                let c = chain();
+                let _ = c.annotate().$query(s($proc, $k));
+            }
+        )*};
+    }
+
+    rejects_interval! {
+        clock_rejects_zero_on_middle: clock(1, 0) => "1-based";
+        clock_rejects_past_end_of_middle: clock(1, 4) => "P1 has 3 intervals";
+        clock_rejects_zero_on_last: clock(2, 0) => "1-based";
+        clock_rejects_past_end_of_last: clock(2, 3) => "P2 has 2 intervals";
+        dependence_rejects_zero_on_middle: dependence_at(1, 0) => "1-based";
+        dependence_rejects_past_end_of_middle: dependence_at(1, 4) => "P1 has 3 intervals";
+        dependence_rejects_zero_on_last: dependence_at(2, 0) => "1-based";
+        dependence_rejects_past_end_of_last: dependence_at(2, 3) => "P2 has 2 intervals";
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The computation model and its structural validation.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use wcp_clocks::{Cut, ProcessId, StateId};
@@ -328,14 +327,69 @@ impl Computation {
     ///
     /// # Errors
     ///
-    /// Returns the first problem found: predicate-flag length mismatches,
-    /// out-of-range or self-directed messages, duplicate or orphaned message
-    /// identifiers, endpoint mismatches between a send and its receive, or
-    /// event sequences that admit no valid interleaving.
+    /// Returns the first problem found, checked in this order:
+    /// predicate-flag length mismatches and out-of-range or self-directed
+    /// messages (in process, then event order); duplicate message
+    /// identifiers (at the earliest second occurrence); receives without a
+    /// send or whose endpoints disagree with their send (at the earliest
+    /// such receive); event sequences that admit no valid interleaving.
+    /// "Earliest" orders positions by process, then event, so the same
+    /// trace always reports the same error.
     pub fn validate(&self) -> Result<(), ComputationError> {
-        let n = self.processes.len();
+        self.replay(|_, _, _| {})
+    }
 
-        // Per-process shape and peer ranges.
+    /// Validates the computation, then replays it in one valid
+    /// interleaving, calling `visit(p, e, send)` for the 0-based event `e`
+    /// of process `p` in schedule order. `send` is the position of the
+    /// matching send for a receive and `None` for a send, and a receive is
+    /// visited only after its send.
+    ///
+    /// The schedule is greedy: each process runs until it blocks on a
+    /// receive whose send has not run yet. Sends are always enabled and
+    /// enabling is monotone, so the greedy schedule completes iff some
+    /// schedule does.
+    pub(crate) fn replay(
+        &self,
+        mut visit: impl FnMut(ProcessId, usize, Option<Position>),
+    ) -> Result<(), ComputationError> {
+        self.check_shape()?;
+        let (first_event, send_of) = self.match_messages()?;
+        let mut next = vec![0usize; self.processes.len()];
+        let total = send_of.len();
+        let mut done = 0usize;
+        loop {
+            let mut progressed = false;
+            for (p, trace) in self.iter() {
+                let i = p.index();
+                while next[i] < trace.events.len() {
+                    let e = next[i];
+                    let send = send_of[first_event[i] + e];
+                    if let Some((q, j)) = send {
+                        if next[q.index()] <= j {
+                            break; // not yet sent; try another process
+                        }
+                    }
+                    visit(p, e, send);
+                    next[i] += 1;
+                    done += 1;
+                    progressed = true;
+                }
+            }
+            if done == total {
+                return Ok(());
+            }
+            if !progressed {
+                return Err(ComputationError::CausalCycle {
+                    stuck_events: total - done,
+                });
+            }
+        }
+    }
+
+    /// Per-process checks: predicate-flag count and message peers.
+    fn check_shape(&self) -> Result<(), ComputationError> {
+        let n = self.processes.len();
         for (p, trace) in self.iter() {
             if trace.pred.len() != trace.events.len() + 1 {
                 return Err(ComputationError::PredLengthMismatch {
@@ -356,75 +410,79 @@ impl Computation {
                 }
             }
         }
+        Ok(())
+    }
 
-        // Message matching.
-        let mut sends: HashMap<MsgId, (ProcessId, ProcessId)> = HashMap::new();
-        let mut receives: HashMap<MsgId, (ProcessId, ProcessId)> = HashMap::new();
+    /// Pairs every receive with its send by sorting all events on
+    /// `(msg, kind, process, event)` once. Returns each process's first
+    /// global event index and, per global event, the position of the
+    /// matching send (`None` for sends).
+    fn match_messages(&self) -> Result<(Vec<usize>, Vec<Option<Position>>), ComputationError> {
+        let mut first_event = Vec::with_capacity(self.processes.len());
+        let mut events = Vec::with_capacity(self.total_events());
         for (p, trace) in self.iter() {
-            for ev in &trace.events {
-                match *ev {
-                    Event::Send { to, msg } => {
-                        if sends.insert(msg, (p, to)).is_some() {
-                            return Err(ComputationError::DuplicateSend(msg));
-                        }
-                    }
-                    Event::Receive { from, msg } => {
-                        if receives.insert(msg, (from, p)).is_some() {
-                            return Err(ComputationError::DuplicateReceive(msg));
-                        }
-                    }
-                }
+            first_event.push(events.len());
+            for (e, ev) in trace.events.iter().enumerate() {
+                events.push((ev.msg(), ev.is_receive(), p, e));
             }
         }
-        for (&msg, &(claimed_from, receiver)) in &receives {
-            match sends.get(&msg) {
-                None => return Err(ComputationError::ReceiveWithoutSend(msg)),
-                Some(&(sender, dest)) => {
-                    if sender != claimed_from || dest != receiver {
-                        return Err(ComputationError::MismatchedEndpoints {
-                            msg,
-                            send: (sender, dest),
-                            receive: (claimed_from, receiver),
-                        });
-                    }
-                }
-            }
-        }
+        events.sort_unstable();
 
-        // Realizability: greedy replay. Sends are always enabled; a receive
-        // is enabled once its message has been sent. Since enabling is
-        // monotone, the greedy schedule succeeds iff some schedule does.
-        let mut next = vec![0usize; n];
-        let mut sent: std::collections::HashSet<MsgId> = std::collections::HashSet::new();
-        let total = self.total_events();
-        let mut done = 0usize;
-        loop {
-            let mut progressed = false;
-            for (i, trace) in self.processes.iter().enumerate() {
-                while next[i] < trace.events.len() {
-                    match trace.events[next[i]] {
-                        Event::Send { msg, .. } => {
-                            sent.insert(msg);
-                        }
-                        Event::Receive { msg, .. } => {
-                            if !sent.contains(&msg) {
-                                break;
-                            }
-                        }
+        let mut send_of = vec![None; events.len()];
+        let mut duplicate = Earliest::default();
+        let mut bad_receive = Earliest::default();
+        for group in events.chunk_by(|a, b| a.0 == b.0) {
+            let msg = group[0].0;
+            let (sends, receives) = group.split_at(group.partition_point(|r| !r.1));
+            if let Some(&(_, _, p, e)) = sends.get(1) {
+                duplicate.offer((p, e), ComputationError::DuplicateSend(msg));
+            }
+            if let Some(&(_, _, p, e)) = receives.get(1) {
+                duplicate.offer((p, e), ComputationError::DuplicateReceive(msg));
+            }
+            let Some(&(_, _, receiver, re)) = receives.first() else {
+                continue;
+            };
+            let claimed_from = self.processes[receiver.index()].events[re].peer();
+            match sends.first() {
+                None => {
+                    bad_receive.offer((receiver, re), ComputationError::ReceiveWithoutSend(msg))
+                }
+                Some(&(_, _, sender, se)) => {
+                    let dest = self.processes[sender.index()].events[se].peer();
+                    if sender != claimed_from || dest != receiver {
+                        bad_receive.offer(
+                            (receiver, re),
+                            ComputationError::MismatchedEndpoints {
+                                msg,
+                                send: (sender, dest),
+                                receive: (claimed_from, receiver),
+                            },
+                        );
+                    } else {
+                        send_of[first_event[receiver.index()] + re] = Some((sender, se));
                     }
-                    next[i] += 1;
-                    done += 1;
-                    progressed = true;
                 }
             }
-            if done == total {
-                return Ok(());
-            }
-            if !progressed {
-                return Err(ComputationError::CausalCycle {
-                    stuck_events: total - done,
-                });
-            }
+        }
+        match duplicate.0.or(bad_receive.0) {
+            Some((_, err)) => Err(err),
+            None => Ok((first_event, send_of)),
+        }
+    }
+}
+
+/// An event's position: its process and 0-based index in that process.
+pub(crate) type Position = (ProcessId, usize);
+
+/// The defect found at the smallest position so far.
+#[derive(Default)]
+struct Earliest(Option<(Position, ComputationError)>);
+
+impl Earliest {
+    fn offer(&mut self, at: Position, err: ComputationError) {
+        if self.0.as_ref().is_none_or(|(seen, _)| at < *seen) {
+            self.0 = Some((at, err));
         }
     }
 }
@@ -550,6 +608,83 @@ mod tests {
         assert_eq!(
             c.validate(),
             Err(ComputationError::ReceiveWithoutSend(MsgId::new(9)))
+        );
+    }
+
+    fn send(to: u32, msg: u64) -> Event {
+        Event::Send {
+            to: p(to),
+            msg: MsgId::new(msg),
+        }
+    }
+
+    fn recv(from: u32, msg: u64) -> Event {
+        Event::Receive {
+            from: p(from),
+            msg: MsgId::new(msg),
+        }
+    }
+
+    /// A computation with the given events per process, predicates false.
+    fn of_events(per_process: &[&[Event]]) -> Computation {
+        let traces = per_process
+            .iter()
+            .map(|events| ProcessTrace {
+                events: events.to_vec(),
+                pred: vec![false; events.len() + 1],
+            })
+            .collect();
+        Computation::from_traces(traces)
+    }
+
+    #[test]
+    fn reports_the_earliest_bad_receive() {
+        // Four orphan receives: the one at the smallest (process, event)
+        // position is reported, on every run.
+        let c = of_events(&[&[recv(1, 9), recv(1, 7)], &[recv(0, 8), recv(0, 10)]]);
+        for _ in 0..8 {
+            assert_eq!(
+                c.validate(),
+                Err(ComputationError::ReceiveWithoutSend(MsgId::new(9)))
+            );
+        }
+        // Orphans and endpoint mismatches share one order: P1's orphan
+        // comes before P2's mismatch, and the other way round.
+        let c = of_events(&[&[send(1, 1)], &[recv(0, 5)], &[recv(0, 1)]]);
+        assert_eq!(
+            c.validate(),
+            Err(ComputationError::ReceiveWithoutSend(MsgId::new(5)))
+        );
+        let c = of_events(&[&[send(2, 1)], &[recv(0, 1)], &[recv(0, 5)]]);
+        assert_eq!(
+            c.validate(),
+            Err(ComputationError::MismatchedEndpoints {
+                msg: MsgId::new(1),
+                send: (p(0), p(2)),
+                receive: (p(0), p(1)),
+            })
+        );
+    }
+
+    #[test]
+    fn reports_the_earliest_second_occurrence() {
+        // m4's second send (P0 event 2) precedes m3's (P0 event 3) and the
+        // second receive of m3 (P1 event 1); duplicates outrank orphans.
+        let c = of_events(&[
+            &[send(1, 3), send(1, 4), send(1, 4), send(1, 3)],
+            &[recv(0, 3), recv(0, 3), recv(0, 8)],
+        ]);
+        assert_eq!(
+            c.validate(),
+            Err(ComputationError::DuplicateSend(MsgId::new(4)))
+        );
+        let c = of_events(&[
+            &[recv(1, 6), recv(1, 6)],
+            &[send(0, 6), send(0, 2), send(0, 2)],
+        ]);
+        assert_eq!(
+            c.validate(),
+            Err(ComputationError::DuplicateReceive(MsgId::new(6)))
         );
     }
 

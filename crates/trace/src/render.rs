@@ -54,36 +54,18 @@ impl DiagramOptions {
 /// Assigns each event a global column such that program order and message
 /// order are respected (a receive is strictly right of its send).
 fn layout(computation: &Computation) -> Vec<Vec<usize>> {
-    let n = computation.process_count();
-    let mut cols: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut next = vec![0usize; n];
-    let mut send_col: HashMap<MsgId, usize> = HashMap::new();
-    let total = computation.total_events();
-    let mut done = 0usize;
-    while done < total {
-        let mut progressed = false;
-        for (i, trace) in computation.traces().iter().enumerate() {
-            while next[i] < trace.events.len() {
-                let prev = cols[i].last().copied().unwrap_or(0);
-                let col = match trace.events[next[i]] {
-                    Event::Send { msg, .. } => {
-                        let col = prev + 1;
-                        send_col.insert(msg, col);
-                        col
-                    }
-                    Event::Receive { msg, .. } => match send_col.get(&msg) {
-                        Some(&s) => prev.max(s) + 1,
-                        None => break, // sender not scheduled yet
-                    },
-                };
-                cols[i].push(col);
-                next[i] += 1;
-                done += 1;
-                progressed = true;
-            }
-        }
-        assert!(progressed, "invalid computation cannot be laid out");
-    }
+    let mut cols: Vec<Vec<usize>> = computation
+        .traces()
+        .iter()
+        .map(|t| Vec::with_capacity(t.events.len()))
+        .collect();
+    computation
+        .replay(|p, _, send| {
+            let prev = cols[p.index()].last().copied().unwrap_or(0);
+            let sent = send.map_or(0, |(q, j)| cols[q.index()][j]);
+            cols[p.index()].push(prev.max(sent) + 1);
+        })
+        .expect("invalid computation cannot be laid out");
     cols
 }
 

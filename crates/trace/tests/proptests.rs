@@ -6,11 +6,15 @@
 //! property runs on dozens of random configurations drawn from a fixed
 //! seed via `wcp_obs::rng::Rng`, so failures reproduce exactly.
 
-use wcp_clocks::{Cut, ProcessId};
+use std::collections::HashMap;
+
+use wcp_clocks::{Cut, Dependence, ProcessId, StateId, VectorClock};
 use wcp_obs::rng::Rng;
 use wcp_trace::generate::{generate, GeneratorConfig, Topology};
 use wcp_trace::lattice::LatticeExplorer;
-use wcp_trace::Wcp;
+use wcp_trace::{
+    Computation, ComputationBuilder, ComputationError, Event, MsgId, ProcessTrace, Wcp,
+};
 
 const CASES: usize = 64;
 
@@ -175,5 +179,209 @@ fn happened_before_is_partial_order() {
                 }
             }
         }
+    }
+}
+
+/// Per-event Figure 2 replay, kept as the oracle for the annotation: one
+/// `VectorClock` per interval, the sender's clock held per message until
+/// its receive joins it. Returns `(clocks, deps)` per process and interval.
+#[allow(clippy::type_complexity)]
+fn per_event_replay(c: &Computation) -> (Vec<Vec<VectorClock>>, Vec<Vec<Option<Dependence>>>) {
+    let n = c.process_count();
+    let mut clocks: Vec<Vec<VectorClock>> = (0..n)
+        .map(|i| {
+            let mut first = VectorClock::new(n);
+            first.init_process(ProcessId::new(i as u32));
+            vec![first]
+        })
+        .collect();
+    let mut deps: Vec<Vec<Option<Dependence>>> = vec![vec![None]; n];
+    let mut next = vec![0usize; n];
+    let mut in_flight: HashMap<MsgId, VectorClock> = HashMap::new();
+    let mut left = c.total_events();
+    while left > 0 {
+        let before = left;
+        for (p, trace) in c.iter() {
+            let i = p.index();
+            while let Some(&event) = trace.events.get(next[i]) {
+                let mut clock = clocks[i].last().unwrap().clone();
+                let dep = match event {
+                    Event::Send { msg, .. } => {
+                        in_flight.insert(msg, clock.clone());
+                        None
+                    }
+                    Event::Receive { from, msg } => {
+                        let Some(carried) = in_flight.remove(&msg) else {
+                            break;
+                        };
+                        clock = clock.join(&carried);
+                        Some(Dependence::new(from, carried[from]))
+                    }
+                };
+                clock.tick(p);
+                clocks[i].push(clock);
+                deps[i].push(dep);
+                next[i] += 1;
+                left -= 1;
+            }
+        }
+        assert!(left < before, "oracle replay stuck");
+    }
+    (clocks, deps)
+}
+
+/// Every interval's clock, dependence and predicate flag equals the
+/// per-event replay's.
+fn assert_matches_per_event_replay(c: &Computation) {
+    let a = c.annotate();
+    let (clocks, deps) = per_event_replay(c);
+    for (p, trace) in c.iter() {
+        let i = p.index();
+        assert_eq!(a.interval_count(p), clocks[i].len() as u64);
+        for (k, (clock, dep)) in (1u64..).zip(clocks[i].iter().zip(&deps[i])) {
+            let s = StateId::new(p, k);
+            assert_eq!(a.clock(s).as_slice(), clock.as_slice(), "clock of {s}");
+            assert_eq!(a.dependence_at(s), *dep, "dependence of {s}");
+        }
+        let want: Vec<u64> = (1u64..)
+            .zip(&trace.pred)
+            .filter_map(|(k, &f)| f.then_some(k))
+            .collect();
+        assert_eq!(
+            a.true_intervals(p),
+            want.as_slice(),
+            "true intervals of {p}"
+        );
+    }
+}
+
+/// The flat single-replay annotation equals the per-event replay on
+/// generated traces of every topology (n ≤ 16) and on a staircase.
+#[test]
+fn annotation_matches_per_event_replay() {
+    let mut rng = Rng::seed_from_u64(27);
+    for round in 0..40 {
+        let n = rng.gen_range(2usize..17);
+        let topology = match round % 5 {
+            0 => Topology::Uniform,
+            1 => Topology::Ring,
+            2 => Topology::ClientServer {
+                servers: rng.gen_range(1..n),
+            },
+            3 => Topology::Neighbors {
+                degree: rng.gen_range(1usize..4),
+            },
+            _ => Topology::Phased {
+                phase_len: rng.gen_range(1usize..4),
+            },
+        };
+        let cfg = GeneratorConfig::new(n, rng.gen_range(1usize..16))
+            .with_seed(rng.next_u64())
+            .with_send_fraction(rng.gen_f64())
+            .with_predicate_density(rng.gen_f64() * 0.5)
+            .with_topology(topology);
+        assert_matches_per_event_replay(&generate(&cfg).computation);
+    }
+
+    // A staircase: a token circles a shuffled ring of 9 processes 3 times.
+    let mut order: Vec<u32> = (0..9).collect();
+    rng.shuffle(&mut order);
+    let mut b = ComputationBuilder::new(order.len());
+    for step in 0..3 * order.len() {
+        let holder = ProcessId::new(order[step % order.len()]);
+        let next = ProcessId::new(order[(step + 1) % order.len()]);
+        b.mark_true(holder);
+        let m = b.send(holder, next);
+        b.receive(next, m);
+    }
+    assert_matches_per_event_replay(&b.build().unwrap());
+}
+
+/// One malformed trace per `ComputationError` variant, each reporting
+/// exactly that error.
+#[test]
+fn each_malformed_trace_reports_its_error() {
+    let p = ProcessId::new;
+    let send = |to, msg| Event::Send {
+        to: p(to),
+        msg: MsgId::new(msg),
+    };
+    let recv = |from, msg| Event::Receive {
+        from: p(from),
+        msg: MsgId::new(msg),
+    };
+    let of = |per_process: &[&[Event]]| {
+        Computation::from_traces(
+            per_process
+                .iter()
+                .map(|events| ProcessTrace {
+                    events: events.to_vec(),
+                    pred: vec![false; events.len() + 1],
+                })
+                .collect(),
+        )
+    };
+    let short_pred = Computation::from_traces(vec![
+        ProcessTrace::new(),
+        ProcessTrace {
+            events: vec![send(0, 0)],
+            pred: vec![false],
+        },
+    ]);
+    let table = [
+        (
+            short_pred,
+            ComputationError::PredLengthMismatch {
+                process: p(1),
+                events: 1,
+                pred_len: 1,
+            },
+        ),
+        (
+            of(&[&[send(1, 0)], &[recv(0, 0), send(2, 1)]]),
+            ComputationError::PeerOutOfRange {
+                process: p(1),
+                peer: p(2),
+            },
+        ),
+        (
+            of(&[&[], &[send(1, 3)]]),
+            ComputationError::SelfMessage {
+                process: p(1),
+                msg: MsgId::new(3),
+            },
+        ),
+        (
+            of(&[&[send(1, 2), send(1, 2)], &[recv(0, 2)]]),
+            ComputationError::DuplicateSend(MsgId::new(2)),
+        ),
+        (
+            of(&[&[send(1, 2)], &[recv(0, 2), recv(0, 2)]]),
+            ComputationError::DuplicateReceive(MsgId::new(2)),
+        ),
+        (
+            of(&[&[send(1, 0)], &[recv(0, 0), recv(0, 4)]]),
+            ComputationError::ReceiveWithoutSend(MsgId::new(4)),
+        ),
+        (
+            of(&[&[send(1, 0)], &[recv(2, 0)], &[]]),
+            ComputationError::MismatchedEndpoints {
+                msg: MsgId::new(0),
+                send: (p(0), p(1)),
+                receive: (p(2), p(1)),
+            },
+        ),
+        (
+            // P1 and P2 each wait for the other's send; P0's send runs.
+            of(&[
+                &[send(1, 0)],
+                &[recv(2, 1), send(2, 2)],
+                &[recv(1, 2), send(1, 1)],
+            ]),
+            ComputationError::CausalCycle { stuck_events: 4 },
+        ),
+    ];
+    for (computation, want) in table {
+        assert_eq!(computation.validate(), Err(want.clone()), "{computation}");
     }
 }

@@ -30,6 +30,12 @@
 # `scripts/bench.sh parallel` labels an entry for that section;
 # docs/performance.md quotes its crossover table.
 #
+# The `ingest` section times what every offline detection pays before its
+# detector runs — JSON parse, `validate`, `annotate` and the snapshot-queue
+# build — at n ∈ {8, 32, 128} × 24 events; `scripts/bench.sh ingest`
+# labels an entry for it, and docs/performance.md ("Trace ingest") quotes
+# it.
+#
 # This is informational tooling, NOT part of tier-1 verification
 # (scripts/verify.sh); timings are machine-dependent and must never
 # gate a build.
