@@ -74,6 +74,9 @@ fn parse_scope(args: &Args, computation: &Computation) -> Result<Wcp, CliError> 
 /// `wcp generate` — write a seeded random workload to a JSON file.
 pub fn generate_cmd(args: &Args) -> Result<String, CliError> {
     let processes: usize = args.require("processes")?;
+    if processes == 0 {
+        return Err(CliError::usage("--processes: needs at least one process"));
+    }
     let events: usize = args.require("events")?;
     let seed: u64 = args.get_or("seed", 0)?;
     let density: f64 = args.get_or("density", 0.1)?;
@@ -162,6 +165,15 @@ fn parse_parallel_threads(spec: &str) -> Result<Option<usize>, CliError> {
     }
 }
 
+/// The group count `G` of `multi:G`, which must be at least 1.
+fn parse_multi_groups(groups: &str) -> Result<usize, CliError> {
+    groups
+        .parse()
+        .ok()
+        .filter(|&g| g >= 1)
+        .ok_or_else(|| CliError::usage("--algorithm multi:G needs a group count"))
+}
+
 fn parse_detector(spec: &str) -> Result<Box<dyn Detector>, CliError> {
     Ok(match spec {
         "token" => Box::new(TokenDetector::new()),
@@ -170,10 +182,7 @@ fn parse_detector(spec: &str) -> Result<Box<dyn Detector>, CliError> {
         "lattice" => Box::new(LatticeDetector::new()),
         other => {
             if let Some(g) = other.strip_prefix("multi:") {
-                let groups: usize = g
-                    .parse()
-                    .map_err(|_| CliError::usage("--algorithm multi:G needs a group count"))?;
-                Box::new(MultiTokenDetector::new(groups))
+                Box::new(MultiTokenDetector::new(parse_multi_groups(g)?))
             } else if let Some(threads) = parse_parallel_threads(other)? {
                 Box::new(ParallelDetector::new().with_threads(threads))
             } else {
@@ -199,10 +208,7 @@ fn parse_recorded_detector(
         "lattice" => Box::new(LatticeDetector::new().with_recorder(recorder)),
         other => {
             if let Some(g) = other.strip_prefix("multi:") {
-                let groups: usize = g
-                    .parse()
-                    .map_err(|_| CliError::usage("--algorithm multi:G needs a group count"))?;
-                Box::new(MultiTokenDetector::new(groups).with_recorder(recorder))
+                Box::new(MultiTokenDetector::new(parse_multi_groups(g)?).with_recorder(recorder))
             } else if let Some(threads) = parse_parallel_threads(other)? {
                 Box::new(
                     ParallelDetector::new()
@@ -1772,5 +1778,57 @@ mod tests {
         }
         // A valid scope still renders.
         assert!(render(&argv(&[&path, "--scope", "0,1"])).is_ok());
+    }
+
+    #[test]
+    fn zero_process_traces_are_runtime_errors_not_panics() {
+        let path = tmpfile("no_processes.json");
+        fs::write(&path, "{\"processes\": []}").unwrap();
+        let events = tmpfile("no_processes.jsonl");
+        let mut results = vec![
+            info(&argv(&[&path])),
+            trace(&argv(&[&path, "--events", &events])),
+            stats(&argv(&[&path])),
+            gcp(&argv(&[&path])),
+            net_demo(&argv(&[&path])),
+            multi_demo(&argv(&[&path])),
+            obs_report(&argv(&[&path])),
+        ];
+        for alg in [
+            "token",
+            "checker",
+            "direct",
+            "lattice",
+            "multi:2",
+            "parallel:2",
+        ] {
+            results.push(detect(&argv(&[&path, "--algorithm", alg])));
+        }
+        for result in results {
+            let err = result.expect_err("a trace without processes is invalid");
+            assert_eq!(err.code, 1, "{}", err.message);
+            assert!(err.message.contains("no processes"), "{}", err.message);
+        }
+        let out = tmpfile("no_processes_generated.json");
+        let err = generate(&argv(&["--processes", "0", "--events", "8", "-o", &out]))
+            .expect_err("generating zero processes is a usage error");
+        assert_eq!(err.code, 2, "{}", err.message);
+        assert!(err.message.contains("--processes"), "{}", err.message);
+    }
+
+    #[test]
+    fn multi_needs_at_least_one_group() {
+        let path = generated_trace("multi_groups.json");
+        let events = tmpfile("multi_groups.jsonl");
+        for alg in ["multi:0", "multi:x", "multi:"] {
+            for result in [
+                detect(&argv(&[&path, "--algorithm", alg])),
+                trace(&argv(&[&path, "--events", &events, "--algorithm", alg])),
+            ] {
+                let err = result.expect_err("a bad group count is a usage error");
+                assert_eq!(err.code, 2, "{alg}: {}", err.message);
+                assert!(err.message.contains("multi:G"), "{alg}: {}", err.message);
+            }
+        }
     }
 }

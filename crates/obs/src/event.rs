@@ -339,7 +339,7 @@ impl ToJson for TraceEvent {
                 ("bytes", (*bytes).into()),
             ]),
         };
-        Json::Obj(vec![(self.kind().to_string(), payload)])
+        Json::Obj(vec![(self.kind().into(), payload)])
     }
 }
 
@@ -467,14 +467,14 @@ pub struct StampedEvent {
 impl ToJson for StampedEvent {
     fn to_json(&self) -> Json {
         let mut pairs = vec![
-            ("seq".to_string(), Json::UInt(self.seq)),
-            ("monitor".to_string(), Json::UInt(self.monitor as u64)),
-            ("time".to_string(), self.time.to_json()),
+            ("seq".into(), Json::UInt(self.seq)),
+            ("monitor".into(), Json::UInt(self.monitor as u64)),
+            ("time".into(), self.time.to_json()),
         ];
         if let Some(ns) = self.wall_nanos {
-            pairs.push(("wall_nanos".to_string(), Json::UInt(ns)));
+            pairs.push(("wall_nanos".into(), Json::UInt(ns)));
         }
-        pairs.push(("event".to_string(), self.event.to_json()));
+        pairs.push(("event".into(), self.event.to_json()));
         Json::Obj(pairs)
     }
 }

@@ -224,7 +224,7 @@ impl ToJson for Counters {
         Json::Obj(
             self.entries
                 .iter()
-                .map(|(n, v)| (n.clone(), Json::UInt(*v)))
+                .map(|(n, v)| (n.as_str().into(), Json::UInt(*v)))
                 .collect(),
         )
     }

@@ -11,7 +11,9 @@
 //! - enums are externally tagged (`{"Send":{"to":1,"msg":4}}`), with unit
 //!   variants as bare strings (`"Undetected"`).
 
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Deref;
 
 /// A JSON value.
 ///
@@ -35,7 +37,92 @@ pub enum Json {
     /// An array.
     Arr(Vec<Json>),
     /// An object (ordered key → value pairs).
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Key, Json)>),
+}
+
+/// An object key.
+///
+/// Keys of up to [`Key::INLINE`] bytes — every key of a trace file and
+/// nearly every key the workspace writes — live inside the `Key` itself,
+/// so parsing an object allocates nothing per key; longer keys are boxed.
+/// A `Key` is 24 bytes, the size of a `String`. It derefs to `str` and
+/// compares with `&str`.
+#[derive(Clone)]
+pub struct Key(KeyRepr);
+
+#[derive(Clone)]
+enum KeyRepr {
+    Inline { len: u8, bytes: [u8; Key::INLINE] },
+    Boxed(Box<str>),
+}
+
+impl Key {
+    /// The longest key, in bytes, stored without a heap allocation.
+    pub const INLINE: usize = 22;
+
+    /// The key as a string slice.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            KeyRepr::Inline { len, bytes } => std::str::from_utf8(&bytes[..*len as usize])
+                .expect("an inline key is copied whole from a `str`"),
+            KeyRepr::Boxed(s) => s,
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            KeyRepr::Inline { len, bytes } => &bytes[..*len as usize],
+            KeyRepr::Boxed(s) => s.as_bytes(),
+        }
+    }
+}
+
+impl From<&str> for Key {
+    fn from(s: &str) -> Key {
+        if s.len() > Key::INLINE {
+            return Key(KeyRepr::Boxed(s.into()));
+        }
+        let mut bytes = [0; Key::INLINE];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        Key(KeyRepr::Inline {
+            len: s.len() as u8,
+            bytes,
+        })
+    }
+}
+
+impl Deref for Key {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialEq<str> for Key {
+    fn eq(&self, other: &str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl PartialEq<&str> for Key {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 /// Error produced by [`Json::parse`] or by [`FromJson`] conversions.
@@ -84,7 +171,7 @@ pub trait FromJson: Sized {
 impl Json {
     /// Builds an object from key/value pairs.
     pub fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// Looks up a key in an object.
@@ -158,7 +245,7 @@ impl Json {
     }
 
     /// The value as object pairs.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+    pub fn as_object(&self) -> Option<&[(Key, Json)]> {
         match self {
             Json::Obj(pairs) => Some(pairs),
             _ => None,
@@ -239,9 +326,12 @@ impl Json {
     /// trailing garbage.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
+            items: Vec::new(),
+            members: Vec::new(),
         };
         p.skip_ws();
         let value = p.value()?;
@@ -384,9 +474,16 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// Items of the arrays being parsed, innermost array last. Each array
+    /// moves its items out at their exact count when it closes, so the
+    /// document's arrays never grow by reallocation.
+    items: Vec<Json>,
+    /// Members of the objects being parsed, kept the same way.
+    members: Vec<(Key, Json)>,
 }
 
 impl<'a> Parser<'a> {
@@ -398,11 +495,18 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
+        const SPACES: u64 = u64::from_ne_bytes([b' '; 8]);
+        loop {
+            // Pretty-printed indentation comes in long runs of spaces.
+            while let Some(chunk) = self.bytes.get(self.pos..self.pos + 8) {
+                if u64::from_ne_bytes(chunk.try_into().expect("8 bytes")) != SPACES {
+                    break;
+                }
+                self.pos += 8;
+            }
+            match self.peek() {
+                Some(b' ' | b'\t' | b'\n' | b'\r') => self.pos += 1,
+                _ => return,
             }
         }
     }
@@ -438,7 +542,7 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
+            Some(b'"') => self.string().map(|s| Json::Str(s.into_owned())),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(b'-' | b'0'..=b'9') => self.number(),
@@ -449,23 +553,24 @@ impl<'a> Parser<'a> {
     fn array(&mut self) -> Result<Json, JsonError> {
         self.eat(b'[', "expected `[`")?;
         self.depth += 1;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        let start = self.items.len();
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(self.items.split_off(start)));
                 }
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
@@ -475,44 +580,58 @@ impl<'a> Parser<'a> {
     fn object(&mut self) -> Result<Json, JsonError> {
         self.eat(b'{', "expected `{`")?;
         self.depth += 1;
-        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(Json::Obj(Vec::new()));
         }
+        let start = self.members.len();
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = Key::from(&*self.string()?);
             self.skip_ws();
             self.eat(b':', "expected `:` after object key")?;
             self.skip_ws();
             let value = self.value()?;
-            pairs.push((key, value));
+            self.members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(Json::Obj(self.members.split_off(start)));
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// The string at `pos`, borrowed from the input when it has no escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"', "expected string")?;
-        let mut out = String::new();
+        // The run before the first quote, escape or control byte needs no
+        // decoding; the loop below decodes the rest byte by byte.
+        let start = self.pos;
+        self.pos += self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(self.bytes.len() - start);
+        let text = self.text;
+        let run = &text[start..self.pos];
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut out = run.to_string();
         loop {
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
+                b'"' => return Ok(Cow::Owned(out)),
                 b'\\' => {
                     let Some(esc) = self.peek() else {
                         return Err(self.err("unterminated escape"));
@@ -646,7 +765,12 @@ impl<T: ToJson> ToJson for Vec<T> {
 
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value.expect_array()?.iter().map(T::from_json).collect()
+        let items = value.expect_array()?;
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            out.push(T::from_json(item)?);
+        }
+        Ok(out)
     }
 }
 
@@ -747,9 +871,88 @@ mod tests {
     }
 
     #[test]
+    fn keys_up_to_the_inline_limit_are_stored_inline() {
+        assert_eq!(std::mem::size_of::<Key>(), std::mem::size_of::<String>());
+        for len in [0, 1, 21, 22, 23, 64] {
+            let text = "é".repeat(len / 2) + &"k".repeat(len % 2);
+            let key = Key::from(text.as_str());
+            assert_eq!(key, text.as_str());
+            assert_eq!(key.as_str(), text);
+            assert_eq!(matches!(key.0, KeyRepr::Inline { .. }), len <= Key::INLINE);
+        }
+        assert_ne!(Key::from("ab"), "abc");
+        assert_eq!(format!("{:?}", Key::from("a\"b")), "\"a\\\"b\"");
+    }
+
+    #[test]
+    fn parsed_containers_are_exactly_sized() {
+        fn check(v: &Json) {
+            match v {
+                Json::Arr(items) => {
+                    assert_eq!(items.capacity(), items.len(), "{v}");
+                    items.iter().for_each(check);
+                }
+                Json::Obj(pairs) => {
+                    assert_eq!(pairs.capacity(), pairs.len(), "{v}");
+                    pairs.iter().for_each(|(_, v)| check(v));
+                }
+                _ => {}
+            }
+        }
+        for text in [
+            "[1,[2,3,[]],{}]",
+            "{\"a\":[{\"b\":1,\"c\":[true]}],\"d\":{\"e\":{}}}",
+        ] {
+            check(&Json::parse(text).unwrap());
+        }
+    }
+
+    #[test]
     fn parse_rejects_deep_nesting() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    /// The exact result of edge inputs, leniencies included (`01`, `1.`),
+    /// and the reported offsets (an error at byte 0 reports byte 1).
+    #[test]
+    fn parse_results_are_pinned() {
+        for (text, want) in [
+            ("01", Json::UInt(1)),
+            ("1.", Json::Float(1.0)),
+            ("-0", Json::Int(0)),
+            ("18446744073709551616", Json::Float(18446744073709551616.0)),
+        ] {
+            assert_eq!(Json::parse(text), Ok(want), "{text:?}");
+        }
+        let deep = "[".repeat(129) + &"]".repeat(129);
+        for (text, message, offset) in [
+            ("-", "invalid number", 1),
+            ("[1,]", "unexpected character", 3),
+            ("{\"a\" 1}", "expected `:` after object key", 5),
+            ("{\"a\":1,}", "expected string", 7),
+            ("\"\\u12\"", "invalid hex digit in unicode escape", 6),
+            ("\"\\ud800\"", "lone high surrogate", 7),
+            ("tru", "invalid literal", 1),
+            ("x", "unexpected character", 1),
+            ("", "unexpected end of input", 1),
+            ("[1] x", "trailing characters after JSON value", 4),
+            ("\"abc", "unterminated string", 4),
+            ("\"a\u{1}b\"", "control character in string", 3),
+            ("{\"ab", "unterminated string", 4),
+            ("{\"k\":1", "expected `,` or `}` in object", 6),
+            ("[12", "expected `,` or `]` in array", 3),
+            ("12x", "trailing characters after JSON value", 2),
+            ("1-2", "invalid number", 3),
+            ("{\"a\u{1}\":1}", "control character in string", 4),
+            (deep.as_str(), "document nested too deeply", 128),
+        ] {
+            let want = JsonError {
+                message: message.to_string(),
+                offset,
+            };
+            assert_eq!(Json::parse(text), Err(want), "{text:?}");
+        }
     }
 
     #[test]

@@ -274,9 +274,14 @@ impl<M: WireSize + Send + 'static> Recorder<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the recorded trace fails validation — impossible unless an
-    /// application bypasses the recording context.
+    /// Panics if no process was added (a computation has at least one
+    /// process), or if the recorded trace fails validation — impossible
+    /// unless an application bypasses the recording context.
     pub fn run(mut self) -> RecordedRun {
+        assert!(
+            !self.logs.is_empty(),
+            "a recorded computation needs at least one process"
+        );
         let outcome = self.sim.run();
         let traces: Vec<ProcessTrace> = self
             .logs
@@ -471,6 +476,12 @@ mod tests {
         let cut = report.detection.cut().expect("initial idleness");
         assert_eq!(cut[a], 2);
         assert_eq!(cut[b], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one process")]
+    fn running_without_processes_is_rejected() {
+        Recorder::<Byte>::new(SimConfig::seeded(0)).run();
     }
 
     #[test]

@@ -71,22 +71,10 @@ impl ToJson for ProcessTrace {
 
 impl FromJson for ProcessTrace {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let events = value
-            .field("events")?
-            .expect_array()?
-            .iter()
-            .map(Event::from_json)
-            .collect::<Result<Vec<Event>, JsonError>>()?;
-        let pred = value
-            .field("pred")?
-            .expect_array()?
-            .iter()
-            .map(|v| {
-                v.as_bool()
-                    .ok_or_else(|| JsonError::shape(format!("expected bool, got {v}")))
-            })
-            .collect::<Result<Vec<bool>, JsonError>>()?;
-        Ok(ProcessTrace { events, pred })
+        Ok(ProcessTrace {
+            events: Vec::from_json(value.field("events")?)?,
+            pred: Vec::from_json(value.field("pred")?)?,
+        })
     }
 }
 
@@ -113,19 +101,17 @@ impl ToJson for Computation {
 
 impl FromJson for Computation {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let processes = value
-            .field("processes")?
-            .expect_array()?
-            .iter()
-            .map(ProcessTrace::from_json)
-            .collect::<Result<Vec<ProcessTrace>, JsonError>>()?;
-        Ok(Computation { processes })
+        Ok(Computation {
+            processes: Vec::from_json(value.field("processes")?)?,
+        })
     }
 }
 
 /// Ways a hand-built or deserialized [`Computation`] can be malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ComputationError {
+    /// The computation has no processes, so no predicate can name one.
+    NoProcesses,
     /// A process's `pred` vector does not have `events + 1` entries.
     PredLengthMismatch {
         /// Offending process.
@@ -175,6 +161,7 @@ pub enum ComputationError {
 impl fmt::Display for ComputationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ComputationError::NoProcesses => write!(f, "computation has no processes"),
             ComputationError::PredLengthMismatch {
                 process,
                 events,
@@ -327,9 +314,10 @@ impl Computation {
     ///
     /// # Errors
     ///
-    /// Returns the first problem found, checked in this order:
-    /// predicate-flag length mismatches and out-of-range or self-directed
-    /// messages (in process, then event order); duplicate message
+    /// Returns the first problem found, checked in this order: a
+    /// computation without processes; predicate-flag length mismatches and
+    /// out-of-range or self-directed messages (in process, then event
+    /// order); duplicate message
     /// identifiers (at the earliest second occurrence); receives without a
     /// send or whose endpoints disagree with their send (at the earliest
     /// such receive); event sequences that admit no valid interleaving.
@@ -390,6 +378,9 @@ impl Computation {
     /// Per-process checks: predicate-flag count and message peers.
     fn check_shape(&self) -> Result<(), ComputationError> {
         let n = self.processes.len();
+        if n == 0 {
+            return Err(ComputationError::NoProcesses);
+        }
         for (p, trace) in self.iter() {
             if trace.pred.len() != trace.events.len() + 1 {
                 return Err(ComputationError::PredLengthMismatch {

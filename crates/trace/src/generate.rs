@@ -239,10 +239,15 @@ pub struct Generated {
 ///
 /// # Panics
 ///
-/// Panics if the topology is inconsistent with the process count
+/// Panics if `config.processes` is 0 (a computation has at least one
+/// process), or if the topology is inconsistent with the process count
 /// (`ClientServer` with `servers == 0` or `servers >= N`, `Neighbors` with
 /// `degree == 0`).
 pub fn generate(config: &GeneratorConfig) -> Generated {
+    assert!(
+        config.processes >= 1,
+        "a generated computation needs at least one process"
+    );
     if let Topology::Phased { phase_len } = config.topology {
         return generate_phased(config, phase_len);
     }
@@ -492,6 +497,12 @@ mod tests {
         assert_eq!(a.computation, b.computation);
         let c = generate(&cfg.clone().with_seed(8));
         assert_ne!(a.computation, c.computation);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one process")]
+    fn zero_processes_are_rejected() {
+        generate(&GeneratorConfig::new(0, 8));
     }
 
     #[test]

@@ -43,12 +43,7 @@ impl ToJson for Wcp {
 
 impl FromJson for Wcp {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let scope = value
-            .field("scope")?
-            .expect_array()?
-            .iter()
-            .map(ProcessId::from_json)
-            .collect::<Result<Vec<ProcessId>, JsonError>>()?;
+        let scope = Vec::<ProcessId>::from_json(value.field("scope")?)?;
         Ok(Wcp::over(scope))
     }
 }

@@ -329,6 +329,7 @@ fn each_malformed_trace_reports_its_error() {
         },
     ]);
     let table = [
+        (of(&[]), ComputationError::NoProcesses),
         (
             short_pred,
             ComputationError::PredLengthMismatch {

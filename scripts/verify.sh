@@ -20,6 +20,12 @@ cargo build --workspace --release --offline
 echo "== cargo test --workspace --offline =="
 cargo test --workspace --offline -q
 
+echo "== perfbench self-tests (toy size) =="
+# perfbench/ builds against the workspace crates by path, so a public-API
+# change that breaks its adapter (perfbench/src/system.rs) fails here, not
+# first when the benchmark runs. --locked leaves perfbench/Cargo.lock as is.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== fuzz smoke campaign (fixed seed, bounded) =="
 # Differential conformance sweep: every detector family cross-checked on
 # 50 seeded cases; exits nonzero (failing this script) on any divergence.
