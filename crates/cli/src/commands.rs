@@ -71,6 +71,10 @@ fn parse_scope(args: &Args, computation: &Computation) -> Result<Wcp, CliError> 
     }
 }
 
+/// Largest trace `wcp generate` writes, in events (`N·M`, with `M` counted
+/// as at least 1): a million events take about a second and 130 MB of JSON.
+pub const GENERATE_MAX_EVENTS: usize = 1_000_000;
+
 /// `wcp generate` — write a seeded random workload to a JSON file.
 pub fn generate_cmd(args: &Args) -> Result<String, CliError> {
     let processes: usize = args.require("processes")?;
@@ -78,6 +82,14 @@ pub fn generate_cmd(args: &Args) -> Result<String, CliError> {
         return Err(CliError::usage("--processes: needs at least one process"));
     }
     let events: usize = args.require("events")?;
+    if processes
+        .checked_mul(events.max(1))
+        .is_none_or(|total| total > GENERATE_MAX_EVENTS)
+    {
+        return Err(CliError::usage(format!(
+            "--processes × --events must be at most {GENERATE_MAX_EVENTS}"
+        )));
+    }
     let seed: u64 = args.get_or("seed", 0)?;
     let density: f64 = args.get_or("density", 0.1)?;
     let out: String = args.require("o")?;
@@ -92,7 +104,15 @@ pub fn generate_cmd(args: &Args) -> Result<String, CliError> {
         cfg = cfg.with_plant(f);
     }
     if let Some(topo) = args.get("topology") {
-        cfg = cfg.with_topology(parse_topology(topo)?);
+        let topology = parse_topology(topo)?;
+        if let Topology::ClientServer { servers } = topology {
+            if servers >= processes {
+                return Err(CliError::usage(format!(
+                    "--topology cs:{servers}: needs fewer servers than --processes ({processes})"
+                )));
+            }
+        }
+        cfg = cfg.with_topology(topology);
     }
     let generated = generate_workload(&cfg);
     fs::write(&out, generated.computation.to_json().pretty())?;
@@ -110,16 +130,15 @@ fn parse_topology(spec: &str) -> Result<Topology, CliError> {
     if spec == "ring" {
         return Ok(Topology::Ring);
     }
+    let at_least_one = |k: &str| k.parse().ok().filter(|&k: &usize| k >= 1);
     if let Some(k) = spec.strip_prefix("cs:") {
-        let servers = k
-            .parse()
-            .map_err(|_| CliError::usage("--topology cs:K needs a count"))?;
+        let servers = at_least_one(k)
+            .ok_or_else(|| CliError::usage("--topology cs:K needs a server count K ≥ 1"))?;
         return Ok(Topology::ClientServer { servers });
     }
     if let Some(k) = spec.strip_prefix("nb:") {
-        let degree = k
-            .parse()
-            .map_err(|_| CliError::usage("--topology nb:K needs a degree"))?;
+        let degree = at_least_one(k)
+            .ok_or_else(|| CliError::usage("--topology nb:K needs a degree K ≥ 1"))?;
         return Ok(Topology::Neighbors { degree });
     }
     Err(CliError::usage(format!("unknown topology `{spec}`")))
@@ -1100,13 +1119,23 @@ pub fn fuzz(raw: &[String]) -> Result<String, CliError> {
     Err(CliError::runtime(out))
 }
 
+/// Widest game `wcp bound` plays (`--n`).
+pub const BOUND_MAX_N: usize = 1_000;
+/// Most states `wcp bound`'s game holds (`n·m`).
+pub const BOUND_MAX_STATES: u64 = 1_000_000;
+
 /// `wcp bound` — run the Theorem 5.1 adversary game.
 pub fn bound(raw: &[String]) -> Result<String, CliError> {
     let args = Args::parse(raw)?;
     let n: usize = args.require("n")?;
     let m: u64 = args.require("m")?;
-    if n < 2 || m < 1 {
-        return Err(CliError::usage("bound needs --n ≥ 2 and --m ≥ 1"));
+    // The game holds n·m states and scans all n queues per deletion, so
+    // it runs in n²·m steps: both caps keep it within seconds.
+    let states = (n as u64).checked_mul(m);
+    if n < 2 || m < 1 || n > BOUND_MAX_N || states.is_none_or(|s| s > BOUND_MAX_STATES) {
+        return Err(CliError::usage(format!(
+            "bound needs 2 ≤ --n ≤ {BOUND_MAX_N}, --m ≥ 1 and n·m ≤ {BOUND_MAX_STATES}"
+        )));
     }
     let stats = run_optimal_algorithm(n, m);
     Ok(format!(
@@ -1829,6 +1858,113 @@ mod tests {
                 assert_eq!(err.code, 2, "{alg}: {}", err.message);
                 assert!(err.message.contains("multi:G"), "{alg}: {}", err.message);
             }
+        }
+    }
+
+    /// Runs `wcp <tokens>` and returns its usage error, failing if it
+    /// succeeds or fails any other way.
+    fn usage_error(tokens: &[&str]) -> CliError {
+        let err = crate::run(&argv(tokens)).expect_err("must be rejected");
+        assert_eq!(err.code, 2, "{tokens:?}: {}", err.message);
+        err
+    }
+
+    #[test]
+    fn client_server_topology_needs_between_one_and_n_minus_one_servers() {
+        let out = tmpfile("cs_rejected.json");
+        for k in ["cs:0", "cs:4", "cs:9"] {
+            let err = usage_error(&[
+                "generate",
+                "--processes",
+                "4",
+                "--events",
+                "8",
+                "--topology",
+                k,
+                "-o",
+                &out,
+            ]);
+            assert!(err.message.contains("cs:"), "{k}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn neighbour_topology_needs_a_positive_degree() {
+        let out = tmpfile("nb_rejected.json");
+        let err = usage_error(&[
+            "generate",
+            "--processes",
+            "4",
+            "--events",
+            "8",
+            "--topology",
+            "nb:0",
+            "-o",
+            &out,
+        ]);
+        assert!(err.message.contains("nb:K"), "{}", err.message);
+    }
+
+    #[test]
+    fn bound_rejects_a_game_too_large_to_allocate() {
+        let err = usage_error(&["bound", "--n", "99999999999", "--m", "99999999999"]);
+        assert!(err.message.contains("n·m"), "{}", err.message);
+    }
+
+    #[test]
+    fn bound_rejects_a_game_too_long_to_play() {
+        usage_error(&["bound", "--n", "2", "--m", "99999999999"]);
+        usage_error(&["bound", "--n", "1001", "--m", "1"]);
+        assert!(bound(&argv(&["--n", "1000", "--m", "1"])).is_ok());
+    }
+
+    #[test]
+    fn generate_rejects_too_many_processes() {
+        let out = tmpfile("too_wide.json");
+        let err = usage_error(&[
+            "generate",
+            "--processes",
+            "100000000",
+            "--events",
+            "1000",
+            "-o",
+            &out,
+        ]);
+        assert!(err.message.contains("at most"), "{}", err.message);
+        // A process count alone can exceed the cap (`M = 0` counts as 1).
+        usage_error(&[
+            "generate",
+            "--processes",
+            "4294967296",
+            "--events",
+            "0",
+            "-o",
+            &out,
+        ]);
+    }
+
+    #[test]
+    fn generate_rejects_too_many_events() {
+        let out = tmpfile("too_long.json");
+        usage_error(&[
+            "generate",
+            "--processes",
+            "4",
+            "--events",
+            "99999999999",
+            "-o",
+            &out,
+        ]);
+    }
+
+    #[test]
+    fn usage_states_the_size_caps() {
+        for cap in [
+            GENERATE_MAX_EVENTS.to_string(),
+            BOUND_MAX_N.to_string(),
+            BOUND_MAX_STATES.to_string(),
+        ] {
+            assert!(crate::USAGE.contains(&cap), "USAGE omits {cap}");
         }
     }
 }

@@ -112,6 +112,7 @@ wcp — distributed detection of conjunctive predicates
 USAGE:
   wcp generate --processes N --events M [--seed S] [--density D]
                [--plant F] [--topology uniform|ring|cs:K|nb:K] -o FILE
+               (N·M ≤ 1000000; cs:K needs 1 ≤ K < N, nb:K needs K ≥ 1)
   wcp info FILE
   wcp detect FILE [--scope 0,1,2] [--algorithm token|checker|direct|lattice|multi:G|parallel[:T]]
               [--diagram] [--json] [--slice OUT.json]
@@ -138,5 +139,5 @@ USAGE:
             [--multi [--predicates K] [--pump-threads T]]
   wcp fuzz [--seed S] [--cases K] [--shrink] [--no-net] [--net-batch]
            [--multi] [--pump-parallel] [--parallel-detect] [--audit-bounds]
-  wcp bound --n N --m M
+  wcp bound --n N --m M    (2 ≤ N ≤ 1000, M ≥ 1, N·M ≤ 1000000)
   wcp help";

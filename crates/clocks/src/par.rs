@@ -157,8 +157,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Spins until `ready()` holds or [`SPIN`] elapses; returns `ready()`.
-fn spin(ready: impl Fn() -> bool) -> bool {
+/// Spins until `ready()` holds or the 50 µs spin budget elapses; returns
+/// `ready()`. The pool's idle workers and the net crate's peer workers
+/// wait this way before they park.
+pub fn spin(ready: impl Fn() -> bool) -> bool {
     let start = Instant::now();
     loop {
         for _ in 0..64 {

@@ -18,6 +18,8 @@
 //! - [`peer`] — the per-peer endpoint (sequence numbers, dedup,
 //!   resequencing, send-log replay) and the event loop hosting the
 //!   unmodified detection actors;
+//! - `worker` — the `min(n, cores)` threads an in-process run hosts its
+//!   peers on, each woken by a doorbell its peers' inboxes ring;
 //! - [`runner`] — end-to-end runs ([`run_vc_token_net`],
 //!   [`run_direct_net`], [`serve_vc_peer`]) reporting the same
 //!   `DetectionReport` as the simulator, plus wire-level [`NetStats`];
@@ -45,6 +47,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod transport;
 pub mod wire2;
+mod worker;
 
 pub use codec::{decode_frame, encode_frame, read_frame, CodecError, Frame, Payload};
 pub use fault::{link_seed, FaultyTransport};
@@ -52,7 +55,7 @@ pub use multi::{
     run_multi_net, run_multi_net_observed, run_multi_net_with, serve_multi_peer, MultiNetReport,
     MultiPeerReport,
 };
-pub use peer::{Endpoint, HostedActor, PeerHost, RawFrame, TelemetrySidecar};
+pub use peer::{Endpoint, RawFrame};
 pub use pool::{FramePool, PooledBuf};
 pub use runner::{
     run_direct_net, run_direct_net_recorded, run_vc_token_net, run_vc_token_net_observed,
@@ -67,5 +70,7 @@ pub use stats::{NetCounters, NetStats};
 pub use telemetry::{
     decode_delta, encode_delta, SidecarFilter, TelemetryCollector, TelemetryDelta, TELEMETRY_SCHEMA,
 };
-pub use transport::{spawn_listener, LoopbackTransport, TcpTransport, Transport};
+pub use transport::{
+    spawn_listener, Acceptor, InboxSender, LoopbackTransport, TcpTransport, Transport,
+};
 pub use wire2::{BitReader, BitWriter, ClockChains};

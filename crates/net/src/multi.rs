@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -34,15 +34,16 @@ use wcp_session::{
 use wcp_sim::{Actor, ActorId, Context, SimMetrics};
 use wcp_trace::{Computation, Wcp};
 
-use crate::peer::{Endpoint, ExitLatch, HostedActor, PeerHost};
+use crate::peer::{Endpoint, HostedActor, PeerHost};
 use crate::pool::FramePool;
 use crate::runner::{
-    build_fabric, drive, peer_recorders, wrap_faults, NetConfig, TelemetryPlane, TransportKind,
+    build_fabric, drive, peer_recorders, serve_alone, wrap_faults, NetConfig, TelemetryPlane,
     RECOVERY_RETRIES,
 };
 use crate::stats::{NetCounters, NetStats};
 use crate::telemetry::TelemetryCollector;
-use crate::transport::{spawn_listener, TcpTransport, Transport};
+use crate::transport::{spawn_listener, InboxSender, TcpTransport, Transport};
+use crate::worker::Doorbell;
 
 /// [`MultiService`] with its engine counters mirrored into the run's
 /// [`NetCounters`] after every message, so the sidecar telemetry plane
@@ -194,7 +195,6 @@ pub fn run_multi_net_with(
     let result: SharedOutcome = Arc::new(Mutex::new(None));
     let metrics = Arc::new(Mutex::new(SimMetrics::new(n_total + 2)));
     let counters = NetCounters::shared();
-    let latch = ExitLatch::new(n_peers);
     let plane = config
         .telemetry
         .then(|| TelemetryPlane::build(n_peers, collector));
@@ -266,12 +266,10 @@ pub fn run_multi_net_with(
             metrics: metrics.clone(),
             result: result.clone(),
             deadline: config.deadline,
-            exit: Some(latch.clone()),
-            linger: Duration::ZERO,
-            telemetry: plane.as_ref().map(|p| p.sidecar(i, config.transport)),
+            telemetry: plane.as_ref().map(|p| p.sidecar(i)),
         });
     }
-    drive(hosts, fabric.listeners);
+    drive(hosts, fabric.workers);
 
     assert!(
         finished.load(Ordering::Acquire),
@@ -343,8 +341,8 @@ pub fn serve_multi_peer(
     let pool = FramePool::shared(counters.clone());
     let listener = TcpListener::bind(addrs[peer]).expect("bind serve address");
     let (tx, rx) = channel();
-    let stop = Arc::new(AtomicBool::new(false));
-    let acceptor = spawn_listener(listener, tx, stop.clone(), pool);
+    let bell = Arc::new(Doorbell::default());
+    let acceptor = spawn_listener(listener, InboxSender::new(tx, bell.clone()), pool);
 
     // Other peers may not have started yet: dial patiently.
     let links: Vec<Option<Box<dyn Transport>>> = (0..n_peers)
@@ -420,14 +418,9 @@ pub fn serve_multi_peer(
         metrics,
         result,
         deadline: config.deadline,
-        exit: None,
-        linger: Duration::from_millis(300),
-        // serve peers always talk over real sockets.
-        telemetry: plane.as_ref().map(|p| p.sidecar(0, TransportKind::Tcp)),
+        telemetry: plane.as_ref().map(|p| p.sidecar(0)),
     };
-    host.run();
-    stop.store(true, Ordering::Relaxed);
-    let _ = acceptor.join();
+    serve_alone(host, &bell, acceptor);
 
     let outcomes = if peer == n_total {
         collect_multi_report(&engine, registrations, &[], HashMap::new()).outcomes

@@ -1,6 +1,7 @@
 //! One network peer: an [`Endpoint`] bundling its outbound links with
-//! per-link dedup/resequencing on the inbound side, and a [`PeerHost`]
-//! event loop that hosts detection actors on top of it.
+//! per-link dedup/resequencing on the inbound side, and the non-blocking
+//! event loop that hosts detection actors on top of it, stepped by the
+//! peer workers (`worker.rs`).
 //!
 //! ## Why the verdict is timing-independent
 //!
@@ -29,8 +30,8 @@
 //! [`Transport::send_batch`] — one write per wakeup instead of one per
 //! frame. *Latency-sensitive* payloads (tokens, polls, end-of-trace,
 //! verdict, shutdown) flush their link immediately so control traffic is
-//! never stalled behind batching, and [`PeerHost`] flushes every link
-//! before blocking on the wire, so no frame sits unflushed while a peer
+//! never stalled behind batching, and the event loop flushes every link
+//! before it looks at the wire, so no frame sits unflushed while a peer
 //! waits. Sequencing, logging, counters, and events stay per-frame, which
 //! is what keeps the fault model and `NetStats` semantics bit-identical
 //! to the per-frame path (`NetConfig::with_per_frame_writes`).
@@ -49,7 +50,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -592,16 +593,22 @@ impl Endpoint {
     pub fn recv(&mut self, timeout: Duration) -> Option<RawFrame> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(frame) = self.ready.pop_front() {
+            if let Some(frame) = self.try_recv() {
                 return Some(frame);
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.inbox.recv_timeout(remaining) {
-                Ok(chunk) => self.ingest(chunk),
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                    return None;
-                }
+            self.ingest(self.inbox.recv_timeout(remaining).ok()?);
+        }
+    }
+
+    /// Receives the next in-order frame if one has already arrived;
+    /// never blocks.
+    pub(crate) fn try_recv(&mut self) -> Option<RawFrame> {
+        loop {
+            if let Some(frame) = self.ready.pop_front() {
+                return Some(frame);
             }
+            self.ingest(self.inbox.try_recv().ok()?);
         }
     }
 
@@ -806,54 +813,10 @@ impl Context<DetectMsg> for NetCtx<'_> {
     }
 }
 
-/// How long a peer blocks on the wire before re-checking its deadline.
-const POLL: Duration = Duration::from_millis(5);
-
-/// Deadline-bounded exit rendezvous: peers keep their endpoints (and thus
-/// their inbound channels) alive until every peer has finished delivering,
-/// so a straggler draining its backlog never sends into a torn-down link.
-/// A plain barrier would hang if a peer died first; this one gives up at
-/// its deadline.
-pub struct ExitLatch {
-    arrived: Mutex<usize>,
-    cond: std::sync::Condvar,
-    total: usize,
-}
-
-impl ExitLatch {
-    /// A latch for `total` peers.
-    pub fn new(total: usize) -> Arc<Self> {
-        Arc::new(ExitLatch {
-            arrived: Mutex::new(0),
-            cond: std::sync::Condvar::new(),
-            total,
-        })
-    }
-
-    /// Marks this peer arrived and waits (until `deadline`) for the rest.
-    /// Condvar-based so the release propagates in microseconds — a
-    /// sleep-poll quantum here would round every run's exit up to it.
-    fn wait(&self, deadline: Instant) {
-        let mut arrived = self.arrived.lock().unwrap();
-        *arrived += 1;
-        if *arrived >= self.total {
-            self.cond.notify_all();
-            return;
-        }
-        while *arrived < self.total {
-            let timeout = deadline.saturating_duration_since(Instant::now());
-            if timeout.is_zero() {
-                return;
-            }
-            arrived = self.cond.wait_timeout(arrived, timeout).unwrap().0;
-        }
-    }
-}
-
 /// An actor hosted on a peer, with a typed fast path for the vector-clock
 /// monitor: its `VC_SNAPSHOT` frames decode straight into the monitor's
 /// arena-backed queue instead of materializing a `DetectMsg`.
-pub enum HostedActor {
+pub(crate) enum HostedActor {
     /// A Figure 3 monitor — snapshot frames take the arena-direct path.
     Vc(VcMonitor),
     /// Any other actor, dispatched through the generic [`Actor`] trait.
@@ -862,12 +825,12 @@ pub enum HostedActor {
 
 impl HostedActor {
     /// Hosts a vector-clock monitor with the arena-direct decode path.
-    pub fn vc(monitor: VcMonitor) -> Self {
+    pub(crate) fn vc(monitor: VcMonitor) -> Self {
         HostedActor::Vc(monitor)
     }
 
     /// Hosts any actor through generic dispatch.
-    pub fn boxed(actor: impl Actor<DetectMsg> + 'static) -> Self {
+    pub(crate) fn boxed(actor: impl Actor<DetectMsg> + 'static) -> Self {
         HostedActor::Dyn(Box::new(actor))
     }
 
@@ -887,65 +850,48 @@ const TELEMETRY_FLUSH_EVENTS: usize = 256;
 /// recorder whose deltas are periodically framed as `TELEMETRY` frames
 /// and shipped to the collector peer (or ingested locally when this peer
 /// *is* the collector).
-pub struct TelemetrySidecar {
+pub(crate) struct TelemetrySidecar {
     /// This peer's private event ring (drained, not snapshotted, so each
     /// delta carries only what happened since the previous flush).
-    pub ring: Arc<RingRecorder>,
+    ring: Arc<RingRecorder>,
     /// Peer index the deltas route to.
-    pub collector_peer: u32,
+    collector_peer: u32,
     /// Stats shipped in the last delta, to suppress idle heartbeats.
     last_stats: Option<NetStats>,
-    /// How long the exit drain waits for in-flight deltas after the exit
-    /// latch releases. Loopback sends are synchronous (everything flushed
-    /// before the latch is already in the inbox), so zero is lossless
-    /// there; real sockets get a small grace for the reader-thread race.
-    pub exit_grace: Duration,
 }
 
 impl TelemetrySidecar {
     /// A sidecar draining `ring` towards `collector_peer`.
-    pub fn new(ring: Arc<RingRecorder>, collector_peer: u32) -> Self {
+    pub(crate) fn new(ring: Arc<RingRecorder>, collector_peer: u32) -> Self {
         TelemetrySidecar {
             ring,
             collector_peer,
             last_stats: None,
-            exit_grace: Duration::ZERO,
         }
-    }
-
-    /// Sets the exit-drain grace window.
-    pub fn with_exit_grace(mut self, grace: Duration) -> Self {
-        self.exit_grace = grace;
-        self
     }
 }
 
 /// One peer's share of a detection run: its hosted actors, its endpoint,
 /// and the shared outcome cell the monitors publish into.
-pub struct PeerHost {
+pub(crate) struct PeerHost {
     /// This peer's index.
-    pub index: u32,
+    pub(crate) index: u32,
     /// The peer's network endpoint.
-    pub endpoint: Endpoint,
+    pub(crate) endpoint: Endpoint,
     /// Hosted actors with their global actor ids, in id order.
-    pub actors: Vec<(ActorId, HostedActor)>,
+    pub(crate) actors: Vec<(ActorId, HostedActor)>,
     /// Hosting peer of every actor, indexed by actor id.
-    pub actor_peer: Arc<Vec<u32>>,
+    pub(crate) actor_peer: Arc<Vec<u32>>,
     /// Paper-unit send/work accounting (shared in-process, local when the
     /// peer is a standalone OS process).
-    pub metrics: Arc<Mutex<SimMetrics>>,
+    pub(crate) metrics: Arc<Mutex<SimMetrics>>,
     /// Verdict cell; the deciding monitor publishes here before stopping,
     /// and remote verdict frames are folded in for standalone peers.
-    pub result: SharedOutcome,
-    /// Watchdog: panic if the run makes no progress for this long.
-    pub deadline: Duration,
-    /// Exit rendezvous for in-process runs (`None` for standalone peers).
-    pub exit: Option<Arc<ExitLatch>>,
-    /// How long a standalone peer keeps its sockets alive after finishing,
-    /// so remote stragglers can still complete their writes.
-    pub linger: Duration,
+    pub(crate) result: SharedOutcome,
+    /// Watchdog: panic if the run has not finished this long after start.
+    pub(crate) deadline: Duration,
     /// Sidecar telemetry state (`None` = telemetry off, the default).
-    pub telemetry: Option<TelemetrySidecar>,
+    pub(crate) telemetry: Option<TelemetrySidecar>,
 }
 
 impl PeerHost {
@@ -977,188 +923,227 @@ impl PeerHost {
         }
     }
 
-    /// Runs the peer to verdict or shutdown and closes its links.
+    /// Whether the other peers' telemetry deltas route to this one.
+    pub(crate) fn is_collector(&self) -> bool {
+        self.telemetry
+            .as_ref()
+            .is_some_and(|t| t.collector_peer == self.index)
+    }
+}
+
+/// A [`PeerHost`] inside its event loop, which a worker advances one
+/// non-blocking [`step`](Running::step) at a time.
+pub(crate) struct Running {
+    host: PeerHost,
+    /// Position in `host.actors` of every actor id (`usize::MAX` when the
+    /// actor lives on another peer).
+    slot_of: Vec<usize>,
+    /// The in-order local queue: the FIFO application→monitor channel.
+    local: VecDeque<(ActorId, ActorId, DetectMsg)>,
+    /// Set by a hosted monitor that decided the run.
+    stop: bool,
+    /// Set once the peer has left its loop (decided or told to shut down).
+    done: bool,
+    deadline: Instant,
+}
+
+impl Running {
+    /// Starts every hosted actor.
+    pub(crate) fn start(host: PeerHost) -> Running {
+        let mut slot_of = vec![usize::MAX; host.actor_peer.len()];
+        for (slot, (id, _)) in host.actors.iter().enumerate() {
+            slot_of[id.index()] = slot;
+        }
+        let mut running = Running {
+            deadline: Instant::now() + host.deadline,
+            host,
+            slot_of,
+            local: VecDeque::new(),
+            stop: false,
+            done: false,
+        };
+        for slot in 0..running.host.actors.len() {
+            running.dispatch(slot, |actor, ctx| actor.as_actor_mut().on_start(ctx));
+        }
+        if running.stop {
+            running.finish();
+        }
+        running
+    }
+
+    /// Whether the peer has left its event loop.
+    pub(crate) fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// The host, once the worker is done with it.
+    pub(crate) fn into_host(self) -> PeerHost {
+        self.host
+    }
+
+    /// Runs `f` on the actor in `slot` with its [`NetCtx`].
+    fn dispatch(&mut self, slot: usize, f: impl FnOnce(&mut HostedActor, &mut NetCtx)) {
+        let host = &mut self.host;
+        let (id, actor) = &mut host.actors[slot];
+        let mut ctx = NetCtx {
+            me: *id,
+            actor_peer: &host.actor_peer,
+            my_peer: host.index,
+            endpoint: &mut host.endpoint,
+            local: &mut self.local,
+            metrics: &host.metrics,
+            stop: &mut self.stop,
+        };
+        f(actor, &mut ctx);
+    }
+
+    /// The hosting slot of actor `to`, counting the delivery.
+    fn receiver(&self, to: ActorId) -> usize {
+        let slot = self.slot_of[to.index()];
+        assert!(
+            slot != usize::MAX,
+            "delivery to actor {to:?} not hosted here"
+        );
+        self.host
+            .metrics
+            .lock()
+            .expect("a peer panicked while recording metrics")
+            .record_receive(to);
+        slot
+    }
+
+    /// One step of the event loop: a local delivery if one is queued,
+    /// otherwise flush every outbound batch and take one inbound frame if
+    /// any has arrived. Never blocks. Returns whether the step did work.
     ///
     /// # Panics
     ///
-    /// Panics if the protocol stalls past the deadline (a bug, not an
-    /// input error) or a link goes permanently down.
-    pub fn run(mut self) {
-        let mut slot_of = vec![usize::MAX; self.actor_peer.len()];
-        for (slot, (id, _)) in self.actors.iter().enumerate() {
-            slot_of[id.index()] = slot;
+    /// Panics if a link goes permanently down.
+    pub(crate) fn step(&mut self) -> bool {
+        if self.done {
+            return false;
         }
-        let mut local: VecDeque<(ActorId, ActorId, DetectMsg)> = VecDeque::new();
-        let mut stop = false;
-        let n_peers = self.actor_peer.iter().map(|&p| p + 1).max().unwrap_or(1);
-
-        for slot in 0..self.actors.len() {
-            let (id, actor) = &mut self.actors[slot];
-            let mut ctx = NetCtx {
-                me: *id,
-                actor_peer: &self.actor_peer,
-                my_peer: self.index,
-                endpoint: &mut self.endpoint,
-                local: &mut local,
-                metrics: &self.metrics,
-                stop: &mut stop,
+        let mut shutdown = false;
+        // Local deliveries first: this is the FIFO application→monitor
+        // channel.
+        if let Some((from, to, msg)) = self.local.pop_front() {
+            let slot = self.receiver(to);
+            self.dispatch(slot, |actor, ctx| {
+                actor.as_actor_mut().on_message(ctx, from, msg)
+            });
+        } else {
+            // About to look at the wire: every coalesced frame must be on
+            // its way first, or a remote peer could wait on bytes sitting
+            // in our batch while we wait on it.
+            self.host.endpoint.flush_all();
+            self.host.flush_telemetry(false);
+            let Some(frame) = self.host.endpoint.try_recv() else {
+                return false;
             };
-            actor.as_actor_mut().on_start(&mut ctx);
+            shutdown = self.deliver(frame);
         }
+        if self.stop || shutdown {
+            self.finish();
+        }
+        true
+    }
 
-        let deadline = Instant::now() + self.deadline;
-        while !stop {
-            // Drain local deliveries first: this is the FIFO
-            // application→monitor channel.
-            if let Some((from, to, msg)) = local.pop_front() {
-                let slot = slot_of[to.index()];
-                assert!(slot != usize::MAX, "local delivery to remote actor");
-                self.metrics.lock().unwrap().record_receive(to);
-                let (id, actor) = &mut self.actors[slot];
-                let mut ctx = NetCtx {
-                    me: *id,
-                    actor_peer: &self.actor_peer,
-                    my_peer: self.index,
-                    endpoint: &mut self.endpoint,
-                    local: &mut local,
-                    metrics: &self.metrics,
-                    stop: &mut stop,
-                };
-                actor.as_actor_mut().on_message(&mut ctx, from, msg);
-                continue;
-            }
-            // About to block on the wire: every coalesced frame must be
-            // on its way first, or a remote peer could wait on bytes
-            // sitting in our batch while we wait on it.
-            self.endpoint.flush_all();
-            self.flush_telemetry(false);
-            match self.endpoint.recv(POLL) {
-                Some(frame) => match frame.kind() {
-                    kind::VERDICT | kind::SHUTDOWN => {
-                        match frame.payload().expect("corrupt frame on the wire") {
-                            Payload::Verdict(v) => {
-                                let mut cell = self.result.lock().unwrap();
-                                if cell.is_none() {
-                                    *cell = Some(match v {
-                                        Some(g) => OnlineDetection::Detected(g),
-                                        None => OnlineDetection::Undetected,
-                                    });
-                                }
-                            }
-                            Payload::Shutdown => break,
-                            Payload::Detect(_) => unreachable!("control kind decodes to control"),
-                        }
+    /// Delivers one inbound frame; returns `true` for a shutdown frame.
+    fn deliver(&mut self, frame: RawFrame) -> bool {
+        let frame_kind = frame.kind();
+        if matches!(frame_kind, kind::VERDICT | kind::SHUTDOWN) {
+            return match frame.payload().expect("corrupt frame on the wire") {
+                Payload::Verdict(v) => {
+                    let mut cell = self
+                        .host
+                        .result
+                        .lock()
+                        .expect("a peer panicked while publishing a verdict");
+                    if cell.is_none() {
+                        *cell = Some(match v {
+                            Some(g) => OnlineDetection::Detected(g),
+                            None => OnlineDetection::Undetected,
+                        });
                     }
-                    frame_kind => {
-                        let to = frame.to_actor();
-                        let slot = slot_of[to.index()];
-                        assert!(slot != usize::MAX, "frame for actor not hosted here");
-                        self.metrics.lock().unwrap().record_receive(to);
-                        let (id, actor) = &mut self.actors[slot];
-                        let mut ctx = NetCtx {
-                            me: *id,
-                            actor_peer: &self.actor_peer,
-                            my_peer: self.index,
-                            endpoint: &mut self.endpoint,
-                            local: &mut local,
-                            metrics: &self.metrics,
-                            stop: &mut stop,
-                        };
-                        match actor {
-                            // Arena-direct: the snapshot clock deserializes
-                            // straight into the monitor's queue. A v2 frame
-                            // was reconstructed to the same little-endian
-                            // layout at promotion, so both versions feed
-                            // the identical bytes (and paper units) in.
-                            HostedActor::Vc(monitor)
-                                if frame_kind == kind::VC_SNAPSHOT
-                                    || frame_kind == kind::VC_SNAPSHOT_V2 =>
-                            {
-                                monitor.on_snapshot_wire(&mut ctx, frame.clock_le());
-                            }
-                            actor => {
-                                let payload = frame.payload().expect("corrupt frame on the wire");
-                                let Payload::Detect(msg) = payload else {
-                                    unreachable!("detect kind decodes to detect payload")
-                                };
-                                actor
-                                    .as_actor_mut()
-                                    .on_message(&mut ctx, frame.from_actor(), msg);
-                            }
-                        }
-                    }
-                },
-                None => {
-                    // Idle: a poll timeout is the natural low-priority slot
-                    // for shipping whatever telemetry accumulated.
-                    self.flush_telemetry(true);
-                    assert!(
-                        Instant::now() < deadline,
-                        "net: peer {} stalled past its deadline (protocol bug)",
-                        self.index
-                    );
+                    false
                 }
-            }
+                Payload::Shutdown => true,
+                Payload::Detect(_) => unreachable!("control kind decodes to control"),
+            };
         }
+        let slot = self.receiver(frame.to_actor());
+        self.dispatch(slot, |actor, ctx| match actor {
+            // Arena-direct: the snapshot clock deserializes straight into
+            // the monitor's queue. A v2 frame was reconstructed to the
+            // same little-endian layout at promotion, so both versions
+            // feed the identical bytes (and paper units) in.
+            HostedActor::Vc(monitor)
+                if frame_kind == kind::VC_SNAPSHOT || frame_kind == kind::VC_SNAPSHOT_V2 =>
+            {
+                monitor.on_snapshot_wire(ctx, frame.clock_le());
+            }
+            actor => {
+                let payload = frame.payload().expect("corrupt frame on the wire");
+                let Payload::Detect(msg) = payload else {
+                    unreachable!("detect kind decodes to detect payload")
+                };
+                actor
+                    .as_actor_mut()
+                    .on_message(ctx, frame.from_actor(), msg);
+            }
+        });
+        false
+    }
 
-        if stop {
-            // This peer's monitor decided: broadcast the verdict, then an
-            // orderly shutdown, to every other peer. (Both are immediate
-            // payloads, so each link flushes its residue here too.)
-            let verdict = match self.result.lock().unwrap().clone() {
+    /// The idle duties, run when the worker saw no inbound data for a
+    /// poll interval: ship whatever telemetry accumulated, and check the
+    /// watchdog.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run has outlived the peer's deadline (a protocol bug,
+    /// not an input error).
+    pub(crate) fn idle(&mut self) {
+        if self.done {
+            return;
+        }
+        self.host.flush_telemetry(true);
+        assert!(
+            Instant::now() < self.deadline,
+            "net: peer {} stalled past its deadline (protocol bug)",
+            self.host.index
+        );
+    }
+
+    /// Leaves the loop: a deciding peer broadcasts the verdict and an
+    /// orderly shutdown to every other peer, then every residue batch and
+    /// the final telemetry delta go out, so the collected timeline is
+    /// complete (verdict events included) once every peer has finished.
+    fn finish(&mut self) {
+        let host = &mut self.host;
+        if self.stop {
+            // Both are immediate payloads, so each link flushes its
+            // residue here too.
+            let verdict = match host
+                .result
+                .lock()
+                .expect("a peer panicked while publishing a verdict")
+                .clone()
+            {
                 Some(OnlineDetection::Detected(g)) => Some(g),
                 Some(OnlineDetection::Undetected) | None => None,
             };
+            let n_peers = host.actor_peer.iter().map(|&p| p + 1).max().unwrap_or(1);
             let marker = ActorId::new(0);
-            for peer in 0..n_peers {
-                if peer == self.index {
-                    continue;
-                }
-                self.endpoint
+            for peer in (0..n_peers).filter(|&p| p != host.index) {
+                host.endpoint
                     .send(peer, marker, marker, Payload::Verdict(verdict.clone()));
-                self.endpoint.send(peer, marker, marker, Payload::Shutdown);
+                host.endpoint.send(peer, marker, marker, Payload::Shutdown);
             }
         }
-        // Flush any residue *before* the exit rendezvous: after the latch
-        // releases, a fast peer may drop its inbox while we still write.
-        self.endpoint.flush_all();
-        // Final telemetry delta: the collected timeline must be complete
-        // (verdict events included) once every peer has exited.
-        self.flush_telemetry(true);
-        // Keep the endpoint (and its inbound channel) alive until every
-        // peer has stopped delivering, then tear the links down. With
-        // telemetry on, keep *draining* the inbox too: the other peers'
-        // final deltas arrive exactly during this window, and the
-        // collector ingests them inside `Endpoint::accept`. (Any late
-        // data frame surfacing here is dropped unprocessed — the same
-        // fate it meets sitting in a closed channel, so accounting and
-        // verdicts are untouched.)
-        match &self.exit {
-            Some(latch) if self.telemetry.is_some() => {
-                latch.wait(deadline);
-                // Deltas flushed before the latch released are queued in
-                // the inbox channel; one graced sweep ingests them into
-                // the collector. Loopback delivery is synchronous so a
-                // zero grace is lossless; sockets get a small window for
-                // the reader-thread race (telemetry stays best-effort
-                // past this point).
-                let grace = self
-                    .telemetry
-                    .as_ref()
-                    .map(|t| t.exit_grace)
-                    .unwrap_or(Duration::ZERO);
-                while self.endpoint.recv(grace).is_some() {}
-            }
-            Some(latch) => latch.wait(deadline),
-            None if self.telemetry.is_some() => {
-                let until = Instant::now() + self.linger;
-                while Instant::now() < until {
-                    let _ = self.endpoint.recv(POLL);
-                }
-            }
-            None => std::thread::sleep(self.linger),
-        }
-        self.endpoint.close();
+        host.endpoint.flush_all();
+        host.flush_telemetry(true);
+        self.done = true;
     }
 }
 

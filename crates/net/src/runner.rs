@@ -12,11 +12,10 @@
 //! including under tolerated fault schedules.
 
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver};
+use std::panic;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wcp_clocks::{Cut, ProcessId};
 use wcp_detect::online::dd_monitor::DdMonitor;
@@ -28,11 +27,14 @@ use wcp_sim::{ActorId, FaultConfig, SimMetrics};
 use wcp_trace::{Computation, Wcp};
 
 use crate::fault::FaultyTransport;
-use crate::peer::{Endpoint, ExitLatch, HostedActor, PeerHost, TelemetrySidecar};
+use crate::peer::{Endpoint, HostedActor, PeerHost, TelemetrySidecar};
 use crate::pool::{FramePool, PooledBuf};
 use crate::stats::{NetCounters, NetStats};
 use crate::telemetry::{SidecarFilter, TelemetryCollector};
-use crate::transport::{spawn_listener, LoopbackTransport, TcpTransport, Transport};
+use crate::transport::{
+    spawn_listener, Acceptor, InboxSender, LoopbackTransport, TcpTransport, Transport,
+};
+use crate::worker::{self, Doorbell};
 
 /// Which substrate carries the frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -201,15 +203,9 @@ impl TelemetryPlane {
         Arc::new(TeeRecorder::new(user.clone(), sidecar))
     }
 
-    /// The sidecar state handed to peer `i`'s host. Loopback delivery is
-    /// synchronous, so the exit drain needs no grace there; sockets get a
-    /// small window for the reader-thread race.
-    pub(crate) fn sidecar(&self, i: usize, transport: TransportKind) -> TelemetrySidecar {
-        let grace = match transport {
-            TransportKind::Loopback => Duration::ZERO,
-            TransportKind::Tcp => Duration::from_millis(2),
-        };
-        TelemetrySidecar::new(self.rings[i].clone(), 0).with_exit_grace(grace)
+    /// The sidecar state handed to peer `i`'s host.
+    pub(crate) fn sidecar(&self, i: usize) -> TelemetrySidecar {
+        TelemetrySidecar::new(self.rings[i].clone(), 0)
     }
 }
 
@@ -233,8 +229,33 @@ pub(crate) struct Fabric {
     /// `links[i][j]` is the transport for the directed link `i → j`.
     pub(crate) links: Vec<Vec<Option<Box<dyn Transport>>>>,
     pub(crate) inboxes: Vec<Receiver<PooledBuf>>,
-    /// TCP only: acceptor stop flag and join handles.
-    pub(crate) listeners: Option<(Arc<AtomicBool>, Vec<JoinHandle<()>>)>,
+    /// Where the run's peers are hosted; every inbox rings its worker.
+    pub(crate) workers: Workers,
+}
+
+/// The worker layout of an in-process run: one doorbell per worker, peer
+/// `i` on worker `i mod W`, plus the TCP accept loops to stop at the end.
+pub(crate) struct Workers {
+    bells: Vec<Arc<Doorbell>>,
+    transport: TransportKind,
+    acceptors: Vec<Acceptor>,
+}
+
+impl Workers {
+    fn new(n_peers: usize, transport: TransportKind) -> Self {
+        Workers {
+            bells: (0..worker::worker_count(n_peers))
+                .map(|_| Arc::default())
+                .collect(),
+            transport,
+            acceptors: Vec::new(),
+        }
+    }
+
+    /// The sending side of peer `i`'s inbox.
+    fn inbox(&self, i: usize, tx: Sender<PooledBuf>) -> InboxSender {
+        InboxSender::new(tx, Arc::clone(&self.bells[i % self.bells.len()]))
+    }
 }
 
 pub(crate) fn wrap_faults(
@@ -267,34 +288,17 @@ pub(crate) fn build_fabric(
     // One buffer pool per fabric: every chunk crossing a thread boundary
     // (loopback delivery, TCP reads) recycles through it.
     let pool = FramePool::shared(counters.clone());
-    match config.transport {
+    let mut workers = Workers::new(n_peers, config.transport);
+    let (txs, inboxes): (Vec<_>, Vec<_>) = (0..n_peers).map(|_| channel()).unzip();
+    let inbox_txs: Vec<InboxSender> = txs
+        .into_iter()
+        .enumerate()
+        .map(|(j, tx)| workers.inbox(j, tx))
+        .collect();
+    let dial: Box<dyn Fn(usize) -> Box<dyn Transport>> = match config.transport {
         TransportKind::Loopback => {
-            let (txs, rxs): (Vec<_>, Vec<_>) = (0..n_peers).map(|_| channel()).unzip();
-            let links = (0..n_peers)
-                .map(|i| {
-                    (0..n_peers)
-                        .map(|j| {
-                            (i != j).then(|| {
-                                let base: Box<dyn Transport> =
-                                    Box::new(LoopbackTransport::new(txs[j].clone(), pool.clone()));
-                                wrap_faults(
-                                    base,
-                                    config,
-                                    i as u32,
-                                    j as u32,
-                                    counters,
-                                    &recorders[i],
-                                )
-                            })
-                        })
-                        .collect()
-                })
-                .collect();
-            Fabric {
-                links,
-                inboxes: rxs,
-                listeners: None,
-            }
+            let pool = pool.clone();
+            Box::new(move |j| Box::new(LoopbackTransport::new(inbox_txs[j].clone(), pool.clone())))
         }
         TransportKind::Tcp => {
             // Bind every listener before anyone dials, so in-process runs
@@ -306,66 +310,108 @@ pub(crate) fn build_fabric(
                 .iter()
                 .map(|l| l.local_addr().expect("listener addr"))
                 .collect();
-            let stop = Arc::new(AtomicBool::new(false));
-            let mut rxs = Vec::new();
-            let mut handles = Vec::new();
-            for listener in listeners {
-                let (tx, rx) = channel();
-                handles.push(spawn_listener(listener, tx, stop.clone(), pool.clone()));
-                rxs.push(rx);
-            }
-            let links = (0..n_peers)
-                .map(|i| {
-                    (0..n_peers)
-                        .map(|j| {
-                            (i != j).then(|| {
-                                let base: Box<dyn Transport> = Box::new(
-                                    TcpTransport::connect(
-                                        addrs[j],
-                                        DIAL_RETRIES,
-                                        Duration::from_millis(1),
-                                    )
-                                    .expect("dial peer"),
-                                );
-                                wrap_faults(
-                                    base,
-                                    config,
-                                    i as u32,
-                                    j as u32,
-                                    counters,
-                                    &recorders[i],
-                                )
-                            })
-                        })
-                        .collect()
-                })
+            workers.acceptors = listeners
+                .into_iter()
+                .zip(inbox_txs)
+                .map(|(listener, inbox)| spawn_listener(listener, inbox, pool.clone()))
                 .collect();
-            Fabric {
-                links,
-                inboxes: rxs,
-                listeners: Some((stop, handles)),
-            }
+            Box::new(move |j| {
+                Box::new(
+                    TcpTransport::connect(addrs[j], DIAL_RETRIES, Duration::from_millis(1))
+                        .expect("dial peer"),
+                )
+            })
         }
+    };
+    let links = (0..n_peers)
+        .map(|i| {
+            (0..n_peers)
+                .map(|j| {
+                    (i != j).then(|| {
+                        wrap_faults(dial(j), config, i as u32, j as u32, counters, &recorders[i])
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    Fabric {
+        links,
+        inboxes,
+        workers,
     }
 }
 
-/// Spawns one thread per [`PeerHost`], joins them, and tears the TCP
-/// acceptors down.
-pub(crate) fn drive(
-    hosts: Vec<PeerHost>,
-    listeners: Option<(Arc<AtomicBool>, Vec<JoinHandle<()>>)>,
-) {
-    std::thread::scope(|s| {
-        for host in hosts {
-            s.spawn(move || host.run());
-        }
-    });
-    if let Some((stop, handles)) = listeners {
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            let _ = h.join();
-        }
+/// Hosts the peers on their workers (peer `i` on worker `i mod W`, the
+/// calling thread as worker 0) and returns once every peer has finished.
+/// Endpoints stay open until all workers are joined, so no peer ever
+/// sends into a torn-down link; then the collector peer drains the final
+/// telemetry deltas (loopback delivery is synchronous, so that needs no
+/// grace; sockets get 2 ms for the reader-thread race) and the links and
+/// TCP acceptors close.
+pub(crate) fn drive(hosts: Vec<PeerHost>, workers: Workers) {
+    let Workers {
+        bells,
+        transport,
+        acceptors,
+    } = workers;
+    // Spinning pays only when another worker will ring: over TCP a reader
+    // thread must run first, and it needs the CPU the spin would take.
+    let spin = transport == TransportKind::Loopback && bells.len() > 1;
+    let mut groups: Vec<Vec<PeerHost>> = bells.iter().map(|_| Vec::new()).collect();
+    for host in hosts {
+        groups[host.index as usize % bells.len()].push(host);
     }
+    let mut hosts = std::thread::scope(|s| {
+        let mut groups = groups.into_iter().zip(&bells);
+        let (mine, my_bell) = groups.next().expect("a run has at least one worker");
+        let others: Vec<_> = groups
+            .map(|(group, bell)| s.spawn(move || worker::run(group, bell, spin)))
+            .collect();
+        let mut hosts = worker::run(mine, my_bell, spin);
+        for other in others {
+            hosts.extend(other.join().unwrap_or_else(|e| panic::resume_unwind(e)));
+        }
+        hosts
+    });
+    let grace = match transport {
+        TransportKind::Loopback => Duration::ZERO,
+        TransportKind::Tcp => Duration::from_millis(2),
+    };
+    for host in hosts.iter_mut().filter(|h| h.is_collector()) {
+        // Any late data frame surfacing here is dropped unprocessed, the
+        // same fate it meets in a closed channel: accounting and verdicts
+        // are untouched.
+        while host.endpoint.recv(grace).is_some() {}
+    }
+    for host in &mut hosts {
+        host.endpoint.close();
+    }
+    drop(acceptors);
+}
+
+/// How long a standalone peer keeps its sockets open after finishing, so
+/// remote stragglers can still complete their writes.
+const SERVE_LINGER: Duration = Duration::from_millis(300);
+
+/// Runs one standalone `wcp serve` peer on the calling thread: the same
+/// event loop as an in-process worker, over TCP (so it parks rather than
+/// spins). Afterwards it lingers — draining the inbox when telemetry is
+/// on, since the other peers' final deltas arrive exactly then — and
+/// closes its links and accept loop.
+pub(crate) fn serve_alone(host: PeerHost, bell: &Doorbell, acceptor: Acceptor) {
+    let mut host = worker::run(vec![host], bell, false)
+        .pop()
+        .expect("the worker returns its peer");
+    let until = Instant::now() + SERVE_LINGER;
+    if host.telemetry.is_some() {
+        while let Some(left) = until.checked_duration_since(Instant::now()) {
+            let _ = host.endpoint.recv(left);
+        }
+    } else {
+        std::thread::sleep(SERVE_LINGER);
+    }
+    host.endpoint.close();
+    drop(acceptor);
 }
 
 /// Translates accumulated counters into paper-unit [`DetectionMetrics`];
@@ -496,7 +542,6 @@ fn run_vc_token_net_inner(
     let stats = Arc::new(Mutex::new(OnlineStats::default()));
     let metrics = Arc::new(Mutex::new(SimMetrics::new(n_total + n)));
     let counters = NetCounters::shared();
-    let latch = ExitLatch::new(n);
     let plane = config
         .telemetry
         .then(|| TelemetryPlane::build(n, collector));
@@ -559,12 +604,10 @@ fn run_vc_token_net_inner(
             metrics: metrics.clone(),
             result: result.clone(),
             deadline: config.deadline,
-            exit: Some(latch.clone()),
-            linger: Duration::ZERO,
-            telemetry: plane.as_ref().map(|p| p.sidecar(i, config.transport)),
+            telemetry: plane.as_ref().map(|p| p.sidecar(i)),
         });
     }
-    drive(hosts, fabric.listeners);
+    drive(hosts, fabric.workers);
 
     let detection = take_detection_vc(&result, wcp, n_total);
     let metrics = paper_metrics(
@@ -634,7 +677,6 @@ pub fn run_direct_net_recorded(
     let g_board = Arc::new(Mutex::new(vec![0u64; n_total]));
     let metrics = Arc::new(Mutex::new(SimMetrics::new(2 * n_total)));
     let counters = NetCounters::shared();
-    let latch = ExitLatch::new(n_total);
     let plane = config
         .telemetry
         .then(|| TelemetryPlane::build(n_total, None));
@@ -695,12 +737,10 @@ pub fn run_direct_net_recorded(
             metrics: metrics.clone(),
             result: result.clone(),
             deadline: config.deadline,
-            exit: Some(latch.clone()),
-            linger: Duration::ZERO,
-            telemetry: plane.as_ref().map(|p| p.sidecar(i, config.transport)),
+            telemetry: plane.as_ref().map(|p| p.sidecar(i)),
         });
     }
-    drive(hosts, fabric.listeners);
+    drive(hosts, fabric.workers);
 
     let detection = match result.lock().unwrap().take() {
         Some(OnlineDetection::Detected(g)) => Detection::Detected {
@@ -831,8 +871,8 @@ fn serve_vc_peer_inner(
     let pool = FramePool::shared(counters.clone());
     let listener = TcpListener::bind(addrs[peer]).expect("bind serve address");
     let (tx, rx) = channel();
-    let stop = Arc::new(AtomicBool::new(false));
-    let acceptor = spawn_listener(listener, tx, stop.clone(), pool);
+    let bell = Arc::new(Doorbell::default());
+    let acceptor = spawn_listener(listener, InboxSender::new(tx, bell.clone()), pool);
 
     // Other peers may not have started yet: dial patiently.
     let links: Vec<Option<Box<dyn Transport>>> = (0..n)
@@ -903,14 +943,9 @@ fn serve_vc_peer_inner(
         metrics,
         result: result.clone(),
         deadline: config.deadline,
-        exit: None,
-        linger: Duration::from_millis(300),
-        // serve peers always talk over real sockets.
-        telemetry: plane.as_ref().map(|p| p.sidecar(0, TransportKind::Tcp)),
+        telemetry: plane.as_ref().map(|p| p.sidecar(0)),
     };
-    host.run();
-    stop.store(true, Ordering::Relaxed);
-    let _ = acceptor.join();
+    serve_alone(host, &bell, acceptor);
 
     PeerReport {
         detection: take_detection_vc(&result, wcp, n_total),
@@ -922,9 +957,13 @@ fn serve_vc_peer_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wcp_detect::online::run_vc_token;
+    use crate::multi::run_multi_net;
+    use crate::worker::PINNED_WORKERS;
+    use wcp_detect::online::{run_direct, run_vc_token};
+    use wcp_session::{run_multi_offline, run_multi_sim};
     use wcp_sim::SimConfig;
     use wcp_trace::generate::{generate, GeneratorConfig};
+    use wcp_trace::ComputationBuilder;
 
     #[test]
     fn loopback_vc_matches_simulator() {
@@ -940,5 +979,103 @@ mod tests {
         assert_eq!(net.report.detection, sim.report.detection);
         assert!(net.net.frames_sent > 0, "token crossed the wire");
         assert_eq!(net.net.retransmits, 0, "clean links");
+    }
+
+    /// The Theorem 5.1 staircase: the token circles the ring `rounds`
+    /// times, so every candidate passes through it and every run sends
+    /// the same frames whatever the schedule.
+    fn staircase(n: usize, rounds: usize) -> Computation {
+        let mut b = ComputationBuilder::new(n);
+        for step in 0..rounds * n {
+            let holder = ProcessId::new((step % n) as u32);
+            let next = ProcessId::new(((step + 1) % n) as u32);
+            b.mark_true(holder);
+            let msg = b.send(holder, next);
+            b.receive(next, msg);
+        }
+        for p in ProcessId::all(n) {
+            b.mark_true(p);
+        }
+        b.build().expect("a staircase is a valid computation")
+    }
+
+    /// `metrics` without the fields that depend on the schedule even
+    /// between two simulator seeds: the logical `parallel_time`, which a
+    /// socket run has no clock for, and how many snapshots a monitor
+    /// buffered at once, which depends on arrival order.
+    fn schedule_free(metrics: &DetectionMetrics) -> DetectionMetrics {
+        DetectionMetrics {
+            parallel_time: 0,
+            max_buffered_snapshots: 0,
+            ..metrics.clone()
+        }
+    }
+
+    #[test]
+    fn every_worker_layout_matches_the_simulator() {
+        let computation = staircase(4, 6);
+        let wcp = Wcp::over_all(&computation);
+        let predicates: Vec<Wcp> = (1..=4).map(Wcp::over_first).collect();
+        let vc_sim = run_vc_token(&computation, &wcp, SimConfig::seeded(1)).report;
+        let dd_sim = run_direct(&computation, &wcp, SimConfig::seeded(1), true).report;
+        let multi_sim = run_multi_sim(&computation, &predicates, 1);
+        let multi_offline = run_multi_offline(&computation, &predicates);
+        let schedules = [
+            ("clean", None),
+            (
+                "delay+duplicate+reorder",
+                Some(FaultConfig::delay_duplicate_reorder(7)),
+            ),
+            (
+                "drop+reset",
+                Some(FaultConfig::seeded(9).with_drop(0.15).with_reset(0.05)),
+            ),
+        ];
+        // One worker (a single-core host), two, and one per peer (the
+        // thread-per-peer layout), whatever this host's core count.
+        for workers in [1, 2, usize::MAX] {
+            PINNED_WORKERS.set(Some(workers));
+            for (schedule, faults) in schedules {
+                let config = |base: NetConfig| {
+                    let base = base.with_deadline(Duration::from_secs(30));
+                    faults.map_or(base, |f| base.with_faults(f))
+                };
+                let label = format!("{workers} workers, {schedule}");
+                for base in [NetConfig::loopback(), NetConfig::tcp()] {
+                    let net = run_vc_token_net(&computation, &wcp, config(base));
+                    let label = format!("{label}, vc token over {:?}", base.transport);
+                    assert_eq!(net.report.detection, vc_sim.detection, "{label}");
+                    assert_eq!(
+                        schedule_free(&net.report.metrics),
+                        schedule_free(&vc_sim.metrics),
+                        "{label}"
+                    );
+                    if workers == 1 && schedule == "drop+reset" {
+                        // A reconnect backoff sleeps on the one thread that
+                        // also hosts the receiving peer, and the run still
+                        // finishes.
+                        assert!(net.net.reconnects > 0, "{label}: no reset drawn");
+                    }
+                }
+                // The §4.5 parallel red chain: how often the token moves
+                // depends on the schedule even in the simulator, but the
+                // verdict, the work and the snapshot traffic do not.
+                let dd = run_direct_net(&computation, &wcp, true, config(NetConfig::loopback()));
+                let (got, want) = (&dd.report.metrics, &dd_sim.metrics);
+                assert_eq!(dd.report.detection, dd_sim.detection, "{label}, direct");
+                assert_eq!(got.per_process_work, want.per_process_work, "{label}");
+                assert_eq!(
+                    (got.snapshot_messages, got.snapshot_bytes),
+                    (want.snapshot_messages, want.snapshot_bytes),
+                    "{label}, direct"
+                );
+                let multi = run_multi_net(&computation, &predicates, config(NetConfig::loopback()));
+                for reference in [&multi_sim, &multi_offline] {
+                    assert_eq!(multi.report.outcomes, reference.outcomes, "{label}, multi");
+                    assert_eq!(multi.report.stats, reference.stats, "{label}, multi");
+                }
+            }
+        }
+        PINNED_WORKERS.set(None);
     }
 }

@@ -12,7 +12,6 @@
 //! `BENCH_wcp.json`.
 
 use std::net::TcpListener;
-use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -301,12 +300,11 @@ pub fn saturate_tcp(frames: u64, scope_n: usize) -> SaturationReport {
         .iter()
         .map(|l| l.local_addr().expect("listener addr"))
         .collect();
-    let stop = Arc::new(AtomicBool::new(false));
     let mut inboxes = Vec::new();
     let mut acceptors = Vec::new();
     for listener in listeners {
         let (tx, rx) = channel();
-        acceptors.push(spawn_listener(listener, tx, stop.clone(), pool.clone()));
+        acceptors.push(spawn_listener(listener, tx, pool.clone()));
         inboxes.push(rx);
     }
     let mut inboxes = inboxes.into_iter();
@@ -337,10 +335,7 @@ pub fn saturate_tcp(frames: u64, scope_n: usize) -> SaturationReport {
         true,
     );
     let report = drive(sender, receiver, frames, scope_n, &counters, None);
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    for a in acceptors {
-        let _ = a.join();
-    }
+    drop(acceptors);
     report
 }
 

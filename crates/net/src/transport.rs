@@ -6,14 +6,16 @@
 //! implementation, delivered bytes surface on the destination peer's
 //! single inbox channel as [`PooledBuf`] chunks of one or more complete
 //! frames (fed directly by the loopback, or by a framed reader thread per
-//! accepted TCP connection). Senders hand either single frames or
-//! coalesced batches ([`Transport::send_batch`]); the TCP transport turns
-//! a batch into one `write_all`, and the reader side keeps a persistent
-//! per-connection buffer that survives partial reads, so steady-state
-//! traffic allocates nothing per frame on either side.
+//! accepted TCP connection). Every chunk rings the doorbell of the worker
+//! hosting the destination peer ([`InboxSender`]). Senders hand
+//! either single frames or coalesced batches ([`Transport::send_batch`]);
+//! the TCP transport turns a batch into one `write_all`, and the reader
+//! side keeps a persistent per-connection buffer that survives partial
+//! reads, so steady-state traffic allocates nothing per frame on either
+//! side.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -22,6 +24,39 @@ use std::time::Duration;
 
 use crate::codec::frame_len_at;
 use crate::pool::{FramePool, PooledBuf};
+use crate::worker::Doorbell;
+
+/// The sending side of one peer's inbox: the chunk channel plus the
+/// doorbell of the worker hosting that peer, rung after every chunk.
+#[derive(Debug, Clone)]
+pub struct InboxSender {
+    tx: Sender<PooledBuf>,
+    bell: Arc<Doorbell>,
+}
+
+impl InboxSender {
+    /// Delivers into `tx` and rings `bell` after each chunk.
+    pub(crate) fn new(tx: Sender<PooledBuf>, bell: Arc<Doorbell>) -> Self {
+        InboxSender { tx, bell }
+    }
+
+    /// Queues `chunk`; fails once the receiving endpoint is gone.
+    fn deliver(&self, chunk: PooledBuf) -> io::Result<()> {
+        self.tx
+            .send(chunk)
+            .map_err(|_| io::Error::from(io::ErrorKind::BrokenPipe))?;
+        self.bell.ring();
+        Ok(())
+    }
+}
+
+/// An inbox read with blocking [`Endpoint::recv`](crate::Endpoint::recv)
+/// rather than by a worker: its doorbell rings unheard.
+impl From<Sender<PooledBuf>> for InboxSender {
+    fn from(tx: Sender<PooledBuf>) -> Self {
+        InboxSender::new(tx, Arc::default())
+    }
+}
 
 /// Outbound half of one directed peer-to-peer link.
 pub trait Transport: Send {
@@ -74,16 +109,16 @@ pub trait Transport: Send {
 /// without sockets.
 #[derive(Debug)]
 pub struct LoopbackTransport {
-    tx: Sender<PooledBuf>,
+    inbox: InboxSender,
     pool: Arc<FramePool>,
     broken: bool,
 }
 
 impl LoopbackTransport {
-    /// A loopback link delivering into `tx`, staging chunks from `pool`.
-    pub fn new(tx: Sender<PooledBuf>, pool: Arc<FramePool>) -> Self {
+    /// A loopback link delivering into `inbox`, staging chunks from `pool`.
+    pub fn new(inbox: impl Into<InboxSender>, pool: Arc<FramePool>) -> Self {
         LoopbackTransport {
-            tx,
+            inbox: inbox.into(),
             pool,
             broken: false,
         }
@@ -95,9 +130,7 @@ impl LoopbackTransport {
         }
         let mut chunk = self.pool.take();
         chunk.extend_from_slice(bytes);
-        self.tx
-            .send(chunk)
-            .map_err(|_| io::ErrorKind::BrokenPipe.into())
+        self.inbox.deliver(chunk)
     }
 }
 
@@ -202,24 +235,56 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Accept loop for one peer's listening socket: every accepted connection
-/// gets a detached framed-reader thread that forwards complete-frame
-/// chunks to `inbox`. Returns the acceptor's join handle; set `stop` to
-/// end it.
+/// A running accept loop (see [`spawn_listener`]). Dropping it stops the
+/// loop and joins its thread.
+#[derive(Debug)]
+pub struct Acceptor {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        // The loop blocks in `accept`: one self-connect wakes it to see
+        // the flag. A refused connect means the loop has already ended.
+        let wake = match self.addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(ip) if ip.is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+            ip => ip,
+        };
+        let _ = TcpStream::connect((wake, self.addr.port()));
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Blocking accept loop for one peer's listening socket: every accepted
+/// connection gets a detached framed-reader thread that forwards
+/// complete-frame chunks to `inbox`. Runs until the returned [`Acceptor`]
+/// is dropped.
+///
+/// # Panics
+///
+/// Panics if the listener has no local address.
 pub fn spawn_listener(
     listener: TcpListener,
-    inbox: Sender<PooledBuf>,
-    stop: Arc<AtomicBool>,
+    inbox: impl Into<InboxSender>,
     pool: Arc<FramePool>,
-) -> JoinHandle<()> {
-    listener
-        .set_nonblocking(true)
-        .expect("listener nonblocking");
-    std::thread::spawn(move || {
-        while !stop.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false).ok();
+) -> Acceptor {
+    let inbox = inbox.into();
+    let addr = listener.local_addr().expect("listener address");
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopped = Arc::clone(&stop);
+    let thread = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            if stopped.load(Ordering::Acquire) {
+                return;
+            }
+            match stream {
+                Ok(stream) => {
                     stream.set_nodelay(true).ok();
                     let inbox = inbox.clone();
                     let pool = pool.clone();
@@ -228,13 +293,16 @@ pub fn spawn_listener(
                     // guarantees.
                     std::thread::spawn(move || read_loop(stream, &inbox, &pool));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => break,
+                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
+                Err(_) => return,
             }
         }
-    })
+    });
+    Acceptor {
+        addr,
+        stop,
+        thread: Some(thread),
+    }
 }
 
 /// Initial size of a connection's persistent read buffer; doubled while a
@@ -246,7 +314,7 @@ const READ_BUF: usize = 64 * 1024;
 /// frames into one pooled chunk, and keeps any partial frame's bytes for
 /// the next read — no per-frame allocation, frames may straddle reads and
 /// batches arbitrarily.
-fn read_loop(mut stream: TcpStream, inbox: &Sender<PooledBuf>, pool: &Arc<FramePool>) {
+fn read_loop(mut stream: TcpStream, inbox: &InboxSender, pool: &Arc<FramePool>) {
     let mut buf = vec![0u8; READ_BUF];
     let mut filled = 0usize;
     loop {
@@ -271,7 +339,7 @@ fn read_loop(mut stream: TcpStream, inbox: &Sender<PooledBuf>, pool: &Arc<FrameP
         if end > 0 {
             let mut chunk = pool.take();
             chunk.extend_from_slice(&buf[..end]);
-            if inbox.send(chunk).is_err() {
+            if inbox.deliver(chunk).is_err() {
                 return; // receiving endpoint is gone
             }
             buf.copy_within(end..filled, 0);
@@ -351,8 +419,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (tx, rx) = channel();
-        let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = spawn_listener(listener, tx, stop.clone(), pool());
+        let acceptor = spawn_listener(listener, tx, pool());
 
         let mut t = TcpTransport::connect(addr, 4, Duration::from_millis(1)).unwrap();
         for seq in 0..3 {
@@ -380,7 +447,21 @@ mod tests {
         assert_eq!(drain_frames(&rx, 1), vec![frame(3)]);
 
         t.close();
-        stop.store(true, Ordering::Relaxed);
-        acceptor.join().unwrap();
+        drop(acceptor);
+    }
+
+    #[test]
+    fn dropping_the_acceptor_stops_its_blocked_accept_loop() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (tx, _rx) = channel();
+        let acceptor = spawn_listener(listener, tx, pool());
+        let (joined, done) = channel();
+        let dropper = std::thread::spawn(move || {
+            drop(acceptor);
+            let _ = joined.send(());
+        });
+        done.recv_timeout(Duration::from_secs(30))
+            .expect("the self-connect woke the accept loop and it was joined");
+        dropper.join().unwrap();
     }
 }

@@ -8,7 +8,6 @@
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
@@ -115,9 +114,8 @@ fn tcp_reader_fed_arbitrary_dribbles_reassembles_the_exact_frame_stream() {
     let pool = FramePool::shared(counters.clone());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = channel();
-    let handle = spawn_listener(listener, tx, stop.clone(), pool);
+    let acceptor = spawn_listener(listener, tx, pool);
 
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_nodelay(true).unwrap();
@@ -148,8 +146,7 @@ fn tcp_reader_fed_arbitrary_dribbles_reassembles_the_exact_frame_stream() {
         );
         received.extend_from_slice(&chunk);
     }
-    stop.store(true, Ordering::Relaxed);
-    handle.join().unwrap();
+    drop(acceptor);
 
     assert_eq!(received, batch, "byte stream mutated in flight");
     let mut all = received;
