@@ -4,7 +4,7 @@
 //! policy keeps the tree hermetic; see DESIGN.md §6). Each case is
 //! auto-calibrated to a target sample duration, run for a fixed number of
 //! samples, and reported as the median ns/iteration — stable enough for the
-//! relative comparisons the `benches/` files make.
+//! relative comparisons the `harness bench` sections make.
 
 use std::time::{Duration, Instant};
 
@@ -24,16 +24,6 @@ pub struct BenchResult {
     pub median_ns: u64,
     /// Fastest sample's nanoseconds per iteration.
     pub min_ns: u64,
-}
-
-impl BenchResult {
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{:<40} {:>12} ns/iter (min {:>10}, {} samples × {} iters)",
-            self.name, self.median_ns, self.min_ns, self.samples, self.iters_per_sample
-        )
-    }
 }
 
 /// Times `f`, returning measurements without printing.
@@ -71,13 +61,6 @@ pub fn run(name: &str, samples: usize, mut f: impl FnMut()) -> BenchResult {
     }
 }
 
-/// Times `f` and prints the one-line summary to stdout.
-pub fn bench(name: &str, samples: usize, f: impl FnMut()) -> BenchResult {
-    let r = run(name, samples, f);
-    println!("{}", r.summary());
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,6 +72,6 @@ mod tests {
         });
         assert!(r.min_ns > 0 || r.iters_per_sample > 1);
         assert!(r.median_ns >= r.min_ns);
-        assert!(r.summary().contains("spin"));
+        assert_eq!(r.name, "spin");
     }
 }

@@ -20,7 +20,6 @@ const SWITCHES: &[&str] = &[
     "shrink",
     "no-net",
     "net-batch",
-    "wire-v2",
     "audit-bounds",
     "telemetry",
     "multi",

@@ -1078,11 +1078,10 @@ pub fn obs_report(raw: &[String]) -> Result<String, CliError> {
 /// `tests/corpus/` in the error output; `--shrink` first reduces each
 /// repro to its minimal form. `--no-net` skips the (slower) real-socket
 /// loopback stacks; `--net-batch` forces coalesced writes on every net
-/// run (by default each case draws batched or per-frame at random);
-/// `--wire-v2` likewise forces the delta-compressed wire format (each
-/// case draws its wire version at random otherwise); `--multi` forces
-/// the socket-backed multi-tenant session leg on every case (the
-/// offline session cross-check runs on every case regardless);
+/// run (by default each case draws batched or per-frame at random; every
+/// net run speaks wire v2); `--multi` forces the socket-backed
+/// multi-tenant session leg on every case (the offline session
+/// cross-check runs on every case regardless);
 /// `--pump-parallel` forces the sharded parallel-pump cross-check on
 /// every case (each case otherwise draws that bit at random);
 /// `--parallel-detect` forces the work-optimal detector's multi-thread
@@ -1100,7 +1099,6 @@ pub fn fuzz(raw: &[String]) -> Result<String, CliError> {
     config.shrink = args.switch("shrink");
     config.check.include_net = !args.switch("no-net");
     config.check.force_net_batch = args.switch("net-batch");
-    config.check.force_wire_v2 = args.switch("wire-v2");
     config.check.force_multi = args.switch("multi");
     config.check.force_pump_parallel = args.switch("pump-parallel");
     config.check.force_parallel_detect = args.switch("parallel-detect");
@@ -1348,8 +1346,8 @@ mod tests {
         assert!(out.contains("batch flushes"), "{out}");
         assert!(out.contains("ready depth"), "{out}");
         assert!(out.contains("buffer pool"), "{out}");
-        // Including the v2 compression accounting: the default loopback
-        // run negotiates v2, so actual bytes land below the v1-equivalent.
+        // Including the v2 compression accounting: every link speaks v2,
+        // so actual bytes land below the v1-equivalent.
         assert!(out.contains("B v1-equiv"), "{out}");
         assert!(out.contains("clock chains"), "{out}");
         let wire_line = out

@@ -79,7 +79,7 @@ pub struct DdMonitor {
     /// Polls deferred while this monitor is a mid-visit green holder.
     deferred_polls: VecDeque<(ActorId, u64, Option<ProcessId>)>,
     /// Latched once a verdict is published: late deliveries (the stop
-    /// signal is asynchronous on the threaded runtime) are ignored.
+    /// signal is asynchronous on the net peers) are ignored.
     done: bool,
 
     g_board: GBoard,

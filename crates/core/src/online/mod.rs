@@ -1,8 +1,8 @@
 //! Online (message-driven) variants of the detection algorithms.
 //!
 //! The actors here run the exact protocols of the paper over the
-//! [`wcp_sim`] discrete-event network (and, via `wcp-runtime`, over real
-//! threads): application processes replay their trace and stream snapshots
+//! [`wcp_sim`] discrete-event network (and, via `wcp-net`, over real
+//! sockets): application processes replay their trace and stream snapshots
 //! to mated monitors over FIFO channels; monitors exchange the token, polls
 //! and replies over arbitrary asynchronous channels. Blocking receives in
 //! the paper's pseudocode become actor state machines.
@@ -17,7 +17,6 @@ pub mod harness;
 pub mod messages;
 pub mod multi_token;
 mod testing;
-pub mod threaded;
 pub mod vc_monitor;
 
 pub use app::{AppProcess, ClockMode};
@@ -28,8 +27,4 @@ pub use harness::{
 };
 pub use messages::{ClockTag, DetectMsg, GroupTokenMsg};
 pub use multi_token::run_multi_token;
-pub use threaded::{
-    run_direct_threaded, run_direct_threaded_recorded, run_vc_token_threaded,
-    run_vc_token_threaded_recorded,
-};
 pub use vc_monitor::{OnlineDetection, OnlineStats, SharedOutcome, SharedStats};

@@ -117,7 +117,7 @@ pub struct VcMonitor {
     token: Option<Token>,
     starts_with_token: bool,
     /// Latched once a verdict is published: late deliveries (the stop
-    /// signal is asynchronous on the threaded runtime) are ignored.
+    /// signal is asynchronous on the net peers) are ignored.
     done: bool,
     result: SharedOutcome,
     stats: SharedStats,

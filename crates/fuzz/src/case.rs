@@ -44,11 +44,6 @@ pub struct FuzzCase {
     /// per-frame path — fuzzed so both wire behaviours stay equivalent.
     /// Corpus files written before this field existed default to `true`.
     pub net_batch: bool,
-    /// Whether the net runs advertise the delta-compressed wire v2 —
-    /// fuzzed so both wire versions stay verdict-equivalent. Corpus files
-    /// written before this field existed default to `false` (they pinned
-    /// v1-only behaviour).
-    pub wire_v2: bool,
     /// Concurrent predicate count for the multi-tenant session engine
     /// (`>= 1`); each is cross-checked predicate-by-predicate against the
     /// Theorem 3.2 oracle and the alone-metrics identity. Corpus files
@@ -160,8 +155,6 @@ impl FuzzCase {
             // the seeded case stream is unchanged from pre-batching
             // campaigns and existing seeds reproduce the same cases.
             net_batch: stream_seed.count_ones() % 2 == 0,
-            // Independent bits of the same draw, for the same reason.
-            wire_v2: (stream_seed >> 32).count_ones() % 2 == 0,
             // Also entropy already drawn: 1..=8 concurrent predicates.
             multi_predicates: 1 + ((stream_seed >> 16) % 8) as usize,
             // One more derived bit: about half the cases cross-check the
@@ -214,7 +207,6 @@ impl ToJson for FuzzCase {
             ),
             ("net", Json::Bool(self.net)),
             ("net_batch", Json::Bool(self.net_batch)),
-            ("wire_v2", Json::Bool(self.wire_v2)),
             ("multi_predicates", Json::UInt(self.multi_predicates as u64)),
             ("pump_parallel", Json::Bool(self.pump_parallel)),
             ("parallel_detect", Json::Bool(self.parallel_detect)),
@@ -247,14 +239,6 @@ impl FromJson for FuzzCase {
                     .as_bool()
                     .ok_or_else(|| JsonError::shape("net_batch: expected a bool"))?,
                 None => true,
-            },
-            // Absent in pre-v2 corpus files: those pinned v1-only wire
-            // behaviour, so they keep replaying on v1.
-            wire_v2: match value.get("wire_v2") {
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| JsonError::shape("wire_v2: expected a bool"))?,
-                None => false,
             },
             // Absent in pre-session corpus files: those pinned the
             // single-tenant behaviour, replayed as one session.
@@ -340,8 +324,6 @@ mod tests {
         assert!(cases.iter().any(|c| c.net));
         assert!(cases.iter().any(|c| c.net_batch));
         assert!(cases.iter().any(|c| !c.net_batch));
-        assert!(cases.iter().any(|c| c.wire_v2));
-        assert!(cases.iter().any(|c| !c.wire_v2));
         assert!(cases.iter().any(|c| c.multi_predicates == 1));
         assert!(cases.iter().any(|c| c.multi_predicates >= 4));
         assert!(cases.iter().any(|c| c.pump_parallel));
@@ -361,10 +343,8 @@ mod tests {
             "parallel pump with several tenants never sampled"
         );
         assert!(
-            cases
-                .iter()
-                .any(|c| c.net && c.wire_v2 && c.fault.is_some()),
-            "wire-v2 net runs under faults never sampled"
+            cases.iter().any(|c| c.net && c.fault.is_some()),
+            "net runs under faults never sampled"
         );
     }
 
@@ -373,27 +353,28 @@ mod tests {
         let mut rng = Rng::seed_from_u64(17);
         let mut case = FuzzCase::random(&mut rng);
         case.net_batch = false;
-        let mut json = case.to_json();
-        // An old corpus entry simply lacks the field.
-        if let Json::Obj(pairs) = &mut json {
-            pairs.retain(|(k, _)| k != "net_batch");
+        // An old corpus entry simply lacks the field. Files written while
+        // the wire version was a fuzz bit also carry a `wire_v2` field, at
+        // either value; it is ignored, and every net case runs v2.
+        for wire_v2 in [None, Some(false), Some(true)] {
+            let mut json = case.to_json();
+            if let Json::Obj(pairs) = &mut json {
+                pairs.retain(|(k, _)| k != "net_batch");
+                if let Some(v) = wire_v2 {
+                    pairs.push(("wire_v2".into(), Json::Bool(v)));
+                }
+            }
+            let back = FuzzCase::from_json(&json).unwrap();
+            assert!(back.net_batch, "missing field defaults to batched");
+            assert_eq!(
+                FuzzCase {
+                    net_batch: false,
+                    ..back
+                },
+                case,
+                "wire_v2 {wire_v2:?}: every other field parses as written"
+            );
         }
-        let back = FuzzCase::from_json(&json).unwrap();
-        assert!(back.net_batch, "missing field defaults to batched");
-    }
-
-    #[test]
-    fn pre_v2_corpus_files_default_to_wire_v1() {
-        let mut rng = Rng::seed_from_u64(17);
-        let mut case = FuzzCase::random(&mut rng);
-        case.wire_v2 = true;
-        let mut json = case.to_json();
-        // An old corpus entry simply lacks the field.
-        if let Json::Obj(pairs) = &mut json {
-            pairs.retain(|(k, _)| k != "wire_v2");
-        }
-        let back = FuzzCase::from_json(&json).unwrap();
-        assert!(!back.wire_v2, "missing field replays on wire v1");
     }
 
     #[test]

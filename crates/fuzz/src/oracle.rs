@@ -102,10 +102,6 @@ pub struct CheckOptions {
     /// Force coalesced (batched) writes on every net run, overriding the
     /// case's own `net_batch` draw — the `wcp fuzz --net-batch` smoke knob.
     pub force_net_batch: bool,
-    /// Force the delta-compressed wire v2 on every net run, overriding
-    /// the case's own `wire_v2` draw — the `wcp fuzz --wire-v2` smoke
-    /// knob.
-    pub force_wire_v2: bool,
     /// Force the multi-tenant session cross-check to run its socket
     /// loopback leg even when the case's `net` draw is false — the
     /// `wcp fuzz --multi` smoke knob. (The offline engine cross-check
@@ -135,7 +131,6 @@ impl Default for CheckOptions {
             include_net: true,
             sabotage: false,
             force_net_batch: false,
-            force_wire_v2: false,
             force_multi: false,
             force_pump_parallel: false,
             force_parallel_detect: false,
@@ -668,9 +663,6 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             if !(case.net_batch || opts.force_net_batch) {
                 config = config.with_per_frame_writes();
             }
-            if !(case.wire_v2 || opts.force_wire_v2) {
-                config = config.with_wire_v1();
-            }
             match guarded(|| run_multi_net(computation, &predicates, config)) {
                 Ok(net) => {
                     for outcome in &net.report.outcomes {
@@ -726,9 +718,6 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             }
             if !(case.net_batch || opts.force_net_batch) {
                 c = c.with_per_frame_writes();
-            }
-            if !(case.wire_v2 || opts.force_wire_v2) {
-                c = c.with_wire_v1();
             }
             c
         };

@@ -73,7 +73,7 @@ pub mod kind {
     pub const MULTI_VERDICT: u8 = 13;
     /// Bit offset between a v1 clock-carrying kind and its v2 variant:
     /// every v2 kind is `v1 | V2_BIT`, so frames stay self-describing and
-    /// receivers decode both versions without negotiation state.
+    /// receivers decode both kinds without per-link version state.
     pub const V2_BIT: u8 = 0x20;
     /// [`APP_VECTOR`] with a delta-chained, bit-packed clock (wire v2).
     pub const APP_VECTOR_V2: u8 = APP_VECTOR | V2_BIT;
@@ -101,15 +101,7 @@ pub mod kind {
     /// never logged, acked, or resequenced, and never counted in the
     /// paper-unit accounting.
     pub const TELEMETRY: u8 = 0xF3;
-    /// Wire-version handshake: `aux` advertises the sender's highest
-    /// supported wire version. Sent once per link over the un-faulted
-    /// recovery path (so fault schedules stay bit-identical either way)
-    /// and re-sent after a reconnect. Endpoint-internal like [`ACK`].
-    pub const HELLO: u8 = 0xF4;
 }
-
-/// Highest wire version this build speaks (and advertises in [`kind::HELLO`]).
-pub const WIRE_VERSION: u64 = 2;
 
 /// Decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -799,19 +791,6 @@ pub fn decode_stateful_v2(
     }
 }
 
-/// Appends a wire-version handshake frame to `out`: `aux` advertises the
-/// sender's highest supported wire version, with an empty body. Carried
-/// with `seq = CONTROL_SEQ` over the un-faulted recovery path, like acks.
-pub fn encode_hello_into(me: u32, version: u64, out: &mut Vec<u8>) {
-    put_u32(out, HEADER_LEN as u32);
-    out.push(kind::HELLO);
-    put_u32(out, me);
-    put_u32(out, 0); // from/to unused: hellos never reach an actor
-    put_u32(out, 0);
-    put_u64(out, CONTROL_SEQ);
-    put_u64(out, version);
-}
-
 /// Appends a cumulative-acknowledgement frame to `out`: `next_expected`
 /// is the receiver's in-order delivery cursor for the `peer → me` link,
 /// carried in `aux` with an empty body.
@@ -1170,19 +1149,6 @@ mod tests {
             assert_eq!(enc, WireEncoding::V1);
             assert_eq!(v2, encode_frame(&f));
         }
-    }
-
-    #[test]
-    fn hello_frames_advertise_the_version_in_aux() {
-        let mut bytes = Vec::new();
-        encode_hello_into(6, WIRE_VERSION, &mut bytes);
-        assert_eq!(frame_len_at(&bytes, 0), Some(bytes.len()));
-        let h = decode_header(&bytes).unwrap();
-        assert_eq!(h.kind, kind::HELLO);
-        assert_eq!(h.peer, 6);
-        assert_eq!(h.seq, CONTROL_SEQ);
-        assert_eq!(h.aux, WIRE_VERSION);
-        assert!(decode_payload(h.kind, h.aux, &bytes[BODY_START..]).is_err());
     }
 
     #[test]

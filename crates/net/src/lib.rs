@@ -2,14 +2,15 @@
 //! S22).
 //!
 //! Everything else in this workspace exchanges messages through the
-//! discrete-event simulator or an in-process threaded runtime; this crate
-//! closes the loop to actual I/O. It provides, bottom to top:
+//! discrete-event simulator; this crate is the real-concurrency substrate
+//! and closes the loop to actual I/O. It provides, bottom to top:
 //!
 //! - [`codec`] — a hand-rolled length-prefixed binary wire format for
-//!   every [`DetectMsg`](wcp_detect::online::DetectMsg), whose encoded
-//!   body size is exactly the message's
-//!   [`wire_size()`](wcp_sim::WireSize) — so the byte counts the paper's
-//!   analyses bound are the bytes actually on the wire;
+//!   every [`DetectMsg`](wcp_detect::online::DetectMsg). Its v1 body size
+//!   is exactly the message's [`wire_size()`](wcp_sim::WireSize), the
+//!   paper-unit accounting; every link sends the bit-packed,
+//!   delta-compressed v2 form ([`wire2`]) from its first frame, and
+//!   [`NetStats`] counts what the same frames cost under v1;
 //! - [`transport`] — the [`Transport`](transport::Transport) trait with an
 //!   in-memory loopback and a TCP implementation over `std::net`;
 //! - [`fault`] — seeded deterministic injection of drops, delays,
@@ -63,8 +64,7 @@ pub use runner::{
     PeerReport, TransportKind,
 };
 pub use saturation::{
-    saturate_loopback, saturate_loopback_observed, saturate_loopback_wire, saturate_tcp,
-    SaturationReport,
+    saturate_loopback, saturate_loopback_observed, saturate_tcp, SaturationReport,
 };
 pub use stats::{NetCounters, NetStats};
 pub use telemetry::{

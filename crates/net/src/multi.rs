@@ -8,15 +8,14 @@
 //! registers predicates, collects `MULTI_VERDICT` frames, and stops the
 //! run when the service announces end-of-verdicts. Registration,
 //! unregistration and verdict frames ride the same reliability layer
-//! (sequence numbers, retransmit, dedup) as snapshots, on either wire
-//! version.
+//! (sequence numbers, retransmit, dedup) as snapshots.
 //!
 //! The engine's canonical routed log makes every per-predicate verdict
 //! *and* its `DetectionMetrics` a pure function of the computation, so a
 //! socket run — loopback or TCP, clean or under a tolerated fault
-//! schedule — must be bit-identical to the simulator, the threaded
-//! runtime, and `k` standalone single-predicate runs. The equivalence
-//! tests pin exactly that.
+//! schedule — must be bit-identical to the simulator and to `k`
+//! standalone single-predicate runs. The equivalence tests pin exactly
+//! that.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -86,7 +85,7 @@ impl Actor<DetectMsg> for CountedService {
 #[derive(Debug, Clone)]
 pub struct MultiNetReport {
     /// Per-predicate outcomes plus wire verdicts and engine counters —
-    /// the same shape the offline/sim/threaded runners report.
+    /// the same shape the offline and simulator runners report.
     pub report: MultiReport,
     /// Wire-level counters of the whole run (all peers combined),
     /// including the mirrored `multi_*` session counters.
@@ -253,7 +252,6 @@ pub fn run_multi_net_with(
             RECOVERY_RETRIES,
             Duration::from_millis(1),
             config.batch,
-            config.wire_v2,
         );
         if let Some(plane) = &plane {
             endpoint.set_collector(plane.collector.clone());
@@ -405,7 +403,6 @@ pub fn serve_multi_peer(
         RECOVERY_RETRIES,
         Duration::from_millis(1),
         config.batch,
-        config.wire_v2,
     );
     if let Some(plane) = &plane {
         endpoint.set_collector(plane.collector.clone());

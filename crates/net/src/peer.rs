@@ -24,7 +24,7 @@
 //! ## The batched data path
 //!
 //! Each link owns an outbound batch buffer: sends encode in place
-//! ([`encode_frame_into`]) and *bulk* payloads (application messages and
+//! ([`encode_frame_into_v2`]) and *bulk* payloads (application messages and
 //! snapshots) accumulate until [`MAX_BATCH_BYTES`] or an explicit flush,
 //! at which point the whole batch goes to the transport in one
 //! [`Transport::send_batch`] — one write per wakeup instead of one per
@@ -64,9 +64,9 @@ use wcp_detect::online::ClockTag;
 use wcp_detect::VcSnapshot;
 
 use crate::codec::{
-    decode_header, decode_payload, decode_stateful_v2, encode_ack_into, encode_frame_into,
-    encode_frame_into_v2, encode_hello_into, encode_telemetry_into, frame_len_at, kind, CodecError,
-    DecodedV2, Frame, Payload, WireEncoding, WireHeader, BODY_START, WIRE_VERSION,
+    decode_header, decode_payload, decode_stateful_v2, encode_ack_into, encode_frame_into_v2,
+    encode_telemetry_into, frame_len_at, kind, CodecError, DecodedV2, Frame, Payload, WireEncoding,
+    WireHeader, BODY_START,
 };
 use crate::pool::PooledBuf;
 use crate::stats::{NetCounters, NetStats};
@@ -150,13 +150,6 @@ struct Link {
     batch: Vec<u8>,
     /// Frame count of `batch`.
     batch_frames: u64,
-    /// Whether the peer's `HELLO` has arrived (either version) — once
-    /// `true` the link's wire version is settled for good.
-    hello_resolved: bool,
-    /// Negotiated: the peer advertised wire v2 *and* this endpoint
-    /// advertises it. Links start at v1 and only ever upgrade, so a
-    /// receiver can always decode what it is sent.
-    wire_v2: bool,
     /// Sender-side delta-chain state (wire v2): the last clock shipped
     /// per originating actor and stream class. Replay resends logged
     /// bytes, so this never rewinds.
@@ -226,8 +219,9 @@ impl RawFrame {
 
     /// The snapshot clock as little-endian component bytes — the v1 body
     /// layout the arena-direct decode path consumes. For a v1
-    /// `VC_SNAPSHOT` frame this is the raw body; for `VC_SNAPSHOT_V2` it
-    /// is the clock reconstructed at promotion.
+    /// `VC_SNAPSHOT` frame (tests, tooling) this is the raw body; for the
+    /// `VC_SNAPSHOT_V2` frames endpoints send it is the clock
+    /// reconstructed at promotion.
     pub fn clock_le(&self) -> &[u8] {
         match &self.decoded {
             Some(DecodedV2::SnapshotClock(le)) => le,
@@ -299,14 +293,6 @@ pub struct Endpoint {
     /// When `false`, every send flushes its frame individually (the
     /// pre-batching wire behaviour).
     batch: bool,
-    /// Whether this endpoint advertises (and, given a consenting peer,
-    /// sends) wire v2. `false` pins every link to v1.
-    advertise_v2: bool,
-    /// Links whose peer `HELLO` has not arrived yet. While nonzero,
-    /// `send` opportunistically drains the inbox so purely-sending peers
-    /// (which may never call `recv`) still observe the handshake and
-    /// upgrade promptly.
-    hello_pending: usize,
     /// Reusable encode buffer for outgoing acknowledgements.
     ack_buf: Vec<u8>,
     /// Sink for inbound sidecar telemetry frames (the collector peer).
@@ -317,9 +303,7 @@ impl Endpoint {
     /// Builds the endpoint for peer `me` of `n_peers`. `links[j]` must be
     /// `Some` for every `j != me`. `batch` enables send coalescing;
     /// per-frame mode is behaviourally identical on the wire, one write
-    /// per frame. `wire_v2` advertises the delta-compressed wire format;
-    /// each link upgrades only after the peer's `HELLO` consents, so
-    /// mixed-version links downgrade to v1.
+    /// per frame. Every link speaks wire v2 from its first frame.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         me: u32,
@@ -330,10 +314,9 @@ impl Endpoint {
         max_retries: u32,
         backoff_base: Duration,
         batch: bool,
-        wire_v2: bool,
     ) -> Self {
         let n_peers = links.len();
-        let mut endpoint = Endpoint {
+        Endpoint {
             me,
             links: links
                 .into_iter()
@@ -344,8 +327,6 @@ impl Endpoint {
                         log: FrameLog::new(),
                         batch: Vec::new(),
                         batch_frames: 0,
-                        hello_resolved: false,
-                        wire_v2: false,
                         chains: ClockChains::new(),
                     })
                 })
@@ -358,33 +339,8 @@ impl Endpoint {
             max_retries,
             backoff_base,
             batch,
-            advertise_v2: wire_v2,
-            hello_pending: 0,
             ack_buf: Vec::new(),
             collector: None,
-        };
-        endpoint.hello_pending = endpoint.links.iter().flatten().count();
-        for peer in 0..endpoint.links.len() as u32 {
-            endpoint.send_hello(peer);
-        }
-        endpoint
-    }
-
-    /// Advertises this endpoint's wire version on `to_peer`'s link.
-    /// Advisory like an ack: routed via [`Transport::resend`] so fault
-    /// injection never draws on it (seeded schedules are bit-identical
-    /// across wire versions), and dropped silently on error — a lost
-    /// hello just leaves the link on v1, which every receiver decodes.
-    fn send_hello(&mut self, to_peer: u32) {
-        let version = if self.advertise_v2 { WIRE_VERSION } else { 1 };
-        let mut buf = Vec::with_capacity(BODY_START);
-        encode_hello_into(self.me, version, &mut buf);
-        if let Some(link) = self
-            .links
-            .get_mut(to_peer as usize)
-            .and_then(Option::as_mut)
-        {
-            let _ = link.transport.resend(&buf);
         }
     }
 
@@ -414,15 +370,6 @@ impl Endpoint {
     ///
     /// Panics if the link stays down after `max_retries` reconnects.
     pub fn send(&mut self, to_peer: u32, from: ActorId, to: ActorId, payload: Payload) {
-        if self.hello_pending > 0 {
-            // A link is still awaiting its peer's HELLO: drain whatever
-            // already arrived so a purely-sending peer (one that never
-            // calls `recv`) still upgrades. Data frames surfaced here
-            // just land in `ready` for the next `recv`.
-            while let Ok(chunk) = self.inbox.try_recv() {
-                self.ingest(chunk);
-            }
-        }
         let flush_now = !self.batch || immediate(&payload);
         let link = self.links[to_peer as usize]
             .as_mut()
@@ -436,12 +383,7 @@ impl Endpoint {
         };
         link.next_seq += 1;
         let start = link.batch.len();
-        let encoding = if link.wire_v2 {
-            encode_frame_into_v2(&frame, &mut link.chains, &mut link.batch)
-        } else {
-            encode_frame_into(&frame, &mut link.batch);
-            WireEncoding::V1
-        };
+        let encoding = encode_frame_into_v2(&frame, &mut link.chains, &mut link.batch);
         let frame_len = (link.batch.len() - start) as u64;
         link.log.push(frame.seq, &link.batch[start..]);
         link.batch_frames += 1;
@@ -451,8 +393,8 @@ impl Endpoint {
             .bytes_sent
             .fetch_add(frame_len, Ordering::Relaxed);
         // Compression accounting: what this frame would have cost under
-        // v1 (a Detect body is exactly `wire_size()` bytes there), kept
-        // on both wire versions so the ratio is meaningful per run.
+        // v1 (a Detect body is exactly `wire_size()` bytes there), the
+        // paper-unit baseline the v2 bytes are measured against.
         let v1_equiv = match &frame.payload {
             Payload::Detect(msg) => (BODY_START + msg.wire_size()) as u64,
             _ => frame_len,
@@ -574,10 +516,6 @@ impl Endpoint {
                         attempt: attempt as u64,
                     },
                 );
-                // Re-advertise the wire version: if the original HELLO
-                // died with the old connection, the peer is still free
-                // to upgrade its own sends from here on.
-                self.send_hello(to_peer);
                 return;
             }
         }
@@ -634,9 +572,14 @@ impl Endpoint {
     }
 
     /// Dedup/resequencing for one frame; acknowledgements short-circuit
-    /// into log truncation before the sequence machinery.
+    /// into log truncation before the sequence machinery. A frame naming
+    /// a peer this endpoint does not have is dropped: the id comes off
+    /// the socket, so it must not index the per-peer state unchecked.
     fn accept(&mut self, frame: RawFrame) {
         let peer = frame.head.peer as usize;
+        if peer >= self.inbound.len() {
+            return;
+        }
         if frame.head.kind == kind::ACK {
             self.counters.acks_received.fetch_add(1, Ordering::Relaxed);
             if let Some(link) = self.links.get_mut(peer).and_then(Option::as_mut) {
@@ -654,19 +597,6 @@ impl Endpoint {
                 .fetch_add(1, Ordering::Relaxed);
             if let Some(collector) = &self.collector {
                 collector.ingest(frame.body());
-            }
-            return;
-        }
-        if frame.head.kind == kind::HELLO {
-            // Wire-version handshake: endpoint-internal like acks. The
-            // first HELLO settles the link's version for good (an
-            // upgrade mid-chain would desynchronize the delta state).
-            if let Some(link) = self.links.get_mut(peer).and_then(Option::as_mut) {
-                if !link.hello_resolved {
-                    link.hello_resolved = true;
-                    link.wire_v2 = self.advertise_v2 && frame.head.aux >= WIRE_VERSION;
-                    self.hello_pending = self.hello_pending.saturating_sub(1);
-                }
             }
             return;
         }
@@ -1074,9 +1004,9 @@ impl Running {
         let slot = self.receiver(frame.to_actor());
         self.dispatch(slot, |actor, ctx| match actor {
             // Arena-direct: the snapshot clock deserializes straight into
-            // the monitor's queue. A v2 frame was reconstructed to the
-            // same little-endian layout at promotion, so both versions
-            // feed the identical bytes (and paper units) in.
+            // the monitor's queue. A v2 frame was reconstructed to the v1
+            // little-endian layout at promotion, so both kinds feed the
+            // identical bytes (and paper units) in.
             HostedActor::Vc(monitor)
                 if frame_kind == kind::VC_SNAPSHOT || frame_kind == kind::VC_SNAPSHOT_V2 =>
             {
@@ -1150,7 +1080,7 @@ impl Running {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_frame;
+    use crate::codec::{encode_frame, encode_frame_into};
     use crate::pool::FramePool;
     use crate::transport::LoopbackTransport;
     use std::sync::mpsc::channel;
@@ -1193,7 +1123,6 @@ mod tests {
             4,
             Duration::from_millis(1),
             true,
-            true,
         );
         let e1 = Endpoint::new(
             1,
@@ -1206,7 +1135,6 @@ mod tests {
             Arc::new(NullRecorder),
             4,
             Duration::from_millis(1),
-            true,
             true,
         );
         (e0, e1)
@@ -1286,7 +1214,6 @@ mod tests {
             4,
             Duration::from_millis(1),
             true,
-            true,
         );
         let mk = |seq: u64| {
             let mut chunk = pool.take();
@@ -1331,7 +1258,6 @@ mod tests {
             4,
             Duration::from_millis(1),
             true,
-            true,
         );
         let mut chunk = pool.take();
         for seq in 0..4 {
@@ -1350,6 +1276,45 @@ mod tests {
         for seq in 0..4 {
             assert_eq!(recv_deadline(&mut e, Duration::from_secs(10)).seq(), seq);
         }
+    }
+
+    #[test]
+    fn frames_claiming_an_unknown_peer_are_dropped() {
+        // The peer id comes off the socket: one naming a peer the
+        // endpoint does not have must not index its per-peer state.
+        let (tx, rx) = channel();
+        let counters = NetCounters::shared();
+        let pool = FramePool::shared(counters.clone());
+        let mut e = Endpoint::new(
+            1,
+            vec![None, None],
+            rx,
+            counters,
+            Arc::new(NullRecorder),
+            4,
+            Duration::from_millis(1),
+            true,
+        );
+        let mut chunk = pool.take();
+        for peer in [2, u32::MAX, 0] {
+            encode_frame_into(
+                &Frame {
+                    peer,
+                    from: ActorId::new(0),
+                    to: ActorId::new(1),
+                    seq: 0,
+                    payload: Payload::Detect(DetectMsg::DdToken),
+                },
+                &mut chunk,
+            );
+        }
+        tx.send(chunk).unwrap();
+        let f = recv_deadline(&mut e, Duration::from_secs(10));
+        assert_eq!((f.peer(), f.seq()), (0, 0));
+        assert!(
+            e.recv(Duration::from_millis(10)).is_none(),
+            "only one frame"
+        );
     }
 
     #[test]
@@ -1397,7 +1362,6 @@ mod tests {
             4,
             Duration::from_millis(1),
             true,
-            true,
         );
         let mut e1 = Endpoint::new(
             1,
@@ -1407,7 +1371,6 @@ mod tests {
             Arc::new(NullRecorder),
             4,
             Duration::from_millis(1),
-            true,
             true,
         );
         let a = ActorId::new(0);

@@ -65,12 +65,6 @@ pub struct NetConfig {
     /// Verdicts, paper metrics and fault schedules are bit-identical with
     /// this on or off (the equivalence tests pin that).
     pub telemetry: bool,
-    /// Advertise the delta-compressed wire format (the default). Each
-    /// link upgrades only once both ends consent via the `HELLO`
-    /// handshake, so mixed-version links downgrade to v1; verdicts and
-    /// paper metrics are bit-identical across wire versions (the
-    /// equivalence tests pin that).
-    pub wire_v2: bool,
     /// Fan-out workers the multi-tenant session service pumps with: `1`
     /// (the default) is the serial pump, `> 1` the sharded parallel pump.
     /// Verdicts and metrics are bit-identical either way (the equivalence
@@ -86,7 +80,6 @@ impl Default for NetConfig {
             deadline: Duration::from_secs(60),
             batch: true,
             telemetry: false,
-            wire_v2: true,
             pump_threads: 1,
         }
     }
@@ -130,14 +123,6 @@ impl NetConfig {
     /// Enables the sidecar telemetry plane (see [`NetConfig::telemetry`]).
     pub fn with_telemetry(mut self) -> Self {
         self.telemetry = true;
-        self
-    }
-
-    /// Pins every link to wire v1 (full-width clock bodies). Exists as
-    /// the conservative fallback and for A/B measurement of the v2
-    /// delta compression; verdicts are identical either way.
-    pub fn with_wire_v1(mut self) -> Self {
-        self.wire_v2 = false;
         self
     }
 
@@ -591,7 +576,6 @@ fn run_vc_token_net_inner(
             RECOVERY_RETRIES,
             Duration::from_millis(1),
             config.batch,
-            config.wire_v2,
         );
         if let Some(plane) = &plane {
             endpoint.set_collector(plane.collector.clone());
@@ -724,7 +708,6 @@ pub fn run_direct_net_recorded(
             RECOVERY_RETRIES,
             Duration::from_millis(1),
             config.batch,
-            config.wire_v2,
         );
         if let Some(plane) = &plane {
             endpoint.set_collector(plane.collector.clone());
@@ -930,7 +913,6 @@ fn serve_vc_peer_inner(
         RECOVERY_RETRIES,
         Duration::from_millis(1),
         config.batch,
-        config.wire_v2,
     );
     if let Some(plane) = &plane {
         endpoint.set_collector(plane.collector.clone());

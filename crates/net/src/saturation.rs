@@ -60,14 +60,13 @@ impl SaturationReport {
         self.frames as f64 / self.net.batch_flushes.max(1) as f64
     }
 
-    /// Bytes actually sent per delivered frame (header plus body, after
-    /// whatever wire encoding the link negotiated).
+    /// Bytes actually sent per delivered frame (header plus wire-v2 body).
     pub fn bytes_per_frame(&self) -> f64 {
         self.net.bytes_sent as f64 / self.frames.max(1) as f64
     }
 
     /// Fraction of wire-v2 clock frames that shipped as deltas rather
-    /// than keyframes (0.0 on a v1 run — nothing is delta-encoded).
+    /// than keyframes.
     pub fn delta_hit_rate(&self) -> f64 {
         let chained = self.net.delta_frames_sent + self.net.keyframes_sent;
         if chained == 0 {
@@ -77,7 +76,7 @@ impl SaturationReport {
     }
 
     /// Actual bytes sent over what wire v1 would have cost — the
-    /// compression ratio (1.0 on a pure-v1 run, lower is better).
+    /// compression ratio (lower is better).
     pub fn v1_equiv_ratio(&self) -> f64 {
         self.net.bytes_sent as f64 / self.net.wire_bytes_v1_equiv.max(1) as f64
     }
@@ -184,7 +183,6 @@ fn drive(
 /// Builds the loopback endpoint pair over one shared counter block.
 fn loopback_pair(
     batch: bool,
-    wire_v2: bool,
     recorders: [Arc<dyn Recorder>; 2],
 ) -> (Endpoint, Endpoint, Arc<NetCounters>) {
     let counters = NetCounters::shared();
@@ -204,7 +202,6 @@ fn loopback_pair(
         4,
         Duration::from_millis(1),
         batch,
-        wire_v2,
     );
     let receiver = Endpoint::new(
         1,
@@ -218,34 +215,18 @@ fn loopback_pair(
         4,
         Duration::from_millis(1),
         batch,
-        wire_v2,
     );
     (sender, receiver, counters)
 }
 
 /// Saturates one in-memory loopback link with `frames` snapshot frames of
 /// scope width `scope_n`; `batch` toggles send coalescing (the A/B knob).
-/// Links negotiate the default wire v2; [`saturate_loopback_wire`] is the
-/// version A/B knob.
+/// The report carries both the v2 bytes sent and their v1 equivalent
+/// (`NetStats::wire_bytes_v1_equiv`), so one run gives the
+/// delta-compression ratio (`scripts/bench.sh wire-v2`).
 pub fn saturate_loopback(frames: u64, scope_n: usize, batch: bool) -> SaturationReport {
-    saturate_loopback_wire(frames, scope_n, batch, true)
-}
-
-/// [`saturate_loopback`] with the wire version as an explicit knob:
-/// `wire_v2 = false` pins the link to full-width v1 clock bodies, giving
-/// the measured A/B for the delta compression (`scripts/bench.sh wire-v2`
-/// records `bytes_per_frame` and `delta_hit_rate` for both sides).
-pub fn saturate_loopback_wire(
-    frames: u64,
-    scope_n: usize,
-    batch: bool,
-    wire_v2: bool,
-) -> SaturationReport {
-    let (sender, receiver, counters) = loopback_pair(
-        batch,
-        wire_v2,
-        [Arc::new(NullRecorder), Arc::new(NullRecorder)],
-    );
+    let (sender, receiver, counters) =
+        loopback_pair(batch, [Arc::new(NullRecorder), Arc::new(NullRecorder)]);
     drive(sender, receiver, frames, scope_n, &counters, None)
 }
 
@@ -264,7 +245,6 @@ pub fn saturate_loopback_observed(
     let receiver_ring = Arc::new(RingRecorder::new(1 << 12).with_wall_clock());
     let collector = TelemetryCollector::shared();
     let (sender, mut receiver, counters) = loopback_pair(
-        true,
         true,
         [
             Arc::new(SidecarFilter::new(sender_ring.clone())),
@@ -321,7 +301,6 @@ pub fn saturate_tcp(frames: u64, scope_n: usize) -> SaturationReport {
         4,
         Duration::from_millis(1),
         true,
-        true,
     );
     let receiver = Endpoint::new(
         1,
@@ -331,7 +310,6 @@ pub fn saturate_tcp(frames: u64, scope_n: usize) -> SaturationReport {
         Arc::new(NullRecorder),
         4,
         Duration::from_millis(1),
-        true,
         true,
     );
     let report = drive(sender, receiver, frames, scope_n, &counters, None);

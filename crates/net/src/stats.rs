@@ -45,9 +45,8 @@ pub struct NetCounters {
     /// Bytes of telemetry bodies shipped (outside paper accounting).
     pub telemetry_bytes: AtomicU64,
     /// What every sent frame would have cost under wire v1 (a `Detect`
-    /// body is exactly `wire_size()` bytes there). Counted on both wire
-    /// versions, so `bytes_sent / wire_bytes_v1_equiv` is the v2
-    /// compression ratio (1.0 on a pure-v1 run).
+    /// body is exactly `wire_size()` bytes there), so
+    /// `bytes_sent / wire_bytes_v1_equiv` is the v2 compression ratio.
     pub wire_bytes_v1_equiv: AtomicU64,
     /// Wire-v2 delta frames sent (changed bitmap + varint deltas).
     pub delta_frames_sent: AtomicU64,

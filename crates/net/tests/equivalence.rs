@@ -11,12 +11,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use wcp_detect::online::{run_direct, run_vc_token};
-use wcp_detect::{audit_bounds, BoundLimits, Detection};
+use wcp_detect::online::{run_direct, run_vc_token, run_vc_token_recorded};
+use wcp_detect::{
+    audit_bounds, BoundLimits, Detection, Detector, DirectDependenceDetector, TokenDetector,
+};
 use wcp_net::{run_direct_net, run_vc_token_net, run_vc_token_net_recorded, NetConfig};
 use wcp_obs::{merge_streams, split_by_monitor, RingRecorder, StampedEvent};
 use wcp_sim::{FaultConfig, SimConfig};
-use wcp_trace::generate::{generate, GeneratorConfig};
+use wcp_trace::generate::{generate, GeneratorConfig, Topology};
 use wcp_trace::{Computation, Wcp};
 
 fn workload(seed: u64) -> Computation {
@@ -87,6 +89,61 @@ fn loopback_matches_simulator_for_both_detectors() {
             dd_net.report.detection, dd_sim.report.detection,
             "dd {seed}"
         );
+    }
+    // The structured topologies at full scope, against the offline
+    // detectors.
+    for (topology, i) in [
+        Topology::Ring,
+        Topology::ClientServer { servers: 2 },
+        Topology::Neighbors { degree: 2 },
+    ]
+    .into_iter()
+    .zip(1u64..)
+    {
+        for seed in 0..4u64 {
+            let computation = generate(
+                &GeneratorConfig::new(6, 8)
+                    .with_seed(seed * 31 + i)
+                    .with_topology(topology)
+                    .with_predicate_density(0.3),
+            )
+            .computation;
+            let wcp = Wcp::over_first(6);
+            let annotated = computation.annotate();
+            let vc = TokenDetector::new().detect(&annotated, &wcp).detection;
+            let dd = DirectDependenceDetector::new()
+                .detect(&annotated, &wcp)
+                .detection;
+            assert_eq!(
+                run_vc_token_net(&computation, &wcp, NetConfig::loopback())
+                    .report
+                    .detection,
+                vc,
+                "vc {topology:?} seed {seed}"
+            );
+            assert_eq!(
+                run_direct_net(&computation, &wcp, true, NetConfig::loopback())
+                    .report
+                    .detection,
+                dd,
+                "dd {topology:?} seed {seed}"
+            );
+        }
+    }
+    // No predicate is ever true: every detector must terminate with
+    // Undetected rather than hang.
+    let computation = generate(
+        &GeneratorConfig::new(4, 10)
+            .with_seed(3)
+            .with_predicate_density(0.0),
+    )
+    .computation;
+    let wcp = Wcp::over_first(4);
+    let vc = run_vc_token_net(&computation, &wcp, NetConfig::loopback());
+    assert!(!vc.report.detection.is_detected(), "vc");
+    for parallel in [false, true] {
+        let dd = run_direct_net(&computation, &wcp, parallel, NetConfig::loopback());
+        assert!(!dd.report.detection.is_detected(), "dd parallel {parallel}");
     }
 }
 
@@ -276,12 +333,12 @@ fn telemetry_collector_merges_every_peer_over_tcp() {
 }
 
 #[test]
-fn wire_v1_and_v2_agree_with_the_simulator_under_every_fault_schedule() {
+fn wire_v2_agrees_with_the_simulator_under_every_fault_schedule() {
     // The wire-v2 acceptance pin: the same computation under the same
-    // fault schedule yields the simulator's verdict on both wire
-    // versions, while v2 measurably compresses (within one run,
-    // `bytes_sent` vs the v1-equivalent accounting — cross-run byte
-    // comparisons would race the shutdown broadcast).
+    // fault schedule yields the simulator's verdict, while v2 measurably
+    // compresses (within one run, `bytes_sent` vs the v1-equivalent
+    // accounting — cross-run byte comparisons would race the shutdown
+    // broadcast).
     let schedules: Vec<Option<FaultConfig>> = vec![
         None,
         Some(FaultConfig::delay_duplicate_reorder(5)),
@@ -305,14 +362,9 @@ fn wire_v1_and_v2_agree_with_the_simulator_under_every_fault_schedule() {
                 config = config.with_faults(f.clone());
             }
             let v2 = run_vc_token_net(&computation, &wcp, config);
-            let v1 = run_vc_token_net(&computation, &wcp, config.with_wire_v1());
             assert_eq!(
                 v2.report.detection, sim.report.detection,
                 "schedule {which} seed {seed}: v2 diverged from the simulator"
-            );
-            assert_eq!(
-                v1.report.detection, sim.report.detection,
-                "schedule {which} seed {seed}: v1 diverged from the simulator"
             );
             assert!(
                 v2.net.bytes_sent < v2.net.wire_bytes_v1_equiv,
@@ -321,35 +373,24 @@ fn wire_v1_and_v2_agree_with_the_simulator_under_every_fault_schedule() {
             );
             assert!(
                 v2.net.keyframes_sent > 0,
-                "schedule {which} seed {seed}: v2 links never negotiated"
-            );
-            assert_eq!(
-                v1.net.bytes_sent, v1.net.wire_bytes_v1_equiv,
-                "schedule {which} seed {seed}: v1 accounting must be exact"
-            );
-            assert_eq!(
-                v1.net.delta_frames_sent + v1.net.keyframes_sent,
-                0,
-                "schedule {which} seed {seed}: v1 run sent v2 frames"
+                "schedule {which} seed {seed}: v2 links never keyframed"
             );
         }
     }
 }
 
 #[test]
-fn paper_unit_accounting_is_wire_version_invariant() {
-    // Satellite of the wire-v2 change: `DetectionMetrics` and the bound
-    // audit count paper units via `wire_size()`, never actual encoded
-    // bytes — so switching the wire version must leave every audited
-    // quantity untouched. Only the schedule-independent counters are
-    // pinned across runs (the shutdown broadcast races the application
-    // tail, so raw snapshot counts vary run-to-run even on one version).
+fn paper_unit_accounting_matches_the_wire_free_simulator() {
+    // `DetectionMetrics` and the bound audit count paper units via
+    // `wire_size()`, never actual encoded bytes — so a v2 run that
+    // compresses below its v1-equivalent must audit exactly like the
+    // simulator, which has no wire at all. Only the schedule-independent
+    // counters are pinned across runs (the shutdown broadcast races the
+    // application tail, so raw snapshot counts vary run-to-run).
     for seed in 0..3u64 {
         let computation = workload(seed);
         let wcp = Wcp::over_first(3);
-        let audit_run = |config: NetConfig| {
-            let ring = Arc::new(RingRecorder::new(1 << 16));
-            let net = run_vc_token_net_recorded(&computation, &wcp, config, ring.clone());
+        let audit = |ring: &RingRecorder| {
             assert_eq!(ring.dropped(), 0, "ring too small for the audit");
             let events = ring.events();
             let streams = split_by_monitor(&events);
@@ -357,42 +398,47 @@ fn paper_unit_accounting_is_wire_version_invariant() {
                 streams.iter().map(|(m, s)| (*m, s.as_slice())).collect();
             let merged = merge_streams(&borrowed);
             let m1 = computation.max_events_per_process() as u64 + 1;
-            let audit = audit_bounds(wcp.n(), m1, &merged, &BoundLimits::exact());
-            (net, audit)
+            audit_bounds(wcp.n(), m1, &merged, &BoundLimits::exact())
         };
-        let base = NetConfig::loopback().with_deadline(deadline());
-        let (v1, a1) = audit_run(base.with_wire_v1());
-        let (v2, a2) = audit_run(base);
-        assert_eq!(
-            v1.report.detection, v2.report.detection,
-            "seed {seed}: wire version changed the verdict"
+        let sim_ring = Arc::new(RingRecorder::new(1 << 16));
+        let sim = run_vc_token_recorded(&computation, &wcp, SimConfig::seeded(1), sim_ring.clone());
+        let net_ring = Arc::new(RingRecorder::new(1 << 16));
+        let net = run_vc_token_net_recorded(
+            &computation,
+            &wcp,
+            NetConfig::loopback().with_deadline(deadline()),
+            net_ring.clone(),
         );
-        assert!(a1.ok(), "seed {seed} v1: {:?}", a1.violations);
-        assert!(a2.ok(), "seed {seed} v2: {:?}", a2.violations);
+        let (a_sim, a_net) = (audit(&sim_ring), audit(&net_ring));
         assert_eq!(
-            v1.report.metrics.token_hops, v2.report.metrics.token_hops,
-            "seed {seed}: wire version changed the token path"
+            net.report.detection, sim.report.detection,
+            "seed {seed}: the wire changed the verdict"
+        );
+        assert!(a_net.ok(), "seed {seed}: {:?}", a_net.violations);
+        assert_eq!(
+            net.report.metrics.token_hops, sim.report.metrics.token_hops,
+            "seed {seed}: the wire changed the token path"
         );
         assert_eq!(
             (
-                v1.report.metrics.control_messages,
-                v1.report.metrics.control_bytes,
+                net.report.metrics.control_messages,
+                net.report.metrics.control_bytes,
             ),
             (
-                v2.report.metrics.control_messages,
-                v2.report.metrics.control_bytes,
+                sim.report.metrics.control_messages,
+                sim.report.metrics.control_bytes,
             ),
-            "seed {seed}: wire version changed paper-unit accounting"
+            "seed {seed}: the wire changed paper-unit accounting"
         );
         assert_eq!(
-            (a1.n, a1.m1, a1.token_hops, a1.hop_limit),
-            (a2.n, a2.m1, a2.token_hops, a2.hop_limit),
-            "seed {seed}: wire version changed the audited bounds"
+            (a_net.n, a_net.m1, a_net.token_hops, a_net.hop_limit),
+            (a_sim.n, a_sim.m1, a_sim.token_hops, a_sim.hop_limit),
+            "seed {seed}: the wire changed the audited bounds"
         );
-        // And the v2 run really ran v2: it compressed below its own
-        // v1-equivalent accounting while the audit stayed identical.
+        // And the run really compressed below its own v1-equivalent
+        // accounting while the audit stayed identical.
         assert!(
-            v2.net.bytes_sent < v2.net.wire_bytes_v1_equiv,
+            net.net.bytes_sent < net.net.wire_bytes_v1_equiv,
             "seed {seed}: audit run never exercised compression"
         );
     }

@@ -227,25 +227,3 @@ fn parallel_pump_service_is_bit_identical_over_sockets() {
         }
     }
 }
-
-#[test]
-fn wire_v1_and_v2_agree_on_every_session() {
-    // MULTI frames have v1-only bodies; they must ride a wire-v2
-    // connection unchanged and the verdicts must not care.
-    let computation = workload(11, 4, 10);
-    let predicates = derived_predicates(4, 6);
-    let v2 = run_multi_net(&computation, &predicates, NetConfig::loopback());
-    let v1 = run_multi_net(
-        &computation,
-        &predicates,
-        NetConfig::loopback().with_wire_v1(),
-    );
-    for (a, b) in v2.report.outcomes.iter().zip(&v1.report.outcomes) {
-        assert_eq!(a.verdict, b.verdict, "id {}", a.id);
-        assert_eq!(a.metrics, b.metrics, "id {}", a.id);
-    }
-    assert!(
-        v2.net.delta_frames_sent + v2.net.keyframes_sent > 0,
-        "v2 run actually compressed clocks"
-    );
-}

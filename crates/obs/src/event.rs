@@ -458,7 +458,7 @@ pub struct StampedEvent {
     pub monitor: u32,
     /// Logical time of the step.
     pub time: LogicalTime,
-    /// Wall-clock nanoseconds since recorder creation (threaded runs only).
+    /// Wall-clock nanoseconds since recorder creation (net runs only).
     pub wall_nanos: Option<u64>,
     /// The event itself.
     pub event: TraceEvent,

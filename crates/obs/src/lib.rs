@@ -9,7 +9,7 @@
 //! - [`TraceEvent`] / [`StampedEvent`] — the typed vocabulary of things the
 //!   detectors do (token hops, eliminations, polls, red-chain hops, …),
 //!   each stamped with a logical time, the acting monitor, and optionally
-//!   wall-clock nanoseconds (threaded runs).
+//!   wall-clock nanoseconds (net runs).
 //! - [`Recorder`] — the sink trait; [`RingRecorder`] keeps a bounded
 //!   in-memory ring, [`NullRecorder`] compiles down to nothing.
 //! - [`Log2Histogram`] and [`Counters`] — fixed-size log₂-bucket histograms

@@ -10,7 +10,7 @@ use crate::event::{LogicalTime, StampedEvent, TraceEvent};
 ///
 /// Implementations take `&self` and must be thread-safe so one recorder can
 /// be shared (via `Arc`) by every monitor actor of a run, on either the
-/// deterministic simulator or the threaded runtime.
+/// deterministic simulator or the `wcp-net` peers' worker threads.
 pub trait Recorder: Send + Sync {
     /// Records one event performed by `monitor` at logical time `time`.
     fn record(&self, monitor: u32, time: LogicalTime, event: TraceEvent);
@@ -71,7 +71,7 @@ impl RingRecorder {
     }
 
     /// Also stamps events with wall-clock nanoseconds since creation —
-    /// used by the threaded runtime, where logical ticks don't exist.
+    /// used by net runs, where logical ticks don't exist.
     pub fn with_wall_clock(mut self) -> Self {
         self.wall_clock = true;
         self

@@ -4,10 +4,9 @@
 //! application process streams its Figure 2 snapshots (full-width clocks,
 //! `Wcp::over_all`) plus an end-of-trace marker to it, and a controller
 //! registers/unregisters predicates and collects per-predicate verdicts.
-//! The same two actors run unmodified on the discrete-event simulator,
-//! the threaded runtime, and `wcp-net`'s socket peers (`wcp serve
-//! --multi`) — the engine's canonical routed log makes the outcome
-//! transport-independent.
+//! The same two actors run unmodified on the discrete-event simulator
+//! and on `wcp-net`'s socket peers (`wcp serve --multi`) — the engine's
+//! canonical routed log makes the outcome transport-independent.
 //!
 //! Termination: the service announces end-of-verdicts with a final
 //! [`EndOfTrace`](DetectMsg::EndOfTrace) to the controller once every

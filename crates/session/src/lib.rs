@@ -23,8 +23,8 @@
 //!   and fans each entry out to exactly the sessions whose predicate
 //!   names that process;
 //! - [`actors`]/[`runner`] — the service and controller actors plus
-//!   simulator and threaded-runtime runners (`wcp-net` hosts the same
-//!   actors over real sockets as `wcp serve --multi`).
+//!   offline and simulator runners (`wcp-net` hosts the same actors over
+//!   real sockets as `wcp serve --multi`).
 //!
 //! The core correctness claim, property-tested here and fuzzed in
 //! `wcp-fuzz`: because the routed log is a pure function of the
@@ -48,8 +48,8 @@ pub use engine::{EngineStats, MultiEngine, RegisterError, SessionReport};
 pub use registry::PredicateId;
 pub use runner::{
     collect_multi_report, feed_annotated, feed_annotated_with, run_multi_offline,
-    run_multi_offline_with, run_multi_sim, run_multi_sim_with, run_multi_threaded,
-    run_multi_threaded_with, run_single_offline, MultiReport, PredicateOutcome,
+    run_multi_offline_with, run_multi_sim, run_multi_sim_with, run_single_offline, MultiReport,
+    PredicateOutcome,
 };
 pub use session::SessionVerdict;
 pub use store::SharedStore;

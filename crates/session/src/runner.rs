@@ -1,12 +1,12 @@
-//! End-to-end multi-tenant runs: offline, simulator, threaded runtime.
+//! End-to-end multi-tenant runs: offline and simulator.
 //!
-//! All three runners serve the same predicates over the same computation
-//! and must produce bit-identical per-predicate verdicts and
+//! Both runners serve the same predicates over the same computation and
+//! must produce bit-identical per-predicate verdicts and
 //! [`DetectionMetrics`] — the offline runner feeds the engine the
-//! annotated trace directly, the other two stream it through
+//! annotated trace directly, the simulator runner streams it through
 //! [`AppProcess`](wcp_detect::online::AppProcess) actors over
-//! `Wcp::over_all` full-width clocks (`wcp-net` adds the fourth, socket,
-//! variant on the same actors).
+//! `Wcp::over_all` full-width clocks (`wcp-net` adds the socket variant
+//! on the same actors, on real threads).
 
 use std::collections::HashMap;
 
@@ -15,7 +15,6 @@ use std::sync::Arc;
 use wcp_clocks::{Cut, ProcessId, StateId};
 use wcp_detect::online::{AppProcess, ClockMode};
 use wcp_detect::{Detection, DetectionMetrics, DetectionReport};
-use wcp_runtime::Runtime;
 use wcp_sim::{ActorId, SimConfig, Simulation};
 use wcp_trace::{AnnotatedComputation, Computation, Wcp};
 
@@ -187,48 +186,6 @@ pub fn run_single_offline(
     (outcome.verdict, outcome.metrics)
 }
 
-/// Builds the shared actor layout: apps `0..N`, service `N`, controller
-/// `N+1`, engine shared with the service.
-fn build_actors(
-    computation: &Computation,
-    registrations: &[(u64, Wcp)],
-    unregister: &[u64],
-    pump_threads: usize,
-) -> (
-    Vec<AppProcess>,
-    MultiService,
-    MultiController,
-    Arc<MultiEngine>,
-) {
-    let n_total = computation.process_count();
-    let scope_all = Wcp::over_all(computation);
-    let service = ActorId::new(n_total as u32);
-    let controller = ActorId::new(n_total as u32 + 1);
-    let app_actors: Vec<ActorId> = (0..n_total).map(|i| ActorId::new(i as u32)).collect();
-    let apps = ProcessId::all(n_total)
-        .map(|p| {
-            AppProcess::new(
-                computation,
-                &scope_all,
-                p,
-                ClockMode::Vector,
-                app_actors.clone(),
-                Some(service),
-            )
-        })
-        .collect();
-    let engine = Arc::new(MultiEngine::new(n_total));
-    let svc = MultiService::new(
-        Arc::clone(&engine),
-        controller,
-        registrations.len(),
-        unregister.len(),
-    )
-    .with_pump_threads(pump_threads);
-    let ctrl = MultiController::new(service, registrations.to_vec(), unregister.to_vec());
-    (apps, svc, ctrl, engine)
-}
-
 /// Runs `predicates` (ids `0..k`) through the discrete-event simulator:
 /// application actors stream Figure 2 snapshots to the service, the
 /// controller registers and collects.
@@ -261,15 +218,32 @@ pub fn run_multi_sim_with(
     config = config
         .with_fifo_channel(controller, service)
         .with_fifo_channel(service, controller);
-    let (apps, svc, ctrl, engine) =
-        build_actors(computation, registrations, unregister, pump_threads);
+    let scope_all = Wcp::over_all(computation);
+    let app_actors: Vec<ActorId> = (0..n_total).map(|i| ActorId::new(i as u32)).collect();
+    let engine = Arc::new(MultiEngine::new(n_total));
+    let ctrl = MultiController::new(service, registrations.to_vec(), unregister.to_vec());
     let verdicts = ctrl.verdicts();
     let finished = ctrl.finished();
     let mut sim = Simulation::new(config);
-    for app in apps {
-        sim.add_actor(Box::new(app));
+    for p in ProcessId::all(n_total) {
+        sim.add_actor(Box::new(AppProcess::new(
+            computation,
+            &scope_all,
+            p,
+            ClockMode::Vector,
+            app_actors.clone(),
+            Some(service),
+        )));
     }
-    sim.add_actor(Box::new(svc));
+    sim.add_actor(Box::new(
+        MultiService::new(
+            Arc::clone(&engine),
+            controller,
+            registrations.len(),
+            unregister.len(),
+        )
+        .with_pump_threads(pump_threads),
+    ));
     sim.add_actor(Box::new(ctrl));
     sim.run();
     assert!(
@@ -278,41 +252,4 @@ pub fn run_multi_sim_with(
     );
     let wire = verdicts.lock().expect("controller poisoned").clone();
     collect_multi_report(&engine, registrations, unregister, wire)
-}
-
-/// Runs `predicates` (ids `0..k`) on the threaded actor runtime (one OS
-/// thread per app, service and controller).
-pub fn run_multi_threaded(computation: &Computation, predicates: &[Wcp]) -> MultiReport {
-    run_multi_threaded_with(computation, predicates, 1)
-}
-
-/// [`run_multi_threaded`] with a fan-out worker count (`> 1` = the
-/// sharded parallel pump on the service thread).
-pub fn run_multi_threaded_with(
-    computation: &Computation,
-    predicates: &[Wcp],
-    pump_threads: usize,
-) -> MultiReport {
-    let registrations: Vec<(u64, Wcp)> = predicates
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, w)| (i as u64, w))
-        .collect();
-    let (apps, svc, ctrl, engine) = build_actors(computation, &registrations, &[], pump_threads);
-    let verdicts = ctrl.verdicts();
-    let finished = ctrl.finished();
-    let mut runtime = Runtime::new();
-    for app in apps {
-        runtime.add_actor(Box::new(app));
-    }
-    runtime.add_actor(Box::new(svc));
-    runtime.add_actor(Box::new(ctrl));
-    runtime.run();
-    assert!(
-        finished.load(std::sync::atomic::Ordering::Acquire),
-        "multi threaded run ended before the service announced end-of-verdicts"
-    );
-    let wire = verdicts.lock().expect("controller poisoned").clone();
-    collect_multi_report(&engine, &registrations, &[], wire)
 }

@@ -5,7 +5,8 @@
 //! 2. per-predicate `DetectionMetrics` are **bit-identical** to running
 //!    the same predicate alone on the same stream — whatever the tenant
 //!    count, registration time, pump parallelism, or substrate
-//!    (offline / simulator / threaded runtime);
+//!    (offline / simulator; `wcp-net`'s `multi_equivalence.rs` pins the
+//!    socket peers);
 //! 3. the session elimination engine is a faithful re-expression of the
 //!    trusted `StreamingChecker` fed in the engine's canonical order.
 
@@ -13,8 +14,7 @@ use wcp_clocks::ProcessId;
 use wcp_detect::{vc_snapshot_queues, StreamingChecker, StreamingStatus};
 use wcp_session::{
     feed_annotated, run_multi_offline, run_multi_offline_with, run_multi_sim, run_multi_sim_with,
-    run_multi_threaded, run_multi_threaded_with, run_single_offline, MultiEngine, PredicateId,
-    SessionVerdict,
+    run_single_offline, MultiEngine, PredicateId, SessionVerdict,
 };
 use wcp_trace::generate::{generate, GeneratorConfig};
 use wcp_trace::{AnnotatedComputation, Computation, Wcp};
@@ -426,7 +426,6 @@ fn runners_honor_pump_threads_with_identical_outcomes() {
         for report in [
             run_multi_offline_with(&computation, &predicates, 4),
             run_multi_sim_with(&computation, &registrations, &[], seed, 4),
-            run_multi_threaded_with(&computation, &predicates, 4),
         ] {
             assert_eq!(report.outcomes.len(), offline.outcomes.len());
             for (got, want) in report.outcomes.iter().zip(&offline.outcomes) {
@@ -438,28 +437,24 @@ fn runners_honor_pump_threads_with_identical_outcomes() {
 }
 
 #[test]
-fn simulator_and_threaded_runtime_match_offline() {
+fn simulator_matches_offline() {
     for seed in 0..8u64 {
         let computation = workload(seed, 2 + (seed as usize % 4), 8);
         let n = computation.process_count();
         let predicates = derived_predicates(n, 5);
         let offline = run_multi_offline(&computation, &predicates);
-        for report in [
-            run_multi_sim(&computation, &predicates, seed.wrapping_mul(31)),
-            run_multi_threaded(&computation, &predicates),
-        ] {
-            assert_eq!(report.outcomes.len(), offline.outcomes.len());
-            for (got, want) in report.outcomes.iter().zip(&offline.outcomes) {
-                assert_eq!(got.verdict, want.verdict, "seed {seed} id {}", got.id);
-                assert_eq!(got.metrics, want.metrics, "seed {seed} id {}", got.id);
-                // The controller saw the same verdict on the wire.
-                assert_eq!(
-                    report.wire_verdicts.get(&got.id),
-                    Some(&got.verdict.cut().map(<[u64]>::to_vec)),
-                    "seed {seed} id {}",
-                    got.id
-                );
-            }
+        let report = run_multi_sim(&computation, &predicates, seed.wrapping_mul(31));
+        assert_eq!(report.outcomes.len(), offline.outcomes.len());
+        for (got, want) in report.outcomes.iter().zip(&offline.outcomes) {
+            assert_eq!(got.verdict, want.verdict, "seed {seed} id {}", got.id);
+            assert_eq!(got.metrics, want.metrics, "seed {seed} id {}", got.id);
+            // The controller saw the same verdict on the wire.
+            assert_eq!(
+                report.wire_verdicts.get(&got.id),
+                Some(&got.verdict.cut().map(<[u64]>::to_vec)),
+                "seed {seed} id {}",
+                got.id
+            );
         }
     }
 }

@@ -1,11 +1,11 @@
-//! The actor abstraction shared by the simulator and the threaded runtime.
+//! The actor abstraction shared by the simulator and the `wcp-net` peers.
 
 use std::fmt;
 
 use wcp_obs::json::{FromJson, Json, JsonError, ToJson};
 
 /// Identifier of an actor within one [`Simulation`](crate::Simulation) (or
-/// one `wcp-runtime` run).
+/// one `wcp-net` run).
 ///
 /// Note this is distinct from `wcp_clocks::ProcessId`: a detection setup
 /// hosts `2N` actors (`N` application processes plus `N` monitor
@@ -60,8 +60,8 @@ pub trait WireSize {
 /// What an actor may do while handling an event.
 ///
 /// Both the discrete-event [`Simulation`](crate::Simulation) and the
-/// threaded `wcp-runtime` implement this trait, so the same actor code runs
-/// on either substrate.
+/// `wcp-net` peers implement this trait, so the same actor code runs on
+/// either substrate.
 pub trait Context<M> {
     /// This actor's own id.
     fn me(&self) -> ActorId;
@@ -79,8 +79,8 @@ pub trait Context<M> {
     fn stop(&mut self);
 
     /// Current logical time, when the substrate has one. The discrete-event
-    /// simulator reports its tick; the threaded runtime has no global clock
-    /// and reports `0` (observability there uses wall-clock stamps instead).
+    /// simulator reports its tick; the net peers have no global clock and
+    /// report `0` (observability there uses wall-clock stamps instead).
     fn now(&self) -> u64 {
         0
     }
@@ -89,8 +89,8 @@ pub trait Context<M> {
 /// A process in the paper's model: a deterministic state machine driven by
 /// message deliveries.
 ///
-/// Actors must be `Send` so the same implementation can run on the threaded
-/// runtime.
+/// Actors must be `Send` so the same implementation can run on the net
+/// peers' worker threads.
 pub trait Actor<M>: Send {
     /// Invoked once before any message is delivered.
     fn on_start(&mut self, ctx: &mut dyn Context<M>) {

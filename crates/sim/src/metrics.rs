@@ -69,7 +69,7 @@ impl SimMetrics {
     }
 
     /// Records one sent message of `bytes` bytes for `id` (used by
-    /// alternative runtimes such as `wcp-runtime`).
+    /// substrates other than the simulator, such as the `wcp-net` peers).
     pub fn record_send(&mut self, id: ActorId, bytes: u64) {
         let m = &mut self.per_actor[id.index()];
         m.sent += 1;

@@ -1,6 +1,7 @@
 //! Running the detection protocols as genuinely distributed systems:
 //! first on the deterministic discrete-event simulator (with message
-//! latency jitter and non-FIFO reordering), then on real OS threads.
+//! latency jitter and non-FIFO reordering), then on the net peers, which
+//! run the same actors on real threads over the wire codec.
 //!
 //! Every substrate must report the same first satisfying cut.
 //!
@@ -10,9 +11,8 @@
 //! cargo run --release --example online_detection
 //! ```
 
-use wcp::detect::online::{
-    run_direct, run_direct_threaded, run_multi_token, run_vc_token, run_vc_token_threaded,
-};
+use wcp::detect::online::{run_direct, run_multi_token, run_vc_token};
+use wcp::net::{run_direct_net, run_vc_token_net, NetConfig};
 use wcp::sim::{LatencyModel, SimConfig};
 use wcp::trace::generate::{generate, GeneratorConfig, Topology};
 use wcp::trace::Wcp;
@@ -62,17 +62,27 @@ fn main() {
         ddp.report.metrics.token_hops
     );
 
-    println!("\n--- real OS threads (std mpsc channels) ---");
-    let threaded_vc = run_vc_token_threaded(computation, &wcp);
-    println!("single token : {threaded_vc}");
-    let threaded_dd = run_direct_threaded(computation, &wcp, true);
-    println!("direct-dep ∥ : {threaded_dd}");
+    println!("\n--- net peers on real threads (loopback wire) ---");
+    let net_vc = run_vc_token_net(computation, &wcp, NetConfig::loopback());
+    println!(
+        "single token : {:<28} frames {:>5}  bytes {:>6}",
+        net_vc.report.detection.to_string(),
+        net_vc.net.frames_sent,
+        net_vc.net.bytes_sent
+    );
+    let net_dd = run_direct_net(computation, &wcp, true, NetConfig::loopback());
+    println!(
+        "direct-dep ∥ : {:<28} frames {:>5}  bytes {:>6}",
+        net_dd.report.detection.to_string(),
+        net_dd.net.frames_sent,
+        net_dd.net.bytes_sent
+    );
 
     // Cross-substrate agreement.
     assert_eq!(vc.report.detection, mt.report.detection);
-    assert_eq!(vc.report.detection, threaded_vc);
+    assert_eq!(vc.report.detection, net_vc.report.detection);
     assert_eq!(dd.report.detection, ddp.report.detection);
-    assert_eq!(dd.report.detection, threaded_dd);
+    assert_eq!(dd.report.detection, net_dd.report.detection);
     let a = computation.annotate();
     if let (Some(c_vc), Some(c_dd)) = (vc.report.detection.cut(), dd.report.detection.cut()) {
         assert_eq!(wcp.project(c_vc), wcp.project(c_dd));

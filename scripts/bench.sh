@@ -9,10 +9,12 @@
 #
 # Each entry also records the wire-stack saturation numbers (frames/sec,
 # allocs/frame, frames/write for batched vs per-frame loopback and TCP)
-# and the wire-version A/B (bytes/event and delta hit rate for v1 vs the
-# delta-compressed v2 at n ∈ {8, 32, 128}); e.g. `scripts/bench.sh
-# net-batch` captures the batched-transport entry and `scripts/bench.sh
-# wire-v2` the compression entry that docs/performance.md quotes.
+# and the wire-v2 compression (bytes/event and delta hit rate of the
+# delta-compressed v2 against the v1 bytes the same frames would cost,
+# computed from the paper-unit `wire_size()`, at n ∈ {8, 32, 128}); e.g.
+# `scripts/bench.sh net-batch` captures the batched-transport entry and
+# `scripts/bench.sh wire-v2` the compression entry that
+# docs/performance.md quotes.
 #
 # Entries also carry the `multi_saturation` section: 10k concurrent
 # predicate sessions over one shared 16×40 stream through the session

@@ -30,10 +30,10 @@ echo "== fuzz smoke campaign (fixed seed, bounded) =="
 # Differential conformance sweep: every detector family cross-checked on
 # 50 seeded cases; exits nonzero (failing this script) on any divergence.
 # --net-batch forces every net case onto the batched (coalesced-write)
-# data path and --wire-v2 onto the delta-compressed wire format, so the
-# smoke run always exercises both; the nightly campaign
-# (scripts/nightly-fuzz.sh) fuzzes all wire modes and versions.
-./target/release/wcp fuzz --seed 1 --cases 50 --shrink --net-batch --wire-v2
+# data path, so the smoke run always exercises it; every net case runs
+# the delta-compressed wire v2. The nightly campaign
+# (scripts/nightly-fuzz.sh) fuzzes both write modes.
+./target/release/wcp fuzz --seed 1 --cases 50 --shrink --net-batch
 
 echo "== fuzz multi-tenant smoke slice =="
 # Session-layer conformance: the offline multi-predicate cross-check runs

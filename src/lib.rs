@@ -8,7 +8,6 @@
 //! - [`trace`] — the computation model, workload generators, the
 //!   global-state lattice,
 //! - [`sim`] — the deterministic discrete-event message-passing simulator,
-//! - [`runtime`] — the threaded actor runtime,
 //! - [`detect`] — the detection algorithms themselves (the paper's
 //!   contribution) and the Section 5 lower-bound adversary,
 //! - [`obs`] — observability: trace recorders, histograms, run reports,
@@ -51,7 +50,6 @@ pub use wcp_fuzz as fuzz;
 pub use wcp_net as net;
 pub use wcp_obs as obs;
 pub use wcp_record as record;
-pub use wcp_runtime as runtime;
 pub use wcp_session as session;
 pub use wcp_sim as sim;
 pub use wcp_trace as trace;

@@ -1,7 +1,7 @@
 //! Cross-crate agreement suite: every detector family — offline emulations,
-//! online simulated actors, threaded actors, and the lattice ground truth —
-//! must report the same detection verdict and the same scope projection of
-//! the first satisfying cut, on randomized computations (Theorems 3.2, 4.3,
+//! online simulated actors, and the lattice ground truth — must report the
+//! same detection verdict and the same scope projection of the first
+//! satisfying cut, on randomized computations (Theorems 3.2, 4.3,
 //! 4.4 of the paper). Cases are drawn from fixed seeds via
 //! `wcp::obs::rng::Rng`, so failures reproduce exactly.
 
