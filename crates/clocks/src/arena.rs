@@ -203,11 +203,7 @@ impl ClockArena {
 
     /// Number of rows stored.
     pub fn len(&self) -> usize {
-        if self.stride == 0 {
-            0
-        } else {
-            self.data.len() / self.stride
-        }
+        self.data.len().checked_div(self.stride).unwrap_or(0)
     }
 
     /// Returns `true` if no rows are stored.

@@ -1,0 +1,372 @@
+//! The Garg–Waldecker elimination loop (reference \[7\] of the paper),
+//! written once: every checker runs it over its own row source
+//! ([`Heads`]); docs/ALGORITHMS.md lists them.
+//!
+//! The rule: discard any queue head that happened before another head;
+//! pairwise concurrent heads form the first satisfying cut. A snapshot's
+//! own clock component is its interval (Figure 2), so head `i` happened
+//! before head `j` iff `component(j, i) >= component(i, i)`.
+//!
+//! - A round needs a head on every position, costs `n` work units (the
+//!   §3.4 unit) and consumes the **lowest-position** head that happened
+//!   before another head; a round with no such head detects.
+//! - A closed, dry queue anywhere makes the verdict
+//!   [`Impossible`](StreamingStatus::Impossible).
+//! - Comparisons are amortized `O(n)` per round. A new head is compared
+//!   once with every other head, then only with later new heads while it
+//!   is known concurrent: clocks of a process only grow, so an eliminable
+//!   head stays eliminable until consumed. `r` rounds over `n` positions
+//!   read fewer than `3n·(r + n)` clock components.
+
+use crate::streaming::StreamingStatus;
+
+/// A row source for [`Elimination`]: one FIFO queue of snapshot clocks per
+/// scope position, each clock indexed by scope position.
+pub trait Heads {
+    /// Whether position `i`'s queue has an unconsumed head.
+    fn has_head(&self, i: usize) -> bool;
+    /// Component `i` of position `j`'s head clock; for `j == i` this is the
+    /// head's own interval. Called only while `j` has a head.
+    fn component(&self, j: usize, i: usize) -> u64;
+    /// Consumes position `i`'s head.
+    fn pop(&mut self, i: usize);
+}
+
+/// What the loop knows about one position's current head.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Status {
+    /// The queue was empty when last looked at.
+    #[default]
+    Absent,
+    /// A head not yet compared with the others.
+    Unchecked,
+    /// Concurrent with every other current head.
+    Concurrent,
+    /// Happened before some other current head.
+    Eliminable,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    status: Status,
+    /// The queue will receive no more rows.
+    closed: bool,
+}
+
+/// The elimination loop's state over `n` positions: one status per
+/// position plus the work and elimination counters. The row source is
+/// passed to every call, so it may be owned, borrowed or a locked view.
+#[derive(Debug, Clone)]
+pub struct Elimination {
+    slots: Vec<Slot>,
+    work: u64,
+    eliminated: u64,
+}
+
+impl Elimination {
+    /// A loop over `n ≥ 1` positions, every queue open and empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: usize) -> Self {
+        assert!(n >= 1, "need at least one scope position");
+        Elimination {
+            slots: vec![Slot::default(); n],
+            work: 0,
+            eliminated: 0,
+        }
+    }
+
+    /// Work units spent so far: `n` per round.
+    pub fn work(&self) -> u64 {
+        self.work
+    }
+
+    /// Heads consumed so far, by the rule or through
+    /// [`consume`](Self::consume).
+    pub fn eliminated(&self) -> u64 {
+        self.eliminated
+    }
+
+    /// Declares that position `i`'s queue gets no more rows. Idempotent.
+    pub fn close(&mut self, i: usize) {
+        self.slots[i].closed = true;
+    }
+
+    /// Whether position `i` was [`close`](Self::close)d.
+    pub fn is_closed(&self, i: usize) -> bool {
+        self.slots[i].closed
+    }
+
+    /// Runs rounds until the heads detect, a queue runs dry, or a closed
+    /// queue is dry. Call it again after rows are added or a queue is
+    /// closed; a [`Detected`](StreamingStatus::Detected) verdict repeats
+    /// (at `n` more work) unless a head is consumed in between.
+    pub fn run<H: Heads + ?Sized>(&mut self, heads: &mut H) -> StreamingStatus {
+        // Rows added since the last run may have filled an empty queue.
+        // Look at every position before settling for Pending: a closed,
+        // dry queue anywhere means no cut can ever form.
+        let mut missing = false;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if slot.status == Status::Absent {
+                if heads.has_head(i) {
+                    slot.status = Status::Unchecked;
+                } else if slot.closed {
+                    return StreamingStatus::Impossible;
+                } else {
+                    missing = true;
+                }
+            }
+        }
+        if missing {
+            return StreamingStatus::Pending;
+        }
+        let n = self.slots.len();
+        for k in 0..n {
+            if self.slots[k].status == Status::Unchecked {
+                self.classify(heads, k);
+            }
+        }
+        loop {
+            self.work += n as u64;
+            let Some(i) = self
+                .slots
+                .iter()
+                .position(|s| s.status == Status::Eliminable)
+            else {
+                return StreamingStatus::Detected((0..n).map(|i| heads.component(i, i)).collect());
+            };
+            self.consume(heads, i);
+            let slot = self.slots[i];
+            if slot.status == Status::Absent {
+                return if slot.closed {
+                    StreamingStatus::Impossible
+                } else {
+                    StreamingStatus::Pending
+                };
+            }
+            self.classify(heads, i);
+        }
+    }
+
+    /// Consumes position `i`'s head outside the rule — for a caller with
+    /// its own reason to reject it, like a GCP channel term blaming that
+    /// endpoint. The next [`run`](Self::run) examines the new head.
+    pub fn consume<H: Heads + ?Sized>(&mut self, heads: &mut H, i: usize) {
+        heads.pop(i);
+        self.eliminated += 1;
+        self.slots[i].status = if heads.has_head(i) {
+            Status::Unchecked
+        } else {
+            Status::Absent
+        };
+    }
+
+    /// Settles new head `k` against every other head, then re-examines
+    /// the heads known concurrent against it.
+    fn classify<H: Heads + ?Sized>(&mut self, heads: &H, k: usize) {
+        let own = heads.component(k, k);
+        let known = (0..self.slots.len()).any(|j| j != k && heads.component(j, k) >= own);
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if i != k
+                && slot.status == Status::Concurrent
+                && heads.component(k, i) >= heads.component(i, i)
+            {
+                slot.status = Status::Eliminable;
+            }
+        }
+        self.slots[k].status = if known {
+            Status::Eliminable
+        } else {
+            Status::Concurrent
+        };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use super::*;
+    use crate::snapshot::VcSnapshotQueues;
+    use wcp_clocks::ProcessId;
+    use wcp_obs::rng::Rng;
+    use wcp_trace::generate::{generate, GeneratorConfig};
+    use wcp_trace::{Computation, ComputationBuilder, Wcp};
+
+    /// Per position, a queue of clock rows of which a prefix is pushed and
+    /// a shorter prefix consumed. Counts `component` reads.
+    #[derive(Clone)]
+    struct Queues {
+        rows: Vec<Vec<Vec<u64>>>,
+        next: Vec<usize>,
+        pushed: Vec<usize>,
+        reads: Cell<u64>,
+    }
+
+    impl Heads for Queues {
+        fn has_head(&self, i: usize) -> bool {
+            self.next[i] < self.pushed[i]
+        }
+        fn component(&self, j: usize, i: usize) -> u64 {
+            self.reads.set(self.reads.get() + 1);
+            self.rows[j][self.next[j]][i]
+        }
+        fn pop(&mut self, i: usize) {
+            self.next[i] += 1;
+        }
+    }
+
+    /// The reference: the re-scan every checker ran before they shared
+    /// one loop, comparing every ordered pair of heads each round.
+    /// Returns the status and adds to `work` and `eliminated`.
+    fn rescan(q: &mut Queues, closed: &[bool], counters: &mut (u64, u64)) -> StreamingStatus {
+        let n = closed.len();
+        loop {
+            if (0..n).any(|i| !q.has_head(i) && closed[i]) {
+                return StreamingStatus::Impossible;
+            }
+            if (0..n).any(|i| !q.has_head(i)) {
+                return StreamingStatus::Pending;
+            }
+            counters.0 += n as u64;
+            let before =
+                |i: usize| (0..n).any(|j| j != i && q.component(j, i) >= q.component(i, i));
+            match (0..n).find(|&i| before(i)) {
+                Some(i) => {
+                    q.pop(i);
+                    counters.1 += 1;
+                }
+                None => {
+                    return StreamingStatus::Detected((0..n).map(|i| q.component(i, i)).collect())
+                }
+            }
+        }
+    }
+
+    /// Drives the loop and the re-scan through the same pushes and closes
+    /// over random queues whose clocks only grow, each row's own component
+    /// its interval, and asserts every status and counter agree. Every
+    /// third case is the offline shape: all rows pushed, all queues closed
+    /// up front, one run.
+    #[test]
+    fn matches_the_rescan_over_random_interleavings() {
+        let mut rng = Rng::seed_from_u64(19);
+        for case in 0..600 {
+            let n = rng.gen_range(1usize..7);
+            let rows: Vec<Vec<Vec<u64>>> = (0..n)
+                .map(|p| {
+                    let mut clock = vec![0u64; n];
+                    (0..rng.gen_range(0usize..8))
+                        .map(|_| {
+                            for (q, c) in clock.iter_mut().enumerate() {
+                                *c += rng.gen_range(u64::from(q == p)..2 + u64::from(q == p));
+                            }
+                            clock.clone()
+                        })
+                        .collect()
+                })
+                .collect();
+            let offline = case % 3 == 0;
+            let full: Vec<usize> = rows.iter().map(Vec::len).collect();
+            let pushed = if offline { full.clone() } else { vec![0; n] };
+            let mut a = Queues {
+                rows,
+                next: vec![0; n],
+                pushed,
+                reads: Cell::new(0),
+            };
+            let mut b = a.clone();
+            let (mut elimination, mut closed, mut counters) =
+                (Elimination::new(n), vec![false; n], (0, 0));
+            loop {
+                let open: Vec<usize> = (0..n).filter(|&i| !closed[i]).collect();
+                if open.is_empty() {
+                    break;
+                }
+                let pos = open[rng.gen_range(0..open.len())];
+                if offline || a.pushed[pos] == full[pos] {
+                    elimination.close(pos);
+                    closed[pos] = true;
+                    if offline && closed.iter().any(|&c| !c) {
+                        continue;
+                    }
+                } else {
+                    a.pushed[pos] += 1;
+                    b.pushed[pos] += 1;
+                }
+                let got = elimination.run(&mut a);
+                assert_eq!(got, rescan(&mut b, &closed, &mut counters), "case {case}");
+                assert_eq!(
+                    (elimination.work(), elimination.eliminated()),
+                    counters,
+                    "case {case}"
+                );
+                if matches!(got, StreamingStatus::Detected(_)) {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// The Theorem 5.1 staircase: a token circles the ring `rounds` times,
+    /// each holder's predicate true while it holds it, then a final
+    /// barrier of concurrent true intervals.
+    fn staircase(n: usize, rounds: usize) -> Computation {
+        let mut b = ComputationBuilder::new(n);
+        for step in 0..rounds * n {
+            let (holder, next) = (
+                ProcessId::new((step % n) as u32),
+                ProcessId::new(((step + 1) % n) as u32),
+            );
+            b.mark_true(holder);
+            let m = b.send(holder, next);
+            b.receive(next, m);
+        }
+        for p in ProcessId::all(n) {
+            b.mark_true(p);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn comparisons_are_amortized_linear_per_round() {
+        let uniform = GeneratorConfig::new(128, 24)
+            .with_seed(1)
+            .with_predicate_density(0.2)
+            .with_plant(0.8);
+        for c in [staircase(32, 20), generate(&uniform).computation] {
+            let (annotated, wcp) = (c.annotate(), Wcp::over_all(&c));
+            let queues = VcSnapshotQueues::build(&annotated, &wcp);
+            let n = wcp.n();
+            let rows: Vec<Vec<Vec<u64>>> = (0..n)
+                .map(|i| {
+                    (0..queues.queue_len(i))
+                        .map(|k| queues.clock(i, k).as_slice().to_vec())
+                        .collect()
+                })
+                .collect();
+            let pushed = rows.iter().map(Vec::len).collect();
+            let mut q = Queues {
+                rows,
+                next: vec![0; n],
+                pushed,
+                reads: Cell::new(0),
+            };
+            let mut elimination = Elimination::new(n);
+            (0..n).for_each(|i| elimination.close(i));
+            assert!(matches!(
+                elimination.run(&mut q),
+                StreamingStatus::Detected(_)
+            ));
+            let (n, rounds) = (n as u64, elimination.work() / n as u64);
+            assert!(rounds > n, "only {rounds} rounds over {n} positions");
+            let reads = q.reads.get();
+            assert!(
+                reads <= 4 * n * (rounds + n),
+                "{reads} reads for {rounds} rounds over {n} positions"
+            );
+        }
+    }
+}

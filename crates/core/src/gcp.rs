@@ -26,12 +26,14 @@
 
 use std::fmt;
 
-use wcp_clocks::{Cut, StateId};
+use wcp_clocks::{Cut, ProcessId, StateId};
 use wcp_trace::channel::{ChannelId, ChannelIndex};
 use wcp_trace::{AnnotatedComputation, Wcp};
 
 use crate::detector::{Detection, DetectionReport};
+use crate::elimination::{Elimination, Heads};
 use crate::metrics::DetectionMetrics;
+use crate::streaming::StreamingStatus;
 
 /// A linear (monotone) predicate on one channel's in-flight message count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,8 +161,10 @@ impl fmt::Display for Gcp {
 /// Centralized GCP checker in the style of \[6\].
 ///
 /// Like [`CentralizedChecker`](crate::CentralizedChecker), all work happens
-/// at one checker process; the advancing-cut loop additionally repairs
-/// false channel terms by advancing the blamed endpoint.
+/// at one checker process, which runs the one
+/// [`Elimination`](crate::Elimination) loop for causal consistency; on a
+/// consistent cut it additionally repairs false channel terms by consuming
+/// the blamed endpoint's candidate.
 #[derive(Debug, Clone, Default)]
 pub struct GcpChecker;
 
@@ -183,62 +187,36 @@ impl GcpChecker {
         let index = ChannelIndex::new(annotated.computation());
 
         let mut metrics = DetectionMetrics::new(1);
-        // Candidate queues: pred-true intervals per scope process.
-        let queues: Vec<&[u64]> = scope.iter().map(|&p| annotated.true_intervals(p)).collect();
-        let mut heads = vec![0usize; n];
-        metrics.snapshot_messages = queues.iter().map(|q| q.len() as u64).sum();
+        // Candidate queues: pred-true intervals per scope process, every
+        // one closed up front. Each queue's first interval is its initial
+        // candidate, up to the first empty queue.
+        let mut rows = TrueIntervals {
+            annotated,
+            scope,
+            queues: scope.iter().map(|&p| annotated.true_intervals(p)).collect(),
+            heads: vec![0; n],
+        };
+        metrics.snapshot_messages = rows.queues.iter().map(|q| q.len() as u64).sum();
         metrics.max_buffered_snapshots = metrics.snapshot_messages;
-        for q in &queues {
-            if q.is_empty() {
-                metrics.finish_sequential();
-                return DetectionReport {
-                    detection: Detection::Undetected,
-                    metrics,
-                };
-            }
-            metrics.candidates_consumed += 1;
+        metrics.candidates_consumed =
+            rows.queues.iter().take_while(|q| !q.is_empty()).count() as u64;
+        let mut elimination = Elimination::new(n);
+        for i in 0..n {
+            elimination.close(i);
         }
 
-        let position =
-            |i: usize, heads: &[usize]| -> StateId { StateId::new(scope[i], queues[i][heads[i]]) };
-        let advance = |i: usize, heads: &mut Vec<usize>, metrics: &mut DetectionMetrics| -> bool {
-            heads[i] += 1;
-            metrics.candidates_consumed += 1;
-            heads[i] < queues[i].len()
-        };
-
-        loop {
+        let mut term_work = 0;
+        let detection = loop {
             // Phase 1: causal consistency among candidates.
-            metrics.add_work(0, n as u64);
-            let mut violated = None;
-            'pairs: for a in 0..n {
-                for b in 0..n {
-                    if a != b && annotated.happened_before(position(a, &heads), position(b, &heads))
-                    {
-                        violated = Some(a);
-                        break 'pairs;
-                    }
-                }
-            }
-            if let Some(a) = violated {
-                if !advance(a, &mut heads, &mut metrics) {
-                    metrics.finish_sequential();
-                    return DetectionReport {
-                        detection: Detection::Undetected,
-                        metrics,
-                    };
-                }
-                continue;
-            }
+            let StreamingStatus::Detected(g) = elimination.run(&mut rows) else {
+                break Detection::Undetected;
+            };
 
             // Phase 2: channel terms on the (consistent) candidate cut.
-            let mut cut = Cut::new(annotated.process_count());
-            for i in 0..n {
-                cut.set(scope[i], queues[i][heads[i]]);
-            }
+            let cut = wcp.lift(&g, annotated.process_count());
             let mut blamed = None;
             for term in gcp.channel_terms() {
-                metrics.add_work(0, 1);
+                term_work += 1;
                 let in_flight = index.in_flight(term.channel, &cut);
                 if !term.predicate.eval(in_flight) {
                     let victim = match term.predicate.blame() {
@@ -250,24 +228,38 @@ impl GcpChecker {
                 }
             }
             match blamed {
-                Some(i) => {
-                    if !advance(i, &mut heads, &mut metrics) {
-                        metrics.finish_sequential();
-                        return DetectionReport {
-                            detection: Detection::Undetected,
-                            metrics,
-                        };
-                    }
-                }
-                None => {
-                    metrics.finish_sequential();
-                    return DetectionReport {
-                        detection: Detection::Detected { cut },
-                        metrics,
-                    };
-                }
+                Some(i) => elimination.consume(&mut rows, i),
+                None => break Detection::Detected { cut },
             }
-        }
+        };
+        metrics.add_work(0, elimination.work() + term_work);
+        metrics.candidates_consumed += elimination.eliminated();
+        metrics.finish_sequential();
+        DetectionReport { detection, metrics }
+    }
+}
+
+/// Phase 1's row source: one cursor per scope process into its pred-true
+/// intervals, each head's clock read from the trace.
+struct TrueIntervals<'a, 'c> {
+    annotated: &'a AnnotatedComputation<'c>,
+    scope: &'a [ProcessId],
+    queues: Vec<&'a [u64]>,
+    heads: Vec<usize>,
+}
+
+impl Heads for TrueIntervals<'_, '_> {
+    fn has_head(&self, i: usize) -> bool {
+        self.heads[i] < self.queues[i].len()
+    }
+
+    fn component(&self, j: usize, i: usize) -> u64 {
+        let head = StateId::new(self.scope[j], self.queues[j][self.heads[j]]);
+        self.annotated.clock(head)[self.scope[i]]
+    }
+
+    fn pop(&mut self, i: usize) {
+        self.heads[i] += 1;
     }
 }
 

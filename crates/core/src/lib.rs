@@ -61,6 +61,7 @@
 
 pub mod audit;
 mod detector;
+mod elimination;
 pub mod gcp;
 pub mod lower_bound;
 mod meter;
@@ -72,6 +73,7 @@ mod streaming;
 
 pub use audit::{audit_bounds, BoundAudit, BoundLimits};
 pub use detector::{Detection, DetectionReport, Detector};
+pub use elimination::{Elimination, Heads};
 pub use gcp::{ChannelPredicate, ChannelTerm, Gcp, GcpChecker};
 pub use meter::replay_metrics;
 pub use metrics::DetectionMetrics;

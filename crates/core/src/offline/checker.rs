@@ -3,7 +3,8 @@
 //!
 //! Every application process sends its Figure 2 snapshots to a single
 //! checker process, which repeatedly compares the heads of the `n` candidate
-//! queues and eliminates any head that happened before another head. The
+//! queues and eliminates any head that happened before another head — the
+//! one [`Elimination`] loop, run here over a finished trace. The
 //! paper's critique (Section 1): this concentrates `O(n²m)` time **and**
 //! `O(n²m)` space on one process — the distributed algorithms exist to
 //! spread that cost.
@@ -11,13 +12,14 @@
 use std::fmt;
 use std::sync::Arc;
 
-use wcp_clocks::Cut;
 use wcp_obs::{NullRecorder, Recorder};
 use wcp_trace::{AnnotatedComputation, Wcp};
 
 use crate::detector::{Detection, DetectionReport, Detector};
+use crate::elimination::{Elimination, Heads};
 use crate::meter::Meter;
 use crate::snapshot::VcSnapshotQueues;
+use crate::streaming::StreamingStatus;
 
 /// Offline emulation of the centralized checker.
 ///
@@ -74,89 +76,80 @@ impl Detector for CentralizedChecker {
 
         // Metrics: one participant (the checker). Every snapshot is a
         // message to the checker, and all of them are buffered there — the
-        // buffer depth only ever grows.
+        // buffer depth only ever grows. Queues lie back to back in the
+        // arena, so the depth before a queue is its first row.
         let mut meter = Meter::new(1, self.recorder.clone());
-        let mut depth = 0u64;
+        let mut cursors = Vec::with_capacity(n);
+        let mut depth = 0;
         for i in 0..n {
+            cursors.push((depth, depth + queues.queue_len(i)));
             for pos in 0..queues.queue_len(i) {
                 depth += 1;
-                meter.snapshot_buffered(0, depth, queues.clock(i, pos).wire_size() as u64);
+                let bytes = queues.clock(i, pos).wire_size() as u64;
+                meter.snapshot_buffered(0, depth as u64, bytes);
             }
         }
 
-        let mut heads = vec![0usize; n];
-        for i in 0..n {
-            if queues.queue_len(i) == 0 {
-                meter.exhausted(0);
-                meter.finish_sequential();
-                return DetectionReport {
-                    detection: Detection::Undetected,
-                    metrics: meter.metrics,
-                };
-            }
+        // Each queue's first snapshot is its initial candidate, up to the
+        // first empty queue.
+        for i in (0..n).take_while(|&i| queues.queue_len(i) > 0) {
             meter.candidate_accepted(0, i, queues.interval(i, 0), 0);
         }
 
-        // Worklist of positions whose head changed and must be re-compared.
-        let mut work: Vec<usize> = (0..n).collect();
-        while let Some(i) = work.pop() {
-            // Compare head i against every other head; eliminate the
-            // causally earlier side of each ordered pair. One pass is O(n)
-            // — the paper's unit of work per elimination.
-            meter.work(0, n as u64);
-            let mut advanced = None;
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let hi = queues.clock(i, heads[i]);
-                let hj = queues.clock(j, heads[j]);
-                // (i, hi) → (j, hj) iff hj's clock knows interval hi on i.
-                if hj[i] >= hi[i] {
-                    advanced = Some(i);
-                    break;
-                }
-                if hi[j] >= hj[j] {
-                    advanced = Some(j);
-                    break;
-                }
-            }
-            match advanced {
-                None => {} // head i concurrent with all others
-                Some(x) => {
-                    let dead = queues.interval(x, heads[x]);
-                    heads[x] += 1;
-                    meter.candidate_eliminated(0, x, dead, 0);
-                    if heads[x] >= queues.queue_len(x) {
-                        meter.exhausted(0);
-                        meter.finish_sequential();
-                        return DetectionReport {
-                            detection: Detection::Undetected,
-                            metrics: meter.metrics,
-                        };
-                    }
-                    // Re-examine both the advanced position and, if it was
-                    // the peer, the current one.
-                    if !work.contains(&x) {
-                        work.push(x);
-                    }
-                    if x != i && !work.contains(&i) {
-                        work.push(i);
-                    }
-                }
-            }
+        // Every snapshot is already in hand: one run of the loop, every
+        // queue closed up front.
+        let mut elimination = Elimination::new(n);
+        for i in 0..n {
+            elimination.close(i);
         }
-
-        let mut cut = Cut::new(annotated.process_count());
-        for (i, &p) in wcp.scope().iter().enumerate() {
-            cut.set(p, queues.interval(i, heads[i]));
-        }
-        meter.found(0, cut.as_slice());
+        let mut rows = Rows {
+            clocks: queues.arena().as_flat_slice(),
+            cursors,
+            meter: &mut meter,
+        };
+        let status = elimination.run(&mut rows);
+        meter.work(0, elimination.work());
+        let detection = match status {
+            StreamingStatus::Detected(g) => {
+                let cut = wcp.lift(&g, annotated.process_count());
+                meter.found(0, cut.as_slice());
+                Detection::Detected { cut }
+            }
+            _ => {
+                meter.exhausted(0);
+                Detection::Undetected
+            }
+        };
         meter.finish_sequential();
         DetectionReport {
-            detection: Detection::Detected { cut },
+            detection,
             metrics: meter.metrics,
         }
+    }
+}
+
+/// The checker's row source: the queues' flat clock rows and, per scope
+/// position, its head's row and one past its queue's last row. Consuming a
+/// head meters it as an eliminated candidate.
+struct Rows<'a> {
+    clocks: &'a [u64],
+    cursors: Vec<(usize, usize)>,
+    meter: &'a mut Meter,
+}
+
+impl Heads for Rows<'_> {
+    fn has_head(&self, i: usize) -> bool {
+        self.cursors[i].0 < self.cursors[i].1
+    }
+
+    fn component(&self, j: usize, i: usize) -> u64 {
+        self.clocks[self.cursors[j].0 * self.cursors.len() + i]
+    }
+
+    fn pop(&mut self, i: usize) {
+        let dead = self.component(i, i);
+        self.cursors[i].0 += 1;
+        self.meter.candidate_eliminated(0, i, dead, 0);
     }
 }
 

@@ -23,7 +23,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use wcp_clocks::Cut;
 use wcp_obs::{NullRecorder, Recorder};
 use wcp_trace::{AnnotatedComputation, Wcp};
 
@@ -169,7 +168,6 @@ impl Detector for HierarchicalChecker {
         let n = wcp.n();
         assert!(n >= 1, "WCP scope must name at least one process");
         let g_count = self.groups.min(n);
-        let scope = wcp.scope();
         let group_of = |i: usize| i * g_count / n;
         let members: Vec<Vec<usize>> = (0..g_count)
             .map(|gi| (0..n).filter(|&i| group_of(i) == gi).collect())
@@ -257,10 +255,7 @@ impl Detector for HierarchicalChecker {
                     // Exhausted the product.
                     let detection = match best {
                         Some(g) => {
-                            let mut cut = Cut::new(annotated.process_count());
-                            for (i, &p) in scope.iter().enumerate() {
-                                cut.set(p, g[i]);
-                            }
+                            let cut = wcp.lift(&g, annotated.process_count());
                             meter.found(overall, cut.as_slice());
                             Detection::Detected { cut }
                         }

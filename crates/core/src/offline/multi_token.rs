@@ -34,7 +34,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use wcp_clocks::{strided_map, Cut};
+use wcp_clocks::strided_map;
 use wcp_obs::{NullRecorder, Recorder};
 use wcp_trace::{AnnotatedComputation, Wcp};
 
@@ -404,10 +404,7 @@ impl Detector for MultiTokenDetector {
             }
 
             if color.iter().all(|&c| c == Color::Green) {
-                let mut cut = Cut::new(annotated.process_count());
-                for (i, &p) in wcp.scope().iter().enumerate() {
-                    cut.set(p, g_merged[i]);
-                }
+                let cut = wcp.lift(&g_merged, annotated.process_count());
                 meter.found(leader, cut.as_slice());
                 return DetectionReport {
                     detection: Detection::Detected { cut },

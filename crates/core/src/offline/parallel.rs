@@ -43,7 +43,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use wcp_clocks::{par, strided_map, Cut};
+use wcp_clocks::{par, strided_map};
 use wcp_obs::{NullRecorder, Recorder};
 use wcp_trace::{AnnotatedComputation, Wcp};
 
@@ -292,10 +292,7 @@ impl Detector for ParallelDetector {
 
         // Fixed point: nobody's knowledge reaches anybody's selected
         // interval, so the selected candidates are pairwise concurrent.
-        let mut cut = Cut::new(annotated.process_count());
-        for (i, &p) in wcp.scope().iter().enumerate() {
-            cut.set(p, selected[i]);
-        }
+        let cut = wcp.lift(&selected, annotated.process_count());
         meter.found(0, cut.as_slice());
         DetectionReport {
             detection: Detection::Detected { cut },

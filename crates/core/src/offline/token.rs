@@ -11,7 +11,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use wcp_clocks::{ClockRow, Cut, StateId};
+use wcp_clocks::{ClockRow, StateId};
 use wcp_obs::{NullRecorder, Recorder};
 use wcp_trace::{AnnotatedComputation, Wcp};
 
@@ -297,12 +297,8 @@ impl Detector for TokenDetector {
                 dominated |= j != at && seen >= gj && seen > 0;
             }
             if dominated {
-                for j in 0..n {
-                    if j == at {
-                        continue;
-                    }
-                    let seen = row[j];
-                    if seen >= token.g[j] && seen > 0 {
+                for (j, &seen) in row.iter().enumerate() {
+                    if j != at && seen >= token.g[j] && seen > 0 {
                         token.g[j] = seen;
                         if token.color(j) == Color::Green {
                             meter.candidate_invalidated(at, j, seen);
@@ -317,10 +313,7 @@ impl Detector for TokenDetector {
             }
 
             if token.all_green() {
-                let mut cut = Cut::new(annotated.process_count());
-                for (i, &p) in wcp.scope().iter().enumerate() {
-                    cut.set(p, token.g[i]);
-                }
+                let cut = wcp.lift(&token.g, annotated.process_count());
                 meter.found(at, cut.as_slice());
                 meter.finish_sequential();
                 return DetectionReport {

@@ -3,38 +3,32 @@
 //! comparisons with the token algorithms.
 //!
 //! Every scope process streams its Figure 2 snapshots to the single checker
-//! over FIFO channels; the checker repeatedly eliminates any queue head
-//! that happened before another head. All its cost — `O(n²m)` work and
+//! over FIFO channels; the checker runs the one
+//! [`Elimination`](crate::Elimination) loop, through a
+//! [`StreamingChecker`], as they arrive. All its cost — `O(n²m)` work and
 //! `O(nm)` buffered snapshots — lands on one actor, which is exactly the
 //! imbalance the paper's distributed algorithms remove.
 
 use std::sync::Arc;
 
-use std::sync::Mutex;
-use wcp_clocks::{Cut, ProcessId};
-use wcp_sim::{Actor, ActorId, Context, SimConfig, Simulation};
+use wcp_clocks::ProcessId;
+use wcp_obs::NullRecorder;
+use wcp_sim::{Actor, ActorId, Context, SimConfig};
 use wcp_trace::{Computation, Wcp};
 
-use crate::detector::{Detection, DetectionReport};
-use crate::metrics::DetectionMetrics;
-use crate::online::app::{AppProcess, ClockMode};
-use crate::online::harness::OnlineReport;
+use crate::online::app::ClockMode;
+use crate::online::harness::{simulate, OnlineReport};
 use crate::online::messages::DetectMsg;
-use crate::online::vc_monitor::{
-    MonitorStall, OnlineDetection, OnlineStats, SharedOutcome, SharedStats,
-};
-use crate::snapshot::SnapshotBuffer;
+use crate::online::vc_monitor::{MonitorStall, OnlineDetection, SharedOutcome, SharedStats};
+use crate::streaming::{StreamingChecker, StreamingStatus};
 
-/// The checker actor: buffers every scope process's snapshots and runs the
-/// head-elimination loop incrementally as they arrive.
+/// The checker actor: a [`StreamingChecker`] fed every scope process's
+/// snapshots and end-of-trace markers as they arrive.
 #[derive(Debug)]
 pub struct CheckerProcess {
-    n: usize,
     /// Application actor id → scope position.
     position_of: Vec<Option<usize>>,
-    queues: Vec<SnapshotBuffer>,
-    eot: Vec<bool>,
-    done: bool,
+    checker: StreamingChecker,
     result: SharedOutcome,
     stats: SharedStats,
 }
@@ -49,104 +43,53 @@ impl CheckerProcess {
         stats: SharedStats,
     ) -> Self {
         CheckerProcess {
-            n,
             position_of,
-            queues: (0..n).map(|_| SnapshotBuffer::new(n)).collect(),
-            eot: vec![false; n],
-            done: false,
+            checker: StreamingChecker::new(n),
             result,
             stats,
         }
     }
 
     fn record_stall(&self) {
-        let depths: Vec<usize> = self.queues.iter().map(|q| q.len()).collect();
+        let n = self.checker.width();
+        let depths: Vec<usize> = (0..n).map(|i| self.checker.queued(i)).collect();
+        let eot: Vec<bool> = (0..n).map(|i| self.checker.is_closed(i)).collect();
         self.stats.lock().unwrap().note_stall(
             0,
             MonitorStall {
                 label: "checker".to_string(),
                 queued: depths.iter().map(|&d| d as u64).sum(),
-                eot: self.eot.iter().all(|&e| e),
-                done: self.done,
-                detail: format!("queue depths={depths:?} eot={:?}", self.eot),
+                eot: eot.iter().all(|&e| e),
+                done: self.result.lock().unwrap().is_some(),
+                detail: format!("queue depths={depths:?} eot={eot:?}"),
             },
         );
-    }
-
-    fn try_check(&mut self, ctx: &mut dyn Context<DetectMsg>) {
-        if self.done {
-            return;
-        }
-        loop {
-            // A full candidate set is required before any comparison.
-            for i in 0..self.n {
-                if self.queues[i].is_empty() {
-                    if self.eot[i] {
-                        self.done = true;
-                        *self.result.lock().unwrap() = Some(OnlineDetection::Undetected);
-                        ctx.stop();
-                    }
-                    return; // wait for more snapshots
-                }
-            }
-            // One elimination pass: compare every ordered pair of heads.
-            ctx.add_work(self.n as u64);
-            let mut eliminated = None;
-            'pairs: for i in 0..self.n {
-                for j in 0..self.n {
-                    if i == j {
-                        continue;
-                    }
-                    let qi = &self.queues[i];
-                    let qj = &self.queues[j];
-                    let hi = qi.row(qi.front().expect("nonempty"));
-                    let hj = qj.row(qj.front().expect("nonempty"));
-                    // Figure 2: hi's own component is its interval index.
-                    if hj[i] >= hi[i] {
-                        eliminated = Some(i); // (i, hi) → (j, hj)
-                        break 'pairs;
-                    }
-                }
-            }
-            match eliminated {
-                Some(i) => {
-                    self.queues[i].pop();
-                }
-                None => {
-                    let g = (0..self.n)
-                        .map(|i| {
-                            let q = &self.queues[i];
-                            q.row(q.front().expect("nonempty"))[i]
-                        })
-                        .collect();
-                    self.done = true;
-                    *self.result.lock().unwrap() = Some(OnlineDetection::Detected(g));
-                    ctx.stop();
-                    return;
-                }
-            }
-        }
     }
 }
 
 impl Actor<DetectMsg> for CheckerProcess {
     fn on_message(&mut self, ctx: &mut dyn Context<DetectMsg>, from: ActorId, msg: DetectMsg) {
         let pos = self.position_of[from.index()].expect("snapshot from non-scope process");
-        match msg {
+        let work = self.checker.work();
+        let status = match msg {
             DetectMsg::VcSnapshot(s) => {
-                self.queues[pos].push(&s);
-                let buffered: u64 = self.queues.iter().map(|q| q.len() as u64).sum();
-                {
-                    let mut stats = self.stats.lock().unwrap();
-                    stats.max_buffered = stats.max_buffered.max(buffered);
-                }
-                self.try_check(ctx);
+                let status = self.checker.push(pos, s);
+                let mut stats = self.stats.lock().unwrap();
+                stats.max_buffered = stats.max_buffered.max(self.checker.peak_buffered());
+                status
             }
-            DetectMsg::EndOfTrace => {
-                self.eot[pos] = true;
-                self.try_check(ctx);
-            }
+            DetectMsg::EndOfTrace => self.checker.close(pos),
             other => unreachable!("checker: unexpected {other:?}"),
+        };
+        ctx.add_work(self.checker.work() - work);
+        let verdict = match status {
+            StreamingStatus::Detected(g) => Some(OnlineDetection::Detected(g)),
+            StreamingStatus::Impossible => Some(OnlineDetection::Undetected),
+            StreamingStatus::Pending | StreamingStatus::AlreadyDetected => None,
+        };
+        if let Some(verdict) = verdict {
+            *self.result.lock().unwrap() = Some(verdict);
+            ctx.stop();
         }
         self.record_stall();
     }
@@ -158,77 +101,34 @@ impl Actor<DetectMsg> for CheckerProcess {
 ///
 /// Panics if the scope is empty or the computation is invalid.
 pub fn run_checker(computation: &Computation, wcp: &Wcp, sim_config: SimConfig) -> OnlineReport {
-    let n_total = computation.process_count();
     let n = wcp.n();
     assert!(n >= 1, "WCP scope must name at least one process");
-
-    let apps: Vec<ActorId> = (0..n_total as u32).map(ActorId::new).collect();
-    let checker = ActorId::new(n_total as u32);
-
-    let mut config = sim_config;
-    for &p in wcp.scope() {
-        config = config.with_fifo_channel(apps[p.index()], checker);
-    }
-
-    let result: SharedOutcome = Arc::new(Mutex::new(None));
-    let stats: SharedStats = Arc::new(Mutex::new(OnlineStats::default()));
-    let mut sim = Simulation::new(config);
-    for p in ProcessId::all(n_total) {
-        let monitor = wcp.position(p).map(|_| checker);
-        sim.add_actor(Box::new(AppProcess::new(
-            computation,
-            wcp,
-            p,
-            ClockMode::Vector,
-            apps.clone(),
-            monitor,
-        )));
-    }
-    let position_of: Vec<Option<usize>> = (0..n_total)
-        .map(|i| wcp.position(ProcessId::new(i as u32)))
+    let position_of: Vec<Option<usize>> = ProcessId::all(computation.process_count())
+        .map(|p| wcp.position(p))
         .collect();
-    sim.add_actor(Box::new(CheckerProcess::new(
-        n,
-        position_of,
-        result.clone(),
-        stats.clone(),
-    )));
-
-    let outcome = sim.run();
-    let verdict = result.lock().unwrap().take();
-    let detection = match verdict {
-        Some(OnlineDetection::Detected(g)) => {
-            let mut cut = Cut::new(n_total);
-            for (pos, &p) in wcp.scope().iter().enumerate() {
-                cut.set(p, g[pos]);
-            }
-            Detection::Detected { cut }
-        }
-        Some(OnlineDetection::Undetected) => Detection::Undetected,
-        None => panic!(
-            "simulation quiesced without a verdict (protocol stalled)\n{}",
-            stats.lock().unwrap().stall_report()
-        ),
-    };
-
-    let mut metrics = DetectionMetrics::new(1);
-    let sim_metrics = sim.metrics();
-    let c = sim_metrics.actor(checker);
-    metrics.per_process_work[0] = c.work;
-    let st = stats.lock().unwrap();
-    metrics.max_buffered_snapshots = st.max_buffered;
-    metrics.parallel_time = outcome.time.0;
-    metrics.snapshot_messages = c.received;
-    OnlineReport {
-        report: DetectionReport { detection, metrics },
-        outcome,
-    }
+    simulate(
+        computation,
+        wcp,
+        ClockMode::Vector,
+        sim_config,
+        Arc::new(NullRecorder),
+        true,
+        |result, stats| {
+            vec![Box::new(CheckerProcess::new(
+                n,
+                position_of,
+                result.clone(),
+                stats.clone(),
+            ))]
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::online::harness::run_vc_token;
+    use crate::online::testing::MockCtx;
     use crate::{CentralizedChecker, Detector};
     use wcp_trace::generate::{generate, GeneratorConfig};
 
@@ -276,5 +176,18 @@ mod tests {
         // The checker is a single participant carrying all the work.
         assert_eq!(online.report.metrics.per_process_work.len(), 1);
         assert!(online.report.metrics.max_buffered_snapshots >= 1);
+    }
+
+    #[test]
+    fn a_dry_closed_queue_behind_an_empty_open_one_is_undetected() {
+        // Position 1 ends with no snapshot while position 0 has sent
+        // nothing yet: no cut can form, whatever position 0 sends later.
+        let result: SharedOutcome = Arc::default();
+        let mut checker =
+            CheckerProcess::new(2, vec![Some(0), Some(1)], result.clone(), Arc::default());
+        let mut ctx = MockCtx::default();
+        checker.on_message(&mut ctx, ActorId::new(1), DetectMsg::EndOfTrace);
+        assert_eq!(*result.lock().unwrap(), Some(OnlineDetection::Undetected));
+        assert!(ctx.stopped);
     }
 }

@@ -1,12 +1,11 @@
 //! Wiring: build a simulation hosting application and monitor actors, run
 //! it, and translate the outcome into a [`DetectionReport`].
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use std::sync::Mutex;
-use wcp_clocks::{Cut, ProcessId};
+use wcp_clocks::ProcessId;
 use wcp_obs::{NullRecorder, Recorder};
-use wcp_sim::{ActorId, SimConfig, SimOutcome, Simulation};
+use wcp_sim::{Actor, ActorId, SimConfig, SimOutcome, Simulation};
 use wcp_trace::{Computation, Wcp};
 
 use crate::detector::{Detection, DetectionReport};
@@ -14,7 +13,9 @@ use crate::metrics::DetectionMetrics;
 use crate::online::app::{AppProcess, ClockMode};
 use crate::online::dd_monitor::DdMonitor;
 use crate::online::messages::DetectMsg;
-use crate::online::vc_monitor::{OnlineDetection, OnlineStats, VcMonitor};
+use crate::online::vc_monitor::{
+    OnlineDetection, OnlineStats, SharedOutcome, SharedStats, VcMonitor,
+};
 
 /// A [`DetectionReport`] plus the simulation outcome (notably the simulated
 /// end time — the online detection-latency measure).
@@ -53,78 +54,32 @@ pub fn run_vc_token_recorded(
     sim_config: SimConfig,
     recorder: Arc<dyn Recorder>,
 ) -> OnlineReport {
-    let n_total = computation.process_count();
     let n = wcp.n();
     assert!(n >= 1, "WCP scope must name at least one process");
-
-    // Actor layout: apps at 0..N, monitors at N..N+n (scope order).
-    let apps: Vec<ActorId> = (0..n_total as u32).map(ActorId::new).collect();
-    let monitors: Vec<ActorId> = (0..n as u32)
-        .map(|i| ActorId::new(n_total as u32 + i))
-        .collect();
-
-    let mut config = sim_config;
-    for (pos, &p) in wcp.scope().iter().enumerate() {
-        config = config.with_fifo_channel(apps[p.index()], monitors[pos]);
-    }
-
-    let result = Arc::new(Mutex::new(None));
-    let stats = Arc::new(Mutex::new(OnlineStats::default()));
-    let mut sim = Simulation::new(config);
-    sim.set_recorder(recorder.clone());
-    for p in ProcessId::all(n_total) {
-        let monitor = wcp.position(p).map(|pos| monitors[pos]);
-        sim.add_actor(Box::new(AppProcess::new(
-            computation,
-            wcp,
-            p,
-            ClockMode::Vector,
-            apps.clone(),
-            monitor,
-        )));
-    }
-    for pos in 0..n {
-        sim.add_actor(Box::new(
-            VcMonitor::new(
-                pos,
-                n,
-                monitors.clone(),
-                pos == 0,
-                result.clone(),
-                stats.clone(),
-            )
-            .with_recorder(recorder.clone()),
-        ));
-    }
-
-    let outcome = sim.run();
-    let detection = match result.lock().unwrap().take() {
-        Some(OnlineDetection::Detected(g)) => {
-            let mut cut = Cut::new(n_total);
-            for (pos, &p) in wcp.scope().iter().enumerate() {
-                cut.set(p, g[pos]);
-            }
-            Detection::Detected { cut }
-        }
-        Some(OnlineDetection::Undetected) => Detection::Undetected,
-        None => panic!(
-            "simulation quiesced without a verdict (protocol stalled)\n{}",
-            stats.lock().unwrap().stall_report()
-        ),
-    };
-    let metrics = collect_metrics(
-        &sim,
+    let monitors = actor_ids(computation.process_count(), n);
+    simulate(
         computation,
-        &apps,
-        &monitors,
-        &stats.lock().unwrap(),
-        &outcome,
-        8 + 8 * n as u64, // MsgId + scope-width vector
-    );
-    OnlineReport {
-        report: DetectionReport { detection, metrics },
-        outcome,
-    }
+        wcp,
+        ClockMode::Vector,
+        sim_config,
+        recorder.clone(),
+        false,
+        |result, stats| {
+            (0..n)
+                .map(|pos| {
+                    let monitor = VcMonitor::new(
+                        pos,
+                        n,
+                        monitors.clone(),
+                        pos == 0,
+                        result.clone(),
+                        stats.clone(),
+                    );
+                    Box::new(monitor.with_recorder(recorder.clone())) as Box<dyn Actor<DetectMsg>>
+                })
+                .collect()
+        },
+    )
 }
 
 /// Runs the Section 4 direct-dependence algorithm online; `parallel`
@@ -167,51 +122,101 @@ pub fn run_direct_recorded(
 ) -> OnlineReport {
     let n_total = computation.process_count();
     assert!(n_total >= 1, "computation must have at least one process");
+    let monitors = actor_ids(n_total, n_total);
+    let g_board = Arc::new(Mutex::new(vec![0u64; n_total]));
+    simulate(
+        computation,
+        wcp,
+        ClockMode::Scalar,
+        sim_config,
+        recorder.clone(),
+        false,
+        |result, stats| {
+            ProcessId::all(n_total)
+                .map(|p| {
+                    let monitor = DdMonitor::new(
+                        p,
+                        n_total,
+                        monitors.clone(),
+                        parallel,
+                        g_board.clone(),
+                        result.clone(),
+                        stats.clone(),
+                    );
+                    Box::new(monitor.with_recorder(recorder.clone())) as Box<dyn Actor<DetectMsg>>
+                })
+                .collect()
+        },
+    )
+}
 
-    let apps: Vec<ActorId> = (0..n_total as u32).map(ActorId::new).collect();
-    let monitors: Vec<ActorId> = (0..n_total as u32)
-        .map(|i| ActorId::new(n_total as u32 + i))
-        .collect();
+/// Actor ids `first..first + count`.
+pub(crate) fn actor_ids(first: usize, count: usize) -> Vec<ActorId> {
+    (first..first + count)
+        .map(|i| ActorId::new(i as u32))
+        .collect()
+}
 
+/// Builds, runs and reports one simulated detection.
+///
+/// Application actors take ids `0..N`; the actors `monitors` returns take
+/// the ids after them, in order. The monitored processes are the scope in
+/// [`ClockMode::Vector`] runs (Section 3) and every process in
+/// [`ClockMode::Scalar`] runs (Section 4). Each streams its snapshots over
+/// a FIFO channel to its mate: the monitor at its own position, or the
+/// first monitor for every process when `central` (the centralized
+/// checker). A verdict's entries are indexed by monitored position.
+///
+/// # Panics
+///
+/// Panics with the monitors' stall table if the run ends without a
+/// verdict.
+pub(crate) fn simulate(
+    computation: &Computation,
+    wcp: &Wcp,
+    mode: ClockMode,
+    sim_config: SimConfig,
+    recorder: Arc<dyn Recorder>,
+    central: bool,
+    monitors: impl FnOnce(&SharedOutcome, &SharedStats) -> Vec<Box<dyn Actor<DetectMsg>>>,
+) -> OnlineReport {
+    let n_total = computation.process_count();
+    let (monitored, app_payload_bytes) = match mode {
+        ClockMode::Vector => (wcp.clone(), 8 + 8 * wcp.n() as u64), // MsgId + scope-width vector
+        ClockMode::Scalar => (Wcp::over_first(n_total), 16),        // MsgId + scalar tag
+    };
+    let mate = |pos: usize| ActorId::new((n_total + if central { 0 } else { pos }) as u32);
+    let apps = actor_ids(0, n_total);
     let mut config = sim_config;
-    for p in ProcessId::all(n_total) {
-        config = config.with_fifo_channel(apps[p.index()], monitors[p.index()]);
+    for (pos, &p) in monitored.scope().iter().enumerate() {
+        config = config.with_fifo_channel(apps[p.index()], mate(pos));
     }
 
-    let result = Arc::new(Mutex::new(None));
-    let stats = Arc::new(Mutex::new(OnlineStats::default()));
-    let g_board = Arc::new(Mutex::new(vec![0u64; n_total]));
+    let result: SharedOutcome = Arc::default();
+    let stats: SharedStats = Arc::default();
     let mut sim = Simulation::new(config);
-    sim.set_recorder(recorder.clone());
+    sim.set_recorder(recorder);
     for p in ProcessId::all(n_total) {
+        let monitor = monitored.position(p).map(mate);
         sim.add_actor(Box::new(AppProcess::new(
             computation,
             wcp,
             p,
-            ClockMode::Scalar,
+            mode,
             apps.clone(),
-            Some(monitors[p.index()]),
+            monitor,
         )));
     }
-    for p in ProcessId::all(n_total) {
-        sim.add_actor(Box::new(
-            DdMonitor::new(
-                p,
-                n_total,
-                monitors.clone(),
-                parallel,
-                g_board.clone(),
-                result.clone(),
-                stats.clone(),
-            )
-            .with_recorder(recorder.clone()),
-        ));
+    let monitors = monitors(&result, &stats);
+    let monitor_ids = actor_ids(n_total, monitors.len());
+    for monitor in monitors {
+        sim.add_actor(monitor);
     }
 
     let outcome = sim.run();
     let detection = match result.lock().unwrap().take() {
         Some(OnlineDetection::Detected(g)) => Detection::Detected {
-            cut: Cut::from_indices(g),
+            cut: monitored.lift(&g, n_total),
         },
         Some(OnlineDetection::Undetected) => Detection::Undetected,
         None => panic!(
@@ -222,11 +227,11 @@ pub fn run_direct_recorded(
     let metrics = collect_metrics(
         &sim,
         computation,
-        &apps,
-        &monitors,
+        &monitor_ids,
+        monitored.n() as u64,
         &stats.lock().unwrap(),
         &outcome,
-        16, // MsgId + scalar tag
+        app_payload_bytes,
     );
     OnlineReport {
         report: DetectionReport { detection, metrics },
@@ -237,14 +242,15 @@ pub fn run_direct_recorded(
 /// Translates simulator counters into paper-unit [`DetectionMetrics`].
 ///
 /// Application actors send script messages, snapshots, and end-of-trace
-/// markers; the script traffic (whose size per message is fixed by the
-/// clock mode) and the 1-byte markers are subtracted to isolate snapshot
-/// traffic.
+/// markers (one per monitored process); the script traffic (whose size
+/// per message is fixed by the clock mode) and the 1-byte markers are
+/// subtracted to isolate snapshot traffic. Every non-application actor
+/// is a participant; application actors are `0..N`.
 fn collect_metrics(
     sim: &Simulation<DetectMsg>,
     computation: &Computation,
-    apps: &[ActorId],
     monitors: &[ActorId],
+    eot_count: u64,
     stats: &OnlineStats,
     outcome: &SimOutcome,
     app_payload_bytes: u64,
@@ -259,13 +265,12 @@ fn collect_metrics(
     }
     let mut app_sent = 0u64;
     let mut app_bytes = 0u64;
-    for &a in apps {
-        let m = sim_metrics.actor(a);
+    for a in 0..computation.process_count() {
+        let m = sim_metrics.actor(ActorId::new(a as u32));
         app_sent += m.sent;
         app_bytes += m.bytes_sent;
     }
     let script_msgs = computation.total_messages() as u64;
-    let eot_count = monitors.len() as u64; // one marker per monitored process
     metrics.snapshot_messages = app_sent.saturating_sub(script_msgs + eot_count);
     metrics.snapshot_bytes = app_bytes.saturating_sub(script_msgs * app_payload_bytes + eot_count);
     metrics.token_hops = stats.token_hops;
@@ -332,6 +337,34 @@ mod tests {
                     "seed {seed} sim_seed {sim_seed}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn every_vector_clock_runner_counts_only_snapshot_traffic() {
+        use crate::online::{run_checker, run_multi_token};
+        let cfg = GeneratorConfig::new(4, 10).with_seed(5);
+        let wcp = Wcp::over_first(4);
+        let runs = |c: &Computation| {
+            [
+                ("token", run_vc_token(c, &wcp, SimConfig::seeded(1))),
+                ("multi", run_multi_token(c, &wcp, SimConfig::seeded(1), 2)),
+                ("checker", run_checker(c, &wcp, SimConfig::seeded(1))),
+            ]
+        };
+        // No pred-true interval, no snapshot: end-of-trace markers are not
+        // snapshots.
+        let empty = generate(&cfg.clone().with_predicate_density(0.0)).computation;
+        for (name, run) in runs(&empty) {
+            let m = &run.report.metrics;
+            assert_eq!(run.report.detection, Detection::Undetected, "{name}");
+            assert_eq!((m.snapshot_messages, m.snapshot_bytes), (0, 0), "{name}");
+        }
+        let planted = generate(&cfg.with_predicate_density(0.3).with_plant(0.9)).computation;
+        for (name, run) in runs(&planted) {
+            let m = &run.report.metrics;
+            assert!(run.report.detection.cut().is_some(), "{name}");
+            assert!(m.snapshot_messages > 0 && m.snapshot_bytes > 0, "{name}");
         }
     }
 

@@ -11,19 +11,16 @@
 
 use std::sync::Arc;
 
-use std::sync::Mutex;
-use wcp_clocks::{Cut, ProcessId};
-use wcp_sim::{Actor, ActorId, Context, SimConfig, Simulation};
+use wcp_obs::NullRecorder;
+use wcp_sim::{Actor, ActorId, Context, SimConfig};
 use wcp_trace::{Computation, Wcp};
 
-use crate::detector::{Detection, DetectionReport};
-use crate::metrics::DetectionMetrics;
 use crate::offline::token::Color;
-use crate::online::app::{AppProcess, ClockMode};
-use crate::online::harness::OnlineReport;
+use crate::online::app::ClockMode;
+use crate::online::harness::{actor_ids, simulate, OnlineReport};
 use crate::online::messages::{DetectMsg, GroupTokenMsg};
 use crate::online::vc_monitor::{
-    describe_token_state, MonitorStall, OnlineDetection, OnlineStats, SharedOutcome, SharedStats,
+    describe_token_state, MonitorStall, OnlineDetection, SharedOutcome, SharedStats,
 };
 use crate::snapshot::SnapshotBuffer;
 
@@ -305,17 +302,14 @@ pub fn run_multi_token(
     sim_config: SimConfig,
     groups: usize,
 ) -> OnlineReport {
-    let n_total = computation.process_count();
     let n = wcp.n();
     assert!(n >= 1, "WCP scope must name at least one process");
     assert!(groups >= 1, "need at least one group");
     let g_count = groups.min(n);
 
     // Actor layout: apps 0..N, monitors N..N+n, leader N+n.
-    let apps: Vec<ActorId> = (0..n_total as u32).map(ActorId::new).collect();
-    let monitors: Vec<ActorId> = (0..n as u32)
-        .map(|i| ActorId::new(n_total as u32 + i))
-        .collect();
+    let n_total = computation.process_count();
+    let monitors = actor_ids(n_total, n);
     let leader = ActorId::new((n_total + n) as u32);
 
     let group_of: Vec<usize> = (0..n).map(|i| i * g_count / n).collect();
@@ -323,94 +317,51 @@ pub fn run_multi_token(
         .map(|gi| (0..n).filter(|&i| group_of[i] == gi).collect())
         .collect();
 
-    let mut config = sim_config;
-    for (pos, &p) in wcp.scope().iter().enumerate() {
-        config = config.with_fifo_channel(apps[p.index()], monitors[pos]);
-    }
-
-    let result: SharedOutcome = Arc::new(Mutex::new(None));
-    let stats: SharedStats = Arc::new(Mutex::new(OnlineStats::default()));
-    let mut sim = Simulation::new(config);
-    for p in ProcessId::all(n_total) {
-        let monitor = wcp.position(p).map(|pos| monitors[pos]);
-        sim.add_actor(Box::new(AppProcess::new(
-            computation,
-            wcp,
-            p,
-            ClockMode::Vector,
-            apps.clone(),
-            monitor,
-        )));
-    }
-    for pos in 0..n {
-        sim.add_actor(Box::new(GroupMonitor {
-            pos,
-            n,
-            members: members[group_of[pos]].clone(),
-            monitors: monitors.clone(),
-            leader,
-            queue: SnapshotBuffer::new(n),
-            eot: false,
-            token: None,
-            done: false,
-            result: result.clone(),
-            stats: stats.clone(),
-        }));
-    }
-    sim.add_actor(Box::new(Leader {
-        n,
-        group_of,
-        members,
-        monitors: monitors.clone(),
-        parked: (0..g_count).map(|_| None).collect(),
-        outstanding: 0,
-        done: false,
-        result: result.clone(),
-        stats: stats.clone(),
-    }));
-
-    let outcome = sim.run();
-    let verdict = result.lock().unwrap().take();
-    let detection = match verdict {
-        Some(OnlineDetection::Detected(g)) => {
-            let mut cut = Cut::new(n_total);
-            for (pos, &p) in wcp.scope().iter().enumerate() {
-                cut.set(p, g[pos]);
-            }
-            Detection::Detected { cut }
-        }
-        Some(OnlineDetection::Undetected) => Detection::Undetected,
-        None => panic!(
-            "simulation quiesced without a verdict (protocol stalled)\n{}",
-            stats.lock().unwrap().stall_report()
-        ),
-    };
-
-    let mut metrics = DetectionMetrics::new(n + 1);
-    let sim_metrics = sim.metrics();
-    for (i, &m) in monitors.iter().enumerate() {
-        let a = sim_metrics.actor(m);
-        metrics.per_process_work[i] = a.work;
-        metrics.control_messages += a.sent;
-        metrics.control_bytes += a.bytes_sent;
-    }
-    let l = sim_metrics.actor(leader);
-    metrics.per_process_work[n] = l.work;
-    metrics.control_messages += l.sent;
-    metrics.control_bytes += l.bytes_sent;
-    let st = stats.lock().unwrap();
-    metrics.token_hops = st.token_hops;
-    metrics.max_buffered_snapshots = st.max_buffered;
-    metrics.parallel_time = outcome.time.0;
-    OnlineReport {
-        report: DetectionReport { detection, metrics },
-        outcome,
-    }
+    simulate(
+        computation,
+        wcp,
+        ClockMode::Vector,
+        sim_config,
+        Arc::new(NullRecorder),
+        false,
+        |result, stats| {
+            let mut actors: Vec<Box<dyn Actor<DetectMsg>>> = (0..n)
+                .map(|pos| {
+                    Box::new(GroupMonitor {
+                        pos,
+                        n,
+                        members: members[group_of[pos]].clone(),
+                        monitors: monitors.clone(),
+                        leader,
+                        queue: SnapshotBuffer::new(n),
+                        eot: false,
+                        token: None,
+                        done: false,
+                        result: result.clone(),
+                        stats: stats.clone(),
+                    }) as Box<dyn Actor<DetectMsg>>
+                })
+                .collect();
+            actors.push(Box::new(Leader {
+                n,
+                group_of,
+                members,
+                monitors: monitors.clone(),
+                parked: (0..g_count).map(|_| None).collect(),
+                outstanding: 0,
+                done: false,
+                result: result.clone(),
+                stats: stats.clone(),
+            }));
+            actors
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::Detection;
     use crate::online::harness::run_vc_token;
     use wcp_trace::generate::{generate, GeneratorConfig};
 

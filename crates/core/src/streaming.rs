@@ -4,9 +4,10 @@
 //! their transport. This module provides the third integration style: a
 //! **push-based** checker that an application embeds directly — feed it
 //! Figure 2 snapshots in per-process FIFO order as they are produced, and
-//! it reports the first satisfying cut the moment one exists, doing only
-//! incremental work per snapshot (amortized `O(n)` per elimination, exactly
-//! the centralized checker's budget).
+//! it reports the first satisfying cut the moment one exists. It runs the
+//! one [`Elimination`] loop over per-position snapshot buffers, so each
+//! round costs `n` work units and amortized `O(n)` comparisons, exactly
+//! the centralized checker's budget.
 //!
 //! This is how a monitoring sidecar or test harness would consume the
 //! library in production: no simulator, no trace files.
@@ -30,10 +31,10 @@
 //! }
 //! ```
 
-use std::collections::VecDeque;
 use std::fmt;
 
-use crate::snapshot::VcSnapshot;
+use crate::elimination::{Elimination, Heads};
+use crate::snapshot::{SnapshotBuffer, VcSnapshot};
 
 /// Result of pushing one snapshot into a [`StreamingChecker`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,14 +69,26 @@ impl fmt::Display for StreamingStatus {
 /// interleaving across positions is arbitrary.
 #[derive(Debug, Clone)]
 pub struct StreamingChecker {
-    n: usize,
-    queues: Vec<VecDeque<VcSnapshot>>,
-    closed: Vec<bool>,
+    queues: Vec<SnapshotBuffer>,
+    elimination: Elimination,
     last_interval: Vec<u64>,
     detected: Option<Vec<u64>>,
-    impossible: bool,
-    work: u64,
     peak_buffered: u64,
+}
+
+impl Heads for [SnapshotBuffer] {
+    fn has_head(&self, i: usize) -> bool {
+        !self[i].is_empty()
+    }
+
+    fn component(&self, j: usize, i: usize) -> u64 {
+        let q = &self[j];
+        q.row(q.front().expect("position has a head"))[i]
+    }
+
+    fn pop(&mut self, i: usize) {
+        self[i].pop();
+    }
 }
 
 impl StreamingChecker {
@@ -85,32 +98,38 @@ impl StreamingChecker {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "need at least one scope position");
         StreamingChecker {
-            n,
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            closed: vec![false; n],
+            queues: (0..n).map(|_| SnapshotBuffer::new(n)).collect(),
+            elimination: Elimination::new(n),
             last_interval: vec![0; n],
             detected: None,
-            impossible: false,
-            work: 0,
             peak_buffered: 0,
         }
     }
 
     /// Number of scope positions.
     pub fn width(&self) -> usize {
-        self.n
+        self.queues.len()
     }
 
     /// Total comparison work performed so far (the §3.4 unit).
     pub fn work(&self) -> u64 {
-        self.work
+        self.elimination.work()
     }
 
     /// Largest number of snapshots ever buffered simultaneously.
     pub fn peak_buffered(&self) -> u64 {
         self.peak_buffered
+    }
+
+    /// Snapshots of position `pos` buffered and not yet eliminated.
+    pub fn queued(&self, pos: usize) -> usize {
+        self.queues[pos].len()
+    }
+
+    /// Whether position `pos` was [`close`](Self::close)d.
+    pub fn is_closed(&self, pos: usize) -> bool {
+        self.elimination.is_closed(pos)
     }
 
     /// Pushes the next snapshot of scope position `pos`.
@@ -119,24 +138,31 @@ impl StreamingChecker {
     ///
     /// Panics if `pos` is out of range, the position was
     /// [`close`](Self::close)d, the snapshot's clock width differs from
-    /// `n`, or FIFO order is violated (non-increasing intervals).
+    /// `n`, FIFO order is violated (non-increasing intervals), or the
+    /// snapshot's own clock component differs from its interval (the
+    /// Figure 2 protocol makes them equal).
     pub fn push(&mut self, pos: usize, snapshot: VcSnapshot) -> StreamingStatus {
-        assert!(pos < self.n, "position {pos} out of range");
-        assert!(!self.closed[pos], "position {pos} is closed");
+        assert!(pos < self.width(), "position {pos} out of range");
+        assert!(!self.is_closed(pos), "position {pos} is closed");
         assert_eq!(
             snapshot.clock.len(),
-            self.n,
+            self.width(),
             "snapshot clock width must equal the scope size"
         );
         assert!(
             snapshot.interval > self.last_interval[pos],
             "snapshots must arrive in increasing interval order"
         );
+        assert_eq!(
+            snapshot.clock.as_slice()[pos],
+            snapshot.interval,
+            "a snapshot's own clock component must equal its interval"
+        );
         if self.detected.is_some() {
             return StreamingStatus::AlreadyDetected;
         }
         self.last_interval[pos] = snapshot.interval;
-        self.queues[pos].push_back(snapshot);
+        self.queues[pos].push(&snapshot);
         let buffered: u64 = self.queues.iter().map(|q| q.len() as u64).sum();
         self.peak_buffered = self.peak_buffered.max(buffered);
         self.advance()
@@ -154,8 +180,8 @@ impl StreamingChecker {
     /// [`StreamingStatus::AlreadyDetected`] wins over a subsequent close,
     /// and `Impossible` is sticky.
     pub fn close(&mut self, pos: usize) -> StreamingStatus {
-        assert!(pos < self.n, "position {pos} out of range");
-        self.closed[pos] = true;
+        assert!(pos < self.width(), "position {pos} out of range");
+        self.elimination.close(pos);
         if self.detected.is_some() {
             return StreamingStatus::AlreadyDetected;
         }
@@ -167,58 +193,15 @@ impl StreamingChecker {
         self.detected.as_deref()
     }
 
-    /// The elimination loop over current queue heads.
+    /// Runs the elimination loop over the current queue heads. A closed
+    /// queue never refills, so once a closed queue is dry every later run
+    /// reports `Impossible` again.
     fn advance(&mut self) -> StreamingStatus {
-        if self.impossible {
-            return StreamingStatus::Impossible;
+        let status = self.elimination.run(self.queues.as_mut_slice());
+        if let StreamingStatus::Detected(g) = &status {
+            self.detected = Some(g.clone());
         }
-        loop {
-            // Need a full head set. Scan *every* position before settling
-            // for Pending: a closed-and-dry queue anywhere means no cut can
-            // ever form, even if an earlier open queue is also empty.
-            let mut missing = false;
-            for i in 0..self.n {
-                if self.queues[i].is_empty() {
-                    if self.closed[i] {
-                        self.impossible = true;
-                        return StreamingStatus::Impossible;
-                    }
-                    missing = true;
-                }
-            }
-            if missing {
-                return StreamingStatus::Pending;
-            }
-            self.work += self.n as u64;
-            let mut eliminated = None;
-            'pairs: for i in 0..self.n {
-                for j in 0..self.n {
-                    if i == j {
-                        continue;
-                    }
-                    let hi = self.queues[i].front().expect("nonempty");
-                    let hj = self.queues[j].front().expect("nonempty");
-                    if hj.clock.as_slice()[i] >= hi.interval {
-                        eliminated = Some(i);
-                        break 'pairs;
-                    }
-                }
-            }
-            match eliminated {
-                Some(i) => {
-                    self.queues[i].pop_front();
-                }
-                None => {
-                    let g: Vec<u64> = self
-                        .queues
-                        .iter()
-                        .map(|q| q.front().expect("nonempty").interval)
-                        .collect();
-                    self.detected = Some(g.clone());
-                    return StreamingStatus::Detected(g);
-                }
-            }
-        }
+        status
     }
 }
 

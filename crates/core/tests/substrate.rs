@@ -44,7 +44,7 @@ fn arena_queues_equal_legacy_queues_across_seeds() {
             let g = generate(&cfg);
             let annotated = g.computation.annotate();
             let total = annotated.process_count();
-            for scope_n in [1, (total + 1) / 2, total] {
+            for scope_n in [1, total.div_ceil(2), total] {
                 let wcp = Wcp::over_first(scope_n);
                 let legacy = vc_snapshot_queues(&annotated, &wcp);
                 let arena = VcSnapshotQueues::build(&annotated, &wcp);

@@ -154,7 +154,7 @@ impl FuzzCase {
             // Derived from entropy already drawn (no extra rng draw), so
             // the seeded case stream is unchanged from pre-batching
             // campaigns and existing seeds reproduce the same cases.
-            net_batch: stream_seed.count_ones() % 2 == 0,
+            net_batch: stream_seed.count_ones().is_multiple_of(2),
             // Also entropy already drawn: 1..=8 concurrent predicates.
             multi_predicates: 1 + ((stream_seed >> 16) % 8) as usize,
             // One more derived bit: about half the cases cross-check the

@@ -435,7 +435,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
     }
 
     // ---- online simulated actor stacks ---------------------------------
-    let sim = SimConfig::seeded(case.sim_seed).with_latency(case.latency.clone());
+    let sim = SimConfig::seeded(case.sim_seed).with_latency(case.latency);
     struct Online<'a> {
         label: &'a str,
         run: Box<dyn Fn() -> Detection + 'a>,
@@ -658,7 +658,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
         if engine_clean && ((case.net && opts.include_net) || opts.force_multi) {
             let mut config = NetConfig::loopback().with_deadline(NET_DEADLINE);
             if let Some(f) = &case.fault {
-                config = config.with_faults(f.clone());
+                config = config.with_faults(*f);
             }
             if !(case.net_batch || opts.force_net_batch) {
                 config = config.with_per_frame_writes();
@@ -714,7 +714,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
         let net_config = || {
             let mut c = NetConfig::loopback().with_deadline(NET_DEADLINE);
             if let Some(f) = &case.fault {
-                c = c.with_faults(f.clone());
+                c = c.with_faults(*f);
             }
             if !(case.net_batch || opts.force_net_batch) {
                 c = c.with_per_frame_writes();

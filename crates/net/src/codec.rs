@@ -374,7 +374,7 @@ pub fn decode_body(kind_byte: u8, aux: u64, body: &[u8]) -> Result<DetectMsg, Co
     let msg = match kind_byte {
         kind::APP_VECTOR => {
             let id = MsgId::new(r.u64()?);
-            if r.remaining() % 8 != 0 {
+            if !r.remaining().is_multiple_of(8) {
                 return Err(CodecError::BadLength(body.len()));
             }
             let n = r.remaining() / 8;
@@ -392,7 +392,7 @@ pub fn decode_body(kind_byte: u8, aux: u64, body: &[u8]) -> Result<DetectMsg, Co
             tag: ClockTag::Scalar(r.u64()?),
         },
         kind::VC_SNAPSHOT => {
-            if body.len() % 8 != 0 {
+            if !body.len().is_multiple_of(8) {
                 return Err(CodecError::BadLength(body.len()));
             }
             let n = body.len() / 8;
@@ -407,7 +407,7 @@ pub fn decode_body(kind_byte: u8, aux: u64, body: &[u8]) -> Result<DetectMsg, Co
         }
         kind::DD_SNAPSHOT => {
             let clock = r.u64()?;
-            if r.remaining() % 16 != 0 {
+            if !r.remaining().is_multiple_of(16) {
                 return Err(CodecError::BadLength(body.len()));
             }
             let deps = (0..r.remaining() / 16)
@@ -423,7 +423,7 @@ pub fn decode_body(kind_byte: u8, aux: u64, body: &[u8]) -> Result<DetectMsg, Co
             DetectMsg::EndOfTrace
         }
         kind::VC_TOKEN => {
-            if body.len() % 9 != 0 {
+            if !body.len().is_multiple_of(9) {
                 return Err(CodecError::BadLength(body.len()));
             }
             let n = body.len() / 9;
@@ -458,11 +458,11 @@ pub fn decode_body(kind_byte: u8, aux: u64, body: &[u8]) -> Result<DetectMsg, Co
             // body = 8 + 9n + 8nk with n scope processes and k carried
             // scope-width candidate clocks.
             let rest = r.remaining();
-            if (9 + 8 * k) == 0 || rest % (9 + 8 * k) != 0 {
+            if (9 + 8 * k) == 0 || !rest.is_multiple_of(9 + 8 * k) {
                 return Err(CodecError::BadLength(body.len()));
             }
             let n = rest / (9 + 8 * k);
-            if n > 64 || aux.checked_shr(n as u32).map_or(false, |high| high != 0) {
+            if n > 64 || aux.checked_shr(n as u32).is_some_and(|high| high != 0) {
                 return Err(CodecError::TooWide(n));
             }
             let mut t = GroupTokenMsg::new(group, n);
@@ -485,7 +485,7 @@ pub fn decode_body(kind_byte: u8, aux: u64, body: &[u8]) -> Result<DetectMsg, Co
         }
         kind::MULTI_REGISTER => {
             let id = r.u64()?;
-            if r.remaining() % 4 != 0 {
+            if !r.remaining().is_multiple_of(4) {
                 return Err(CodecError::BadLength(body.len()));
             }
             let scope = (0..r.remaining() / 4)
@@ -497,7 +497,7 @@ pub fn decode_body(kind_byte: u8, aux: u64, body: &[u8]) -> Result<DetectMsg, Co
         kind::MULTI_VERDICT => {
             let id = r.u64()?;
             let flag = r.u8()?;
-            if r.remaining() % 8 != 0 || (flag == 0 && r.remaining() != 0) {
+            if !r.remaining().is_multiple_of(8) || (flag == 0 && r.remaining() != 0) {
                 return Err(CodecError::BadLength(body.len()));
             }
             let verdict = if flag == 0 {
@@ -558,7 +558,7 @@ fn decode_group_token_v2(aux: u64, body: &[u8]) -> Result<DetectMsg, CodecError>
     if n > r.bits_remaining() / 9 {
         return Err(CodecError::BadLength(n));
     }
-    if n > 64 || aux.checked_shr(n as u32).map_or(false, |high| high != 0) {
+    if n > 64 || aux.checked_shr(n as u32).is_some_and(|high| high != 0) {
         return Err(CodecError::TooWide(n));
     }
     let mut t = GroupTokenMsg::new(group, n);

@@ -435,13 +435,9 @@ fn paper_metrics(
 
 fn take_detection_vc(result: &SharedOutcome, wcp: &Wcp, n_total: usize) -> Detection {
     match result.lock().unwrap().take() {
-        Some(OnlineDetection::Detected(g)) => {
-            let mut cut = Cut::new(n_total);
-            for (pos, &p) in wcp.scope().iter().enumerate() {
-                cut.set(p, g[pos]);
-            }
-            Detection::Detected { cut }
-        }
+        Some(OnlineDetection::Detected(g)) => Detection::Detected {
+            cut: wcp.lift(&g, n_total),
+        },
         Some(OnlineDetection::Undetected) => Detection::Undetected,
         None => panic!("net run finished without a verdict (protocol stalled)"),
     }

@@ -223,7 +223,7 @@ fn wire_mode_never_changes_the_verdict_under_faults() {
             &computation,
             &wcp,
             NetConfig::loopback()
-                .with_faults(faults.clone())
+                .with_faults(faults)
                 .with_deadline(deadline()),
         );
         let per_frame = run_vc_token_net(
@@ -268,7 +268,7 @@ fn telemetry_never_perturbs_verdicts_metrics_or_fault_schedules() {
             let wcp = Wcp::over_first(3);
             let mut config = NetConfig::loopback().with_deadline(deadline());
             if let Some(f) = &faults {
-                config = config.with_faults(f.clone());
+                config = config.with_faults(*f);
             }
             let off = run_vc_token_net(&computation, &wcp, config);
             let on = run_vc_token_net(&computation, &wcp, config.with_telemetry());
@@ -359,7 +359,7 @@ fn wire_v2_agrees_with_the_simulator_under_every_fault_schedule() {
             }
             .with_deadline(deadline());
             if let Some(f) = &faults {
-                config = config.with_faults(f.clone());
+                config = config.with_faults(*f);
             }
             let v2 = run_vc_token_net(&computation, &wcp, config);
             assert_eq!(

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use std::sync::Arc;
 
-use wcp_clocks::{Cut, ProcessId, StateId};
+use wcp_clocks::{ProcessId, StateId};
 use wcp_detect::online::{AppProcess, ClockMode};
 use wcp_detect::{Detection, DetectionMetrics, DetectionReport};
 use wcp_sim::{ActorId, SimConfig, Simulation};
@@ -41,13 +41,9 @@ impl PredicateOutcome {
     /// scope processes, like the Section 3 detectors).
     pub fn detection(&self, n_total: usize) -> Detection {
         match &self.verdict {
-            SessionVerdict::Detected(g) => {
-                let mut cut = Cut::new(n_total);
-                for (pos, &p) in self.wcp.scope().iter().enumerate() {
-                    cut.set(p, g[pos]);
-                }
-                Detection::Detected { cut }
-            }
+            SessionVerdict::Detected(g) => Detection::Detected {
+                cut: self.wcp.lift(g, n_total),
+            },
             SessionVerdict::Impossible => Detection::Undetected,
         }
     }

@@ -1,25 +1,24 @@
 //! Per-predicate session state: streaming elimination over shared rows.
 //!
-//! This is the [`StreamingChecker`](wcp_detect::StreamingChecker)
-//! algorithm — the centralized checker's elimination loop, amortized
-//! `O(n)` per elimination — re-expressed over the [`SharedStore`]:
-//! instead of buffering scope-projected snapshot copies, a session keeps
-//! one `(head, tail)` cursor pair per scope position into the owning
-//! process's arena. The scope projection is never materialized: position
+//! A session runs the one [`Elimination`] loop — the centralized
+//! checker's, at `n` work units and amortized `O(n)` comparisons per
+//! round — over the [`SharedStore`](crate::SharedStore): instead of
+//! buffering scope-projected snapshot copies, it keeps one `(head, tail)`
+//! cursor pair per scope position into the owning process's arena. The scope projection is never materialized: position
 //! `i`'s component of a head is read straight out of the full-width
 //! stored clock at index `scope[i]`, and a snapshot's interval is its own
 //! clock component (the Figure 2 protocol guarantees `clock[p] == k` for
 //! `p`'s interval-`k` snapshot).
 //!
-//! The elimination schedule — scan order, one pop per `O(n)` round,
-//! `Impossible` stickiness, detection freezing all counters — mirrors the
-//! streaming checker statement for statement, so per-session
-//! [`DetectionMetrics`] equal a standalone run in every field.
+//! The loop is the one [`StreamingChecker`](wcp_detect::StreamingChecker)
+//! runs, fed the same rows in the same order, and detection freezes every
+//! counter, so per-session [`DetectionMetrics`] equal a standalone run in
+//! every field.
 
 use std::fmt;
 
 use wcp_clocks::ProcessId;
-use wcp_detect::DetectionMetrics;
+use wcp_detect::{DetectionMetrics, Elimination, Heads, StreamingStatus};
 
 use crate::store::StoreView;
 
@@ -60,17 +59,36 @@ impl fmt::Display for SessionVerdict {
 pub struct SessionState {
     /// Scope processes, sorted ascending (`Wcp` order).
     scope: Vec<ProcessId>,
-    /// Next unconsumed arena row per scope position.
-    heads: Vec<usize>,
-    /// One past the last routed arena row per scope position.
-    tails: Vec<usize>,
-    closed: Vec<bool>,
+    /// Per scope position: the next unconsumed arena row and one past the
+    /// last routed one.
+    cursors: Vec<(usize, usize)>,
+    /// The loop's per-position state, closed flags included.
+    elimination: Elimination,
     verdict: Option<SessionVerdict>,
-    work: u64,
     peak_buffered: u64,
-    candidates_consumed: u64,
     snapshot_messages: u64,
     snapshot_bytes: u64,
+}
+
+/// The loop's row source: a session's cursors over the store.
+struct Cursors<'a> {
+    scope: &'a [ProcessId],
+    cursors: &'a mut [(usize, usize)],
+    view: &'a StoreView<'a>,
+}
+
+impl Heads for Cursors<'_> {
+    fn has_head(&self, i: usize) -> bool {
+        self.cursors[i].0 < self.cursors[i].1
+    }
+
+    fn component(&self, j: usize, i: usize) -> u64 {
+        self.view.row(self.scope[j].index(), self.cursors[j].0)[self.scope[i].index()]
+    }
+
+    fn pop(&mut self, i: usize) {
+        self.cursors[i].0 += 1;
+    }
 }
 
 impl SessionState {
@@ -80,13 +98,10 @@ impl SessionState {
         let n = scope.len();
         SessionState {
             scope: scope.to_vec(),
-            heads: vec![0; n],
-            tails: vec![0; n],
-            closed: vec![false; n],
+            cursors: vec![(0, 0); n],
+            elimination: Elimination::new(n),
             verdict: None,
-            work: 0,
             peak_buffered: 0,
-            candidates_consumed: 0,
             snapshot_messages: 0,
             snapshot_bytes: 0,
         }
@@ -117,14 +132,12 @@ impl SessionState {
         view: &StoreView<'_>,
     ) -> Option<SessionVerdict> {
         debug_assert!(!self.resolved(), "resolved sessions must be skipped");
-        debug_assert!(!self.closed[pos], "snapshot after close");
-        self.tails[pos] += 1;
+        debug_assert!(!self.elimination.is_closed(pos), "snapshot after close");
+        self.cursors[pos].1 += 1;
         self.snapshot_messages += 1;
         // §3.4 units: one scope-projected clock component per scope process.
         self.snapshot_bytes += 8 * self.scope.len() as u64;
-        let buffered: u64 = (0..self.scope.len())
-            .map(|i| (self.tails[i] - self.heads[i]) as u64)
-            .sum();
+        let buffered: u64 = self.cursors.iter().map(|(h, t)| (t - h) as u64).sum();
         self.peak_buffered = self.peak_buffered.max(buffered);
         self.advance(view)
     }
@@ -132,75 +145,34 @@ impl SessionState {
     /// Declares scope position `pos`'s stream finished.
     pub(crate) fn on_close(&mut self, pos: usize, view: &StoreView<'_>) -> Option<SessionVerdict> {
         debug_assert!(!self.resolved(), "resolved sessions must be skipped");
-        self.closed[pos] = true;
+        self.elimination.close(pos);
         self.advance(view)
     }
 
-    /// The streaming checker's elimination loop over current queue heads.
+    /// Runs the elimination loop over the current queue heads.
     fn advance(&mut self, view: &StoreView<'_>) -> Option<SessionVerdict> {
-        let n = self.scope.len();
-        loop {
-            // Need a full head set. Scan every position before settling
-            // for pending: a closed-and-dry queue anywhere means no cut
-            // can ever form.
-            let mut missing = false;
-            for i in 0..n {
-                if self.heads[i] == self.tails[i] {
-                    if self.closed[i] {
-                        self.verdict = Some(SessionVerdict::Impossible);
-                        return self.verdict.clone();
-                    }
-                    missing = true;
-                }
-            }
-            if missing {
-                return None;
-            }
-            self.work += n as u64;
-            let mut eliminated = None;
-            'pairs: for i in 0..n {
-                let pi = self.scope[i].index();
-                // Interval of i's head == its own clock component.
-                let hi = view.row(pi, self.heads[i])[pi];
-                for j in 0..n {
-                    if i == j {
-                        continue;
-                    }
-                    let hj = view.row(self.scope[j].index(), self.heads[j]);
-                    if hj[pi] >= hi {
-                        eliminated = Some(i);
-                        break 'pairs;
-                    }
-                }
-            }
-            match eliminated {
-                Some(i) => {
-                    self.heads[i] += 1;
-                    self.candidates_consumed += 1;
-                }
-                None => {
-                    let g: Vec<u64> = (0..n)
-                        .map(|i| {
-                            let pi = self.scope[i].index();
-                            view.row(pi, self.heads[i])[pi]
-                        })
-                        .collect();
-                    self.verdict = Some(SessionVerdict::Detected(g));
-                    return self.verdict.clone();
-                }
-            }
-        }
+        let mut cursors = Cursors {
+            scope: &self.scope,
+            cursors: &mut self.cursors,
+            view,
+        };
+        self.verdict = match self.elimination.run(&mut cursors) {
+            StreamingStatus::Detected(g) => Some(SessionVerdict::Detected(g)),
+            StreamingStatus::Impossible => Some(SessionVerdict::Impossible),
+            StreamingStatus::Pending | StreamingStatus::AlreadyDetected => None,
+        };
+        self.verdict.clone()
     }
 
     /// Paper-unit metrics for this session, identical in every field to a
     /// standalone run of the same predicate over the same stream.
     pub(crate) fn metrics(&self) -> DetectionMetrics {
         let mut m = DetectionMetrics::new(1);
-        m.add_work(0, self.work);
+        m.add_work(0, self.elimination.work());
         m.snapshot_messages = self.snapshot_messages;
         m.snapshot_bytes = self.snapshot_bytes;
         m.max_buffered_snapshots = self.peak_buffered;
-        m.candidates_consumed = self.candidates_consumed;
+        m.candidates_consumed = self.elimination.eliminated();
         m.finish_sequential();
         m
     }

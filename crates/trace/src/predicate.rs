@@ -129,6 +129,22 @@ impl Wcp {
             .map(|&p| cut.get(p).unwrap_or(0))
             .collect()
     }
+
+    /// The inverse of [`project`](Self::project): a cut over `n_total`
+    /// processes holding `g[i]` at scope process `i` and `0` elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is not one entry per scope process, or a scope
+    /// process is not below `n_total`.
+    pub fn lift(&self, g: &[u64], n_total: usize) -> Cut {
+        assert_eq!(g.len(), self.n(), "one entry per scope process");
+        let mut cut = Cut::new(n_total);
+        for (&p, &k) in self.scope.iter().zip(g) {
+            cut.set(p, k);
+        }
+        cut
+    }
 }
 
 impl fmt::Display for Wcp {
@@ -197,6 +213,8 @@ mod tests {
         let w = Wcp::over([p(0), p(2)]);
         let cut = Cut::from_indices(vec![4, 9, 2]);
         assert_eq!(w.project(&cut), vec![4, 2]);
+        assert_eq!(w.lift(&[4, 2], 3), Cut::from_indices(vec![4, 0, 2]));
+        assert_eq!(w.project(&w.lift(&[4, 2], 3)), vec![4, 2]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: hermetic (offline) build, full workspace test run,
-# and formatting check. This is the command CI and every PR must keep
-# green; see ROADMAP.md.
+# formatting check and clippy lint gate. This is the command CI and every
+# PR must keep green; see ROADMAP.md.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -67,5 +67,9 @@ cargo test --offline -q --test fuzz_corpus
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
+
+echo "== cargo clippy -D warnings =="
+# Lint gate over every target (tests, examples, benches included).
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "verify: OK"
