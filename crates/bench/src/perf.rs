@@ -441,7 +441,7 @@ const MULTI_SAT_WORKLOAD: WorkloadSpec = WorkloadSpec {
 const MULTI_SAT_SESSIONS: usize = 10_000;
 /// Worker threads of the headline parallel-pump leg.
 const MULTI_SAT_THREADS: usize = 8;
-/// Every pump width measured: serial, then the sharded parallel pump at
+/// Every pump width measured: serial, then the parallel pump at
 /// 2/4/8 workers. Each width must resolve the identical verdict set.
 const MULTI_SAT_THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Timed rounds per pump width; the entry records the fastest.
@@ -466,7 +466,7 @@ fn multi_predicates(n: usize, k: usize) -> Vec<Wcp> {
 /// concurrent predicates with diverse scopes registered on one
 /// [`MultiEngine`], the whole event stream ingested once, and the engine
 /// pumped dry — once per pump width in [`MULTI_SAT_THREAD_COUNTS`]
-/// (serial, then the sharded parallel pump at each worker count), every
+/// (serial, then the parallel pump at each worker count), every
 /// width required to resolve the identical verdict set, the fastest of
 /// [`MULTI_SAT_ROUNDS`] rounds recorded per width. The headline numbers are
 /// detections/sec and shared-store bytes/predicate; `naive_store_bytes`

@@ -689,7 +689,7 @@ fn outcome_row(outcome: &PredicateOutcome) -> String {
 /// verdict table and session counters, and cross-check every verdict and
 /// every [`DetectionMetrics`](wcp_detect::DetectionMetrics) against the
 /// simulator runner — Theorem 3.2 says transport must not matter.
-/// `--pump-threads T` fans deliveries out over `T` sharded pump workers
+/// `--pump-threads T` fans deliveries out over `T` parallel pump workers
 /// (bit-identical to the serial pump either way).
 pub fn multi_demo(raw: &[String]) -> Result<String, CliError> {
     let args = Args::parse(raw)?;
@@ -1082,7 +1082,7 @@ pub fn obs_report(raw: &[String]) -> Result<String, CliError> {
 /// net run speaks wire v2); `--multi` forces the socket-backed
 /// multi-tenant session leg on every case (the offline session
 /// cross-check runs on every case regardless);
-/// `--pump-parallel` forces the sharded parallel-pump cross-check on
+/// `--pump-parallel` forces the parallel-pump cross-check on
 /// every case (each case otherwise draws that bit at random);
 /// `--parallel-detect` forces the work-optimal detector's multi-thread
 /// bit-identity leg on every case (also drawn per case at random);
@@ -1626,7 +1626,7 @@ mod tests {
 
     #[test]
     fn multi_demo_pump_threads_is_invisible_in_the_output() {
-        // The sharded parallel pump must not change a single verdict, so
+        // The parallel pump must not change a single verdict, so
         // the serial and 4-worker runs print identical tables. The `wire:`
         // line counts batch flushes and buffer-pool reuse, which depend on
         // thread scheduling in any two runs, so it is left out.

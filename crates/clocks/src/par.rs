@@ -4,7 +4,7 @@
 //! work into `t` units, give unit `w` the strided slice `w, w + t, w + 2t, …`
 //! of some index space, and fold the units' results **in unit order** so the
 //! fold is deterministic. This module is that recipe in one place — the
-//! session pump shards, the work-optimal parallel detector and the
+//! session pump, the work-optimal parallel detector and the
 //! multi-token group walks all partition through it, so the bit-identity
 //! argument ("which thread ran a unit cannot change the merged result") is
 //! made once.

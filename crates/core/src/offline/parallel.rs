@@ -33,7 +33,7 @@
 //!
 //! A sweep is a pure function of (frozen `M`, the position's queue and
 //! head), so worker assignment cannot change its outcome — the same trick
-//! as the session pump's `deliver_shards`. Workers only *compute* sweep
+//! as the session pump's `deliver_part`. Workers only *compute* sweep
 //! records; all metering and state mutation happens on the calling thread
 //! in (round, position) order. `Detection`, `DetectionMetrics` **and the
 //! recorded event stream** are therefore identical at every thread count,

@@ -158,7 +158,7 @@ impl FuzzCase {
             // Also entropy already drawn: 1..=8 concurrent predicates.
             multi_predicates: 1 + ((stream_seed >> 16) % 8) as usize,
             // One more derived bit: about half the cases cross-check the
-            // sharded parallel pump against the serial engine.
+            // parallel pump against the serial engine.
             pump_parallel: (stream_seed >> 8) & 1 == 1,
             // And another: about half the cases run the work-optimal
             // detector's multi-thread leg against its sequential twin.

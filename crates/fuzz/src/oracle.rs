@@ -13,7 +13,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use wcp_clocks::ProcessId;
+use wcp_clocks::{ProcessId, StateId};
 use wcp_detect::online::{
     run_checker, run_direct, run_multi_token, run_vc_token, run_vc_token_recorded,
 };
@@ -25,7 +25,10 @@ use wcp_detect::{
 use wcp_net::{run_direct_net, run_multi_net, run_vc_token_net, NetConfig};
 use wcp_obs::rng::Rng;
 use wcp_obs::{merge_streams, split_by_monitor, RingRecorder, StampedEvent};
-use wcp_session::{run_multi_offline, run_multi_offline_with, run_single_offline, SessionVerdict};
+use wcp_session::{
+    run_multi_offline, run_multi_offline_with, run_single_offline, MultiEngine, PredicateId,
+    SessionReport, SessionVerdict,
+};
 use wcp_sim::SimConfig;
 use wcp_trace::generate::generate;
 use wcp_trace::{AnnotatedComputation, Wcp};
@@ -107,7 +110,7 @@ pub struct CheckOptions {
     /// `wcp fuzz --multi` smoke knob. (The offline engine cross-check
     /// runs on every case regardless.)
     pub force_multi: bool,
-    /// Force the sharded parallel-pump leg of the multi-tenant
+    /// Force the parallel-pump leg of the multi-tenant
     /// cross-check even when the case's `pump_parallel` draw is false —
     /// the `wcp fuzz --pump-parallel` smoke knob.
     pub force_pump_parallel: bool,
@@ -171,6 +174,54 @@ fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "opaque panic payload".to_string())),
     }
+}
+
+/// Serves `predicates` (ids `0..k`) on an engine fed one snapshot at a
+/// time with a pump after each, and after each close. Even ids register
+/// before the first snapshot, so those pumps route their classes; odd ids
+/// register once half of every process's stream is in, each followed by a
+/// pump — an odd id over a scope with no class yet builds it mid-stream
+/// from the store origin, and one over a routed class's scope replays it.
+/// Returns every session's report, in id order.
+fn registered_mid_stream(
+    annotated: &AnnotatedComputation,
+    predicates: &[Wcp],
+) -> Vec<SessionReport> {
+    let n = annotated.process_count();
+    let engine = MultiEngine::new(n);
+    let register = |parity: usize| {
+        for (id, wcp) in predicates.iter().enumerate().skip(parity).step_by(2) {
+            engine
+                .register(PredicateId::new(id as u64), wcp)
+                .expect("fuzz predicates have valid scopes and distinct ids");
+            engine.pump();
+        }
+    };
+    let feed = |p: ProcessId, intervals: &[u64]| {
+        for &k in intervals {
+            engine.ingest(p, k, annotated.clock(StateId::new(p, k)).as_slice());
+            engine.pump();
+        }
+    };
+    register(0);
+    for p in ProcessId::all(n) {
+        let intervals = annotated.true_intervals(p);
+        feed(p, &intervals[..intervals.len() / 2]);
+    }
+    register(1);
+    for p in ProcessId::all(n) {
+        let intervals = annotated.true_intervals(p);
+        feed(p, &intervals[intervals.len() / 2..]);
+        engine.close(p);
+        engine.pump();
+    }
+    (0..predicates.len() as u64)
+        .map(|id| {
+            engine
+                .report(PredicateId::new(id))
+                .expect("registered session vanished")
+        })
+        .collect()
 }
 
 fn fmt_proj(p: &Option<Vec<u64>>) -> String {
@@ -610,7 +661,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             }
         };
         // Parallel-pump leg: the same predicates fanned out by the
-        // sharded parallel pump, when the case drew `pump_parallel` (or
+        // parallel pump, when the case drew `pump_parallel` (or
         // `--pump-parallel` forced it). The whole report — every verdict,
         // every `DetectionMetrics`, the engine counters — must be
         // bit-identical to the serial engine the offline leg just vetted.
@@ -649,6 +700,39 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
                         }
                     }
                     Err(p) => diverge("multi:pump-par", DivergenceKind::Crash, p),
+                }
+            }
+        }
+        // Mid-stream registration leg, on every case: half the predicates
+        // register only after half of every stream went through pumps, so
+        // scope classes are built and replayed mid-stream. Every session
+        // must match the serial engine, which the offline leg just pinned
+        // to `run_single_offline` verdict and metrics.
+        if engine_clean {
+            if let Some(serial) = &serial_report {
+                match guarded(|| registered_mid_stream(&annotated, &predicates)) {
+                    Ok(reports) => {
+                        for (got, want) in reports.iter().zip(&serial.outcomes) {
+                            if got.verdict.as_ref() != Some(&want.verdict) {
+                                diverge(
+                                    &format!("multi:mid-stream#{}", want.id),
+                                    DivergenceKind::Verdict,
+                                    format!(
+                                        "alone {}, registered mid-stream {:?}",
+                                        want.verdict, got.verdict
+                                    ),
+                                );
+                            } else if got.metrics != want.metrics {
+                                diverge(
+                                    &format!("multi:mid-stream#{}", want.id),
+                                    DivergenceKind::Metrics,
+                                    "mid-stream registration diverged from the alone baseline"
+                                        .to_string(),
+                                );
+                            }
+                        }
+                    }
+                    Err(p) => diverge("multi:mid-stream", DivergenceKind::Crash, p),
                 }
             }
         }

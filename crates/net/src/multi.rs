@@ -10,12 +10,14 @@
 //! unregistration and verdict frames ride the same reliability layer
 //! (sequence numbers, retransmit, dedup) as snapshots.
 //!
-//! The engine's canonical routed log makes every per-predicate verdict
-//! *and* its `DetectionMetrics` a pure function of the computation, so a
-//! socket run — loopback or TCP, clean or under a tolerated fault
-//! schedule — must be bit-identical to the simulator and to `k`
-//! standalone single-predicate runs. The equivalence tests pin exactly
-//! that.
+//! Each session reads its scope class's routed log: the projection of
+//! the computation's canonical `(interval, process)` order onto the
+//! predicate's scope, whatever order the frames arrived in. That makes
+//! every per-predicate verdict *and* its `DetectionMetrics` a pure
+//! function of the computation, so a socket run — loopback or TCP, clean
+//! or under a tolerated fault schedule — must be bit-identical to the
+//! simulator and to `k` standalone single-predicate runs. The equivalence
+//! tests pin exactly that.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -28,7 +30,8 @@ use wcp_clocks::ProcessId;
 use wcp_detect::online::{AppProcess, ClockMode, DetectMsg, SharedOutcome};
 use wcp_obs::{NullRecorder, Recorder};
 use wcp_session::{
-    collect_multi_report, MultiController, MultiEngine, MultiReport, MultiService, PredicateOutcome,
+    check_registrations, collect_multi_report, MultiController, MultiEngine, MultiReport,
+    MultiService, PredicateOutcome,
 };
 use wcp_sim::{Actor, ActorId, Context, SimMetrics};
 use wcp_trace::{Computation, Wcp};
@@ -44,11 +47,12 @@ use crate::telemetry::TelemetryCollector;
 use crate::transport::{spawn_listener, InboxSender, TcpTransport, Transport};
 use crate::worker::Doorbell;
 
-/// [`MultiService`] with its engine counters mirrored into the run's
-/// [`NetCounters`] after every message, so the sidecar telemetry plane
-/// (`wcp stats --net`, `wcp top`) sees `sessions_active`, `routed_events`
-/// and `detections` move while the run is in flight — without adding a
-/// single byte to the verdict path.
+/// [`MultiService`] with its engine counters and its count of refused
+/// messages mirrored into the run's [`NetCounters`] after every message,
+/// so the sidecar telemetry plane (`wcp stats --net`, `wcp top`) sees
+/// `sessions_active`, `routed_events`, `detections` and `rejected` move
+/// while the run is in flight — without adding a single byte to the
+/// verdict path.
 struct CountedService {
     inner: MultiService,
     counters: Arc<NetCounters>,
@@ -66,6 +70,9 @@ impl CountedService {
         self.counters
             .multi_detections
             .store(stats.detections, Ordering::Relaxed);
+        self.counters
+            .multi_rejected
+            .store(self.inner.rejected(), Ordering::Relaxed);
     }
 }
 
@@ -183,6 +190,9 @@ pub fn run_multi_net_with(
 ) -> MultiNetReport {
     let n_total = computation.process_count();
     assert!(n_total >= 1, "computation must have at least one process");
+    if let Err(e) = check_registrations(n_total, registrations) {
+        panic!("multi service would reject a registration: {e}");
+    }
     let n_peers = n_total + 1;
     let scope_all = Wcp::over_all(computation);
     let service_id = ActorId::new(n_total as u32);
@@ -306,7 +316,8 @@ pub struct MultiPeerReport {
 ///
 /// # Panics
 ///
-/// Panics on bad indices, undialable peers, or a stall past the deadline.
+/// Panics on bad indices, an invalid registration, undialable peers, or a
+/// stall past the deadline.
 pub fn serve_multi_peer(
     computation: &Computation,
     registrations: &[(u64, Wcp)],
@@ -323,6 +334,9 @@ pub fn serve_multi_peer(
         "one address per process plus the service peer"
     );
     assert!(peer < n_peers, "peer index out of range");
+    if let Err(e) = check_registrations(n_total, registrations) {
+        panic!("multi service would reject a registration: {e}");
+    }
     let scope_all = Wcp::over_all(computation);
     let service_id = ActorId::new(n_total as u32);
     let controller_id = ActorId::new(n_total as u32 + 1);

@@ -927,19 +927,19 @@ impl Running {
         f(actor, &mut ctx);
     }
 
-    /// The hosting slot of actor `to`, counting the delivery.
-    fn receiver(&self, to: ActorId) -> usize {
-        let slot = self.slot_of[to.index()];
-        assert!(
-            slot != usize::MAX,
-            "delivery to actor {to:?} not hosted here"
-        );
+    /// The hosting slot of actor `to`, counting the delivery; `None` if
+    /// this peer does not host `to`.
+    fn receiver(&self, to: ActorId) -> Option<usize> {
+        let slot = *self.slot_of.get(to.index())?;
+        if slot == usize::MAX {
+            return None;
+        }
         self.host
             .metrics
             .lock()
             .expect("a peer panicked while recording metrics")
             .record_receive(to);
-        slot
+        Some(slot)
     }
 
     /// One step of the event loop: a local delivery if one is queued,
@@ -957,7 +957,9 @@ impl Running {
         // Local deliveries first: this is the FIFO application→monitor
         // channel.
         if let Some((from, to, msg)) = self.local.pop_front() {
-            let slot = self.receiver(to);
+            let slot = self
+                .receiver(to)
+                .expect("local sends go to actors this peer hosts");
             self.dispatch(slot, |actor, ctx| {
                 actor.as_actor_mut().on_message(ctx, from, msg)
             });
@@ -1001,7 +1003,11 @@ impl Running {
                 Payload::Detect(_) => unreachable!("control kind decodes to control"),
             };
         }
-        let slot = self.receiver(frame.to_actor());
+        // The actor id comes off the socket: a frame for an actor this
+        // peer does not host is dropped, never indexed unchecked.
+        let Some(slot) = self.receiver(frame.to_actor()) else {
+            return false;
+        };
         self.dispatch(slot, |actor, ctx| match actor {
             // Arena-direct: the snapshot clock deserializes straight into
             // the monitor's queue. A v2 frame was reconstructed to the v1
@@ -1314,6 +1320,77 @@ mod tests {
         assert!(
             e.recv(Duration::from_millis(10)).is_none(),
             "only one frame"
+        );
+    }
+
+    /// Counts the messages delivered to it.
+    struct Tally(Arc<Mutex<usize>>);
+
+    impl Actor<DetectMsg> for Tally {
+        fn on_message(&mut self, _: &mut dyn Context<DetectMsg>, _: ActorId, _: DetectMsg) {
+            *self.0.lock().unwrap() += 1;
+        }
+    }
+
+    #[test]
+    fn frames_for_actors_this_peer_does_not_host_are_dropped() {
+        // The actor id comes off the socket too: a frame for an actor
+        // hosted elsewhere, or for no actor at all, must not index the
+        // slot table unchecked or abort the peer.
+        let (tx, rx) = channel();
+        let counters = NetCounters::shared();
+        let pool = FramePool::shared(counters.clone());
+        let endpoint = Endpoint::new(
+            1,
+            vec![None, None],
+            rx,
+            counters,
+            Arc::new(NullRecorder),
+            4,
+            Duration::from_millis(1),
+            true,
+        );
+        let delivered = Arc::new(Mutex::new(0));
+        let mut running = Running::start(PeerHost {
+            index: 1,
+            endpoint,
+            actors: vec![(
+                ActorId::new(1),
+                HostedActor::boxed(Tally(Arc::clone(&delivered))),
+            )],
+            actor_peer: Arc::new(vec![0, 1]),
+            metrics: Arc::new(Mutex::new(SimMetrics::new(2))),
+            result: Arc::new(Mutex::new(None)),
+            deadline: Duration::from_secs(30),
+            telemetry: None,
+        });
+        let mut chunk = pool.take();
+        for (seq, to) in [(0, 0), (1, u32::MAX), (2, 1)] {
+            encode_frame_into(
+                &Frame {
+                    peer: 0,
+                    from: ActorId::new(0),
+                    to: ActorId::new(to),
+                    seq,
+                    payload: Payload::Detect(DetectMsg::DdToken),
+                },
+                &mut chunk,
+            );
+        }
+        tx.send(chunk).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while *delivered.lock().unwrap() == 0 {
+            running.step();
+            assert!(
+                Instant::now() < deadline,
+                "the hosted actor's frame never arrived"
+            );
+        }
+        while running.step() {}
+        assert_eq!(
+            *delivered.lock().unwrap(),
+            1,
+            "only the hosted actor's frame"
         );
     }
 

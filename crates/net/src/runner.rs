@@ -66,7 +66,7 @@ pub struct NetConfig {
     /// this on or off (the equivalence tests pin that).
     pub telemetry: bool,
     /// Fan-out workers the multi-tenant session service pumps with: `1`
-    /// (the default) is the serial pump, `> 1` the sharded parallel pump.
+    /// (the default) is the serial pump, `> 1` the parallel pump.
     /// Verdicts and metrics are bit-identical either way (the equivalence
     /// tests pin that).
     pub pump_threads: usize,

@@ -58,6 +58,8 @@ pub struct NetCounters {
     pub multi_routed_events: AtomicU64,
     /// Multi-tenant service: sessions resolved `Detected`.
     pub multi_detections: AtomicU64,
+    /// Multi-tenant service: messages it refused and dropped.
+    pub multi_rejected: AtomicU64,
 }
 
 impl NetCounters {
@@ -93,6 +95,7 @@ impl NetCounters {
             multi_sessions_active: self.multi_sessions_active.load(Ordering::Relaxed),
             multi_routed_events: self.multi_routed_events.load(Ordering::Relaxed),
             multi_detections: self.multi_detections.load(Ordering::Relaxed),
+            multi_rejected: self.multi_rejected.load(Ordering::Relaxed),
         }
     }
 }
@@ -149,6 +152,8 @@ pub struct NetStats {
     pub multi_routed_events: u64,
     /// Multi-tenant service: sessions resolved `Detected`.
     pub multi_detections: u64,
+    /// Multi-tenant service: messages it refused and dropped.
+    pub multi_rejected: u64,
 }
 
 impl std::fmt::Display for NetStats {
@@ -160,7 +165,7 @@ impl std::fmt::Display for NetStats {
              {} flushes (max {} B), ready depth ≤ {}, {} acks out / {} in, \
              pool {} allocs / {} reuses, telemetry {} out / {} in ({} B), \
              wire {} B v1-equiv ({} keyframes / {} deltas), \
-             multi {} sessions / {} routed / {} detections",
+             multi {} sessions / {} routed / {} detections / {} rejected",
             self.frames_sent,
             self.bytes_sent,
             self.frames_received,
@@ -184,7 +189,8 @@ impl std::fmt::Display for NetStats {
             self.delta_frames_sent,
             self.multi_sessions_active,
             self.multi_routed_events,
-            self.multi_detections
+            self.multi_detections,
+            self.multi_rejected
         )
     }
 }

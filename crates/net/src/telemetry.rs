@@ -68,6 +68,7 @@ pub fn stats_to_json(s: &NetStats) -> Json {
         ("multi_sessions_active", Json::from(s.multi_sessions_active)),
         ("multi_routed_events", Json::from(s.multi_routed_events)),
         ("multi_detections", Json::from(s.multi_detections)),
+        ("multi_rejected", Json::from(s.multi_rejected)),
     ])
 }
 
@@ -109,6 +110,7 @@ pub fn stats_from_json(v: &Json) -> Result<NetStats, JsonError> {
         multi_sessions_active: field("multi_sessions_active")?,
         multi_routed_events: field("multi_routed_events")?,
         multi_detections: field("multi_detections")?,
+        multi_rejected: field("multi_rejected")?,
     })
 }
 
@@ -368,16 +370,19 @@ impl TelemetryCollector {
         // Multi-tenant service counters, when any source is a session
         // peer (the service mirrors its engine stats into `NetStats`, so
         // they ride the existing telemetry deltas — no new frame kinds).
-        let (active, routed, detections) = sources.iter().fold((0, 0, 0), |acc, (_, s, _, _)| {
-            (
-                acc.0.max(s.multi_sessions_active),
-                acc.1 + s.multi_routed_events,
-                acc.2 + s.multi_detections,
-            )
-        });
-        if active > 0 || routed > 0 {
+        let (active, routed, detections, rejected) =
+            sources.iter().fold((0, 0, 0, 0), |acc, (_, s, _, _)| {
+                (
+                    acc.0.max(s.multi_sessions_active),
+                    acc.1 + s.multi_routed_events,
+                    acc.2 + s.multi_detections,
+                    acc.3 + s.multi_rejected,
+                )
+            });
+        if active > 0 || routed > 0 || rejected > 0 {
             out.push_str(&format!(
-                "sessions: {active} active, {routed} routed events, {detections} detections\n"
+                "sessions: {active} active, {routed} routed events, {detections} detections, \
+                 {rejected} rejected\n"
             ));
         }
         out

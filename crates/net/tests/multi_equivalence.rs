@@ -98,6 +98,7 @@ fn loopback_multi_matches_offline_and_alone() {
             net.net.multi_detections, net.report.stats.detections,
             "mirrored detection counter"
         );
+        assert_eq!(net.net.multi_rejected, 0, "an honest run refuses nothing");
     }
 }
 
@@ -167,7 +168,7 @@ fn unregistration_is_transport_independent() {
             .map(|(i, w)| (10 + i as u64, w))
             .collect();
         let unregister = [11u64, 13];
-        // The sim leg pumps with the sharded parallel pump (2 workers):
+        // The sim leg pumps with the parallel pump (2 workers):
         // transport-independence must hold across pump modes too.
         let sim = run_multi_sim_with(&computation, &registrations, &unregister, seed, 2);
         let recorder: std::sync::Arc<dyn wcp_obs::Recorder> =

@@ -5,14 +5,25 @@
 //! `Wcp::over_all`) plus an end-of-trace marker to it, and a controller
 //! registers/unregisters predicates and collects per-predicate verdicts.
 //! The same two actors run unmodified on the discrete-event simulator
-//! and on `wcp-net`'s socket peers (`wcp serve --multi`) — the engine's
-//! canonical routed log makes the outcome transport-independent.
+//! and on `wcp-net`'s socket peers (`wcp serve --multi`): every session
+//! sees its scope's events in the one canonical order (its scope class's
+//! routed log), so the outcome is transport-independent.
+//!
+//! The service takes its input off the wire, so it never panics on it: a
+//! snapshot or end-of-stream mark the engine refuses
+//! ([`IngestError`](crate::IngestError)), a rejected registration and a
+//! message kind the service does not serve are dropped and counted
+//! ([`MultiService::rejected`]), and change nothing else. The runners
+//! check their registration lists before a run
+//! ([`check_registrations`](crate::check_registrations)), so a rejection
+//! there names its reason up front.
 //!
 //! Termination: the service announces end-of-verdicts with a final
 //! [`EndOfTrace`](DetectMsg::EndOfTrace) to the controller once every
-//! process closed, every expected (un)registration arrived, and every
-//! live session resolved; the controller then stops the run. FIFO
-//! service → controller channels make "after every verdict" meaningful.
+//! process closed, every (un)registration the controller is expected to
+//! send arrived — a rejected one included — and every live session
+//! resolved; the controller then stops the run. FIFO service → controller
+//! channels make "after every verdict" meaningful.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,8 +49,9 @@ pub struct MultiService {
     unregs: usize,
     closed: Vec<bool>,
     done: bool,
+    rejected: u64,
     /// Fan-out workers per pump: `1` (the default) pumps serially on the
-    /// service thread, `> 1` uses the sharded parallel pump. Verdicts and
+    /// service thread, `> 1` uses the parallel pump. Verdicts and
     /// metrics are bit-identical either way.
     pump_threads: usize,
 }
@@ -47,7 +59,7 @@ pub struct MultiService {
 impl MultiService {
     /// A service over `engine`, reporting to `controller` and expecting
     /// exactly `expected_regs` registrations and `expected_unregs`
-    /// unregistrations before it can declare the run complete.
+    /// unregistrations from it before it can declare the run complete.
     pub fn new(
         engine: Arc<MultiEngine>,
         controller: ActorId,
@@ -64,6 +76,7 @@ impl MultiService {
             unregs: 0,
             closed: vec![false; n],
             done: false,
+            rejected: 0,
             pump_threads: 1,
         }
     }
@@ -78,6 +91,13 @@ impl MultiService {
     /// The engine, e.g. for reading reports after the run.
     pub fn engine(&self) -> &Arc<MultiEngine> {
         &self.engine
+    }
+
+    /// Messages dropped so far: snapshots and end-of-stream marks the
+    /// engine refused, rejected registrations, and message kinds the
+    /// service does not serve.
+    pub fn rejected(&self) -> u64 {
+        self.rejected
     }
 
     fn send_verdict(&self, ctx: &mut dyn Context<DetectMsg>, id: PredicateId, v: &SessionVerdict) {
@@ -115,36 +135,50 @@ impl MultiService {
 
 impl Actor<DetectMsg> for MultiService {
     fn on_message(&mut self, ctx: &mut dyn Context<DetectMsg>, from: ActorId, msg: DetectMsg) {
+        // The sender's actor id is its process id: application process
+        // `p` runs as actor `p`.
+        let p = ProcessId::new(from.index() as u32);
+        let from_controller = from == self.controller;
         match msg {
             DetectMsg::VcSnapshot(s) => {
-                let p = ProcessId::new(from.index() as u32);
-                self.engine.ingest(p, s.interval, s.clock.as_slice());
-                self.drain(ctx);
+                if self
+                    .engine
+                    .try_ingest(p, s.interval, s.clock.as_slice())
+                    .is_err()
+                {
+                    self.rejected += 1;
+                    return;
+                }
             }
             DetectMsg::EndOfTrace => {
-                let p = ProcessId::new(from.index() as u32);
-                self.engine.close(p);
+                if self.engine.try_close(p).is_err() {
+                    self.rejected += 1;
+                    return;
+                }
                 self.closed[p.index()] = true;
-                self.drain(ctx);
             }
             DetectMsg::MultiRegister { id, scope } => {
-                self.regs += 1;
+                // A rejected registration of the controller's still
+                // arrived: it counts, or the run could never end.
+                self.regs += usize::from(from_controller);
                 let id = PredicateId::new(id);
                 match self.engine.register(id, &Wcp::over(scope)) {
                     // Catch-up replay already resolved the session.
                     Ok(Some(v)) => self.send_verdict(ctx, id, &v),
                     Ok(None) => {}
-                    Err(e) => panic!("multi service rejected registration: {e}"),
+                    Err(_) => self.rejected += 1,
                 }
-                self.drain(ctx);
             }
             DetectMsg::MultiUnregister { id } => {
-                self.unregs += 1;
+                self.unregs += usize::from(from_controller);
                 self.engine.unregister(PredicateId::new(id));
-                self.drain(ctx);
             }
-            other => panic!("unexpected message for multi service: {other:?}"),
+            _ => {
+                self.rejected += 1;
+                return;
+            }
         }
+        self.drain(ctx);
     }
 }
 
@@ -216,5 +250,150 @@ impl Actor<DetectMsg> for MultiController {
             }
             other => panic!("unexpected message for multi controller: {other:?}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::run_single_offline;
+    use wcp_clocks::{StateId, VectorClock};
+    use wcp_detect::VcSnapshot;
+    use wcp_trace::generate::{generate, GeneratorConfig};
+
+    /// A context that keeps what the service sends.
+    struct Outbox(Vec<(ActorId, DetectMsg)>);
+
+    impl Context<DetectMsg> for Outbox {
+        fn me(&self) -> ActorId {
+            ActorId::new(u32::MAX)
+        }
+
+        fn send(&mut self, to: ActorId, msg: DetectMsg) {
+            self.0.push((to, msg));
+        }
+
+        fn add_work(&mut self, _units: u64) {}
+
+        fn stop(&mut self) {}
+    }
+
+    fn snapshot(interval: u64, clock: Vec<u64>) -> DetectMsg {
+        DetectMsg::VcSnapshot(VcSnapshot {
+            interval,
+            clock: VectorClock::from_components(clock),
+        })
+    }
+
+    /// Every kind of malformed message the service can be sent — the
+    /// header's `from` names no process, a clock of the wrong width or
+    /// with a wrong own component, a replayed interval, a snapshot after
+    /// the close, rejected registrations, a kind the service does not
+    /// serve — is dropped and counted. The honest sessions' verdicts and
+    /// metrics stay those of running alone, and the run still ends: the
+    /// controller's rejected registrations count as arrived.
+    #[test]
+    fn malformed_messages_are_dropped_and_counted_leaving_honest_sessions_alone() {
+        let computation = generate(
+            &GeneratorConfig::new(3, 10)
+                .with_seed(5)
+                .with_predicate_density(0.4),
+        )
+        .computation;
+        let annotated = computation.annotate();
+        let n = computation.process_count() as u32;
+        let controller = ActorId::new(n + 1);
+        let predicates = [
+            Wcp::over_first(3),
+            Wcp::over([ProcessId::new(0), ProcessId::new(2)]),
+            Wcp::over([ProcessId::new(1)]),
+        ];
+        let engine = Arc::new(MultiEngine::new(n as usize));
+        let rejected_regs = 3;
+        let mut service = MultiService::new(
+            Arc::clone(&engine),
+            controller,
+            predicates.len() + rejected_regs,
+            0,
+        );
+        let mut ctx = Outbox(Vec::new());
+        for (id, wcp) in predicates.iter().enumerate() {
+            let scope = wcp.scope().to_vec();
+            let msg = DetectMsg::MultiRegister {
+                id: id as u64,
+                scope,
+            };
+            service.on_message(&mut ctx, controller, msg);
+        }
+        let p0 = ActorId::new(0);
+        let stranger = ActorId::new(n + 7);
+        let hostile = [
+            (stranger, snapshot(1, vec![1, 0, 0])),
+            (stranger, DetectMsg::EndOfTrace),
+            (p0, snapshot(1, vec![1, 0])),
+            (p0, snapshot(1, vec![2, 0, 0])),
+            (
+                controller,
+                DetectMsg::MultiRegister {
+                    id: 0,
+                    scope: vec![ProcessId::new(1)],
+                },
+            ),
+            (
+                controller,
+                DetectMsg::MultiRegister {
+                    id: 9,
+                    scope: vec![ProcessId::new(n)],
+                },
+            ),
+            (
+                controller,
+                DetectMsg::MultiRegister {
+                    id: 10,
+                    scope: vec![],
+                },
+            ),
+            (
+                stranger,
+                DetectMsg::MultiRegister {
+                    id: 11,
+                    scope: vec![ProcessId::new(n)],
+                },
+            ),
+            (controller, DetectMsg::DdToken),
+        ];
+        let mut expected_rejections = 0;
+        for (from, msg) in hostile {
+            service.on_message(&mut ctx, from, msg);
+            expected_rejections += 1;
+        }
+        for p in ProcessId::all(n as usize) {
+            let from = ActorId::new(p.index() as u32);
+            for &k in annotated.true_intervals(p) {
+                let clock = annotated.clock(StateId::new(p, k)).as_slice().to_vec();
+                service.on_message(&mut ctx, from, snapshot(k, clock.clone()));
+                // The same snapshot again breaks the FIFO order.
+                service.on_message(&mut ctx, from, snapshot(k, clock));
+                expected_rejections += 1;
+            }
+            service.on_message(&mut ctx, from, DetectMsg::EndOfTrace);
+            let late = annotated.true_intervals(p).last().copied().unwrap_or(0) + 1;
+            let mut clock = vec![0; n as usize];
+            clock[p.index()] = late;
+            service.on_message(&mut ctx, from, snapshot(late, clock));
+            expected_rejections += 1;
+        }
+        assert_eq!(service.rejected(), expected_rejections);
+        assert_eq!(engine.session_count(), predicates.len());
+        for (id, wcp) in predicates.iter().enumerate() {
+            let report = engine.report(PredicateId::new(id as u64)).unwrap();
+            let (verdict, metrics) = run_single_offline(&computation, wcp);
+            assert_eq!(report.verdict, Some(verdict), "id {id}");
+            assert_eq!(report.metrics, metrics, "id {id}");
+        }
+        assert!(
+            matches!(ctx.0.last(), Some((to, DetectMsg::EndOfTrace)) if *to == controller),
+            "end-of-verdicts announced"
+        );
     }
 }

@@ -1,48 +1,60 @@
-//! The multi-tenant engine: shared ingest, deterministic routing, fan-out.
+//! The multi-tenant engine: shared ingest, per-scope routing, fan-out.
 //!
 //! One [`MultiEngine`] serves every registered predicate over a single
 //! event stream. Three design decisions make per-session verdicts *and*
 //! metrics independent of tenancy, timing and transport:
 //!
-//! 1. **Canonical routed log.** Per-process FIFO streams are merged by a
-//!    watermark rule: an event is routed only when every still-open
-//!    process has a pending event (so no unseen event can precede it),
-//!    and the pending event with the smallest `(interval, process)` key
-//!    is routed first. The resulting log is the unique `(interval,
-//!    process)`-sorted merge of the streams — a pure function of the
-//!    computation, whatever the arrival interleaving was.
+//! 1. **One merge per scope class.** Sessions whose predicates name
+//!    exactly the same processes form a *scope class*. Each class merges
+//!    its own processes' FIFO streams by a watermark rule: an event is
+//!    routed only when every still-open process *of the scope* has a
+//!    pending event (so no unseen event of the scope can precede it), and
+//!    the pending event with the smallest `(interval, process)` key is
+//!    routed first. A class's routed log is therefore the unique
+//!    `(interval, process)`-sorted merge of its scope's streams: the
+//!    projection of the whole computation's sorted merge onto the scope,
+//!    a pure function of the computation whatever the arrival
+//!    interleaving was. Like the paper's checker (Figure 2), a class waits
+//!    only for the processes its predicate names, never for the rest of
+//!    the engine.
 //! 2. **Shared rows, private cursors.** Snapshots are appended to the
-//!    [`SharedStore`] once at ingest; log entries and sessions reference
-//!    rows by index. Session state is `O(scope)` cursors + counters.
+//!    [`SharedStore`] once at ingest; classes and sessions reference rows
+//!    by index, and a class keeps only a cursor and a close flag per scope
+//!    position. Session state is `O(scope)` cursors + counters. Routing is
+//!    shared per class, elimination never is: every session runs its own
+//!    loop, even next to sessions with an equal scope.
 //! 3. **Replay-from-origin registration.** A predicate registered
-//!    mid-stream first replays the routed log from entry 0 (cheap: rows
-//!    are already stored), so a late session is indistinguishable from
-//!    one registered before the first event.
+//!    mid-stream first replays everything its class has routed — rebuilt
+//!    from the store by merging each scope position's routed rows, which
+//!    is cheap and keeps no log — so a late session is indistinguishable
+//!    from one registered before the first event. A scope with no class
+//!    yet gets a fresh one, which routes from the store origin at the next
+//!    pump; a class whose sessions all resolved or left is dropped at the
+//!    sweep and rebuilt that way when its scope is registered again.
+//!
+//! A pump's work follows the classes with something to route, not the
+//! class count: a class whose merge stopped at an open, silent process
+//! waits on that process and is routed again only after input to it, and
+//! a pass visits only the classes that routed entries.
 //!
 //! Fan-out is driven by [`pump`](MultiEngine::pump) (serial, the order the
 //! service actor uses) or [`pump_parallel`](MultiEngine::pump_parallel)
 //! (sessions partitioned across the persistent [`wcp_clocks::par`] worker
 //! pool; per-session delivery order is unchanged, so results are
-//! bit-identical to serial).
-//!
-//! Fan-out is *sharded*: subscriber lists are kept per process **and per
-//! pump shard** ([`PUMP_SHARDS`] fixed shards, session → shard via a
-//! multiply-shift hash of its id, like `Registry::shard`). A parallel
-//! worker owns every `threads`-th shard and iterates only its own lists —
-//! work scales with the deliveries a worker owns, never with the whole
-//! subscriber population — and client-chosen id patterns with common
-//! factors (all even, multiples of 16, …) still spread evenly. Resolved
-//! and unregistered sessions are skipped on one atomic load (their state
-//! mutex is never locked again) and compacted out of the lists by a
-//! threshold-triggered sweep at pump start.
+//! bit-identical to serial). A class keeps one subscriber-list entry per
+//! session, so striding over the pass's sessions gives every session to
+//! exactly one worker. Resolved and unregistered sessions are skipped on
+//! one atomic load (their state mutex is never locked again) and
+//! compacted out of the lists by a threshold-triggered sweep at pump
+//! start.
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use wcp_clocks::{par, scoped_workers, strided, ProcessId};
+use wcp_clocks::{par, scoped_workers, ProcessId};
 use wcp_detect::DetectionMetrics;
 use wcp_trace::Wcp;
 
@@ -80,6 +92,103 @@ impl fmt::Display for RegisterError {
 
 impl std::error::Error for RegisterError {}
 
+/// The scope checks [`MultiEngine::register`] makes before it looks at
+/// the registry: a non-empty scope inside `0..n`.
+pub(crate) fn check_scope(n: usize, wcp: &Wcp) -> Result<(), RegisterError> {
+    if wcp.n() == 0 {
+        return Err(RegisterError::EmptyScope);
+    }
+    match wcp.scope().iter().find(|p| p.index() >= n) {
+        Some(&process) => Err(RegisterError::ScopeOutOfRange { process, n }),
+        None => Ok(()),
+    }
+}
+
+/// Why a snapshot or an end-of-stream mark was refused at ingest. A
+/// refused input changes nothing: the store, the streams and every
+/// session are as they were.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IngestError {
+    /// The process is outside `0..N`.
+    ProcessOutOfRange {
+        /// The offending process.
+        process: ProcessId,
+        /// The engine's process count.
+        n: usize,
+    },
+    /// The snapshot clock's width is not `N`.
+    ClockWidth {
+        /// The sending process.
+        process: ProcessId,
+        /// The clock's width.
+        width: usize,
+        /// The engine's process count.
+        n: usize,
+    },
+    /// The snapshot's own clock component is not its interval (Figure 2
+    /// stamps `p`'s interval-`k` snapshot with `clock[p] == k`).
+    OwnComponent {
+        /// The sending process.
+        process: ProcessId,
+        /// The interval the snapshot claims.
+        interval: u64,
+        /// The clock's component at `process`.
+        component: u64,
+    },
+    /// The interval does not exceed the process's previous one: the FIFO
+    /// discipline of Figure 2's channels is broken.
+    NotIncreasing {
+        /// The sending process.
+        process: ProcessId,
+        /// The interval the snapshot claims.
+        interval: u64,
+        /// The process's previous interval (0 before its first).
+        last: u64,
+    },
+    /// The process already ended its stream.
+    AfterClose {
+        /// The sending process.
+        process: ProcessId,
+    },
+}
+
+impl fmt::Display for IngestError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IngestError::ProcessOutOfRange { process, n } => {
+                write!(f, "process {process} out of range for N={n}")
+            }
+            IngestError::ClockWidth { process, width, n } => write!(
+                f,
+                "snapshot clock width from {process} must equal N={n}, got {width}"
+            ),
+            IngestError::OwnComponent {
+                process,
+                interval,
+                component,
+            } => write!(
+                f,
+                "snapshot from {process} claims interval {interval} but its own clock \
+                 component is {component}"
+            ),
+            IngestError::NotIncreasing {
+                process,
+                interval,
+                last,
+            } => write!(
+                f,
+                "snapshots must arrive in increasing interval order: {process} sent \
+                 {interval} after {last}"
+            ),
+            IngestError::AfterClose { process } => {
+                write!(f, "snapshot from {process} after end of stream")
+            }
+        }
+    }
+}
+
+impl std::error::Error for IngestError {}
+
 /// Monotonic / gauge counters surfaced through `wcp stats` and `wcp top`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
@@ -97,7 +206,7 @@ struct EngineCounters {
     routed_events: AtomicU64,
     detections: AtomicU64,
     unresolved: AtomicU64,
-    /// Subscriber-list entries, one per (session, scope process).
+    /// Subscriber-list entries, one per subscribed session.
     total_subs: AtomicU64,
     /// Entries whose session is resolved or unregistered — reclaimed by
     /// the next pump's sweep once they cross the compaction threshold.
@@ -110,17 +219,10 @@ struct EngineCounters {
 struct PumpTally {
     routed_events: u64,
     detections: u64,
-    /// Sessions that reached a verdict during this pass.
+    /// Sessions that reached a verdict during this pass; each leaves one
+    /// dead subscriber-list entry behind.
     resolved_sessions: u64,
-    /// Subscriber-list entries those sessions occupy (now dead).
-    dead_entries: u64,
 }
-
-/// Number of pump shards: fixed and independent of the worker count, so
-/// the session → shard map never changes and any `threads ≤ PUMP_SHARDS`
-/// partitions the same lists.
-const PUMP_SHARD_BITS: u32 = 5;
-const PUMP_SHARDS: usize = 1 << PUMP_SHARD_BITS;
 
 /// Deliveries each worker must get before a pump is split across the pool
 /// (the [`par::width`] cutoff). A delivery costs on the order of 100 ns,
@@ -129,82 +231,305 @@ const PUMP_SHARDS: usize = 1 << PUMP_SHARD_BITS;
 /// run faster on the calling thread.
 const DELIVERY_GRAIN: usize = 64;
 
-/// Pump shard of a session id: multiply-shift hash (same scheme as
-/// `Registry::shard`), so adversarial client-chosen id patterns — all
-/// even, multiples of 16, one common factor — still spread across every
-/// shard. A plain `raw % threads` degenerates on exactly those patterns.
-fn pump_shard(id: PredicateId) -> usize {
-    let h = id.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (h >> (64 - PUMP_SHARD_BITS)) as usize
-}
-
-/// One entry of the canonical routed log.
+/// One entry of a class's routed stream.
 #[derive(Debug, Clone, Copy)]
-struct RoutedEvent {
-    process: ProcessId,
-    /// `false`: the next dense arena row of `process`; `true`: end of
-    /// `process`'s stream.
+struct Routed {
+    /// Scope position of the process the entry belongs to.
+    pos: u32,
+    /// `false`: the next dense arena row of that process; `true`: end of
+    /// its stream.
     close: bool,
 }
 
-/// Watermark-merge state over the per-process ingest queues.
+/// Per-process ingest state; the rows themselves live in the store.
 #[derive(Debug)]
-struct MergeState {
-    /// Intervals of appended-but-unrouted snapshots, per process (their
-    /// arena rows are implied by the routed count).
-    pending: Vec<VecDeque<u64>>,
-    /// End-of-stream submitted (the close is the queue's last item).
-    close_pending: Vec<bool>,
-    /// End-of-stream routed into the log.
-    close_routed: Vec<bool>,
-    /// Last ingested interval, for FIFO checking and the close sort key.
-    last_interval: Vec<u64>,
+struct Streams {
+    /// Interval of the newest snapshot (0 before the first).
+    last: Vec<u64>,
+    /// Snapshots stored.
+    rows: Vec<usize>,
+    /// End of stream declared.
+    closed: Vec<bool>,
+    /// Input arrived since the last pump: the classes waiting on the
+    /// process are routed again at the next one.
+    woken: Vec<bool>,
 }
 
-impl MergeState {
+impl Streams {
     fn new(n: usize) -> Self {
-        MergeState {
-            pending: (0..n).map(|_| VecDeque::new()).collect(),
-            close_pending: vec![false; n],
-            close_routed: vec![false; n],
-            last_interval: vec![0; n],
+        Streams {
+            last: vec![0; n],
+            rows: vec![0; n],
+            closed: vec![false; n],
+            woken: vec![false; n],
         }
     }
 
-    /// Appends every currently-routable event to `log`, in canonical
-    /// `(interval, process)` order.
-    fn route_into(&mut self, log: &mut Vec<RoutedEvent>) {
-        let n = self.pending.len();
-        loop {
-            // (sort key, process, is_close) of the best routable head.
-            let mut best: Option<(u64, usize, bool)> = None;
-            for p in 0..n {
-                let head = if let Some(&interval) = self.pending[p].front() {
-                    (interval, p, false)
-                } else if self.close_pending[p] {
-                    if self.close_routed[p] {
-                        continue; // Fully routed; never blocks, never competes.
+    /// The one ingest validation: everything a snapshot must satisfy
+    /// before it may touch the store.
+    fn check(&self, process: ProcessId, interval: u64, clock: &[u64]) -> Result<(), IngestError> {
+        let n = self.closed.len();
+        let p = process.index();
+        if p >= n {
+            return Err(IngestError::ProcessOutOfRange { process, n });
+        }
+        if self.closed[p] {
+            return Err(IngestError::AfterClose { process });
+        }
+        if clock.len() != n {
+            return Err(IngestError::ClockWidth {
+                process,
+                width: clock.len(),
+                n,
+            });
+        }
+        if clock[p] != interval {
+            return Err(IngestError::OwnComponent {
+                process,
+                interval,
+                component: clock[p],
+            });
+        }
+        let last = self.last[p];
+        if interval <= last {
+            return Err(IngestError::NotIncreasing {
+                process,
+                interval,
+                last,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// One scope position of a class's merge: its process and how far the
+/// merge has routed it.
+#[derive(Debug, Clone, Copy)]
+struct Position {
+    process: ProcessId,
+    /// End of stream routed.
+    closed: bool,
+    /// Rows routed.
+    rows: usize,
+}
+
+/// Entries routed through `positions` so far.
+fn routed_count(positions: &[Position]) -> usize {
+    positions
+        .iter()
+        .map(|pos| pos.rows + usize::from(pos.closed))
+        .sum()
+}
+
+/// Appends to `out`, in `(interval, process)` order, the items of every
+/// position past its cursor and within `limit(i, p)` — the `(rows,
+/// closed)` available at position `i` of process `p` — advancing the
+/// cursors over them. With `wait`, an open position whose available rows
+/// are used up stops the merge (a smaller-keyed row may still arrive
+/// there) and the process to wait for is returned: of the stopping
+/// positions, the one whose next row sorts last, so that in-order arrival
+/// wakes the class once. Without `wait` such a position just drops out,
+/// which replays a prefix already routed. A row's interval is its own
+/// clock component, which ingest checks.
+fn merge(
+    positions: &mut [Position],
+    view: &StoreView<'_>,
+    limit: impl Fn(usize, usize) -> (usize, bool),
+    wait: bool,
+    out: &mut Vec<Routed>,
+) -> Option<usize> {
+    loop {
+        // The smallest next item, and the stopping position whose next row
+        // sorts last. Positions follow process order, so comparing keys
+        // alone orders ties by process: `<` keeps the first of equal keys,
+        // `>=` the last.
+        let mut best: Option<(u64, usize, bool)> = None;
+        let mut stop: Option<(u64, usize)> = None;
+        for (i, pos) in positions.iter().enumerate() {
+            let p = pos.process.index();
+            let (rows, closed) = limit(i, p);
+            if pos.rows < rows {
+                let key = view.row(p, pos.rows)[p];
+                if best.is_none_or(|(k, _, _)| key < k) {
+                    best = Some((key, i, false));
+                }
+            } else if !pos.closed && (closed || wait) {
+                // A close, or the earliest row that can still arrive,
+                // sorts right after the process's last row.
+                let key = pos.rows.checked_sub(1).map_or(0, |r| view.row(p, r)[p]) + 1;
+                if closed {
+                    if best.is_none_or(|(k, _, _)| key < k) {
+                        best = Some((key, i, true));
                     }
-                    (self.last_interval[p] + 1, p, true)
-                } else {
-                    // Open process with nothing pending: a smaller-keyed
-                    // event may still arrive — nothing can be routed yet.
-                    return;
-                };
-                if best.is_none_or(|b| (head.0, head.1) < (b.0, b.1)) {
-                    best = Some(head);
+                } else if stop.is_none_or(|(k, _)| key >= k) {
+                    stop = Some((key, p));
                 }
             }
-            let Some((_, p, close)) = best else { return };
-            if close {
-                self.close_routed[p] = true;
-            } else {
-                self.pending[p].pop_front();
+        }
+        if let Some((_, p)) = stop {
+            return Some(p);
+        }
+        let (_, i, close) = best?;
+        let pos = &mut positions[i];
+        if close {
+            pos.closed = true;
+        } else {
+            pos.rows += 1;
+        }
+        out.push(Routed {
+            pos: i as u32,
+            close,
+        });
+    }
+}
+
+/// The sessions over one scope and the merge of that scope's streams.
+#[derive(Debug)]
+struct ScopeClass {
+    /// One per scope process, in process order.
+    positions: Vec<Position>,
+    /// The class's sessions, one entry each.
+    subscribers: Vec<Arc<SessionSlot>>,
+}
+
+impl ScopeClass {
+    /// Everything the class has routed so far, rebuilt from the store:
+    /// the merge of each position's routed rows (and close), which is what
+    /// a joining session replays.
+    fn replay(&self, view: &StoreView<'_>) -> Vec<Routed> {
+        let mut origin: Vec<Position> = self
+            .positions
+            .iter()
+            .map(|&pos| Position {
+                closed: false,
+                rows: 0,
+                ..pos
+            })
+            .collect();
+        let mut out = Vec::with_capacity(routed_count(&self.positions));
+        let done = |i: usize, _| (self.positions[i].rows, self.positions[i].closed);
+        merge(&mut origin, view, done, false, &mut out);
+        out
+    }
+}
+
+/// The scope classes, and what keeps a pump's work proportional to the
+/// classes with something to route.
+#[derive(Debug)]
+struct Classes {
+    /// By class id; ids are stable between sweeps, which compact this.
+    all: Vec<ScopeClass>,
+    by_scope: HashMap<Vec<ProcessId>, usize>,
+    /// `waiting[p]`: classes whose merge stopped at open process `p` with
+    /// nothing pending. Input to `p` moves them to `ready`.
+    waiting: Vec<Vec<usize>>,
+    /// Classes the next pump routes: new ones and woken ones.
+    ready: Vec<usize>,
+    /// Entries routed by the running pump, class after class; delivered
+    /// before it returns.
+    fresh: Vec<Routed>,
+    /// The classes that routed in the running pump, in routing order,
+    /// with their share of `fresh`.
+    routed: Vec<(usize, Range<usize>)>,
+}
+
+impl Classes {
+    fn new(n: usize) -> Self {
+        Classes {
+            all: Vec::new(),
+            by_scope: HashMap::new(),
+            waiting: vec![Vec::new(); n],
+            ready: Vec::new(),
+            fresh: Vec::new(),
+            routed: Vec::new(),
+        }
+    }
+
+    /// Adds `slot` to the class of `scope` and returns what the session
+    /// replays to catch up. A new class routes from the store origin at
+    /// the next pump, so it has nothing to replay yet.
+    fn join(
+        &mut self,
+        scope: &[ProcessId],
+        slot: Arc<SessionSlot>,
+        view: &StoreView<'_>,
+    ) -> Vec<Routed> {
+        let id = match self.by_scope.get(scope) {
+            Some(&id) => id,
+            None => {
+                let id = self.all.len();
+                let positions = scope
+                    .iter()
+                    .map(|&process| Position {
+                        process,
+                        closed: false,
+                        rows: 0,
+                    })
+                    .collect();
+                self.all.push(ScopeClass {
+                    positions,
+                    subscribers: Vec::new(),
+                });
+                self.by_scope.insert(scope.to_vec(), id);
+                self.ready.push(id);
+                id
             }
-            log.push(RoutedEvent {
-                process: ProcessId::new(p as u32),
-                close,
-            });
+        };
+        let class = &mut self.all[id];
+        class.subscribers.push(slot);
+        if routed_count(&class.positions) == 0 {
+            return Vec::new();
+        }
+        class.replay(view)
+    }
+
+    /// Compacts resolved and unregistered sessions out of the subscriber
+    /// lists and drops every class left without one; returns the entries
+    /// left.
+    fn sweep(&mut self) -> u64 {
+        let mut total = 0u64;
+        let mut kept = 0;
+        let mut moved = Vec::with_capacity(self.all.len());
+        self.all.retain_mut(|class| {
+            class
+                .subscribers
+                .retain(|s| s.is_live() && !s.is_resolved());
+            total += class.subscribers.len() as u64;
+            let keep = !class.subscribers.is_empty();
+            moved.push(keep.then_some(kept));
+            kept += usize::from(keep);
+            keep
+        });
+        let renumber = |id: &mut usize| moved[*id].map(|new| *id = new).is_some();
+        self.by_scope.retain(|_, id| renumber(id));
+        for list in self.waiting.iter_mut().chain([&mut self.ready]) {
+            list.retain_mut(|id| renumber(id));
+        }
+        total
+    }
+
+    /// Wakes the classes waiting on processes with new input, then routes
+    /// every ready class as far as its own scope allows.
+    fn route(&mut self, streams: &mut Streams, view: &StoreView<'_>) {
+        for (p, woken) in streams.woken.iter_mut().enumerate() {
+            if std::mem::take(woken) {
+                self.ready.append(&mut self.waiting[p]);
+            }
+        }
+        // In id order, which is registration order: consecutive classes'
+        // sessions were allocated together.
+        self.ready.sort_unstable();
+        for id in self.ready.drain(..) {
+            let class = &mut self.all[id];
+            let available = |_, p: usize| (streams.rows[p], streams.closed[p]);
+            let start = self.fresh.len();
+            let fresh = &mut self.fresh;
+            if let Some(p) = merge(&mut class.positions, view, available, true, fresh) {
+                self.waiting[p].push(id);
+            }
+            if self.fresh.len() > start {
+                self.routed.push((id, start..self.fresh.len()));
+            }
         }
     }
 }
@@ -218,70 +543,82 @@ pub struct SessionReport {
     pub metrics: DetectionMetrics,
 }
 
-/// What a fan-out pass reads: the store, the routed log and the
-/// subscriber lists, shared with the pool's pump workers through an
-/// [`Arc`] (the workers outlive any one pump call).
+/// What a fan-out pass reads: the store and the scope classes, shared
+/// with the pool's pump workers through an [`Arc`] (the workers outlive
+/// any one pump call).
 #[derive(Debug)]
 struct Fanout {
     store: SharedStore,
-    log: RwLock<Vec<RoutedEvent>>,
-    /// `subscribers[p][shard]` = sessions whose scope names process `p`
-    /// and whose id hashes to `shard` (see [`pump_shard`]). Only written
-    /// under the pump lock, which freezes the lists for a whole pass.
-    subscribers: RwLock<Vec<Vec<Vec<Arc<SessionSlot>>>>>,
+    /// Only written under the pump lock, which freezes the classes for a
+    /// whole pass.
+    classes: RwLock<Classes>,
 }
 
 impl Fanout {
-    /// Subscriber-list entries the log entries in `range` fan out to —
-    /// the work a pump over `range` does.
-    fn deliveries(&self, range: Range<usize>) -> usize {
-        let log = self.log.read().expect("engine poisoned");
-        let subs = self.subscribers.read().expect("engine poisoned");
-        log[range]
+    /// Subscriber-list entries the fresh entries fan out to — the work
+    /// the running pass does.
+    fn deliveries(&self) -> usize {
+        let classes = self.classes.read().expect("engine poisoned");
+        classes
+            .routed
             .iter()
-            .map(|e| subs[e.process.index()].iter().map(Vec::len).sum::<usize>())
+            .map(|(id, entries)| entries.len() * classes.all[*id].subscribers.len())
             .sum()
     }
 
-    /// Delivers `log[range]` to every session in shards `first`,
-    /// `first + step`, `first + 2·step`, … — shard-major, so a shard's
-    /// sessions stay hot across the whole range. Each session sees the
-    /// range in log order whatever the shard schedule, which is all the
-    /// bit-identity invariant needs. Returns resolutions + this worker's
-    /// tally.
+    /// Delivers the routed classes' fresh entries to sessions `first`,
+    /// `first + step`, `first + 2·step`, … of the pass — the routed
+    /// classes' subscriber lists laid end to end — one session at a time.
+    /// Striding over the whole pass, not each list, spreads many small
+    /// classes across the workers too. A session has one entry, so it is
+    /// served by one worker and sees its class's entries in routed order,
+    /// which is all the bit-identity invariant needs. Returns resolutions
+    /// + this worker's tally.
     ///
     /// Takes its own read guards: a caller waiting on pool workers must
     /// hold no store guard, or an ingest queued for the write lock would
     /// block the workers' reads behind it.
-    fn deliver_shards(
+    fn deliver_part(
         &self,
         first: usize,
         step: usize,
-        range: Range<usize>,
     ) -> (Vec<(PredicateId, SessionVerdict)>, PumpTally) {
-        let log = self.log.read().expect("engine poisoned");
-        let subs = self.subscribers.read().expect("engine poisoned");
-        let view = self.store.read();
+        let classes = self.classes.read().expect("engine poisoned");
         let mut out = Vec::new();
         let mut tally = PumpTally::default();
-        for shard in strided(first, step, PUMP_SHARDS) {
-            for entry in &log[range.clone()] {
-                for slot in &subs[entry.process.index()][shard] {
-                    if let Some(v) = deliver(slot, entry, &view, &mut tally) {
-                        out.push((slot.id, v));
-                    }
+        if classes.routed.is_empty() {
+            return (out, tally);
+        }
+        let view = self.store.read();
+        // Sessions of the classes before this one in the pass.
+        let mut before = 0;
+        for (id, entries) in &classes.routed {
+            let class = &classes.all[*id];
+            let entries = &classes.fresh[entries.clone()];
+            let skip = (first + step - before % step) % step;
+            for slot in class.subscribers.iter().skip(skip).step_by(step) {
+                if let Some(v) = deliver(slot, entries, &view, &mut tally) {
+                    out.push((slot.id, v));
                 }
             }
+            before += class.subscribers.len();
         }
         (out, tally)
     }
+
+    /// Marks the pass's fresh entries delivered.
+    fn mark_delivered(&self) {
+        let mut classes = self.classes.write().expect("engine poisoned");
+        classes.fresh.clear();
+        classes.routed.clear();
+    }
 }
 
-/// Delivers one routed entry to one session; returns its verdict iff this
-/// delivery resolved it.
+/// Delivers routed `entries`, in order, to one session until it
+/// resolves; returns its verdict iff these deliveries resolved it.
 fn deliver(
     slot: &SessionSlot,
-    entry: &RoutedEvent,
+    entries: &[Routed],
     view: &StoreView<'_>,
     tally: &mut PumpTally,
 ) -> Option<SessionVerdict> {
@@ -291,24 +628,24 @@ fn deliver(
         return None;
     }
     let mut state = slot.state.lock().expect("engine poisoned");
-    let pos = state
-        .position(entry.process)
-        .expect("subscriber list routed a non-scope process");
-    tally.routed_events += 1;
-    let verdict = if entry.close {
-        state.on_close(pos, view)
-    } else {
-        state.on_snapshot(pos, view)
-    };
-    if let Some(v) = &verdict {
-        slot.mark_resolved();
-        tally.resolved_sessions += 1;
-        tally.dead_entries += slot.scope.len() as u64;
-        if matches!(v, SessionVerdict::Detected(_)) {
-            tally.detections += 1;
+    for &Routed { pos, close } in entries {
+        tally.routed_events += 1;
+        let pos = pos as usize;
+        let verdict = if close {
+            state.on_close(pos, view)
+        } else {
+            state.on_snapshot(pos, view)
+        };
+        if let Some(v) = verdict {
+            slot.mark_resolved();
+            tally.resolved_sessions += 1;
+            if matches!(v, SessionVerdict::Detected(_)) {
+                tally.detections += 1;
+            }
+            return Some(v);
         }
     }
-    verdict
+    None
 }
 
 /// The shared multi-tenant detection engine.
@@ -316,11 +653,10 @@ fn deliver(
 pub struct MultiEngine {
     n: usize,
     fanout: Arc<Fanout>,
-    merge: Mutex<MergeState>,
+    streams: Mutex<Streams>,
     registry: Registry,
-    /// Serializes fan-out and (un)registration; holds the log index every
-    /// registered session has been delivered up to.
-    pump_lock: Mutex<usize>,
+    /// Serializes fan-out and (un)registration.
+    pump_lock: Mutex<()>,
     counters: EngineCounters,
 }
 
@@ -331,12 +667,11 @@ impl MultiEngine {
             n,
             fanout: Arc::new(Fanout {
                 store: SharedStore::new(n),
-                log: RwLock::new(Vec::new()),
-                subscribers: RwLock::new((0..n).map(|_| vec![Vec::new(); PUMP_SHARDS]).collect()),
+                classes: RwLock::new(Classes::new(n)),
             }),
-            merge: Mutex::new(MergeState::new(n)),
+            streams: Mutex::new(Streams::new(n)),
             registry: Registry::new(),
-            pump_lock: Mutex::new(0),
+            pump_lock: Mutex::new(()),
             counters: EngineCounters::default(),
         }
     }
@@ -353,88 +688,45 @@ impl MultiEngine {
     }
 
     /// Registers predicate `id` over `wcp`'s scope. The new session first
-    /// replays the already-routed log from entry 0, so its verdict and
+    /// replays everything its scope class has routed, so its verdict and
     /// metrics are identical to having registered before the first event;
-    /// if that replay already resolves it, the verdict is returned.
+    /// if that replay already resolves it, the verdict is returned. A
+    /// scope with no class yet gets a fresh one, which routes from the
+    /// store origin at the next pump.
     pub fn register(
         &self,
         id: PredicateId,
         wcp: &Wcp,
     ) -> Result<Option<SessionVerdict>, RegisterError> {
-        if wcp.n() == 0 {
-            return Err(RegisterError::EmptyScope);
-        }
-        for &p in wcp.scope() {
-            if p.index() >= self.n {
-                return Err(RegisterError::ScopeOutOfRange {
-                    process: p,
-                    n: self.n,
-                });
-            }
-        }
-        let delivered = self.pump_lock.lock().expect("engine poisoned");
-        let slot = SessionSlot::new(id, wcp.scope().to_vec());
+        check_scope(self.n, wcp)?;
+        let _pump = self.pump_lock.lock().expect("engine poisoned");
+        let slot = SessionSlot::new(id, wcp.scope());
         self.registry
             .insert(Arc::clone(&slot))
             .map_err(|()| RegisterError::Duplicate(id))?;
-        // Catch up on everything already routed.
-        let resolved = {
-            let log = self.fanout.log.read().expect("engine poisoned");
-            let view = self.fanout.store.read();
-            let mut state = slot.state.lock().expect("engine poisoned");
-            let mut verdict = None;
-            for entry in &log[..*delivered] {
-                if state.resolved() {
-                    break;
-                }
-                let Some(pos) = state.position(entry.process) else {
-                    continue;
-                };
-                self.counters.routed_events.fetch_add(1, Ordering::Relaxed);
-                verdict = if entry.close {
-                    state.on_close(pos, &view)
-                } else {
-                    state.on_snapshot(pos, &view)
-                };
-            }
-            verdict
-        };
-        if resolved.is_some() {
-            // Already resolved by the catch-up replay: never enters the
-            // subscriber lists, so no pump ever revisits it.
-            slot.mark_resolved();
-        } else {
-            let shard = pump_shard(id);
-            let mut subs = self.fanout.subscribers.write().expect("engine poisoned");
-            for &p in &slot.scope {
-                subs[p.index()][shard].push(Arc::clone(&slot));
-            }
-            self.counters
-                .total_subs
-                .fetch_add(slot.scope.len() as u64, Ordering::Relaxed);
-        }
+        let mut classes = self.fanout.classes.write().expect("engine poisoned");
+        let view = self.fanout.store.read();
+        // Outside a pump, everything a class routed has been delivered.
+        // A session its replay resolves is a dead entry from the start,
+        // swept like any other.
+        let replay = classes.join(wcp.scope(), Arc::clone(&slot), &view);
+        self.counters.total_subs.fetch_add(1, Ordering::Relaxed);
         self.counters
             .sessions_active
             .fetch_add(1, Ordering::Relaxed);
-        match &resolved {
-            Some(SessionVerdict::Detected(_)) => {
-                self.counters.detections.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(SessionVerdict::Impossible) => {}
-            None => {
-                self.counters.unresolved.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        drop(delivered);
+        self.counters.unresolved.fetch_add(1, Ordering::Relaxed);
+        let mut tally = PumpTally::default();
+        let resolved = deliver(&slot, &replay, &view, &mut tally);
+        self.fold(tally);
         Ok(resolved)
     }
 
     /// Unregisters `id`, dropping its session state. Returns `false` if
     /// the id was not registered. `O(1)`: the slot is only marked dead
-    /// here; its subscriber-list entries are reclaimed by a later pump's
+    /// here; its subscriber-list entry is reclaimed by a later pump's
     /// sweep (fan-out skips dead slots on an atomic load meanwhile).
     pub fn unregister(&self, id: PredicateId) -> bool {
-        let _delivered = self.pump_lock.lock().expect("engine poisoned");
+        let _pump = self.pump_lock.lock().expect("engine poisoned");
         let Some(slot) = self.registry.remove(id) else {
             return false;
         };
@@ -444,11 +736,9 @@ impl MultiEngine {
             .fetch_sub(1, Ordering::Relaxed);
         if !slot.is_resolved() {
             self.counters.unresolved.fetch_sub(1, Ordering::Relaxed);
-            // Resolved slots already counted their entries dead when the
+            // Resolved slots already counted their entry dead when the
             // verdict landed (or never entered the lists at all).
-            self.counters
-                .dead_subs
-                .fetch_add(slot.scope.len() as u64, Ordering::Relaxed);
+            self.counters.dead_subs.fetch_add(1, Ordering::Relaxed);
         }
         true
     }
@@ -456,57 +746,78 @@ impl MultiEngine {
     /// Ingests the interval-`interval` snapshot of `p` (full-width clock).
     /// Per-process calls must arrive in increasing interval order — the
     /// FIFO channel discipline the paper's Figure 2 assumes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any input [`try_ingest`](Self::try_ingest) refuses.
     pub fn ingest(&self, p: ProcessId, interval: u64, clock: &[u64]) {
-        assert!(p.index() < self.n, "process {p} out of range");
-        let mut merge = self.merge.lock().expect("engine poisoned");
-        assert!(
-            !merge.close_pending[p.index()],
-            "snapshot from {p} after end of stream"
-        );
-        assert!(
-            interval > merge.last_interval[p.index()],
-            "snapshots must arrive in increasing interval order"
-        );
-        merge.last_interval[p.index()] = interval;
-        merge.pending[p.index()].push_back(interval);
+        if let Err(e) = self.try_ingest(p, interval, clock) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`ingest`](Self::ingest) for input from outside the program: a
+    /// snapshot that fails the ingest validation is refused with its
+    /// reason and changes nothing.
+    pub fn try_ingest(
+        &self,
+        p: ProcessId,
+        interval: u64,
+        clock: &[u64],
+    ) -> Result<(), IngestError> {
+        let mut streams = self.streams.lock().expect("engine poisoned");
+        streams.check(p, interval, clock)?;
+        streams.last[p.index()] = interval;
+        streams.rows[p.index()] += 1;
+        streams.woken[p.index()] = true;
         self.fanout.store.append(p, clock);
+        Ok(())
     }
 
     /// Declares `p`'s stream finished (end of trace).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
     pub fn close(&self, p: ProcessId) {
-        assert!(p.index() < self.n, "process {p} out of range");
-        let mut merge = self.merge.lock().expect("engine poisoned");
-        merge.close_pending[p.index()] = true;
+        if let Err(e) = self.try_close(p) {
+            panic!("{e}");
+        }
     }
 
-    /// Routes every routable event into the log and, if enough dead
-    /// (resolved or unregistered) entries accumulated, compacts them out
-    /// of the subscriber lists. Called at pump start under the pump lock.
-    /// Threshold-triggered (≥ a quarter of all entries) rather than
-    /// per-pump: the service actor pumps after every message, and an
-    /// unconditional sweep would rescan every list per event.
-    fn route_and_sweep(&self) {
-        {
-            let mut log = self.fanout.log.write().expect("engine poisoned");
-            self.merge
-                .lock()
-                .expect("engine poisoned")
-                .route_into(&mut log);
+    /// [`close`](Self::close) for input from outside the program: an
+    /// out-of-range process is refused. Closing twice is harmless.
+    pub fn try_close(&self, p: ProcessId) -> Result<(), IngestError> {
+        let mut streams = self.streams.lock().expect("engine poisoned");
+        if p.index() >= self.n {
+            return Err(IngestError::ProcessOutOfRange {
+                process: p,
+                n: self.n,
+            });
         }
+        streams.closed[p.index()] = true;
+        streams.woken[p.index()] = true;
+        Ok(())
+    }
+
+    /// If enough dead (resolved or unregistered) entries accumulated,
+    /// compacts them out of the subscriber lists and drops every class
+    /// left without a session; then routes the classes that are new or
+    /// whose waited-on process had input since the last pump. Called at
+    /// pump start under the pump lock. The sweep is threshold-triggered
+    /// (≥ a quarter of all entries) rather than per-pump: the service
+    /// actor pumps after every message, and an unconditional sweep would
+    /// rescan every list per event.
+    fn sweep_and_route(&self) {
+        let mut classes = self.fanout.classes.write().expect("engine poisoned");
         let dead = self.counters.dead_subs.load(Ordering::Relaxed);
-        if dead == 0 || dead * 4 < self.counters.total_subs.load(Ordering::Relaxed) {
-            return;
+        if dead > 0 && dead * 4 >= self.counters.total_subs.load(Ordering::Relaxed) {
+            let total = classes.sweep();
+            self.counters.total_subs.store(total, Ordering::Relaxed);
+            self.counters.dead_subs.store(0, Ordering::Relaxed);
         }
-        let mut subs = self.fanout.subscribers.write().expect("engine poisoned");
-        let mut total = 0u64;
-        for per_process in subs.iter_mut() {
-            for shard in per_process.iter_mut() {
-                shard.retain(|s| s.is_live() && !s.is_resolved());
-                total += shard.len() as u64;
-            }
-        }
-        self.counters.total_subs.store(total, Ordering::Relaxed);
-        self.counters.dead_subs.store(0, Ordering::Relaxed);
+        let mut streams = self.streams.lock().expect("engine poisoned");
+        classes.route(&mut streams, &self.fanout.store.read());
     }
 
     /// Folds one worker's tally into the shared counters before the pump
@@ -523,54 +834,44 @@ impl MultiEngine {
             .fetch_sub(tally.resolved_sessions, Ordering::Relaxed);
         self.counters
             .dead_subs
-            .fetch_add(tally.dead_entries, Ordering::Relaxed);
+            .fetch_add(tally.resolved_sessions, Ordering::Relaxed);
     }
 
     /// Routes everything routable and fans it out to every session,
     /// serially, in canonical order. Returns the sessions that resolved
     /// during this pump, in resolution order.
     pub fn pump(&self) -> Vec<(PredicateId, SessionVerdict)> {
-        let mut delivered = self.pump_lock.lock().expect("engine poisoned");
-        self.route_and_sweep();
-        // Registration and routing hold the pump lock, so the log and the
-        // subscriber lists are frozen for the whole pass.
-        let range = *delivered..self.routed_log_len();
-        let (resolved, tally) = self.fanout.deliver_shards(0, 1, range.clone());
+        let _pump = self.pump_lock.lock().expect("engine poisoned");
+        self.sweep_and_route();
+        // Registration and routing hold the pump lock, so the classes are
+        // frozen for the whole pass.
+        let (resolved, tally) = self.fanout.deliver_part(0, 1);
         self.fold(tally);
-        *delivered = range.end;
+        self.fanout.mark_delivered();
         resolved
     }
 
-    /// [`pump`](Self::pump) with the pump shards partitioned across
-    /// `threads` pool workers: worker `w` owns every `threads`-th shard
-    /// and iterates only its own subscriber lists — no scanning and
-    /// skipping other workers' sessions, so total work equals the serial
+    /// [`pump`](Self::pump) with the pass's sessions partitioned across
+    /// `threads` pool workers: worker `w` serves every `threads`-th
+    /// session of the routed classes, so total work equals the serial
     /// pump's. Each session still sees its events in canonical order from
     /// a single worker, so verdicts, metrics and counter totals are
     /// bit-identical to the serial pump; only the resolution order
     /// differs, so the result is sorted by id. A pump with fewer than
     /// `DELIVERY_GRAIN` deliveries per worker runs on the calling thread.
     pub fn pump_parallel(&self, threads: usize) -> Vec<(PredicateId, SessionVerdict)> {
-        let mut delivered = self.pump_lock.lock().expect("engine poisoned");
-        self.route_and_sweep();
-        let range = *delivered..self.routed_log_len();
-        let threads = par::width(
-            threads.clamp(1, PUMP_SHARDS),
-            self.fanout.deliveries(range.clone()),
-            DELIVERY_GRAIN,
-        );
+        let _pump = self.pump_lock.lock().expect("engine poisoned");
+        self.sweep_and_route();
+        let threads = par::width(threads, self.fanout.deliveries(), DELIVERY_GRAIN);
         let fanout = Arc::clone(&self.fanout);
-        let end = range.end;
-        let parts = scoped_workers(threads, move |w| {
-            fanout.deliver_shards(w, threads, range.clone())
-        });
+        let parts = scoped_workers(threads, move |w| fanout.deliver_part(w, threads));
         let mut resolved = Vec::new();
         for (out, tally) in parts {
             resolved.extend(out);
             self.fold(tally);
         }
         resolved.sort_by_key(|(id, _)| *id);
-        *delivered = end;
+        self.fanout.mark_delivered();
         resolved
     }
 
@@ -621,9 +922,16 @@ impl MultiEngine {
         }
     }
 
-    /// Length of the canonical routed log so far.
+    /// Entries routed so far by the busiest scope class — the longest
+    /// class log, and the most any one late registration replays.
     pub fn routed_log_len(&self) -> usize {
-        self.fanout.log.read().expect("engine poisoned").len()
+        let classes = self.fanout.classes.read().expect("engine poisoned");
+        classes
+            .all
+            .iter()
+            .map(|c| routed_count(&c.positions))
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -633,24 +941,6 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
     use wcp_trace::Wcp;
-
-    #[test]
-    fn pump_shard_spreads_adversarial_id_patterns() {
-        // Client-chosen ids sharing a common factor must still hit most
-        // shards — the regression `raw % threads` fails (all-even ids
-        // land every session on the even workers only).
-        for stride in [2u64, 16, 256, 4096] {
-            let mut used = [false; PUMP_SHARDS];
-            for i in 0..1000u64 {
-                used[pump_shard(PredicateId::new(i * stride))] = true;
-            }
-            let hit = used.iter().filter(|&&u| u).count();
-            assert!(
-                hit > PUMP_SHARDS / 2,
-                "stride {stride}: only {hit}/{PUMP_SHARDS} shards used"
-            );
-        }
-    }
 
     /// The resolved fast-path: once a session has its verdict, subsequent
     /// pumps (serial and parallel) must never lock its state mutex again.
@@ -695,6 +985,72 @@ mod tests {
         drop(guard);
     }
 
+    /// A class waits only for its own scope: process 2 stays open and
+    /// silent, yet the `{0, 1}` session resolves in the pump right after
+    /// its own snapshots — on both pumps — while the `{0, 1, 2}` session
+    /// waits. (Process 0's second snapshot is what lets `(1, p1)` route:
+    /// no smaller key can follow it.)
+    #[test]
+    fn a_class_routes_without_waiting_for_processes_outside_its_scope() {
+        for parallel in [false, true] {
+            let engine = MultiEngine::new(3);
+            let pair = PredicateId::new(1);
+            let all = PredicateId::new(2);
+            engine.register(pair, &Wcp::over_first(2)).unwrap();
+            engine.register(all, &Wcp::over_first(3)).unwrap();
+            engine.ingest(ProcessId::new(0), 1, &[1, 0, 0]);
+            engine.ingest(ProcessId::new(1), 1, &[0, 1, 0]);
+            engine.ingest(ProcessId::new(0), 2, &[2, 0, 0]);
+            let resolved = if parallel {
+                engine.pump_parallel(2)
+            } else {
+                engine.pump()
+            };
+            assert_eq!(
+                resolved,
+                vec![(pair, SessionVerdict::Detected(vec![1, 1]))],
+                "parallel {parallel}"
+            );
+            let waiting = engine.report(all).unwrap();
+            assert_eq!(waiting.verdict, None, "process 2 may still send");
+            assert_eq!(engine.stats().routed_events, 2, "parallel {parallel}");
+        }
+    }
+
+    /// A pump routes only what input can have unblocked: a class waits on
+    /// an open process that stopped its merge — the one whose next row
+    /// sorts last — and a process's snapshot wakes only the classes
+    /// waiting on it.
+    #[test]
+    fn classes_wait_on_the_process_that_stopped_their_merge() {
+        let engine = MultiEngine::new(3);
+        let scopes: [&[u32]; 3] = [&[0], &[1], &[0, 1, 2]];
+        for (id, scope) in scopes.iter().enumerate() {
+            let wcp = Wcp::over(scope.iter().map(|&p| ProcessId::new(p)));
+            engine.register(PredicateId::new(id as u64), &wcp).unwrap();
+        }
+        let waiting = || {
+            let classes = engine.fanout.classes.read().unwrap();
+            classes.waiting.iter().map(Vec::len).collect::<Vec<_>>()
+        };
+        engine.pump();
+        assert_eq!(waiting(), [1, 1, 1], "{{0,1,2}} waits on 2");
+        engine.ingest(ProcessId::new(1), 1, &[0, 1, 0]);
+        engine.pump();
+        assert_eq!(engine.stats().routed_events, 1, "only {{1}} was woken");
+        assert_eq!(waiting(), [1, 1, 1]);
+        engine.ingest(ProcessId::new(0), 1, &[1, 0, 0]);
+        engine.pump();
+        assert_eq!(engine.stats().routed_events, 2, "only {{0}} was woken");
+        // {1}'s session resolved, so this pump's sweep dropped its class.
+        assert_eq!(waiting(), [1, 0, 1]);
+        engine.ingest(ProcessId::new(2), 1, &[0, 0, 1]);
+        engine.pump();
+        assert_eq!(engine.stats().routed_events, 3, "{{0,1,2}} routed (1, 0)");
+        // {0}'s class went at this pump's sweep; {0,1,2} waits on 0 again.
+        assert_eq!(waiting(), [1, 0, 0]);
+    }
+
     #[test]
     fn sweep_reclaims_unregistered_and_resolved_subscriber_entries() {
         let engine = MultiEngine::new(1);
@@ -714,10 +1070,12 @@ mod tests {
         assert_eq!(resolved.len(), 40, "survivors resolve on the snapshot");
         assert_eq!(engine.counters.total_subs.load(Ordering::Relaxed), 40);
         assert_eq!(engine.counters.dead_subs.load(Ordering::Relaxed), 40);
-        // All remaining entries are dead now; the next pump drains them.
+        // All remaining entries are dead now; the next pump drains them
+        // and drops the class they leave empty.
         engine.pump();
         assert_eq!(engine.counters.total_subs.load(Ordering::Relaxed), 0);
         assert_eq!(engine.counters.dead_subs.load(Ordering::Relaxed), 0);
+        assert!(engine.fanout.classes.read().unwrap().all.is_empty());
         assert!(engine.all_resolved());
         assert_eq!(engine.stats().detections, 40);
     }

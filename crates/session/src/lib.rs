@@ -18,20 +18,23 @@
 //!   per-predicate [`DetectionMetrics`](wcp_detect::DetectionMetrics) in
 //!   the paper's units;
 //! - [`engine`] — the router: ingests one FIFO local-state stream per
-//!   process, merges them into one canonical routed log (a deterministic
-//!   watermark merge, so every ingest interleaving yields the same log),
-//!   and fans each entry out to exactly the sessions whose predicate
-//!   names that process;
+//!   process and groups sessions into *scope classes* (equal process
+//!   sets). Each class merges only its own processes' streams into its
+//!   own routed log (a deterministic watermark merge, so every ingest
+//!   interleaving yields the same log, and no class waits for a process
+//!   its predicate does not name), and fans each entry out to the
+//!   class's sessions;
 //! - [`actors`]/[`runner`] — the service and controller actors plus
 //!   offline and simulator runners (`wcp-net` hosts the same actors over
 //!   real sockets as `wcp serve --multi`).
 //!
 //! The core correctness claim, property-tested here and fuzzed in
-//! `wcp-fuzz`: because the routed log is a pure function of the
-//! computation, a session's verdict **and its `DetectionMetrics`** are
-//! bit-identical to running that predicate alone on the same stream — no
-//! matter how many tenants share the engine, when the session registered,
-//! or which transport delivered the snapshots.
+//! `wcp-fuzz`: because a class's routed log is the projection of the
+//! computation's canonical `(interval, process)` order onto its scope, a
+//! pure function of the computation, a session's verdict **and its
+//! `DetectionMetrics`** are bit-identical to running that predicate alone
+//! on the same stream — no matter how many tenants share the engine, when
+//! the session registered, or which transport delivered the snapshots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,12 +47,12 @@ pub mod session;
 pub mod store;
 
 pub use actors::{CollectedVerdicts, MultiController, MultiService};
-pub use engine::{EngineStats, MultiEngine, RegisterError, SessionReport};
+pub use engine::{EngineStats, IngestError, MultiEngine, RegisterError, SessionReport};
 pub use registry::PredicateId;
 pub use runner::{
-    collect_multi_report, feed_annotated, feed_annotated_with, run_multi_offline,
-    run_multi_offline_with, run_multi_sim, run_multi_sim_with, run_single_offline, MultiReport,
-    PredicateOutcome,
+    check_registrations, collect_multi_report, feed_annotated, feed_annotated_with,
+    run_multi_offline, run_multi_offline_with, run_multi_sim, run_multi_sim_with,
+    run_single_offline, MultiReport, PredicateOutcome,
 };
 pub use session::SessionVerdict;
 pub use store::SharedStore;

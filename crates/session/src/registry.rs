@@ -1,9 +1,8 @@
 //! Stable predicate identities and the sharded concurrent session index.
 //!
-//! The registry is the multi-tenant directory: `PredicateId → session`,
-//! plus one subscriber list per process so the router can fan a routed
-//! event out to exactly the sessions whose scope names that process. It
-//! is std-only in the lock-free-map spirit: a fixed power-of-two shard
+//! The registry is the multi-tenant directory: `PredicateId → session`
+//! (the engine keeps the subscriber lists, one per scope class). It is
+//! std-only in the lock-free-map spirit: a fixed power-of-two shard
 //! array of `RwLock<HashMap>`s, so lookups on different shards never
 //! contend and readers never block readers.
 
@@ -51,12 +50,10 @@ impl FromJson for PredicateId {
     }
 }
 
-/// One registered session: identity, scope, and detection state.
+/// One registered session: identity and detection state.
 #[derive(Debug)]
 pub(crate) struct SessionSlot {
     pub(crate) id: PredicateId,
-    /// Sorted scope (`Wcp` order) — owned here so routing needs no lock.
-    pub(crate) scope: Vec<ProcessId>,
     /// Cleared by unregister; fan-out skips dead slots that a subscriber
     /// list still references.
     pub(crate) live: AtomicBool,
@@ -69,11 +66,11 @@ pub(crate) struct SessionSlot {
 }
 
 impl SessionSlot {
-    pub(crate) fn new(id: PredicateId, scope: Vec<ProcessId>) -> Arc<Self> {
-        let state = Mutex::new(SessionState::new(&scope));
+    /// A live, unresolved session over the sorted, non-empty `scope`.
+    pub(crate) fn new(id: PredicateId, scope: &[ProcessId]) -> Arc<Self> {
+        let state = Mutex::new(SessionState::new(scope));
         Arc::new(SessionSlot {
             id,
-            scope,
             live: AtomicBool::new(true),
             resolved: AtomicBool::new(false),
             state,
@@ -178,18 +175,12 @@ mod tests {
     fn insert_get_remove_and_duplicates() {
         let r = Registry::new();
         for i in 0..100 {
-            r.insert(SessionSlot::new(
-                PredicateId::new(i),
-                vec![ProcessId::new(0)],
-            ))
-            .unwrap();
+            r.insert(SessionSlot::new(PredicateId::new(i), &[ProcessId::new(0)]))
+                .unwrap();
         }
         assert_eq!(r.len(), 100);
         assert!(r
-            .insert(SessionSlot::new(
-                PredicateId::new(7),
-                vec![ProcessId::new(0)]
-            ))
+            .insert(SessionSlot::new(PredicateId::new(7), &[ProcessId::new(0)]))
             .is_err());
         assert_eq!(
             r.get(PredicateId::new(42)).unwrap().id,

@@ -8,7 +8,7 @@
 //! `Wcp::over_all` full-width clocks (`wcp-net` adds the socket variant
 //! on the same actors, on real threads).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use std::sync::Arc;
 
@@ -19,7 +19,7 @@ use wcp_sim::{ActorId, SimConfig, Simulation};
 use wcp_trace::{AnnotatedComputation, Computation, Wcp};
 
 use crate::actors::{MultiController, MultiService};
-use crate::engine::{EngineStats, MultiEngine};
+use crate::engine::{check_scope, EngineStats, MultiEngine, RegisterError};
 use crate::registry::PredicateId;
 use crate::session::SessionVerdict;
 
@@ -140,6 +140,25 @@ pub fn collect_multi_report(
     }
 }
 
+/// Checks a registration list the way [`MultiEngine::register`] will
+/// when the service receives it: non-empty scopes inside `0..n`, distinct
+/// ids. The service drops a rejected registration instead of stopping, so
+/// the runners check their lists before a run.
+///
+/// # Errors
+///
+/// The first registration the engine would reject, and why.
+pub fn check_registrations(n: usize, registrations: &[(u64, Wcp)]) -> Result<(), RegisterError> {
+    let mut ids = HashSet::new();
+    for (id, wcp) in registrations {
+        check_scope(n, wcp)?;
+        if !ids.insert(*id) {
+            return Err(RegisterError::Duplicate(PredicateId::new(*id)));
+        }
+    }
+    Ok(())
+}
+
 /// Runs `predicates` (ids `0..k`) over `computation` directly — no actors,
 /// no transport; the reference the streamed runners are pinned against.
 pub fn run_multi_offline(computation: &Computation, predicates: &[Wcp]) -> MultiReport {
@@ -147,7 +166,7 @@ pub fn run_multi_offline(computation: &Computation, predicates: &[Wcp]) -> Multi
 }
 
 /// [`run_multi_offline`] with an explicit fan-out worker count; `> 1`
-/// drives the sharded parallel pump, whose report must be bit-identical
+/// drives the parallel pump, whose report must be bit-identical
 /// to the serial run's (the fuzz oracle cross-checks exactly this).
 pub fn run_multi_offline_with(
     computation: &Computation,
@@ -196,7 +215,11 @@ pub fn run_multi_sim(computation: &Computation, predicates: &[Wcp], seed: u64) -
 }
 
 /// [`run_multi_sim`] with explicit ids, a mid-run unregistration list,
-/// and a fan-out worker count (`> 1` = the sharded parallel pump).
+/// and a fan-out worker count (`> 1` = the parallel pump).
+///
+/// # Panics
+///
+/// Panics if a registration is invalid (see [`check_registrations`]).
 pub fn run_multi_sim_with(
     computation: &Computation,
     registrations: &[(u64, Wcp)],
@@ -205,6 +228,9 @@ pub fn run_multi_sim_with(
     pump_threads: usize,
 ) -> MultiReport {
     let n_total = computation.process_count();
+    if let Err(e) = check_registrations(n_total, registrations) {
+        panic!("multi service would reject a registration: {e}");
+    }
     let service = ActorId::new(n_total as u32);
     let controller = ActorId::new(n_total as u32 + 1);
     let mut config = SimConfig::seeded(seed);

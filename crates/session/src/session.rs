@@ -107,11 +107,6 @@ impl SessionState {
         }
     }
 
-    /// Scope position of process `p`, if `p` is in scope.
-    pub(crate) fn position(&self, p: ProcessId) -> Option<usize> {
-        self.scope.binary_search(&p).ok()
-    }
-
     /// Whether the session has reached a final verdict; resolved sessions
     /// ignore further routed events and their counters are frozen.
     pub(crate) fn resolved(&self) -> bool {

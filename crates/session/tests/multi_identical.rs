@@ -13,8 +13,9 @@
 use wcp_clocks::ProcessId;
 use wcp_detect::{vc_snapshot_queues, StreamingChecker, StreamingStatus};
 use wcp_session::{
-    feed_annotated, run_multi_offline, run_multi_offline_with, run_multi_sim, run_multi_sim_with,
-    run_single_offline, MultiEngine, PredicateId, SessionVerdict,
+    check_registrations, feed_annotated, run_multi_offline, run_multi_offline_with, run_multi_sim,
+    run_multi_sim_with, run_single_offline, MultiEngine, PredicateId, RegisterError,
+    SessionVerdict,
 };
 use wcp_trace::generate::{generate, GeneratorConfig};
 use wcp_trace::{AnnotatedComputation, Computation, Wcp};
@@ -158,13 +159,19 @@ fn session_engine_matches_streaming_checker_differentially() {
     }
 }
 
+/// Late registrations replay to the standalone outcome. Two inputs: a
+/// scope first registered mid-stream (its class starts from the store
+/// origin), and a scope whose only session left and whose class the sweep
+/// dropped before the scope was registered again (rebuilt from the origin).
 #[test]
 fn late_registration_replays_to_the_same_outcome() {
     for seed in 0..20u64 {
         let computation = workload(seed, 4, 10);
         let annotated = computation.annotate();
-        let wcp = Wcp::over_first(3);
+        let fresh = Wcp::over_first(3);
+        let again = Wcp::over([ProcessId::new(1), ProcessId::new(3)]);
         let engine = MultiEngine::new(4);
+        engine.register(PredicateId::new(2), &again).unwrap();
         // First half of every process's stream, then a pump...
         for p in ProcessId::all(4) {
             let intervals = annotated.true_intervals(p);
@@ -177,8 +184,15 @@ fn late_registration_replays_to_the_same_outcome() {
             }
         }
         engine.pump();
-        // ...then a late registration (replays the routed log from 0)...
-        let early = engine.register(PredicateId::new(1), &wcp).unwrap();
+        // ...then `again`'s only session leaves, and the next pump's sweep
+        // drops the class it leaves empty...
+        assert!(engine.unregister(PredicateId::new(2)));
+        engine.pump();
+        // ...then late registrations (each replays its class's log)...
+        let early = [
+            engine.register(PredicateId::new(1), &fresh).unwrap(),
+            engine.register(PredicateId::new(3), &again).unwrap(),
+        ];
         // ...then the rest of the stream.
         for p in ProcessId::all(4) {
             let intervals = annotated.true_intervals(p);
@@ -192,14 +206,16 @@ fn late_registration_replays_to_the_same_outcome() {
             engine.close(p);
         }
         engine.pump();
-        let report = engine.report(PredicateId::new(1)).unwrap();
-        let verdict = report
-            .verdict
-            .or(early)
-            .expect("resolved after full stream");
-        let (alone_verdict, alone_metrics) = run_single_offline(&computation, &wcp);
-        assert_eq!(verdict, alone_verdict, "seed {seed}");
-        assert_eq!(report.metrics, alone_metrics, "seed {seed}");
+        for ((id, wcp), early) in [(1u64, &fresh), (3, &again)].into_iter().zip(early) {
+            let report = engine.report(PredicateId::new(id)).unwrap();
+            let verdict = report
+                .verdict
+                .or(early)
+                .expect("resolved after full stream");
+            let (alone_verdict, alone_metrics) = run_single_offline(&computation, wcp);
+            assert_eq!(verdict, alone_verdict, "seed {seed} id {id}");
+            assert_eq!(report.metrics, alone_metrics, "seed {seed} id {id}");
+        }
     }
 }
 
@@ -227,35 +243,92 @@ fn unregister_drops_one_tenant_without_perturbing_the_rest() {
     assert_eq!(engine.stats().sessions_active, 2);
 }
 
+/// Every snapshot and end-of-stream mark of `annotated`, each process's
+/// in FIFO order. `None` takes the processes one after another; `Some(seed)`
+/// interleaves them by a seeded draw. An entry is `(process, Some(interval))`
+/// for a snapshot and `(process, None)` for the close.
+fn arrivals(annotated: &AnnotatedComputation, seed: Option<u64>) -> Vec<(ProcessId, Option<u64>)> {
+    let mut open: Vec<ProcessId> = ProcessId::all(annotated.process_count()).collect();
+    let mut next = vec![0usize; open.len()];
+    let mut state = seed.unwrap_or(0) ^ 0x9E37_79B9_7F4A_7C15;
+    let mut out = Vec::new();
+    while !open.is_empty() {
+        let j = match seed {
+            Some(_) => {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as usize % open.len()
+            }
+            None => 0,
+        };
+        let p = open[j];
+        let intervals = annotated.true_intervals(p);
+        if let Some(&k) = intervals.get(next[p.index()]) {
+            next[p.index()] += 1;
+            out.push((p, Some(k)));
+        } else {
+            out.push((p, None));
+            open.remove(j);
+        }
+    }
+    out
+}
+
+/// The serial and parallel pumps agree bit for bit, and every session
+/// matches running alone, under two schedules: processes one after
+/// another with a pump after each close, and seeded random arrival
+/// interleavings with a pump after every ingest (overlapping scopes route
+/// at different moments in each class).
 #[test]
 fn pump_parallel_is_bit_identical_to_serial_pump() {
     for seed in 0..10u64 {
         let computation = workload(seed, 5, 12);
         let annotated = computation.annotate();
         let predicates = derived_predicates(5, 40);
-        let serial = MultiEngine::new(5);
-        let parallel = MultiEngine::new(5);
-        for (i, wcp) in predicates.iter().enumerate() {
-            serial.register(PredicateId::new(i as u64), wcp).unwrap();
-            parallel.register(PredicateId::new(i as u64), wcp).unwrap();
-        }
-        for p in ProcessId::all(5) {
-            for &k in annotated.true_intervals(p) {
-                let clock = annotated.clock(wcp_clocks::StateId::new(p, k)).as_slice();
-                serial.ingest(p, k, clock);
-                parallel.ingest(p, k, clock);
+        for shuffle in [None, Some(seed)] {
+            let serial = MultiEngine::new(5);
+            let parallel = MultiEngine::new(5);
+            for (i, wcp) in predicates.iter().enumerate() {
+                serial.register(PredicateId::new(i as u64), wcp).unwrap();
+                parallel.register(PredicateId::new(i as u64), wcp).unwrap();
             }
-            serial.close(p);
-            parallel.close(p);
-            // Pump mid-stream too, to exercise incremental routing.
-            serial.pump();
-            parallel.pump_parallel(4);
+            for (p, interval) in arrivals(&annotated, shuffle) {
+                match interval {
+                    Some(k) => {
+                        let clock = annotated.clock(wcp_clocks::StateId::new(p, k)).as_slice();
+                        serial.ingest(p, k, clock);
+                        parallel.ingest(p, k, clock);
+                    }
+                    None => {
+                        serial.close(p);
+                        parallel.close(p);
+                    }
+                }
+                // Pump mid-stream too, to exercise incremental routing.
+                if shuffle.is_some() || interval.is_none() {
+                    serial.pump();
+                    parallel.pump_parallel(4);
+                }
+            }
+            let mut serial_reports = serial.reports();
+            let parallel_reports = parallel.reports();
+            serial_reports.sort_by_key(|(id, _)| *id);
+            assert_eq!(serial_reports, parallel_reports, "seed {seed} {shuffle:?}");
+            assert_eq!(serial.stats(), parallel.stats(), "seed {seed} {shuffle:?}");
+            for ((id, report), wcp) in serial_reports.iter().zip(&predicates) {
+                let (alone_verdict, alone_metrics) = run_single_offline(&computation, wcp);
+                assert_eq!(
+                    report.verdict,
+                    Some(alone_verdict),
+                    "seed {seed} {shuffle:?} {id}"
+                );
+                assert_eq!(
+                    report.metrics, alone_metrics,
+                    "seed {seed} {shuffle:?} {id}"
+                );
+            }
         }
-        let mut serial_reports = serial.reports();
-        let parallel_reports = parallel.reports();
-        serial_reports.sort_by_key(|(id, _)| *id);
-        assert_eq!(serial_reports, parallel_reports, "seed {seed}");
-        assert_eq!(serial.stats(), parallel.stats(), "seed {seed}");
     }
 }
 
@@ -457,4 +530,41 @@ fn simulator_matches_offline() {
             );
         }
     }
+}
+
+/// The service drops a rejected registration instead of stopping, so the
+/// runners check their registration lists first and name the reason.
+#[test]
+fn invalid_registration_lists_are_refused_before_a_run() {
+    let scope = |s: &[u32]| Wcp::over(s.iter().map(|&p| ProcessId::new(p)));
+    assert_eq!(
+        check_registrations(3, &[(0, scope(&[0, 2])), (1, scope(&[1]))]),
+        Ok(())
+    );
+    assert_eq!(
+        check_registrations(3, &[(7, scope(&[0])), (7, scope(&[1]))]),
+        Err(RegisterError::Duplicate(PredicateId::new(7)))
+    );
+    assert_eq!(
+        check_registrations(3, &[(0, scope(&[3]))]),
+        Err(RegisterError::ScopeOutOfRange {
+            process: ProcessId::new(3),
+            n: 3
+        })
+    );
+    assert_eq!(
+        check_registrations(3, &[(0, scope(&[]))]),
+        Err(RegisterError::EmptyScope)
+    );
+    let computation = workload(1, 3, 6);
+    let duplicate = [(7, scope(&[0])), (7, scope(&[1]))];
+    let run = std::panic::catch_unwind(|| run_multi_sim_with(&computation, &duplicate, &[], 1, 1));
+    let message = run
+        .expect_err("a duplicate id must be refused")
+        .downcast::<String>()
+        .expect("a formatted panic message");
+    assert!(
+        message.contains("predicate S7 is already registered"),
+        "{message}"
+    );
 }

@@ -18,7 +18,7 @@
 #
 # Entries also carry the `multi_saturation` section: 10k concurrent
 # predicate sessions over one shared 16×40 stream through the session
-# layer (the `pump_scaling` curve — serial and the sharded parallel
+# layer (the `pump_scaling` curve — serial and the parallel
 # pump at 2/4/8 workers, fastest of 2 rounds each, every width pinned
 # bit-identical — plus detections/sec, shared-store bytes/predicate vs
 # the naive per-session store, and a 64-session socket leg's wire

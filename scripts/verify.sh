@@ -37,12 +37,17 @@ echo "== fuzz smoke campaign (fixed seed, bounded) =="
 
 echo "== fuzz multi-tenant smoke slice =="
 # Session-layer conformance: the offline multi-predicate cross-check runs
-# on every case above already; --multi additionally forces the
-# socket-backed session service leg on each case, pinning every
-# session's verdict and metrics to the standalone detectors under the
-# case's fault schedule, and --pump-parallel forces the sharded
-# parallel-pump cross-check (4 workers, bit-identical report) on every
-# case instead of the random per-case draw. --parallel-detect likewise
+# on every case above already, and so does the mid-stream registration
+# check: an engine takes every stream one snapshot at a time with a pump
+# after each, and half the predicates register only once half of every
+# stream is in (a pump after each), so scope classes are built from the
+# store origin or replayed mid-stream, and each session must match its
+# standalone run. --multi additionally forces the socket-backed session
+# service leg on each case, pinning every session's verdict and metrics
+# to the standalone detectors under the case's fault schedule, and
+# --pump-parallel forces the parallel-pump cross-check (4 workers,
+# bit-identical report) on every case instead of the random per-case
+# draw. --parallel-detect likewise
 # forces the work-optimal detector's multi-thread leg (1 vs 4 workers,
 # verdict + metrics + event stream bit-identical) on every case — the
 # "parallel" battery detector itself already runs on every case above,
