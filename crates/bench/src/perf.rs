@@ -70,10 +70,6 @@ pub fn detectors(scope_n: usize) -> Vec<(String, Box<dyn Detector>)> {
         ("direct".into(), Box::new(DirectDependenceDetector::new())),
         ("multi:2".into(), Box::new(MultiTokenDetector::new(2))),
         ("multi:4".into(), Box::new(MultiTokenDetector::new(4))),
-        (
-            "multi:4/threads".into(),
-            Box::new(MultiTokenDetector::new(4).with_parallel()),
-        ),
         ("parallel".into(), Box::new(ParallelDetector::new())),
         (
             "parallel:4/threads".into(),

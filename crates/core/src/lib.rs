@@ -70,6 +70,7 @@ pub mod offline;
 pub mod online;
 mod snapshot;
 mod streaming;
+mod visit;
 
 pub use audit::{audit_bounds, BoundAudit, BoundLimits};
 pub use detector::{Detection, DetectionReport, Detector};

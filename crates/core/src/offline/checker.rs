@@ -111,9 +111,10 @@ impl Detector for CentralizedChecker {
         meter.work(0, elimination.work());
         let detection = match status {
             StreamingStatus::Detected(g) => {
-                let cut = wcp.lift(&g, annotated.process_count());
-                meter.found(0, cut.as_slice());
-                Detection::Detected { cut }
+                meter.found(0, &g);
+                Detection::Detected {
+                    cut: wcp.lift(&g, annotated.process_count()),
+                }
             }
             _ => {
                 meter.exhausted(0);

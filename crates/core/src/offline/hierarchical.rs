@@ -255,9 +255,10 @@ impl Detector for HierarchicalChecker {
                     // Exhausted the product.
                     let detection = match best {
                         Some(g) => {
-                            let cut = wcp.lift(&g, annotated.process_count());
-                            meter.found(overall, cut.as_slice());
-                            Detection::Detected { cut }
+                            meter.found(overall, &g);
+                            Detection::Detected {
+                                cut: wcp.lift(&g, annotated.process_count()),
+                            }
                         }
                         None => {
                             meter.exhausted(overall);

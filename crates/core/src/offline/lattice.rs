@@ -85,7 +85,7 @@ impl Detector for LatticeDetector {
         meter.lattice_visited(0, visited as u64);
         meter.work(0, visited as u64);
         match &detection {
-            Detection::Detected { cut } => meter.found(0, cut.as_slice()),
+            Detection::Detected { cut } => meter.found(0, &wcp.project(cut)),
             Detection::Undetected => meter.exhausted(0),
         }
         meter.finish_sequential();

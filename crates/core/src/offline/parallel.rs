@@ -292,10 +292,11 @@ impl Detector for ParallelDetector {
 
         // Fixed point: nobody's knowledge reaches anybody's selected
         // interval, so the selected candidates are pairwise concurrent.
-        let cut = wcp.lift(&selected, annotated.process_count());
-        meter.found(0, cut.as_slice());
+        meter.found(0, &selected);
         DetectionReport {
-            detection: Detection::Detected { cut },
+            detection: Detection::Detected {
+                cut: wcp.lift(&selected, annotated.process_count()),
+            },
             metrics: meter.metrics,
         }
     }

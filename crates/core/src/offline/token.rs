@@ -6,18 +6,20 @@
 //! it. The token travels only to red monitors; a visit consumes candidate
 //! snapshots until one survives (Figure 3's `while` loop), then eliminates
 //! any other selected state that happened before the new candidate (the
-//! `for` loop). All-green means the cut is consistent — detection.
+//! `for` loop). All-green means the cut is consistent — detection. The
+//! visit is the one the online monitors run (`crate::visit`).
 
 use std::fmt;
 use std::sync::Arc;
 
-use wcp_clocks::{ClockRow, StateId};
+use wcp_clocks::StateId;
 use wcp_obs::{NullRecorder, Recorder};
 use wcp_trace::{AnnotatedComputation, Wcp};
 
 use crate::detector::{Detection, DetectionReport, Detector};
 use crate::meter::Meter;
 use crate::snapshot::VcSnapshotQueues;
+use crate::visit::{visit, Queue, Visit};
 
 /// Colour of a candidate state, as in Figure 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,65 +261,32 @@ impl Detector for TokenDetector {
         meter.token_acquired(at, None);
 
         loop {
-            debug_assert_eq!(token.color(at), Color::Red, "token sent to a green monitor");
-            // Figure 3 `while` loop: consume candidates until one survives.
-            let candidate: ClockRow<'_> = loop {
-                if heads[at] >= queues.queue_len(at) {
-                    // Monitor would block forever waiting for a candidate.
-                    meter.exhausted(at);
-                    meter.finish_sequential();
-                    return DetectionReport {
-                        detection: Detection::Undetected,
-                        metrics: meter.metrics,
-                    };
-                }
-                let row = queues.clock(at, heads[at]);
-                let interval = row[at];
-                heads[at] += 1;
-                // Consuming a candidate is receive + examine an n-vector.
-                if interval > token.g[at] {
-                    meter.candidate_accepted(at, at, interval, n as u64);
-                    token.g[at] = interval;
-                    token.set_color(at, Color::Green);
-                    break row;
-                }
-                meter.candidate_eliminated(at, at, interval, n as u64);
+            let mut queue = Queue {
+                queues: &queues,
+                pos: at,
+                next: &mut heads[at],
             };
-
-            // Figure 3 `for` loop: eliminate states preceding the new
-            // candidate. Fast path first: one branch-light pass over the
-            // flat row against `G`; the mutating scan (colour writes,
-            // invalidation events) only runs when some selected state is
-            // actually dominated. The skip changes no metrics or events —
-            // when nothing is dominated the scan would not write either.
-            meter.work(at, n as u64);
-            let row = candidate.as_slice();
-            let mut dominated = false;
-            for (j, (&seen, &gj)) in row.iter().zip(&token.g).enumerate() {
-                dominated |= j != at && seen >= gj && seen > 0;
-            }
-            if dominated {
-                for (j, &seen) in row.iter().enumerate() {
-                    if j != at && seen >= token.g[j] && seen > 0 {
-                        token.g[j] = seen;
-                        if token.color(j) == Color::Green {
-                            meter.candidate_invalidated(at, j, seen);
-                        }
-                        token.set_color(j, Color::Red);
-                    }
-                }
-            }
+            let Visit::Accepted(_) = visit(&mut token, at, &mut queue, &mut meter) else {
+                // Monitor would block forever waiting for a candidate.
+                meter.exhausted(at);
+                meter.finish_sequential();
+                return DetectionReport {
+                    detection: Detection::Undetected,
+                    metrics: meter.metrics,
+                };
+            };
 
             if self.check_invariants {
                 check_lemma_3_1(annotated, wcp, &token);
             }
 
             if token.all_green() {
-                let cut = wcp.lift(&token.g, annotated.process_count());
-                meter.found(at, cut.as_slice());
+                meter.found(at, &token.g);
                 meter.finish_sequential();
                 return DetectionReport {
-                    detection: Detection::Detected { cut },
+                    detection: Detection::Detected {
+                        cut: wcp.lift(&token.g, annotated.process_count()),
+                    },
                     metrics: meter.metrics,
                 };
             }

@@ -62,8 +62,9 @@ pub enum DetectMsg {
         became_red: bool,
     },
     /// A Section 3.5 group token (monitor ↔ monitor within a group, and
-    /// group ↔ leader).
-    GroupToken(GroupTokenMsg),
+    /// group ↔ leader). Boxed: it is the largest payload by far, and every
+    /// message of every protocol would otherwise pay its size.
+    GroupToken(Box<GroupTokenMsg>),
     /// Registers a predicate with the multi-tenant session service
     /// (controller → service). Additive to the paper — see DESIGN.md S25.
     MultiRegister {
@@ -87,19 +88,19 @@ pub enum DetectMsg {
     },
 }
 
-/// The token of the multi-token algorithm: the full-scope candidate cut and
-/// colours, plus the candidate clocks of this group's members (the extra
-/// information the leader needs for its cross-group consistency check; see
-/// DESIGN.md §3).
+/// The token of the multi-token algorithm: the Figure 3 [`Token`] over the
+/// whole scope, plus the candidate clocks the leader needs for its
+/// cross-group consistency check (DESIGN.md §3). The offline emulation
+/// and the online monitors pass this one type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupTokenMsg {
     /// Which group this token belongs to.
     pub group: usize,
-    /// Candidate cut over the whole scope.
-    pub g: Vec<u64>,
-    /// Colours over the whole scope.
-    pub color: Vec<crate::offline::token::Color>,
-    /// Candidate vector clocks, populated at this group's member positions.
+    /// Candidate cut and colours over the whole scope.
+    pub token: Token,
+    /// Candidate vector clocks, by scope position: set where a member of
+    /// this group accepted a candidate, and copied to every token at a
+    /// leader merge.
     pub candidates: Vec<Option<VectorClock>>,
 }
 
@@ -108,15 +109,14 @@ impl GroupTokenMsg {
     pub fn new(group: usize, n: usize) -> Self {
         GroupTokenMsg {
             group,
-            g: vec![0; n],
-            color: vec![crate::offline::token::Color::Red; n],
+            token: Token::new(n),
             candidates: vec![None; n],
         }
     }
 
     /// Wire size: group id + `G`/colour entries + carried candidates.
     pub fn wire_size(&self) -> usize {
-        8 + self.g.len() * 9
+        8 + self.token.wire_size()
             + self
                 .candidates
                 .iter()

@@ -7,15 +7,18 @@
 //! members, the token returns to the leader. Once all `g` tokens are home,
 //! the leader merges them, applies the Figure 3 elimination rule across
 //! groups, and re-dispatches tokens into groups that still (or newly) have
-//! red members. All-green at a merge is detection.
+//! red members. All-green at a merge is detection. The visit, the routing
+//! and the merge are the offline [`MultiTokenDetector`](crate::MultiTokenDetector)'s
+//! (`crate::visit`), so on a detected run both report the same work, hops
+//! and control traffic.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use wcp_obs::NullRecorder;
 use wcp_sim::{Actor, ActorId, Context, SimConfig};
 use wcp_trace::{Computation, Wcp};
 
-use crate::offline::token::Color;
 use crate::online::app::ClockMode;
 use crate::online::harness::{actor_ids, simulate, OnlineReport};
 use crate::online::messages::{DetectMsg, GroupTokenMsg};
@@ -23,19 +26,19 @@ use crate::online::vc_monitor::{
     describe_token_state, MonitorStall, OnlineDetection, SharedOutcome, SharedStats,
 };
 use crate::snapshot::SnapshotBuffer;
+use crate::visit::{first_red, groups, merge, next_red_member, visit, ActorEffects, Inbox, Visit};
 
 /// A group member: runs Figure 3 within its group on the group token.
 #[derive(Debug)]
 struct GroupMonitor {
     pos: usize,
-    n: usize,
-    /// Scope positions belonging to this monitor's group, sorted.
-    members: Vec<usize>,
+    /// Scope positions of this monitor's group.
+    members: Range<usize>,
     monitors: Vec<ActorId>,
     leader: ActorId,
     queue: SnapshotBuffer,
     eot: bool,
-    token: Option<GroupTokenMsg>,
+    token: Option<Box<GroupTokenMsg>>,
     done: bool,
     result: SharedOutcome,
     stats: SharedStats,
@@ -44,7 +47,7 @@ struct GroupMonitor {
 impl GroupMonitor {
     fn record_stall(&self) {
         let detail = match &self.token {
-            Some(t) => describe_token_state(&t.g, |i| t.color[i]),
+            Some(t) => describe_token_state(&t.token),
             None => "no token".to_string(),
         };
         self.stats.lock().unwrap().note_stall(
@@ -63,57 +66,37 @@ impl GroupMonitor {
         if self.done {
             return;
         }
-        let Some(token) = &mut self.token else { return };
-        debug_assert_eq!(token.color[self.pos], Color::Red, "token held while green");
-
-        let candidate = loop {
-            let Some(row_id) = self.queue.pop() else {
-                if self.eot {
-                    self.done = true;
-                    *self.result.lock().unwrap() = Some(OnlineDetection::Undetected);
-                    ctx.stop();
-                }
-                return;
-            };
-            ctx.add_work(self.n as u64);
-            // Figure 2: the clock's own component is the interval index.
-            let interval = self.queue.row(row_id)[self.pos];
-            if interval > token.g[self.pos] {
-                token.g[self.pos] = interval;
-                token.color[self.pos] = Color::Green;
-                break row_id;
-            }
+        let Some(t) = &mut self.token else { return };
+        let mut inbox = Inbox {
+            queue: &mut self.queue,
+            eot: self.eot,
         };
-        let candidate = self.queue.row(candidate);
-        token.candidates[self.pos] = Some(candidate.to_vector_clock());
-
-        ctx.add_work(self.n as u64);
-        for j in 0..self.n {
-            if j == self.pos {
-                continue;
+        match visit(
+            &mut t.token,
+            self.pos,
+            &mut inbox,
+            &mut ActorEffects::new(ctx, &NullRecorder),
+        ) {
+            Visit::Blocked => return,
+            Visit::Exhausted => {
+                self.done = true;
+                *self.result.lock().unwrap() = Some(OnlineDetection::Undetected);
+                ctx.stop();
+                return;
             }
-            let seen = candidate[j];
-            if seen >= token.g[j] && seen > 0 {
-                token.g[j] = seen;
-                token.color[j] = Color::Red;
+            Visit::Accepted(id) => {
+                t.candidates[self.pos] = Some(self.queue.row(id).to_vector_clock());
             }
         }
-
-        // Next red member of *this group*, cyclically after `pos`; if none,
-        // the token goes home to the leader.
-        let my_rank = self
-            .members
-            .iter()
-            .position(|&p| p == self.pos)
-            .expect("own position is a member");
-        let next_in_group = (1..=self.members.len())
-            .map(|d| self.members[(my_rank + d) % self.members.len()])
-            .find(|&p| token.color[p] == Color::Red && p != self.pos);
-        let token = self.token.take().expect("token present");
-        self.stats.lock().unwrap().token_hops += 1;
-        match next_in_group {
-            Some(p) => ctx.send(self.monitors[p], DetectMsg::GroupToken(token)),
-            None => ctx.send(self.leader, DetectMsg::GroupToken(token)),
+        let next = next_red_member(&t.token, &self.members, self.pos);
+        let token = DetectMsg::GroupToken(self.token.take().expect("token present"));
+        match next {
+            Some(p) => {
+                self.stats.lock().unwrap().token_hops += 1;
+                ctx.send(self.monitors[p], token);
+            }
+            // No red member left: home to the leader, a control message.
+            None => ctx.send(self.leader, token),
         }
     }
 }
@@ -151,12 +134,9 @@ impl Actor<DetectMsg> for GroupMonitor {
 #[derive(Debug)]
 struct Leader {
     n: usize,
-    /// Scope position → group index.
-    group_of: Vec<usize>,
-    /// Group → sorted member positions.
-    members: Vec<Vec<usize>>,
+    groups: Vec<Range<usize>>,
     monitors: Vec<ActorId>,
-    /// Tokens currently parked at the leader.
+    /// Tokens currently parked at the leader, by group.
     parked: Vec<Option<GroupTokenMsg>>,
     /// Tokens currently circulating in their groups.
     outstanding: usize,
@@ -185,70 +165,34 @@ impl Leader {
         );
     }
 
-    fn merge_and_redistribute(&mut self, ctx: &mut dyn Context<DetectMsg>) {
-        let n = self.n;
-        let g_count = self.members.len();
-        ctx.add_work((n * n) as u64);
-
-        let mut g_merged = vec![0u64; n];
-        let mut color = vec![Color::Red; n];
-        let mut candidates: Vec<Option<wcp_clocks::VectorClock>> = vec![None; n];
-        for i in 0..n {
-            let owner = self.parked[self.group_of[i]]
-                .as_ref()
-                .expect("all tokens parked");
-            for t in self.parked.iter().flatten() {
-                g_merged[i] = g_merged[i].max(t.g[i]);
-            }
-            candidates[i] = owner.candidates[i].clone();
-            color[i] = if owner.color[i] == Color::Green && owner.g[i] == g_merged[i] {
-                Color::Green
-            } else {
-                Color::Red
-            };
-        }
-        // Cross-group Figure 3 elimination.
-        for j in 0..n {
-            if color[j] != Color::Green {
+    /// Sends every parked token that has a red member to the first one.
+    fn dispatch(&mut self, ctx: &mut dyn Context<DetectMsg>) {
+        for (slot, members) in self.parked.iter_mut().zip(&self.groups) {
+            let Some(at) = slot.as_ref().and_then(|t| first_red(&t.token, members)) else {
                 continue;
-            }
-            let cand = candidates[j].as_ref().expect("green ⇒ candidate");
-            for i in 0..n {
-                if i == j {
-                    continue;
-                }
-                let seen = cand.as_slice()[i];
-                if seen >= g_merged[i] && seen > 0 {
-                    g_merged[i] = seen;
-                    color[i] = Color::Red;
-                }
-            }
+            };
+            let token = Box::new(slot.take().expect("token parked"));
+            self.outstanding += 1;
+            ctx.send(self.monitors[at], DetectMsg::GroupToken(token));
         }
+    }
 
-        if color.iter().all(|&c| c == Color::Green) {
+    fn merge_and_redistribute(&mut self, ctx: &mut dyn Context<DetectMsg>) {
+        ctx.add_work((self.n * self.n) as u64);
+        let mut tokens: Vec<GroupTokenMsg> = self
+            .parked
+            .iter_mut()
+            .map(|t| t.take().expect("all tokens parked"))
+            .collect();
+        let detected = merge(&mut tokens, &self.groups);
+        self.parked = tokens.into_iter().map(Some).collect();
+        if let Some(g) = detected {
             self.done = true;
-            *self.result.lock().unwrap() = Some(OnlineDetection::Detected(g_merged));
+            *self.result.lock().unwrap() = Some(OnlineDetection::Detected(g));
             ctx.stop();
             return;
         }
-
-        for gi in 0..g_count {
-            let has_red = self.members[gi].iter().any(|&p| color[p] == Color::Red);
-            if let Some(token) = &mut self.parked[gi] {
-                token.g = g_merged.clone();
-                token.color = color.clone();
-                token.candidates = candidates.clone();
-            }
-            if has_red {
-                let first_red = *self.members[gi]
-                    .iter()
-                    .find(|&&p| color[p] == Color::Red)
-                    .expect("has_red");
-                let token = self.parked[gi].take().expect("token parked");
-                self.outstanding += 1;
-                ctx.send(self.monitors[first_red], DetectMsg::GroupToken(token));
-            }
-        }
+        self.dispatch(ctx);
         debug_assert!(
             self.outstanding > 0,
             "red member implies a dispatched token"
@@ -258,12 +202,8 @@ impl Leader {
 
 impl Actor<DetectMsg> for Leader {
     fn on_start(&mut self, ctx: &mut dyn Context<DetectMsg>) {
-        // Dispatch a fresh all-red token into every group.
-        for (gi, members) in self.members.iter().enumerate() {
-            let token = GroupTokenMsg::new(gi, self.n);
-            self.outstanding += 1;
-            ctx.send(self.monitors[members[0]], DetectMsg::GroupToken(token));
-        }
+        // Every group starts with a fresh all-red token.
+        self.dispatch(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut dyn Context<DetectMsg>, _from: ActorId, msg: DetectMsg) {
@@ -274,7 +214,7 @@ impl Actor<DetectMsg> for Leader {
                 }
                 let gi = t.group;
                 debug_assert!(self.parked[gi].is_none(), "group token duplicated");
-                self.parked[gi] = Some(t);
+                self.parked[gi] = Some(*t);
                 self.outstanding -= 1;
                 if self.outstanding == 0 {
                     self.merge_and_redistribute(ctx);
@@ -305,17 +245,12 @@ pub fn run_multi_token(
     let n = wcp.n();
     assert!(n >= 1, "WCP scope must name at least one process");
     assert!(groups >= 1, "need at least one group");
-    let g_count = groups.min(n);
+    let groups = self::groups(n, groups);
 
     // Actor layout: apps 0..N, monitors N..N+n, leader N+n.
     let n_total = computation.process_count();
     let monitors = actor_ids(n_total, n);
     let leader = ActorId::new((n_total + n) as u32);
-
-    let group_of: Vec<usize> = (0..n).map(|i| i * g_count / n).collect();
-    let members: Vec<Vec<usize>> = (0..g_count)
-        .map(|gi| (0..n).filter(|&i| group_of[i] == gi).collect())
-        .collect();
 
     simulate(
         computation,
@@ -329,8 +264,11 @@ pub fn run_multi_token(
                 .map(|pos| {
                     Box::new(GroupMonitor {
                         pos,
-                        n,
-                        members: members[group_of[pos]].clone(),
+                        members: groups
+                            .iter()
+                            .find(|m| m.contains(&pos))
+                            .expect("the groups cover the scope")
+                            .clone(),
                         monitors: monitors.clone(),
                         leader,
                         queue: SnapshotBuffer::new(n),
@@ -344,10 +282,11 @@ pub fn run_multi_token(
                 .collect();
             actors.push(Box::new(Leader {
                 n,
-                group_of,
-                members,
+                parked: (0..groups.len())
+                    .map(|k| Some(GroupTokenMsg::new(k, n)))
+                    .collect(),
+                groups,
                 monitors: monitors.clone(),
-                parked: (0..g_count).map(|_| None).collect(),
                 outstanding: 0,
                 done: false,
                 result: result.clone(),

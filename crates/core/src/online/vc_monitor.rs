@@ -10,6 +10,7 @@ use wcp_sim::{Actor, ActorId, Context};
 use crate::offline::token::{Color, Token};
 use crate::online::messages::DetectMsg;
 use crate::snapshot::SnapshotBuffer;
+use crate::visit::{visit, ActorEffects, Inbox, Visit};
 
 /// Result cell shared between monitor actors and the harness.
 ///
@@ -91,14 +92,16 @@ pub struct MonitorStall {
 
 /// Renders a token's candidate cut and colors (`R`/`G` per position) for a
 /// stall report.
-pub(crate) fn describe_token_state(g: &[u64], color_of: impl Fn(usize) -> Color) -> String {
-    let colors: String = (0..g.len())
-        .map(|i| match color_of(i) {
+pub(crate) fn describe_token_state(token: &Token) -> String {
+    let colors: String = token
+        .colors()
+        .iter()
+        .map(|c| match c {
             Color::Red => 'R',
             Color::Green => 'G',
         })
         .collect();
-    format!("token held: g={g:?} colors={colors}")
+    format!("token held: g={:?} colors={colors}", token.g)
 }
 
 /// Shared instrumentation cell for [`OnlineStats`].
@@ -175,7 +178,7 @@ impl VcMonitor {
 
     fn record_stall(&self) {
         let detail = match &self.token {
-            Some(t) => describe_token_state(&t.g, |i| t.color(i)),
+            Some(t) => describe_token_state(t),
             None => "no token".to_string(),
         };
         self.stats.lock().unwrap().note_stall(
@@ -198,100 +201,39 @@ impl VcMonitor {
             return;
         }
         let Some(token) = &mut self.token else { return };
-        debug_assert_eq!(token.color(self.pos), Color::Red, "token held while green");
-
-        let observe = self.recorder.is_enabled();
-        // `while (color[i] = red) do receive candidate …`
-        let candidate = loop {
-            let Some(row_id) = self.queue.pop() else {
-                if self.eot {
-                    // No further candidate can ever arrive: the predicate
-                    // cannot hold at this process again.
-                    self.done = true;
-                    if observe {
-                        self.recorder.record(
-                            self.pos as u32,
-                            LogicalTime::Tick(ctx.now()),
-                            TraceEvent::DetectionExhausted,
-                        );
-                    }
-                    *self.result.lock().unwrap() = Some(OnlineDetection::Undetected);
-                    ctx.stop();
-                }
-                return; // wait for more snapshots
-            };
-            ctx.add_work(self.n as u64);
-            let interval = self.queue.row(row_id)[self.pos];
-            let survives = interval > token.g[self.pos];
-            if observe {
-                let event = if survives {
-                    TraceEvent::CandidateAccepted {
-                        process: self.pos as u32,
-                        interval,
-                        work: self.n as u64,
-                    }
-                } else {
-                    TraceEvent::CandidateEliminated {
-                        process: self.pos as u32,
-                        interval,
-                        work: self.n as u64,
-                    }
-                };
-                self.recorder
-                    .record(self.pos as u32, LogicalTime::Tick(ctx.now()), event);
-            }
-            if survives {
-                token.g[self.pos] = interval;
-                token.set_color(self.pos, Color::Green);
-                break row_id;
-            }
+        let mut inbox = Inbox {
+            queue: &mut self.queue,
+            eot: self.eot,
         };
-
-        // `for j ≠ i …` eliminate states preceding the new candidate.
-        ctx.add_work(self.n as u64);
-        if observe {
-            self.recorder.record(
-                self.pos as u32,
-                LogicalTime::Tick(ctx.now()),
-                TraceEvent::Work {
-                    units: self.n as u64,
-                },
-            );
-        }
-        let candidate = self.queue.row(candidate);
-        for j in 0..self.n {
-            if j == self.pos {
-                continue;
-            }
-            let seen = candidate[j];
-            if seen >= token.g[j] && seen > 0 {
-                token.g[j] = seen;
-                if observe && token.color(j) == Color::Green {
-                    self.recorder.record(
-                        self.pos as u32,
-                        LogicalTime::Tick(ctx.now()),
-                        TraceEvent::CandidateInvalidated {
-                            process: j as u32,
-                            interval: seen,
-                        },
-                    );
+        let observe = self.recorder.is_enabled();
+        match visit(
+            token,
+            self.pos,
+            &mut inbox,
+            &mut ActorEffects::new(ctx, &*self.recorder),
+        ) {
+            Visit::Accepted(_) => {}
+            Visit::Blocked => return, // wait for more snapshots
+            Visit::Exhausted => {
+                // No further candidate can ever arrive: the predicate
+                // cannot hold at this process again.
+                self.done = true;
+                if observe {
+                    self.emit(ctx, TraceEvent::DetectionExhausted);
                 }
-                token.set_color(j, Color::Red);
+                *self.result.lock().unwrap() = Some(OnlineDetection::Undetected);
+                ctx.stop();
+                return;
             }
         }
 
         if token.all_green() {
+            let g = token.g.clone();
             self.done = true;
             if observe {
-                self.recorder.record(
-                    self.pos as u32,
-                    LogicalTime::Tick(ctx.now()),
-                    TraceEvent::DetectionFound {
-                        cut: token.g.clone(),
-                    },
-                );
+                self.emit(ctx, TraceEvent::DetectionFound { cut: g.clone() });
             }
-            *self.result.lock().unwrap() = Some(OnlineDetection::Detected(token.g.clone()));
+            *self.result.lock().unwrap() = Some(OnlineDetection::Detected(g));
             ctx.stop();
             return;
         }
@@ -301,12 +243,12 @@ impl VcMonitor {
         let token = self.token.take().expect("token present");
         self.stats.lock().unwrap().token_hops += 1;
         if observe {
-            self.recorder.record(
-                self.pos as u32,
-                LogicalTime::Tick(ctx.now()),
+            let bytes = token.wire_size() as u64;
+            self.emit(
+                ctx,
                 TraceEvent::TokenForwarded {
                     to: next as u32,
-                    bytes: token.wire_size() as u64,
+                    bytes,
                 },
             );
         }

@@ -1,17 +1,10 @@
-//! Property tests for the arena snapshot substrate (ISSUE 2).
-//!
-//! Two invariants hold across randomly generated computations:
-//!
-//! 1. The arena-backed [`VcSnapshotQueues`] is element-for-element equal to
-//!    the legacy per-`Vec` [`vc_snapshot_queues`] reference path — same
-//!    queue lengths, same intervals, same clock components.
-//! 2. Parallel multi-token detection (`with_parallel`) is bit-identical to
-//!    the sequential emulation: same [`Detection`] *and* same
-//!    [`DetectionMetrics`], for every group count.
+//! Property test for the arena snapshot substrate: across randomly
+//! generated computations, the arena-backed [`VcSnapshotQueues`] is
+//! element-for-element equal to the legacy per-`Vec`
+//! [`vc_snapshot_queues`] reference path — same queue lengths, same
+//! intervals, same clock components.
 
-use wcp_detect::{
-    vc_snapshot_queues, Detector, MultiTokenDetector, TokenDetector, VcSnapshotQueues,
-};
+use wcp_detect::{vc_snapshot_queues, VcSnapshotQueues};
 use wcp_trace::generate::{generate, GeneratorConfig};
 use wcp_trace::Wcp;
 
@@ -73,51 +66,6 @@ fn arena_queues_equal_legacy_queues_across_seeds() {
                 // The whole substrate is one allocation (or zero when empty).
                 assert!(arena.clock_allocations() <= 1);
             }
-        }
-    }
-}
-
-#[test]
-fn parallel_multi_token_is_bit_identical_to_sequential() {
-    for seed in 0..15 {
-        for (ci, cfg) in configs(seed).into_iter().enumerate() {
-            let g = generate(&cfg);
-            let annotated = g.computation.annotate();
-            let total = annotated.process_count();
-            let wcp = Wcp::over_first(total);
-            for groups in [1usize, 2, 4] {
-                let sequential = MultiTokenDetector::new(groups).detect(&annotated, &wcp);
-                let parallel = MultiTokenDetector::new(groups)
-                    .with_parallel()
-                    .detect(&annotated, &wcp);
-                assert_eq!(
-                    sequential.detection, parallel.detection,
-                    "seed {seed} cfg {ci} groups {groups}"
-                );
-                assert_eq!(
-                    sequential.metrics, parallel.metrics,
-                    "seed {seed} cfg {ci} groups {groups}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn multi_token_agrees_with_single_token_in_both_modes() {
-    for seed in 0..10 {
-        let cfg = GeneratorConfig::new(7, 12)
-            .with_seed(seed)
-            .with_predicate_density(0.35);
-        let g = generate(&cfg);
-        let annotated = g.computation.annotate();
-        let wcp = Wcp::over_first(7);
-        let token = TokenDetector::new().detect(&annotated, &wcp);
-        for groups in [2usize, 4] {
-            let parallel = MultiTokenDetector::new(groups)
-                .with_parallel()
-                .detect(&annotated, &wcp);
-            assert_eq!(parallel.detection, token.detection, "seed {seed}");
         }
     }
 }

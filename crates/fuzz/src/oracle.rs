@@ -19,8 +19,9 @@ use wcp_detect::online::{
 };
 use wcp_detect::{
     audit_bounds, replay_metrics, vc_snapshot_queues, BoundLimits, CentralizedChecker, Detection,
-    DetectionReport, Detector, DirectDependenceDetector, HierarchicalChecker, LatticeDetector,
-    MultiTokenDetector, ParallelDetector, StreamingChecker, StreamingStatus, TokenDetector,
+    DetectionMetrics, DetectionReport, Detector, DirectDependenceDetector, HierarchicalChecker,
+    LatticeDetector, MultiTokenDetector, ParallelDetector, StreamingChecker, StreamingStatus,
+    TokenDetector,
 };
 use wcp_net::{run_direct_net, run_multi_net, run_vc_token_net, NetConfig};
 use wcp_obs::rng::Rng;
@@ -266,7 +267,8 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
     // ---- offline detectors, with replay-lockstep metrics checks --------
     // `replay_exact` marks the families whose recorded event stream is a
     // lossless account of their metrics (the `tests/replay.rs` contract);
-    // the parallel multi-token variant is verdict-checked only.
+    // the sabotaged detector is verdict-checked only. The `token` and
+    // `multi-token` reports are kept for the online legs below.
     struct Offline<'a> {
         label: &'static str,
         build: Box<dyn Fn(Arc<RingRecorder>) -> Box<dyn Detector> + 'a>,
@@ -308,17 +310,6 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             replay_exact: true,
         },
         Offline {
-            label: "multi-token+par",
-            build: Box::new(move |r| {
-                Box::new(
-                    MultiTokenDetector::new(groups)
-                        .with_parallel()
-                        .with_recorder(r),
-                )
-            }),
-            replay_exact: false,
-        },
-        Offline {
             label: "parallel",
             build: Box::new(|r| Box::new(ParallelDetector::new().with_recorder(r))),
             replay_exact: true,
@@ -347,6 +338,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             replay_exact: false,
         });
     }
+    let (mut token_report, mut multi_report) = (None, None);
     for entry in &battery {
         let ring = Arc::new(RingRecorder::new(RING_CAPACITY));
         let detector = (entry.build)(ring.clone());
@@ -372,6 +364,11 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
                             ),
                         );
                     }
+                }
+                match entry.label {
+                    "token" => token_report = Some(report),
+                    "multi-token" => multi_report = Some(report),
+                    _ => {}
                 }
             }
             Err(p) => diverge(entry.label, DivergenceKind::Crash, p),
@@ -486,59 +483,78 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
     }
 
     // ---- online simulated actor stacks ---------------------------------
+    // The online token and group monitors run the offline legs' visit,
+    // routing and merge, so they must also report the same work, hops and
+    // control traffic: always for the single token; for the groups on
+    // detected runs and with one group. With more groups an undetected
+    // online run keeps walking the other groups until the stop reaches
+    // them, where the emulation stops at once.
     let sim = SimConfig::seeded(case.sim_seed).with_latency(case.latency);
+    let one_group = groups.min(scope_n) == 1;
     struct Online<'a> {
         label: &'a str,
-        run: Box<dyn Fn() -> Detection + 'a>,
+        run: Box<dyn Fn() -> DetectionReport + 'a>,
+        twin: Option<&'a DetectionReport>,
     }
     let online: Vec<Online<'_>> = vec![
         Online {
             label: "online:vc-token",
-            run: Box::new(|| {
-                run_vc_token(computation, &wcp, sim.clone())
-                    .report
-                    .detection
-            }),
+            run: Box::new(|| run_vc_token(computation, &wcp, sim.clone()).report),
+            twin: token_report.as_ref(),
         },
         Online {
             label: "online:multi-token",
-            run: Box::new(|| {
-                run_multi_token(computation, &wcp, sim.clone(), groups)
-                    .report
-                    .detection
-            }),
+            run: Box::new(|| run_multi_token(computation, &wcp, sim.clone(), groups).report),
+            twin: multi_report
+                .as_ref()
+                .filter(|_| truth.is_some() || one_group),
         },
         Online {
             label: "online:checker",
-            run: Box::new(|| run_checker(computation, &wcp, sim.clone()).report.detection),
+            run: Box::new(|| run_checker(computation, &wcp, sim.clone()).report),
+            twin: None,
         },
         Online {
             label: "online:direct",
-            run: Box::new(|| {
-                run_direct(computation, &wcp, sim.clone(), false)
-                    .report
-                    .detection
-            }),
+            run: Box::new(|| run_direct(computation, &wcp, sim.clone(), false).report),
+            twin: None,
         },
         Online {
             label: "online:direct+par",
-            run: Box::new(|| {
-                run_direct(computation, &wcp, sim.clone(), true)
-                    .report
-                    .detection
-            }),
+            run: Box::new(|| run_direct(computation, &wcp, sim.clone(), true).report),
+            twin: None,
         },
     ];
     for entry in &online {
         match guarded(&entry.run) {
-            Ok(detection) => {
-                let got = detection.cut().map(|c| wcp.project(c));
+            Ok(report) => {
+                let got = report.detection.cut().map(|c| wcp.project(c));
                 if got != truth {
                     diverge(
                         entry.label,
                         DivergenceKind::Verdict,
                         format!("expected {}, got {}", fmt_proj(&truth), fmt_proj(&got)),
                     );
+                } else if let Some(twin) = entry.twin {
+                    let costs = |m: &DetectionMetrics| {
+                        (
+                            m.per_process_work.clone(),
+                            m.token_hops,
+                            m.control_messages,
+                            m.control_bytes,
+                        )
+                    };
+                    if costs(&report.metrics) != costs(&twin.metrics) {
+                        diverge(
+                            entry.label,
+                            DivergenceKind::Metrics,
+                            format!(
+                                "online costs diverge from the offline emulation: \
+                                 online [{}], offline [{}]",
+                                report.metrics, twin.metrics
+                            ),
+                        );
+                    }
                 }
             }
             Err(p) => diverge(entry.label, DivergenceKind::Crash, p),

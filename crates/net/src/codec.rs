@@ -243,9 +243,9 @@ fn byte_color(b: u8) -> Result<Color, CodecError> {
 /// `aux` value of a `GROUP_TOKEN` frame).
 fn group_bitmap(t: &GroupTokenMsg) -> u64 {
     assert!(
-        t.g.len() <= 64,
+        t.token.g.len() <= 64,
         "group token over {} processes exceeds the 64-bit aux bitmap",
-        t.g.len()
+        t.token.g.len()
     );
     let mut bitmap = 0u64;
     for (i, cand) in t.candidates.iter().enumerate() {
@@ -323,10 +323,10 @@ fn detect_body_into(msg: &DetectMsg, out: &mut Vec<u8>) {
         DetectMsg::PollReply { became_red } => out.push(u8::from(*became_red)),
         DetectMsg::GroupToken(t) => {
             put_u64(out, t.group as u64);
-            for &g in &t.g {
+            for &g in &t.token.g {
                 put_u64(out, g);
             }
-            for &c in &t.color {
+            for &c in t.token.colors() {
                 out.push(color_byte(c));
             }
             for clock in t.candidates.iter().flatten() {
@@ -466,11 +466,11 @@ pub fn decode_body(kind_byte: u8, aux: u64, body: &[u8]) -> Result<DetectMsg, Co
                 return Err(CodecError::TooWide(n));
             }
             let mut t = GroupTokenMsg::new(group, n);
-            for g in t.g.iter_mut() {
+            for g in t.token.g.iter_mut() {
                 *g = r.u64()?;
             }
-            for c in t.color.iter_mut() {
-                *c = byte_color(r.u8()?)?;
+            for i in 0..n {
+                t.token.set_color(i, byte_color(r.u8()?)?);
             }
             for i in 0..n {
                 if aux & (1 << i) != 0 {
@@ -481,7 +481,7 @@ pub fn decode_body(kind_byte: u8, aux: u64, body: &[u8]) -> Result<DetectMsg, Co
                     t.candidates[i] = Some(VectorClock::from_components(comps));
                 }
             }
-            DetectMsg::GroupToken(t)
+            DetectMsg::GroupToken(Box::new(t))
         }
         kind::MULTI_REGISTER => {
             let id = r.u64()?;
@@ -562,15 +562,16 @@ fn decode_group_token_v2(aux: u64, body: &[u8]) -> Result<DetectMsg, CodecError>
         return Err(CodecError::TooWide(n));
     }
     let mut t = GroupTokenMsg::new(group, n);
-    for g in t.g.iter_mut() {
+    for g in t.token.g.iter_mut() {
         *g = r.read_varint()?;
     }
-    for c in t.color.iter_mut() {
-        *c = if r.read_bit()? {
+    for i in 0..n {
+        let c = if r.read_bit()? {
             Color::Green
         } else {
             Color::Red
         };
+        t.token.set_color(i, c);
     }
     for i in 0..n {
         if aux & (1 << i) != 0 {
@@ -582,7 +583,7 @@ fn decode_group_token_v2(aux: u64, body: &[u8]) -> Result<DetectMsg, CodecError>
         }
     }
     r.expect_padding()?;
-    Ok(DetectMsg::GroupToken(t))
+    Ok(DetectMsg::GroupToken(Box::new(t)))
 }
 
 /// Byte offset of a frame's body within the full frame bytes (length
@@ -724,11 +725,11 @@ pub fn encode_frame_into_v2(
         }
         DetectMsg::GroupToken(t) => {
             w.write_varint(t.group as u64);
-            w.write_varint(t.g.len() as u64);
-            for &g in &t.g {
+            w.write_varint(t.token.g.len() as u64);
+            for &g in &t.token.g {
                 w.write_varint(g);
             }
-            for &c in &t.color {
+            for &c in t.token.colors() {
                 w.write_bit(c == Color::Green);
             }
             for clock in t.candidates.iter().flatten() {
@@ -1059,10 +1060,13 @@ mod tests {
         token.g = vec![0, 3, 120, 4000, 1];
         token.set_color(2, Color::Green);
         let mut group = GroupTokenMsg::new(1, 3);
-        group.g = vec![9, 0, 2];
-        group.color[1] = Color::Green;
+        group.token.g = vec![9, 0, 2];
+        group.token.set_color(1, Color::Green);
         group.candidates[2] = Some(VectorClock::from_components(vec![4, 5, 6]));
-        for msg in [DetectMsg::VcToken(token), DetectMsg::GroupToken(group)] {
+        for msg in [
+            DetectMsg::VcToken(token),
+            DetectMsg::GroupToken(Box::new(group)),
+        ] {
             let f = frame(Payload::Detect(msg.clone()));
             let mut chains = ClockChains::new();
             let mut v2 = Vec::new();

@@ -343,9 +343,9 @@ fn arbitrary_stream(seed: u64, count: usize) -> Vec<Frame> {
                     let n = 1 + rng.below(5) as usize;
                     let mut t = GroupTokenMsg::new(rng.below(4) as usize, n);
                     for j in 0..n {
-                        t.g[j] = rng.next() >> rng.below(40);
+                        t.token.g[j] = rng.next() >> rng.below(40);
                         if rng.below(2) == 0 {
-                            t.color[j] = Color::Green;
+                            t.token.set_color(j, Color::Green);
                         }
                         if rng.below(3) == 0 {
                             t.candidates[j] = Some(VectorClock::from_components(
@@ -353,7 +353,7 @@ fn arbitrary_stream(seed: u64, count: usize) -> Vec<Frame> {
                             ));
                         }
                     }
-                    Payload::Detect(DetectMsg::GroupToken(t))
+                    Payload::Detect(DetectMsg::GroupToken(Box::new(t)))
                 }
                 6 => Payload::Detect(DetectMsg::App {
                     msg: MsgId::new(rng.next()),

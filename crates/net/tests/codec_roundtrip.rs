@@ -38,11 +38,12 @@ fn random_messages(rng: &mut Rng) -> Vec<DetectMsg> {
         token.set_color(i, c);
     }
     let mut group = GroupTokenMsg::new(rng.gen_range(0..4usize), n);
-    for g in group.g.iter_mut() {
+    for g in group.token.g.iter_mut() {
         *g = rng.gen_range(0..100u64);
     }
-    for c in group.color.iter_mut() {
-        *c = random_color(rng);
+    for i in 0..n {
+        let c = random_color(rng);
+        group.token.set_color(i, c);
     }
     for i in 0..n {
         if rng.gen_bool(0.5) {
@@ -85,7 +86,7 @@ fn random_messages(rng: &mut Rng) -> Vec<DetectMsg> {
         DetectMsg::PollReply {
             became_red: rng.gen_bool(0.5),
         },
-        DetectMsg::GroupToken(group),
+        DetectMsg::GroupToken(Box::new(group)),
         DetectMsg::MultiRegister {
             id: rng.gen_range(0..10_000u64),
             scope: (0..rng.gen_range(1..=8usize))

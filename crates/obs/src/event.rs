@@ -163,7 +163,9 @@ pub enum TraceEvent {
     },
     /// The WCP was detected.
     DetectionFound {
-        /// Scope-indexed interval choices of the satisfying cut.
+        /// Interval choices of the satisfying cut, indexed by scope
+        /// position; the direct-dependence family (Section 4), whose
+        /// monitors cover every process, indexes them by process.
         cut: Vec<u64>,
     },
     /// The run ended without detection.

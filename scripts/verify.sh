@@ -61,6 +61,18 @@ echo "== fuzz bound-audit smoke slice =="
 # violation is a divergence and fails this script.
 ./target/release/wcp fuzz --seed 2 --cases 25 --no-net --audit-bounds
 
+echo "== EXPERIMENTS.md matches harness all =="
+# The captured tables of EXPERIMENTS.md are the verbatim output of
+# `harness all`, which is deterministic (simulated time and paper units
+# only). A change that moves a number must regenerate them and say why.
+./target/release/harness all 2>/dev/null > target/harness-all.md
+if ! sed '1,/^## Captured tables$/d' EXPERIMENTS.md | tail -n +2 |
+    diff -u - target/harness-all.md; then
+    echo "error: EXPERIMENTS.md's captured tables differ from 'harness all'" >&2
+    echo "regenerate them: ./target/release/harness all" >&2
+    exit 1
+fi
+
 echo "== fuzz corpus replay + schema drift guard =="
 # Every pinned repro in tests/corpus/ must still parse and replay clean;
 # a corpus file that no longer parses fails here, loudly.
