@@ -220,7 +220,7 @@ const TELEMETRY_SAT_SCOPE: usize = 8;
 /// telemetry off vs on: the same frame stream over one batched loopback
 /// link, bare vs with both endpoints recording through the sidecar gate
 /// and the sender shipping deltas to the collector. At saturation the
-/// per-frame marginal cost is what matters, and the [`SidecarFilter`]
+/// per-frame marginal cost is what matters, and the [`SidecarRecorder`]
 /// keeps it to a rejected virtual dispatch — `docs/observability.md`
 /// tracks this ratio with ≤ 1.05 as the budget.
 ///
@@ -239,7 +239,7 @@ const TELEMETRY_SAT_SCOPE: usize = 8;
 /// alternate which mode goes first, so warm-cache spillover from one
 /// run into the next cancels across rounds too.
 ///
-/// [`SidecarFilter`]: wcp_net::SidecarFilter
+/// [`SidecarRecorder`]: wcp_net::SidecarRecorder
 fn telemetry_overhead_stats(samples: usize) -> Json {
     // Saturation A/B: alternating paired rounds, medians plus best-of
     // (the max is the better capability estimate under noisy neighbours).

@@ -158,9 +158,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Spins until `ready()` holds or the 50 µs spin budget elapses; returns
-/// `ready()`. The pool's idle workers and the net crate's peer workers
-/// wait this way before they park.
-pub fn spin(ready: impl Fn() -> bool) -> bool {
+/// `ready()`. The pool's idle workers wait this way before they park.
+fn spin(ready: impl Fn() -> bool) -> bool {
     let start = Instant::now();
     loop {
         for _ in 0..64 {

@@ -135,9 +135,11 @@ impl Detector for MultiTokenDetector {
                     };
                     let Visit::Accepted(id) = visit(&mut t.token, at, &mut queue, &mut meter)
                     else {
-                        // Account for the partial round before aborting.
+                        // Account for the partial round before aborting:
+                        // the groups that finished this round walked
+                        // concurrently with this one.
                         let walked = meter.metrics.total_work() - before;
-                        meter.parallel_advance(at, walked);
+                        meter.parallel_advance(at, round.max(walked));
                         meter.exhausted(at);
                         return DetectionReport {
                             detection: Detection::Undetected,
@@ -178,8 +180,11 @@ impl Detector for MultiTokenDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TokenDetector;
+    use crate::{replay_metrics, TokenDetector};
+    use wcp_clocks::ProcessId;
+    use wcp_obs::RingRecorder;
     use wcp_trace::generate::{generate, GeneratorConfig};
+    use wcp_trace::ComputationBuilder;
 
     #[test]
     fn one_group_equals_single_token() {
@@ -260,6 +265,28 @@ mod tests {
     #[should_panic(expected = "at least one group")]
     fn zero_groups_panics() {
         MultiTokenDetector::new(0);
+    }
+
+    #[test]
+    fn an_exhausted_round_keeps_the_longest_finished_walk() {
+        // Group 0 (process 0) accepts a candidate and returns its token;
+        // then group 1 (process 1, never true) finds an empty queue at
+        // once. The round ran both walks concurrently, so its critical
+        // path is group 0's walk, not group 1's empty one.
+        let mut b = ComputationBuilder::new(2);
+        b.mark_true(ProcessId::new(0));
+        let computation = b.build().unwrap();
+        let a = computation.annotate();
+        let wcp = Wcp::over_all(&computation);
+        let ring = Arc::new(RingRecorder::new(1024));
+        let r = MultiTokenDetector::new(2)
+            .with_recorder(ring.clone())
+            .detect(&a, &wcp);
+        assert_eq!(r.detection, Detection::Undetected);
+        let walk0 = r.metrics.per_process_work[0];
+        assert!(walk0 > 0, "group 0 consumed its candidate");
+        assert_eq!(r.metrics.parallel_time, walk0, "{}", r.metrics);
+        assert_eq!(replay_metrics(3, &ring.events()), r.metrics);
     }
 
     #[test]

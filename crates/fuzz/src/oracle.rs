@@ -23,7 +23,10 @@ use wcp_detect::{
     LatticeDetector, MultiTokenDetector, ParallelDetector, StreamingChecker, StreamingStatus,
     TokenDetector,
 };
-use wcp_net::{run_direct_net, run_multi_net, run_vc_token_net, NetConfig};
+use wcp_net::{
+    decode_delta, encode_delta, run_direct_net, run_multi_net, run_vc_token_net, NetConfig,
+    NetStats,
+};
 use wcp_obs::rng::Rng;
 use wcp_obs::{merge_streams, split_by_monitor, RingRecorder, StampedEvent};
 use wcp_session::{
@@ -67,6 +70,8 @@ pub enum DivergenceKind {
     /// The merged telemetry timeline exceeds a paper bound (§3.4:
     /// `O(nm)` messages, `O(n²m)` bits, hop-bounded detection latency).
     Bounds,
+    /// A telemetry delta did not decode to the events it encoded.
+    Codec,
     /// The detector panicked.
     Crash,
 }
@@ -88,6 +93,7 @@ impl std::fmt::Display for Divergence {
             DivergenceKind::Verdict => "verdict",
             DivergenceKind::Metrics => "metrics",
             DivergenceKind::Bounds => "bounds",
+            DivergenceKind::Codec => "codec",
             DivergenceKind::Crash => "crash",
         };
         write!(f, "[{kind}] {}: {}", self.detector, self.detail)
@@ -580,12 +586,30 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
                 } else if ring.dropped() == 0 {
                     // Exactly the collector pipeline: split the recording
                     // into per-monitor streams (what each peer's private
-                    // ring would hold), causally merge them back, and
-                    // audit paper units over the merged timeline.
+                    // ring would hold), ship each through the telemetry
+                    // delta codec, causally merge them back, and audit
+                    // paper units over the merged timeline.
                     let events = ring.events();
-                    let streams = split_by_monitor(&events);
+                    let mut shipped = Vec::new();
+                    for (monitor, stream) in split_by_monitor(&events) {
+                        let body = encode_delta(monitor, &NetStats::default(), &stream);
+                        match decode_delta(&body) {
+                            Ok(delta) if delta.events == stream => {
+                                shipped.push((monitor, delta.events));
+                            }
+                            other => diverge(
+                                "audit:codec",
+                                DivergenceKind::Codec,
+                                format!(
+                                    "monitor {monitor}'s {} events came back as {:?}",
+                                    stream.len(),
+                                    other.map(|d| d.events.len())
+                                ),
+                            ),
+                        }
+                    }
                     let borrowed: Vec<(u32, &[StampedEvent])> =
-                        streams.iter().map(|(m, s)| (*m, s.as_slice())).collect();
+                        shipped.iter().map(|(m, s)| (*m, s.as_slice())).collect();
                     let merged = merge_streams(&borrowed);
                     let limits = if opts.sabotage_bounds {
                         BoundLimits::sabotaged()

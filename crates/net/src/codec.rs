@@ -120,6 +120,9 @@ pub enum CodecError {
     /// the endpoint (which holds the per-link [`ClockChains`]) can
     /// decode it.
     Stateful(u8),
+    /// A decoded value outside the range of the field it names (a
+    /// telemetry delta's version, tag, count or 32-bit id).
+    OutOfRange(&'static str),
 }
 
 impl std::fmt::Display for CodecError {
@@ -138,6 +141,7 @@ impl std::fmt::Display for CodecError {
             CodecError::Stateful(k) => {
                 write!(f, "frame kind {k:#04x} needs the link's delta-chain state")
             }
+            CodecError::OutOfRange(field) => write!(f, "{field} out of range"),
         }
     }
 }

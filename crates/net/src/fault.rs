@@ -371,7 +371,7 @@ mod tests {
         plain.close();
         let (mut mixed, rx_mixed) = faulty(cfg);
         let mut telemetry = Vec::new();
-        crate::codec::encode_telemetry_into(0, b"wcp-telemetry/1 delta", &mut telemetry);
+        crate::codec::encode_telemetry_into(0, b"opaque telemetry body", &mut telemetry);
         for seq in 0..40 {
             mixed.resend(&telemetry).unwrap();
             mixed.send(&encode_frame(&frame(seq))).unwrap();

@@ -19,11 +19,15 @@
 //! - [`peer`] — the per-peer endpoint (sequence numbers, dedup,
 //!   resequencing, send-log replay) and the event loop hosting the
 //!   unmodified detection actors;
-//! - `worker` — the `min(n, cores)` threads an in-process run hosts its
-//!   peers on, each woken by a doorbell its peers' inboxes ring;
+//! - `worker` — the one thread that steps every peer of a run (the
+//!   caller's, for an in-process run), parked on a doorbell that TCP
+//!   reader threads and fault-delay threads ring;
 //! - [`runner`] — end-to-end runs ([`run_vc_token_net`],
 //!   [`run_direct_net`], [`serve_vc_peer`]) reporting the same
 //!   `DetectionReport` as the simulator, plus wire-level [`NetStats`];
+//! - [`telemetry`] — the sidecar telemetry plane: per-peer
+//!   [`SidecarRecorder`]s, bit-packed deltas ([`encode_delta`],
+//!   [`decode_delta`]) and the [`TelemetryCollector`] that merges them;
 //! - [`multi`] — the multi-tenant session service on the same peers
 //!   ([`run_multi_net`], [`serve_multi_peer`], `wcp serve --multi`):
 //!   thousands of predicates registered over one shared snapshot stream,
@@ -68,7 +72,8 @@ pub use saturation::{
 };
 pub use stats::{NetCounters, NetStats};
 pub use telemetry::{
-    decode_delta, encode_delta, SidecarFilter, TelemetryCollector, TelemetryDelta, TELEMETRY_SCHEMA,
+    decode_delta, encode_delta, SidecarRecorder, TelemetryCollector, TelemetryDelta,
+    TELEMETRY_VERSION,
 };
 pub use transport::{
     spawn_listener, Acceptor, InboxSender, LoopbackTransport, TcpTransport, Transport,

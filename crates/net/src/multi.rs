@@ -277,7 +277,7 @@ pub fn run_multi_net_with(
             telemetry: plane.as_ref().map(|p| p.sidecar(i)),
         });
     }
-    drive(hosts, fabric.workers);
+    drive(hosts, fabric.worker);
 
     assert!(
         finished.load(Ordering::Acquire),

@@ -1,7 +1,7 @@
 //! One network peer: an [`Endpoint`] bundling its outbound links with
 //! per-link dedup/resequencing on the inbound side, and the non-blocking
 //! event loop that hosts detection actors on top of it, stepped by the
-//! peer workers (`worker.rs`).
+//! peer worker (`worker.rs`).
 //!
 //! ## Why the verdict is timing-independent
 //!
@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use wcp_detect::online::vc_monitor::VcMonitor;
 use wcp_detect::online::{DetectMsg, OnlineDetection, SharedOutcome};
-use wcp_obs::{LogicalTime, Recorder, RingRecorder, TraceEvent};
+use wcp_obs::{LogicalTime, Recorder, TraceEvent};
 use wcp_sim::{Actor, ActorId, Context, SimMetrics, WireSize};
 
 use wcp_clocks::VectorClock;
@@ -70,7 +70,7 @@ use crate::codec::{
 };
 use crate::pool::PooledBuf;
 use crate::stats::{NetCounters, NetStats};
-use crate::telemetry::{encode_delta, TelemetryCollector};
+use crate::telemetry::{SidecarRecorder, TelemetryCollector};
 use crate::transport::Transport;
 use crate::wire2::ClockChains;
 
@@ -694,7 +694,7 @@ impl Endpoint {
     }
 
     /// Gracefully closes every outbound link, flushing pending batches
-    /// (and fault workers) first.
+    /// (and fault-delay threads) first.
     pub fn close(&mut self) {
         self.flush_all();
         for link in self.links.iter_mut().flatten() {
@@ -776,14 +776,14 @@ impl HostedActor {
 /// while traffic is flowing (idle peers flush on every poll timeout).
 const TELEMETRY_FLUSH_EVENTS: usize = 256;
 
-/// One peer's half of the sidecar telemetry plane: a private ring
-/// recorder whose deltas are periodically framed as `TELEMETRY` frames
-/// and shipped to the collector peer (or ingested locally when this peer
+/// One peer's half of the sidecar telemetry plane: a private recorder
+/// whose deltas are periodically framed as `TELEMETRY` frames and
+/// shipped to the collector peer (or ingested locally when this peer
 /// *is* the collector).
 pub(crate) struct TelemetrySidecar {
-    /// This peer's private event ring (drained, not snapshotted, so each
-    /// delta carries only what happened since the previous flush).
-    ring: Arc<RingRecorder>,
+    /// This peer's private recorder (each delta taken from it carries
+    /// only what happened since the previous flush).
+    recorder: Arc<SidecarRecorder>,
     /// Peer index the deltas route to.
     collector_peer: u32,
     /// Stats shipped in the last delta, to suppress idle heartbeats.
@@ -791,10 +791,10 @@ pub(crate) struct TelemetrySidecar {
 }
 
 impl TelemetrySidecar {
-    /// A sidecar draining `ring` towards `collector_peer`.
-    pub(crate) fn new(ring: Arc<RingRecorder>, collector_peer: u32) -> Self {
+    /// A sidecar shipping `recorder`'s deltas towards `collector_peer`.
+    pub(crate) fn new(recorder: Arc<SidecarRecorder>, collector_peer: u32) -> Self {
         TelemetrySidecar {
-            ring,
+            recorder,
             collector_peer,
             last_stats: None,
         }
@@ -825,30 +825,29 @@ pub(crate) struct PeerHost {
 }
 
 impl PeerHost {
-    /// Drains the sidecar ring and ships the delta towards the collector
-    /// peer. `force` flushes even a small ring (poll timeouts, the final
+    /// Takes the sidecar's delta and ships it towards the collector peer.
+    /// `force` flushes even a small delta (poll timeouts, the final
     /// flush); the steady-state path waits for
     /// [`TELEMETRY_FLUSH_EVENTS`] so a busy peer amortizes framing cost.
     fn flush_telemetry(&mut self, force: bool) {
         let Some(tel) = &mut self.telemetry else {
             return;
         };
-        if !force && tel.ring.len() < TELEMETRY_FLUSH_EVENTS {
+        if !force && tel.recorder.len() < TELEMETRY_FLUSH_EVENTS {
             return;
         }
-        let events = tel.ring.drain();
         let stats = self.endpoint.stats();
-        if events.is_empty() && tel.last_stats == Some(stats) {
+        if tel.recorder.is_empty() && tel.last_stats == Some(stats) {
             return; // nothing new: suppress the idle heartbeat
         }
         tel.last_stats = Some(stats);
+        let body = tel.recorder.take_delta(self.index, &stats);
         if tel.collector_peer == self.index {
             // This peer is the collector: ingest without touching the wire.
             if let Some(collector) = self.endpoint.collector() {
-                collector.ingest_delta(self.index, stats, events);
+                collector.ingest(&body);
             }
         } else {
-            let body = encode_delta(self.index, &stats, &events);
             self.endpoint.send_telemetry(tel.collector_peer, &body);
         }
     }
@@ -865,6 +864,9 @@ impl PeerHost {
 /// non-blocking [`step`](Running::step) at a time.
 pub(crate) struct Running {
     host: PeerHost,
+    /// The sidecar recorder, held apart from `host` so each step can run
+    /// inside [`SidecarRecorder::step`] while the step borrows the host.
+    sidecar: Option<Arc<SidecarRecorder>>,
     /// Position in `host.actors` of every actor id (`usize::MAX` when the
     /// actor lives on another peer).
     slot_of: Vec<usize>,
@@ -886,19 +888,46 @@ impl Running {
         }
         let mut running = Running {
             deadline: Instant::now() + host.deadline,
+            sidecar: host.telemetry.as_ref().map(|t| Arc::clone(&t.recorder)),
             host,
             slot_of,
             local: VecDeque::new(),
             stop: false,
             done: false,
         };
-        for slot in 0..running.host.actors.len() {
-            running.dispatch(slot, |actor, ctx| actor.as_actor_mut().on_start(ctx));
-        }
-        if running.stop {
-            running.finish();
-        }
+        running.staged(|running| {
+            for slot in 0..running.host.actors.len() {
+                running.dispatch(slot, |actor, ctx| actor.as_actor_mut().on_start(ctx));
+            }
+            if running.stop {
+                running.finish();
+            }
+        });
+        running.after_step();
         running
+    }
+
+    /// Runs `f` as one step of the sidecar recorder, so what the step
+    /// records for telemetry is staged without a lock or a clock reading
+    /// per event and stamped once when it ends.
+    fn staged<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        match self.sidecar.take() {
+            Some(sidecar) => {
+                let out = sidecar.step(|| f(self));
+                self.sidecar = Some(sidecar);
+                out
+            }
+            None => f(self),
+        }
+    }
+
+    /// Ships the final telemetry delta once the step that finished the
+    /// peer has committed its events, so the collected timeline ends with
+    /// them (verdict events included).
+    fn after_step(&mut self) {
+        if self.done {
+            self.host.flush_telemetry(true);
+        }
     }
 
     /// Whether the peer has left its event loop.
@@ -953,6 +982,13 @@ impl Running {
         if self.done {
             return false;
         }
+        let progressed = self.staged(Self::advance);
+        self.after_step();
+        progressed
+    }
+
+    /// The body of [`step`](Self::step).
+    fn advance(&mut self) -> bool {
         let mut shutdown = false;
         // Local deliveries first: this is the FIFO application→monitor
         // channel.
@@ -1052,9 +1088,8 @@ impl Running {
     }
 
     /// Leaves the loop: a deciding peer broadcasts the verdict and an
-    /// orderly shutdown to every other peer, then every residue batch and
-    /// the final telemetry delta go out, so the collected timeline is
-    /// complete (verdict events included) once every peer has finished.
+    /// orderly shutdown to every other peer, then every residue batch
+    /// goes out (the final telemetry delta follows the step).
     fn finish(&mut self) {
         let host = &mut self.host;
         if self.stop {
@@ -1078,7 +1113,6 @@ impl Running {
             }
         }
         host.endpoint.flush_all();
-        host.flush_telemetry(true);
         self.done = true;
     }
 }

@@ -12,8 +12,7 @@
 //! including under tolerated fault schedules.
 
 use std::net::{SocketAddr, TcpListener};
-use std::panic;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -22,7 +21,7 @@ use wcp_detect::online::dd_monitor::DdMonitor;
 use wcp_detect::online::vc_monitor::VcMonitor;
 use wcp_detect::online::{AppProcess, ClockMode, OnlineDetection, OnlineStats, SharedOutcome};
 use wcp_detect::{Detection, DetectionMetrics, DetectionReport};
-use wcp_obs::{NullRecorder, Recorder, RingRecorder, TeeRecorder};
+use wcp_obs::{NullRecorder, Recorder, TeeRecorder};
 use wcp_sim::{ActorId, FaultConfig, SimMetrics};
 use wcp_trace::{Computation, Wcp};
 
@@ -30,7 +29,7 @@ use crate::fault::FaultyTransport;
 use crate::peer::{Endpoint, HostedActor, PeerHost, TelemetrySidecar};
 use crate::pool::{FramePool, PooledBuf};
 use crate::stats::{NetCounters, NetStats};
-use crate::telemetry::{SidecarFilter, TelemetryCollector};
+use crate::telemetry::{SidecarRecorder, TelemetryCollector};
 use crate::transport::{
     spawn_listener, Acceptor, InboxSender, LoopbackTransport, TcpTransport, Transport,
 };
@@ -154,16 +153,12 @@ const DIAL_RETRIES: u32 = 20;
 /// Retry budget for reconnect-and-replay recovery after a link error.
 pub(crate) const RECOVERY_RETRIES: u32 = 10;
 
-/// Telemetry ring capacity per peer. Rings are drained on every flush, so
-/// this only bounds bursts between event-loop iterations.
-const TELEMETRY_RING: usize = 1 << 14;
-
-/// Per-run telemetry wiring: the shared collector plus one private ring
-/// recorder per peer. Peer 0 doubles as the collector peer — other peers
-/// frame their deltas to it, peer 0 ingests its own ring locally.
+/// Per-run telemetry wiring: the shared collector plus one private
+/// sidecar recorder per peer. Peer 0 doubles as the collector peer —
+/// other peers frame their deltas to it, peer 0 ingests its own locally.
 pub(crate) struct TelemetryPlane {
     pub(crate) collector: Arc<TelemetryCollector>,
-    rings: Vec<Arc<RingRecorder>>,
+    sidecars: Vec<Arc<SidecarRecorder>>,
 }
 
 impl TelemetryPlane {
@@ -172,25 +167,27 @@ impl TelemetryPlane {
     pub(crate) fn build(n_peers: usize, collector: Option<Arc<TelemetryCollector>>) -> Self {
         TelemetryPlane {
             collector: collector.unwrap_or_else(TelemetryCollector::shared),
-            rings: (0..n_peers)
-                .map(|_| Arc::new(RingRecorder::new(TELEMETRY_RING).with_wall_clock()))
-                .collect(),
+            sidecars: (0..n_peers).map(|_| Arc::default()).collect(),
         }
     }
 
-    /// The recorder peer `i`'s actors, endpoint and fault workers see:
-    /// the caller's recorder teed into the peer's private telemetry ring.
-    /// The sidecar leg sits behind [`SidecarFilter`] — per-frame wire
-    /// events reach user recorders but are never shipped (the delta's
-    /// `NetStats` snapshot already aggregates them).
+    /// The recorder peer `i`'s actors, endpoint and fault injection see:
+    /// the caller's recorder, when it keeps events, teed into the peer's
+    /// [`SidecarRecorder`] — per-frame wire events reach user recorders
+    /// but are never shipped (the delta's `NetStats` snapshot already
+    /// aggregates them).
     pub(crate) fn recorder(&self, user: &Arc<dyn Recorder>, i: usize) -> Arc<dyn Recorder> {
-        let sidecar = Arc::new(SidecarFilter::new(self.rings[i].clone()));
-        Arc::new(TeeRecorder::new(user.clone(), sidecar))
+        let sidecar: Arc<dyn Recorder> = self.sidecars[i].clone();
+        if user.is_enabled() {
+            Arc::new(TeeRecorder::new(user.clone(), sidecar))
+        } else {
+            sidecar
+        }
     }
 
     /// The sidecar state handed to peer `i`'s host.
     pub(crate) fn sidecar(&self, i: usize) -> TelemetrySidecar {
-        TelemetrySidecar::new(self.rings[i].clone(), 0)
+        TelemetrySidecar::new(self.sidecars[i].clone(), 0)
     }
 }
 
@@ -214,33 +211,17 @@ pub(crate) struct Fabric {
     /// `links[i][j]` is the transport for the directed link `i → j`.
     pub(crate) links: Vec<Vec<Option<Box<dyn Transport>>>>,
     pub(crate) inboxes: Vec<Receiver<PooledBuf>>,
-    /// Where the run's peers are hosted; every inbox rings its worker.
-    pub(crate) workers: Workers,
+    /// The worker hosting the run's peers; every inbox rings its doorbell.
+    pub(crate) worker: Worker,
 }
 
-/// The worker layout of an in-process run: one doorbell per worker, peer
-/// `i` on worker `i mod W`, plus the TCP accept loops to stop at the end.
-pub(crate) struct Workers {
-    bells: Vec<Arc<Doorbell>>,
+/// The worker of an in-process run: its doorbell, plus the TCP accept
+/// loops to stop at the end.
+#[derive(Default)]
+pub(crate) struct Worker {
+    bell: Arc<Doorbell>,
     transport: TransportKind,
     acceptors: Vec<Acceptor>,
-}
-
-impl Workers {
-    fn new(n_peers: usize, transport: TransportKind) -> Self {
-        Workers {
-            bells: (0..worker::worker_count(n_peers))
-                .map(|_| Arc::default())
-                .collect(),
-            transport,
-            acceptors: Vec::new(),
-        }
-    }
-
-    /// The sending side of peer `i`'s inbox.
-    fn inbox(&self, i: usize, tx: Sender<PooledBuf>) -> InboxSender {
-        InboxSender::new(tx, Arc::clone(&self.bells[i % self.bells.len()]))
-    }
 }
 
 pub(crate) fn wrap_faults(
@@ -273,12 +254,14 @@ pub(crate) fn build_fabric(
     // One buffer pool per fabric: every chunk crossing a thread boundary
     // (loopback delivery, TCP reads) recycles through it.
     let pool = FramePool::shared(counters.clone());
-    let mut workers = Workers::new(n_peers, config.transport);
+    let mut worker = Worker {
+        transport: config.transport,
+        ..Worker::default()
+    };
     let (txs, inboxes): (Vec<_>, Vec<_>) = (0..n_peers).map(|_| channel()).unzip();
     let inbox_txs: Vec<InboxSender> = txs
         .into_iter()
-        .enumerate()
-        .map(|(j, tx)| workers.inbox(j, tx))
+        .map(|tx| InboxSender::new(tx, Arc::clone(&worker.bell)))
         .collect();
     let dial: Box<dyn Fn(usize) -> Box<dyn Transport>> = match config.transport {
         TransportKind::Loopback => {
@@ -295,7 +278,7 @@ pub(crate) fn build_fabric(
                 .iter()
                 .map(|l| l.local_addr().expect("listener addr"))
                 .collect();
-            workers.acceptors = listeners
+            worker.acceptors = listeners
                 .into_iter()
                 .zip(inbox_txs)
                 .map(|(listener, inbox)| spawn_listener(listener, inbox, pool.clone()))
@@ -322,42 +305,23 @@ pub(crate) fn build_fabric(
     Fabric {
         links,
         inboxes,
-        workers,
+        worker,
     }
 }
 
-/// Hosts the peers on their workers (peer `i` on worker `i mod W`, the
-/// calling thread as worker 0) and returns once every peer has finished.
-/// Endpoints stay open until all workers are joined, so no peer ever
-/// sends into a torn-down link; then the collector peer drains the final
-/// telemetry deltas (loopback delivery is synchronous, so that needs no
-/// grace; sockets get 2 ms for the reader-thread race) and the links and
-/// TCP acceptors close.
-pub(crate) fn drive(hosts: Vec<PeerHost>, workers: Workers) {
-    let Workers {
-        bells,
+/// Hosts the peers on the calling thread and returns once every peer has
+/// finished. Endpoints stay open until then, so no peer ever sends into a
+/// torn-down link; then the collector peer drains the final telemetry
+/// deltas (loopback delivery is synchronous, so that needs no grace;
+/// sockets get 2 ms for the reader-thread race) and the links and TCP
+/// acceptors close.
+pub(crate) fn drive(hosts: Vec<PeerHost>, worker: Worker) {
+    let Worker {
+        bell,
         transport,
         acceptors,
-    } = workers;
-    // Spinning pays only when another worker will ring: over TCP a reader
-    // thread must run first, and it needs the CPU the spin would take.
-    let spin = transport == TransportKind::Loopback && bells.len() > 1;
-    let mut groups: Vec<Vec<PeerHost>> = bells.iter().map(|_| Vec::new()).collect();
-    for host in hosts {
-        groups[host.index as usize % bells.len()].push(host);
-    }
-    let mut hosts = std::thread::scope(|s| {
-        let mut groups = groups.into_iter().zip(&bells);
-        let (mine, my_bell) = groups.next().expect("a run has at least one worker");
-        let others: Vec<_> = groups
-            .map(|(group, bell)| s.spawn(move || worker::run(group, bell, spin)))
-            .collect();
-        let mut hosts = worker::run(mine, my_bell, spin);
-        for other in others {
-            hosts.extend(other.join().unwrap_or_else(|e| panic::resume_unwind(e)));
-        }
-        hosts
-    });
+    } = worker;
+    let mut hosts = worker::run(hosts, &bell);
     let grace = match transport {
         TransportKind::Loopback => Duration::ZERO,
         TransportKind::Tcp => Duration::from_millis(2),
@@ -379,12 +343,11 @@ pub(crate) fn drive(hosts: Vec<PeerHost>, workers: Workers) {
 const SERVE_LINGER: Duration = Duration::from_millis(300);
 
 /// Runs one standalone `wcp serve` peer on the calling thread: the same
-/// event loop as an in-process worker, over TCP (so it parks rather than
-/// spins). Afterwards it lingers — draining the inbox when telemetry is
+/// event loop as an in-process run, over TCP. Afterwards it lingers — draining the inbox when telemetry is
 /// on, since the other peers' final deltas arrive exactly then — and
 /// closes its links and accept loop.
 pub(crate) fn serve_alone(host: PeerHost, bell: &Doorbell, acceptor: Acceptor) {
-    let mut host = worker::run(vec![host], bell, false)
+    let mut host = worker::run(vec![host], bell)
         .pop()
         .expect("the worker returns its peer");
     let until = Instant::now() + SERVE_LINGER;
@@ -587,7 +550,7 @@ fn run_vc_token_net_inner(
             telemetry: plane.as_ref().map(|p| p.sidecar(i)),
         });
     }
-    drive(hosts, fabric.workers);
+    drive(hosts, fabric.worker);
 
     let detection = take_detection_vc(&result, wcp, n_total);
     let metrics = paper_metrics(
@@ -719,7 +682,7 @@ pub fn run_direct_net_recorded(
             telemetry: plane.as_ref().map(|p| p.sidecar(i)),
         });
     }
-    drive(hosts, fabric.workers);
+    drive(hosts, fabric.worker);
 
     let detection = match result.lock().unwrap().take() {
         Some(OnlineDetection::Detected(g)) => Detection::Detected {
@@ -936,7 +899,6 @@ fn serve_vc_peer_inner(
 mod tests {
     use super::*;
     use crate::multi::run_multi_net;
-    use crate::worker::PINNED_WORKERS;
     use wcp_detect::online::{run_direct, run_vc_token};
     use wcp_session::{run_multi_offline, run_multi_sim};
     use wcp_sim::SimConfig;
@@ -990,7 +952,7 @@ mod tests {
     }
 
     #[test]
-    fn every_worker_layout_matches_the_simulator() {
+    fn every_schedule_and_transport_matches_the_simulator() {
         let computation = staircase(4, 6);
         let wcp = Wcp::over_all(&computation);
         let predicates: Vec<Wcp> = (1..=4).map(Wcp::over_first).collect();
@@ -1009,51 +971,74 @@ mod tests {
                 Some(FaultConfig::seeded(9).with_drop(0.15).with_reset(0.05)),
             ),
         ];
-        // One worker (a single-core host), two, and one per peer (the
-        // thread-per-peer layout), whatever this host's core count.
-        for workers in [1, 2, usize::MAX] {
-            PINNED_WORKERS.set(Some(workers));
-            for (schedule, faults) in schedules {
-                let config = |base: NetConfig| {
-                    let base = base.with_deadline(Duration::from_secs(30));
-                    faults.map_or(base, |f| base.with_faults(f))
-                };
-                let label = format!("{workers} workers, {schedule}");
-                for base in [NetConfig::loopback(), NetConfig::tcp()] {
-                    let net = run_vc_token_net(&computation, &wcp, config(base));
-                    let label = format!("{label}, vc token over {:?}", base.transport);
-                    assert_eq!(net.report.detection, vc_sim.detection, "{label}");
-                    assert_eq!(
-                        schedule_free(&net.report.metrics),
-                        schedule_free(&vc_sim.metrics),
-                        "{label}"
-                    );
-                    if workers == 1 && schedule == "drop+reset" {
-                        // A reconnect backoff sleeps on the one thread that
-                        // also hosts the receiving peer, and the run still
-                        // finishes.
-                        assert!(net.net.reconnects > 0, "{label}: no reset drawn");
-                    }
-                }
-                // The §4.5 parallel red chain: how often the token moves
-                // depends on the schedule even in the simulator, but the
-                // verdict, the work and the snapshot traffic do not.
-                let dd = run_direct_net(&computation, &wcp, true, config(NetConfig::loopback()));
-                let (got, want) = (&dd.report.metrics, &dd_sim.metrics);
-                assert_eq!(dd.report.detection, dd_sim.detection, "{label}, direct");
-                assert_eq!(got.per_process_work, want.per_process_work, "{label}");
+        for (schedule, faults) in schedules {
+            let config = |base: NetConfig| {
+                let base = base.with_deadline(Duration::from_secs(30));
+                faults.map_or(base, |f| base.with_faults(f))
+            };
+            for base in [NetConfig::loopback(), NetConfig::tcp()] {
+                let net = run_vc_token_net(&computation, &wcp, config(base));
+                let label = format!("{schedule}, vc token over {:?}", base.transport);
+                assert_eq!(net.report.detection, vc_sim.detection, "{label}");
                 assert_eq!(
-                    (got.snapshot_messages, got.snapshot_bytes),
-                    (want.snapshot_messages, want.snapshot_bytes),
-                    "{label}, direct"
+                    schedule_free(&net.report.metrics),
+                    schedule_free(&vc_sim.metrics),
+                    "{label}"
                 );
-                let multi = run_multi_net(&computation, &predicates, config(NetConfig::loopback()));
-                for reference in [&multi_sim, &multi_offline] {
-                    assert_eq!(multi.report.outcomes, reference.outcomes, "{label}, multi");
-                    assert_eq!(multi.report.stats, reference.stats, "{label}, multi");
+                if schedule == "drop+reset" {
+                    // A reconnect backoff sleeps on the one thread that
+                    // also hosts the receiving peer, and the run still
+                    // finishes.
+                    assert!(net.net.reconnects > 0, "{label}: no reset drawn");
                 }
             }
+            // The §4.5 parallel red chain: how often the token moves
+            // depends on the schedule even in the simulator, but the
+            // verdict, the work and the snapshot traffic do not.
+            let dd = run_direct_net(&computation, &wcp, true, config(NetConfig::loopback()));
+            let (got, want) = (&dd.report.metrics, &dd_sim.metrics);
+            assert_eq!(dd.report.detection, dd_sim.detection, "{schedule}, direct");
+            assert_eq!(got.per_process_work, want.per_process_work, "{schedule}");
+            assert_eq!(
+                (got.snapshot_messages, got.snapshot_bytes),
+                (want.snapshot_messages, want.snapshot_bytes),
+                "{schedule}, direct"
+            );
+            let multi = run_multi_net(&computation, &predicates, config(NetConfig::loopback()));
+            for reference in [&multi_sim, &multi_offline] {
+                assert_eq!(
+                    multi.report.outcomes, reference.outcomes,
+                    "{schedule}, multi"
+                );
+                assert_eq!(multi.report.stats, reference.stats, "{schedule}, multi");
+            }
         }
-        PINNED_WORKERS.set(None);
+    }
+
+    #[test]
+    fn clean_loopback_runs_repeat_exactly() {
+        // One thread steps every peer and delivers every loopback frame,
+        // so a clean run has no cross-thread hand-off: running it again
+        // repeats every wire counter, not only the verdict.
+        for seed in 0..6 {
+            let g = generate(
+                &GeneratorConfig::new(5, 30)
+                    .with_seed(seed)
+                    .with_predicate_density(0.3)
+                    .with_plant(0.8),
+            );
+            let c = &g.computation;
+            let wcp = Wcp::over_all(c);
+            let predicates: Vec<Wcp> = (1..=3).map(Wcp::over_first).collect();
+            let [a, b] = [0, 1].map(|_| run_vc_token_net(c, &wcp, NetConfig::loopback()));
+            assert_eq!(a.net, b.net, "seed {seed}, vc token");
+            assert_eq!(a.report, b.report, "seed {seed}, vc token");
+            let [a, b] = [0, 1].map(|_| run_direct_net(c, &wcp, true, NetConfig::loopback()));
+            assert_eq!(a.net, b.net, "seed {seed}, direct");
+            assert_eq!(a.report, b.report, "seed {seed}, direct");
+            let [a, b] = [0, 1].map(|_| run_multi_net(c, &predicates, NetConfig::loopback()));
+            assert_eq!(a.net, b.net, "seed {seed}, multi");
+            assert_eq!(a.report.outcomes, b.report.outcomes, "seed {seed}, multi");
+        }
     }
 }

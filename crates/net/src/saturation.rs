@@ -19,14 +19,14 @@ use std::time::{Duration, Instant};
 use wcp_clocks::VectorClock;
 use wcp_detect::online::DetectMsg;
 use wcp_detect::{SnapshotBuffer, VcSnapshot};
-use wcp_obs::{NullRecorder, Recorder, RingRecorder};
+use wcp_obs::{NullRecorder, Recorder};
 use wcp_sim::ActorId;
 
 use crate::codec::{kind, Payload};
 use crate::peer::Endpoint;
 use crate::pool::FramePool;
 use crate::stats::{NetCounters, NetStats};
-use crate::telemetry::{encode_delta, SidecarFilter, TelemetryCollector};
+use crate::telemetry::{SidecarRecorder, TelemetryCollector};
 use crate::transport::{spawn_listener, LoopbackTransport, TcpTransport, Transport};
 
 /// Outcome of one saturation run.
@@ -87,12 +87,12 @@ impl SaturationReport {
 const ACK_POLL_EVERY: u64 = 4096;
 
 /// Sidecar wiring of an observed saturation run: each endpoint records
-/// into its private ring (behind the [`SidecarFilter`] per-frame gate),
-/// and the sender ships ring deltas towards the receiver — the
-/// collector peer — on the same cadence it polls acks.
+/// into its private [`SidecarRecorder`], and the sender ships deltas
+/// towards the receiver — the collector peer — on the same cadence it
+/// polls acks.
 struct SaturationTelemetry {
-    sender_ring: Arc<RingRecorder>,
-    receiver_ring: Arc<RingRecorder>,
+    sender: Arc<SidecarRecorder>,
+    receiver: Arc<SidecarRecorder>,
     collector: Arc<TelemetryCollector>,
 }
 
@@ -109,16 +109,13 @@ fn drive(
     let from = ActorId::new(0);
     let to = ActorId::new(1);
     let clock: Vec<u64> = (0..scope_n as u64).collect();
-    let sender_ring = telemetry.as_ref().map(|t| t.sender_ring.clone());
+    let sender_sidecar = telemetry.as_ref().map(|t| t.sender.clone());
     let start = Instant::now();
     let pump = std::thread::spawn(move || {
         let flush_sidecar = |sender: &mut Endpoint| {
-            if let Some(ring) = &sender_ring {
-                let events = ring.drain();
-                if !events.is_empty() {
-                    let body = encode_delta(0, &sender.stats(), &events);
-                    sender.send_telemetry(1, &body);
-                }
+            if let Some(sidecar) = sender_sidecar.as_ref().filter(|s| !s.is_empty()) {
+                let body = sidecar.take_delta(0, &sender.stats());
+                sender.send_telemetry(1, &body);
             }
         };
         for i in 0..frames {
@@ -164,10 +161,10 @@ fn drive(
     if let Some(tel) = &telemetry {
         // Loopback delivery is synchronous, so the sender's final delta is
         // already queued: one sweep ingests it, then the receiver's own
-        // ring joins the collector through the local (wire-free) path.
+        // delta joins the collector through the local (wire-free) path.
         while receiver.recv(Duration::ZERO).is_some() {}
         tel.collector
-            .ingest_delta(1, receiver.stats(), tel.receiver_ring.drain());
+            .ingest(&tel.receiver.take_delta(1, &receiver.stats()));
     }
     sender.close();
     receiver.close();
@@ -231,32 +228,24 @@ pub fn saturate_loopback(frames: u64, scope_n: usize, batch: bool) -> Saturation
 }
 
 /// Saturates one batched loopback link with the sidecar telemetry plane
-/// live: both endpoints record through the [`SidecarFilter`] gate into
-/// private rings, the sender ships deltas towards the receiver (the
-/// collector peer) on its ack-poll cadence, and the receiver ingests
-/// them off the accept path. The A/B against [`saturate_loopback`] is
+/// live: both endpoints record into private [`SidecarRecorder`]s, the
+/// sender ships deltas towards the receiver (the collector peer) on its
+/// ack-poll cadence, and the receiver ingests them off the accept path. The A/B against [`saturate_loopback`] is
 /// the measured marginal cost of telemetry at wire saturation —
 /// `scripts/bench.sh telemetry` records the ratio in `BENCH_wcp.json`.
 pub fn saturate_loopback_observed(
     frames: u64,
     scope_n: usize,
 ) -> (SaturationReport, Arc<TelemetryCollector>) {
-    let sender_ring = Arc::new(RingRecorder::new(1 << 12).with_wall_clock());
-    let receiver_ring = Arc::new(RingRecorder::new(1 << 12).with_wall_clock());
-    let collector = TelemetryCollector::shared();
-    let (sender, mut receiver, counters) = loopback_pair(
-        true,
-        [
-            Arc::new(SidecarFilter::new(sender_ring.clone())),
-            Arc::new(SidecarFilter::new(receiver_ring.clone())),
-        ],
-    );
-    receiver.set_collector(collector.clone());
     let telemetry = SaturationTelemetry {
-        sender_ring,
-        receiver_ring,
-        collector: collector.clone(),
+        sender: Arc::default(),
+        receiver: Arc::default(),
+        collector: TelemetryCollector::shared(),
     };
+    let collector = telemetry.collector.clone();
+    let (sender, mut receiver, counters) =
+        loopback_pair(true, [telemetry.sender.clone(), telemetry.receiver.clone()]);
+    receiver.set_collector(collector.clone());
     let report = drive(
         sender,
         receiver,

@@ -1,5 +1,5 @@
-//! Transport-level counters, shared across peer threads and fault
-//! workers, and their plain snapshot form.
+//! Transport-level counters, shared by a run's worker, its TCP reader
+//! threads and its fault-delay threads, and their plain snapshot form.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

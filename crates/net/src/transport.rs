@@ -7,7 +7,8 @@
 //! single inbox channel as [`PooledBuf`] chunks of one or more complete
 //! frames (fed directly by the loopback, or by a framed reader thread per
 //! accepted TCP connection). Every chunk rings the doorbell of the worker
-//! hosting the destination peer ([`InboxSender`]). Senders hand
+//! hosting the destination peer ([`InboxSender`]), which wakes it when
+//! the chunk came from another thread. Senders hand
 //! either single frames or coalesced batches ([`Transport::send_batch`]);
 //! the TCP transport turns a batch into one `write_all`, and the reader
 //! side keeps a persistent per-connection buffer that survives partial

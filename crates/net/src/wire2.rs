@@ -78,11 +78,27 @@ impl<'a> BitWriter<'a> {
         }
     }
 
-    /// Appends the low `bits` bits of `value`, most significant first.
+    /// Appends the low `bits` bits of `value`, most significant first,
+    /// filling the current byte a whole run of bits at a time.
     pub fn write_bits(&mut self, value: u64, bits: u32) {
         debug_assert!(bits <= 64);
-        for i in (0..bits).rev() {
-            self.write_bit(value & (1 << i) != 0);
+        if self.filled == 0 && bits == 8 {
+            self.out.push(value as u8);
+            return;
+        }
+        let mut left = bits;
+        while left > 0 {
+            let take = left.min(8 - self.filled);
+            left -= take;
+            let run = (value >> left) as u32 & ((1 << take) - 1);
+            // `filled + take ≤ 8`, so the shift drops no set bit.
+            self.cur = ((u32::from(self.cur) << take) | run) as u8;
+            self.filled += take;
+            if self.filled == 8 {
+                self.out.push(self.cur);
+                self.cur = 0;
+                self.filled = 0;
+            }
         }
     }
 
@@ -92,8 +108,7 @@ impl<'a> BitWriter<'a> {
         loop {
             let group = v & 0x7F;
             v >>= 7;
-            self.write_bit(v != 0);
-            self.write_bits(group, 7);
+            self.write_bits(u64::from(v != 0) << 7 | group, 8);
             if v == 0 {
                 break;
             }
@@ -133,12 +148,26 @@ impl<'a> BitReader<'a> {
         Ok(bit)
     }
 
-    /// Reads `bits` bits, most significant first.
+    /// Reads `bits` bits, most significant first, a whole run of the
+    /// current byte at a time.
     pub fn read_bits(&mut self, bits: u32) -> Result<u64, CodecError> {
         debug_assert!(bits <= 64);
+        if bits as usize > self.bits_remaining() {
+            return Err(CodecError::Truncated);
+        }
+        if bits == 8 && self.at_bit.is_multiple_of(8) {
+            self.at_bit += 8;
+            return Ok(u64::from(self.buf[self.at_bit / 8 - 1]));
+        }
         let mut v = 0u64;
-        for _ in 0..bits {
-            v = (v << 1) | u64::from(self.read_bit()?);
+        let mut left = bits;
+        while left > 0 {
+            let avail = 8 - (self.at_bit % 8) as u32;
+            let take = left.min(avail);
+            let byte = u32::from(self.buf[self.at_bit / 8]);
+            v = (v << take) | u64::from((byte >> (avail - take)) & ((1 << take) - 1));
+            self.at_bit += take as usize;
+            left -= take;
         }
         Ok(v)
     }
@@ -148,8 +177,8 @@ impl<'a> BitReader<'a> {
         let mut acc = 0u64;
         let mut shift = 0u32;
         loop {
-            let more = self.read_bit()?;
-            let group = self.read_bits(7)?;
+            let byte = self.read_bits(8)?;
+            let (more, group) = (byte & 0x80 != 0, byte & 0x7F);
             if shift >= 64 || (shift == 63 && group > 1) {
                 return Err(CodecError::BadLength(self.buf.len()));
             }

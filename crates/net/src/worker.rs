@@ -1,27 +1,23 @@
-//! Peer workers: the threads an in-process net run hosts its peers on.
+//! The peer worker: the one thread that steps every peer of a run.
 //!
-//! A run over `n` peers starts `W = min(n, cores)` workers. Peer `i` lives
-//! on worker `i mod W`; the calling thread is worker 0. Each worker steps its peers' event loops round-robin, one
-//! local delivery or one inbound frame per step, and never blocks inside a
-//! step: channels are unbounded and TCP writes drain into independent
-//! reader threads, so a step cannot wait on a co-hosted peer.
+//! An in-process run hosts all of its peers on the calling thread, and a
+//! standalone `wcp serve` peer hosts its one peer on its own thread. The
+//! worker steps its peers' event loops round-robin, one local delivery or
+//! one inbound frame per step, and never blocks inside a step: channels
+//! are unbounded and TCP writes drain into independent reader threads,
+//! so a step cannot wait on a co-hosted peer. On loopback every frame is
+//! delivered by the worker itself, so a clean loopback run has no
+//! cross-thread hand-off at all.
 //!
-//! When a whole round makes no progress the worker waits on its
-//! [`Doorbell`], which every transport delivering into one of its peers'
-//! inboxes rings after each chunk. On loopback the ringer is another
-//! worker, so the idle worker spins for the `wcp_clocks::par` budget
-//! (50 µs) before it parks: a token hand-off then costs a cache-line
-//! transfer, not a thread wake-up. Over TCP a reader thread must run
-//! before any ring, so the worker parks at once and leaves the CPU to it.
-//! A wait that sees no ring for [`POLL`] runs the idle duties: the forced
-//! telemetry flush and the stall watchdog.
-//!
-//! A standalone `wcp serve` peer runs the same loop with one peer on its
-//! own thread.
+//! When a whole round makes no progress the worker parks on its
+//! [`Doorbell`], which whatever delivers into one of its peers' inboxes
+//! from another thread rings after each chunk: a TCP reader thread, or a
+//! fault-injection delay thread releasing a held frame. A wait that sees
+//! no ring for [`POLL`] runs the idle duties: the forced telemetry flush
+//! and the stall watchdog.
 
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::peer::{PeerHost, Running};
@@ -36,9 +32,9 @@ const PARKED: u8 = 2;
 
 /// Wakes the worker hosting a peer when a chunk lands in that peer's inbox.
 ///
-/// Ringing a worker that is running or spinning is one atomic swap; only a
-/// parked worker costs a lock and a futex wake. A ring is never lost: one
-/// that lands while the worker is busy makes its next wait return at once.
+/// Ringing a worker that is running is one atomic swap; only a parked
+/// worker costs a lock and a futex wake. A ring is never lost: one that
+/// lands while the worker is busy makes its next wait return at once.
 #[derive(Debug, Default)]
 pub(crate) struct Doorbell {
     state: AtomicU8,
@@ -59,12 +55,9 @@ impl Doorbell {
         }
     }
 
-    /// Waits up to `timeout` for a ring, spinning first when `spin` is
-    /// set; consumes the ring and returns whether one came.
-    pub(crate) fn wait(&self, spin: bool, timeout: Duration) -> bool {
-        if spin {
-            wcp_clocks::par::spin(|| self.state.load(Ordering::Relaxed) == RUNG);
-        }
+    /// Waits up to `timeout` for a ring; consumes the ring and returns
+    /// whether one came.
+    pub(crate) fn wait(&self, timeout: Duration) -> bool {
         if self.state.swap(IDLE, Ordering::Acquire) == RUNG {
             return true;
         }
@@ -92,39 +85,18 @@ impl Doorbell {
     }
 }
 
-/// The worker count of an in-process run over `n_peers` peers:
-/// `min(n_peers, available parallelism)`, and at least 1.
-pub(crate) fn worker_count(n_peers: usize) -> usize {
-    #[cfg(test)]
-    if let Some(workers) = PINNED_WORKERS.get() {
-        return workers.clamp(1, n_peers.max(1));
-    }
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores =
-        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
-    n_peers.min(cores).max(1)
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Overrides [`worker_count`] on this thread, so tests cover the
-    /// single-worker and one-worker-per-peer layouts on any host.
-    pub(crate) static PINNED_WORKERS: std::cell::Cell<Option<usize>> =
-        const { std::cell::Cell::new(None) };
-}
-
 /// Runs `hosts` on the calling thread until every one has left its event
 /// loop, waiting on `bell` whenever a round makes no progress. Returns the
 /// hosts with their endpoints still open: the caller closes them once no
-/// peer anywhere is still delivering.
-pub(crate) fn run(hosts: Vec<PeerHost>, bell: &Doorbell, spin: bool) -> Vec<PeerHost> {
+/// peer is still delivering.
+pub(crate) fn run(hosts: Vec<PeerHost>, bell: &Doorbell) -> Vec<PeerHost> {
     let mut peers: Vec<Running> = hosts.into_iter().map(Running::start).collect();
     while !peers.iter().all(Running::is_done) {
         let mut progressed = false;
         for peer in &mut peers {
             progressed |= peer.step();
         }
-        if !progressed && !bell.wait(spin, POLL) {
+        if !progressed && !bell.wait(POLL) {
             for peer in &mut peers {
                 peer.idle();
             }
@@ -142,8 +114,8 @@ mod tests {
     fn a_ring_before_the_wait_is_not_lost() {
         let bell = Doorbell::default();
         bell.ring();
-        assert!(bell.wait(false, Duration::ZERO));
-        assert!(!bell.wait(false, Duration::from_millis(1)), "ring consumed");
+        assert!(bell.wait(Duration::ZERO));
+        assert!(!bell.wait(Duration::from_millis(1)), "ring consumed");
     }
 
     #[test]
@@ -157,16 +129,7 @@ mod tests {
             }
             ringer.ring();
         });
-        assert!(bell.wait(false, Duration::from_secs(60)), "ring lost");
+        assert!(bell.wait(Duration::from_secs(60)), "ring lost");
         t.join().unwrap();
-    }
-
-    #[test]
-    fn worker_count_is_capped_by_peers() {
-        assert_eq!(worker_count(1), 1);
-        assert!(worker_count(64) >= 1 && worker_count(64) <= 64);
-        PINNED_WORKERS.set(Some(8));
-        assert_eq!(worker_count(3), 3);
-        PINNED_WORKERS.set(None);
     }
 }

@@ -6,7 +6,7 @@
 //! annotated trace directly, the simulator runner streams it through
 //! [`AppProcess`](wcp_detect::online::AppProcess) actors over
 //! `Wcp::over_all` full-width clocks (`wcp-net` adds the socket variant
-//! on the same actors, on real threads).
+//! on the same actors, over a real transport).
 
 use std::collections::{HashMap, HashSet};
 

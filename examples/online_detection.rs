@@ -1,7 +1,8 @@
 //! Running the detection protocols as genuinely distributed systems:
 //! first on the deterministic discrete-event simulator (with message
 //! latency jitter and non-FIFO reordering), then on the net peers, which
-//! run the same actors on real threads over the wire codec.
+//! run the same actors over the wire codec, every peer stepped by one
+//! worker thread.
 //!
 //! Every substrate must report the same first satisfying cut.
 //!
@@ -62,7 +63,7 @@ fn main() {
         ddp.report.metrics.token_hops
     );
 
-    println!("\n--- net peers on real threads (loopback wire) ---");
+    println!("\n--- net peers, one worker (loopback wire) ---");
     let net_vc = run_vc_token_net(computation, &wcp, NetConfig::loopback());
     println!(
         "single token : {:<28} frames {:>5}  bytes {:>6}",

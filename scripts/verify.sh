@@ -55,10 +55,12 @@ echo "== fuzz multi-tenant smoke slice =="
 ./target/release/wcp fuzz --seed 3 --cases 25 --shrink --multi --pump-parallel --parallel-detect
 
 echo "== fuzz bound-audit smoke slice =="
-# Paper-bound auditing over the telemetry plane: every case's merged
-# timeline is checked against the §3.4 message/bit/latency bounds.
-# Smaller slice (the audit adds a recorded run per case); any bound
-# violation is a divergence and fails this script.
+# Paper-bound auditing over the telemetry plane: every case's per-monitor
+# streams go through the telemetry delta codec (each must decode to the
+# events it encoded), and the merged timeline is checked against the §3.4
+# message/bit/latency bounds. Smaller slice (the audit adds a recorded
+# run per case); any codec mismatch or bound violation is a divergence
+# and fails this script.
 ./target/release/wcp fuzz --seed 2 --cases 25 --no-net --audit-bounds
 
 echo "== EXPERIMENTS.md matches harness all =="
