@@ -2,7 +2,7 @@
 //! quantitative claims as a markdown table; `harness all` runs them all.
 
 use wcp_detect::lower_bound::run_optimal_algorithm;
-use wcp_detect::online::{run_checker, run_direct, run_multi_token, run_vc_token};
+use wcp_detect::online::{run_online, Family, OnlineReport};
 use wcp_detect::{
     CentralizedChecker, Detector, DirectDependenceDetector, HierarchicalChecker, LatticeDetector,
     MultiTokenDetector, NextRedStrategy, TokenDetector,
@@ -221,7 +221,12 @@ fn e4_multi_token() -> Vec<Table> {
     let mut base_lat = 0f64;
     for g in [1usize, 2, 4, 6, 12] {
         let offline = MultiTokenDetector::new(g).detect(&annotated, &wcp);
-        let online = run_multi_token(&c, &wcp, SimConfig::seeded(3), g);
+        let online = run_online(
+            Family::MultiToken { groups: g },
+            &c,
+            &wcp,
+            SimConfig::seeded(3),
+        );
         assert!(offline.detection.is_detected());
         let path = offline.metrics.parallel_time as f64;
         let lat = online.outcome.time.0 as f64;
@@ -401,8 +406,8 @@ fn e8_parallel_chain() -> Vec<Table> {
             let wcp = workloads::scope(n);
             let sim =
                 SimConfig::seeded(seed).with_latency(LatencyModel::Uniform { min: 1, max: 10 });
-            let seq = run_direct(&c, &wcp, sim.clone(), false);
-            let par = run_direct(&c, &wcp, sim, true);
+            let seq = run_online(Family::Direct { parallel: false }, &c, &wcp, sim.clone());
+            let par = run_online(Family::Direct { parallel: true }, &c, &wcp, sim);
             assert_eq!(
                 seq.report.detection, par.report.detection,
                 "N {n} seed {seed}"
@@ -560,49 +565,21 @@ fn e12_online_substrates() -> Vec<Table> {
     );
     let c = workloads::detectable(8, 20, 21);
     let wcp = workloads::scope(8);
-    type Runner = Box<dyn Fn(u64) -> wcp_detect::online::OnlineReport>;
-    let entries: Vec<(&str, Runner)> = vec![
-        (
-            "checker",
-            Box::new({
-                let c = c.clone();
-                let wcp = wcp.clone();
-                move |seed| run_checker(&c, &wcp, SimConfig::seeded(seed))
-            }),
-        ),
-        (
-            "token",
-            Box::new({
-                let c = c.clone();
-                let wcp = wcp.clone();
-                move |seed| run_vc_token(&c, &wcp, SimConfig::seeded(seed))
-            }),
-        ),
-        (
-            "multi-token g=4",
-            Box::new({
-                let c = c.clone();
-                let wcp = wcp.clone();
-                move |seed| run_multi_token(&c, &wcp, SimConfig::seeded(seed), 4)
-            }),
-        ),
-        (
-            "direct",
-            Box::new({
-                let c = c.clone();
-                let wcp = wcp.clone();
-                move |seed| run_direct(&c, &wcp, SimConfig::seeded(seed), false)
-            }),
-        ),
-        (
-            "direct ∥ (§4.5)",
-            Box::new({
-                let c = c.clone();
-                let wcp = wcp.clone();
-                move |seed| run_direct(&c, &wcp, SimConfig::seeded(seed), true)
-            }),
-        ),
-    ];
+    type Runner = Box<dyn Fn(u64) -> OnlineReport>;
+    let entries: Vec<(&str, Runner)> = [
+        ("checker", Family::Checker),
+        ("token", Family::VcToken),
+        ("multi-token g=4", Family::MultiToken { groups: 4 }),
+        ("direct", Family::Direct { parallel: false }),
+        ("direct ∥ (§4.5)", Family::Direct { parallel: true }),
+    ]
+    .map(|(name, family)| {
+        let (c, wcp) = (c.clone(), wcp.clone());
+        let run: Runner =
+            Box::new(move |seed| run_online(family, &c, &wcp, SimConfig::seeded(seed)));
+        (name, run)
+    })
+    .into();
     let mut reference: Option<bool> = None;
     for (name, run) in &entries {
         let mut lat = 0u64;

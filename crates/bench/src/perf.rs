@@ -10,17 +10,16 @@
 //! label replaces it, so the file stays reproducible.
 
 use wcp_clocks::{ProcessId, StateId};
-use wcp_detect::online::run_vc_token;
+use wcp_detect::online::{run_vc_token, RunOptions};
 use wcp_detect::{
     CentralizedChecker, Detector, DirectDependenceDetector, LatticeDetector, MultiTokenDetector,
     ParallelDetector, TokenDetector, VcSnapshotQueues,
 };
 use wcp_net::{
-    run_multi_net, run_vc_token_net, saturate_loopback, saturate_loopback_observed, saturate_tcp,
-    NetConfig, SaturationReport,
+    run_multi_net, run_vc_token_net, saturate, saturate_loopback, NetConfig, SaturationReport,
 };
 use wcp_obs::json::{FromJson, Json, ToJson};
-use wcp_session::{MultiEngine, PredicateId};
+use wcp_session::{MultiEngine, PredicateId, Service};
 use wcp_sim::SimConfig;
 use wcp_trace::{Computation, Wcp};
 
@@ -249,14 +248,15 @@ fn telemetry_overhead_stats(samples: usize) -> Json {
         TELEMETRY_SAT_SCOPE,
         true,
     ));
-    let (warm_on, _) = saturate_loopback_observed(TELEMETRY_SAT_FRAMES, TELEMETRY_SAT_SCOPE);
+    let observed = NetConfig::loopback().with_telemetry();
+    let warm_on = saturate(TELEMETRY_SAT_FRAMES, TELEMETRY_SAT_SCOPE, observed);
     let sat_telemetry_frames = warm_on.net.telemetry_sent;
     let sat_telemetry_bytes = warm_on.net.telemetry_bytes;
     let mut off_fps: Vec<f64> = Vec::with_capacity(sat_rounds);
     let mut on_fps: Vec<f64> = Vec::with_capacity(sat_rounds);
     for round in 0..sat_rounds {
         let off = || saturate_loopback(TELEMETRY_SAT_FRAMES, TELEMETRY_SAT_SCOPE, true);
-        let on = || saturate_loopback_observed(TELEMETRY_SAT_FRAMES, TELEMETRY_SAT_SCOPE).0;
+        let on = || saturate(TELEMETRY_SAT_FRAMES, TELEMETRY_SAT_SCOPE, observed);
         if round % 2 == 0 {
             off_fps.push(off().frames_per_sec());
             on_fps.push(on().frames_per_sec());
@@ -379,7 +379,7 @@ fn saturation_json(r: &SaturationReport) -> Json {
 fn net_saturation_stats(frames: u64) -> Json {
     let batched = saturate_loopback(frames, SATURATION_SCOPE, true);
     let per_frame = saturate_loopback(frames, SATURATION_SCOPE, false);
-    let tcp = saturate_tcp(frames, SATURATION_SCOPE);
+    let tcp = saturate(frames, SATURATION_SCOPE, NetConfig::tcp());
     let speedup = batched.frames_per_sec() / per_frame.frames_per_sec().max(f64::MIN_POSITIVE);
     Json::obj([
         ("frames", Json::UInt(frames)),
@@ -551,8 +551,9 @@ fn multi_saturation_stats_sized(spec: WorkloadSpec, sessions: usize, net_session
     // independent of k, so ids line up) through the full wire stack.
     let net = run_multi_net(
         &computation,
-        &multi_predicates(n, net_sessions),
+        &Service::new(&multi_predicates(n, net_sessions)),
         NetConfig::loopback(),
+        &RunOptions::default(),
     );
     for outcome in &net.report.outcomes {
         let saturated = engine

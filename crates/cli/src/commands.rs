@@ -11,20 +11,19 @@ use std::time::Duration;
 
 use wcp_clocks::ProcessId;
 use wcp_detect::lower_bound::run_optimal_algorithm;
-use wcp_detect::online::{run_direct, run_direct_recorded, run_vc_token, run_vc_token_recorded};
+use wcp_detect::online::{run_online, simulate, Family, RunOptions};
 use wcp_detect::{
     audit_bounds, BoundLimits, CentralizedChecker, ChannelPredicate, ChannelTerm, Detection,
     DetectionReport, Detector, DirectDependenceDetector, Gcp, GcpChecker, LatticeDetector,
     MultiTokenDetector, ParallelDetector, TokenDetector,
 };
 use wcp_net::{
-    run_direct_net, run_multi_net, run_vc_token_net, run_vc_token_net_observed,
-    run_vc_token_net_recorded, serve_multi_peer, serve_vc_peer, serve_vc_peer_observed, NetConfig,
-    NetReport, TelemetryCollector, TransportKind,
+    run_multi_net, run_net, run_vc_token_net, serve_multi_peer, serve_vc_peer, NetConfig,
+    TelemetryCollector, TransportKind,
 };
 use wcp_obs::json::{FromJson, Json, ToJson};
-use wcp_obs::{jsonl, NullRecorder, Recorder, RingRecorder, RunReport};
-use wcp_session::{run_multi_sim, PredicateOutcome};
+use wcp_obs::{jsonl, Recorder, RingRecorder, RunReport};
+use wcp_session::{run_multi_sim, PredicateOutcome, Service};
 use wcp_sim::{FaultConfig, SimConfig};
 use wcp_trace::channel::ChannelId;
 use wcp_trace::generate::{generate as generate_workload, GeneratorConfig, Topology};
@@ -379,29 +378,27 @@ pub fn stats(raw: &[String]) -> Result<String, CliError> {
         out.push_str(&RunReport::from_events(&ring.events()).render());
         out.push_str(&format!("detection latency: {latency} ticks\n\n"));
     };
-    section("section 3: vector-clock token algorithm", &|ring| {
-        run_vc_token_recorded(&computation, &wcp, SimConfig::seeded(seed), ring)
-            .outcome
-            .time
-            .0
-    });
-    section("section 4: direct-dependence algorithm", &|ring| {
-        run_direct_recorded(&computation, &wcp, SimConfig::seeded(seed), false, ring)
-            .outcome
-            .time
-            .0
-    });
+    for (title, family) in [
+        ("section 3: vector-clock token algorithm", Family::VcToken),
+        (
+            "section 4: direct-dependence algorithm",
+            Family::Direct { parallel: false },
+        ),
+    ] {
+        section(title, &|ring| {
+            let layout = family.layout(&computation, &wcp);
+            let options = RunOptions::recorded(ring);
+            simulate(layout, SimConfig::seeded(seed), &options)
+                .outcome
+                .time
+                .0
+        });
+    }
     // Wire section: the same token run over the in-process loopback
     // transport, surfacing the transport-layer counters the simulator has
     // no notion of — batch coalescing, ready-queue watermark, buffer-pool
     // reuse.
-    let net = run_vc_token_net_recorded(
-        &computation,
-        &wcp,
-        NetConfig::loopback(),
-        Arc::new(NullRecorder),
-    )
-    .net;
+    let net = run_vc_token_net(&computation, &wcp, NetConfig::loopback()).net;
     out.push_str("== wire transport (loopback, batched writes) ==\n");
     out.push_str(&format!(
         "frames        : {} sent ({} B) / {} received ({} B)\n",
@@ -444,8 +441,9 @@ pub fn stats(raw: &[String]) -> Result<String, CliError> {
     let sessions = 2 * n;
     let multi = run_multi_net(
         &computation,
-        &derived_predicates(n, sessions),
+        &Service::new(&derived_predicates(n, sessions)),
         NetConfig::loopback(),
+        &RunOptions::default(),
     );
     out.push_str(&format!(
         "\n== multi-tenant session layer (loopback, {sessions} sessions) ==\n"
@@ -597,6 +595,9 @@ pub fn net_demo(raw: &[String]) -> Result<String, CliError> {
     let computation = load(path)?;
     let wcp = parse_scope(&args, &computation)?;
     let algorithm = args.get("algorithm").unwrap_or("token");
+    let family: Family = algorithm
+        .parse()
+        .map_err(|e| CliError::usage(format!("--algorithm: {e}")))?;
     let transport = match args.get("transport").unwrap_or("tcp") {
         "tcp" => TransportKind::Tcp,
         "loopback" => TransportKind::Loopback,
@@ -615,27 +616,15 @@ pub fn net_demo(raw: &[String]) -> Result<String, CliError> {
         config = config.with_faults(faults);
     }
 
-    let (net, sim): (NetReport, DetectionReport) = match algorithm {
-        "token" => (
-            run_vc_token_net(&computation, &wcp, config),
-            run_vc_token(&computation, &wcp, SimConfig::seeded(0)).report,
-        ),
-        "direct" => (
-            run_direct_net(&computation, &wcp, false, config),
-            run_direct(&computation, &wcp, SimConfig::seeded(0), false).report,
-        ),
-        other => {
-            return Err(CliError::usage(format!(
-                "--algorithm: `{other}` (want token|direct)"
-            )))
-        }
-    };
+    let net = run_net(family, &computation, &wcp, config, &RunOptions::default())
+        .map_err(|e| CliError::usage(format!("--algorithm {family} over {wcp}: {e}")))?;
+    let sim = run_online(family, &computation, &wcp, SimConfig::seeded(0)).report;
 
     let transport_name = match transport {
         TransportKind::Tcp => "tcp (localhost sockets)",
         TransportKind::Loopback => "loopback (in-memory)",
     };
-    let mut out = format!("algorithm: {algorithm} over {transport_name}\npredicate: {wcp}\n");
+    let mut out = format!("algorithm: {family} over {transport_name}\npredicate: {wcp}\n");
     if let Some(faults) = config.faults {
         out.push_str(&format!(
             "faults: drop {} delay {} duplicate {} reorder {} reset {} (seed {})\n",
@@ -710,9 +699,11 @@ pub fn multi_demo(raw: &[String]) -> Result<String, CliError> {
     if let Some(faults) = parse_fault_config(&args)? {
         config = config.with_faults(faults);
     }
-    let predicates = derived_predicates(n, k);
-    let net = run_multi_net(&computation, &predicates, config);
-    let sim = run_multi_sim(&computation, &predicates, args.get_or("seed", 0)?);
+    let service = Service::new(&derived_predicates(n, k));
+    let options = RunOptions::default();
+    let net = run_multi_net(&computation, &service, config, &options);
+    let sim_config = SimConfig::seeded(args.get_or("seed", 0)?);
+    let sim = run_multi_sim(&computation, &service, sim_config, &options);
 
     let mut out =
         format!("multi-tenant demo over {transport_name}\nprocesses: {n}, sessions: {k}\n");
@@ -802,31 +793,17 @@ pub fn serve(raw: &[String]) -> Result<String, CliError> {
     let (peer, addrs) = parse_peer_addrs(&args, wcp.n())?;
     let config = NetConfig::tcp().with_deadline(Duration::from_secs(args.get_or("deadline", 60)?));
     let telemetry = args.switch("telemetry").then(TelemetryCollector::shared);
-    let report = match &telemetry {
-        Some(collector) => serve_vc_peer_observed(
-            &computation,
-            &wcp,
-            peer,
-            &addrs,
-            config,
-            Arc::new(NullRecorder),
-            collector.clone(),
-        ),
-        None => serve_vc_peer(
-            &computation,
-            &wcp,
-            peer,
-            &addrs,
-            config,
-            Arc::new(NullRecorder),
-        ),
+    let options = RunOptions {
+        collector: telemetry.clone().map(|c| c as _),
+        ..RunOptions::default()
     };
+    let report = serve_vc_peer(&computation, &wcp, peer, &addrs, config, &options);
     let mut out = format!(
         "peer {peer}/{} listening on {}\npredicate: {wcp}\n",
         wcp.n(),
         addrs[peer]
     );
-    match &report.detection {
+    match &report.report.detection {
         Detection::Detected { cut } => out.push_str(&format!("DETECTED at cut {cut}\n")),
         Detection::Undetected => {
             out.push_str("UNDETECTED: the predicate never held on a consistent cut\n")
@@ -863,36 +840,33 @@ fn serve_multi(args: &Args) -> Result<String, CliError> {
     let config = NetConfig::tcp()
         .with_deadline(Duration::from_secs(args.get_or("deadline", 60)?))
         .with_pump_threads(args.get_or("pump-threads", 1)?);
-    let registrations: Vec<(u64, Wcp)> = derived_predicates(n, k)
-        .into_iter()
-        .enumerate()
-        .map(|(i, w)| (i as u64, w))
-        .collect();
+    let service = Service::new(&derived_predicates(n, k));
     let report = serve_multi_peer(
         &computation,
-        &registrations,
+        &service,
         peer,
         &addrs,
         config,
-        Arc::new(NullRecorder),
+        &RunOptions::default(),
     );
+    let (outcomes, verdicts) = (&report.report.outcomes, &report.report.wire_verdicts);
     let role = if peer == n { "service" } else { "app" };
     let mut out = format!(
         "peer {peer}/{} ({role}) listening on {}\nsessions: {k} over one shared {n}-process stream\n",
         n + 1,
         addrs[peer]
     );
-    if !report.outcomes.is_empty() {
+    if !outcomes.is_empty() {
         out.push_str("   id | scope | verdict\n");
-        for outcome in &report.outcomes {
+        for outcome in outcomes {
             out.push_str(&outcome_row(outcome));
         }
     }
-    if !report.verdicts.is_empty() {
-        let detected = report.verdicts.values().filter(|v| v.is_some()).count();
+    if !verdicts.is_empty() {
+        let detected = verdicts.values().filter(|v| v.is_some()).count();
         out.push_str(&format!(
             "controller: {} verdicts collected ({detected} detected)\n",
-            report.verdicts.len()
+            verdicts.len()
         ));
     }
     out.push_str(&format!("wire: {}\n", report.net));
@@ -924,23 +898,19 @@ fn spawn_observed(
     let deadline = Duration::from_secs(args.get_or("deadline", 60)?);
     let computation = computation.clone();
     let wcp = wcp.clone();
-    let collector = collector.clone();
+    let options = RunOptions {
+        collector: Some(collector.clone()),
+        ..RunOptions::default()
+    };
     let done = done.clone();
     if args.get("peer").is_some() {
         let (peer, addrs) = parse_peer_addrs(args, wcp.n())?;
         let title = format!("{path} — tcp peer {peer}/{}", wcp.n());
         let handle = std::thread::spawn(move || {
-            let report = serve_vc_peer_observed(
-                &computation,
-                &wcp,
-                peer,
-                &addrs,
-                NetConfig::tcp().with_deadline(deadline),
-                Arc::new(NullRecorder),
-                collector,
-            );
+            let config = NetConfig::tcp().with_deadline(deadline);
+            let report = serve_vc_peer(&computation, &wcp, peer, &addrs, config, &options);
             done.store(true, Ordering::Relaxed);
-            report.detection
+            report.report.detection
         });
         Ok((title, handle))
     } else {
@@ -952,13 +922,8 @@ fn spawn_observed(
         }
         .with_deadline(deadline);
         let handle = std::thread::spawn(move || {
-            let report = run_vc_token_net_observed(
-                &computation,
-                &wcp,
-                config,
-                Arc::new(NullRecorder),
-                collector,
-            );
+            let report = run_net(Family::VcToken, &computation, &wcp, config, &options)
+                .expect("a single token fits every scope");
             done.store(true, Ordering::Relaxed);
             report.report.detection
         });
@@ -1513,6 +1478,44 @@ mod tests {
     }
 
     #[test]
+    fn net_demo_runs_every_online_family() {
+        let path = generated_trace("net_demo_families.json");
+        for algorithm in ["multi:2", "checker", "direct+par"] {
+            let out = net_demo(&argv(&[
+                &path,
+                "--transport",
+                "loopback",
+                "--algorithm",
+                algorithm,
+            ]))
+            .unwrap();
+            assert!(
+                out.contains(&format!("algorithm: {algorithm} over")),
+                "{out}"
+            );
+            assert!(out.contains("identical verdict"), "{algorithm}: {out}");
+        }
+        let err = net_demo(&argv(&[&path, "--algorithm", "multi:0"])).unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.message);
+    }
+
+    #[test]
+    fn net_demo_refuses_a_group_token_wider_than_its_bitmap() {
+        let path = tmpfile("net_demo_wide.json");
+        generate(&argv(&["--processes", "65", "--events", "2", "-o", &path])).unwrap();
+        let err = net_demo(&argv(&[
+            &path,
+            "--transport",
+            "loopback",
+            "--algorithm",
+            "multi:2",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.message);
+        assert!(err.message.contains("64-bit aux bitmap"), "{}", err.message);
+    }
+
+    #[test]
     fn net_demo_with_faults_still_matches_simulator() {
         let path = generated_trace("net_demo_faults.json");
         let out = net_demo(&argv(&[
@@ -1590,7 +1593,7 @@ mod tests {
             ProcessId::new(1),
             ProcessId::new(2),
         ]);
-        let sim = run_vc_token(&computation, &wcp, SimConfig::seeded(0));
+        let sim = run_online(Family::VcToken, &computation, &wcp, SimConfig::seeded(0));
         let expects_detected = matches!(sim.report.detection, Detection::Detected { .. });
         assert_eq!(
             verdicts[0].starts_with("DETECTED"),
@@ -1718,7 +1721,11 @@ mod tests {
         );
         assert!(outputs[0].contains("verdicts collected"), "{}", outputs[0]);
         let computation = load(&path).unwrap();
-        let offline = wcp_session::run_multi_offline(&computation, &derived_predicates(4, 4));
+        let offline = wcp_session::run_multi_offline(
+            &computation,
+            &derived_predicates(4, 4),
+            &RunOptions::default(),
+        );
         for outcome in &offline.outcomes {
             assert!(
                 outputs[4].contains(&outcome_row(outcome)),

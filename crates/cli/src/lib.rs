@@ -128,7 +128,7 @@ USAGE:
   wcp obs-report FILE [--scope 0,1,2] [--events OUT.jsonl]
              [--transport tcp|loopback | --peer I --addrs HOST:PORT,...]
              [--deadline SECS]
-  wcp net-demo FILE [--scope 0,1,2] [--algorithm token|direct]
+  wcp net-demo FILE [--scope 0,1,2] [--algorithm token|multi:G|checker|direct|direct+par]
                [--transport tcp|loopback] [--fault-seed S] [--drop P]
                [--delay P] [--duplicate P] [--reorder P] [--reset P] [--json]
   wcp multi-demo FILE [--predicates K] [--transport tcp|loopback] [--seed S]

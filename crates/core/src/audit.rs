@@ -215,7 +215,7 @@ mod tests {
     use wcp_trace::generate::{generate, GeneratorConfig};
     use wcp_trace::Wcp;
 
-    use crate::online::run_vc_token_recorded;
+    use crate::online::{simulate, Family, RunOptions};
 
     fn recorded_run(seed: u64) -> (Vec<StampedEvent>, usize, u64) {
         let g = generate(
@@ -226,7 +226,11 @@ mod tests {
         );
         let wcp = Wcp::over_first(3);
         let ring = Arc::new(RingRecorder::new(1 << 16));
-        run_vc_token_recorded(&g.computation, &wcp, SimConfig::seeded(1), ring.clone());
+        simulate(
+            Family::VcToken.layout(&g.computation, &wcp),
+            SimConfig::seeded(1),
+            &RunOptions::recorded(ring.clone()),
+        );
         let m1 = g.computation.max_events_per_process() as u64 + 1;
         (ring.events(), wcp.n(), m1)
     }

@@ -9,10 +9,11 @@
 use std::collections::HashMap;
 
 use wcp_clocks::{Dependence, ProcessId, VectorClock};
-use wcp_sim::{Actor, ActorId, Context};
+use wcp_sim::{Actor, ActorId, Context, WireSize};
 use wcp_trace::{Computation, Event, MsgId, Wcp};
 
 use crate::online::messages::{ClockTag, DetectMsg};
+use crate::online::vc_monitor::SharedStats;
 use crate::snapshot::{DdSnapshot, VcSnapshot};
 
 /// Which clock discipline the application processes run.
@@ -40,6 +41,8 @@ pub struct AppProcess {
     /// This process's monitor, if it has one (vector mode: scope processes
     /// only; scalar mode: everyone).
     monitor: Option<ActorId>,
+    /// Where the snapshots this process sends are counted.
+    stats: SharedStats,
 
     next_event: usize,
     inbox: HashMap<MsgId, ClockTag>,
@@ -55,7 +58,8 @@ impl AppProcess {
     ///
     /// `app_actors` maps each `ProcessId` to its application actor;
     /// `monitor` is this process's monitor actor (required in scalar mode
-    /// and for scope processes in vector mode).
+    /// and for scope processes in vector mode); every snapshot sent is
+    /// counted in `stats`.
     pub fn new(
         computation: &Computation,
         wcp: &Wcp,
@@ -63,6 +67,7 @@ impl AppProcess {
         mode: ClockMode,
         app_actors: Vec<ActorId>,
         monitor: Option<ActorId>,
+        stats: SharedStats,
     ) -> Self {
         let trace = computation.process(pid);
         let scope_pos = wcp.position(pid);
@@ -81,6 +86,7 @@ impl AppProcess {
             scope_pos,
             app_actors,
             monitor,
+            stats,
             next_event: 0,
             inbox: HashMap::new(),
             vclock,
@@ -119,6 +125,7 @@ impl AppProcess {
                 deps: std::mem::take(&mut self.deplist),
             }),
         };
+        self.stats.snapshot(msg.wire_size() as u64);
         ctx.send(monitor, msg);
     }
 
@@ -190,7 +197,7 @@ impl Actor<DetectMsg> for AppProcess {
 mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
-    use wcp_sim::{SimConfig, Simulation, WireSize};
+    use wcp_sim::{SimConfig, Simulation};
     use wcp_trace::ComputationBuilder;
 
     fn p(i: u32) -> ProcessId {
@@ -232,6 +239,7 @@ mod tests {
                 mode,
                 apps.clone(),
                 Some(monitors[i as usize]),
+                Arc::default(),
             );
             sim.add_actor(Box::new(actor));
         }

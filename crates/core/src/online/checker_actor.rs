@@ -9,17 +9,15 @@
 //! `O(nm)` buffered snapshots — lands on one actor, which is exactly the
 //! imbalance the paper's distributed algorithms remove.
 
-use std::sync::Arc;
-
 use wcp_clocks::ProcessId;
-use wcp_obs::NullRecorder;
-use wcp_sim::{Actor, ActorId, Context, SimConfig};
+use wcp_sim::{Actor, ActorId, Context};
 use wcp_trace::{Computation, Wcp};
 
+use crate::detector::DetectionReport;
 use crate::online::app::ClockMode;
-use crate::online::harness::{simulate, OnlineReport};
+use crate::online::harness::{detection_layout, Hosted, Layout};
 use crate::online::messages::DetectMsg;
-use crate::online::vc_monitor::{MonitorStall, OnlineDetection, SharedOutcome, SharedStats};
+use crate::online::vc_monitor::{stall_row, OnlineDetection, SharedOutcome, SharedStats};
 use crate::streaming::{StreamingChecker, StreamingStatus};
 
 /// The checker actor: a [`StreamingChecker`] fed every scope process's
@@ -49,22 +47,6 @@ impl CheckerProcess {
             stats,
         }
     }
-
-    fn record_stall(&self) {
-        let n = self.checker.width();
-        let depths: Vec<usize> = (0..n).map(|i| self.checker.queued(i)).collect();
-        let eot: Vec<bool> = (0..n).map(|i| self.checker.is_closed(i)).collect();
-        self.stats.lock().unwrap().note_stall(
-            0,
-            MonitorStall {
-                label: "checker".to_string(),
-                queued: depths.iter().map(|&d| d as u64).sum(),
-                eot: eot.iter().all(|&e| e),
-                done: self.result.lock().unwrap().is_some(),
-                detail: format!("queue depths={depths:?} eot={eot:?}"),
-            },
-        );
-    }
 }
 
 impl Actor<DetectMsg> for CheckerProcess {
@@ -74,8 +56,7 @@ impl Actor<DetectMsg> for CheckerProcess {
         let status = match msg {
             DetectMsg::VcSnapshot(s) => {
                 let status = self.checker.push(pos, s);
-                let mut stats = self.stats.lock().unwrap();
-                stats.max_buffered = stats.max_buffered.max(self.checker.peak_buffered());
+                self.stats.buffered(self.checker.peak_buffered());
                 status
             }
             DetectMsg::EndOfTrace => self.checker.close(pos),
@@ -91,35 +72,37 @@ impl Actor<DetectMsg> for CheckerProcess {
             *self.result.lock().unwrap() = Some(verdict);
             ctx.stop();
         }
-        self.record_stall();
+    }
+
+    fn status(&self) -> Option<String> {
+        let n = self.checker.width();
+        let depths: Vec<usize> = (0..n).map(|i| self.checker.queued(i)).collect();
+        let eot: Vec<bool> = (0..n).map(|i| self.checker.is_closed(i)).collect();
+        Some(stall_row(
+            "checker",
+            depths.iter().sum(),
+            eot.iter().all(|&e| e),
+            self.result.lock().unwrap().is_some(),
+            &format!("queue depths={depths:?} eot={eot:?}"),
+        ))
     }
 }
 
-/// Runs the centralized checker online.
-///
-/// # Panics
-///
-/// Panics if the scope is empty or the computation is invalid.
-pub fn run_checker(computation: &Computation, wcp: &Wcp, sim_config: SimConfig) -> OnlineReport {
+/// Lays out the centralized checker: applications `0..N`, each scope
+/// process streaming to the checker at `N`, on peer 0.
+pub(crate) fn layout(computation: &Computation, wcp: &Wcp) -> Layout<DetectionReport> {
     let n = wcp.n();
-    assert!(n >= 1, "WCP scope must name at least one process");
     let position_of: Vec<Option<usize>> = ProcessId::all(computation.process_count())
         .map(|p| wcp.position(p))
         .collect();
-    simulate(
+    detection_layout(
         computation,
         wcp,
         ClockMode::Vector,
-        sim_config,
-        Arc::new(NullRecorder),
         true,
         |result, stats| {
-            vec![Box::new(CheckerProcess::new(
-                n,
-                position_of,
-                result.clone(),
-                stats.clone(),
-            ))]
+            let checker = CheckerProcess::new(n, position_of, result.clone(), stats.clone());
+            vec![(0, Hosted::boxed(checker))]
         },
     )
 }
@@ -127,10 +110,16 @@ pub fn run_checker(computation: &Computation, wcp: &Wcp, sim_config: SimConfig) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::harness::run_vc_token;
+    use crate::online::harness::{run_online, run_vc_token, Family, OnlineReport};
     use crate::online::testing::MockCtx;
     use crate::{CentralizedChecker, Detector};
+    use std::sync::Arc;
+    use wcp_sim::SimConfig;
     use wcp_trace::generate::{generate, GeneratorConfig};
+
+    fn run_checker(c: &Computation, wcp: &Wcp, sim: SimConfig) -> OnlineReport {
+        run_online(Family::Checker, c, wcp, sim)
+    }
 
     #[test]
     fn online_checker_matches_offline_checker() {

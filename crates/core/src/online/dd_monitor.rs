@@ -27,8 +27,13 @@ use wcp_clocks::{Dependence, ProcessId};
 use wcp_obs::{LogicalTime, NullRecorder, Recorder, TraceEvent};
 use wcp_sim::{Actor, ActorId, Context};
 
+use wcp_trace::{Computation, Wcp};
+
+use crate::detector::DetectionReport;
+use crate::online::app::ClockMode;
+use crate::online::harness::{detection_layout, Hosted, Layout};
 use crate::online::messages::DetectMsg;
-use crate::online::vc_monitor::{MonitorStall, OnlineDetection, SharedOutcome, SharedStats};
+use crate::online::vc_monitor::{stall_row, OnlineDetection, SharedOutcome, SharedStats};
 use crate::snapshot::DdSnapshot;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,13 +139,6 @@ impl DdMonitor {
         }
     }
 
-    /// Streams [`TraceEvent`]s of this monitor's protocol steps to
-    /// `recorder`, stamped with the simulation tick.
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
     fn emit(&self, ctx: &dyn Context<DetectMsg>, event: TraceEvent) {
         self.recorder
             .record(self.pid.index() as u32, LogicalTime::Tick(ctx.now()), event);
@@ -148,36 +146,6 @@ impl DdMonitor {
 
     fn publish_g(&self) {
         self.g_board.lock().unwrap()[self.pid.index()] = self.g;
-    }
-
-    fn record_stall(&self) {
-        let phase = match &self.phase {
-            Phase::Idle => "idle".to_string(),
-            Phase::Collecting { deps } => format!("collecting({} deps)", deps.len()),
-            Phase::Polling {
-                deps,
-                idx,
-                candidate_dead,
-            } => format!("polling {idx}/{} dead={candidate_dead}", deps.len()),
-        };
-        self.stats.lock().unwrap().note_stall(
-            self.pid.index(),
-            MonitorStall {
-                label: format!("dd[{}]", self.pid),
-                queued: self.queue.len() as u64,
-                eot: self.eot,
-                done: self.done,
-                detail: format!(
-                    "color={:?} g={} token={} staged={} next_red={:?} deferred_polls={} {phase}",
-                    self.color,
-                    self.g,
-                    self.holds_token,
-                    self.staged,
-                    self.next_red,
-                    self.deferred_polls.len()
-                ),
-            },
-        );
     }
 
     /// Entry point whenever the situation may allow progress.
@@ -345,7 +313,7 @@ impl DdMonitor {
             }
             Some(next) => {
                 self.holds_token = false;
-                self.stats.lock().unwrap().token_hops += 1;
+                self.stats.hop();
                 if self.recorder.is_enabled() {
                     self.emit(
                         ctx,
@@ -439,7 +407,6 @@ impl Actor<DetectMsg> for DdMonitor {
             self.emit(ctx, TraceEvent::TokenAcquired { from: None });
         }
         self.progress(ctx);
-        self.record_stall();
     }
 
     fn on_message(&mut self, ctx: &mut dyn Context<DetectMsg>, from: ActorId, msg: DetectMsg) {
@@ -455,10 +422,7 @@ impl Actor<DetectMsg> for DdMonitor {
                     );
                 }
                 self.queue.push_back(s);
-                {
-                    let mut stats = self.stats.lock().unwrap();
-                    stats.max_buffered = stats.max_buffered.max(self.queue.len() as u64);
-                }
+                self.stats.buffered(self.queue.len() as u64);
                 self.progress(ctx);
             }
             DetectMsg::EndOfTrace => {
@@ -491,19 +455,87 @@ impl Actor<DetectMsg> for DdMonitor {
             }
             other => unreachable!("dd monitor {}: unexpected {other:?}", self.pid),
         }
-        self.record_stall();
     }
+
+    fn set_recorder(&mut self, recorder: &Arc<dyn Recorder>) {
+        self.recorder = recorder.clone();
+    }
+
+    fn status(&self) -> Option<String> {
+        let phase = match &self.phase {
+            Phase::Idle => "idle".to_string(),
+            Phase::Collecting { deps } => format!("collecting({} deps)", deps.len()),
+            Phase::Polling {
+                deps,
+                idx,
+                candidate_dead,
+            } => format!("polling {idx}/{} dead={candidate_dead}", deps.len()),
+        };
+        Some(stall_row(
+            &format!("dd[{}]", self.pid),
+            self.queue.len(),
+            self.eot,
+            self.done,
+            &format!(
+                "color={:?} g={} token={} staged={} next_red={:?} deferred_polls={} {phase}",
+                self.color,
+                self.g,
+                self.holds_token,
+                self.staged,
+                self.next_red,
+                self.deferred_polls.len()
+            ),
+        ))
+    }
+}
+
+/// Lays out the Section 4 direct-dependence algorithm (`parallel`: with
+/// the Section 4.5 red chain): process `p`'s application and monitor
+/// (`N + p`) share peer `p`. The monitors share their G board through
+/// process memory, so this layout runs in-process only.
+pub(crate) fn layout(
+    computation: &Computation,
+    wcp: &Wcp,
+    parallel: bool,
+) -> Layout<DetectionReport> {
+    let n_total = computation.process_count();
+    let monitors: Vec<ActorId> = (0..n_total)
+        .map(|p| ActorId::new((n_total + p) as u32))
+        .collect();
+    let g_board: GBoard = Arc::new(Mutex::new(vec![0; n_total]));
+    detection_layout(
+        computation,
+        wcp,
+        ClockMode::Scalar,
+        false,
+        |result, stats| {
+            ProcessId::all(n_total)
+                .map(|p| {
+                    let monitor = DdMonitor::new(
+                        p,
+                        n_total,
+                        monitors.clone(),
+                        parallel,
+                        g_board.clone(),
+                        result.clone(),
+                        stats.clone(),
+                    );
+                    (p.index() as u32, Hosted::boxed(monitor))
+                })
+                .collect()
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::online::testing::MockCtx;
-    use crate::online::vc_monitor::{OnlineDetection, OnlineStats};
+    use crate::online::vc_monitor::OnlineDetection;
 
     fn monitor(pid: u32, n: usize, parallel: bool) -> (DdMonitor, SharedOutcome, GBoard) {
         let result: SharedOutcome = Arc::new(Mutex::new(None));
-        let stats = Arc::new(Mutex::new(OnlineStats::default()));
+        let stats = Arc::default();
         let g_board: GBoard = Arc::new(Mutex::new(vec![0; n]));
         let monitors = (0..n as u32).map(|i| ActorId::new(100 + i)).collect();
         (

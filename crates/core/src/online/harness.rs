@@ -1,282 +1,400 @@
-//! Wiring: build a simulation hosting application and monitor actors, run
-//! it, and translate the outcome into a [`DetectionReport`].
+//! The online run builder. Each family lays its actors out once, as a
+//! [`Layout`]: the actors in id order with the peer that hosts each, the
+//! channels that must be FIFO, the verdict cell, and the one mapping from
+//! a finished run's counters to its report. A host runs any layout: the
+//! simulator here ([`simulate`]), and `wcp-net`'s in-process socket peers
+//! and standalone `wcp serve` peers.
 
-use std::sync::{Arc, Mutex};
+use std::fmt;
+use std::str::FromStr;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use wcp_clocks::ProcessId;
-use wcp_obs::{NullRecorder, Recorder};
-use wcp_sim::{Actor, ActorId, SimConfig, SimOutcome, Simulation};
+use wcp_obs::{NullRecorder, Recorder, TelemetrySink};
+use wcp_sim::{Actor, ActorId, SimConfig, SimMetrics, SimOutcome, Simulation, StopReason};
 use wcp_trace::{Computation, Wcp};
 
 use crate::detector::{Detection, DetectionReport};
 use crate::metrics::DetectionMetrics;
 use crate::online::app::{AppProcess, ClockMode};
-use crate::online::dd_monitor::DdMonitor;
 use crate::online::messages::DetectMsg;
-use crate::online::vc_monitor::{
-    OnlineDetection, OnlineStats, SharedOutcome, SharedStats, VcMonitor,
-};
+use crate::online::vc_monitor::{OnlineDetection, SharedOutcome, SharedStats, VcMonitor};
+use crate::online::{checker_actor, dd_monitor, multi_token, vc_monitor};
 
-/// A [`DetectionReport`] plus the simulation outcome (notably the simulated
+/// A run's report plus the simulation outcome (notably the simulated
 /// end time — the online detection-latency measure).
 #[derive(Debug, Clone)]
-pub struct OnlineReport {
-    /// Detection result and paper-unit metrics.
-    pub report: DetectionReport,
+pub struct OnlineReport<R = DetectionReport> {
+    /// The family's report: detection result and paper-unit metrics.
+    pub report: R,
     /// Raw simulation outcome.
     pub outcome: SimOutcome,
 }
 
-/// Runs the Section 3 single-token algorithm online.
+/// The cross-cutting options of one online run, one value for every host.
+#[derive(Clone)]
+pub struct RunOptions {
+    /// Receives the actors' protocol events and the host's own: the
+    /// simulator's deliveries, a socket peer's frames.
+    pub recorder: Arc<dyn Recorder>,
+    /// A live sink for a socket run's telemetry deltas, for a watcher
+    /// sampling the run while it is in flight; setting it turns the
+    /// telemetry plane on. The simulator has no telemetry plane.
+    pub collector: Option<Arc<dyn TelemetrySink>>,
+    /// Fan-out workers of the session service's pump; 1 pumps serially.
+    /// A socket run pumps with the wider of this and its
+    /// `NetConfig::pump_threads`.
+    pub pump_threads: usize,
+}
+
+impl Default for RunOptions {
+    fn default() -> Self {
+        RunOptions {
+            recorder: Arc::new(NullRecorder),
+            collector: None,
+            pump_threads: 1,
+        }
+    }
+}
+
+impl RunOptions {
+    /// Default options with `recorder` attached.
+    pub fn recorded(recorder: Arc<dyn Recorder>) -> Self {
+        RunOptions {
+            recorder,
+            ..RunOptions::default()
+        }
+    }
+}
+
+impl fmt::Debug for RunOptions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RunOptions")
+            .field("recording", &self.recorder.is_enabled())
+            .field("collector", &self.collector.is_some())
+            .field("pump_threads", &self.pump_threads)
+            .finish()
+    }
+}
+
+/// The online detection families. (The session service lays out its own
+/// actors, in `wcp-session`.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// Section 3: one vector-clock token.
+    VcToken,
+    /// Section 3.5: one token per group of scope monitors, and a leader.
+    MultiToken {
+        /// Number of groups (and tokens).
+        groups: usize,
+    },
+    /// The Garg–Waldecker centralized checker as one actor.
+    Checker,
+    /// Section 4: direct dependences and scalar clocks.
+    Direct {
+        /// Run the Section 4.5 proactive red chain.
+        parallel: bool,
+    },
+}
+
+impl Family {
+    /// Lays out this family's actors for `wcp` over `computation`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scope (or, for the direct family, the computation) is
+    /// empty, or a multi-token run asks for no group.
+    pub fn layout(self, computation: &Computation, wcp: &Wcp) -> Layout<DetectionReport> {
+        match self {
+            Family::VcToken => vc_monitor::layout(computation, wcp),
+            Family::MultiToken { groups } => multi_token::layout(computation, wcp, groups),
+            Family::Checker => checker_actor::layout(computation, wcp),
+            Family::Direct { parallel } => dd_monitor::layout(computation, wcp, parallel),
+        }
+    }
+}
+
+impl fmt::Display for Family {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Family::VcToken => write!(f, "token"),
+            Family::MultiToken { groups } => write!(f, "multi:{groups}"),
+            Family::Checker => write!(f, "checker"),
+            Family::Direct { parallel: false } => write!(f, "direct"),
+            Family::Direct { parallel: true } => write!(f, "direct+par"),
+        }
+    }
+}
+
+impl FromStr for Family {
+    type Err = String;
+
+    /// Parses the [`Display`](fmt::Display) form, the names `wcp detect`
+    /// gives the offline detectors: `token`, `multi:G` (`G ≥ 1`),
+    /// `checker`, `direct`, and `direct+par` for the Section 4.5 chain.
+    fn from_str(s: &str) -> Result<Self, String> {
+        let family = match s {
+            "token" => Family::VcToken,
+            "checker" => Family::Checker,
+            "direct" => Family::Direct { parallel: false },
+            "direct+par" => Family::Direct { parallel: true },
+            _ => match s.strip_prefix("multi:").map(str::parse) {
+                Some(Ok(groups)) if groups >= 1 => Family::MultiToken { groups },
+                _ => {
+                    return Err(format!(
+                        "`{s}` (want token|multi:G|checker|direct|direct+par)"
+                    ))
+                }
+            },
+        };
+        Ok(family)
+    }
+}
+
+/// One actor of a layout, and how a socket peer hosts it.
+pub enum Hosted {
+    /// A Figure 3 monitor: a socket peer decodes its snapshot frames
+    /// straight into the monitor's queue.
+    Vc(VcMonitor),
+    /// Any other actor, dispatched through [`Actor`].
+    Dyn(Box<dyn Actor<DetectMsg>>),
+}
+
+impl Hosted {
+    /// Hosts `actor` through generic dispatch.
+    pub fn boxed(actor: impl Actor<DetectMsg> + 'static) -> Self {
+        Hosted::Dyn(Box::new(actor))
+    }
+
+    /// The actor.
+    pub fn actor(&self) -> &dyn Actor<DetectMsg> {
+        match self {
+            Hosted::Vc(m) => m,
+            Hosted::Dyn(b) => &**b,
+        }
+    }
+
+    /// The actor, mutably.
+    pub fn actor_mut(&mut self) -> &mut dyn Actor<DetectMsg> {
+        match self {
+            Hosted::Vc(m) => m,
+            Hosted::Dyn(b) => &mut **b,
+        }
+    }
+
+    fn into_actor(self) -> Box<dyn Actor<DetectMsg>> {
+        match self {
+            Hosted::Vc(m) => Box::new(m),
+            Hosted::Dyn(b) => b,
+        }
+    }
+}
+
+/// A layout's actor and the socket peer that hosts it.
+pub type Placed = (u32, Hosted);
+
+/// A directed channel between two actors.
+pub type Channel = (ActorId, ActorId);
+
+/// A layout's mapping from a stopped run's counters and simulated end
+/// time to its report.
+pub type ReportFn<R> = Box<dyn FnOnce(&SimMetrics, u64) -> R>;
+
+/// One online family's actors, laid out once for every host.
+pub struct Layout<R> {
+    /// Every actor in id order, with the socket peer that hosts it.
+    pub actors: Vec<Placed>,
+    /// The channels that must be FIFO: each application to its monitor
+    /// (the paper's only ordering requirement). Socket links are FIFO
+    /// throughout, so only the simulator reads this.
+    pub fifo: Vec<Channel>,
+    /// The cell the deciding actor publishes its verdict into.
+    pub verdict: SharedOutcome,
+    /// Maps a stopped run's counters and simulated end time (0 on
+    /// sockets, which have no global clock) to its report.
+    pub report: ReportFn<R>,
+}
+
+impl<R> Layout<R> {
+    /// Number of socket peers the layout spreads over.
+    pub fn peers(&self) -> usize {
+        self.actors
+            .iter()
+            .map(|&(peer, _)| peer as usize + 1)
+            .max()
+            .unwrap_or(1)
+    }
+}
+
+/// The application actors `0..N` of a layout, one per process, and their
+/// FIFO channels: process `p` replays its trace with `mode` clocks over
+/// `clocks`' scope, counts its snapshots in `stats`, streams them to
+/// `mate(p)` and runs on peer `peer(p)`.
+pub fn apps(
+    computation: &Computation,
+    clocks: &Wcp,
+    mode: ClockMode,
+    stats: &SharedStats,
+    mate: impl Fn(ProcessId) -> Option<ActorId>,
+    peer: impl Fn(ProcessId) -> u32,
+) -> (Vec<Placed>, Vec<Channel>) {
+    let n_total = computation.process_count();
+    let ids: Vec<ActorId> = (0..n_total as u32).map(ActorId::new).collect();
+    let fifo = ProcessId::all(n_total)
+        .filter_map(|p| mate(p).map(|m| (ids[p.index()], m)))
+        .collect();
+    let actors = ProcessId::all(n_total)
+        .map(|p| {
+            let app = AppProcess::new(
+                computation,
+                clocks,
+                p,
+                mode,
+                ids.clone(),
+                mate(p),
+                stats.clone(),
+            );
+            (peer(p), Hosted::boxed(app))
+        })
+        .collect();
+    (actors, fifo)
+}
+
+/// Lays out a detection family: application actors `0..N`, then the
+/// monitors `monitors` returns, at ids `N..`, each with its peer.
 ///
-/// Builds one application actor per process and one monitor per scope
-/// process, with FIFO application→monitor channels (the paper's only FIFO
-/// requirement), runs the simulation to quiescence, and reports.
+/// The monitored processes are the scope in [`ClockMode::Vector`] runs
+/// (Section 3) and every process in [`ClockMode::Scalar`] runs (Section
+/// 4). Each streams its snapshots to its mate: the monitor at its own
+/// position, or the first monitor for every process when `central` (the
+/// centralized checker). An application runs on its position's peer, one
+/// outside the scope round-robin. A verdict's entries are indexed by
+/// monitored position; every monitor is a participant of the metrics.
+pub(crate) fn detection_layout(
+    computation: &Computation,
+    wcp: &Wcp,
+    mode: ClockMode,
+    central: bool,
+    monitors: impl FnOnce(&SharedOutcome, &SharedStats) -> Vec<Placed>,
+) -> Layout<DetectionReport> {
+    let n_total = computation.process_count();
+    let monitored = match mode {
+        ClockMode::Vector => wcp.clone(),
+        ClockMode::Scalar => Wcp::over_first(n_total),
+    };
+    assert!(monitored.n() >= 1, "a run needs at least one monitor");
+    let verdict = SharedOutcome::default();
+    let stats = SharedStats::default();
+    let mate = |p: ProcessId| {
+        let pos = monitored.position(p)?;
+        Some(ActorId::new(
+            (n_total + if central { 0 } else { pos }) as u32,
+        ))
+    };
+    let peer = |p: ProcessId| monitored.position(p).unwrap_or(p.index() % monitored.n()) as u32;
+    let (mut actors, fifo) = apps(computation, wcp, mode, &stats, mate, peer);
+    let monitors = monitors(&verdict, &stats);
+    let participants = monitors.len();
+    actors.extend(monitors);
+
+    let cell = verdict.clone();
+    let report = move |metrics: &SimMetrics, time: u64| {
+        let detection = match cell.lock().expect("a monitor panicked").take() {
+            Some(OnlineDetection::Detected(g)) => Detection::Detected {
+                cut: monitored.lift(&g, n_total),
+            },
+            Some(OnlineDetection::Undetected) => Detection::Undetected,
+            None => panic!("the run stopped without a verdict"),
+        };
+        let mut m = DetectionMetrics::new(participants);
+        for (i, work) in m.per_process_work.iter_mut().enumerate() {
+            let a = metrics.actor(ActorId::new((n_total + i) as u32));
+            *work = a.work;
+            m.control_messages += a.sent;
+            m.control_bytes += a.bytes_sent;
+        }
+        m.snapshot_messages = stats.snapshots.load(Ordering::Relaxed);
+        m.snapshot_bytes = stats.snapshot_bytes.load(Ordering::Relaxed);
+        m.token_hops = stats.token_hops.load(Ordering::Relaxed);
+        m.max_buffered_snapshots = stats.max_buffered.load(Ordering::Relaxed);
+        m.parallel_time = time;
+        DetectionReport {
+            detection,
+            metrics: m,
+        }
+    };
+    Layout {
+        actors,
+        fifo,
+        verdict,
+        report: Box::new(report),
+    }
+}
+
+/// The simulator host: runs `layout` on the discrete-event network until
+/// an actor stops it, and reports.
+///
+/// # Panics
+///
+/// Panics with every actor's protocol state if the run quiesces without
+/// stopping (a stalled protocol).
+pub fn simulate<R>(layout: Layout<R>, config: SimConfig, options: &RunOptions) -> OnlineReport<R> {
+    let Layout {
+        actors,
+        fifo,
+        report,
+        ..
+    } = layout;
+    let config = fifo
+        .into_iter()
+        .fold(config, |c, (from, to)| c.with_fifo_channel(from, to));
+    let mut sim = Simulation::new(config);
+    sim.set_recorder(options.recorder.clone());
+    for (_, hosted) in actors {
+        let mut actor = hosted.into_actor();
+        actor.set_recorder(&options.recorder);
+        sim.add_actor(actor);
+    }
+    let outcome = sim.run();
+    assert!(
+        outcome.reason == StopReason::Stopped,
+        "simulation quiesced without a verdict (protocol stalled)\n{}",
+        sim.status_report()
+    );
+    OnlineReport {
+        report: report(sim.metrics(), outcome.time.0),
+        outcome,
+    }
+}
+
+/// Runs `family` online over the simulated network.
+///
+/// # Panics
+///
+/// As [`Family::layout`] and [`simulate`].
+pub fn run_online(
+    family: Family,
+    computation: &Computation,
+    wcp: &Wcp,
+    sim_config: SimConfig,
+) -> OnlineReport {
+    simulate(
+        family.layout(computation, wcp),
+        sim_config,
+        &RunOptions::default(),
+    )
+}
+
+/// Runs the Section 3 single-token algorithm online: one application
+/// actor per process and one monitor per scope process, with FIFO
+/// application→monitor channels.
 ///
 /// # Panics
 ///
 /// Panics if the scope is empty or the computation is invalid.
 pub fn run_vc_token(computation: &Computation, wcp: &Wcp, sim_config: SimConfig) -> OnlineReport {
-    run_vc_token_recorded(computation, wcp, sim_config, Arc::new(NullRecorder))
-}
-
-/// [`run_vc_token`] with an attached [`Recorder`]: the simulator streams
-/// [`wcp_obs::TraceEvent::MessageDelivered`] hops and each monitor streams
-/// its protocol events (token moves, candidate verdicts, buffered
-/// snapshots), all stamped with simulated time.
-///
-/// # Panics
-///
-/// Panics if the scope is empty or the computation is invalid.
-pub fn run_vc_token_recorded(
-    computation: &Computation,
-    wcp: &Wcp,
-    sim_config: SimConfig,
-    recorder: Arc<dyn Recorder>,
-) -> OnlineReport {
-    let n = wcp.n();
-    assert!(n >= 1, "WCP scope must name at least one process");
-    let monitors = actor_ids(computation.process_count(), n);
-    simulate(
-        computation,
-        wcp,
-        ClockMode::Vector,
-        sim_config,
-        recorder.clone(),
-        false,
-        |result, stats| {
-            (0..n)
-                .map(|pos| {
-                    let monitor = VcMonitor::new(
-                        pos,
-                        n,
-                        monitors.clone(),
-                        pos == 0,
-                        result.clone(),
-                        stats.clone(),
-                    );
-                    Box::new(monitor.with_recorder(recorder.clone())) as Box<dyn Actor<DetectMsg>>
-                })
-                .collect()
-        },
-    )
-}
-
-/// Runs the Section 4 direct-dependence algorithm online; `parallel`
-/// enables the Section 4.5 proactive red-chain variant.
-///
-/// All `N` processes get monitors.
-///
-/// # Panics
-///
-/// Panics if the computation has no processes or is invalid.
-pub fn run_direct(
-    computation: &Computation,
-    wcp: &Wcp,
-    sim_config: SimConfig,
-    parallel: bool,
-) -> OnlineReport {
-    run_direct_recorded(
-        computation,
-        wcp,
-        sim_config,
-        parallel,
-        Arc::new(NullRecorder),
-    )
-}
-
-/// [`run_direct`] with an attached [`Recorder`]: the simulator streams
-/// message-delivery hops and each monitor streams its protocol events
-/// (polls, red-chain hops, candidate verdicts), stamped with simulated
-/// time.
-///
-/// # Panics
-///
-/// Panics if the computation has no processes or is invalid.
-pub fn run_direct_recorded(
-    computation: &Computation,
-    wcp: &Wcp,
-    sim_config: SimConfig,
-    parallel: bool,
-    recorder: Arc<dyn Recorder>,
-) -> OnlineReport {
-    let n_total = computation.process_count();
-    assert!(n_total >= 1, "computation must have at least one process");
-    let monitors = actor_ids(n_total, n_total);
-    let g_board = Arc::new(Mutex::new(vec![0u64; n_total]));
-    simulate(
-        computation,
-        wcp,
-        ClockMode::Scalar,
-        sim_config,
-        recorder.clone(),
-        false,
-        |result, stats| {
-            ProcessId::all(n_total)
-                .map(|p| {
-                    let monitor = DdMonitor::new(
-                        p,
-                        n_total,
-                        monitors.clone(),
-                        parallel,
-                        g_board.clone(),
-                        result.clone(),
-                        stats.clone(),
-                    );
-                    Box::new(monitor.with_recorder(recorder.clone())) as Box<dyn Actor<DetectMsg>>
-                })
-                .collect()
-        },
-    )
-}
-
-/// Actor ids `first..first + count`.
-pub(crate) fn actor_ids(first: usize, count: usize) -> Vec<ActorId> {
-    (first..first + count)
-        .map(|i| ActorId::new(i as u32))
-        .collect()
-}
-
-/// Builds, runs and reports one simulated detection.
-///
-/// Application actors take ids `0..N`; the actors `monitors` returns take
-/// the ids after them, in order. The monitored processes are the scope in
-/// [`ClockMode::Vector`] runs (Section 3) and every process in
-/// [`ClockMode::Scalar`] runs (Section 4). Each streams its snapshots over
-/// a FIFO channel to its mate: the monitor at its own position, or the
-/// first monitor for every process when `central` (the centralized
-/// checker). A verdict's entries are indexed by monitored position.
-///
-/// # Panics
-///
-/// Panics with the monitors' stall table if the run ends without a
-/// verdict.
-pub(crate) fn simulate(
-    computation: &Computation,
-    wcp: &Wcp,
-    mode: ClockMode,
-    sim_config: SimConfig,
-    recorder: Arc<dyn Recorder>,
-    central: bool,
-    monitors: impl FnOnce(&SharedOutcome, &SharedStats) -> Vec<Box<dyn Actor<DetectMsg>>>,
-) -> OnlineReport {
-    let n_total = computation.process_count();
-    let (monitored, app_payload_bytes) = match mode {
-        ClockMode::Vector => (wcp.clone(), 8 + 8 * wcp.n() as u64), // MsgId + scope-width vector
-        ClockMode::Scalar => (Wcp::over_first(n_total), 16),        // MsgId + scalar tag
-    };
-    let mate = |pos: usize| ActorId::new((n_total + if central { 0 } else { pos }) as u32);
-    let apps = actor_ids(0, n_total);
-    let mut config = sim_config;
-    for (pos, &p) in monitored.scope().iter().enumerate() {
-        config = config.with_fifo_channel(apps[p.index()], mate(pos));
-    }
-
-    let result: SharedOutcome = Arc::default();
-    let stats: SharedStats = Arc::default();
-    let mut sim = Simulation::new(config);
-    sim.set_recorder(recorder);
-    for p in ProcessId::all(n_total) {
-        let monitor = monitored.position(p).map(mate);
-        sim.add_actor(Box::new(AppProcess::new(
-            computation,
-            wcp,
-            p,
-            mode,
-            apps.clone(),
-            monitor,
-        )));
-    }
-    let monitors = monitors(&result, &stats);
-    let monitor_ids = actor_ids(n_total, monitors.len());
-    for monitor in monitors {
-        sim.add_actor(monitor);
-    }
-
-    let outcome = sim.run();
-    let detection = match result.lock().unwrap().take() {
-        Some(OnlineDetection::Detected(g)) => Detection::Detected {
-            cut: monitored.lift(&g, n_total),
-        },
-        Some(OnlineDetection::Undetected) => Detection::Undetected,
-        None => panic!(
-            "simulation quiesced without a verdict (protocol stalled)\n{}",
-            stats.lock().unwrap().stall_report()
-        ),
-    };
-    let metrics = collect_metrics(
-        &sim,
-        computation,
-        &monitor_ids,
-        monitored.n() as u64,
-        &stats.lock().unwrap(),
-        &outcome,
-        app_payload_bytes,
-    );
-    OnlineReport {
-        report: DetectionReport { detection, metrics },
-        outcome,
-    }
-}
-
-/// Translates simulator counters into paper-unit [`DetectionMetrics`].
-///
-/// Application actors send script messages, snapshots, and end-of-trace
-/// markers (one per monitored process); the script traffic (whose size
-/// per message is fixed by the clock mode) and the 1-byte markers are
-/// subtracted to isolate snapshot traffic. Every non-application actor
-/// is a participant; application actors are `0..N`.
-fn collect_metrics(
-    sim: &Simulation<DetectMsg>,
-    computation: &Computation,
-    monitors: &[ActorId],
-    eot_count: u64,
-    stats: &OnlineStats,
-    outcome: &SimOutcome,
-    app_payload_bytes: u64,
-) -> DetectionMetrics {
-    let mut metrics = DetectionMetrics::new(monitors.len());
-    let sim_metrics = sim.metrics();
-    for (i, &m) in monitors.iter().enumerate() {
-        let a = sim_metrics.actor(m);
-        metrics.per_process_work[i] = a.work;
-        metrics.control_messages += a.sent;
-        metrics.control_bytes += a.bytes_sent;
-    }
-    let mut app_sent = 0u64;
-    let mut app_bytes = 0u64;
-    for a in 0..computation.process_count() {
-        let m = sim_metrics.actor(ActorId::new(a as u32));
-        app_sent += m.sent;
-        app_bytes += m.bytes_sent;
-    }
-    let script_msgs = computation.total_messages() as u64;
-    metrics.snapshot_messages = app_sent.saturating_sub(script_msgs + eot_count);
-    metrics.snapshot_bytes = app_bytes.saturating_sub(script_msgs * app_payload_bytes + eot_count);
-    metrics.token_hops = stats.token_hops;
-    metrics.max_buffered_snapshots = stats.max_buffered;
-    metrics.parallel_time = outcome.time.0;
-    metrics
+    run_online(Family::VcToken, computation, wcp, sim_config)
 }
 
 #[cfg(test)]
@@ -288,6 +406,10 @@ mod tests {
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    fn run_direct(c: &Computation, wcp: &Wcp, sim: SimConfig, parallel: bool) -> OnlineReport {
+        run_online(Family::Direct { parallel }, c, wcp, sim)
     }
 
     #[test]
@@ -342,29 +464,66 @@ mod tests {
 
     #[test]
     fn every_vector_clock_runner_counts_only_snapshot_traffic() {
-        use crate::online::{run_checker, run_multi_token};
         let cfg = GeneratorConfig::new(4, 10).with_seed(5);
         let wcp = Wcp::over_first(4);
         let runs = |c: &Computation| {
             [
-                ("token", run_vc_token(c, &wcp, SimConfig::seeded(1))),
-                ("multi", run_multi_token(c, &wcp, SimConfig::seeded(1), 2)),
-                ("checker", run_checker(c, &wcp, SimConfig::seeded(1))),
+                Family::VcToken,
+                Family::MultiToken { groups: 2 },
+                Family::Checker,
             ]
+            .map(|family| (family, run_online(family, c, &wcp, SimConfig::seeded(1))))
         };
         // No pred-true interval, no snapshot: end-of-trace markers are not
         // snapshots.
         let empty = generate(&cfg.clone().with_predicate_density(0.0)).computation;
-        for (name, run) in runs(&empty) {
+        for (family, run) in runs(&empty) {
             let m = &run.report.metrics;
-            assert_eq!(run.report.detection, Detection::Undetected, "{name}");
-            assert_eq!((m.snapshot_messages, m.snapshot_bytes), (0, 0), "{name}");
+            assert_eq!(run.report.detection, Detection::Undetected, "{family}");
+            assert_eq!((m.snapshot_messages, m.snapshot_bytes), (0, 0), "{family}");
         }
         let planted = generate(&cfg.with_predicate_density(0.3).with_plant(0.9)).computation;
-        for (name, run) in runs(&planted) {
+        for (family, run) in runs(&planted) {
             let m = &run.report.metrics;
-            assert!(run.report.detection.cut().is_some(), "{name}");
-            assert!(m.snapshot_messages > 0 && m.snapshot_bytes > 0, "{name}");
+            assert!(run.report.detection.cut().is_some(), "{family}");
+            assert!(m.snapshot_messages > 0, "{family}");
+            // Every Figure 2 snapshot is a scope-width clock.
+            assert_eq!(m.snapshot_bytes, m.snapshot_messages * 8 * 4, "{family}");
+        }
+    }
+
+    #[test]
+    fn an_early_stop_counts_the_snapshots_the_apps_sent() {
+        // Both processes hold their predicate from the start, then trade
+        // 40 messages: every family detects long before the scripts end,
+        // so inferring snapshots from the whole script undercounts them
+        // (to zero). The apps count them where they send them.
+        let mut b = ComputationBuilder::new(2);
+        b.mark_true(p(0));
+        b.mark_true(p(1));
+        for _ in 0..20 {
+            let m = b.send(p(0), p(1));
+            b.receive(p(1), m);
+            let m = b.send(p(1), p(0));
+            b.receive(p(0), m);
+        }
+        let c = b.build().unwrap();
+        let wcp = Wcp::over_first(2);
+        for family in [
+            Family::VcToken,
+            Family::MultiToken { groups: 2 },
+            Family::Checker,
+            Family::Direct { parallel: false },
+        ] {
+            let run = run_online(family, &c, &wcp, SimConfig::seeded(1));
+            let m = &run.report.metrics;
+            assert_eq!(
+                run.report.detection.cut().map(|c| c.as_slice().to_vec()),
+                Some(vec![1, 1]),
+                "{family}"
+            );
+            assert!(m.snapshot_messages >= 2, "{family}: {m}");
+            assert!(m.snapshot_bytes > 0, "{family}: {m}");
         }
     }
 
@@ -426,135 +585,80 @@ mod tests {
             "parallel chain faster only {faster}/{total} runs"
         );
     }
-}
 
-/// [`Detector`]-trait adapters over the online runners, so experiment code
-/// can mix offline emulations and online simulations behind one interface.
-pub mod adapters {
-    use wcp_trace::{AnnotatedComputation, Wcp};
-
-    use crate::detector::{DetectionReport, Detector};
-    use crate::online::harness::{run_direct, run_vc_token};
-    use crate::online::multi_token::run_multi_token;
-    use wcp_sim::SimConfig;
-
-    /// The Section 3 token algorithm over the simulated network.
-    #[derive(Debug, Clone)]
-    pub struct OnlineTokenDetector {
-        config: SimConfig,
-    }
-
-    impl OnlineTokenDetector {
-        /// Online token detector over the given network.
-        pub fn new(config: SimConfig) -> Self {
-            OnlineTokenDetector { config }
+    #[test]
+    fn families_print_and_parse_alike() {
+        for family in [
+            Family::VcToken,
+            Family::MultiToken { groups: 3 },
+            Family::Checker,
+            Family::Direct { parallel: false },
+            Family::Direct { parallel: true },
+        ] {
+            assert_eq!(family.to_string().parse::<Family>(), Ok(family));
+        }
+        for bad in ["bogus", "multi", "multi:0", "multi:x"] {
+            assert!(bad.parse::<Family>().is_err(), "{bad}");
         }
     }
 
-    impl Detector for OnlineTokenDetector {
-        fn name(&self) -> &str {
-            "token(sim)"
-        }
-        fn detect(&self, annotated: &AnnotatedComputation<'_>, wcp: &Wcp) -> DetectionReport {
-            run_vc_token(annotated.computation(), wcp, self.config.clone()).report
-        }
-    }
-
-    /// The Section 4 direct-dependence algorithm over the simulated
-    /// network, optionally with the §4.5 parallel red chain.
-    #[derive(Debug, Clone)]
-    pub struct OnlineDirectDetector {
-        config: SimConfig,
-        parallel: bool,
-    }
-
-    impl OnlineDirectDetector {
-        /// Online direct-dependence detector over the given network.
-        pub fn new(config: SimConfig, parallel: bool) -> Self {
-            OnlineDirectDetector { config, parallel }
-        }
-    }
-
-    impl Detector for OnlineDirectDetector {
-        fn name(&self) -> &str {
-            if self.parallel {
-                "direct∥(sim)"
-            } else {
-                "direct(sim)"
+    #[test]
+    fn a_stalled_simulation_names_every_monitor_state() {
+        // Silence process 1's application: its monitor never hears a
+        // snapshot or end-of-trace, so every family waits on it forever,
+        // and the panic must say where.
+        struct Silent;
+        impl Actor<DetectMsg> for Silent {
+            fn on_message(
+                &mut self,
+                _: &mut dyn wcp_sim::Context<DetectMsg>,
+                _: ActorId,
+                _: DetectMsg,
+            ) {
             }
         }
-        fn detect(&self, annotated: &AnnotatedComputation<'_>, wcp: &Wcp) -> DetectionReport {
-            run_direct(
-                annotated.computation(),
-                wcp,
-                self.config.clone(),
-                self.parallel,
-            )
-            .report
-        }
-    }
-
-    /// The Section 3.5 multi-token algorithm over the simulated network.
-    #[derive(Debug, Clone)]
-    pub struct OnlineMultiTokenDetector {
-        config: SimConfig,
-        groups: usize,
-    }
-
-    impl OnlineMultiTokenDetector {
-        /// Online multi-token detector with `groups` tokens.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `groups == 0`.
-        pub fn new(config: SimConfig, groups: usize) -> Self {
-            assert!(groups >= 1, "need at least one group");
-            OnlineMultiTokenDetector { config, groups }
-        }
-    }
-
-    impl Detector for OnlineMultiTokenDetector {
-        fn name(&self) -> &str {
-            "multi-token(sim)"
-        }
-        fn detect(&self, annotated: &AnnotatedComputation<'_>, wcp: &Wcp) -> DetectionReport {
-            run_multi_token(
-                annotated.computation(),
-                wcp,
-                self.config.clone(),
-                self.groups,
-            )
-            .report
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use crate::{Detector, TokenDetector};
-        use wcp_trace::generate::{generate, GeneratorConfig};
-
-        #[test]
-        fn adapters_run_behind_the_trait() {
-            let g = generate(
-                &GeneratorConfig::new(4, 8)
-                    .with_seed(2)
-                    .with_predicate_density(0.3)
-                    .with_plant(0.7),
-            );
-            let annotated = g.computation.annotate();
-            let wcp = wcp_trace::Wcp::over_first(4);
-            let expected = TokenDetector::new().detect(&annotated, &wcp).detection;
-            let detectors: Vec<Box<dyn Detector>> = vec![
-                Box::new(OnlineTokenDetector::new(SimConfig::seeded(1))),
-                Box::new(OnlineDirectDetector::new(SimConfig::seeded(1), false)),
-                Box::new(OnlineDirectDetector::new(SimConfig::seeded(1), true)),
-                Box::new(OnlineMultiTokenDetector::new(SimConfig::seeded(1), 2)),
-            ];
-            for d in &detectors {
-                let r = d.detect(&annotated, &wcp);
-                assert_eq!(r.detection, expected, "{}", d.name());
-                assert!(!d.name().is_empty());
+        let mut b = ComputationBuilder::new(2);
+        b.mark_true(p(0));
+        b.mark_true(p(1));
+        let c = b.build().unwrap();
+        for (family, rows) in [
+            (
+                Family::VcToken,
+                &[
+                    "vc[0]: queued=0 eot=true done=false no token",
+                    "vc[1]: queued=0 eot=false done=false token held",
+                ][..],
+            ),
+            (
+                Family::MultiToken { groups: 2 },
+                &[
+                    "group[0]: queued=0 eot=true done=false no token",
+                    "group[1]: queued=0 eot=false done=false token held",
+                    "leader: queued=1 eot=false done=false outstanding=1 parked groups=[0]",
+                ][..],
+            ),
+            (
+                Family::Checker,
+                &["checker: queued=1 eot=false done=false queue depths=[1, 0]"][..],
+            ),
+            (
+                Family::Direct { parallel: false },
+                &["dd[P0]: queued=0 eot=true", "dd[P1]: queued=0 eot=false"][..],
+            ),
+        ] {
+            let mut layout = family.layout(&c, &Wcp::over_first(2));
+            layout.actors[1].1 = Hosted::boxed(Silent);
+            let stall = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                simulate(layout, SimConfig::seeded(1), &RunOptions::default())
+            }))
+            .expect_err("the run cannot finish");
+            let message = stall.downcast_ref::<String>().expect("formatted panic");
+            assert!(message.contains("protocol stalled"), "{family}: {message}");
+            for row in rows {
+                assert!(
+                    message.contains(row),
+                    "{family}: {row} missing from\n{message}"
+                );
             }
         }
     }

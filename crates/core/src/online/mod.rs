@@ -7,8 +7,10 @@
 //! and replies over arbitrary asynchronous channels. Blocking receives in
 //! the paper's pseudocode become actor state machines.
 //!
-//! Entry points: [`run_vc_token`] (Section 3) and [`run_direct`]
-//! (Section 4, with the optional Section 4.5 parallel red chain).
+//! Each family lays its actors out once ([`Family::layout`], a
+//! [`Layout`]); [`simulate`] hosts a layout on the simulator, and
+//! `wcp-net` hosts the same layouts on socket peers. Entry points:
+//! [`run_online`] for any [`Family`], and [`run_vc_token`] (Section 3).
 
 pub mod app;
 pub mod checker_actor;
@@ -20,11 +22,9 @@ mod testing;
 pub mod vc_monitor;
 
 pub use app::{AppProcess, ClockMode};
-pub use checker_actor::run_checker;
-pub use harness::adapters::{OnlineDirectDetector, OnlineMultiTokenDetector, OnlineTokenDetector};
 pub use harness::{
-    run_direct, run_direct_recorded, run_vc_token, run_vc_token_recorded, OnlineReport,
+    apps, run_online, run_vc_token, simulate, Channel, Family, Hosted, Layout, OnlineReport,
+    Placed, ReportFn, RunOptions,
 };
 pub use messages::{ClockTag, DetectMsg, GroupTokenMsg};
-pub use multi_token::run_multi_token;
 pub use vc_monitor::{OnlineDetection, OnlineStats, SharedOutcome, SharedStats};

@@ -13,17 +13,17 @@
 //! and control traffic.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use wcp_obs::NullRecorder;
-use wcp_sim::{Actor, ActorId, Context, SimConfig};
+use wcp_sim::{Actor, ActorId, Context};
 use wcp_trace::{Computation, Wcp};
 
+use crate::detector::DetectionReport;
 use crate::online::app::ClockMode;
-use crate::online::harness::{actor_ids, simulate, OnlineReport};
+use crate::online::harness::{detection_layout, Hosted, Layout, Placed};
 use crate::online::messages::{DetectMsg, GroupTokenMsg};
 use crate::online::vc_monitor::{
-    describe_token_state, MonitorStall, OnlineDetection, SharedOutcome, SharedStats,
+    describe_token_state, stall_row, OnlineDetection, SharedOutcome, SharedStats,
 };
 use crate::snapshot::SnapshotBuffer;
 use crate::visit::{first_red, groups, merge, next_red_member, visit, ActorEffects, Inbox, Visit};
@@ -45,23 +45,6 @@ struct GroupMonitor {
 }
 
 impl GroupMonitor {
-    fn record_stall(&self) {
-        let detail = match &self.token {
-            Some(t) => describe_token_state(&t.token),
-            None => "no token".to_string(),
-        };
-        self.stats.lock().unwrap().note_stall(
-            self.pos,
-            MonitorStall {
-                label: format!("group[{}]", self.pos),
-                queued: self.queue.len() as u64,
-                eot: self.eot,
-                done: self.done,
-                detail,
-            },
-        );
-    }
-
     fn try_advance(&mut self, ctx: &mut dyn Context<DetectMsg>) {
         if self.done {
             return;
@@ -92,7 +75,7 @@ impl GroupMonitor {
         let token = DetectMsg::GroupToken(self.token.take().expect("token present"));
         match next {
             Some(p) => {
-                self.stats.lock().unwrap().token_hops += 1;
+                self.stats.hop();
                 ctx.send(self.monitors[p], token);
             }
             // No red member left: home to the leader, a control message.
@@ -106,10 +89,7 @@ impl Actor<DetectMsg> for GroupMonitor {
         match msg {
             DetectMsg::VcSnapshot(s) => {
                 self.queue.push(&s);
-                {
-                    let mut stats = self.stats.lock().unwrap();
-                    stats.max_buffered = stats.max_buffered.max(self.queue.len() as u64);
-                }
+                self.stats.buffered(self.queue.len() as u64);
                 self.try_advance(ctx);
             }
             DetectMsg::EndOfTrace => {
@@ -126,7 +106,16 @@ impl Actor<DetectMsg> for GroupMonitor {
             }
             other => unreachable!("group monitor {}: unexpected {other:?}", self.pos),
         }
-        self.record_stall();
+    }
+
+    fn status(&self) -> Option<String> {
+        Some(stall_row(
+            &format!("group[{}]", self.pos),
+            self.queue.len(),
+            self.eot,
+            self.done,
+            &describe_token_state(self.token.as_ref().map(|t| &t.token)),
+        ))
     }
 }
 
@@ -142,29 +131,9 @@ struct Leader {
     outstanding: usize,
     done: bool,
     result: SharedOutcome,
-    stats: SharedStats,
 }
 
 impl Leader {
-    fn record_stall(&self) {
-        let parked: Vec<usize> = self
-            .parked
-            .iter()
-            .enumerate()
-            .filter_map(|(gi, t)| t.as_ref().map(|_| gi))
-            .collect();
-        self.stats.lock().unwrap().note_stall(
-            self.n,
-            MonitorStall {
-                label: "leader".to_string(),
-                queued: parked.len() as u64,
-                eot: false,
-                done: self.done,
-                detail: format!("outstanding={} parked groups={parked:?}", self.outstanding),
-            },
-        );
-    }
-
     /// Sends every parked token that has a red member to the first one.
     fn dispatch(&mut self, ctx: &mut dyn Context<DetectMsg>) {
         for (slot, members) in self.parked.iter_mut().zip(&self.groups) {
@@ -222,53 +191,58 @@ impl Actor<DetectMsg> for Leader {
             }
             other => unreachable!("leader: unexpected {other:?}"),
         }
-        self.record_stall();
+    }
+
+    fn status(&self) -> Option<String> {
+        let parked: Vec<usize> = (0..self.parked.len())
+            .filter(|&gi| self.parked[gi].is_some())
+            .collect();
+        Some(stall_row(
+            "leader",
+            parked.len(),
+            false,
+            self.done,
+            &format!("outstanding={} parked groups={parked:?}", self.outstanding),
+        ))
     }
 }
 
-/// Runs the Section 3.5 multi-token algorithm online with `groups` tokens.
+/// Lays out the Section 3.5 multi-token algorithm with `groups` tokens:
+/// applications `0..N`, group monitors `N..N+n` (monitor `pos` on peer
+/// `pos`), and the leader at `N+n`, on peer 0.
 ///
-/// Detects the same cut as [`run_vc_token`](crate::online::run_vc_token);
-/// with more groups the monitors work concurrently between leader merges,
-/// shrinking simulated detection latency on wide computations.
-///
-/// # Panics
-///
-/// Panics if the scope is empty, `groups == 0`, or the computation is
-/// invalid.
-pub fn run_multi_token(
+/// Detects the same cut as the single token; with more groups the
+/// monitors work concurrently between leader merges, shrinking simulated
+/// detection latency on wide computations.
+pub(crate) fn layout(
     computation: &Computation,
     wcp: &Wcp,
-    sim_config: SimConfig,
     groups: usize,
-) -> OnlineReport {
+) -> Layout<DetectionReport> {
     let n = wcp.n();
-    assert!(n >= 1, "WCP scope must name at least one process");
     assert!(groups >= 1, "need at least one group");
     let groups = self::groups(n, groups);
-
-    // Actor layout: apps 0..N, monitors N..N+n, leader N+n.
     let n_total = computation.process_count();
-    let monitors = actor_ids(n_total, n);
+    let monitors: Vec<ActorId> = (0..n)
+        .map(|pos| ActorId::new((n_total + pos) as u32))
+        .collect();
     let leader = ActorId::new((n_total + n) as u32);
-
-    simulate(
+    detection_layout(
         computation,
         wcp,
         ClockMode::Vector,
-        sim_config,
-        Arc::new(NullRecorder),
         false,
         |result, stats| {
-            let mut actors: Vec<Box<dyn Actor<DetectMsg>>> = (0..n)
+            let mut actors: Vec<Placed> = (0..n)
                 .map(|pos| {
-                    Box::new(GroupMonitor {
+                    let members = groups
+                        .iter()
+                        .find(|m| m.contains(&pos))
+                        .expect("the groups cover the scope")
+                        .clone();
+                    let monitor = GroupMonitor {
                         pos,
-                        members: groups
-                            .iter()
-                            .find(|m| m.contains(&pos))
-                            .expect("the groups cover the scope")
-                            .clone(),
+                        members,
                         monitors: monitors.clone(),
                         leader,
                         queue: SnapshotBuffer::new(n),
@@ -277,21 +251,22 @@ pub fn run_multi_token(
                         done: false,
                         result: result.clone(),
                         stats: stats.clone(),
-                    }) as Box<dyn Actor<DetectMsg>>
+                    };
+                    (pos as u32, Hosted::boxed(monitor))
                 })
                 .collect();
-            actors.push(Box::new(Leader {
+            let leader = Leader {
                 n,
                 parked: (0..groups.len())
                     .map(|k| Some(GroupTokenMsg::new(k, n)))
                     .collect(),
                 groups,
-                monitors: monitors.clone(),
+                monitors,
                 outstanding: 0,
                 done: false,
                 result: result.clone(),
-                stats: stats.clone(),
-            }));
+            };
+            actors.push((0, Hosted::boxed(leader)));
             actors
         },
     )
@@ -301,8 +276,13 @@ pub fn run_multi_token(
 mod tests {
     use super::*;
     use crate::detector::Detection;
-    use crate::online::harness::run_vc_token;
+    use crate::online::harness::{run_online, run_vc_token, Family, OnlineReport};
+    use wcp_sim::SimConfig;
     use wcp_trace::generate::{generate, GeneratorConfig};
+
+    fn run_multi_token(c: &Computation, wcp: &Wcp, sim: SimConfig, groups: usize) -> OnlineReport {
+        run_online(Family::MultiToken { groups }, c, wcp, sim)
+    }
 
     #[test]
     fn multi_token_online_matches_single_token() {

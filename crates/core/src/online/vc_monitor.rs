@@ -1,13 +1,18 @@
 //! The Figure 3 monitor actor (single-token vector-clock algorithm).
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-use std::sync::Mutex;
 use wcp_obs::{LogicalTime, NullRecorder, Recorder, TraceEvent};
 use wcp_sim::{Actor, ActorId, Context};
 
+use wcp_trace::{Computation, Wcp};
+
+use crate::detector::DetectionReport;
 use crate::offline::token::{Color, Token};
+use crate::online::app::ClockMode;
+use crate::online::harness::{detection_layout, Hosted, Layout};
 use crate::online::messages::DetectMsg;
 use crate::snapshot::SnapshotBuffer;
 use crate::visit::{visit, ActorEffects, Inbox, Visit};
@@ -30,69 +35,51 @@ pub enum OnlineDetection {
     Undetected,
 }
 
-/// Protocol-level counters the simulator cannot attribute by itself.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Protocol-level counters the simulator cannot attribute by itself,
+/// shared by a run's actors and bumped without a lock.
+#[derive(Debug, Default)]
 pub struct OnlineStats {
     /// Token transfers between monitors.
-    pub token_hops: u64,
+    pub token_hops: AtomicU64,
     /// Largest snapshot queue observed at any monitor (the paper's
     /// per-process space measure).
-    pub max_buffered: u64,
-    /// Last-known per-monitor protocol state, refreshed after every
-    /// delivery; read only when a run quiesces without a verdict so the
-    /// stall is diagnosable from the panic message alone.
-    pub stalls: Vec<MonitorStall>,
+    pub max_buffered: AtomicU64,
+    /// Snapshots the application processes sent to their monitors.
+    pub snapshots: AtomicU64,
+    /// Their paper-unit bytes ([`WireSize`](wcp_sim::WireSize)).
+    pub snapshot_bytes: AtomicU64,
 }
 
 impl OnlineStats {
-    /// Records monitor `idx`'s latest protocol state, growing the table as
-    /// needed.
-    pub fn note_stall(&mut self, idx: usize, stall: MonitorStall) {
-        if self.stalls.len() <= idx {
-            self.stalls.resize(idx + 1, MonitorStall::default());
-        }
-        self.stalls[idx] = stall;
+    /// Counts one token transfer.
+    pub fn hop(&self) {
+        self.token_hops.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Formats the per-monitor stall table for a quiesced-without-verdict
-    /// panic message: one line per monitor with queue depth, end-of-trace
-    /// flag, verdict latch, and algorithm-specific token/chain state.
-    pub fn stall_report(&self) -> String {
-        if self.stalls.is_empty() {
-            return "  (no monitor state recorded)".to_string();
-        }
-        self.stalls
-            .iter()
-            .map(|s| {
-                format!(
-                    "  {}: queued={} eot={} done={} {}",
-                    s.label, s.queued, s.eot, s.done, s.detail
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
+    /// Notes a monitor queue `depth` deep.
+    pub fn buffered(&self, depth: u64) {
+        self.max_buffered.fetch_max(depth, Ordering::Relaxed);
+    }
+
+    /// Counts one snapshot of `bytes` paper-unit bytes.
+    pub fn snapshot(&self, bytes: u64) {
+        self.snapshots.fetch_add(1, Ordering::Relaxed);
+        self.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 }
 
-/// One monitor's last-known protocol state (see [`OnlineStats::stalls`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MonitorStall {
-    /// Monitor label, e.g. `vc[2]`, `dd[0]`, `group[1]`, `leader`.
-    pub label: String,
-    /// Snapshots buffered and not yet consumed.
-    pub queued: u64,
-    /// Whether end-of-trace has been observed.
-    pub eot: bool,
-    /// Whether a verdict was latched locally.
-    pub done: bool,
-    /// Algorithm-specific state: token location and colors, chain phase,
-    /// outstanding polls, parked group tokens, ….
-    pub detail: String,
+/// One monitor's row of a stalled run's panic message: queue depth,
+/// end-of-trace flag, verdict latch, then the algorithm's own state.
+pub(crate) fn stall_row(label: &str, queued: usize, eot: bool, done: bool, detail: &str) -> String {
+    format!("{label}: queued={queued} eot={eot} done={done} {detail}")
 }
 
 /// Renders a token's candidate cut and colors (`R`/`G` per position) for a
 /// stall report.
-pub(crate) fn describe_token_state(token: &Token) -> String {
+pub(crate) fn describe_token_state(token: Option<&Token>) -> String {
+    let Some(token) = token else {
+        return "no token".to_string();
+    };
     let colors: String = token
         .colors()
         .iter()
@@ -105,7 +92,7 @@ pub(crate) fn describe_token_state(token: &Token) -> String {
 }
 
 /// Shared instrumentation cell for [`OnlineStats`].
-pub type SharedStats = Arc<Mutex<OnlineStats>>;
+pub type SharedStats = Arc<OnlineStats>;
 
 /// A Figure 3 monitor: buffers its application process's snapshots and,
 /// while holding the token, advances the candidate cut.
@@ -164,33 +151,9 @@ impl VcMonitor {
         }
     }
 
-    /// Streams [`TraceEvent`]s of this monitor's protocol steps to
-    /// `recorder`, stamped with the simulation tick.
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
     fn emit(&self, ctx: &dyn Context<DetectMsg>, event: TraceEvent) {
         self.recorder
             .record(self.pos as u32, LogicalTime::Tick(ctx.now()), event);
-    }
-
-    fn record_stall(&self) {
-        let detail = match &self.token {
-            Some(t) => describe_token_state(t),
-            None => "no token".to_string(),
-        };
-        self.stats.lock().unwrap().note_stall(
-            self.pos,
-            MonitorStall {
-                label: format!("vc[{}]", self.pos),
-                queued: self.queue.len() as u64,
-                eot: self.eot,
-                done: self.done,
-                detail,
-            },
-        );
     }
 
     /// Figure 3 body; re-entered whenever the token or new candidates
@@ -241,7 +204,7 @@ impl VcMonitor {
             .next_red((self.pos + 1) % self.n)
             .expect("not all green ⇒ some red");
         let token = self.token.take().expect("token present");
-        self.stats.lock().unwrap().token_hops += 1;
+        self.stats.hop();
         if observe {
             let bytes = token.wire_size() as u64;
             self.emit(
@@ -274,12 +237,8 @@ impl VcMonitor {
             );
         }
         self.queue.push_le_bytes(clock_le);
-        {
-            let mut stats = self.stats.lock().unwrap();
-            stats.max_buffered = stats.max_buffered.max(self.queue.len() as u64);
-        }
+        self.stats.buffered(self.queue.len() as u64);
         self.try_advance(ctx);
-        self.record_stall();
     }
 }
 
@@ -291,7 +250,6 @@ impl Actor<DetectMsg> for VcMonitor {
                 self.emit(ctx, TraceEvent::TokenAcquired { from: None });
             }
             self.try_advance(ctx);
-            self.record_stall();
         }
     }
 
@@ -308,10 +266,7 @@ impl Actor<DetectMsg> for VcMonitor {
                     );
                 }
                 self.queue.push(&s);
-                {
-                    let mut stats = self.stats.lock().unwrap();
-                    stats.max_buffered = stats.max_buffered.max(self.queue.len() as u64);
-                }
+                self.stats.buffered(self.queue.len() as u64);
                 self.try_advance(ctx);
             }
             DetectMsg::EndOfTrace => {
@@ -337,8 +292,54 @@ impl Actor<DetectMsg> for VcMonitor {
             }
             other => unreachable!("vc monitor {}: unexpected {other:?}", self.pos),
         }
-        self.record_stall();
     }
+
+    fn set_recorder(&mut self, recorder: &Arc<dyn Recorder>) {
+        self.recorder = recorder.clone();
+    }
+
+    fn status(&self) -> Option<String> {
+        Some(stall_row(
+            &format!("vc[{}]", self.pos),
+            self.queue.len(),
+            self.eot,
+            self.done,
+            &describe_token_state(self.token.as_ref()),
+        ))
+    }
+}
+
+/// Lays out the Section 3 single-token algorithm: applications `0..N`
+/// and one monitor per scope position at `N..N+n`, monitor `pos` on peer
+/// `pos` beside its application. The monitors are hosted typed, so a
+/// socket peer decodes their snapshot frames straight into their queues.
+pub(crate) fn layout(computation: &Computation, wcp: &Wcp) -> Layout<DetectionReport> {
+    let n = wcp.n();
+    let n_total = computation.process_count();
+    let monitors: Vec<ActorId> = (0..n)
+        .map(|pos| ActorId::new((n_total + pos) as u32))
+        .collect();
+    detection_layout(
+        computation,
+        wcp,
+        ClockMode::Vector,
+        false,
+        |result, stats| {
+            (0..n)
+                .map(|pos| {
+                    let monitor = VcMonitor::new(
+                        pos,
+                        n,
+                        monitors.clone(),
+                        pos == 0,
+                        result.clone(),
+                        stats.clone(),
+                    );
+                    (pos as u32, Hosted::Vc(monitor))
+                })
+                .collect()
+        },
+    )
 }
 
 #[cfg(test)]
@@ -362,10 +363,9 @@ mod tests {
 
     fn monitor(pos: usize, with_token: bool) -> (VcMonitor, SharedOutcome) {
         let result: SharedOutcome = Arc::new(Mutex::new(None));
-        let stats: SharedStats = Arc::new(Mutex::new(OnlineStats::default()));
         let monitors = vec![ActorId::new(10), ActorId::new(11)];
         (
-            VcMonitor::new(pos, 2, monitors, with_token, result.clone(), stats),
+            VcMonitor::new(pos, 2, monitors, with_token, result.clone(), Arc::default()),
             result,
         )
     }
@@ -378,35 +378,20 @@ mod tests {
     }
 
     #[test]
-    fn stall_report_names_every_monitor() {
-        let mut stats = OnlineStats::default();
-        assert!(stats.stall_report().contains("no monitor state"));
+    fn status_names_the_token_state() {
         let (mut m, _result) = monitor(0, true);
+        let (idle, _) = monitor(1, false);
         let mut ctx = MockCtx::default();
         m.on_start(&mut ctx);
-        m.record_stall();
-        let snapshot_stats = m.stats.lock().unwrap().clone();
-        let report = snapshot_stats.stall_report();
-        assert!(report.contains("vc[0]"), "{report}");
-        assert!(report.contains("token held"), "{report}");
-        assert!(report.contains("colors=RR"), "{report}");
-        stats.note_stall(
-            2,
-            MonitorStall {
-                label: "dd[2]".into(),
-                queued: 3,
-                eot: true,
-                done: false,
-                detail: "color=Red g=1 idle".into(),
-            },
-        );
-        let report = stats.stall_report();
+        let actors: [&dyn Actor<DetectMsg>; 2] = [&m, &idle];
+        let report = wcp_sim::status_report(actors);
         assert!(
-            report.contains("dd[2]: queued=3 eot=true done=false"),
+            report.contains("vc[0]: queued=0 eot=false done=false token held"),
             "{report}"
         );
-        // Unreported slots render as defaults rather than panicking.
-        assert!(report.lines().count() == 3, "{report}");
+        assert!(report.contains("colors=RR"), "{report}");
+        assert!(report.contains("vc[1]: queued=0"), "{report}");
+        assert!(report.contains("no token"), "{report}");
     }
 
     #[test]

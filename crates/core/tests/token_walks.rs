@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use wcp_clocks::ProcessId;
-use wcp_detect::online::{run_multi_token, run_vc_token, run_vc_token_recorded};
+use wcp_detect::online::{run_online, run_vc_token, simulate, Family, RunOptions};
 use wcp_detect::{
     CentralizedChecker, DetectionMetrics, Detector, HierarchicalChecker, LatticeDetector,
     MultiTokenDetector, ParallelDetector, TokenDetector,
@@ -78,7 +78,7 @@ fn multi_token_detector_costs_equal_the_simulated_groups() {
         let annotated = c.annotate();
         for groups in 1..=4 {
             let offline = MultiTokenDetector::new(groups).detect(&annotated, &wcp);
-            let online = run_multi_token(&c, &wcp, sim.clone(), groups).report;
+            let online = run_online(Family::MultiToken { groups }, &c, &wcp, sim.clone()).report;
             assert_eq!(online.detection, offline.detection, "{label} g {groups}");
             if offline.detection.is_detected() || groups.min(wcp.n()) == 1 {
                 assert_eq!(
@@ -142,7 +142,11 @@ fn detection_found_is_scope_indexed() {
     let annotated = c.annotate();
     let wcp = Wcp::over([1, 3].map(ProcessId::new));
     let ring = Arc::new(RingRecorder::new(1 << 12));
-    run_vc_token_recorded(&c, &wcp, SimConfig::seeded(1), ring.clone());
+    simulate(
+        Family::VcToken.layout(&c, &wcp),
+        SimConfig::seeded(1),
+        &RunOptions::recorded(ring.clone()),
+    );
     let online = found(&ring).expect("the online run detects");
     assert_eq!(online.len(), wcp.n());
 

@@ -14,24 +14,19 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wcp_clocks::{ProcessId, StateId};
-use wcp_detect::online::{
-    run_checker, run_direct, run_multi_token, run_vc_token, run_vc_token_recorded,
-};
+use wcp_detect::online::{run_online, simulate, Family, RunOptions};
 use wcp_detect::{
     audit_bounds, replay_metrics, vc_snapshot_queues, BoundLimits, CentralizedChecker, Detection,
     DetectionMetrics, DetectionReport, Detector, DirectDependenceDetector, HierarchicalChecker,
     LatticeDetector, MultiTokenDetector, ParallelDetector, StreamingChecker, StreamingStatus,
     TokenDetector,
 };
-use wcp_net::{
-    decode_delta, encode_delta, run_direct_net, run_multi_net, run_vc_token_net, NetConfig,
-    NetStats,
-};
+use wcp_net::{decode_delta, encode_delta, run_multi_net, run_net, NetConfig, NetStats};
 use wcp_obs::rng::Rng;
 use wcp_obs::{merge_streams, split_by_monitor, RingRecorder, StampedEvent};
 use wcp_session::{
-    run_multi_offline, run_multi_offline_with, run_single_offline, MultiEngine, PredicateId,
-    SessionReport, SessionVerdict,
+    run_multi_offline, run_single_offline, MultiEngine, PredicateId, Service, SessionReport,
+    SessionVerdict,
 };
 use wcp_sim::SimConfig;
 use wcp_trace::generate::generate;
@@ -497,47 +492,44 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
     // them, where the emulation stops at once.
     let sim = SimConfig::seeded(case.sim_seed).with_latency(case.latency);
     let one_group = groups.min(scope_n) == 1;
+    // The one list of online families: the simulator leg runs each here,
+    // the socket leg below runs the same values over loopback peers.
+    let families = [
+        Family::VcToken,
+        Family::MultiToken { groups },
+        Family::Checker,
+        Family::Direct { parallel: false },
+        Family::Direct { parallel: true },
+    ];
     struct Online<'a> {
-        label: &'a str,
+        label: String,
         run: Box<dyn Fn() -> DetectionReport + 'a>,
         twin: Option<&'a DetectionReport>,
     }
-    let online: Vec<Online<'_>> = vec![
-        Online {
-            label: "online:vc-token",
-            run: Box::new(|| run_vc_token(computation, &wcp, sim.clone()).report),
-            twin: token_report.as_ref(),
-        },
-        Online {
-            label: "online:multi-token",
-            run: Box::new(|| run_multi_token(computation, &wcp, sim.clone(), groups).report),
-            twin: multi_report
-                .as_ref()
-                .filter(|_| truth.is_some() || one_group),
-        },
-        Online {
-            label: "online:checker",
-            run: Box::new(|| run_checker(computation, &wcp, sim.clone()).report),
-            twin: None,
-        },
-        Online {
-            label: "online:direct",
-            run: Box::new(|| run_direct(computation, &wcp, sim.clone(), false).report),
-            twin: None,
-        },
-        Online {
-            label: "online:direct+par",
-            run: Box::new(|| run_direct(computation, &wcp, sim.clone(), true).report),
-            twin: None,
-        },
-    ];
+    let online: Vec<Online<'_>> = families
+        .iter()
+        .map(|&family| Online {
+            label: format!("online:{}", label(family)),
+            run: Box::new({
+                let (wcp, sim) = (&wcp, &sim);
+                move || run_online(family, computation, wcp, sim.clone()).report
+            }),
+            twin: match family {
+                Family::VcToken => token_report.as_ref(),
+                Family::MultiToken { .. } => multi_report
+                    .as_ref()
+                    .filter(|_| truth.is_some() || one_group),
+                Family::Checker | Family::Direct { .. } => None,
+            },
+        })
+        .collect();
     for entry in &online {
         match guarded(&entry.run) {
             Ok(report) => {
                 let got = report.detection.cut().map(|c| wcp.project(c));
                 if got != truth {
                     diverge(
-                        entry.label,
+                        &entry.label,
                         DivergenceKind::Verdict,
                         format!("expected {}, got {}", fmt_proj(&truth), fmt_proj(&got)),
                     );
@@ -552,7 +544,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
                     };
                     if costs(&report.metrics) != costs(&twin.metrics) {
                         diverge(
-                            entry.label,
+                            &entry.label,
                             DivergenceKind::Metrics,
                             format!(
                                 "online costs diverge from the offline emulation: \
@@ -563,7 +555,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
                     }
                 }
             }
-            Err(p) => diverge(entry.label, DivergenceKind::Crash, p),
+            Err(p) => diverge(&entry.label, DivergenceKind::Crash, p),
         }
     }
 
@@ -571,9 +563,13 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
     if opts.audit_bounds || opts.sabotage_bounds {
         let ring = Arc::new(RingRecorder::new(RING_CAPACITY));
         match guarded(|| {
-            run_vc_token_recorded(computation, &wcp, sim.clone(), ring.clone())
-                .report
-                .detection
+            simulate(
+                Family::VcToken.layout(computation, &wcp),
+                sim.clone(),
+                &RunOptions::recorded(ring.clone()),
+            )
+            .report
+            .detection
         }) {
             Ok(detection) => {
                 let got = detection.cut().map(|c| wcp.project(c));
@@ -647,59 +643,60 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             })
             .collect();
         let mut engine_clean = true;
-        let serial_report = match guarded(|| run_multi_offline(computation, &predicates)) {
-            Ok(report) => {
-                for outcome in &report.outcomes {
-                    let session_truth = annotated
-                        .first_satisfying_cut(&outcome.wcp)
-                        .map(|c| outcome.wcp.project(&c));
-                    let got = match &outcome.verdict {
-                        SessionVerdict::Detected(g) => Some(g.clone()),
-                        SessionVerdict::Impossible => None,
-                    };
-                    if got != session_truth {
-                        engine_clean = false;
-                        diverge(
-                            &format!("multi:engine#{}", outcome.id),
-                            DivergenceKind::Verdict,
-                            format!(
-                                "expected {}, got {}",
-                                fmt_proj(&session_truth),
-                                fmt_proj(&got)
-                            ),
-                        );
-                        continue;
-                    }
-                    let (alone_verdict, alone_metrics) =
-                        run_single_offline(computation, &outcome.wcp);
-                    if outcome.verdict != alone_verdict {
-                        engine_clean = false;
-                        diverge(
-                            &format!("multi:alone#{}", outcome.id),
-                            DivergenceKind::Verdict,
-                            format!("alone {alone_verdict}, multi {}", outcome.verdict),
-                        );
-                    } else if outcome.metrics != alone_metrics {
-                        engine_clean = false;
-                        diverge(
-                            &format!("multi:alone#{}", outcome.id),
-                            DivergenceKind::Metrics,
-                            format!(
-                                "multi-tenant metrics diverged from the alone baseline: \
+        let serial_report =
+            match guarded(|| run_multi_offline(computation, &predicates, &RunOptions::default())) {
+                Ok(report) => {
+                    for outcome in &report.outcomes {
+                        let session_truth = annotated
+                            .first_satisfying_cut(&outcome.wcp)
+                            .map(|c| outcome.wcp.project(&c));
+                        let got = match &outcome.verdict {
+                            SessionVerdict::Detected(g) => Some(g.clone()),
+                            SessionVerdict::Impossible => None,
+                        };
+                        if got != session_truth {
+                            engine_clean = false;
+                            diverge(
+                                &format!("multi:engine#{}", outcome.id),
+                                DivergenceKind::Verdict,
+                                format!(
+                                    "expected {}, got {}",
+                                    fmt_proj(&session_truth),
+                                    fmt_proj(&got)
+                                ),
+                            );
+                            continue;
+                        }
+                        let (alone_verdict, alone_metrics) =
+                            run_single_offline(computation, &outcome.wcp);
+                        if outcome.verdict != alone_verdict {
+                            engine_clean = false;
+                            diverge(
+                                &format!("multi:alone#{}", outcome.id),
+                                DivergenceKind::Verdict,
+                                format!("alone {alone_verdict}, multi {}", outcome.verdict),
+                            );
+                        } else if outcome.metrics != alone_metrics {
+                            engine_clean = false;
+                            diverge(
+                                &format!("multi:alone#{}", outcome.id),
+                                DivergenceKind::Metrics,
+                                format!(
+                                    "multi-tenant metrics diverged from the alone baseline: \
                                  alone {alone_metrics:?}, multi {:?}",
-                                outcome.metrics
-                            ),
-                        );
+                                    outcome.metrics
+                                ),
+                            );
+                        }
                     }
+                    Some(report)
                 }
-                Some(report)
-            }
-            Err(p) => {
-                engine_clean = false;
-                diverge("multi:engine", DivergenceKind::Crash, p);
-                None
-            }
-        };
+                Err(p) => {
+                    engine_clean = false;
+                    diverge("multi:engine", DivergenceKind::Crash, p);
+                    None
+                }
+            };
         // Parallel-pump leg: the same predicates fanned out by the
         // parallel pump, when the case drew `pump_parallel` (or
         // `--pump-parallel` forced it). The whole report — every verdict,
@@ -707,9 +704,11 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
         // bit-identical to the serial engine the offline leg just vetted.
         if engine_clean && (case.pump_parallel || opts.force_pump_parallel) {
             if let Some(serial) = &serial_report {
-                match guarded(|| {
-                    run_multi_offline_with(computation, &predicates, PUMP_PARALLEL_WORKERS)
-                }) {
+                let options = RunOptions {
+                    pump_threads: PUMP_PARALLEL_WORKERS,
+                    ..RunOptions::default()
+                };
+                match guarded(|| run_multi_offline(computation, &predicates, &options)) {
                     Ok(par) => {
                         if par.stats != serial.stats {
                             diverge(
@@ -787,7 +786,8 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             if !(case.net_batch || opts.force_net_batch) {
                 config = config.with_per_frame_writes();
             }
-            match guarded(|| run_multi_net(computation, &predicates, config)) {
+            let service = Service::new(&predicates);
+            match guarded(|| run_multi_net(computation, &service, config, &RunOptions::default())) {
                 Ok(net) => {
                     for outcome in &net.report.outcomes {
                         let session_truth = annotated
@@ -834,54 +834,51 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
     }
 
     // ---- real-socket loopback peers (optional, slow) -------------------
+    // The same family values as the simulator leg, each hosting the
+    // layout the simulator hosted.
     if case.net && opts.include_net {
-        let net_config = || {
-            let mut c = NetConfig::loopback().with_deadline(NET_DEADLINE);
-            if let Some(f) = &case.fault {
-                c = c.with_faults(*f);
-            }
-            if !(case.net_batch || opts.force_net_batch) {
-                c = c.with_per_frame_writes();
-            }
-            c
-        };
-        match guarded(|| {
-            run_vc_token_net(computation, &wcp, net_config())
-                .report
-                .detection
-        }) {
-            Ok(detection) => {
-                let got = detection.cut().map(|c| wcp.project(c));
-                if got != truth {
-                    diverge(
-                        "net:vc-token",
-                        DivergenceKind::Verdict,
-                        format!("expected {}, got {}", fmt_proj(&truth), fmt_proj(&got)),
-                    );
-                }
-            }
-            Err(p) => diverge("net:vc-token", DivergenceKind::Crash, p),
+        let mut config = NetConfig::loopback().with_deadline(NET_DEADLINE);
+        if let Some(f) = &case.fault {
+            config = config.with_faults(*f);
         }
-        match guarded(|| {
-            run_direct_net(computation, &wcp, false, net_config())
-                .report
-                .detection
-        }) {
-            Ok(detection) => {
-                let got = detection.cut().map(|c| wcp.project(c));
-                if got != truth {
-                    diverge(
-                        "net:direct",
-                        DivergenceKind::Verdict,
-                        format!("expected {}, got {}", fmt_proj(&truth), fmt_proj(&got)),
-                    );
+        if !(case.net_batch || opts.force_net_batch) {
+            config = config.with_per_frame_writes();
+        }
+        for family in families {
+            let label = format!("net:{}", label(family));
+            let run =
+                guarded(|| run_net(family, computation, &wcp, config, &RunOptions::default()));
+            match run {
+                // A scope wider than a group token is refused before any
+                // peer starts: no run, nothing to compare.
+                Ok(Err(_too_wide)) => {}
+                Ok(Ok(net)) => {
+                    let got = net.report.detection.cut().map(|c| wcp.project(c));
+                    if got != truth {
+                        diverge(
+                            &label,
+                            DivergenceKind::Verdict,
+                            format!("expected {}, got {}", fmt_proj(&truth), fmt_proj(&got)),
+                        );
+                    }
                 }
+                Err(p) => diverge(&label, DivergenceKind::Crash, p),
             }
-            Err(p) => diverge("net:direct", DivergenceKind::Crash, p),
         }
     }
 
     out
+}
+
+/// A family's divergence label, without its group count.
+fn label(family: Family) -> &'static str {
+    match family {
+        Family::VcToken => "vc-token",
+        Family::MultiToken { .. } => "multi-token",
+        Family::Checker => "checker",
+        Family::Direct { parallel: false } => "direct",
+        Family::Direct { parallel: true } => "direct+par",
+    }
 }
 
 /// What a full streaming drive ended with.

@@ -243,11 +243,16 @@ fn byte_color(b: u8) -> Result<Color, CodecError> {
     }
 }
 
+/// Widest scope a group token can span: its candidate bitmap rides the
+/// 64-bit `aux` field. Runners refuse a wider multi-token run before any
+/// peer starts.
+pub const MAX_GROUP_WIDTH: usize = 64;
+
 /// Presence bitmap of a group token's carried candidate clocks (the
 /// `aux` value of a `GROUP_TOKEN` frame).
 fn group_bitmap(t: &GroupTokenMsg) -> u64 {
     assert!(
-        t.token.g.len() <= 64,
+        t.token.g.len() <= MAX_GROUP_WIDTH,
         "group token over {} processes exceeds the 64-bit aux bitmap",
         t.token.g.len()
     );
@@ -466,7 +471,7 @@ pub fn decode_body(kind_byte: u8, aux: u64, body: &[u8]) -> Result<DetectMsg, Co
                 return Err(CodecError::BadLength(body.len()));
             }
             let n = rest / (9 + 8 * k);
-            if n > 64 || aux.checked_shr(n as u32).is_some_and(|high| high != 0) {
+            if n > MAX_GROUP_WIDTH || aux.checked_shr(n as u32).is_some_and(|high| high != 0) {
                 return Err(CodecError::TooWide(n));
             }
             let mut t = GroupTokenMsg::new(group, n);
@@ -562,7 +567,7 @@ fn decode_group_token_v2(aux: u64, body: &[u8]) -> Result<DetectMsg, CodecError>
     if n > r.bits_remaining() / 9 {
         return Err(CodecError::BadLength(n));
     }
-    if n > 64 || aux.checked_shr(n as u32).is_some_and(|high| high != 0) {
+    if n > MAX_GROUP_WIDTH || aux.checked_shr(n as u32).is_some_and(|high| high != 0) {
         return Err(CodecError::TooWide(n));
     }
     let mut t = GroupTokenMsg::new(group, n);

@@ -22,16 +22,21 @@
 //! - `worker` — the one thread that steps every peer of a run (the
 //!   caller's, for an in-process run), parked on a doorbell that TCP
 //!   reader threads and fault-delay threads ring;
-//! - [`runner`] — end-to-end runs ([`run_vc_token_net`],
-//!   [`run_direct_net`], [`serve_vc_peer`]) reporting the same
-//!   `DetectionReport` as the simulator, plus wire-level [`NetStats`];
+//! - [`runner`] — the two socket hosts of an online family's layout
+//!   (`wcp_detect::online::Layout`): every peer in-process, or one
+//!   standalone peer. [`run_net`] runs any detection family in-process,
+//!   [`run_vc_token_net`] the Section 3 token, and [`serve_vc_peer`] one
+//!   `wcp serve` peer of it, each reporting what the simulator reports,
+//!   plus wire-level [`NetStats`];
 //! - [`telemetry`] — the sidecar telemetry plane: per-peer
 //!   [`SidecarRecorder`]s, bit-packed deltas ([`encode_delta`],
 //!   [`decode_delta`]) and the [`TelemetryCollector`] that merges them;
-//! - [`multi`] — the multi-tenant session service on the same peers
+//! - [`multi`] — the multi-tenant session service on the same hosts
 //!   ([`run_multi_net`], [`serve_multi_peer`], `wcp serve --multi`):
 //!   thousands of predicates registered over one shared snapshot stream,
-//!   each with verdict and metrics bit-identical to running it alone.
+//!   each with verdict and metrics bit-identical to running it alone;
+//! - [`saturation`] — one link pumped flat out ([`saturate`]), the
+//!   data-path benchmark.
 //!
 //! The detection verdict is a function of the computation alone (the first
 //! consistent cut satisfying the predicate is unique), so a socket run —
@@ -56,20 +61,13 @@ mod worker;
 
 pub use codec::{decode_frame, encode_frame, read_frame, CodecError, Frame, Payload};
 pub use fault::{link_seed, FaultyTransport};
-pub use multi::{
-    run_multi_net, run_multi_net_observed, run_multi_net_with, serve_multi_peer, MultiNetReport,
-    MultiPeerReport,
-};
+pub use multi::{run_multi_net, serve_multi_peer, MultiNetReport};
 pub use peer::{Endpoint, RawFrame};
 pub use pool::{FramePool, PooledBuf};
 pub use runner::{
-    run_direct_net, run_direct_net_recorded, run_vc_token_net, run_vc_token_net_observed,
-    run_vc_token_net_recorded, serve_vc_peer, serve_vc_peer_observed, NetConfig, NetReport,
-    PeerReport, TransportKind,
+    run_net, run_vc_token_net, serve_vc_peer, NetConfig, NetReport, PeerReport, TransportKind,
 };
-pub use saturation::{
-    saturate_loopback, saturate_loopback_observed, saturate_tcp, SaturationReport,
-};
+pub use saturation::{saturate, saturate_loopback, SaturationReport};
 pub use stats::{NetCounters, NetStats};
 pub use telemetry::{
     decode_delta, encode_delta, SidecarRecorder, TelemetryCollector, TelemetryDelta,

@@ -40,7 +40,7 @@
 //! the fixed header is decoded for dedup/resequencing ([`RawFrame`]), and
 //! payload decode is deferred to delivery — vector-clock snapshots skip
 //! `DetectMsg` entirely and deserialize straight into the monitor's
-//! arena ([`VcMonitor::on_snapshot_wire`]).
+//! arena (`VcMonitor::on_snapshot_wire`).
 //!
 //! Replay logs no longer grow without bound: receivers acknowledge
 //! in-order delivery every [`ACK_EVERY`] frames (advisory `ACK` frames
@@ -54,9 +54,8 @@ use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use wcp_detect::online::vc_monitor::VcMonitor;
-use wcp_detect::online::{DetectMsg, OnlineDetection, SharedOutcome};
-use wcp_obs::{LogicalTime, Recorder, TraceEvent};
+use wcp_detect::online::{DetectMsg, Hosted, OnlineDetection, SharedOutcome};
+use wcp_obs::{LogicalTime, Recorder, TelemetrySink, TraceEvent};
 use wcp_sim::{Actor, ActorId, Context, SimMetrics, WireSize};
 
 use wcp_clocks::VectorClock;
@@ -70,7 +69,7 @@ use crate::codec::{
 };
 use crate::pool::PooledBuf;
 use crate::stats::{NetCounters, NetStats};
-use crate::telemetry::{SidecarRecorder, TelemetryCollector};
+use crate::telemetry::SidecarRecorder;
 use crate::transport::Transport;
 use crate::wire2::ClockChains;
 
@@ -288,31 +287,32 @@ pub struct Endpoint {
     ready: VecDeque<RawFrame>,
     counters: Arc<NetCounters>,
     recorder: Arc<dyn Recorder>,
-    max_retries: u32,
-    backoff_base: Duration,
     /// When `false`, every send flushes its frame individually (the
     /// pre-batching wire behaviour).
     batch: bool,
     /// Reusable encode buffer for outgoing acknowledgements.
     ack_buf: Vec<u8>,
     /// Sink for inbound sidecar telemetry frames (the collector peer).
-    collector: Option<Arc<TelemetryCollector>>,
+    collector: Option<Arc<dyn TelemetrySink>>,
 }
+
+/// Reconnect attempts before a link counts as permanently down.
+pub const RECOVERY_RETRIES: u32 = 10;
+
+/// The first reconnect attempt's backoff; each further attempt doubles it.
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
 
 impl Endpoint {
     /// Builds the endpoint for peer `me` of `n_peers`. `links[j]` must be
     /// `Some` for every `j != me`. `batch` enables send coalescing;
     /// per-frame mode is behaviourally identical on the wire, one write
     /// per frame. Every link speaks wire v2 from its first frame.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         me: u32,
         links: Vec<Option<Box<dyn Transport>>>,
         inbox: Receiver<PooledBuf>,
         counters: Arc<NetCounters>,
         recorder: Arc<dyn Recorder>,
-        max_retries: u32,
-        backoff_base: Duration,
         batch: bool,
     ) -> Self {
         let n_peers = links.len();
@@ -336,8 +336,6 @@ impl Endpoint {
             ready: VecDeque::new(),
             counters,
             recorder,
-            max_retries,
-            backoff_base,
             batch,
             ack_buf: Vec::new(),
             collector: None,
@@ -346,12 +344,12 @@ impl Endpoint {
 
     /// Attaches the sidecar telemetry sink: inbound `TELEMETRY` frames
     /// are ingested here instead of reaching any actor.
-    pub fn set_collector(&mut self, collector: Arc<TelemetryCollector>) {
+    pub fn set_collector(&mut self, collector: Arc<dyn TelemetrySink>) {
         self.collector = Some(collector);
     }
 
     /// The attached telemetry sink, if any.
-    pub fn collector(&self) -> Option<&Arc<TelemetryCollector>> {
+    pub fn collector(&self) -> Option<&Arc<dyn TelemetrySink>> {
         self.collector.as_ref()
     }
 
@@ -368,7 +366,7 @@ impl Endpoint {
     ///
     /// # Panics
     ///
-    /// Panics if the link stays down after `max_retries` reconnects.
+    /// Panics if the link stays down after [`RECOVERY_RETRIES`] reconnects.
     pub fn send(&mut self, to_peer: u32, from: ActorId, to: ActorId, payload: Payload) {
         let flush_now = !self.batch || immediate(&payload);
         let link = self.links[to_peer as usize]
@@ -432,7 +430,7 @@ impl Endpoint {
     ///
     /// # Panics
     ///
-    /// Panics if the link stays down after `max_retries` reconnects.
+    /// Panics if the link stays down after [`RECOVERY_RETRIES`] reconnects.
     pub fn flush_link(&mut self, to_peer: u32) {
         let link = self.links[to_peer as usize]
             .as_mut()
@@ -486,7 +484,7 @@ impl Endpoint {
     /// Reconnect-with-backoff plus full replay of the unacknowledged log
     /// (receiver-side dedup drops what already arrived).
     fn recover(&mut self, to_peer: u32) {
-        for attempt in 1..=self.max_retries.max(1) {
+        for attempt in 1..=RECOVERY_RETRIES {
             self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
             self.recorder.record(
                 self.me,
@@ -496,7 +494,7 @@ impl Endpoint {
                     attempt: attempt as u64,
                 },
             );
-            std::thread::sleep(self.backoff_base.saturating_mul(1 << (attempt - 1).min(16)));
+            std::thread::sleep(BACKOFF_BASE.saturating_mul(1 << (attempt - 1)));
             let link = self.links[to_peer as usize]
                 .as_mut()
                 .expect("recovery of unlinked peer");
@@ -520,8 +518,8 @@ impl Endpoint {
             }
         }
         panic!(
-            "net: link {} -> {to_peer} permanently down after {} reconnect attempts",
-            self.me, self.max_retries
+            "net: link {} -> {to_peer} permanently down after {RECOVERY_RETRIES} reconnect attempts",
+            self.me
         );
     }
 
@@ -743,35 +741,6 @@ impl Context<DetectMsg> for NetCtx<'_> {
     }
 }
 
-/// An actor hosted on a peer, with a typed fast path for the vector-clock
-/// monitor: its `VC_SNAPSHOT` frames decode straight into the monitor's
-/// arena-backed queue instead of materializing a `DetectMsg`.
-pub(crate) enum HostedActor {
-    /// A Figure 3 monitor — snapshot frames take the arena-direct path.
-    Vc(VcMonitor),
-    /// Any other actor, dispatched through the generic [`Actor`] trait.
-    Dyn(Box<dyn Actor<DetectMsg>>),
-}
-
-impl HostedActor {
-    /// Hosts a vector-clock monitor with the arena-direct decode path.
-    pub(crate) fn vc(monitor: VcMonitor) -> Self {
-        HostedActor::Vc(monitor)
-    }
-
-    /// Hosts any actor through generic dispatch.
-    pub(crate) fn boxed(actor: impl Actor<DetectMsg> + 'static) -> Self {
-        HostedActor::Dyn(Box::new(actor))
-    }
-
-    fn as_actor_mut(&mut self) -> &mut dyn Actor<DetectMsg> {
-        match self {
-            HostedActor::Vc(m) => m,
-            HostedActor::Dyn(b) => &mut **b,
-        }
-    }
-}
-
 /// Ring events buffered before a mid-run telemetry flush is forced even
 /// while traffic is flowing (idle peers flush on every poll timeout).
 const TELEMETRY_FLUSH_EVENTS: usize = 256;
@@ -809,7 +778,7 @@ pub(crate) struct PeerHost {
     /// The peer's network endpoint.
     pub(crate) endpoint: Endpoint,
     /// Hosted actors with their global actor ids, in id order.
-    pub(crate) actors: Vec<(ActorId, HostedActor)>,
+    pub(crate) actors: Vec<(ActorId, Hosted)>,
     /// Hosting peer of every actor, indexed by actor id.
     pub(crate) actor_peer: Arc<Vec<u32>>,
     /// Paper-unit send/work accounting (shared in-process, local when the
@@ -897,7 +866,7 @@ impl Running {
         };
         running.staged(|running| {
             for slot in 0..running.host.actors.len() {
-                running.dispatch(slot, |actor, ctx| actor.as_actor_mut().on_start(ctx));
+                running.dispatch(slot, |actor, ctx| actor.actor_mut().on_start(ctx));
             }
             if running.stop {
                 running.finish();
@@ -941,7 +910,7 @@ impl Running {
     }
 
     /// Runs `f` on the actor in `slot` with its [`NetCtx`].
-    fn dispatch(&mut self, slot: usize, f: impl FnOnce(&mut HostedActor, &mut NetCtx)) {
+    fn dispatch(&mut self, slot: usize, f: impl FnOnce(&mut Hosted, &mut NetCtx)) {
         let host = &mut self.host;
         let (id, actor) = &mut host.actors[slot];
         let mut ctx = NetCtx {
@@ -997,7 +966,7 @@ impl Running {
                 .receiver(to)
                 .expect("local sends go to actors this peer hosts");
             self.dispatch(slot, |actor, ctx| {
-                actor.as_actor_mut().on_message(ctx, from, msg)
+                actor.actor_mut().on_message(ctx, from, msg)
             });
         } else {
             // About to look at the wire: every coalesced frame must be on
@@ -1049,7 +1018,7 @@ impl Running {
             // the monitor's queue. A v2 frame was reconstructed to the v1
             // little-endian layout at promotion, so both kinds feed the
             // identical bytes (and paper units) in.
-            HostedActor::Vc(monitor)
+            Hosted::Vc(monitor)
                 if frame_kind == kind::VC_SNAPSHOT || frame_kind == kind::VC_SNAPSHOT_V2 =>
             {
                 monitor.on_snapshot_wire(ctx, frame.clock_le());
@@ -1059,32 +1028,34 @@ impl Running {
                 let Payload::Detect(msg) = payload else {
                     unreachable!("detect kind decodes to detect payload")
                 };
-                actor
-                    .as_actor_mut()
-                    .on_message(ctx, frame.from_actor(), msg);
+                actor.actor_mut().on_message(ctx, frame.from_actor(), msg);
             }
         });
         false
     }
 
-    /// The idle duties, run when the worker saw no inbound data for a
-    /// poll interval: ship whatever telemetry accumulated, and check the
-    /// watchdog.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has outlived the peer's deadline (a protocol bug,
-    /// not an input error).
+    /// The idle duty, run when the worker saw no inbound data for a poll
+    /// interval: ship whatever telemetry accumulated.
     pub(crate) fn idle(&mut self) {
-        if self.done {
-            return;
+        if !self.done {
+            self.host.flush_telemetry(true);
         }
-        self.host.flush_telemetry(true);
-        assert!(
-            Instant::now() < self.deadline,
-            "net: peer {} stalled past its deadline (protocol bug)",
-            self.host.index
-        );
+    }
+
+    /// Whether the peer is still running past its deadline (the
+    /// watchdog: a protocol bug, not an input error).
+    pub(crate) fn stalled(&self) -> bool {
+        !self.done && Instant::now() >= self.deadline
+    }
+
+    /// The peer's index.
+    pub(crate) fn index(&self) -> u32 {
+        self.host.index
+    }
+
+    /// The hosted actors, for a stalled run's panic message.
+    pub(crate) fn actors(&self) -> impl Iterator<Item = &dyn Actor<DetectMsg>> {
+        self.host.actors.iter().map(|(_, a)| a.actor())
     }
 
     /// Leaves the loop: a deciding peer broadcasts the verdict and an
@@ -1160,8 +1131,6 @@ mod tests {
             rx0,
             counters.clone(),
             Arc::new(NullRecorder),
-            4,
-            Duration::from_millis(1),
             true,
         );
         let e1 = Endpoint::new(
@@ -1173,8 +1142,6 @@ mod tests {
             rx1,
             counters,
             Arc::new(NullRecorder),
-            4,
-            Duration::from_millis(1),
             true,
         );
         (e0, e1)
@@ -1251,8 +1218,6 @@ mod tests {
             rx,
             counters.clone(),
             Arc::new(NullRecorder),
-            4,
-            Duration::from_millis(1),
             true,
         );
         let mk = |seq: u64| {
@@ -1295,8 +1260,6 @@ mod tests {
             rx,
             counters,
             Arc::new(NullRecorder),
-            4,
-            Duration::from_millis(1),
             true,
         );
         let mut chunk = pool.take();
@@ -1331,8 +1294,6 @@ mod tests {
             rx,
             counters,
             Arc::new(NullRecorder),
-            4,
-            Duration::from_millis(1),
             true,
         );
         let mut chunk = pool.take();
@@ -1380,8 +1341,6 @@ mod tests {
             rx,
             counters,
             Arc::new(NullRecorder),
-            4,
-            Duration::from_millis(1),
             true,
         );
         let delivered = Arc::new(Mutex::new(0));
@@ -1390,7 +1349,7 @@ mod tests {
             endpoint,
             actors: vec![(
                 ActorId::new(1),
-                HostedActor::boxed(Tally(Arc::clone(&delivered))),
+                Hosted::boxed(Tally(Arc::clone(&delivered))),
             )],
             actor_peer: Arc::new(vec![0, 1]),
             metrics: Arc::new(Mutex::new(SimMetrics::new(2))),
@@ -1470,8 +1429,6 @@ mod tests {
             rx0,
             counters.clone(),
             Arc::new(NullRecorder),
-            4,
-            Duration::from_millis(1),
             true,
         );
         let mut e1 = Endpoint::new(
@@ -1480,8 +1437,6 @@ mod tests {
             rx1,
             counters.clone(),
             Arc::new(NullRecorder),
-            4,
-            Duration::from_millis(1),
             true,
         );
         let a = ActorId::new(0);

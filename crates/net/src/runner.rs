@@ -1,32 +1,31 @@
-//! End-to-end net runs: host the online detection actors on socket-connected
-//! peers and report the same [`DetectionReport`] the simulator produces.
+//! End-to-end net runs: host an online family's [`Layout`] on
+//! socket-connected peers and report what the simulator reports.
 //!
-//! Peer layout mirrors the simulator harness: application actors at ids
-//! `0..N`, monitors at `N..N+n`. Peer `i` hosts monitor `i` together with
-//! its mated application process (preserving the paper's only FIFO
-//! requirement as a local queue); applications outside the predicate scope
-//! are spread round-robin over the peers. The verdict is the first
-//! consistent cut satisfying the WCP, which is a function of the
-//! computation alone — so a net run must (and the equivalence tests pin
-//! that it does) produce a `Detection` bit-identical to the simulator's,
-//! including under tolerated fault schedules.
+//! A layout names the peer of every actor; the two hosts here run it:
+//! every peer in-process on the calling thread (`build_fabric` + `drive`),
+//! or one peer as its own OS process (`serve_alone`, the `wcp serve`
+//! entry). Every socket link is FIFO and exactly-once, so the paper's
+//! FIFO application→monitor channels hold wherever the two actors run.
+//! The verdict is the first consistent cut satisfying the WCP, which is a
+//! function of the computation alone — so a net run must (and the
+//! equivalence tests pin that it does) produce a `Detection`
+//! bit-identical to the simulator's, including under tolerated fault
+//! schedules; the report is the layout's own mapping, the simulator's.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use wcp_clocks::{Cut, ProcessId};
-use wcp_detect::online::dd_monitor::DdMonitor;
-use wcp_detect::online::vc_monitor::VcMonitor;
-use wcp_detect::online::{AppProcess, ClockMode, OnlineDetection, OnlineStats, SharedOutcome};
-use wcp_detect::{Detection, DetectionMetrics, DetectionReport};
-use wcp_obs::{NullRecorder, Recorder, TeeRecorder};
+use wcp_detect::online::{Family, Hosted, Layout, Placed, ReportFn, RunOptions, SharedOutcome};
+use wcp_detect::DetectionReport;
+use wcp_obs::{Recorder, TeeRecorder, TelemetrySink};
 use wcp_sim::{ActorId, FaultConfig, SimMetrics};
 use wcp_trace::{Computation, Wcp};
 
+use crate::codec::{CodecError, MAX_GROUP_WIDTH};
 use crate::fault::FaultyTransport;
-use crate::peer::{Endpoint, HostedActor, PeerHost, TelemetrySidecar};
+use crate::peer::{Endpoint, PeerHost, TelemetrySidecar};
 use crate::pool::{FramePool, PooledBuf};
 use crate::stats::{NetCounters, NetStats};
 use crate::telemetry::{SidecarRecorder, TelemetryCollector};
@@ -133,98 +132,181 @@ impl NetConfig {
     }
 }
 
-/// A [`DetectionReport`] plus transport-level statistics.
+/// A run's report plus transport-level statistics.
 #[derive(Debug, Clone)]
-pub struct NetReport {
-    /// Detection result and paper-unit metrics (as the simulator reports;
-    /// `parallel_time` is 0 because a socket run has no global logical
-    /// clock).
-    pub report: DetectionReport,
-    /// Wire-level counters: frames, bytes, retransmits, reconnects, dedup.
+pub struct NetReport<R = DetectionReport> {
+    /// The family's report, as the simulator maps it (`parallel_time` is
+    /// 0: a socket run has no global logical clock).
+    pub report: R,
+    /// Wire-level counters of the peers the host ran: frames, bytes,
+    /// retransmits, reconnects, dedup.
     pub net: NetStats,
-    /// The telemetry collector, populated when [`NetConfig::telemetry`]
-    /// was on: per-source counter snapshots plus the causally merged
-    /// global event timeline.
+    /// The telemetry collector the run made when [`NetConfig::telemetry`]
+    /// was on and the options named none: per-source counter snapshots
+    /// plus the causally merged global event timeline.
     pub telemetry: Option<Arc<TelemetryCollector>>,
 }
 
+/// Outcome of one standalone serve peer: its report holds the verdict
+/// (decided here or received in a verdict frame) and what the actors it
+/// hosts counted.
+pub type PeerReport<R = DetectionReport> = NetReport<R>;
+
 /// Retry budget for dialling peers that have bound but not yet accepted.
 const DIAL_RETRIES: u32 = 20;
-/// Retry budget for reconnect-and-replay recovery after a link error.
-pub(crate) const RECOVERY_RETRIES: u32 = 10;
 
-/// Per-run telemetry wiring: the shared collector plus one private
-/// sidecar recorder per peer. Peer 0 doubles as the collector peer —
-/// other peers frame their deltas to it, peer 0 ingests its own locally.
-pub(crate) struct TelemetryPlane {
-    pub(crate) collector: Arc<TelemetryCollector>,
+/// Per-run telemetry wiring: the sink plus one private sidecar recorder
+/// per peer. Peer 0 doubles as the collector peer — other peers frame
+/// their deltas to it, peer 0 ingests its own locally.
+struct TelemetryPlane {
+    sink: Arc<dyn TelemetrySink>,
+    /// The collector the plane made, when the options named no sink.
+    own: Option<Arc<TelemetryCollector>>,
     sidecars: Vec<Arc<SidecarRecorder>>,
 }
 
-impl TelemetryPlane {
-    /// Builds the plane, reusing `collector` when a live watcher supplied
-    /// one (the `*_observed` entry points).
-    pub(crate) fn build(n_peers: usize, collector: Option<Arc<TelemetryCollector>>) -> Self {
-        TelemetryPlane {
-            collector: collector.unwrap_or_else(TelemetryCollector::shared),
-            sidecars: (0..n_peers).map(|_| Arc::default()).collect(),
+/// What every peer of one run shares: the actor placement, the
+/// paper-unit counters, the verdict cell, the wire counters and the
+/// per-peer recorders.
+struct RunShared {
+    config: NetConfig,
+    actor_peer: Arc<Vec<u32>>,
+    metrics: Arc<Mutex<SimMetrics>>,
+    verdict: SharedOutcome,
+    counters: Arc<NetCounters>,
+    plane: Option<TelemetryPlane>,
+    /// Peer `i`'s recorder: the options' recorder, when it keeps events,
+    /// teed into the peer's sidecar when telemetry is on. Per-frame wire
+    /// events reach user recorders but are never shipped (the delta's
+    /// `NetStats` snapshot already aggregates them).
+    recorders: Vec<Arc<dyn Recorder>>,
+}
+
+impl RunShared {
+    fn new<R>(
+        layout: &Layout<R>,
+        config: &NetConfig,
+        options: &RunOptions,
+        counters: Arc<NetCounters>,
+    ) -> Self {
+        let n_peers = layout.peers();
+        let plane = (config.telemetry || options.collector.is_some()).then(|| {
+            let (sink, own) = match &options.collector {
+                Some(sink) => (sink.clone(), None),
+                None => {
+                    let own = TelemetryCollector::shared();
+                    (own.clone() as Arc<dyn TelemetrySink>, Some(own))
+                }
+            };
+            TelemetryPlane {
+                sink,
+                own,
+                sidecars: (0..n_peers).map(|_| Arc::default()).collect(),
+            }
+        });
+        let user = &options.recorder;
+        let recorders = (0..n_peers)
+            .map(|i| match &plane {
+                Some(plane) => {
+                    let sidecar: Arc<dyn Recorder> = plane.sidecars[i].clone();
+                    if user.is_enabled() {
+                        Arc::new(TeeRecorder::new(user.clone(), sidecar))
+                    } else {
+                        sidecar
+                    }
+                }
+                None => user.clone(),
+            })
+            .collect();
+        RunShared {
+            config: *config,
+            actor_peer: Arc::new(layout.actors.iter().map(|&(peer, _)| peer).collect()),
+            metrics: Arc::new(Mutex::new(SimMetrics::new(layout.actors.len()))),
+            verdict: layout.verdict.clone(),
+            counters,
+            plane,
+            recorders,
         }
     }
 
-    /// The recorder peer `i`'s actors, endpoint and fault injection see:
-    /// the caller's recorder, when it keeps events, teed into the peer's
-    /// [`SidecarRecorder`] — per-frame wire events reach user recorders
-    /// but are never shipped (the delta's `NetStats` snapshot already
-    /// aggregates them).
-    pub(crate) fn recorder(&self, user: &Arc<dyn Recorder>, i: usize) -> Arc<dyn Recorder> {
-        let sidecar: Arc<dyn Recorder> = self.sidecars[i].clone();
-        if user.is_enabled() {
-            Arc::new(TeeRecorder::new(user.clone(), sidecar))
-        } else {
-            sidecar
+    /// Peer `index`'s host: its endpoint over `links` and `inbox`, and
+    /// the actors it runs, each handed the peer's recorder.
+    fn host(
+        &self,
+        index: u32,
+        links: Vec<Option<Box<dyn Transport>>>,
+        inbox: Receiver<PooledBuf>,
+        mut actors: Vec<(ActorId, Hosted)>,
+    ) -> PeerHost {
+        let recorder = &self.recorders[index as usize];
+        for (_, actor) in &mut actors {
+            actor.actor_mut().set_recorder(recorder);
+        }
+        let mut endpoint = Endpoint::new(
+            index,
+            links,
+            inbox,
+            self.counters.clone(),
+            recorder.clone(),
+            self.config.batch,
+        );
+        if let Some(plane) = &self.plane {
+            endpoint.set_collector(plane.sink.clone());
+        }
+        PeerHost {
+            index,
+            endpoint,
+            actors,
+            actor_peer: self.actor_peer.clone(),
+            metrics: self.metrics.clone(),
+            result: self.verdict.clone(),
+            deadline: self.config.deadline,
+            telemetry: self
+                .plane
+                .as_ref()
+                .map(|p| TelemetrySidecar::new(p.sidecars[index as usize].clone(), 0)),
         }
     }
 
-    /// The sidecar state handed to peer `i`'s host.
-    pub(crate) fn sidecar(&self, i: usize) -> TelemetrySidecar {
-        TelemetrySidecar::new(self.sidecars[i].clone(), 0)
+    /// The run's report, through the layout's own mapping.
+    fn report<R>(self, report: ReportFn<R>) -> NetReport<R> {
+        let report = report(&self.metrics.lock().expect("a peer panicked"), 0);
+        NetReport {
+            report,
+            net: self.counters.snapshot(),
+            telemetry: self.plane.and_then(|p| p.own),
+        }
     }
 }
 
-/// The per-peer recorders for a run: teed through the telemetry plane
-/// when one is active, the caller's recorder unchanged otherwise.
-pub(crate) fn peer_recorders(
-    n_peers: usize,
-    user: &Arc<dyn Recorder>,
-    plane: &Option<TelemetryPlane>,
-) -> Vec<Arc<dyn Recorder>> {
-    (0..n_peers)
-        .map(|i| match plane {
-            Some(plane) => plane.recorder(user, i),
-            None => user.clone(),
-        })
-        .collect()
+/// Each peer's actors with their ids, in id order.
+fn per_peer(actors: Vec<Placed>, n_peers: usize) -> Vec<Vec<(ActorId, Hosted)>> {
+    let mut peers: Vec<Vec<(ActorId, Hosted)>> = (0..n_peers).map(|_| Vec::new()).collect();
+    for (id, (peer, actor)) in actors.into_iter().enumerate() {
+        peers[peer as usize].push((ActorId::new(id as u32), actor));
+    }
+    peers
 }
 
 /// All outbound links plus the per-peer inboxes they deliver into.
-pub(crate) struct Fabric {
+struct Fabric {
     /// `links[i][j]` is the transport for the directed link `i → j`.
-    pub(crate) links: Vec<Vec<Option<Box<dyn Transport>>>>,
-    pub(crate) inboxes: Vec<Receiver<PooledBuf>>,
+    links: Vec<Vec<Option<Box<dyn Transport>>>>,
+    inboxes: Vec<Receiver<PooledBuf>>,
     /// The worker hosting the run's peers; every inbox rings its doorbell.
-    pub(crate) worker: Worker,
+    worker: Worker,
 }
 
 /// The worker of an in-process run: its doorbell, plus the TCP accept
 /// loops to stop at the end.
 #[derive(Default)]
-pub(crate) struct Worker {
+struct Worker {
     bell: Arc<Doorbell>,
     transport: TransportKind,
     acceptors: Vec<Acceptor>,
 }
 
-pub(crate) fn wrap_faults(
+fn wrap_faults(
     base: Box<dyn Transport>,
     config: &NetConfig,
     me: u32,
@@ -245,7 +327,7 @@ pub(crate) fn wrap_faults(
     }
 }
 
-pub(crate) fn build_fabric(
+fn build_fabric(
     n_peers: usize,
     config: &NetConfig,
     counters: &Arc<NetCounters>,
@@ -315,7 +397,7 @@ pub(crate) fn build_fabric(
 /// deltas (loopback delivery is synchronous, so that needs no grace;
 /// sockets get 2 ms for the reader-thread race) and the links and TCP
 /// acceptors close.
-pub(crate) fn drive(hosts: Vec<PeerHost>, worker: Worker) {
+fn drive(hosts: Vec<PeerHost>, worker: Worker) {
     let Worker {
         bell,
         transport,
@@ -346,7 +428,7 @@ const SERVE_LINGER: Duration = Duration::from_millis(300);
 /// event loop as an in-process run, over TCP. Afterwards it lingers — draining the inbox when telemetry is
 /// on, since the other peers' final deltas arrive exactly then — and
 /// closes its links and accept loop.
-pub(crate) fn serve_alone(host: PeerHost, bell: &Doorbell, acceptor: Acceptor) {
+fn serve_alone(host: PeerHost, bell: &Doorbell, acceptor: Acceptor) {
     let mut host = worker::run(vec![host], bell)
         .pop()
         .expect("the worker returns its peer");
@@ -362,48 +444,95 @@ pub(crate) fn serve_alone(host: PeerHost, bell: &Doorbell, acceptor: Acceptor) {
     drop(acceptor);
 }
 
-/// Translates accumulated counters into paper-unit [`DetectionMetrics`];
-/// the mirror of the simulator harness's accounting, minus the logical
-/// clock (`parallel_time` stays 0).
-fn paper_metrics(
-    metrics: &SimMetrics,
-    computation: &Computation,
-    apps: &[ActorId],
-    monitors: &[ActorId],
-    stats: &OnlineStats,
-    app_payload_bytes: u64,
-) -> DetectionMetrics {
-    let mut out = DetectionMetrics::new(monitors.len());
-    for (i, &m) in monitors.iter().enumerate() {
-        let a = metrics.actor(m);
-        out.per_process_work[i] = a.work;
-        out.control_messages += a.sent;
-        out.control_bytes += a.bytes_sent;
-    }
-    let mut app_sent = 0u64;
-    let mut app_bytes = 0u64;
-    for &a in apps {
-        let m = metrics.actor(a);
-        app_sent += m.sent;
-        app_bytes += m.bytes_sent;
-    }
-    let script_msgs = computation.total_messages() as u64;
-    let eot_count = monitors.len() as u64;
-    out.snapshot_messages = app_sent.saturating_sub(script_msgs + eot_count);
-    out.snapshot_bytes = app_bytes.saturating_sub(script_msgs * app_payload_bytes + eot_count);
-    out.token_hops = stats.token_hops;
-    out.max_buffered_snapshots = stats.max_buffered;
-    out
+/// The in-process host: every peer of `layout` on the calling thread,
+/// over `config`'s transport, counting into `counters`.
+pub(crate) fn host<R>(
+    layout: Layout<R>,
+    config: &NetConfig,
+    options: &RunOptions,
+    counters: Arc<NetCounters>,
+) -> NetReport<R> {
+    let run = RunShared::new(&layout, config, options, counters);
+    let n_peers = run.recorders.len();
+    let fabric = build_fabric(n_peers, config, &run.counters, &run.recorders);
+    let hosts = fabric
+        .links
+        .into_iter()
+        .zip(fabric.inboxes)
+        .zip(per_peer(layout.actors, n_peers))
+        .enumerate()
+        .map(|(i, ((links, inbox), actors))| run.host(i as u32, links, inbox, actors))
+        .collect();
+    drive(hosts, fabric.worker);
+    run.report(layout.report)
 }
 
-fn take_detection_vc(result: &SharedOutcome, wcp: &Wcp, n_total: usize) -> Detection {
-    match result.lock().unwrap().take() {
-        Some(OnlineDetection::Detected(g)) => Detection::Detected {
-            cut: wcp.lift(&g, n_total),
-        },
-        Some(OnlineDetection::Undetected) => Detection::Undetected,
-        None => panic!("net run finished without a verdict (protocol stalled)"),
+/// The standalone host: peer `peer` of `layout` as its own process,
+/// listening on `addrs[peer]` and dialling every other address. Peers
+/// dial with generous retries, so start order does not matter.
+///
+/// # Panics
+///
+/// Panics on bad indices, undialable peers, or a stall past the deadline.
+pub(crate) fn serve<R>(
+    layout: Layout<R>,
+    peer: usize,
+    addrs: &[SocketAddr],
+    config: &NetConfig,
+    options: &RunOptions,
+    counters: Arc<NetCounters>,
+) -> PeerReport<R> {
+    let n_peers = layout.peers();
+    assert_eq!(addrs.len(), n_peers, "one address per peer");
+    assert!(peer < n_peers, "peer index out of range");
+    let run = RunShared::new(&layout, config, options, counters);
+    let pool = FramePool::shared(run.counters.clone());
+    let listener = TcpListener::bind(addrs[peer]).expect("bind serve address");
+    let (tx, rx) = channel();
+    let bell = Arc::new(Doorbell::default());
+    let acceptor = spawn_listener(listener, InboxSender::new(tx, bell.clone()), pool);
+    // Other peers may not have started yet: dial patiently.
+    let links = (0..n_peers)
+        .map(|j| {
+            (j != peer).then(|| {
+                let base: Box<dyn Transport> = Box::new(
+                    TcpTransport::connect(addrs[j], 12, Duration::from_millis(5))
+                        .expect("dial peer"),
+                );
+                let recorder = &run.recorders[peer];
+                wrap_faults(base, config, peer as u32, j as u32, &run.counters, recorder)
+            })
+        })
+        .collect();
+    let actors = per_peer(layout.actors, n_peers).swap_remove(peer);
+    let host = run.host(peer as u32, links, rx, actors);
+    serve_alone(host, &bell, acceptor);
+    run.report(layout.report)
+}
+
+/// Runs `family` over real transport, every peer in-process.
+///
+/// # Errors
+///
+/// [`CodecError::TooWide`] before any peer starts when a multi-token
+/// scope is wider than a group token's candidate bitmap.
+///
+/// # Panics
+///
+/// As [`Family::layout`], or if the run stalls past the configured
+/// deadline.
+pub fn run_net(
+    family: Family,
+    computation: &Computation,
+    wcp: &Wcp,
+    config: NetConfig,
+    options: &RunOptions,
+) -> Result<NetReport, CodecError> {
+    if matches!(family, Family::MultiToken { .. }) && wcp.n() > MAX_GROUP_WIDTH {
+        return Err(CodecError::TooWide(wcp.n()));
     }
+    let layout = family.layout(computation, wcp);
+    Ok(host(layout, &config, options, NetCounters::shared()))
 }
 
 /// Runs the Section 3 single-token algorithm over real transport: one peer
@@ -414,309 +543,14 @@ fn take_detection_vc(result: &SharedOutcome, wcp: &Wcp, n_total: usize) -> Detec
 /// Panics if the scope is empty, the computation is invalid, or the run
 /// stalls past the configured deadline.
 pub fn run_vc_token_net(computation: &Computation, wcp: &Wcp, config: NetConfig) -> NetReport {
-    run_vc_token_net_recorded(computation, wcp, config, Arc::new(NullRecorder))
-}
-
-/// [`run_vc_token_net`] with an attached [`Recorder`]: peers stream
-/// transport events (frames, bytes, retransmits, reconnects) alongside the
-/// monitors' protocol events.
-///
-/// # Panics
-///
-/// Panics if the scope is empty, the computation is invalid, or the run
-/// stalls past the configured deadline.
-pub fn run_vc_token_net_recorded(
-    computation: &Computation,
-    wcp: &Wcp,
-    config: NetConfig,
-    recorder: Arc<dyn Recorder>,
-) -> NetReport {
-    run_vc_token_net_inner(computation, wcp, config, recorder, None)
-}
-
-/// [`run_vc_token_net_recorded`] with telemetry forced on and an external
-/// [`TelemetryCollector`], so a live watcher (`wcp top`) can sample the
-/// merged view while the run is still in flight.
-///
-/// # Panics
-///
-/// Panics if the scope is empty, the computation is invalid, or the run
-/// stalls past the configured deadline.
-pub fn run_vc_token_net_observed(
-    computation: &Computation,
-    wcp: &Wcp,
-    mut config: NetConfig,
-    recorder: Arc<dyn Recorder>,
-    collector: Arc<TelemetryCollector>,
-) -> NetReport {
-    config.telemetry = true;
-    run_vc_token_net_inner(computation, wcp, config, recorder, Some(collector))
-}
-
-fn run_vc_token_net_inner(
-    computation: &Computation,
-    wcp: &Wcp,
-    config: NetConfig,
-    recorder: Arc<dyn Recorder>,
-    collector: Option<Arc<TelemetryCollector>>,
-) -> NetReport {
-    let n_total = computation.process_count();
-    let n = wcp.n();
-    assert!(n >= 1, "WCP scope must name at least one process");
-
-    let apps: Vec<ActorId> = (0..n_total as u32).map(ActorId::new).collect();
-    let monitors: Vec<ActorId> = (0..n as u32)
-        .map(|i| ActorId::new(n_total as u32 + i))
-        .collect();
-    // Peer layout: peer `pos` hosts monitor `pos` and its mated scope
-    // application; non-scope applications go round-robin.
-    let mut actor_peer = vec![0u32; n_total + n];
-    for p in ProcessId::all(n_total) {
-        actor_peer[p.index()] = match wcp.position(p) {
-            Some(pos) => pos as u32,
-            None => (p.index() % n) as u32,
-        };
-    }
-    for pos in 0..n {
-        actor_peer[monitors[pos].index()] = pos as u32;
-    }
-    let actor_peer = Arc::new(actor_peer);
-
-    let result: SharedOutcome = Arc::new(Mutex::new(None));
-    let stats = Arc::new(Mutex::new(OnlineStats::default()));
-    let metrics = Arc::new(Mutex::new(SimMetrics::new(n_total + n)));
-    let counters = NetCounters::shared();
-    let plane = config
-        .telemetry
-        .then(|| TelemetryPlane::build(n, collector));
-    let recorders = peer_recorders(n, &recorder, &plane);
-    let fabric = build_fabric(n, &config, &counters, &recorders);
-
-    let mut hosts = Vec::with_capacity(n);
-    let mut inboxes = fabric.inboxes.into_iter();
-    for (i, links) in fabric.links.into_iter().enumerate() {
-        let mut actors: Vec<(ActorId, HostedActor)> = Vec::new();
-        for p in ProcessId::all(n_total) {
-            if actor_peer[p.index()] == i as u32 {
-                actors.push((
-                    apps[p.index()],
-                    HostedActor::boxed(AppProcess::new(
-                        computation,
-                        wcp,
-                        p,
-                        ClockMode::Vector,
-                        apps.clone(),
-                        wcp.position(p).map(|pos| monitors[pos]),
-                    )),
-                ));
-            }
-        }
-        actors.push((
-            monitors[i],
-            // Typed hosting: inbound snapshots decode arena-direct.
-            HostedActor::vc(
-                VcMonitor::new(
-                    i,
-                    n,
-                    monitors.clone(),
-                    i == 0,
-                    result.clone(),
-                    stats.clone(),
-                )
-                .with_recorder(recorders[i].clone()),
-            ),
-        ));
-        let mut endpoint = Endpoint::new(
-            i as u32,
-            links,
-            inboxes.next().expect("inbox per peer"),
-            counters.clone(),
-            recorders[i].clone(),
-            RECOVERY_RETRIES,
-            Duration::from_millis(1),
-            config.batch,
-        );
-        if let Some(plane) = &plane {
-            endpoint.set_collector(plane.collector.clone());
-        }
-        hosts.push(PeerHost {
-            index: i as u32,
-            endpoint,
-            actors,
-            actor_peer: actor_peer.clone(),
-            metrics: metrics.clone(),
-            result: result.clone(),
-            deadline: config.deadline,
-            telemetry: plane.as_ref().map(|p| p.sidecar(i)),
-        });
-    }
-    drive(hosts, fabric.worker);
-
-    let detection = take_detection_vc(&result, wcp, n_total);
-    let metrics = paper_metrics(
-        &metrics.lock().unwrap(),
+    run_net(
+        Family::VcToken,
         computation,
-        &apps,
-        &monitors,
-        &stats.lock().unwrap(),
-        8 + 8 * n as u64,
-    );
-    NetReport {
-        report: DetectionReport { detection, metrics },
-        net: counters.snapshot(),
-        telemetry: plane.map(|p| p.collector),
-    }
-}
-
-/// Runs the Section 4 direct-dependence algorithm over real transport: one
-/// peer per process, each hosting its application and monitor; `parallel`
-/// enables the Section 4.5 proactive red chain.
-///
-/// # Panics
-///
-/// Panics if the computation has no processes or the run stalls past the
-/// configured deadline.
-pub fn run_direct_net(
-    computation: &Computation,
-    wcp: &Wcp,
-    parallel: bool,
-    config: NetConfig,
-) -> NetReport {
-    run_direct_net_recorded(computation, wcp, parallel, config, Arc::new(NullRecorder))
-}
-
-/// [`run_direct_net`] with an attached [`Recorder`].
-///
-/// # Panics
-///
-/// Panics if the computation has no processes or the run stalls past the
-/// configured deadline.
-pub fn run_direct_net_recorded(
-    computation: &Computation,
-    wcp: &Wcp,
-    parallel: bool,
-    config: NetConfig,
-    recorder: Arc<dyn Recorder>,
-) -> NetReport {
-    let n_total = computation.process_count();
-    assert!(n_total >= 1, "computation must have at least one process");
-
-    let apps: Vec<ActorId> = (0..n_total as u32).map(ActorId::new).collect();
-    let monitors: Vec<ActorId> = (0..n_total as u32)
-        .map(|i| ActorId::new(n_total as u32 + i))
-        .collect();
-    let mut actor_peer = vec![0u32; 2 * n_total];
-    for p in 0..n_total {
-        actor_peer[apps[p].index()] = p as u32;
-        actor_peer[monitors[p].index()] = p as u32;
-    }
-    let actor_peer = Arc::new(actor_peer);
-
-    let result: SharedOutcome = Arc::new(Mutex::new(None));
-    let stats = Arc::new(Mutex::new(OnlineStats::default()));
-    // The direct-dependence monitors share the G board through process
-    // memory, so this runner is in-process peers only (see
-    // docs/networking.md).
-    let g_board = Arc::new(Mutex::new(vec![0u64; n_total]));
-    let metrics = Arc::new(Mutex::new(SimMetrics::new(2 * n_total)));
-    let counters = NetCounters::shared();
-    let plane = config
-        .telemetry
-        .then(|| TelemetryPlane::build(n_total, None));
-    let recorders = peer_recorders(n_total, &recorder, &plane);
-    let fabric = build_fabric(n_total, &config, &counters, &recorders);
-
-    let mut hosts = Vec::with_capacity(n_total);
-    let mut inboxes = fabric.inboxes.into_iter();
-    for (i, links) in fabric.links.into_iter().enumerate() {
-        let p = ProcessId::new(i as u32);
-        let actors: Vec<(ActorId, HostedActor)> = vec![
-            (
-                apps[i],
-                HostedActor::boxed(AppProcess::new(
-                    computation,
-                    wcp,
-                    p,
-                    ClockMode::Scalar,
-                    apps.clone(),
-                    Some(monitors[i]),
-                )),
-            ),
-            (
-                monitors[i],
-                HostedActor::boxed(
-                    DdMonitor::new(
-                        p,
-                        n_total,
-                        monitors.clone(),
-                        parallel,
-                        g_board.clone(),
-                        result.clone(),
-                        stats.clone(),
-                    )
-                    .with_recorder(recorders[i].clone()),
-                ),
-            ),
-        ];
-        let mut endpoint = Endpoint::new(
-            i as u32,
-            links,
-            inboxes.next().expect("inbox per peer"),
-            counters.clone(),
-            recorders[i].clone(),
-            RECOVERY_RETRIES,
-            Duration::from_millis(1),
-            config.batch,
-        );
-        if let Some(plane) = &plane {
-            endpoint.set_collector(plane.collector.clone());
-        }
-        hosts.push(PeerHost {
-            index: i as u32,
-            endpoint,
-            actors,
-            actor_peer: actor_peer.clone(),
-            metrics: metrics.clone(),
-            result: result.clone(),
-            deadline: config.deadline,
-            telemetry: plane.as_ref().map(|p| p.sidecar(i)),
-        });
-    }
-    drive(hosts, fabric.worker);
-
-    let detection = match result.lock().unwrap().take() {
-        Some(OnlineDetection::Detected(g)) => Detection::Detected {
-            cut: Cut::from_indices(g),
-        },
-        Some(OnlineDetection::Undetected) => Detection::Undetected,
-        None => panic!("net run finished without a verdict (protocol stalled)"),
-    };
-    let metrics = paper_metrics(
-        &metrics.lock().unwrap(),
-        computation,
-        &apps,
-        &monitors,
-        &stats.lock().unwrap(),
-        16,
-    );
-    NetReport {
-        report: DetectionReport { detection, metrics },
-        net: counters.snapshot(),
-        telemetry: plane.map(|p| p.collector),
-    }
-}
-
-/// Outcome of one standalone serve peer.
-#[derive(Debug, Clone)]
-pub struct PeerReport {
-    /// The run's verdict (decided locally or received in a verdict frame).
-    pub detection: Detection,
-    /// This peer's wire-level counters.
-    pub net: NetStats,
-    /// This peer's telemetry collector when [`NetConfig::telemetry`] was
-    /// on. Only peer 0 — the collector peer — accumulates the other
-    /// peers' deltas; the rest see just their own.
-    pub telemetry: Option<Arc<TelemetryCollector>>,
+        wcp,
+        config,
+        &RunOptions::default(),
+    )
+    .expect("a single token fits every scope")
 }
 
 /// Runs peer `peer` of a vector-clock token detection as its own process,
@@ -724,9 +558,8 @@ pub struct PeerReport {
 /// `wcp serve` entry point, one OS process per scope position.
 ///
 /// Every peer must be started with the same computation, predicate and
-/// address list; peers dial with generous retries so start order does not
-/// matter. Only the vector-clock detector serves standalone (the
-/// direct-dependence monitors share their G board through process memory).
+/// address list. With telemetry on, every peer ships its deltas to peer
+/// 0, whose report (or the options' collector) holds them all.
 ///
 /// # Panics
 ///
@@ -737,171 +570,20 @@ pub fn serve_vc_peer(
     peer: usize,
     addrs: &[SocketAddr],
     config: NetConfig,
-    recorder: Arc<dyn Recorder>,
+    options: &RunOptions,
 ) -> PeerReport {
-    serve_vc_peer_inner(computation, wcp, peer, addrs, config, recorder, None)
-}
-
-/// [`serve_vc_peer`] with telemetry forced on and an external
-/// [`TelemetryCollector`] — on peer 0 a live watcher sees every peer's
-/// deltas arrive over TCP while the session runs.
-///
-/// # Panics
-///
-/// Panics on bad indices, undialable peers, or a stall past the deadline.
-pub fn serve_vc_peer_observed(
-    computation: &Computation,
-    wcp: &Wcp,
-    peer: usize,
-    addrs: &[SocketAddr],
-    mut config: NetConfig,
-    recorder: Arc<dyn Recorder>,
-    collector: Arc<TelemetryCollector>,
-) -> PeerReport {
-    config.telemetry = true;
-    serve_vc_peer_inner(
-        computation,
-        wcp,
-        peer,
-        addrs,
-        config,
-        recorder,
-        Some(collector),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve_vc_peer_inner(
-    computation: &Computation,
-    wcp: &Wcp,
-    peer: usize,
-    addrs: &[SocketAddr],
-    config: NetConfig,
-    recorder: Arc<dyn Recorder>,
-    collector: Option<Arc<TelemetryCollector>>,
-) -> PeerReport {
-    let n_total = computation.process_count();
-    let n = wcp.n();
-    assert_eq!(addrs.len(), n, "one address per scope process");
-    assert!(peer < n, "peer index out of range");
-
-    let apps: Vec<ActorId> = (0..n_total as u32).map(ActorId::new).collect();
-    let monitors: Vec<ActorId> = (0..n as u32)
-        .map(|i| ActorId::new(n_total as u32 + i))
-        .collect();
-    let mut actor_peer = vec![0u32; n_total + n];
-    for p in ProcessId::all(n_total) {
-        actor_peer[p.index()] = match wcp.position(p) {
-            Some(pos) => pos as u32,
-            None => (p.index() % n) as u32,
-        };
-    }
-    for pos in 0..n {
-        actor_peer[monitors[pos].index()] = pos as u32;
-    }
-    let actor_peer = Arc::new(actor_peer);
-
-    let counters = NetCounters::shared();
-    // A standalone peer owns exactly one ring: its own.
-    let plane = config
-        .telemetry
-        .then(|| TelemetryPlane::build(1, collector));
-    let recorder: Arc<dyn Recorder> = match &plane {
-        Some(plane) => plane.recorder(&recorder, 0),
-        None => recorder,
-    };
-    let pool = FramePool::shared(counters.clone());
-    let listener = TcpListener::bind(addrs[peer]).expect("bind serve address");
-    let (tx, rx) = channel();
-    let bell = Arc::new(Doorbell::default());
-    let acceptor = spawn_listener(listener, InboxSender::new(tx, bell.clone()), pool);
-
-    // Other peers may not have started yet: dial patiently.
-    let links: Vec<Option<Box<dyn Transport>>> = (0..n)
-        .map(|j| {
-            (j != peer).then(|| {
-                let base: Box<dyn Transport> = Box::new(
-                    TcpTransport::connect(addrs[j], 12, Duration::from_millis(5))
-                        .expect("dial peer"),
-                );
-                wrap_faults(base, &config, peer as u32, j as u32, &counters, &recorder)
-            })
-        })
-        .collect();
-
-    let result: SharedOutcome = Arc::new(Mutex::new(None));
-    let stats = Arc::new(Mutex::new(OnlineStats::default()));
-    let metrics = Arc::new(Mutex::new(SimMetrics::new(n_total + n)));
-    let mut actors: Vec<(ActorId, HostedActor)> = Vec::new();
-    for p in ProcessId::all(n_total) {
-        if actor_peer[p.index()] == peer as u32 {
-            actors.push((
-                apps[p.index()],
-                HostedActor::boxed(AppProcess::new(
-                    computation,
-                    wcp,
-                    p,
-                    ClockMode::Vector,
-                    apps.clone(),
-                    wcp.position(p).map(|pos| monitors[pos]),
-                )),
-            ));
-        }
-    }
-    actors.push((
-        monitors[peer],
-        HostedActor::vc(
-            VcMonitor::new(
-                peer,
-                n,
-                monitors.clone(),
-                peer == 0,
-                result.clone(),
-                stats.clone(),
-            )
-            .with_recorder(recorder.clone()),
-        ),
-    ));
-
-    let mut endpoint = Endpoint::new(
-        peer as u32,
-        links,
-        rx,
-        counters.clone(),
-        recorder.clone(),
-        RECOVERY_RETRIES,
-        Duration::from_millis(1),
-        config.batch,
-    );
-    if let Some(plane) = &plane {
-        endpoint.set_collector(plane.collector.clone());
-    }
-    let host = PeerHost {
-        index: peer as u32,
-        endpoint,
-        actors,
-        actor_peer,
-        metrics,
-        result: result.clone(),
-        deadline: config.deadline,
-        telemetry: plane.as_ref().map(|p| p.sidecar(0)),
-    };
-    serve_alone(host, &bell, acceptor);
-
-    PeerReport {
-        detection: take_detection_vc(&result, wcp, n_total),
-        net: counters.snapshot(),
-        telemetry: plane.map(|p| p.collector),
-    }
+    let layout = Family::VcToken.layout(computation, wcp);
+    serve(layout, peer, addrs, &config, options, NetCounters::shared())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::multi::run_multi_net;
-    use wcp_detect::online::{run_direct, run_vc_token};
-    use wcp_session::{run_multi_offline, run_multi_sim};
-    use wcp_sim::SimConfig;
+    use wcp_clocks::ProcessId;
+    use wcp_detect::online::{run_vc_token, DetectMsg};
+    use wcp_session::Service;
+    use wcp_sim::{Actor, Context, SimConfig};
     use wcp_trace::generate::{generate, GeneratorConfig};
     use wcp_trace::ComputationBuilder;
 
@@ -921,98 +603,9 @@ mod tests {
         assert_eq!(net.net.retransmits, 0, "clean links");
     }
 
-    /// The Theorem 5.1 staircase: the token circles the ring `rounds`
-    /// times, so every candidate passes through it and every run sends
-    /// the same frames whatever the schedule.
-    fn staircase(n: usize, rounds: usize) -> Computation {
-        let mut b = ComputationBuilder::new(n);
-        for step in 0..rounds * n {
-            let holder = ProcessId::new((step % n) as u32);
-            let next = ProcessId::new(((step + 1) % n) as u32);
-            b.mark_true(holder);
-            let msg = b.send(holder, next);
-            b.receive(next, msg);
-        }
-        for p in ProcessId::all(n) {
-            b.mark_true(p);
-        }
-        b.build().expect("a staircase is a valid computation")
-    }
-
-    /// `metrics` without the fields that depend on the schedule even
-    /// between two simulator seeds: the logical `parallel_time`, which a
-    /// socket run has no clock for, and how many snapshots a monitor
-    /// buffered at once, which depends on arrival order.
-    fn schedule_free(metrics: &DetectionMetrics) -> DetectionMetrics {
-        DetectionMetrics {
-            parallel_time: 0,
-            max_buffered_snapshots: 0,
-            ..metrics.clone()
-        }
-    }
-
-    #[test]
-    fn every_schedule_and_transport_matches_the_simulator() {
-        let computation = staircase(4, 6);
-        let wcp = Wcp::over_all(&computation);
-        let predicates: Vec<Wcp> = (1..=4).map(Wcp::over_first).collect();
-        let vc_sim = run_vc_token(&computation, &wcp, SimConfig::seeded(1)).report;
-        let dd_sim = run_direct(&computation, &wcp, SimConfig::seeded(1), true).report;
-        let multi_sim = run_multi_sim(&computation, &predicates, 1);
-        let multi_offline = run_multi_offline(&computation, &predicates);
-        let schedules = [
-            ("clean", None),
-            (
-                "delay+duplicate+reorder",
-                Some(FaultConfig::delay_duplicate_reorder(7)),
-            ),
-            (
-                "drop+reset",
-                Some(FaultConfig::seeded(9).with_drop(0.15).with_reset(0.05)),
-            ),
-        ];
-        for (schedule, faults) in schedules {
-            let config = |base: NetConfig| {
-                let base = base.with_deadline(Duration::from_secs(30));
-                faults.map_or(base, |f| base.with_faults(f))
-            };
-            for base in [NetConfig::loopback(), NetConfig::tcp()] {
-                let net = run_vc_token_net(&computation, &wcp, config(base));
-                let label = format!("{schedule}, vc token over {:?}", base.transport);
-                assert_eq!(net.report.detection, vc_sim.detection, "{label}");
-                assert_eq!(
-                    schedule_free(&net.report.metrics),
-                    schedule_free(&vc_sim.metrics),
-                    "{label}"
-                );
-                if schedule == "drop+reset" {
-                    // A reconnect backoff sleeps on the one thread that
-                    // also hosts the receiving peer, and the run still
-                    // finishes.
-                    assert!(net.net.reconnects > 0, "{label}: no reset drawn");
-                }
-            }
-            // The §4.5 parallel red chain: how often the token moves
-            // depends on the schedule even in the simulator, but the
-            // verdict, the work and the snapshot traffic do not.
-            let dd = run_direct_net(&computation, &wcp, true, config(NetConfig::loopback()));
-            let (got, want) = (&dd.report.metrics, &dd_sim.metrics);
-            assert_eq!(dd.report.detection, dd_sim.detection, "{schedule}, direct");
-            assert_eq!(got.per_process_work, want.per_process_work, "{schedule}");
-            assert_eq!(
-                (got.snapshot_messages, got.snapshot_bytes),
-                (want.snapshot_messages, want.snapshot_bytes),
-                "{schedule}, direct"
-            );
-            let multi = run_multi_net(&computation, &predicates, config(NetConfig::loopback()));
-            for reference in [&multi_sim, &multi_offline] {
-                assert_eq!(
-                    multi.report.outcomes, reference.outcomes,
-                    "{schedule}, multi"
-                );
-                assert_eq!(multi.report.stats, reference.stats, "{schedule}, multi");
-            }
-        }
+    /// Runs `family` in-process with default options.
+    fn net(family: Family, c: &Computation, wcp: &Wcp, config: NetConfig) -> NetReport {
+        run_net(family, c, wcp, config, &RunOptions::default()).expect("the scope fits")
     }
 
     #[test]
@@ -1029,16 +622,89 @@ mod tests {
             );
             let c = &g.computation;
             let wcp = Wcp::over_all(c);
-            let predicates: Vec<Wcp> = (1..=3).map(Wcp::over_first).collect();
-            let [a, b] = [0, 1].map(|_| run_vc_token_net(c, &wcp, NetConfig::loopback()));
-            assert_eq!(a.net, b.net, "seed {seed}, vc token");
-            assert_eq!(a.report, b.report, "seed {seed}, vc token");
-            let [a, b] = [0, 1].map(|_| run_direct_net(c, &wcp, true, NetConfig::loopback()));
-            assert_eq!(a.net, b.net, "seed {seed}, direct");
-            assert_eq!(a.report, b.report, "seed {seed}, direct");
-            let [a, b] = [0, 1].map(|_| run_multi_net(c, &predicates, NetConfig::loopback()));
+            for family in [
+                Family::VcToken,
+                Family::MultiToken { groups: 1 },
+                Family::MultiToken { groups: 2 },
+                Family::Checker,
+                Family::Direct { parallel: true },
+            ] {
+                let [a, b] = [0, 1].map(|_| net(family, c, &wcp, NetConfig::loopback()));
+                assert_eq!(a.net, b.net, "seed {seed}, {family}");
+                assert_eq!(a.report, b.report, "seed {seed}, {family}");
+            }
+            let service = Service::new(&(1..=3).map(Wcp::over_first).collect::<Vec<_>>());
+            let options = RunOptions::default();
+            let [a, b] =
+                [0, 1].map(|_| run_multi_net(c, &service, NetConfig::loopback(), &options));
             assert_eq!(a.net, b.net, "seed {seed}, multi");
             assert_eq!(a.report.outcomes, b.report.outcomes, "seed {seed}, multi");
         }
+    }
+
+    /// An application actor that never runs its script.
+    struct Silent;
+
+    impl Actor<DetectMsg> for Silent {
+        fn on_message(&mut self, _: &mut dyn Context<DetectMsg>, _: ActorId, _: DetectMsg) {}
+    }
+
+    #[test]
+    fn a_stalled_loopback_run_names_every_monitor_state() {
+        // Silence process 1's application: its monitor never hears a
+        // snapshot or end-of-trace, so the token waits there until the
+        // watchdog fires, and the panic must say where it waits.
+        let mut b = ComputationBuilder::new(3);
+        for p in ProcessId::all(3) {
+            b.mark_true(p);
+        }
+        let computation = b.build().expect("valid");
+        let mut layout = Family::VcToken.layout(&computation, &Wcp::over_all(&computation));
+        layout.actors[1].1 = Hosted::boxed(Silent);
+        let config = NetConfig::loopback().with_deadline(Duration::from_millis(100));
+        let stall = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            host(
+                layout,
+                &config,
+                &RunOptions::default(),
+                NetCounters::shared(),
+            )
+        }))
+        .expect_err("the run cannot finish");
+        let message = stall.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.contains("stalled past their deadline"), "{message}");
+        for row in [
+            "vc[0]: queued=0 eot=true done=false no token",
+            "vc[1]: queued=0 eot=false done=false token held",
+            "vc[2]: queued=1 eot=true done=false no token",
+        ] {
+            assert!(message.contains(row), "{row} missing from\n{message}");
+        }
+    }
+
+    #[test]
+    fn a_multi_token_scope_wider_than_a_group_token_is_refused_up_front() {
+        let mut b = ComputationBuilder::new(MAX_GROUP_WIDTH + 1);
+        for p in ProcessId::all(MAX_GROUP_WIDTH + 1) {
+            b.mark_true(p);
+        }
+        let computation = b.build().expect("valid");
+        let wcp = Wcp::over_all(&computation);
+        let family = Family::MultiToken { groups: 2 };
+        let refused = run_net(
+            family,
+            &computation,
+            &wcp,
+            NetConfig::loopback(),
+            &RunOptions::default(),
+        );
+        assert_eq!(
+            refused.map(|r| r.net.frames_sent).err(),
+            Some(CodecError::TooWide(MAX_GROUP_WIDTH + 1))
+        );
+        // At the limit the run goes ahead.
+        let wcp = Wcp::over_first(MAX_GROUP_WIDTH);
+        let fits = net(family, &computation, &wcp, NetConfig::loopback());
+        assert!(fits.report.detection.is_detected());
     }
 }

@@ -25,6 +25,7 @@ use wcp_sim::ActorId;
 use crate::codec::{kind, Payload};
 use crate::peer::Endpoint;
 use crate::pool::FramePool;
+use crate::runner::{NetConfig, TransportKind};
 use crate::stats::{NetCounters, NetStats};
 use crate::telemetry::{SidecarRecorder, TelemetryCollector};
 use crate::transport::{spawn_listener, LoopbackTransport, TcpTransport, Transport};
@@ -40,6 +41,8 @@ pub struct SaturationReport {
     pub elapsed: Duration,
     /// Wire-level counters of the run (both directions: data plus acks).
     pub net: NetStats,
+    /// Both endpoints' telemetry, when the run had the plane on.
+    pub telemetry: Option<Arc<TelemetryCollector>>,
 }
 
 impl SaturationReport {
@@ -86,7 +89,7 @@ impl SaturationReport {
 /// its replay log truncated mid-run.
 const ACK_POLL_EVERY: u64 = 4096;
 
-/// Sidecar wiring of an observed saturation run: each endpoint records
+/// Sidecar wiring of a saturation run with telemetry: each endpoint records
 /// into its private [`SidecarRecorder`], and the sender ships deltas
 /// towards the receiver — the collector peer — on the same cadence it
 /// polls acks.
@@ -174,136 +177,83 @@ fn drive(
         bytes: net.bytes_received,
         elapsed,
         net,
+        telemetry: telemetry.map(|t| t.collector),
     }
 }
 
-/// Builds the loopback endpoint pair over one shared counter block.
-fn loopback_pair(
-    batch: bool,
-    recorders: [Arc<dyn Recorder>; 2],
-) -> (Endpoint, Endpoint, Arc<NetCounters>) {
+/// Saturates one link of `config`'s transport with `frames` snapshot
+/// frames of scope width `scope_n`, coalescing writes when `config.batch`
+/// (the A/B knob). With `config.telemetry` both endpoints record into
+/// private [`SidecarRecorder`]s, and the sender ships deltas towards the
+/// receiver (the collector peer) on its ack-poll cadence: the A/B against
+/// the same run without it is the marginal cost of telemetry at wire
+/// saturation (`scripts/bench.sh telemetry`). The report carries both the
+/// v2 bytes sent and their v1 equivalent
+/// (`NetStats::wire_bytes_v1_equiv`), so one run gives the
+/// delta-compression ratio (`scripts/bench.sh wire-v2`). Faults and the
+/// deadline do not apply.
+pub fn saturate(frames: u64, scope_n: usize, config: NetConfig) -> SaturationReport {
     let counters = NetCounters::shared();
     let pool = FramePool::shared(counters.clone());
-    let (tx0, rx0) = channel();
-    let (tx1, rx1) = channel();
-    let [rec0, rec1] = recorders;
-    let sender = Endpoint::new(
-        0,
-        vec![
-            None,
-            Some(Box::new(LoopbackTransport::new(tx1, pool.clone())) as Box<dyn Transport>),
-        ],
-        rx0,
-        counters.clone(),
-        rec0,
-        4,
-        Duration::from_millis(1),
-        batch,
-    );
-    let receiver = Endpoint::new(
-        1,
-        vec![
-            Some(Box::new(LoopbackTransport::new(tx0, pool)) as Box<dyn Transport>),
-            None,
-        ],
-        rx1,
-        counters.clone(),
-        rec1,
-        4,
-        Duration::from_millis(1),
-        batch,
-    );
-    (sender, receiver, counters)
-}
-
-/// Saturates one in-memory loopback link with `frames` snapshot frames of
-/// scope width `scope_n`; `batch` toggles send coalescing (the A/B knob).
-/// The report carries both the v2 bytes sent and their v1 equivalent
-/// (`NetStats::wire_bytes_v1_equiv`), so one run gives the
-/// delta-compression ratio (`scripts/bench.sh wire-v2`).
-pub fn saturate_loopback(frames: u64, scope_n: usize, batch: bool) -> SaturationReport {
-    let (sender, receiver, counters) =
-        loopback_pair(batch, [Arc::new(NullRecorder), Arc::new(NullRecorder)]);
-    drive(sender, receiver, frames, scope_n, &counters, None)
-}
-
-/// Saturates one batched loopback link with the sidecar telemetry plane
-/// live: both endpoints record into private [`SidecarRecorder`]s, the
-/// sender ships deltas towards the receiver (the collector peer) on its
-/// ack-poll cadence, and the receiver ingests them off the accept path. The A/B against [`saturate_loopback`] is
-/// the measured marginal cost of telemetry at wire saturation —
-/// `scripts/bench.sh telemetry` records the ratio in `BENCH_wcp.json`.
-pub fn saturate_loopback_observed(
-    frames: u64,
-    scope_n: usize,
-) -> (SaturationReport, Arc<TelemetryCollector>) {
-    let telemetry = SaturationTelemetry {
+    let (txs, mut inboxes): (Vec<_>, Vec<_>) = (0..2).map(|_| channel()).unzip();
+    let mut acceptors = Vec::new();
+    let dial: Box<dyn Fn(usize) -> Box<dyn Transport>> = match config.transport {
+        TransportKind::Loopback => {
+            let pool = pool.clone();
+            Box::new(move |j| Box::new(LoopbackTransport::new(txs[j].clone(), pool.clone())))
+        }
+        TransportKind::Tcp => {
+            let mut addrs = Vec::new();
+            for tx in txs {
+                let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+                addrs.push(listener.local_addr().expect("listener addr"));
+                acceptors.push(spawn_listener(listener, tx, pool.clone()));
+            }
+            Box::new(move |j| {
+                Box::new(
+                    TcpTransport::connect(addrs[j], 8, Duration::from_millis(1))
+                        .expect("dial peer"),
+                )
+            })
+        }
+    };
+    let telemetry = config.telemetry.then(|| SaturationTelemetry {
         sender: Arc::default(),
         receiver: Arc::default(),
         collector: TelemetryCollector::shared(),
+    });
+    let recorders: [Arc<dyn Recorder>; 2] = match &telemetry {
+        Some(t) => [t.sender.clone(), t.receiver.clone()],
+        None => [Arc::new(NullRecorder), Arc::new(NullRecorder)],
     };
-    let collector = telemetry.collector.clone();
-    let (sender, mut receiver, counters) =
-        loopback_pair(true, [telemetry.sender.clone(), telemetry.receiver.clone()]);
-    receiver.set_collector(collector.clone());
-    let report = drive(
-        sender,
-        receiver,
-        frames,
-        scope_n,
-        &counters,
-        Some(telemetry),
-    );
-    (report, collector)
-}
-
-/// Saturates one real TCP link on localhost with `frames` snapshot frames
-/// of scope width `scope_n` (batched writes).
-pub fn saturate_tcp(frames: u64, scope_n: usize) -> SaturationReport {
-    let counters = NetCounters::shared();
-    let pool = FramePool::shared(counters.clone());
-    let listeners: Vec<TcpListener> = (0..2)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind localhost"))
-        .collect();
-    let addrs: Vec<_> = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("listener addr"))
-        .collect();
-    let mut inboxes = Vec::new();
-    let mut acceptors = Vec::new();
-    for listener in listeners {
-        let (tx, rx) = channel();
-        acceptors.push(spawn_listener(listener, tx, pool.clone()));
-        inboxes.push(rx);
+    let [sender, mut receiver] = [0usize, 1].map(|i| {
+        let links = (0..2).map(|j| (j != i).then(|| dial(j))).collect();
+        let inbox = inboxes.remove(0);
+        Endpoint::new(
+            i as u32,
+            links,
+            inbox,
+            counters.clone(),
+            recorders[i].clone(),
+            config.batch,
+        )
+    });
+    if let Some(t) = &telemetry {
+        receiver.set_collector(t.collector.clone());
     }
-    let mut inboxes = inboxes.into_iter();
-    let dial = |j: usize| {
-        Box::new(TcpTransport::connect(addrs[j], 8, Duration::from_millis(1)).expect("dial peer"))
-            as Box<dyn Transport>
-    };
-    let sender = Endpoint::new(
-        0,
-        vec![None, Some(dial(1))],
-        inboxes.next().expect("inbox"),
-        counters.clone(),
-        Arc::new(NullRecorder),
-        4,
-        Duration::from_millis(1),
-        true,
-    );
-    let receiver = Endpoint::new(
-        1,
-        vec![Some(dial(0)), None],
-        inboxes.next().expect("inbox"),
-        counters.clone(),
-        Arc::new(NullRecorder),
-        4,
-        Duration::from_millis(1),
-        true,
-    );
-    let report = drive(sender, receiver, frames, scope_n, &counters, None);
+    let report = drive(sender, receiver, frames, scope_n, &counters, telemetry);
     drop(acceptors);
     report
+}
+
+/// [`saturate`] over an in-memory loopback link, clean and without
+/// telemetry; `batch` toggles send coalescing.
+pub fn saturate_loopback(frames: u64, scope_n: usize, batch: bool) -> SaturationReport {
+    let config = NetConfig {
+        batch,
+        ..NetConfig::loopback()
+    };
+    saturate(frames, scope_n, config)
 }
 
 #[cfg(test)]
@@ -337,7 +287,8 @@ mod tests {
 
     #[test]
     fn observed_saturation_delivers_data_and_collects_telemetry() {
-        let (report, collector) = saturate_loopback_observed(6_000, 4);
+        let report = saturate(6_000, 4, NetConfig::loopback().with_telemetry());
+        let collector = report.telemetry.clone().expect("telemetry was on");
         assert_eq!(report.frames, 6_000);
         assert!(report.net.telemetry_sent > 0, "{:?}", report.net);
         assert_eq!(
@@ -365,7 +316,7 @@ mod tests {
 
     #[test]
     fn tcp_saturation_roundtrips() {
-        let report = saturate_tcp(1_000, 4);
+        let report = saturate(1_000, 4, NetConfig::tcp());
         assert_eq!(report.frames, 1_000);
         assert!(report.frames_per_flush() > 1.0);
     }

@@ -52,7 +52,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use wcp_obs::{merge_streams, LogicalTime, Recorder, RunReport, StampedEvent, TraceEvent};
+use wcp_obs::{
+    merge_streams, LogicalTime, Recorder, RunReport, StampedEvent, TelemetrySink, TraceEvent,
+};
 
 use crate::codec::CodecError;
 use crate::stats::NetStats;
@@ -668,6 +670,12 @@ impl std::fmt::Debug for TelemetryCollector {
             .field("sources", &inner.sources.len())
             .field("malformed", &inner.malformed)
             .finish()
+    }
+}
+
+impl TelemetrySink for TelemetryCollector {
+    fn ingest(&self, delta: &[u8]) {
+        TelemetryCollector::ingest(self, delta);
     }
 }
 

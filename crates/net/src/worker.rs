@@ -14,11 +14,13 @@
 //! from another thread rings after each chunk: a TCP reader thread, or a
 //! fault-injection delay thread releasing a held frame. A wait that sees
 //! no ring for [`POLL`] runs the idle duties: the forced telemetry flush
-//! and the stall watchdog.
+//! and the stall watchdog, whose panic names every hosted actor's state.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+use wcp_sim::status_report;
 
 use crate::peer::{PeerHost, Running};
 
@@ -89,6 +91,11 @@ impl Doorbell {
 /// loop, waiting on `bell` whenever a round makes no progress. Returns the
 /// hosts with their endpoints still open: the caller closes them once no
 /// peer is still delivering.
+///
+/// # Panics
+///
+/// Panics with every hosted actor's protocol state once a peer outlives
+/// its deadline (a protocol bug, not an input error).
 pub(crate) fn run(hosts: Vec<PeerHost>, bell: &Doorbell) -> Vec<PeerHost> {
     let mut peers: Vec<Running> = hosts.into_iter().map(Running::start).collect();
     while !peers.iter().all(Running::is_done) {
@@ -100,6 +107,16 @@ pub(crate) fn run(hosts: Vec<PeerHost>, bell: &Doorbell) -> Vec<PeerHost> {
             for peer in &mut peers {
                 peer.idle();
             }
+            let stalled: Vec<u32> = peers
+                .iter()
+                .filter(|p| p.stalled())
+                .map(Running::index)
+                .collect();
+            assert!(
+                stalled.is_empty(),
+                "net: peers {stalled:?} stalled past their deadline (protocol bug)\n{}",
+                status_report(peers.iter().flat_map(Running::actors))
+            );
         }
     }
     peers.into_iter().map(Running::into_host).collect()

@@ -169,8 +169,6 @@ fn endpoint_pair(batch: bool) -> (Endpoint, Endpoint, Arc<NetCounters>) {
             rx,
             counters.clone(),
             Arc::new(NullRecorder),
-            4,
-            Duration::from_millis(1),
             batch,
         )
     };

@@ -1,8 +1,8 @@
 //! Acceptance tests for the net subsystem: a detection run over real TCP
 //! sockets on localhost yields a `Detection` bit-identical to the
-//! discrete-event simulator's for the same computation — for both the
-//! vector-clock token and direct-dependence detectors, on clean links and
-//! under a tolerated delay + duplicate + reorder fault schedule.
+//! discrete-event simulator's for the same computation — for every online
+//! family, each hosting the one layout the simulator hosts, on clean links
+//! and under tolerated fault schedules.
 //!
 //! This is the paper's uniqueness property made operational: the first
 //! consistent cut satisfying a WCP is a function of the computation alone,
@@ -11,15 +11,18 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use wcp_detect::online::{run_direct, run_vc_token, run_vc_token_recorded};
+use wcp_clocks::ProcessId;
+use wcp_detect::online::{run_online, run_vc_token, simulate, Family, OnlineReport, RunOptions};
 use wcp_detect::{
-    audit_bounds, BoundLimits, Detection, Detector, DirectDependenceDetector, TokenDetector,
+    audit_bounds, BoundLimits, Detection, DetectionMetrics, Detector, DirectDependenceDetector,
+    TokenDetector,
 };
-use wcp_net::{run_direct_net, run_vc_token_net, run_vc_token_net_recorded, NetConfig};
+use wcp_net::{run_multi_net, run_net, run_vc_token_net, NetConfig, NetReport};
 use wcp_obs::{merge_streams, split_by_monitor, RingRecorder, StampedEvent};
+use wcp_session::{run_multi_offline, run_multi_sim, Service};
 use wcp_sim::{FaultConfig, SimConfig};
 use wcp_trace::generate::{generate, GeneratorConfig, Topology};
-use wcp_trace::{Computation, Wcp};
+use wcp_trace::{Computation, ComputationBuilder, Wcp};
 
 fn workload(seed: u64) -> Computation {
     generate(
@@ -33,6 +36,137 @@ fn workload(seed: u64) -> Computation {
 
 fn deadline() -> Duration {
     Duration::from_secs(30)
+}
+
+fn run_direct(c: &Computation, wcp: &Wcp, sim: SimConfig, parallel: bool) -> OnlineReport {
+    run_online(Family::Direct { parallel }, c, wcp, sim)
+}
+
+fn run_direct_net(c: &Computation, wcp: &Wcp, parallel: bool, config: NetConfig) -> NetReport {
+    let family = Family::Direct { parallel };
+    run_net(family, c, wcp, config, &RunOptions::default()).expect("no group token")
+}
+
+/// The Theorem 5.1 staircase: the token circles the ring `rounds` times,
+/// so every candidate passes through it and every run sends the same
+/// snapshots whatever the schedule.
+fn staircase(n: usize, rounds: usize) -> Computation {
+    let mut b = ComputationBuilder::new(n);
+    for step in 0..rounds * n {
+        let holder = ProcessId::new((step % n) as u32);
+        let next = ProcessId::new(((step + 1) % n) as u32);
+        b.mark_true(holder);
+        let msg = b.send(holder, next);
+        b.receive(next, msg);
+    }
+    for p in ProcessId::all(n) {
+        b.mark_true(p);
+    }
+    b.build().expect("a staircase is a valid computation")
+}
+
+/// `metrics` without the fields that depend on the schedule even between
+/// two simulator seeds: the logical `parallel_time`, which a socket run
+/// has no clock for, and how many snapshots a monitor buffered at once,
+/// which depends on arrival order.
+fn schedule_free(metrics: &DetectionMetrics) -> DetectionMetrics {
+    DetectionMetrics {
+        parallel_time: 0,
+        max_buffered_snapshots: 0,
+        ..metrics.clone()
+    }
+}
+
+/// The fault schedules every family runs under: clean links, masked
+/// delay + duplicate + reorder, and drops recovered by reset and replay.
+fn schedules() -> [(&'static str, Option<FaultConfig>); 3] {
+    [
+        ("clean", None),
+        (
+            "delay+duplicate+reorder",
+            Some(FaultConfig::delay_duplicate_reorder(7)),
+        ),
+        (
+            "drop+reset",
+            Some(FaultConfig::seeded(9).with_drop(0.15).with_reset(0.05)),
+        ),
+    ]
+}
+
+#[test]
+fn every_family_matches_the_simulator_on_every_substrate() {
+    // Each family hosts one layout everywhere, so on the staircase (where
+    // every run sends the same snapshots) a socket run reports the
+    // simulator's verdict and every schedule-free metric.
+    let computation = staircase(4, 6);
+    let wcp = Wcp::over_all(&computation);
+    for family in [
+        Family::VcToken,
+        Family::MultiToken { groups: 1 },
+        Family::MultiToken { groups: 2 },
+        Family::Checker,
+    ] {
+        let sim = run_online(family, &computation, &wcp, SimConfig::seeded(1)).report;
+        assert!(sim.detection.is_detected(), "{family}");
+        for (schedule, faults) in schedules() {
+            for base in [NetConfig::loopback(), NetConfig::tcp()] {
+                let config = base.with_deadline(deadline());
+                let config = faults.map_or(config, |f| config.with_faults(f));
+                let label = format!("{family}, {schedule}, {:?}", base.transport);
+                let net = run_net(family, &computation, &wcp, config, &RunOptions::default())
+                    .expect("the scope fits a group token");
+                assert_eq!(net.report.detection, sim.detection, "{label}");
+                assert_eq!(
+                    schedule_free(&net.report.metrics),
+                    schedule_free(&sim.metrics),
+                    "{label}"
+                );
+                if schedule == "drop+reset" {
+                    // A reconnect backoff sleeps on the one thread that
+                    // also hosts the receiving peer, and the run still
+                    // finishes.
+                    assert!(net.net.reconnects > 0, "{label}: no reset drawn");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn direct_and_session_runs_match_the_simulator_under_every_schedule() {
+    // The §4.5 parallel red chain: how often the token moves depends on
+    // the schedule even in the simulator, but the verdict, the work and
+    // the snapshot traffic do not. The session service's outcomes are a
+    // function of the computation alone.
+    let computation = staircase(4, 6);
+    let wcp = Wcp::over_all(&computation);
+    let dd_sim = run_direct(&computation, &wcp, SimConfig::seeded(1), true).report;
+    let predicates: Vec<Wcp> = (1..=4).map(Wcp::over_first).collect();
+    let service = Service::new(&predicates);
+    let options = RunOptions::default();
+    let multi_sim = run_multi_sim(&computation, &service, SimConfig::seeded(1), &options);
+    let multi_offline = run_multi_offline(&computation, &predicates, &options);
+    for (schedule, faults) in schedules() {
+        let config = NetConfig::loopback().with_deadline(deadline());
+        let config = faults.map_or(config, |f| config.with_faults(f));
+        let dd = run_direct_net(&computation, &wcp, true, config);
+        let (got, want) = (&dd.report.metrics, &dd_sim.metrics);
+        assert_eq!(dd.report.detection, dd_sim.detection, "{schedule}, direct");
+        assert_eq!(got.per_process_work, want.per_process_work, "{schedule}");
+        assert_eq!(
+            (got.snapshot_messages, got.snapshot_bytes),
+            (want.snapshot_messages, want.snapshot_bytes),
+            "{schedule}, direct"
+        );
+        let multi = run_multi_net(&computation, &service, config, &options);
+        for reference in [&multi_sim, &multi_offline] {
+            assert_eq!(
+                multi.report.outcomes, reference.outcomes,
+                "{schedule}, multi"
+            );
+            assert_eq!(multi.report.stats, reference.stats, "{schedule}, multi");
+        }
+    }
 }
 
 #[test]
@@ -401,14 +535,20 @@ fn paper_unit_accounting_matches_the_wire_free_simulator() {
             audit_bounds(wcp.n(), m1, &merged, &BoundLimits::exact())
         };
         let sim_ring = Arc::new(RingRecorder::new(1 << 16));
-        let sim = run_vc_token_recorded(&computation, &wcp, SimConfig::seeded(1), sim_ring.clone());
+        let sim = simulate(
+            Family::VcToken.layout(&computation, &wcp),
+            SimConfig::seeded(1),
+            &RunOptions::recorded(sim_ring.clone()),
+        );
         let net_ring = Arc::new(RingRecorder::new(1 << 16));
-        let net = run_vc_token_net_recorded(
+        let net = run_net(
+            Family::VcToken,
             &computation,
             &wcp,
             NetConfig::loopback().with_deadline(deadline()),
-            net_ring.clone(),
-        );
+            &RunOptions::recorded(net_ring.clone()),
+        )
+        .expect("no group token");
         let (a_sim, a_net) = (audit(&sim_ring), audit(&net_ring));
         assert_eq!(
             net.report.detection, sim.report.detection,

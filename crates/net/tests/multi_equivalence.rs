@@ -15,9 +15,10 @@
 use std::time::Duration;
 
 use wcp_clocks::ProcessId;
-use wcp_net::{run_multi_net, run_multi_net_with, NetConfig};
-use wcp_session::{run_multi_offline, run_multi_sim_with, run_single_offline, MultiReport};
-use wcp_sim::FaultConfig;
+use wcp_detect::online::RunOptions;
+use wcp_net::{run_multi_net, MultiNetReport, NetConfig};
+use wcp_session::{run_multi_offline, run_multi_sim, run_single_offline, MultiReport, Service};
+use wcp_sim::{FaultConfig, SimConfig};
 use wcp_trace::generate::{generate, GeneratorConfig};
 use wcp_trace::{Computation, Wcp};
 
@@ -42,6 +43,16 @@ fn derived_predicates(n: usize, k: usize) -> Vec<Wcp> {
 
 fn deadline() -> Duration {
     Duration::from_secs(30)
+}
+
+/// Serves `predicates` (ids `0..k`) over sockets with default options.
+fn net(computation: &Computation, predicates: &[Wcp], config: NetConfig) -> MultiNetReport {
+    run_multi_net(
+        computation,
+        &Service::new(predicates),
+        config,
+        &RunOptions::default(),
+    )
 }
 
 /// Pins a net report against the offline reference, the wire verdicts
@@ -85,8 +96,8 @@ fn loopback_multi_matches_offline_and_alone() {
         let computation = workload(seed, 2 + (seed as usize % 4), 8);
         let n = computation.process_count();
         let predicates = derived_predicates(n, 6);
-        let offline = run_multi_offline(&computation, &predicates);
-        let net = run_multi_net(&computation, &predicates, NetConfig::loopback());
+        let offline = run_multi_offline(&computation, &predicates, &RunOptions::default());
+        let net = net(&computation, &predicates, NetConfig::loopback());
         assert_multi_identical(&computation, &net.report, &offline, "loopback");
         assert!(net.net.frames_sent > 0, "snapshots crossed the wire");
         assert_eq!(
@@ -107,8 +118,8 @@ fn tcp_multi_matches_offline_and_alone() {
     for seed in 0..4u64 {
         let computation = workload(seed, 3, 8);
         let predicates = derived_predicates(3, 5);
-        let offline = run_multi_offline(&computation, &predicates);
-        let net = run_multi_net(
+        let offline = run_multi_offline(&computation, &predicates, &RunOptions::default());
+        let net = net(
             &computation,
             &predicates,
             NetConfig::tcp().with_deadline(deadline()),
@@ -122,9 +133,9 @@ fn multi_survives_drops_and_resets_via_recovery() {
     for seed in 0..3u64 {
         let computation = workload(seed, 4, 8);
         let predicates = derived_predicates(4, 5);
-        let offline = run_multi_offline(&computation, &predicates);
+        let offline = run_multi_offline(&computation, &predicates, &RunOptions::default());
         let faults = FaultConfig::seeded(seed).with_drop(0.15).with_reset(0.05);
-        let net = run_multi_net(
+        let net = net(
             &computation,
             &predicates,
             NetConfig::loopback()
@@ -140,9 +151,9 @@ fn tcp_multi_survives_delay_duplicate_reorder() {
     for seed in 0..3u64 {
         let computation = workload(seed, 3, 8);
         let predicates = derived_predicates(3, 5);
-        let offline = run_multi_offline(&computation, &predicates);
+        let offline = run_multi_offline(&computation, &predicates, &RunOptions::default());
         let faults = FaultConfig::delay_duplicate_reorder(200 + seed);
-        let net = run_multi_net(
+        let net = net(
             &computation,
             &predicates,
             NetConfig::tcp()
@@ -161,18 +172,22 @@ fn unregistration_is_transport_independent() {
     for seed in 0..3u64 {
         let computation = workload(seed, 4, 10);
         let predicates = derived_predicates(4, 5);
-        let registrations: Vec<(u64, Wcp)> = predicates
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, w)| (10 + i as u64, w))
-            .collect();
-        let unregister = [11u64, 13];
+        let service = Service {
+            registrations: predicates
+                .iter()
+                .cloned()
+                .enumerate()
+                .map(|(i, w)| (10 + i as u64, w))
+                .collect(),
+            unregister: vec![11, 13],
+        };
         // The sim leg pumps with the parallel pump (2 workers):
         // transport-independence must hold across pump modes too.
-        let sim = run_multi_sim_with(&computation, &registrations, &unregister, seed, 2);
-        let recorder: std::sync::Arc<dyn wcp_obs::Recorder> =
-            std::sync::Arc::new(wcp_obs::NullRecorder);
+        let two = RunOptions {
+            pump_threads: 2,
+            ..RunOptions::default()
+        };
+        let sim = run_multi_sim(&computation, &service, SimConfig::seeded(seed), &two);
         for (label, config) in [
             ("loopback", NetConfig::loopback()),
             (
@@ -182,14 +197,7 @@ fn unregistration_is_transport_independent() {
                     .with_deadline(deadline()),
             ),
         ] {
-            let net = run_multi_net_with(
-                &computation,
-                &registrations,
-                &unregister,
-                config,
-                recorder.clone(),
-                None,
-            );
+            let net = run_multi_net(&computation, &service, config, &RunOptions::default());
             assert_eq!(
                 net.report.outcomes.len(),
                 3,
@@ -212,7 +220,7 @@ fn parallel_pump_service_is_bit_identical_over_sockets() {
     for seed in 0..3u64 {
         let computation = workload(seed, 4, 10);
         let predicates = derived_predicates(4, 6);
-        let offline = run_multi_offline(&computation, &predicates);
+        let offline = run_multi_offline(&computation, &predicates, &RunOptions::default());
         for (label, config) in [
             ("parallel", NetConfig::loopback().with_pump_threads(4)),
             (
@@ -223,7 +231,7 @@ fn parallel_pump_service_is_bit_identical_over_sockets() {
                     .with_deadline(deadline()),
             ),
         ] {
-            let net = run_multi_net(&computation, &predicates, config);
+            let net = net(&computation, &predicates, config);
             assert_multi_identical(&computation, &net.report, &offline, label);
         }
     }

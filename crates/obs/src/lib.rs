@@ -54,5 +54,5 @@ pub mod rng;
 pub use event::{LogicalTime, StampedEvent, TraceEvent};
 pub use hist::{Counters, Log2Histogram};
 pub use merge::{merge_streams, split_by_monitor};
-pub use recorder::{NullRecorder, Recorder, RingRecorder, TeeRecorder};
+pub use recorder::{NullRecorder, Recorder, RingRecorder, TeeRecorder, TelemetrySink};
 pub use report::RunReport;

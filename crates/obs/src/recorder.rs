@@ -23,6 +23,14 @@ pub trait Recorder: Send + Sync {
     }
 }
 
+/// Where a socket run's encoded telemetry deltas land: `wcp-net`'s
+/// `TelemetryCollector`, shared with whoever watches the run live.
+pub trait TelemetrySink: Send + Sync {
+    /// Takes one encoded delta body, off the wire or from the collector
+    /// peer's own recorder.
+    fn ingest(&self, delta: &[u8]);
+}
+
 /// A recorder that drops everything. [`is_enabled`](Recorder::is_enabled)
 /// returns `false`, so instrumented hot paths skip event construction
 /// entirely.

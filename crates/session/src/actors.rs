@@ -26,7 +26,6 @@
 //! channels make "after every verdict" meaningful.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use wcp_clocks::ProcessId;
@@ -34,7 +33,7 @@ use wcp_detect::online::DetectMsg;
 use wcp_sim::{Actor, ActorId, Context};
 use wcp_trace::Wcp;
 
-use crate::engine::MultiEngine;
+use crate::engine::{EngineStats, MultiEngine};
 use crate::registry::PredicateId;
 use crate::session::SessionVerdict;
 
@@ -54,7 +53,13 @@ pub struct MultiService {
     /// service thread, `> 1` uses the parallel pump. Verdicts and
     /// metrics are bit-identical either way.
     pump_threads: usize,
+    mirror: Option<ServiceMirror>,
 }
+
+/// Called after every message the service handles with its engine's
+/// counters and its count of refused messages, so a socket run's
+/// telemetry sees them move while the run is in flight.
+pub type ServiceMirror = Box<dyn Fn(EngineStats, u64) + Send>;
 
 impl MultiService {
     /// A service over `engine`, reporting to `controller` and expecting
@@ -78,7 +83,14 @@ impl MultiService {
             done: false,
             rejected: 0,
             pump_threads: 1,
+            mirror: None,
         }
+    }
+
+    /// Reports the service's counters to `mirror` after every message.
+    pub fn with_mirror(mut self, mirror: ServiceMirror) -> Self {
+        self.mirror = Some(mirror);
+        self
     }
 
     /// Replaces the fan-out worker count (see
@@ -135,6 +147,15 @@ impl MultiService {
 
 impl Actor<DetectMsg> for MultiService {
     fn on_message(&mut self, ctx: &mut dyn Context<DetectMsg>, from: ActorId, msg: DetectMsg) {
+        self.handle(ctx, from, msg);
+        if let Some(mirror) = &self.mirror {
+            mirror(self.engine.stats(), self.rejected);
+        }
+    }
+}
+
+impl MultiService {
+    fn handle(&mut self, ctx: &mut dyn Context<DetectMsg>, from: ActorId, msg: DetectMsg) {
         // The sender's actor id is its process id: application process
         // `p` runs as actor `p`.
         let p = ProcessId::new(from.index() as u32);
@@ -192,7 +213,6 @@ pub struct MultiController {
     registrations: Vec<(u64, Wcp)>,
     unregister: Vec<u64>,
     verdicts: CollectedVerdicts,
-    finished: Arc<AtomicBool>,
 }
 
 impl MultiController {
@@ -205,18 +225,12 @@ impl MultiController {
             registrations,
             unregister,
             verdicts: Arc::new(Mutex::new(HashMap::new())),
-            finished: Arc::new(AtomicBool::new(false)),
         }
     }
 
     /// Shared handle to the verdicts collected off the wire.
     pub fn verdicts(&self) -> CollectedVerdicts {
         Arc::clone(&self.verdicts)
-    }
-
-    /// Shared flag set once the service announced end-of-verdicts.
-    pub fn finished(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.finished)
     }
 }
 
@@ -245,7 +259,6 @@ impl Actor<DetectMsg> for MultiController {
                     .insert(id, verdict);
             }
             DetectMsg::EndOfTrace => {
-                self.finished.store(true, Ordering::Release);
                 ctx.stop();
             }
             other => panic!("unexpected message for multi controller: {other:?}"),

@@ -24,9 +24,10 @@
 //!   interleaving yields the same log, and no class waits for a process
 //!   its predicate does not name), and fans each entry out to the
 //!   class's sessions;
-//! - [`actors`]/[`runner`] — the service and controller actors plus
-//!   offline and simulator runners (`wcp-net` hosts the same actors over
-//!   real sockets as `wcp serve --multi`).
+//! - [`actors`]/[`runner`] — the service and controller actors, the
+//!   family's [`Service`] layout, and its offline and simulator runners
+//!   (`wcp-net` hosts the same layout over real sockets, and as `wcp serve
+//!   --multi`).
 //!
 //! The core correctness claim, property-tested here and fuzzed in
 //! `wcp-fuzz`: because a class's routed log is the projection of the
@@ -46,13 +47,12 @@ pub mod runner;
 pub mod session;
 pub mod store;
 
-pub use actors::{CollectedVerdicts, MultiController, MultiService};
+pub use actors::{CollectedVerdicts, MultiController, MultiService, ServiceMirror};
 pub use engine::{EngineStats, IngestError, MultiEngine, RegisterError, SessionReport};
 pub use registry::PredicateId;
 pub use runner::{
-    check_registrations, collect_multi_report, feed_annotated, feed_annotated_with,
-    run_multi_offline, run_multi_offline_with, run_multi_sim, run_multi_sim_with,
-    run_single_offline, MultiReport, PredicateOutcome,
+    check_registrations, feed_annotated, run_multi_offline, run_multi_sim, run_single_offline,
+    MultiReport, PredicateOutcome, Service,
 };
 pub use session::SessionVerdict;
 pub use store::SharedStore;

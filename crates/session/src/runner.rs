@@ -1,24 +1,25 @@
-//! End-to-end multi-tenant runs: offline and simulator.
+//! The session service family: its layout, and its offline and
+//! simulator runs.
 //!
 //! Both runners serve the same predicates over the same computation and
 //! must produce bit-identical per-predicate verdicts and
 //! [`DetectionMetrics`] — the offline runner feeds the engine the
-//! annotated trace directly, the simulator runner streams it through
-//! [`AppProcess`](wcp_detect::online::AppProcess) actors over
-//! `Wcp::over_all` full-width clocks (`wcp-net` adds the socket variant
-//! on the same actors, over a real transport).
+//! annotated trace directly, the simulator runner streams it through the
+//! service's [`Layout`] over `Wcp::over_all` full-width clocks (`wcp-net`
+//! hosts the same layout on socket peers).
 
 use std::collections::{HashMap, HashSet};
-
 use std::sync::Arc;
 
 use wcp_clocks::{ProcessId, StateId};
-use wcp_detect::online::{AppProcess, ClockMode};
+use wcp_detect::online::{
+    apps, simulate, ClockMode, Hosted, Layout, RunOptions, SharedOutcome, SharedStats,
+};
 use wcp_detect::{Detection, DetectionMetrics, DetectionReport};
-use wcp_sim::{ActorId, SimConfig, Simulation};
+use wcp_sim::{ActorId, SimConfig, SimMetrics};
 use wcp_trace::{AnnotatedComputation, Computation, Wcp};
 
-use crate::actors::{MultiController, MultiService};
+use crate::actors::{MultiController, MultiService, ServiceMirror};
 use crate::engine::{check_scope, EngineStats, MultiEngine, RegisterError};
 use crate::registry::PredicateId;
 use crate::session::SessionVerdict;
@@ -75,19 +76,10 @@ pub struct MultiReport {
 
 /// Streams the annotated computation into `engine` — every true-interval
 /// snapshot of every process, in per-process FIFO order, then the
-/// end-of-stream marks — and pumps it dry.
-pub fn feed_annotated(engine: &MultiEngine, annotated: &AnnotatedComputation) {
-    feed_annotated_with(engine, annotated, 1);
-}
-
-/// [`feed_annotated`] with an explicit fan-out worker count: `> 1` pumps
-/// with [`MultiEngine::pump_parallel`] (bit-identical outcomes, sharded
-/// fan-out), `1` with the serial [`MultiEngine::pump`].
-pub fn feed_annotated_with(
-    engine: &MultiEngine,
-    annotated: &AnnotatedComputation,
-    pump_threads: usize,
-) {
+/// end-of-stream marks — and pumps it dry: serially with one worker,
+/// with [`MultiEngine::pump_parallel`] over more (bit-identical
+/// outcomes, sharded fan-out).
+pub fn feed_annotated(engine: &MultiEngine, annotated: &AnnotatedComputation, pump_threads: usize) {
     for p in ProcessId::all(engine.process_count()) {
         for &k in annotated.true_intervals(p) {
             engine.ingest(p, k, annotated.clock(StateId::new(p, k)).as_slice());
@@ -103,21 +95,31 @@ pub fn feed_annotated_with(
 
 /// Assembles a [`MultiReport`] out of a finished engine: one outcome per
 /// registration not later unregistered, every session expected resolved.
-/// Shared with `wcp-net`'s socket runner, which drives the same actors
-/// over real links and reports through the same shape.
+/// An engine that holds none of them is a standalone `wcp serve` peer
+/// that does not host the service, and reports no outcome.
 ///
 /// # Panics
 ///
-/// Panics if a registered session is missing or unresolved.
-pub fn collect_multi_report(
+/// Panics if the engine holds some registered sessions but not all, or
+/// one is unresolved.
+fn collect_multi_report(
     engine: &MultiEngine,
     registrations: &[(u64, Wcp)],
     unregister: &[u64],
     wire_verdicts: HashMap<u64, Option<Vec<u64>>>,
 ) -> MultiReport {
-    let outcomes = registrations
+    let mut live: Vec<&(u64, Wcp)> = registrations
         .iter()
         .filter(|(id, _)| !unregister.contains(id))
+        .collect();
+    if !live
+        .iter()
+        .any(|(id, _)| engine.report(PredicateId::new(*id)).is_some())
+    {
+        live.clear();
+    }
+    let outcomes = live
+        .into_iter()
         .map(|(id, wcp)| {
             let report = engine
                 .report(PredicateId::new(*id))
@@ -159,35 +161,117 @@ pub fn check_registrations(n: usize, registrations: &[(u64, Wcp)]) -> Result<(),
     Ok(())
 }
 
-/// Runs `predicates` (ids `0..k`) over `computation` directly — no actors,
-/// no transport; the reference the streamed runners are pinned against.
-pub fn run_multi_offline(computation: &Computation, predicates: &[Wcp]) -> MultiReport {
-    run_multi_offline_with(computation, predicates, 1)
+/// The session service family: the predicates a controller registers
+/// with one service over the shared stream, and those it then
+/// unregisters.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Service {
+    /// `(id, predicate)` pairs, registered in order.
+    pub registrations: Vec<(u64, Wcp)>,
+    /// Ids unregistered once every registration is sent.
+    pub unregister: Vec<u64>,
 }
 
-/// [`run_multi_offline`] with an explicit fan-out worker count; `> 1`
-/// drives the parallel pump, whose report must be bit-identical
-/// to the serial run's (the fuzz oracle cross-checks exactly this).
-pub fn run_multi_offline_with(
+impl Service {
+    /// Registers `predicates` under ids `0..k` and unregisters none.
+    pub fn new(predicates: &[Wcp]) -> Self {
+        Service {
+            registrations: predicates
+                .iter()
+                .cloned()
+                .enumerate()
+                .map(|(i, w)| (i as u64, w))
+                .collect(),
+            unregister: Vec::new(),
+        }
+    }
+
+    /// Lays out the service over `computation`: application `p` on peer
+    /// `p` streams full-width Figure 2 snapshots to the service (actor
+    /// `N`, on peer `N`), and the controller (actor `N + 1`) rides on peer
+    /// 0, registering the predicates and collecting verdicts. The service
+    /// pumps with `pump_threads` workers and reports its counters to
+    /// `mirror`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the computation has no processes or the service would
+    /// reject a registration (see [`check_registrations`]).
+    pub fn layout(
+        &self,
+        computation: &Computation,
+        pump_threads: usize,
+        mirror: Option<ServiceMirror>,
+    ) -> Layout<MultiReport> {
+        let n_total = computation.process_count();
+        assert!(n_total >= 1, "computation must have at least one process");
+        if let Err(e) = check_registrations(n_total, &self.registrations) {
+            panic!("multi service would reject a registration: {e}");
+        }
+        let service = ActorId::new(n_total as u32);
+        let controller = ActorId::new(n_total as u32 + 1);
+        let (mut actors, mut fifo) = apps(
+            computation,
+            &Wcp::over_all(computation),
+            ClockMode::Vector,
+            &SharedStats::default(),
+            |_| Some(service),
+            |p| p.index() as u32,
+        );
+        fifo.extend([(controller, service), (service, controller)]);
+        let engine = Arc::new(MultiEngine::new(n_total));
+        let mut multi = MultiService::new(
+            Arc::clone(&engine),
+            controller,
+            self.registrations.len(),
+            self.unregister.len(),
+        )
+        .with_pump_threads(pump_threads);
+        if let Some(mirror) = mirror {
+            multi = multi.with_mirror(mirror);
+        }
+        let ctrl =
+            MultiController::new(service, self.registrations.clone(), self.unregister.clone());
+        let verdicts = ctrl.verdicts();
+        actors.push((n_total as u32, Hosted::boxed(multi)));
+        actors.push((0, Hosted::boxed(ctrl)));
+        let Service {
+            registrations,
+            unregister,
+        } = self.clone();
+        let report = move |_: &SimMetrics, _: u64| {
+            let wire = verdicts.lock().expect("controller poisoned").clone();
+            collect_multi_report(&engine, &registrations, &unregister, wire)
+        };
+        Layout {
+            actors,
+            fifo,
+            verdict: SharedOutcome::default(),
+            report: Box::new(report),
+        }
+    }
+}
+
+/// Runs `predicates` (ids `0..k`) over `computation` directly — no actors,
+/// no transport; the reference the streamed runners are pinned against.
+/// The engine pumps with `options.pump_threads` workers, whose report
+/// must be bit-identical to the serial run's (the fuzz oracle
+/// cross-checks exactly this).
+pub fn run_multi_offline(
     computation: &Computation,
     predicates: &[Wcp],
-    pump_threads: usize,
+    options: &RunOptions,
 ) -> MultiReport {
     let annotated = computation.annotate();
     let engine = MultiEngine::new(computation.process_count());
-    let registrations: Vec<(u64, Wcp)> = predicates
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, w)| (i as u64, w))
-        .collect();
-    for (id, wcp) in &registrations {
+    let service = Service::new(predicates);
+    for (id, wcp) in &service.registrations {
         engine
             .register(PredicateId::new(*id), wcp)
             .expect("offline registration failed");
     }
-    feed_annotated_with(&engine, &annotated, pump_threads);
-    collect_multi_report(&engine, &registrations, &[], HashMap::new())
+    feed_annotated(&engine, &annotated, options.pump_threads);
+    collect_multi_report(&engine, &service.registrations, &[], HashMap::new())
 }
 
 /// Runs one predicate alone on the stream — the baseline the multi-tenant
@@ -196,82 +280,29 @@ pub fn run_single_offline(
     computation: &Computation,
     wcp: &Wcp,
 ) -> (SessionVerdict, DetectionMetrics) {
-    let report = run_multi_offline(computation, std::slice::from_ref(wcp));
+    let report = run_multi_offline(
+        computation,
+        std::slice::from_ref(wcp),
+        &RunOptions::default(),
+    );
     let outcome = report.outcomes.into_iter().next().expect("one outcome");
     (outcome.verdict, outcome.metrics)
 }
 
-/// Runs `predicates` (ids `0..k`) through the discrete-event simulator:
-/// application actors stream Figure 2 snapshots to the service, the
-/// controller registers and collects.
-pub fn run_multi_sim(computation: &Computation, predicates: &[Wcp], seed: u64) -> MultiReport {
-    let registrations: Vec<(u64, Wcp)> = predicates
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, w)| (i as u64, w))
-        .collect();
-    run_multi_sim_with(computation, &registrations, &[], seed, 1)
-}
-
-/// [`run_multi_sim`] with explicit ids, a mid-run unregistration list,
-/// and a fan-out worker count (`> 1` = the parallel pump).
+/// Runs `service` through the discrete-event simulator: application
+/// actors stream Figure 2 snapshots to the service, the controller
+/// registers and collects. The service pumps with `options.pump_threads`
+/// workers.
 ///
 /// # Panics
 ///
-/// Panics if a registration is invalid (see [`check_registrations`]).
-pub fn run_multi_sim_with(
+/// As [`Service::layout`] and [`simulate`].
+pub fn run_multi_sim(
     computation: &Computation,
-    registrations: &[(u64, Wcp)],
-    unregister: &[u64],
-    seed: u64,
-    pump_threads: usize,
+    service: &Service,
+    sim_config: SimConfig,
+    options: &RunOptions,
 ) -> MultiReport {
-    let n_total = computation.process_count();
-    if let Err(e) = check_registrations(n_total, registrations) {
-        panic!("multi service would reject a registration: {e}");
-    }
-    let service = ActorId::new(n_total as u32);
-    let controller = ActorId::new(n_total as u32 + 1);
-    let mut config = SimConfig::seeded(seed);
-    for i in 0..n_total {
-        config = config.with_fifo_channel(ActorId::new(i as u32), service);
-    }
-    config = config
-        .with_fifo_channel(controller, service)
-        .with_fifo_channel(service, controller);
-    let scope_all = Wcp::over_all(computation);
-    let app_actors: Vec<ActorId> = (0..n_total).map(|i| ActorId::new(i as u32)).collect();
-    let engine = Arc::new(MultiEngine::new(n_total));
-    let ctrl = MultiController::new(service, registrations.to_vec(), unregister.to_vec());
-    let verdicts = ctrl.verdicts();
-    let finished = ctrl.finished();
-    let mut sim = Simulation::new(config);
-    for p in ProcessId::all(n_total) {
-        sim.add_actor(Box::new(AppProcess::new(
-            computation,
-            &scope_all,
-            p,
-            ClockMode::Vector,
-            app_actors.clone(),
-            Some(service),
-        )));
-    }
-    sim.add_actor(Box::new(
-        MultiService::new(
-            Arc::clone(&engine),
-            controller,
-            registrations.len(),
-            unregister.len(),
-        )
-        .with_pump_threads(pump_threads),
-    ));
-    sim.add_actor(Box::new(ctrl));
-    sim.run();
-    assert!(
-        finished.load(std::sync::atomic::Ordering::Acquire),
-        "multi sim run ended before the service announced end-of-verdicts"
-    );
-    let wire = verdicts.lock().expect("controller poisoned").clone();
-    collect_multi_report(&engine, registrations, unregister, wire)
+    let layout = service.layout(computation, options.pump_threads, None);
+    simulate(layout, sim_config, options).report
 }

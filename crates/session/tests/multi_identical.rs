@@ -11,12 +11,13 @@
 //!    trusted `StreamingChecker` fed in the engine's canonical order.
 
 use wcp_clocks::ProcessId;
+use wcp_detect::online::RunOptions;
 use wcp_detect::{vc_snapshot_queues, StreamingChecker, StreamingStatus};
 use wcp_session::{
-    check_registrations, feed_annotated, run_multi_offline, run_multi_offline_with, run_multi_sim,
-    run_multi_sim_with, run_single_offline, MultiEngine, PredicateId, RegisterError,
-    SessionVerdict,
+    check_registrations, feed_annotated, run_multi_offline, run_multi_sim, run_single_offline,
+    MultiEngine, PredicateId, RegisterError, Service, SessionVerdict,
 };
+use wcp_sim::SimConfig;
 use wcp_trace::generate::{generate, GeneratorConfig};
 use wcp_trace::{AnnotatedComputation, Computation, Wcp};
 
@@ -61,7 +62,7 @@ fn verdicts_match_theorem_3_2_oracle() {
         let n = computation.process_count();
         let annotated = computation.annotate();
         let predicates = derived_predicates(n, 6);
-        let report = run_multi_offline(&computation, &predicates);
+        let report = run_multi_offline(&computation, &predicates, &RunOptions::default());
         assert_eq!(report.outcomes.len(), predicates.len());
         for outcome in &report.outcomes {
             match annotated.first_satisfying_cut(&outcome.wcp) {
@@ -88,7 +89,7 @@ fn multi_tenant_metrics_bit_identical_to_alone() {
         let computation = workload(seed, 2 + (seed as usize % 5), 6 + (seed as usize % 10));
         let n = computation.process_count();
         let predicates = derived_predicates(n, 7);
-        let report = run_multi_offline(&computation, &predicates);
+        let report = run_multi_offline(&computation, &predicates, &RunOptions::default());
         for outcome in &report.outcomes {
             let (alone_verdict, alone_metrics) = run_single_offline(&computation, &outcome.wcp);
             assert_eq!(
@@ -231,7 +232,7 @@ fn unregister_drops_one_tenant_without_perturbing_the_rest() {
     assert!(engine.unregister(PredicateId::new(1)));
     assert!(!engine.unregister(PredicateId::new(1)), "double unregister");
     assert_eq!(engine.session_count(), 2);
-    feed_annotated(&engine, &computation.annotate());
+    feed_annotated(&engine, &computation.annotate(), 1);
     assert!(engine.report(PredicateId::new(1)).is_none());
     for i in [0u64, 2] {
         let report = engine.report(PredicateId::new(i)).unwrap();
@@ -489,16 +490,15 @@ fn runners_honor_pump_threads_with_identical_outcomes() {
         let computation = workload(seed, 2 + (seed as usize % 4), 8);
         let n = computation.process_count();
         let predicates = derived_predicates(n, 6);
-        let registrations: Vec<(u64, Wcp)> = predicates
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, w)| (i as u64, w))
-            .collect();
-        let offline = run_multi_offline(&computation, &predicates);
+        let offline = run_multi_offline(&computation, &predicates, &RunOptions::default());
+        let four = RunOptions {
+            pump_threads: 4,
+            ..RunOptions::default()
+        };
+        let service = Service::new(&predicates);
         for report in [
-            run_multi_offline_with(&computation, &predicates, 4),
-            run_multi_sim_with(&computation, &registrations, &[], seed, 4),
+            run_multi_offline(&computation, &predicates, &four),
+            run_multi_sim(&computation, &service, SimConfig::seeded(seed), &four),
         ] {
             assert_eq!(report.outcomes.len(), offline.outcomes.len());
             for (got, want) in report.outcomes.iter().zip(&offline.outcomes) {
@@ -515,8 +515,13 @@ fn simulator_matches_offline() {
         let computation = workload(seed, 2 + (seed as usize % 4), 8);
         let n = computation.process_count();
         let predicates = derived_predicates(n, 5);
-        let offline = run_multi_offline(&computation, &predicates);
-        let report = run_multi_sim(&computation, &predicates, seed.wrapping_mul(31));
+        let offline = run_multi_offline(&computation, &predicates, &RunOptions::default());
+        let report = run_multi_sim(
+            &computation,
+            &Service::new(&predicates),
+            SimConfig::seeded(seed.wrapping_mul(31)),
+            &RunOptions::default(),
+        );
         assert_eq!(report.outcomes.len(), offline.outcomes.len());
         for (got, want) in report.outcomes.iter().zip(&offline.outcomes) {
             assert_eq!(got.verdict, want.verdict, "seed {seed} id {}", got.id);
@@ -557,8 +562,18 @@ fn invalid_registration_lists_are_refused_before_a_run() {
         Err(RegisterError::EmptyScope)
     );
     let computation = workload(1, 3, 6);
-    let duplicate = [(7, scope(&[0])), (7, scope(&[1]))];
-    let run = std::panic::catch_unwind(|| run_multi_sim_with(&computation, &duplicate, &[], 1, 1));
+    let duplicate = Service {
+        registrations: vec![(7, scope(&[0])), (7, scope(&[1]))],
+        unregister: Vec::new(),
+    };
+    let run = std::panic::catch_unwind(|| {
+        run_multi_sim(
+            &computation,
+            &duplicate,
+            SimConfig::seeded(1),
+            &RunOptions::default(),
+        )
+    });
     let message = run
         .expect_err("a duplicate id must be refused")
         .downcast::<String>()

@@ -1,8 +1,10 @@
 //! The actor abstraction shared by the simulator and the `wcp-net` peers.
 
 use std::fmt;
+use std::sync::Arc;
 
 use wcp_obs::json::{FromJson, Json, JsonError, ToJson};
+use wcp_obs::Recorder;
 
 /// Identifier of an actor within one [`Simulation`](crate::Simulation) (or
 /// one `wcp-net` run).
@@ -99,6 +101,33 @@ pub trait Actor<M>: Send {
 
     /// Invoked for each delivered message.
     fn on_message(&mut self, ctx: &mut dyn Context<M>, from: ActorId, msg: M);
+
+    /// Hands the actor the recorder its host runs with; actors that
+    /// stream protocol events keep it, the rest ignore it.
+    fn set_recorder(&mut self, recorder: &Arc<dyn Recorder>) {
+        let _ = recorder;
+    }
+
+    /// One line of protocol state for a stalled run's panic message, asked
+    /// for only once the run has stalled; `None` for actors with nothing to
+    /// report.
+    fn status(&self) -> Option<String> {
+        None
+    }
+}
+
+/// The stall table of a run that ended without a verdict: one indented
+/// line per actor that reports a [`status`](Actor::status).
+pub fn status_report<'a, M: 'a>(actors: impl IntoIterator<Item = &'a dyn Actor<M>>) -> String {
+    let rows: Vec<String> = actors
+        .into_iter()
+        .filter_map(|a| a.status())
+        .map(|row| format!("  {row}"))
+        .collect();
+    if rows.is_empty() {
+        return "  (no actor reported its state)".to_string();
+    }
+    rows.join("\n")
 }
 
 #[cfg(test)]

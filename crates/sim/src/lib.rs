@@ -54,7 +54,7 @@ mod config;
 mod metrics;
 mod simulation;
 
-pub use actor::{Actor, ActorId, Context, WireSize};
+pub use actor::{status_report, Actor, ActorId, Context, WireSize};
 pub use config::{FaultConfig, LatencyModel, SimConfig};
 pub use metrics::{ActorMetrics, SimMetrics};
 pub use simulation::{SimOutcome, SimTime, Simulation, StopReason};

@@ -179,6 +179,11 @@ impl<M: WireSize> Simulation<M> {
         &self.metrics
     }
 
+    /// The stall table of every actor (see [`status_report`](crate::status_report)).
+    pub fn status_report(&self) -> String {
+        crate::status_report(self.actors.iter().map(|a| &**a))
+    }
+
     /// Runs until no messages are in flight, an actor stops the run, or the
     /// delivery safety valve fires.
     pub fn run(&mut self) -> SimOutcome {

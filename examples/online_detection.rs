@@ -1,10 +1,12 @@
 //! Running the detection protocols as genuinely distributed systems:
+//! each online family lays its actors out once, and the same layout runs
 //! first on the deterministic discrete-event simulator (with message
 //! latency jitter and non-FIFO reordering), then on the net peers, which
-//! run the same actors over the wire codec, every peer stepped by one
-//! worker thread.
+//! carry the same actors' messages over the wire codec, every peer
+//! stepped by one worker thread.
 //!
-//! Every substrate must report the same first satisfying cut.
+//! Every family on every substrate must report the same first satisfying
+//! cut.
 //!
 //! Run with:
 //!
@@ -12,8 +14,8 @@
 //! cargo run --release --example online_detection
 //! ```
 
-use wcp::detect::online::{run_direct, run_multi_token, run_vc_token};
-use wcp::net::{run_direct_net, run_vc_token_net, NetConfig};
+use wcp::detect::online::{run_online, Family, RunOptions};
+use wcp::net::{run_net, NetConfig};
 use wcp::sim::{LatencyModel, SimConfig};
 use wcp::trace::generate::{generate, GeneratorConfig, Topology};
 use wcp::trace::Wcp;
@@ -30,64 +32,51 @@ fn main() {
     println!("workload: {}", computation.stats());
     println!("predicate: {wcp}\n");
 
+    let families = [
+        Family::VcToken,
+        Family::MultiToken { groups: 3 },
+        Family::Checker,
+        Family::Direct { parallel: false },
+        Family::Direct { parallel: true },
+    ];
+
     // Heavy jitter so non-FIFO reordering actually happens.
     let jittery = SimConfig::seeded(11).with_latency(LatencyModel::Uniform { min: 1, max: 40 });
-
     println!("--- simulated network (latency 1–40 ticks, non-FIFO) ---");
-    let vc = run_vc_token(computation, &wcp, jittery.clone());
-    println!(
-        "single token : {:<28} sim-time {:>5}  hops {:>4}",
-        vc.report.detection.to_string(),
-        vc.outcome.time,
-        vc.report.metrics.token_hops
-    );
-    let mt = run_multi_token(computation, &wcp, jittery.clone(), 3);
-    println!(
-        "3 tokens     : {:<28} sim-time {:>5}  hops {:>4}",
-        mt.report.detection.to_string(),
-        mt.outcome.time,
-        mt.report.metrics.token_hops
-    );
-    let dd = run_direct(computation, &wcp, jittery.clone(), false);
-    println!(
-        "direct-dep   : {:<28} sim-time {:>5}  hops {:>4}",
-        dd.report.detection.to_string(),
-        dd.outcome.time,
-        dd.report.metrics.token_hops
-    );
-    let ddp = run_direct(computation, &wcp, jittery, true);
-    println!(
-        "direct-dep ∥ : {:<28} sim-time {:>5}  hops {:>4}",
-        ddp.report.detection.to_string(),
-        ddp.outcome.time,
-        ddp.report.metrics.token_hops
-    );
+    let mut verdicts = Vec::new();
+    for family in families {
+        let run = run_online(family, computation, &wcp, jittery.clone());
+        println!(
+            "{:<12}: {:<28} sim-time {:>5}  hops {:>4}",
+            family.to_string(),
+            run.report.detection.to_string(),
+            run.outcome.time,
+            run.report.metrics.token_hops
+        );
+        verdicts.push(run.report.detection.cut().map(|c| wcp.project(c)));
+    }
 
     println!("\n--- net peers, one worker (loopback wire) ---");
-    let net_vc = run_vc_token_net(computation, &wcp, NetConfig::loopback());
-    println!(
-        "single token : {:<28} frames {:>5}  bytes {:>6}",
-        net_vc.report.detection.to_string(),
-        net_vc.net.frames_sent,
-        net_vc.net.bytes_sent
-    );
-    let net_dd = run_direct_net(computation, &wcp, true, NetConfig::loopback());
-    println!(
-        "direct-dep ∥ : {:<28} frames {:>5}  bytes {:>6}",
-        net_dd.report.detection.to_string(),
-        net_dd.net.frames_sent,
-        net_dd.net.bytes_sent
-    );
-
-    // Cross-substrate agreement.
-    assert_eq!(vc.report.detection, mt.report.detection);
-    assert_eq!(vc.report.detection, net_vc.report.detection);
-    assert_eq!(dd.report.detection, ddp.report.detection);
-    assert_eq!(dd.report.detection, net_dd.report.detection);
-    let a = computation.annotate();
-    if let (Some(c_vc), Some(c_dd)) = (vc.report.detection.cut(), dd.report.detection.cut()) {
-        assert_eq!(wcp.project(c_vc), wcp.project(c_dd));
-        assert!(a.is_consistent(c_dd));
+    for family in families {
+        let net = run_net(
+            family,
+            computation,
+            &wcp,
+            NetConfig::loopback(),
+            &RunOptions::default(),
+        )
+        .expect("six processes fit a group token");
+        println!(
+            "{:<12}: {:<28} frames {:>5}  bytes {:>6}",
+            family.to_string(),
+            net.report.detection.to_string(),
+            net.net.frames_sent,
+            net.net.bytes_sent
+        );
+        verdicts.push(net.report.detection.cut().map(|c| wcp.project(c)));
     }
+
+    // Cross-substrate, cross-family agreement on the scope projection.
+    assert!(verdicts.windows(2).all(|w| w[0] == w[1]));
     println!("\nAll substrates and algorithm families agree on the first cut.");
 }

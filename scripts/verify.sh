@@ -29,6 +29,10 @@ cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 echo "== fuzz smoke campaign (fixed seed, bounded) =="
 # Differential conformance sweep: every detector family cross-checked on
 # 50 seeded cases; exits nonzero (failing this script) on any divergence.
+# A case that draws the socket leg runs the simulator leg's list of online
+# families over loopback peers: the four detector families (token,
+# multi-token, checker, direct with and without the §4.5 chain), each
+# hosting the layout the simulator hosts.
 # --net-batch forces every net case onto the batched (coalesced-write)
 # data path, so the smoke run always exercises it; every net case runs
 # the delta-compressed wire v2. The nightly campaign

@@ -5,7 +5,7 @@
 //! 4.4 of the paper). Cases are drawn from fixed seeds via
 //! `wcp::obs::rng::Rng`, so failures reproduce exactly.
 
-use wcp::detect::online::{run_direct, run_multi_token, run_vc_token};
+use wcp::detect::online::{run_online, run_vc_token, Family};
 use wcp::detect::{
     CentralizedChecker, Detection, Detector, DirectDependenceDetector, LatticeDetector,
     MultiTokenDetector, TokenDetector,
@@ -123,14 +123,16 @@ fn online_agrees_with_offline() {
             "{cfg:?}"
         );
 
-        let online_mt = run_multi_token(&g.computation, &wcp, sim_cfg.clone(), 2);
+        let multi = Family::MultiToken { groups: 2 };
+        let online_mt = run_online(multi, &g.computation, &wcp, sim_cfg.clone());
         assert_eq!(
             &online_mt.report.detection, &offline_vc.detection,
             "{cfg:?}"
         );
 
         for parallel in [false, true] {
-            let online_dd = run_direct(&g.computation, &wcp, sim_cfg.clone(), parallel);
+            let direct = Family::Direct { parallel };
+            let online_dd = run_online(direct, &g.computation, &wcp, sim_cfg.clone());
             assert_eq!(
                 &online_dd.report.detection, &offline_dd.detection,
                 "{cfg:?}"

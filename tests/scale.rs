@@ -5,7 +5,7 @@
 //! runtimes in seconds while being large enough that any accidental
 //! quadratic-per-process behaviour would show up as a timeout.
 
-use wcp::detect::online::run_direct;
+use wcp::detect::online::{run_online, Family};
 use wcp::detect::{vc_snapshot_queues, CentralizedChecker};
 use wcp::detect::{
     Detector, DirectDependenceDetector, StreamingChecker, StreamingStatus, TokenDetector,
@@ -80,7 +80,8 @@ fn online_direct_at_scale() {
     let c = big(40, 40, 4);
     let wcp = Wcp::over_first(40);
     let offline = DirectDependenceDetector::new().detect(&c.annotate(), &wcp);
-    let online = run_direct(&c, &wcp, SimConfig::seeded(9), true);
+    let direct = Family::Direct { parallel: true };
+    let online = run_online(direct, &c, &wcp, SimConfig::seeded(9));
     assert_eq!(online.report.detection, offline.detection);
 }
 

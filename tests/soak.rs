@@ -3,7 +3,7 @@
 //! suite; the heavy variant (hundreds of configurations) is `#[ignore]`d —
 //! run it with `cargo test --release -- --ignored`.
 
-use wcp::detect::online::{run_direct, run_vc_token};
+use wcp::detect::online::{run_online, run_vc_token, Family};
 use wcp::detect::{
     CentralizedChecker, Detector, DirectDependenceDetector, MultiTokenDetector, TokenDetector,
 };
@@ -53,12 +53,10 @@ fn check_config(n: usize, m: usize, seed: u64, topology: Topology, scope_n: usiz
     if online {
         let vc = run_vc_token(&g.computation, &wcp, SimConfig::seeded(seed));
         assert_eq!(vc.report.detection.cut().map(|c| wcp.project(c)), truth);
-        let dd = run_direct(
-            &g.computation,
-            &wcp,
-            SimConfig::seeded(seed),
-            seed.is_multiple_of(2),
-        );
+        let direct = Family::Direct {
+            parallel: seed.is_multiple_of(2),
+        };
+        let dd = run_online(direct, &g.computation, &wcp, SimConfig::seeded(seed));
         assert_eq!(dd.report.detection.cut().map(|c| wcp.project(c)), truth);
     }
 }

@@ -19,11 +19,10 @@
 
 use std::sync::Arc;
 
-use wcp_detect::online::run_vc_token_recorded;
-use wcp_net::{run_vc_token_net_observed, NetConfig, TelemetryCollector};
+use wcp_detect::online::{simulate, Family, RunOptions};
+use wcp_net::{run_net, NetConfig, TelemetryCollector};
 use wcp_obs::{
-    merge_streams, split_by_monitor, LogicalTime, NullRecorder, RingRecorder, RunReport,
-    StampedEvent,
+    merge_streams, split_by_monitor, LogicalTime, RingRecorder, RunReport, StampedEvent,
 };
 use wcp_sim::{FaultConfig, LatencyModel, SimConfig};
 use wcp_trace::generate::{generate, GeneratorConfig};
@@ -69,11 +68,10 @@ fn simulated_ground_truth(seed: u64, latency: LatencyModel) -> Vec<StampedEvent>
     let computation = workload(seed);
     let wcp = Wcp::over_first(3);
     let ring = Arc::new(RingRecorder::new(1 << 16));
-    run_vc_token_recorded(
-        &computation,
-        &wcp,
+    simulate(
+        Family::VcToken.layout(&computation, &wcp),
         SimConfig::seeded(seed).with_latency(latency),
-        ring.clone(),
+        &RunOptions::recorded(ring.clone()),
     );
     assert_eq!(ring.dropped(), 0, "ring capacity too small for the test");
     ring.events()
@@ -159,13 +157,12 @@ fn merged_wire_timelines_stay_causal_under_fault_schedules() {
             config = config.with_faults(f);
         }
         let collector = TelemetryCollector::shared();
-        let report = run_vc_token_net_observed(
-            &computation,
-            &wcp,
-            config,
-            Arc::new(NullRecorder),
-            collector.clone(),
-        );
+        let options = RunOptions {
+            collector: Some(collector.clone()),
+            ..RunOptions::default()
+        };
+        let report = run_net(Family::VcToken, &computation, &wcp, config, &options)
+            .expect("a single token fits every scope");
         let merged = collector.merged();
 
         // Nothing was lost or corrupted on the sidecar channel: the merge
