@@ -781,7 +781,7 @@ fn parse_peer_addrs(args: &Args, n: usize) -> Result<(usize, Vec<SocketAddr>), C
 /// `--telemetry` the peer also runs the sidecar telemetry channel: it
 /// streams its ring deltas to peer 0, and peer 0 (the collector) prints
 /// the merged cross-peer summary. With `--multi` the peer instead joins
-/// a multi-tenant session-layer deployment (see [`serve_multi`]).
+/// a multi-tenant session-layer deployment (see `serve_multi`).
 pub fn serve(raw: &[String]) -> Result<String, CliError> {
     let args = Args::parse(raw)?;
     if args.switch("multi") {

@@ -161,10 +161,9 @@ impl fmt::Display for Gcp {
 /// Centralized GCP checker in the style of \[6\].
 ///
 /// Like [`CentralizedChecker`](crate::CentralizedChecker), all work happens
-/// at one checker process, which runs the one
-/// [`Elimination`](crate::Elimination) loop for causal consistency; on a
-/// consistent cut it additionally repairs false channel terms by consuming
-/// the blamed endpoint's candidate.
+/// at one checker process, which runs the one [`Elimination`] loop for
+/// causal consistency; on a consistent cut it additionally repairs false
+/// channel terms by consuming the blamed endpoint's candidate.
 #[derive(Debug, Clone, Default)]
 pub struct GcpChecker;
 

@@ -263,9 +263,10 @@ impl Meter {
 ///
 /// `participants` sizes the per-process work table (the stream itself may
 /// not mention every participant — an idle monitor emits nothing). Inverse
-/// of the [`Meter`] instrumentation: for any offline detector run with a
-/// lossless recorder, `replay_metrics(report.metrics.per_process_work.len(),
-/// &events) == report.metrics`.
+/// of the detectors' `Meter` instrumentation: for any offline detector run
+/// with a lossless recorder,
+/// `replay_metrics(report.metrics.per_process_work.len(), &events) ==
+/// report.metrics`.
 pub fn replay_metrics(participants: usize, events: &[StampedEvent]) -> DetectionMetrics {
     let mut m = DetectionMetrics::new(participants);
     let mut explicit_parallel = false;

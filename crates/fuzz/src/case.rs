@@ -36,9 +36,10 @@ pub struct FuzzCase {
     pub groups: usize,
     /// Seed for the streaming checker's push/close interleave.
     pub stream_seed: u64,
-    /// Socket fault schedule for the net loopback run, if any.
+    /// Socket fault schedule for the net runs, if any.
     pub fault: Option<FaultConfig>,
-    /// Whether to run the real-socket loopback detectors (slow).
+    /// Whether to run the detectors on socket peers, over loopback and
+    /// in-process TCP (slow).
     pub net: bool,
     /// Whether the net runs use batched (coalesced) writes or the
     /// per-frame path — fuzzed so both wire behaviours stay equivalent.

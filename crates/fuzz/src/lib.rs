@@ -15,7 +15,7 @@
 //! - [`check_case`] runs the full detector battery and reports every
 //!   [`Divergence`] (wrong verdict, metrics that don't replay, or a
 //!   panic);
-//! - [`shrink`] deterministically reduces a diverging case to a minimal
+//! - [`shrink()`] deterministically reduces a diverging case to a minimal
 //!   repro;
 //! - [`run_campaign`] drives seeded campaigns (`wcp fuzz --seed S
 //!   --cases K`), and repros are pinned under `tests/corpus/` where

@@ -43,7 +43,7 @@ const RING_CAPACITY: usize = 1 << 16;
 const LATTICE_MAX_PROCESSES: usize = 4;
 const LATTICE_MAX_EVENTS: usize = 6;
 
-/// Wall-clock budget for one socket loopback run.
+/// Wall-clock budget for one socket run.
 const NET_DEADLINE: Duration = Duration::from_secs(20);
 
 /// Worker count the parallel-pump cross-check leg drives — enough to
@@ -98,7 +98,8 @@ impl std::fmt::Display for Divergence {
 /// Knobs for [`check_case`].
 #[derive(Debug, Clone)]
 pub struct CheckOptions {
-    /// Run the real-socket loopback stacks for cases with `net = true`.
+    /// Run the socket stacks (loopback and in-process TCP) for cases with
+    /// `net = true`.
     /// Campaigns enable this; the shrinker's inner loop may disable it.
     pub include_net: bool,
     /// Test-only: add a [`SabotagedDetector`] to the battery so the
@@ -493,7 +494,8 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
     let sim = SimConfig::seeded(case.sim_seed).with_latency(case.latency);
     let one_group = groups.min(scope_n) == 1;
     // The one list of online families: the simulator leg runs each here,
-    // the socket leg below runs the same values over loopback peers.
+    // the socket leg below runs the same values over loopback and TCP
+    // peers.
     let families = [
         Family::VcToken,
         Family::MultiToken { groups },
@@ -833,36 +835,39 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
         }
     }
 
-    // ---- real-socket loopback peers (optional, slow) -------------------
+    // ---- real-socket peers (optional, slow) ----------------------------
     // The same family values as the simulator leg, each hosting the
-    // layout the simulator hosted.
+    // layout the simulator hosted, over loopback (`net:`) and in-process
+    // TCP (`tcp:`), both under the case's fault schedule.
     if case.net && opts.include_net {
-        let mut config = NetConfig::loopback().with_deadline(NET_DEADLINE);
-        if let Some(f) = &case.fault {
-            config = config.with_faults(*f);
-        }
-        if !(case.net_batch || opts.force_net_batch) {
-            config = config.with_per_frame_writes();
-        }
-        for family in families {
-            let label = format!("net:{}", label(family));
-            let run =
-                guarded(|| run_net(family, computation, &wcp, config, &RunOptions::default()));
-            match run {
-                // A scope wider than a group token is refused before any
-                // peer starts: no run, nothing to compare.
-                Ok(Err(_too_wide)) => {}
-                Ok(Ok(net)) => {
-                    let got = net.report.detection.cut().map(|c| wcp.project(c));
-                    if got != truth {
-                        diverge(
-                            &label,
-                            DivergenceKind::Verdict,
-                            format!("expected {}, got {}", fmt_proj(&truth), fmt_proj(&got)),
-                        );
+        for (substrate, base) in [("net", NetConfig::loopback()), ("tcp", NetConfig::tcp())] {
+            let mut config = base.with_deadline(NET_DEADLINE);
+            if let Some(f) = &case.fault {
+                config = config.with_faults(*f);
+            }
+            if !(case.net_batch || opts.force_net_batch) {
+                config = config.with_per_frame_writes();
+            }
+            for family in families {
+                let label = format!("{substrate}:{}", label(family));
+                let run =
+                    guarded(|| run_net(family, computation, &wcp, config, &RunOptions::default()));
+                match run {
+                    // A scope wider than a group token is refused before
+                    // any peer starts: no run, nothing to compare.
+                    Ok(Err(_too_wide)) => {}
+                    Ok(Ok(net)) => {
+                        let got = net.report.detection.cut().map(|c| wcp.project(c));
+                        if got != truth {
+                            diverge(
+                                &label,
+                                DivergenceKind::Verdict,
+                                format!("expected {}, got {}", fmt_proj(&truth), fmt_proj(&got)),
+                            );
+                        }
                     }
+                    Err(p) => diverge(&label, DivergenceKind::Crash, p),
                 }
-                Err(p) => diverge(&label, DivergenceKind::Crash, p),
             }
         }
     }

@@ -42,6 +42,23 @@ use crate::wire2::{BitReader, BitWriter, ChainFrame, ClockChains, CLASS_APP, CLA
 /// Header bytes after the length field (kind + peer + from + to + seq + aux).
 pub const HEADER_LEN: usize = 1 + 4 + 4 + 4 + 8 + 8;
 
+/// The longest `len` (header plus body) a socket reader accepts: a
+/// longer one, or one shorter than [`HEADER_LEN`], ends the connection
+/// before any buffer grows for it.
+///
+/// Every frame a run sends stays far below it. A detection body holds at
+/// most a few clocks of 8 bytes per process: an application message or a
+/// snapshot `8 + 8n` bytes for `n` processes, a token `9n`, a group token
+/// at most `8 + 9n + 8n²` with `n ≤` [`MAX_GROUP_WIDTH`] (under 33 KiB),
+/// and a session registration `8 + 4n`; so a frame reaches the cap only
+/// past 1.8 million processes. Verdicts are one clock, acks and shutdowns
+/// header-only. A telemetry delta carries one counter snapshot plus the
+/// events a peer recorded since it last shipped one, bit-packed to a few
+/// bytes each; the peer ships after every step that leaves 256 or more
+/// and on every idle poll, and one step records events in proportion to
+/// the one message it handles, so a delta holds kilobytes.
+pub const MAX_FRAME_LEN: usize = 16 << 20;
+
 /// Frame kinds. `DetectMsg` payloads are < 0x80; control frames ≥ 0xF0.
 pub mod kind {
     /// Application message tagged with a vector clock.

@@ -11,8 +11,10 @@
 //!   paper-unit accounting; every link sends the bit-packed,
 //!   delta-compressed v2 form ([`wire2`]) from its first frame, and
 //!   [`NetStats`] counts what the same frames cost under v1;
-//! - [`transport`] — the [`Transport`](transport::Transport) trait with an
-//!   in-memory loopback and a TCP implementation over `std::net`;
+//! - [`transport`] — the [`Transport`] trait with an in-memory loopback,
+//!   the in-process TCP link that reads its own bytes back, and the TCP
+//!   transport and reader threads of a standalone `wcp serve` peer, all
+//!   over `std::net`;
 //! - [`fault`] — seeded deterministic injection of drops, delays,
 //!   duplicates, reorders and connection resets, recovered by
 //!   retransmission, reconnect-with-backoff and receiver-side dedup;
@@ -20,8 +22,8 @@
 //!   resequencing, send-log replay) and the event loop hosting the
 //!   unmodified detection actors;
 //! - `worker` — the one thread that steps every peer of a run (the
-//!   caller's, for an in-process run), parked on a doorbell that TCP
-//!   reader threads and fault-delay threads ring;
+//!   caller's, for an in-process run), parked on a doorbell that
+//!   fault-delay threads and a standalone peer's TCP reader threads ring;
 //! - [`runner`] — the two socket hosts of an online family's layout
 //!   (`wcp_detect::online::Layout`): every peer in-process, or one
 //!   standalone peer. [`run_net`] runs any detection family in-process,

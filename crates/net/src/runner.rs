@@ -29,9 +29,7 @@ use crate::peer::{Endpoint, PeerHost, TelemetrySidecar};
 use crate::pool::{FramePool, PooledBuf};
 use crate::stats::{NetCounters, NetStats};
 use crate::telemetry::{SidecarRecorder, TelemetryCollector};
-use crate::transport::{
-    spawn_listener, Acceptor, InboxSender, LoopbackTransport, TcpTransport, Transport,
-};
+use crate::transport::{spawn_listener, Acceptor, Dialer, InboxSender, TcpTransport, Transport};
 use crate::worker::{self, Doorbell};
 
 /// Which substrate carries the frames.
@@ -151,9 +149,6 @@ pub struct NetReport<R = DetectionReport> {
 /// (decided here or received in a verdict frame) and what the actors it
 /// hosts counted.
 pub type PeerReport<R = DetectionReport> = NetReport<R>;
-
-/// Retry budget for dialling peers that have bound but not yet accepted.
-const DIAL_RETRIES: u32 = 20;
 
 /// Per-run telemetry wiring: the sink plus one private sidecar recorder
 /// per peer. Peer 0 doubles as the collector peer — other peers frame
@@ -293,17 +288,9 @@ struct Fabric {
     /// `links[i][j]` is the transport for the directed link `i → j`.
     links: Vec<Vec<Option<Box<dyn Transport>>>>,
     inboxes: Vec<Receiver<PooledBuf>>,
-    /// The worker hosting the run's peers; every inbox rings its doorbell.
-    worker: Worker,
-}
-
-/// The worker of an in-process run: its doorbell, plus the TCP accept
-/// loops to stop at the end.
-#[derive(Default)]
-struct Worker {
+    /// The doorbell of the worker hosting the run's peers; every inbox
+    /// rings it.
     bell: Arc<Doorbell>,
-    transport: TransportKind,
-    acceptors: Vec<Acceptor>,
 }
 
 fn wrap_faults(
@@ -333,52 +320,22 @@ fn build_fabric(
     counters: &Arc<NetCounters>,
     recorders: &[Arc<dyn Recorder>],
 ) -> Fabric {
-    // One buffer pool per fabric: every chunk crossing a thread boundary
-    // (loopback delivery, TCP reads) recycles through it.
-    let pool = FramePool::shared(counters.clone());
-    let mut worker = Worker {
-        transport: config.transport,
-        ..Worker::default()
-    };
+    // One buffer pool per fabric: every chunk a link delivers recycles
+    // through it.
+    let dialer = Dialer::new(config.transport, FramePool::shared(counters.clone()));
+    let bell = Arc::new(Doorbell::default());
     let (txs, inboxes): (Vec<_>, Vec<_>) = (0..n_peers).map(|_| channel()).unzip();
     let inbox_txs: Vec<InboxSender> = txs
         .into_iter()
-        .map(|tx| InboxSender::new(tx, Arc::clone(&worker.bell)))
+        .map(|tx| InboxSender::new(tx, Arc::clone(&bell)))
         .collect();
-    let dial: Box<dyn Fn(usize) -> Box<dyn Transport>> = match config.transport {
-        TransportKind::Loopback => {
-            let pool = pool.clone();
-            Box::new(move |j| Box::new(LoopbackTransport::new(inbox_txs[j].clone(), pool.clone())))
-        }
-        TransportKind::Tcp => {
-            // Bind every listener before anyone dials, so in-process runs
-            // never race peer startup.
-            let listeners: Vec<TcpListener> = (0..n_peers)
-                .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind localhost"))
-                .collect();
-            let addrs: Vec<SocketAddr> = listeners
-                .iter()
-                .map(|l| l.local_addr().expect("listener addr"))
-                .collect();
-            worker.acceptors = listeners
-                .into_iter()
-                .zip(inbox_txs)
-                .map(|(listener, inbox)| spawn_listener(listener, inbox, pool.clone()))
-                .collect();
-            Box::new(move |j| {
-                Box::new(
-                    TcpTransport::connect(addrs[j], DIAL_RETRIES, Duration::from_millis(1))
-                        .expect("dial peer"),
-                )
-            })
-        }
-    };
     let links = (0..n_peers)
         .map(|i| {
             (0..n_peers)
                 .map(|j| {
                     (i != j).then(|| {
-                        wrap_faults(dial(j), config, i as u32, j as u32, counters, &recorders[i])
+                        let link = dialer.dial(&inbox_txs[j]);
+                        wrap_faults(link, config, i as u32, j as u32, counters, &recorders[i])
                     })
                 })
                 .collect()
@@ -387,37 +344,26 @@ fn build_fabric(
     Fabric {
         links,
         inboxes,
-        worker,
+        bell,
     }
 }
 
 /// Hosts the peers on the calling thread and returns once every peer has
 /// finished. Endpoints stay open until then, so no peer ever sends into a
 /// torn-down link; then the collector peer drains the final telemetry
-/// deltas (loopback delivery is synchronous, so that needs no grace;
-/// sockets get 2 ms for the reader-thread race) and the links and TCP
-/// acceptors close.
-fn drive(hosts: Vec<PeerHost>, worker: Worker) {
-    let Worker {
-        bell,
-        transport,
-        acceptors,
-    } = worker;
-    let mut hosts = worker::run(hosts, &bell);
-    let grace = match transport {
-        TransportKind::Loopback => Duration::ZERO,
-        TransportKind::Tcp => Duration::from_millis(2),
-    };
+/// deltas (both in-process transports deliver on the sending thread, so
+/// they are already in its inbox) and the links close.
+fn drive(hosts: Vec<PeerHost>, bell: &Doorbell) {
+    let mut hosts = worker::run(hosts, bell);
     for host in hosts.iter_mut().filter(|h| h.is_collector()) {
         // Any late data frame surfacing here is dropped unprocessed, the
         // same fate it meets in a closed channel: accounting and verdicts
         // are untouched.
-        while host.endpoint.recv(grace).is_some() {}
+        while host.endpoint.recv(Duration::ZERO).is_some() {}
     }
     for host in &mut hosts {
         host.endpoint.close();
     }
-    drop(acceptors);
 }
 
 /// How long a standalone peer keeps its sockets open after finishing, so
@@ -463,7 +409,7 @@ pub(crate) fn host<R>(
         .enumerate()
         .map(|(i, ((links, inbox), actors))| run.host(i as u32, links, inbox, actors))
         .collect();
-    drive(hosts, fabric.worker);
+    drive(hosts, &fabric.bell);
     run.report(layout.report)
 }
 
@@ -609,10 +555,12 @@ mod tests {
     }
 
     #[test]
-    fn clean_loopback_runs_repeat_exactly() {
-        // One thread steps every peer and delivers every loopback frame,
-        // so a clean run has no cross-thread hand-off: running it again
-        // repeats every wire counter, not only the verdict.
+    fn clean_in_process_runs_repeat_exactly() {
+        // One thread steps every peer and delivers every frame, on
+        // loopback and in-process TCP alike (a TCP link reads its own
+        // bytes back), so a clean run has no cross-thread hand-off:
+        // running it again repeats every wire counter, not only the
+        // verdict.
         for seed in 0..6 {
             let g = generate(
                 &GeneratorConfig::new(5, 30)
@@ -622,23 +570,28 @@ mod tests {
             );
             let c = &g.computation;
             let wcp = Wcp::over_all(c);
-            for family in [
-                Family::VcToken,
-                Family::MultiToken { groups: 1 },
-                Family::MultiToken { groups: 2 },
-                Family::Checker,
-                Family::Direct { parallel: true },
-            ] {
-                let [a, b] = [0, 1].map(|_| net(family, c, &wcp, NetConfig::loopback()));
-                assert_eq!(a.net, b.net, "seed {seed}, {family}");
-                assert_eq!(a.report, b.report, "seed {seed}, {family}");
+            for config in [NetConfig::loopback(), NetConfig::tcp()] {
+                let transport = config.transport;
+                for family in [
+                    Family::VcToken,
+                    Family::MultiToken { groups: 1 },
+                    Family::MultiToken { groups: 2 },
+                    Family::Checker,
+                    Family::Direct { parallel: true },
+                ] {
+                    let [a, b] = [0, 1].map(|_| net(family, c, &wcp, config));
+                    assert_eq!(a.net, b.net, "seed {seed}, {family}, {transport:?}");
+                    assert_eq!(a.report, b.report, "seed {seed}, {family}, {transport:?}");
+                }
+                let service = Service::new(&(1..=3).map(Wcp::over_first).collect::<Vec<_>>());
+                let options = RunOptions::default();
+                let [a, b] = [0, 1].map(|_| run_multi_net(c, &service, config, &options));
+                assert_eq!(a.net, b.net, "seed {seed}, multi, {transport:?}");
+                assert_eq!(
+                    a.report.outcomes, b.report.outcomes,
+                    "seed {seed}, multi, {transport:?}"
+                );
             }
-            let service = Service::new(&(1..=3).map(Wcp::over_first).collect::<Vec<_>>());
-            let options = RunOptions::default();
-            let [a, b] =
-                [0, 1].map(|_| run_multi_net(c, &service, NetConfig::loopback(), &options));
-            assert_eq!(a.net, b.net, "seed {seed}, multi");
-            assert_eq!(a.report.outcomes, b.report.outcomes, "seed {seed}, multi");
         }
     }
 

@@ -11,7 +11,6 @@
 //! the frame count grows). `scripts/bench.sh net-batch` records these in
 //! `BENCH_wcp.json`.
 
-use std::net::TcpListener;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,10 +24,10 @@ use wcp_sim::ActorId;
 use crate::codec::{kind, Payload};
 use crate::peer::Endpoint;
 use crate::pool::FramePool;
-use crate::runner::{NetConfig, TransportKind};
+use crate::runner::NetConfig;
 use crate::stats::{NetCounters, NetStats};
 use crate::telemetry::{SidecarRecorder, TelemetryCollector};
-use crate::transport::{spawn_listener, LoopbackTransport, TcpTransport, Transport};
+use crate::transport::{Dialer, InboxSender};
 
 /// Outcome of one saturation run.
 #[derive(Debug, Clone)]
@@ -162,9 +161,10 @@ fn drive(
     // Drain any trailing acks, then tear both ends down.
     while sender.recv(Duration::ZERO).is_some() {}
     if let Some(tel) = &telemetry {
-        // Loopback delivery is synchronous, so the sender's final delta is
-        // already queued: one sweep ingests it, then the receiver's own
-        // delta joins the collector through the local (wire-free) path.
+        // Both transports deliver on the sending thread, so the sender's
+        // final delta is already queued: one sweep ingests it, then the
+        // receiver's own delta joins the collector through the local
+        // (wire-free) path.
         while receiver.recv(Duration::ZERO).is_some() {}
         tel.collector
             .ingest(&tel.receiver.take_delta(1, &receiver.stats()));
@@ -194,29 +194,9 @@ fn drive(
 /// deadline do not apply.
 pub fn saturate(frames: u64, scope_n: usize, config: NetConfig) -> SaturationReport {
     let counters = NetCounters::shared();
-    let pool = FramePool::shared(counters.clone());
+    let dialer = Dialer::new(config.transport, FramePool::shared(counters.clone()));
     let (txs, mut inboxes): (Vec<_>, Vec<_>) = (0..2).map(|_| channel()).unzip();
-    let mut acceptors = Vec::new();
-    let dial: Box<dyn Fn(usize) -> Box<dyn Transport>> = match config.transport {
-        TransportKind::Loopback => {
-            let pool = pool.clone();
-            Box::new(move |j| Box::new(LoopbackTransport::new(txs[j].clone(), pool.clone())))
-        }
-        TransportKind::Tcp => {
-            let mut addrs = Vec::new();
-            for tx in txs {
-                let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
-                addrs.push(listener.local_addr().expect("listener addr"));
-                acceptors.push(spawn_listener(listener, tx, pool.clone()));
-            }
-            Box::new(move |j| {
-                Box::new(
-                    TcpTransport::connect(addrs[j], 8, Duration::from_millis(1))
-                        .expect("dial peer"),
-                )
-            })
-        }
-    };
+    let txs: Vec<InboxSender> = txs.into_iter().map(InboxSender::from).collect();
     let telemetry = config.telemetry.then(|| SaturationTelemetry {
         sender: Arc::default(),
         receiver: Arc::default(),
@@ -227,7 +207,9 @@ pub fn saturate(frames: u64, scope_n: usize, config: NetConfig) -> SaturationRep
         None => [Arc::new(NullRecorder), Arc::new(NullRecorder)],
     };
     let [sender, mut receiver] = [0usize, 1].map(|i| {
-        let links = (0..2).map(|j| (j != i).then(|| dial(j))).collect();
+        let links = (0..2)
+            .map(|j| (j != i).then(|| dialer.dial(&txs[j])))
+            .collect();
         let inbox = inboxes.remove(0);
         Endpoint::new(
             i as u32,
@@ -241,9 +223,7 @@ pub fn saturate(frames: u64, scope_n: usize, config: NetConfig) -> SaturationRep
     if let Some(t) = &telemetry {
         receiver.set_collector(t.collector.clone());
     }
-    let report = drive(sender, receiver, frames, scope_n, &counters, telemetry);
-    drop(acceptors);
-    report
+    drive(sender, receiver, frames, scope_n, &counters, telemetry)
 }
 
 /// [`saturate`] over an in-memory loopback link, clean and without

@@ -233,7 +233,7 @@ pub enum ChainFrame {
     Delta,
 }
 
-/// Per-link delta-compression state: one [`Chain`] per (originating
+/// Per-link delta-compression state: one `Chain` per (originating
 /// actor, stream class). The sending endpoint holds one per outbound
 /// link; the receiving endpoint holds the mirror per inbound peer and
 /// advances it in sequence order, so both ends replay the identical

@@ -3,16 +3,18 @@
 //! An in-process run hosts all of its peers on the calling thread, and a
 //! standalone `wcp serve` peer hosts its one peer on its own thread. The
 //! worker steps its peers' event loops round-robin, one local delivery or
-//! one inbound frame per step, and never blocks inside a step: channels
-//! are unbounded and TCP writes drain into independent reader threads,
-//! so a step cannot wait on a co-hosted peer. On loopback every frame is
-//! delivered by the worker itself, so a clean loopback run has no
-//! cross-thread hand-off at all.
+//! one inbound frame per step, and never blocks inside a step on another
+//! peer: channels are unbounded, an in-process TCP link reads back every
+//! byte it writes before the step goes on, and a standalone peer's writes
+//! drain into the remote peer's reader threads. On loopback and
+//! in-process TCP alike every frame is delivered by the worker itself,
+//! so a clean in-process run has no cross-thread hand-off at all.
 //!
 //! When a whole round makes no progress the worker parks on its
 //! [`Doorbell`], which whatever delivers into one of its peers' inboxes
-//! from another thread rings after each chunk: a TCP reader thread, or a
-//! fault-injection delay thread releasing a held frame. A wait that sees
+//! from another thread rings after each chunk: a fault-injection delay
+//! thread releasing a held frame, or a standalone peer's TCP reader
+//! thread. A wait that sees
 //! no ring for [`POLL`] runs the idle duties: the forced telemetry flush
 //! and the stall watchdog, whose panic names every hosted actor's state.
 

@@ -8,6 +8,7 @@
 //! consistent cut satisfying a WCP is a function of the computation alone,
 //! so no amount of (masked) transport nondeterminism may change it.
 
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,7 +18,7 @@ use wcp_detect::{
     audit_bounds, BoundLimits, Detection, DetectionMetrics, Detector, DirectDependenceDetector,
     TokenDetector,
 };
-use wcp_net::{run_multi_net, run_net, run_vc_token_net, NetConfig, NetReport};
+use wcp_net::{run_multi_net, run_net, run_vc_token_net, serve_vc_peer, NetConfig, NetReport};
 use wcp_obs::{merge_streams, split_by_monitor, RingRecorder, StampedEvent};
 use wcp_session::{run_multi_offline, run_multi_sim, Service};
 use wcp_sim::{FaultConfig, SimConfig};
@@ -128,6 +129,58 @@ fn every_family_matches_the_simulator_on_every_substrate() {
                     assert!(net.net.reconnects > 0, "{label}: no reset drawn");
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn standalone_serve_peers_match_the_simulator() {
+    // The standalone host is the one left on thread-per-connection: each
+    // peer on its own thread with its own listener, like `wcp serve`
+    // processes, its reader threads ringing the worker's doorbell. Every
+    // peer ends with the simulator's verdict, and its monitor (scope
+    // position = peer) with the simulator's work.
+    let computation = staircase(4, 6);
+    let wcp = Wcp::over_all(&computation);
+    let sim = run_vc_token(&computation, &wcp, SimConfig::seeded(1)).report;
+    for (schedule, faults) in [schedules()[0], schedules()[2]] {
+        let addrs: Vec<SocketAddr> = (0..4)
+            .map(|_| {
+                let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+                probe.local_addr().unwrap()
+            })
+            .collect();
+        let config = NetConfig::tcp().with_deadline(deadline());
+        let config = faults.map_or(config, |f| config.with_faults(f));
+        let peers: Vec<NetReport> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|peer| {
+                    let (computation, wcp, addrs) = (&computation, &wcp, &addrs);
+                    s.spawn(move || {
+                        serve_vc_peer(
+                            computation,
+                            wcp,
+                            peer,
+                            addrs,
+                            config,
+                            &RunOptions::default(),
+                        )
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (peer, net) in peers.iter().enumerate() {
+            let label = format!("{schedule}, peer {peer}");
+            assert_eq!(net.report.detection, sim.detection, "{label}");
+            assert_eq!(
+                net.report.metrics.per_process_work[peer], sim.metrics.per_process_work[peer],
+                "{label}"
+            );
+        }
+        if faults.is_some() {
+            let reconnects: u64 = peers.iter().map(|p| p.net.reconnects).sum();
+            assert!(reconnects > 0, "{schedule}: no reset drawn");
         }
     }
 }

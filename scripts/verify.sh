@@ -30,9 +30,9 @@ echo "== fuzz smoke campaign (fixed seed, bounded) =="
 # Differential conformance sweep: every detector family cross-checked on
 # 50 seeded cases; exits nonzero (failing this script) on any divergence.
 # A case that draws the socket leg runs the simulator leg's list of online
-# families over loopback peers: the four detector families (token,
-# multi-token, checker, direct with and without the §4.5 chain), each
-# hosting the layout the simulator hosts.
+# families over loopback peers and again over in-process TCP peers: the
+# four detector families (token, multi-token, checker, direct with and
+# without the §4.5 chain), each hosting the layout the simulator hosts.
 # --net-batch forces every net case onto the batched (coalesced-write)
 # data path, so the smoke run always exercises it; every net case runs
 # the delta-compressed wire v2. The nightly campaign
@@ -94,5 +94,10 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings =="
 # Lint gate over every target (tests, examples, benches included).
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== rustdoc -D warnings =="
+# Doc gate: a broken, ambiguous or redundant intra-doc link, or public
+# docs linking a private item, fails here (about 5 s from cold).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "verify: OK"
