@@ -694,13 +694,12 @@ pub fn multi_demo(raw: &[String]) -> Result<String, CliError> {
         transport,
         ..NetConfig::default()
     }
-    .with_deadline(Duration::from_secs(args.get_or("deadline", 60)?))
-    .with_pump_threads(args.get_or("pump-threads", 1)?);
+    .with_deadline(Duration::from_secs(args.get_or("deadline", 60)?));
     if let Some(faults) = parse_fault_config(&args)? {
         config = config.with_faults(faults);
     }
     let service = Service::new(&derived_predicates(n, k));
-    let options = RunOptions::default();
+    let options = pump_options(&args)?;
     let net = run_multi_net(&computation, &service, config, &options);
     let sim_config = SimConfig::seeded(args.get_or("seed", 0)?);
     let sim = run_multi_sim(&computation, &service, sim_config, &options);
@@ -837,9 +836,7 @@ fn serve_multi(args: &Args) -> Result<String, CliError> {
         return Err(CliError::usage("serve --multi needs --predicates ≥ 1"));
     }
     let (peer, addrs) = parse_peer_addrs(args, n + 1)?;
-    let config = NetConfig::tcp()
-        .with_deadline(Duration::from_secs(args.get_or("deadline", 60)?))
-        .with_pump_threads(args.get_or("pump-threads", 1)?);
+    let config = NetConfig::tcp().with_deadline(Duration::from_secs(args.get_or("deadline", 60)?));
     let service = Service::new(&derived_predicates(n, k));
     let report = serve_multi_peer(
         &computation,
@@ -847,7 +844,7 @@ fn serve_multi(args: &Args) -> Result<String, CliError> {
         peer,
         &addrs,
         config,
-        &RunOptions::default(),
+        &pump_options(args)?,
     );
     let (outcomes, verdicts) = (&report.report.outcomes, &report.report.wire_verdicts);
     let role = if peer == n { "service" } else { "app" };
@@ -871,6 +868,15 @@ fn serve_multi(args: &Args) -> Result<String, CliError> {
     }
     out.push_str(&format!("wire: {}\n", report.net));
     Ok(out)
+}
+
+/// `--pump-threads T`: the session service's pump width (`≤ 1` pumps
+/// serially).
+fn pump_options(args: &Args) -> Result<RunOptions, CliError> {
+    Ok(RunOptions {
+        pump_threads: args.get_or("pump-threads", 1)?,
+        ..RunOptions::default()
+    })
 }
 
 fn parse_transport(args: &Args) -> Result<(TransportKind, &'static str), CliError> {

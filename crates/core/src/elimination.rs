@@ -5,7 +5,7 @@
 //! The rule: discard any queue head that happened before another head;
 //! pairwise concurrent heads form the first satisfying cut. A snapshot's
 //! own clock component is its interval (Figure 2), so head `i` happened
-//! before head `j` iff `component(j, i) >= component(i, i)`.
+//! before head `j` iff `head(j).at(i) >= head(i).at(i)`.
 //!
 //! - A round needs a head on every position, costs `n` work units (the
 //!   §3.4 unit) and consumes the **lowest-position** head that happened
@@ -15,19 +15,66 @@
 //! - Comparisons are amortized `O(n)` per round. A new head is compared
 //!   once with every other head, then only with later new heads while it
 //!   is known concurrent: clocks of a process only grow, so an eliminable
-//!   head stays eliminable until consumed. `r` rounds over `n` positions
-//!   read fewer than `3n·(r + n)` clock components.
+//!   head stays eliminable until consumed.
+//! - Each head row is fetched once per classification, and each head's
+//!   own interval is read once, when it is classified, and kept. `r`
+//!   rounds over `n` positions fetch at most `n·(r + n)` head rows (one
+//!   per classification plus one per column read of another head) and
+//!   read at most `3n·(r + n)` clock components.
+
+use wcp_clocks::ProcessId;
 
 use crate::streaming::StreamingStatus;
 
+/// One queue head's clock as [`Heads::head`] hands it out, indexed by
+/// scope position.
+pub trait HeadRow {
+    /// The clock's component at scope position `i`.
+    fn at(&self, i: usize) -> u64;
+}
+
+/// A row stored projected onto the scope.
+impl HeadRow for &[u64] {
+    #[inline]
+    fn at(&self, i: usize) -> u64 {
+        self[i]
+    }
+}
+
+/// A full-width clock read through the scope: position `i` is the
+/// component of process `scope[i]`.
+#[derive(Debug, Clone, Copy)]
+pub struct ScopedRow<'a> {
+    clock: &'a [u64],
+    scope: &'a [ProcessId],
+}
+
+impl<'a> ScopedRow<'a> {
+    /// Views the full-width `clock` through `scope`.
+    pub fn new(clock: &'a [u64], scope: &'a [ProcessId]) -> Self {
+        ScopedRow { clock, scope }
+    }
+}
+
+impl HeadRow for ScopedRow<'_> {
+    #[inline]
+    fn at(&self, i: usize) -> u64 {
+        self.clock[self.scope[i].index()]
+    }
+}
+
 /// A row source for [`Elimination`]: one FIFO queue of snapshot clocks per
-/// scope position, each clock indexed by scope position.
+/// scope position.
 pub trait Heads {
+    /// How the source hands out a head row.
+    type Row<'a>: HeadRow
+    where
+        Self: 'a;
     /// Whether position `i`'s queue has an unconsumed head.
     fn has_head(&self, i: usize) -> bool;
-    /// Component `i` of position `j`'s head clock; for `j == i` this is the
-    /// head's own interval. Called only while `j` has a head.
-    fn component(&self, j: usize, i: usize) -> u64;
+    /// Position `j`'s head clock; its component `j` is the head's own
+    /// interval. Called only while `j` has a head.
+    fn head(&self, j: usize) -> Self::Row<'_>;
     /// Consumes position `i`'s head.
     fn pop(&mut self, i: usize);
 }
@@ -51,6 +98,9 @@ struct Slot {
     status: Status,
     /// The queue will receive no more rows.
     closed: bool,
+    /// The head's own interval, kept when it is classified: valid while
+    /// the status is `Concurrent` or `Eliminable`.
+    own: u64,
 }
 
 /// The elimination loop's state over `n` positions: one status per
@@ -135,7 +185,7 @@ impl Elimination {
                 .iter()
                 .position(|s| s.status == Status::Eliminable)
             else {
-                return StreamingStatus::Detected((0..n).map(|i| heads.component(i, i)).collect());
+                return StreamingStatus::Detected(self.slots.iter().map(|s| s.own).collect());
             };
             self.consume(heads, i);
             let slot = self.slots[i];
@@ -164,19 +214,21 @@ impl Elimination {
     }
 
     /// Settles new head `k` against every other head, then re-examines
-    /// the heads known concurrent against it.
+    /// the heads known concurrent against it: row `k` is fetched once,
+    /// each other head is read at column `k` only, and each concurrent
+    /// head is tested against its kept interval.
     fn classify<H: Heads + ?Sized>(&mut self, heads: &H, k: usize) {
-        let own = heads.component(k, k);
-        let known = (0..self.slots.len()).any(|j| j != k && heads.component(j, k) >= own);
+        let row = heads.head(k);
+        let own = row.at(k);
+        let known = (0..self.slots.len()).any(|j| j != k && heads.head(j).at(k) >= own);
         for (i, slot) in self.slots.iter_mut().enumerate() {
-            if i != k
-                && slot.status == Status::Concurrent
-                && heads.component(k, i) >= heads.component(i, i)
-            {
+            if i != k && slot.status == Status::Concurrent && row.at(i) >= slot.own {
                 slot.status = Status::Eliminable;
             }
         }
-        self.slots[k].status = if known {
+        let slot = &mut self.slots[k];
+        slot.own = own;
+        slot.status = if known {
             Status::Eliminable
         } else {
             Status::Concurrent
@@ -196,22 +248,57 @@ mod tests {
     use wcp_trace::{Computation, ComputationBuilder, Wcp};
 
     /// Per position, a queue of clock rows of which a prefix is pushed and
-    /// a shorter prefix consumed. Counts `component` reads.
+    /// a shorter prefix consumed. Counts head-row fetches and component
+    /// reads.
     #[derive(Clone)]
     struct Queues {
         rows: Vec<Vec<Vec<u64>>>,
         next: Vec<usize>,
         pushed: Vec<usize>,
+        fetches: Cell<u64>,
         reads: Cell<u64>,
     }
 
+    impl Queues {
+        fn new(rows: Vec<Vec<Vec<u64>>>, pushed: Vec<usize>) -> Self {
+            Queues {
+                next: vec![0; rows.len()],
+                rows,
+                pushed,
+                fetches: Cell::new(0),
+                reads: Cell::new(0),
+            }
+        }
+
+        fn component(&self, j: usize, i: usize) -> u64 {
+            self.head(j).at(i)
+        }
+    }
+
+    /// A head row that counts its reads into its queues.
+    struct Counted<'a> {
+        row: &'a [u64],
+        reads: &'a Cell<u64>,
+    }
+
+    impl HeadRow for Counted<'_> {
+        fn at(&self, i: usize) -> u64 {
+            self.reads.set(self.reads.get() + 1);
+            self.row[i]
+        }
+    }
+
     impl Heads for Queues {
+        type Row<'a> = Counted<'a>;
         fn has_head(&self, i: usize) -> bool {
             self.next[i] < self.pushed[i]
         }
-        fn component(&self, j: usize, i: usize) -> u64 {
-            self.reads.set(self.reads.get() + 1);
-            self.rows[j][self.next[j]][i]
+        fn head(&self, j: usize) -> Counted<'_> {
+            self.fetches.set(self.fetches.get() + 1);
+            Counted {
+                row: &self.rows[j][self.next[j]],
+                reads: &self.reads,
+            }
         }
         fn pop(&mut self, i: usize) {
             self.next[i] += 1;
@@ -271,12 +358,7 @@ mod tests {
             let offline = case % 3 == 0;
             let full: Vec<usize> = rows.iter().map(Vec::len).collect();
             let pushed = if offline { full.clone() } else { vec![0; n] };
-            let mut a = Queues {
-                rows,
-                next: vec![0; n],
-                pushed,
-                reads: Cell::new(0),
-            };
+            let mut a = Queues::new(rows, pushed);
             let mut b = a.clone();
             let (mut elimination, mut closed, mut counters) =
                 (Elimination::new(n), vec![false; n], (0, 0));
@@ -348,12 +430,7 @@ mod tests {
                 })
                 .collect();
             let pushed = rows.iter().map(Vec::len).collect();
-            let mut q = Queues {
-                rows,
-                next: vec![0; n],
-                pushed,
-                reads: Cell::new(0),
-            };
+            let mut q = Queues::new(rows, pushed);
             let mut elimination = Elimination::new(n);
             (0..n).for_each(|i| elimination.close(i));
             assert!(matches!(
@@ -362,9 +439,13 @@ mod tests {
             ));
             let (n, rounds) = (n as u64, elimination.work() / n as u64);
             assert!(rounds > n, "only {rounds} rounds over {n} positions");
-            let reads = q.reads.get();
+            let (fetches, reads) = (q.fetches.get(), q.reads.get());
             assert!(
-                reads <= 4 * n * (rounds + n),
+                fetches <= n * (rounds + n),
+                "{fetches} row fetches for {rounds} rounds over {n} positions"
+            );
+            assert!(
+                reads <= 3 * n * (rounds + n),
                 "{reads} reads for {rounds} rounds over {n} positions"
             );
         }

@@ -31,7 +31,7 @@ use wcp_trace::channel::{ChannelId, ChannelIndex};
 use wcp_trace::{AnnotatedComputation, Wcp};
 
 use crate::detector::{Detection, DetectionReport};
-use crate::elimination::{Elimination, Heads};
+use crate::elimination::{Elimination, Heads, ScopedRow};
 use crate::metrics::DetectionMetrics;
 use crate::streaming::StreamingStatus;
 
@@ -196,6 +196,9 @@ impl GcpChecker {
             heads: vec![0; n],
         };
         metrics.snapshot_messages = rows.queues.iter().map(|q| q.len() as u64).sum();
+        // §3.4 units, as the centralized checker charges: one
+        // scope-projected clock component per scope process.
+        metrics.snapshot_bytes = 8 * n as u64 * metrics.snapshot_messages;
         metrics.max_buffered_snapshots = metrics.snapshot_messages;
         metrics.candidates_consumed =
             rows.queues.iter().take_while(|q| !q.is_empty()).count() as u64;
@@ -248,13 +251,18 @@ struct TrueIntervals<'a, 'c> {
 }
 
 impl Heads for TrueIntervals<'_, '_> {
+    type Row<'a>
+        = ScopedRow<'a>
+    where
+        Self: 'a;
+
     fn has_head(&self, i: usize) -> bool {
         self.heads[i] < self.queues[i].len()
     }
 
-    fn component(&self, j: usize, i: usize) -> u64 {
+    fn head(&self, j: usize) -> ScopedRow<'_> {
         let head = StateId::new(self.scope[j], self.queues[j][self.heads[j]]);
-        self.annotated.clock(head)[self.scope[i]]
+        ScopedRow::new(self.annotated.clock(head).as_slice(), self.scope)
     }
 
     fn pop(&mut self, i: usize) {

@@ -74,7 +74,7 @@ mod visit;
 
 pub use audit::{audit_bounds, BoundAudit, BoundLimits};
 pub use detector::{Detection, DetectionReport, Detector};
-pub use elimination::{Elimination, Heads};
+pub use elimination::{Elimination, HeadRow, Heads, ScopedRow};
 pub use gcp::{ChannelPredicate, ChannelTerm, Gcp, GcpChecker};
 pub use meter::replay_metrics;
 pub use metrics::DetectionMetrics;

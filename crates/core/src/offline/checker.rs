@@ -139,16 +139,23 @@ struct Rows<'a> {
 }
 
 impl Heads for Rows<'_> {
+    type Row<'a>
+        = &'a [u64]
+    where
+        Self: 'a;
+
     fn has_head(&self, i: usize) -> bool {
         self.cursors[i].0 < self.cursors[i].1
     }
 
-    fn component(&self, j: usize, i: usize) -> u64 {
-        self.clocks[self.cursors[j].0 * self.cursors.len() + i]
+    fn head(&self, j: usize) -> &[u64] {
+        let n = self.cursors.len();
+        let start = self.cursors[j].0 * n;
+        &self.clocks[start..start + n]
     }
 
     fn pop(&mut self, i: usize) {
-        let dead = self.component(i, i);
+        let dead = self.head(i)[i];
         self.cursors[i].0 += 1;
         self.meter.candidate_eliminated(0, i, dead, 0);
     }

@@ -42,9 +42,9 @@ pub struct RunOptions {
     /// sampling the run while it is in flight; setting it turns the
     /// telemetry plane on. The simulator has no telemetry plane.
     pub collector: Option<Arc<dyn TelemetrySink>>,
-    /// Fan-out workers of the session service's pump; 1 pumps serially.
-    /// A socket run pumps with the wider of this and its
-    /// `NetConfig::pump_threads`.
+    /// Fan-out workers of the session service's pump on every host; 1
+    /// pumps serially. Verdicts and metrics are bit-identical at any width
+    /// (the equivalence tests pin that).
     pub pump_threads: usize,
 }
 

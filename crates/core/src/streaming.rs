@@ -77,13 +77,15 @@ pub struct StreamingChecker {
 }
 
 impl Heads for [SnapshotBuffer] {
+    type Row<'a> = &'a [u64];
+
     fn has_head(&self, i: usize) -> bool {
         !self[i].is_empty()
     }
 
-    fn component(&self, j: usize, i: usize) -> u64 {
+    fn head(&self, j: usize) -> &[u64] {
         let q = &self[j];
-        q.row(q.front().expect("position has a head"))[i]
+        q.row(q.front().expect("position has a head")).as_slice()
     }
 
     fn pop(&mut self, i: usize) {

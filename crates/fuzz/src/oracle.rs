@@ -17,9 +17,9 @@ use wcp_clocks::{ProcessId, StateId};
 use wcp_detect::online::{run_online, simulate, Family, RunOptions};
 use wcp_detect::{
     audit_bounds, replay_metrics, vc_snapshot_queues, BoundLimits, CentralizedChecker, Detection,
-    DetectionMetrics, DetectionReport, Detector, DirectDependenceDetector, HierarchicalChecker,
-    LatticeDetector, MultiTokenDetector, ParallelDetector, StreamingChecker, StreamingStatus,
-    TokenDetector,
+    DetectionMetrics, DetectionReport, Detector, DirectDependenceDetector, Gcp, GcpChecker,
+    HierarchicalChecker, LatticeDetector, MultiTokenDetector, ParallelDetector, StreamingChecker,
+    StreamingStatus, TokenDetector,
 };
 use wcp_net::{decode_delta, encode_delta, run_multi_net, run_net, NetConfig, NetStats};
 use wcp_obs::rng::Rng;
@@ -269,8 +269,9 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
     // ---- offline detectors, with replay-lockstep metrics checks --------
     // `replay_exact` marks the families whose recorded event stream is a
     // lossless account of their metrics (the `tests/replay.rs` contract);
-    // the sabotaged detector is verdict-checked only. The `token` and
-    // `multi-token` reports are kept for the online legs below.
+    // the sabotaged detector is verdict-checked only. The `centralized`
+    // report is kept for the GCP leg, the `token` and `multi-token`
+    // reports for the online legs below.
     struct Offline<'a> {
         label: &'static str,
         build: Box<dyn Fn(Arc<RingRecorder>) -> Box<dyn Detector> + 'a>,
@@ -340,7 +341,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             replay_exact: false,
         });
     }
-    let (mut token_report, mut multi_report) = (None, None);
+    let (mut central_report, mut token_report, mut multi_report) = (None, None, None);
     for entry in &battery {
         let ring = Arc::new(RingRecorder::new(RING_CAPACITY));
         let detector = (entry.build)(ring.clone());
@@ -368,6 +369,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
                     }
                 }
                 match entry.label {
+                    "centralized" => central_report = Some(report),
                     "token" => token_report = Some(report),
                     "multi-token" => multi_report = Some(report),
                     _ => {}
@@ -375,6 +377,33 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             }
             Err(p) => diverge(entry.label, DivergenceKind::Crash, p),
         }
+    }
+
+    // ---- GCP checker with no channel terms -----------------------------
+    // Phase 1 of the GCP checker is the centralized checker's loop over
+    // its own row source, so with no channel terms the whole report —
+    // verdict and `DetectionMetrics` — must equal the centralized one.
+    match guarded(|| GcpChecker::new().detect(&annotated, &Gcp::new(wcp.clone(), []))) {
+        Ok(report) => {
+            let got = report.detection.cut().map(|c| wcp.project(c));
+            if got != truth {
+                diverge(
+                    "gcp",
+                    DivergenceKind::Verdict,
+                    format!("expected {}, got {}", fmt_proj(&truth), fmt_proj(&got)),
+                );
+            } else if let Some(central) = central_report.filter(|c| *c != report) {
+                diverge(
+                    "gcp",
+                    DivergenceKind::Metrics,
+                    format!(
+                        "diverges from the centralized checker: centralized [{}], gcp [{}]",
+                        central.metrics, report.metrics
+                    ),
+                );
+            }
+        }
+        Err(p) => diverge("gcp", DivergenceKind::Crash, p),
     }
 
     // ---- work-optimal detector: thread-count bit-identity --------------

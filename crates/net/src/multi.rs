@@ -37,22 +37,21 @@ use crate::stats::NetCounters;
 /// the mirrored `multi_*` session counters.
 pub type MultiNetReport = NetReport<MultiReport>;
 
-/// The service's layout over `counters`: the service pumps with the wider
-/// of the two pump widths and mirrors its engine counters and its count
-/// of refused messages into `counters` after every message, so the
+/// The service's layout over `counters`: the service pumps with
+/// `options.pump_threads` workers and mirrors its engine counters and its
+/// count of refused messages into `counters` after every message, so the
 /// telemetry plane (`wcp stats --net`, `wcp top`) sees them move while
 /// the run is in flight — without adding a byte to the verdict path.
 fn layout(
     computation: &Computation,
     service: &Service,
-    config: &NetConfig,
     options: &RunOptions,
     counters: &Arc<NetCounters>,
 ) -> Layout<MultiReport> {
     let mirror = Arc::clone(counters);
     service.layout(
         computation,
-        config.pump_threads.max(options.pump_threads),
+        options.pump_threads,
         Some(Box::new(move |stats, rejected| {
             mirror
                 .multi_sessions_active
@@ -82,7 +81,7 @@ pub fn run_multi_net(
     options: &RunOptions,
 ) -> MultiNetReport {
     let counters = NetCounters::shared();
-    let layout = layout(computation, service, &config, options, &counters);
+    let layout = layout(computation, service, options, &counters);
     host(layout, &config, options, counters)
 }
 
@@ -108,6 +107,6 @@ pub fn serve_multi_peer(
     options: &RunOptions,
 ) -> PeerReport<MultiReport> {
     let counters = NetCounters::shared();
-    let layout = layout(computation, service, &config, options, &counters);
+    let layout = layout(computation, service, options, &counters);
     serve(layout, peer, addrs, &config, options, counters)
 }

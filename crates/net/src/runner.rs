@@ -61,11 +61,6 @@ pub struct NetConfig {
     /// Verdicts, paper metrics and fault schedules are bit-identical with
     /// this on or off (the equivalence tests pin that).
     pub telemetry: bool,
-    /// Fan-out workers the multi-tenant session service pumps with: `1`
-    /// (the default) is the serial pump, `> 1` the parallel pump.
-    /// Verdicts and metrics are bit-identical either way (the equivalence
-    /// tests pin that).
-    pub pump_threads: usize,
 }
 
 impl Default for NetConfig {
@@ -76,7 +71,6 @@ impl Default for NetConfig {
             deadline: Duration::from_secs(60),
             batch: true,
             telemetry: false,
-            pump_threads: 1,
         }
     }
 }
@@ -119,13 +113,6 @@ impl NetConfig {
     /// Enables the sidecar telemetry plane (see [`NetConfig::telemetry`]).
     pub fn with_telemetry(mut self) -> Self {
         self.telemetry = true;
-        self
-    }
-
-    /// Replaces the session service's fan-out worker count (see
-    /// [`NetConfig::pump_threads`]); `≤ 1` keeps the serial pump.
-    pub fn with_pump_threads(mut self, pump_threads: usize) -> Self {
-        self.pump_threads = pump_threads.max(1);
         self
     }
 }

@@ -221,17 +221,20 @@ fn parallel_pump_service_is_bit_identical_over_sockets() {
         let computation = workload(seed, 4, 10);
         let predicates = derived_predicates(4, 6);
         let offline = run_multi_offline(&computation, &predicates, &RunOptions::default());
+        let four = RunOptions {
+            pump_threads: 4,
+            ..RunOptions::default()
+        };
         for (label, config) in [
-            ("parallel", NetConfig::loopback().with_pump_threads(4)),
+            ("parallel", NetConfig::loopback()),
             (
                 "parallel+faults",
                 NetConfig::loopback()
-                    .with_pump_threads(4)
                     .with_faults(FaultConfig::delay_duplicate_reorder(seed))
                     .with_deadline(deadline()),
             ),
         ] {
-            let net = net(&computation, &predicates, config);
+            let net = run_multi_net(&computation, &Service::new(&predicates), config, &four);
             assert_multi_identical(&computation, &net.report, &offline, label);
         }
     }

@@ -18,7 +18,7 @@
 use std::fmt;
 
 use wcp_clocks::ProcessId;
-use wcp_detect::{DetectionMetrics, Elimination, Heads, StreamingStatus};
+use wcp_detect::{DetectionMetrics, Elimination, Heads, ScopedRow, StreamingStatus};
 
 use crate::store::StoreView;
 
@@ -65,29 +65,42 @@ pub struct SessionState {
     /// The loop's per-position state, closed flags included.
     elimination: Elimination,
     verdict: Option<SessionVerdict>,
+    /// Routed rows not yet consumed, over every position.
+    buffered: u64,
     peak_buffered: u64,
     snapshot_messages: u64,
     snapshot_bytes: u64,
 }
 
-/// The loop's row source: a session's cursors over the store.
+/// The loop's row source: a session's cursors over the store. Consuming a
+/// head takes it off the buffered count.
 struct Cursors<'a> {
     scope: &'a [ProcessId],
     cursors: &'a mut [(usize, usize)],
+    buffered: &'a mut u64,
     view: &'a StoreView<'a>,
 }
 
 impl Heads for Cursors<'_> {
+    type Row<'a>
+        = ScopedRow<'a>
+    where
+        Self: 'a;
+
     fn has_head(&self, i: usize) -> bool {
         self.cursors[i].0 < self.cursors[i].1
     }
 
-    fn component(&self, j: usize, i: usize) -> u64 {
-        self.view.row(self.scope[j].index(), self.cursors[j].0)[self.scope[i].index()]
+    fn head(&self, j: usize) -> ScopedRow<'_> {
+        ScopedRow::new(
+            self.view.row(self.scope[j].index(), self.cursors[j].0),
+            self.scope,
+        )
     }
 
     fn pop(&mut self, i: usize) {
         self.cursors[i].0 += 1;
+        *self.buffered -= 1;
     }
 }
 
@@ -101,6 +114,7 @@ impl SessionState {
             cursors: vec![(0, 0); n],
             elimination: Elimination::new(n),
             verdict: None,
+            buffered: 0,
             peak_buffered: 0,
             snapshot_messages: 0,
             snapshot_bytes: 0,
@@ -132,8 +146,8 @@ impl SessionState {
         self.snapshot_messages += 1;
         // §3.4 units: one scope-projected clock component per scope process.
         self.snapshot_bytes += 8 * self.scope.len() as u64;
-        let buffered: u64 = self.cursors.iter().map(|(h, t)| (t - h) as u64).sum();
-        self.peak_buffered = self.peak_buffered.max(buffered);
+        self.buffered += 1;
+        self.peak_buffered = self.peak_buffered.max(self.buffered);
         self.advance(view)
     }
 
@@ -149,6 +163,7 @@ impl SessionState {
         let mut cursors = Cursors {
             scope: &self.scope,
             cursors: &mut self.cursors,
+            buffered: &mut self.buffered,
             view,
         };
         self.verdict = match self.elimination.run(&mut cursors) {

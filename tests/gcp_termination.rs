@@ -93,7 +93,8 @@ fn gcp_checker_agrees_with_lattice() {
     }
 }
 
-/// GCP with no channel terms degenerates to plain WCP detection.
+/// GCP with no channel terms degenerates to plain WCP detection: the
+/// centralized checker's verdict and `DetectionMetrics`, field for field.
 #[test]
 fn empty_terms_equal_wcp() {
     use wcp::detect::{CentralizedChecker, Detector};
@@ -110,7 +111,7 @@ fn empty_terms_equal_wcp() {
         let annotated = g.computation.annotate();
         let via_gcp = GcpChecker::new().detect(&annotated, &gcp);
         let via_wcp = CentralizedChecker::new().detect(&annotated, &wcp);
-        assert_eq!(via_gcp.detection, via_wcp.detection, "seed {seed}");
+        assert_eq!(via_gcp, via_wcp, "seed {seed}");
     }
 }
 
