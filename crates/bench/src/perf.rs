@@ -947,7 +947,7 @@ mod tests {
             // (97, 289 and 1057 B at n = 8, 32 and 128).
             assert_eq!(
                 s.get("v1_bytes_per_event").unwrap().as_f64().unwrap(),
-                (wcp_net::codec::BODY_START + 8 * n as usize) as f64,
+                (wcp_net::codec::V1_HEADER_LEN + 8 * n as usize) as f64,
                 "scope {n}: v1 baseline"
             );
             let ratio = s.get("bytes_ratio").unwrap().as_f64().unwrap();

@@ -616,8 +616,7 @@ pub fn net_demo(raw: &[String]) -> Result<String, CliError> {
         config = config.with_faults(faults);
     }
 
-    let net = run_net(family, &computation, &wcp, config, &RunOptions::default())
-        .map_err(|e| CliError::usage(format!("--algorithm {family} over {wcp}: {e}")))?;
+    let net = run_net(family, &computation, &wcp, config, &RunOptions::default());
     let sim = run_online(family, &computation, &wcp, SimConfig::seeded(0)).report;
 
     let transport_name = match transport {
@@ -928,8 +927,7 @@ fn spawn_observed(
         }
         .with_deadline(deadline);
         let handle = std::thread::spawn(move || {
-            let report = run_net(Family::VcToken, &computation, &wcp, config, &options)
-                .expect("a single token fits every scope");
+            let report = run_net(Family::VcToken, &computation, &wcp, config, &options);
             done.store(true, Ordering::Relaxed);
             report.report.detection
         });
@@ -1506,19 +1504,18 @@ mod tests {
     }
 
     #[test]
-    fn net_demo_refuses_a_group_token_wider_than_its_bitmap() {
+    fn net_demo_runs_a_group_token_wider_than_64_processes() {
         let path = tmpfile("net_demo_wide.json");
         generate(&argv(&["--processes", "65", "--events", "2", "-o", &path])).unwrap();
-        let err = net_demo(&argv(&[
+        let out = net_demo(&argv(&[
             &path,
             "--transport",
             "loopback",
             "--algorithm",
             "multi:2",
         ]))
-        .unwrap_err();
-        assert_eq!(err.code, 2, "{}", err.message);
-        assert!(err.message.contains("64-bit aux bitmap"), "{}", err.message);
+        .unwrap();
+        assert!(out.contains("identical verdict"), "{out}");
     }
 
     #[test]

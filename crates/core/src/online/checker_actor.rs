@@ -15,7 +15,7 @@ use wcp_trace::{Computation, Wcp};
 
 use crate::detector::DetectionReport;
 use crate::online::app::ClockMode;
-use crate::online::harness::{detection_layout, Hosted, Layout};
+use crate::online::harness::{detection_layout, DetectActor, Layout};
 use crate::online::messages::DetectMsg;
 use crate::online::vc_monitor::{stall_row, OnlineDetection, SharedOutcome, SharedStats};
 use crate::streaming::{StreamingChecker, StreamingStatus};
@@ -102,7 +102,7 @@ pub(crate) fn layout(computation: &Computation, wcp: &Wcp) -> Layout<DetectionRe
         true,
         |result, stats| {
             let checker = CheckerProcess::new(n, position_of, result.clone(), stats.clone());
-            vec![(0, Hosted::boxed(checker))]
+            vec![(0, Box::new(checker) as DetectActor)]
         },
     )
 }

@@ -31,7 +31,7 @@ use wcp_trace::{Computation, Wcp};
 
 use crate::detector::DetectionReport;
 use crate::online::app::ClockMode;
-use crate::online::harness::{detection_layout, Hosted, Layout};
+use crate::online::harness::{detection_layout, DetectActor, Layout};
 use crate::online::messages::DetectMsg;
 use crate::online::vc_monitor::{stall_row, OnlineDetection, SharedOutcome, SharedStats};
 use crate::snapshot::DdSnapshot;
@@ -520,7 +520,7 @@ pub(crate) fn layout(
                         result.clone(),
                         stats.clone(),
                     );
-                    (p.index() as u32, Hosted::boxed(monitor))
+                    (p.index() as u32, Box::new(monitor) as DetectActor)
                 })
                 .collect()
         },

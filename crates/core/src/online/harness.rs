@@ -19,7 +19,7 @@ use crate::detector::{Detection, DetectionReport};
 use crate::metrics::DetectionMetrics;
 use crate::online::app::{AppProcess, ClockMode};
 use crate::online::messages::DetectMsg;
-use crate::online::vc_monitor::{OnlineDetection, SharedOutcome, SharedStats, VcMonitor};
+use crate::online::vc_monitor::{OnlineDetection, SharedOutcome, SharedStats};
 use crate::online::{checker_actor, dd_monitor, multi_token, vc_monitor};
 
 /// A run's report plus the simulation outcome (notably the simulated
@@ -152,47 +152,12 @@ impl FromStr for Family {
     }
 }
 
-/// One actor of a layout, and how a socket peer hosts it.
-pub enum Hosted {
-    /// A Figure 3 monitor: a socket peer decodes its snapshot frames
-    /// straight into the monitor's queue.
-    Vc(VcMonitor),
-    /// Any other actor, dispatched through [`Actor`].
-    Dyn(Box<dyn Actor<DetectMsg>>),
-}
-
-impl Hosted {
-    /// Hosts `actor` through generic dispatch.
-    pub fn boxed(actor: impl Actor<DetectMsg> + 'static) -> Self {
-        Hosted::Dyn(Box::new(actor))
-    }
-
-    /// The actor.
-    pub fn actor(&self) -> &dyn Actor<DetectMsg> {
-        match self {
-            Hosted::Vc(m) => m,
-            Hosted::Dyn(b) => &**b,
-        }
-    }
-
-    /// The actor, mutably.
-    pub fn actor_mut(&mut self) -> &mut dyn Actor<DetectMsg> {
-        match self {
-            Hosted::Vc(m) => m,
-            Hosted::Dyn(b) => &mut **b,
-        }
-    }
-
-    fn into_actor(self) -> Box<dyn Actor<DetectMsg>> {
-        match self {
-            Hosted::Vc(m) => Box::new(m),
-            Hosted::Dyn(b) => b,
-        }
-    }
-}
+/// One actor of the online detection protocols, as a layout holds it and
+/// every host runs it.
+pub type DetectActor = Box<dyn Actor<DetectMsg>>;
 
 /// A layout's actor and the socket peer that hosts it.
-pub type Placed = (u32, Hosted);
+pub type Placed = (u32, DetectActor);
 
 /// A directed channel between two actors.
 pub type Channel = (ActorId, ActorId);
@@ -255,7 +220,7 @@ pub fn apps(
                 mate(p),
                 stats.clone(),
             );
-            (peer(p), Hosted::boxed(app))
+            (peer(p), Box::new(app) as DetectActor)
         })
         .collect();
     (actors, fifo)
@@ -351,8 +316,7 @@ pub fn simulate<R>(layout: Layout<R>, config: SimConfig, options: &RunOptions) -
         .fold(config, |c, (from, to)| c.with_fifo_channel(from, to));
     let mut sim = Simulation::new(config);
     sim.set_recorder(options.recorder.clone());
-    for (_, hosted) in actors {
-        let mut actor = hosted.into_actor();
+    for (_, mut actor) in actors {
         actor.set_recorder(&options.recorder);
         sim.add_actor(actor);
     }
@@ -647,7 +611,7 @@ mod tests {
             ),
         ] {
             let mut layout = family.layout(&c, &Wcp::over_first(2));
-            layout.actors[1].1 = Hosted::boxed(Silent);
+            layout.actors[1].1 = Box::new(Silent);
             let stall = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 simulate(layout, SimConfig::seeded(1), &RunOptions::default())
             }))

@@ -23,7 +23,7 @@ pub mod vc_monitor;
 
 pub use app::{AppProcess, ClockMode};
 pub use harness::{
-    apps, run_online, run_vc_token, simulate, Channel, Family, Hosted, Layout, OnlineReport,
+    apps, run_online, run_vc_token, simulate, Channel, DetectActor, Family, Layout, OnlineReport,
     Placed, ReportFn, RunOptions,
 };
 pub use messages::{ClockTag, DetectMsg, GroupTokenMsg};

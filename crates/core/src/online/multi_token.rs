@@ -20,7 +20,7 @@ use wcp_trace::{Computation, Wcp};
 
 use crate::detector::DetectionReport;
 use crate::online::app::ClockMode;
-use crate::online::harness::{detection_layout, Hosted, Layout, Placed};
+use crate::online::harness::{detection_layout, DetectActor, Layout, Placed};
 use crate::online::messages::{DetectMsg, GroupTokenMsg};
 use crate::online::vc_monitor::{
     describe_token_state, stall_row, OnlineDetection, SharedOutcome, SharedStats,
@@ -252,7 +252,7 @@ pub(crate) fn layout(
                         result: result.clone(),
                         stats: stats.clone(),
                     };
-                    (pos as u32, Hosted::boxed(monitor))
+                    (pos as u32, Box::new(monitor) as DetectActor)
                 })
                 .collect();
             let leader = Leader {
@@ -266,7 +266,7 @@ pub(crate) fn layout(
                 done: false,
                 result: result.clone(),
             };
-            actors.push((0, Hosted::boxed(leader)));
+            actors.push((0, Box::new(leader)));
             actors
         },
     )

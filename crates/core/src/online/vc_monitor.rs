@@ -12,7 +12,7 @@ use wcp_trace::{Computation, Wcp};
 use crate::detector::DetectionReport;
 use crate::offline::token::{Color, Token};
 use crate::online::app::ClockMode;
-use crate::online::harness::{detection_layout, Hosted, Layout};
+use crate::online::harness::{detection_layout, DetectActor, Layout};
 use crate::online::messages::DetectMsg;
 use crate::snapshot::SnapshotBuffer;
 use crate::visit::{visit, ActorEffects, Inbox, Visit};
@@ -217,29 +217,6 @@ impl VcMonitor {
         }
         ctx.send(self.monitors[next], DetectMsg::VcToken(token));
     }
-
-    /// Delivers a `VcSnapshot` straight from its wire body (`clock_le`: the
-    /// little-endian `u64` clock components), decoding into the arena-backed
-    /// queue without materializing an owned snapshot.
-    ///
-    /// Behaviourally identical to `on_message` with
-    /// [`DetectMsg::VcSnapshot`]: the monitor only ever reads the clock (a
-    /// snapshot's interval is its own clock component), and
-    /// `clock_le.len()` equals the snapshot's `wire_size()`.
-    pub fn on_snapshot_wire(&mut self, ctx: &mut dyn Context<DetectMsg>, clock_le: &[u8]) {
-        if self.recorder.is_enabled() {
-            self.emit(
-                ctx,
-                TraceEvent::SnapshotBuffered {
-                    depth: self.queue.len() as u64 + 1,
-                    bytes: clock_le.len() as u64,
-                },
-            );
-        }
-        self.queue.push_le_bytes(clock_le);
-        self.stats.buffered(self.queue.len() as u64);
-        self.try_advance(ctx);
-    }
 }
 
 impl Actor<DetectMsg> for VcMonitor {
@@ -311,8 +288,9 @@ impl Actor<DetectMsg> for VcMonitor {
 
 /// Lays out the Section 3 single-token algorithm: applications `0..N`
 /// and one monitor per scope position at `N..N+n`, monitor `pos` on peer
-/// `pos` beside its application. The monitors are hosted typed, so a
-/// socket peer decodes their snapshot frames straight into their queues.
+/// `pos` beside its application, so every snapshot a monitor buffers
+/// comes over the in-order local queue, on a socket run as in the
+/// simulator.
 pub(crate) fn layout(computation: &Computation, wcp: &Wcp) -> Layout<DetectionReport> {
     let n = wcp.n();
     let n_total = computation.process_count();
@@ -335,7 +313,7 @@ pub(crate) fn layout(computation: &Computation, wcp: &Wcp) -> Layout<DetectionRe
                         result.clone(),
                         stats.clone(),
                     );
-                    (pos as u32, Hosted::Vc(monitor))
+                    (pos as u32, Box::new(monitor) as DetectActor)
                 })
                 .collect()
         },
@@ -409,27 +387,6 @@ mod tests {
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].0, ActorId::new(11));
         assert!(matches!(sent[0].1, DetectMsg::VcToken(_)));
-    }
-
-    #[test]
-    fn wire_snapshot_delivery_matches_owned_delivery() {
-        let (mut owned, owned_result) = monitor(0, true);
-        let (mut wire, wire_result) = monitor(0, true);
-        let mut owned_ctx = MockCtx::default();
-        let mut wire_ctx = MockCtx::default();
-        owned.on_start(&mut owned_ctx);
-        wire.on_start(&mut wire_ctx);
-        for clock in [vec![1u64, 0], vec![2, 1], vec![3, 1]] {
-            let mut le = Vec::new();
-            for &c in &clock {
-                le.extend_from_slice(&c.to_le_bytes());
-            }
-            owned.on_message(&mut owned_ctx, ActorId::new(0), snapshot(clock[0], clock));
-            wire.on_snapshot_wire(&mut wire_ctx, &le);
-            assert_eq!(wire_ctx.take_sent(), owned_ctx.take_sent());
-        }
-        assert_eq!(wire.queue.len(), owned.queue.len());
-        assert_eq!(*wire_result.lock().unwrap(), *owned_result.lock().unwrap());
     }
 
     #[test]

@@ -219,25 +219,6 @@ impl SnapshotBuffer {
         self.arena.push(snapshot.clock.as_slice());
     }
 
-    /// Buffers one snapshot clock straight from its wire encoding (the
-    /// little-endian `u64` components of a `VcSnapshot` body), decoding
-    /// directly into the arena row — no intermediate `VectorClock`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clock_le` is not exactly `n` little-endian `u64`s wide.
-    pub fn push_le_bytes(&mut self, clock_le: &[u8]) {
-        assert_eq!(
-            clock_le.len(),
-            self.arena.stride() * 8,
-            "wire clock width differs from the buffer's scope width"
-        );
-        let row = self.arena.push_zeroed();
-        for (slot, b) in row.iter_mut().zip(clock_le.chunks_exact(8)) {
-            *slot = u64::from_le_bytes(b.try_into().unwrap());
-        }
-    }
-
     /// Consumes the oldest unconsumed snapshot, returning its row id.
     pub fn pop(&mut self) -> Option<usize> {
         if self.head == self.arena.len() {
@@ -393,27 +374,6 @@ mod tests {
         let queues = VcSnapshotQueues::build(&a, &wcp);
         assert_eq!(queues.total_snapshots(), 0);
         assert_eq!(queues.clock_allocations(), 0);
-    }
-
-    #[test]
-    fn snapshot_buffer_wire_push_matches_owned_push() {
-        let snap = VcSnapshot {
-            interval: 2,
-            clock: vec![1u64, 2, 3].into_iter().collect(),
-        };
-        let mut le = Vec::new();
-        for &c in snap.clock.as_slice() {
-            le.extend_from_slice(&c.to_le_bytes());
-        }
-        let mut owned = SnapshotBuffer::new(3);
-        owned.push(&snap);
-        let mut wire = SnapshotBuffer::new(3);
-        wire.push_le_bytes(&le);
-        assert_eq!(wire.len(), owned.len());
-        assert_eq!(
-            wire.row(wire.front().unwrap()).as_slice(),
-            owned.row(owned.front().unwrap()).as_slice()
-        );
     }
 
     #[test]

@@ -882,10 +882,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
                 let run =
                     guarded(|| run_net(family, computation, &wcp, config, &RunOptions::default()));
                 match run {
-                    // A scope wider than a group token is refused before
-                    // any peer starts: no run, nothing to compare.
-                    Ok(Err(_too_wide)) => {}
-                    Ok(Ok(net)) => {
+                    Ok(net) => {
                         let got = net.report.detection.cut().map(|c| wcp.project(c));
                         if got != truth {
                             diverge(

@@ -1,34 +1,59 @@
-//! Length-prefixed binary wire codec for the online detection protocol.
+//! The wire codec of the online detection protocol: one bit-packed
+//! encoding for every frame kind, header included.
 //!
 //! Every frame is laid out as
 //!
 //! ```text
-//! ┌─────────┬──────┬──────────┬──────────┬────────┬─────────┬─────────┬──────┐
-//! │ len u32 │ kind │ peer u32 │ from u32 │ to u32 │ seq u64 │ aux u64 │ body │
-//! └─────────┴──────┴──────────┴──────────┴────────┴─────────┴─────────┴──────┘
+//! ┌────────────┬──────┬─────────────┬──────────────────────┬────────────┬──────┐
+//! │ varint len │ kind │ varint peer │ varint from, to      │ varint seq │ body │
+//! └────────────┴──────┴─────────────┴──────────────────────┴────────────┴──────┘
+//!                                    └──── sequenced kinds only ──────┘
 //! ```
 //!
-//! with all integers little-endian. `len` counts every byte after the
-//! length field itself (so a reader fetches 4 bytes, then `len` more).
-//! `peer` is the sending peer (the resequencing domain of `seq`), `from`
-//! and `to` are the actor ids the detection layer addresses, and `seq` is
-//! the per-link sequence number the receiver uses to deduplicate and
-//! resequence.
+//! `len` counts every byte after the length varint itself (so a reader
+//! fetches the varint, then `len` more), and `kind` is one byte (see
+//! [`kind`]). `peer` is the sending peer (the resequencing domain of
+//! `seq`). The *sequenced* kinds — every [`DetectMsg`] kind, the verdict
+//! and the shutdown — go on to name the actors the detection layer
+//! addresses (`from`, `to`) and the per-link sequence number the receiver
+//! deduplicates and resequences by. An ack or a telemetry frame carries
+//! neither: it never reaches an actor and stays outside the sequence
+//! space. Every varint is a [`wire2`](crate::wire2) varint (7-bit groups,
+//! continuation bit first), so the header of a small run costs five
+//! bytes plus its `seq`.
 //!
-//! The `body` of a [`DetectMsg`] frame is **exactly
-//! [`WireSize::wire_size`] bytes** — the paper-unit accounting of
-//! Sections 3.4/4.4 — which is what turns `DetectionMetrics` bit counts
-//! into real bytes-on-the-wire (property-tested in
-//! `tests/codec_roundtrip.rs`). Two encodings need one redundant
-//! out-of-band value to round-trip, carried in the fixed `aux` header
-//! field (and therefore *outside* the accounted body):
+//! The body is one MSB-first bit stream ([`BitWriter`]) zero-padded to a
+//! byte, written by one `ser` and read by one `de` per kind; a `de` that
+//! finds the body too short, too long, or naming a count the bits left
+//! cannot hold returns a typed [`CodecError`] before it allocates:
 //!
-//! - `VcSnapshot` — the paper transmits only the clock (the interval index
-//!   equals the snapshot's own component); `aux` carries the interval.
-//! - `GroupToken` — `aux` is the presence bitmap of the carried candidate
-//!   clocks, which caps group tokens at 64 scope processes on the wire.
-
-use std::io::{self, Read};
+//! | kind | body |
+//! |---|---|
+//! | `APP_VECTOR` | varint msg id, chained clock |
+//! | `APP_SCALAR` | varint msg id, varint clock |
+//! | `VC_SNAPSHOT` | varint interval, chained clock |
+//! | `DD_SNAPSHOT` | varint clock, varint count, count × (varint process, varint clock) |
+//! | `END_OF_TRACE`, `DD_TOKEN`, `SHUTDOWN` | empty |
+//! | `VC_TOKEN` | token: varint n, n × varint `G`, n colour bits (1 = green) |
+//! | `POLL` | varint clock, varint `next_red + 1` (0 = none) |
+//! | `POLL_REPLY` | one bit |
+//! | `GROUP_TOKEN` | varint group, token, n presence bits, n varints per present candidate |
+//! | `MULTI_REGISTER` | varint id, varint count, count × varint process |
+//! | `MULTI_UNREGISTER` | varint id |
+//! | `MULTI_VERDICT`, `VERDICT` | (`MULTI_VERDICT`: varint id), presence bit, varint count, count × varint |
+//! | `ACK` | varint `next_expected` cursor |
+//! | `TELEMETRY` | the opaque delta (`telemetry.rs`), the rest of the frame |
+//!
+//! A *chained clock* is delta-encoded against the last clock of the same
+//! originating actor and stream class on the link ([`ClockChains`]), so
+//! a sender encodes and a receiver decodes in sequence order.
+//!
+//! Bytes on the wire are not the paper's unit. [`WireSize::wire_size`]
+//! stays the Section 3.4/4.4 accounting (8 bytes per clock component or
+//! integer) that `DetectionMetrics` and the bound audits count;
+//! [`v1_frame_len`] adds the fixed 33-byte header the retired
+//! fixed-width encoding spent, which `NetStats::wire_bytes_v1_equiv`
+//! sums so the compression ratio compares across versions.
 
 use wcp_clocks::{Dependence, ProcessId, VectorClock};
 use wcp_detect::offline::token::{Color, Token};
@@ -39,25 +64,34 @@ use wcp_trace::MsgId;
 
 use crate::wire2::{BitReader, BitWriter, ChainFrame, ClockChains, CLASS_APP, CLASS_SNAPSHOT};
 
-/// Header bytes after the length field (kind + peer + from + to + seq + aux).
-pub const HEADER_LEN: usize = 1 + 4 + 4 + 4 + 8 + 8;
-
-/// The longest `len` (header plus body) a socket reader accepts: a
-/// longer one, or one shorter than [`HEADER_LEN`], ends the connection
-/// before any buffer grows for it.
+/// The longest `len` (everything after the length varint) a reader
+/// accepts: a longer one, a zero one, or a length varint longer than
+/// this bound needs ends the connection before any buffer grows for it.
 ///
 /// Every frame a run sends stays far below it. A detection body holds at
-/// most a few clocks of 8 bytes per process: an application message or a
-/// snapshot `8 + 8n` bytes for `n` processes, a token `9n`, a group token
-/// at most `8 + 9n + 8n²` with `n ≤` [`MAX_GROUP_WIDTH`] (under 33 KiB),
-/// and a session registration `8 + 4n`; so a frame reaches the cap only
-/// past 1.8 million processes. Verdicts are one clock, acks and shutdowns
-/// header-only. A telemetry delta carries one counter snapshot plus the
-/// events a peer recorded since it last shipped one, bit-packed to a few
-/// bytes each; the peer ships after every step that leaves 256 or more
-/// and on every idle poll, and one step records events in proportion to
-/// the one message it handles, so a delta holds kilobytes.
+/// most a few clocks of at most 10 bytes per process (a varint of a
+/// `u64`): an application message or a snapshot about `10n` bytes for
+/// `n` processes, a token `11n`, a group token at most `12n + 10n²`, and
+/// a session registration `5n`; so a frame reaches the cap only past a
+/// thousand-process group token carrying every candidate, or 1.5 million
+/// processes for every other kind. A verdict is one cut, an ack one
+/// varint, a shutdown empty. A telemetry delta carries one counter
+/// snapshot plus the events a peer recorded since it last shipped one,
+/// bit-packed to a few bytes each; the peer ships after every step that
+/// leaves 256 or more and on every idle poll, and one step records events
+/// in proportion to the one message it handles, so a delta holds
+/// kilobytes.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
+
+/// Bytes of the longest length varint: four 7-bit groups hold every
+/// length up to [`MAX_FRAME_LEN`].
+const MAX_PREFIX_LEN: usize = 4;
+
+/// Length prefix plus fixed header of every frame under the retired
+/// fixed-width encoding (a `u32` length, the kind, `u32` peer, from and
+/// to, `u64` seq and a `u64` auxiliary word), charged per frame by
+/// [`v1_frame_len`].
+pub const V1_HEADER_LEN: usize = 33;
 
 /// Frame kinds. `DetectMsg` payloads are < 0x80; control frames ≥ 0xF0.
 pub mod kind {
@@ -88,35 +122,20 @@ pub mod kind {
     pub const MULTI_UNREGISTER: u8 = 12;
     /// Per-predicate verdict from the session service.
     pub const MULTI_VERDICT: u8 = 13;
-    /// Bit offset between a v1 clock-carrying kind and its v2 variant:
-    /// every v2 kind is `v1 | V2_BIT`, so frames stay self-describing and
-    /// receivers decode both kinds without per-link version state.
-    pub const V2_BIT: u8 = 0x20;
-    /// [`APP_VECTOR`] with a delta-chained, bit-packed clock (wire v2).
-    pub const APP_VECTOR_V2: u8 = APP_VECTOR | V2_BIT;
-    /// [`VC_SNAPSHOT`] with a delta-chained, bit-packed clock (wire v2).
-    pub const VC_SNAPSHOT_V2: u8 = VC_SNAPSHOT | V2_BIT;
-    /// [`VC_TOKEN`] with varint components and 1-bit colours (wire v2,
-    /// stateless).
-    pub const VC_TOKEN_V2: u8 = VC_TOKEN | V2_BIT;
-    /// [`GROUP_TOKEN`] with varint components and 1-bit colours (wire v2,
-    /// stateless).
-    pub const GROUP_TOKEN_V2: u8 = GROUP_TOKEN | V2_BIT;
     /// Verdict broadcast by the deciding peer.
     pub const VERDICT: u8 = 0xF0;
     /// Orderly teardown marker.
     pub const SHUTDOWN: u8 = 0xF1;
-    /// Cumulative acknowledgement of in-order delivery (`aux` carries the
-    /// receiver's `next_expected` cursor). Endpoint-internal: consumed
-    /// before payload decode, never logged or resequenced.
+    /// Cumulative acknowledgement of in-order delivery (the body is the
+    /// receiver's `next_expected` cursor). Endpoint-internal: consumed at
+    /// ingest, never logged or resequenced.
     pub const ACK: u8 = 0xF2;
     /// Sidecar telemetry: ring-recorder deltas and counter snapshots,
-    /// carried outside the reliability window (`seq = CONTROL_SEQ`, `aux`
-    /// is the body length) over the un-faulted recovery path so fault
-    /// schedules stay bit-identical with telemetry on or off.
-    /// Endpoint-internal like [`ACK`]: consumed before payload decode,
-    /// never logged, acked, or resequenced, and never counted in the
-    /// paper-unit accounting.
+    /// carried outside the reliability window (no `seq`) over the
+    /// un-faulted recovery path so fault schedules stay bit-identical
+    /// with telemetry on or off. Endpoint-internal like [`ACK`]: consumed
+    /// at ingest, never logged, acked, or resequenced, and never counted
+    /// in the paper-unit accounting.
     pub const TELEMETRY: u8 = 0xF3;
 }
 
@@ -127,18 +146,13 @@ pub enum CodecError {
     Truncated,
     /// Unknown frame kind byte.
     BadKind(u8),
-    /// A colour byte outside {0, 1}.
-    BadColor(u8),
-    /// The body length is inconsistent with the frame kind.
+    /// A length inconsistent with the layout: a frame length out of
+    /// range or disagreeing with the buffer, an overlong varint, bytes
+    /// past a body's last field, or a delta against a chain of another
+    /// width.
     BadLength(usize),
-    /// A group token wider than the 64-process aux bitmap.
-    TooWide(usize),
-    /// A delta-chained v2 frame reached a stateless decode path; only
-    /// the endpoint (which holds the per-link [`ClockChains`]) can
-    /// decode it.
-    Stateful(u8),
-    /// A decoded value outside the range of the field it names (a
-    /// telemetry delta's version, tag, count or 32-bit id).
+    /// A decoded value outside the range of the field it names (a count
+    /// the bits left cannot hold, a 32-bit id, a telemetry tag).
     OutOfRange(&'static str),
 }
 
@@ -147,17 +161,7 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "frame truncated"),
             CodecError::BadKind(k) => write!(f, "unknown frame kind {k:#04x}"),
-            CodecError::BadColor(c) => write!(f, "invalid colour byte {c}"),
-            CodecError::BadLength(n) => write!(f, "body length {n} inconsistent with kind"),
-            CodecError::TooWide(n) => {
-                write!(
-                    f,
-                    "group token over {n} processes exceeds the 64-bit aux bitmap"
-                )
-            }
-            CodecError::Stateful(k) => {
-                write!(f, "frame kind {k:#04x} needs the link's delta-chain state")
-            }
+            CodecError::BadLength(n) => write!(f, "length {n} inconsistent with the layout"),
             CodecError::OutOfRange(field) => write!(f, "{field} out of range"),
         }
     }
@@ -179,7 +183,7 @@ pub enum Payload {
     Shutdown,
 }
 
-/// One wire frame: routing header plus payload.
+/// One sequenced wire frame: routing header plus payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Sending peer index (the `seq` resequencing domain).
@@ -194,759 +198,470 @@ pub struct Frame {
     pub payload: Payload,
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, at: 0 }
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        let b = *self.buf.get(self.at).ok_or(CodecError::Truncated)?;
-        self.at += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        let end = self.at + 4;
-        let bytes = self.buf.get(self.at..end).ok_or(CodecError::Truncated)?;
-        self.at = end;
-        Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        let end = self.at + 8;
-        let bytes = self.buf.get(self.at..end).ok_or(CodecError::Truncated)?;
-        self.at = end;
-        Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
-    fn done(&self) -> Result<(), CodecError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(CodecError::BadLength(self.buf.len()))
-        }
-    }
-}
-
-fn color_byte(c: Color) -> u8 {
-    match c {
-        Color::Red => 0,
-        Color::Green => 1,
-    }
-}
-
-fn byte_color(b: u8) -> Result<Color, CodecError> {
-    match b {
-        0 => Ok(Color::Red),
-        1 => Ok(Color::Green),
-        other => Err(CodecError::BadColor(other)),
-    }
-}
-
-/// Widest scope a group token can span: its candidate bitmap rides the
-/// 64-bit `aux` field. Runners refuse a wider multi-token run before any
-/// peer starts.
-pub const MAX_GROUP_WIDTH: usize = 64;
-
-/// Presence bitmap of a group token's carried candidate clocks (the
-/// `aux` value of a `GROUP_TOKEN` frame).
-fn group_bitmap(t: &GroupTokenMsg) -> u64 {
-    assert!(
-        t.token.g.len() <= MAX_GROUP_WIDTH,
-        "group token over {} processes exceeds the 64-bit aux bitmap",
-        t.token.g.len()
-    );
-    let mut bitmap = 0u64;
-    for (i, cand) in t.candidates.iter().enumerate() {
-        if cand.is_some() {
-            bitmap |= 1 << i;
-        }
-    }
-    bitmap
-}
-
-/// `(kind, aux)` of a [`DetectMsg`], computable without encoding the body.
-fn detect_kind_aux(msg: &DetectMsg) -> (u8, u64) {
-    match msg {
-        DetectMsg::App {
-            tag: ClockTag::Vector(_),
-            ..
-        } => (kind::APP_VECTOR, 0),
-        DetectMsg::App {
-            tag: ClockTag::Scalar(_),
-            ..
-        } => (kind::APP_SCALAR, 0),
-        DetectMsg::VcSnapshot(s) => (kind::VC_SNAPSHOT, s.interval),
-        DetectMsg::DdSnapshot(_) => (kind::DD_SNAPSHOT, 0),
-        DetectMsg::EndOfTrace => (kind::END_OF_TRACE, 0),
-        DetectMsg::VcToken(_) => (kind::VC_TOKEN, 0),
-        DetectMsg::DdToken => (kind::DD_TOKEN, 0),
-        DetectMsg::Poll { .. } => (kind::POLL, 0),
-        DetectMsg::PollReply { .. } => (kind::POLL_REPLY, 0),
-        DetectMsg::GroupToken(t) => (kind::GROUP_TOKEN, group_bitmap(t)),
-        DetectMsg::MultiRegister { .. } => (kind::MULTI_REGISTER, 0),
-        DetectMsg::MultiUnregister { .. } => (kind::MULTI_UNREGISTER, 0),
-        DetectMsg::MultiVerdict { .. } => (kind::MULTI_VERDICT, 0),
-    }
-}
-
-/// Appends a [`DetectMsg`] body (exactly `msg.wire_size()` bytes) to `out`.
-fn detect_body_into(msg: &DetectMsg, out: &mut Vec<u8>) {
-    match msg {
-        DetectMsg::App { msg: id, tag } => {
-            put_u64(out, id.as_u64());
-            match tag {
-                ClockTag::Vector(v) => {
-                    for &c in v.as_slice() {
-                        put_u64(out, c);
-                    }
-                }
-                ClockTag::Scalar(s) => put_u64(out, *s),
-            }
-        }
-        DetectMsg::VcSnapshot(s) => {
-            for &c in s.clock.as_slice() {
-                put_u64(out, c);
-            }
-        }
-        DetectMsg::DdSnapshot(s) => {
-            put_u64(out, s.clock);
-            for d in &s.deps {
-                put_u64(out, d.on.index() as u64);
-                put_u64(out, d.clock);
-            }
-        }
-        DetectMsg::EndOfTrace | DetectMsg::DdToken => out.push(0),
-        DetectMsg::VcToken(t) => {
-            for &g in &t.g {
-                put_u64(out, g);
-            }
-            for &c in t.colors() {
-                out.push(color_byte(c));
-            }
-        }
-        DetectMsg::Poll { clock, next_red } => {
-            put_u64(out, *clock);
-            put_u64(out, next_red.map_or(u64::MAX, |p| p.index() as u64));
-        }
-        DetectMsg::PollReply { became_red } => out.push(u8::from(*became_red)),
-        DetectMsg::GroupToken(t) => {
-            put_u64(out, t.group as u64);
-            for &g in &t.token.g {
-                put_u64(out, g);
-            }
-            for &c in t.token.colors() {
-                out.push(color_byte(c));
-            }
-            for clock in t.candidates.iter().flatten() {
-                for &c in clock.as_slice() {
-                    put_u64(out, c);
-                }
-            }
-        }
-        DetectMsg::MultiRegister { id, scope } => {
-            put_u64(out, *id);
-            for &p in scope {
-                put_u32(out, p.index() as u32);
-            }
-        }
-        DetectMsg::MultiUnregister { id } => put_u64(out, *id),
-        DetectMsg::MultiVerdict { id, verdict } => {
-            put_u64(out, *id);
-            match verdict {
-                Some(g) => {
-                    out.push(1);
-                    for &v in g {
-                        put_u64(out, v);
-                    }
-                }
-                None => out.push(0),
-            }
-        }
-    }
-}
-
-/// Encodes a [`DetectMsg`] body, returning `(kind, aux, body)`.
-///
-/// The body is exactly `msg.wire_size()` bytes; `aux` carries the
-/// out-of-band redundancy described in the module docs.
-pub fn encode_body(msg: &DetectMsg) -> (u8, u64, Vec<u8>) {
-    let (kind_byte, aux) = detect_kind_aux(msg);
-    let mut body = Vec::with_capacity(msg.wire_size());
-    detect_body_into(msg, &mut body);
-    (kind_byte, aux, body)
-}
-
-/// Decodes a [`DetectMsg`] body produced by [`encode_body`].
-pub fn decode_body(kind_byte: u8, aux: u64, body: &[u8]) -> Result<DetectMsg, CodecError> {
-    let mut r = Reader::new(body);
-    let msg = match kind_byte {
-        kind::APP_VECTOR => {
-            let id = MsgId::new(r.u64()?);
-            if !r.remaining().is_multiple_of(8) {
-                return Err(CodecError::BadLength(body.len()));
-            }
-            let n = r.remaining() / 8;
-            let mut comps = Vec::with_capacity(n);
-            for _ in 0..n {
-                comps.push(r.u64()?);
-            }
-            DetectMsg::App {
-                msg: id,
-                tag: ClockTag::Vector(VectorClock::from_components(comps)),
-            }
-        }
-        kind::APP_SCALAR => DetectMsg::App {
-            msg: MsgId::new(r.u64()?),
-            tag: ClockTag::Scalar(r.u64()?),
-        },
-        kind::VC_SNAPSHOT => {
-            if !body.len().is_multiple_of(8) {
-                return Err(CodecError::BadLength(body.len()));
-            }
-            let n = body.len() / 8;
-            let mut comps = Vec::with_capacity(n);
-            for _ in 0..n {
-                comps.push(r.u64()?);
-            }
-            DetectMsg::VcSnapshot(VcSnapshot {
-                interval: aux,
-                clock: VectorClock::from_components(comps),
-            })
-        }
-        kind::DD_SNAPSHOT => {
-            let clock = r.u64()?;
-            if !r.remaining().is_multiple_of(16) {
-                return Err(CodecError::BadLength(body.len()));
-            }
-            let deps = (0..r.remaining() / 16)
-                .map(|_| {
-                    let on = ProcessId::new(r.u64()? as u32);
-                    Ok(Dependence::new(on, r.u64()?))
-                })
-                .collect::<Result<Vec<_>, CodecError>>()?;
-            DetectMsg::DdSnapshot(DdSnapshot { clock, deps })
-        }
-        kind::END_OF_TRACE => {
-            r.u8()?;
-            DetectMsg::EndOfTrace
-        }
-        kind::VC_TOKEN => {
-            if !body.len().is_multiple_of(9) {
-                return Err(CodecError::BadLength(body.len()));
-            }
-            let n = body.len() / 9;
-            let mut token = Token::new(n);
-            for g in token.g.iter_mut() {
-                *g = r.u64()?;
-            }
-            for i in 0..n {
-                let c = byte_color(r.u8()?)?;
-                token.set_color(i, c);
-            }
-            DetectMsg::VcToken(token)
-        }
-        kind::DD_TOKEN => {
-            r.u8()?;
-            DetectMsg::DdToken
-        }
-        kind::POLL => {
-            let clock = r.u64()?;
-            let raw = r.u64()?;
-            DetectMsg::Poll {
-                clock,
-                next_red: (raw != u64::MAX).then(|| ProcessId::new(raw as u32)),
-            }
-        }
-        kind::POLL_REPLY => DetectMsg::PollReply {
-            became_red: r.u8()? != 0,
-        },
-        kind::GROUP_TOKEN => {
-            let group = r.u64()? as usize;
-            let k = aux.count_ones() as usize;
-            // body = 8 + 9n + 8nk with n scope processes and k carried
-            // scope-width candidate clocks.
-            let rest = r.remaining();
-            if (9 + 8 * k) == 0 || !rest.is_multiple_of(9 + 8 * k) {
-                return Err(CodecError::BadLength(body.len()));
-            }
-            let n = rest / (9 + 8 * k);
-            if n > MAX_GROUP_WIDTH || aux.checked_shr(n as u32).is_some_and(|high| high != 0) {
-                return Err(CodecError::TooWide(n));
-            }
-            let mut t = GroupTokenMsg::new(group, n);
-            for g in t.token.g.iter_mut() {
-                *g = r.u64()?;
-            }
-            for i in 0..n {
-                t.token.set_color(i, byte_color(r.u8()?)?);
-            }
-            for i in 0..n {
-                if aux & (1 << i) != 0 {
-                    let mut comps = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        comps.push(r.u64()?);
-                    }
-                    t.candidates[i] = Some(VectorClock::from_components(comps));
-                }
-            }
-            DetectMsg::GroupToken(Box::new(t))
-        }
-        kind::MULTI_REGISTER => {
-            let id = r.u64()?;
-            if !r.remaining().is_multiple_of(4) {
-                return Err(CodecError::BadLength(body.len()));
-            }
-            let scope = (0..r.remaining() / 4)
-                .map(|_| Ok(ProcessId::new(r.u32()?)))
-                .collect::<Result<Vec<_>, CodecError>>()?;
-            DetectMsg::MultiRegister { id, scope }
-        }
-        kind::MULTI_UNREGISTER => DetectMsg::MultiUnregister { id: r.u64()? },
-        kind::MULTI_VERDICT => {
-            let id = r.u64()?;
-            let flag = r.u8()?;
-            if !r.remaining().is_multiple_of(8) || (flag == 0 && r.remaining() != 0) {
-                return Err(CodecError::BadLength(body.len()));
-            }
-            let verdict = if flag == 0 {
-                None
-            } else {
-                Some(
-                    (0..r.remaining() / 8)
-                        .map(|_| r.u64())
-                        .collect::<Result<Vec<_>, CodecError>>()?,
-                )
-            };
-            DetectMsg::MultiVerdict { id, verdict }
-        }
-        // Stateless v2 bodies: varint-packed, decodable without chain
-        // state (early return — they use the bit reader, not `r`).
-        kind::VC_TOKEN_V2 => return decode_vc_token_v2(body),
-        kind::GROUP_TOKEN_V2 => return decode_group_token_v2(aux, body),
-        // Delta-chained v2 bodies never decode statelessly; the endpoint
-        // decodes them at in-sequence promotion with the link's chains.
-        kind::APP_VECTOR_V2 | kind::VC_SNAPSHOT_V2 => return Err(CodecError::Stateful(kind_byte)),
-        other => return Err(CodecError::BadKind(other)),
-    };
-    r.done()?;
-    Ok(msg)
-}
-
-/// Decodes a stateless v2 token body: varint `n`, `n` varint `G`
-/// components, `n` colour bits.
-fn decode_vc_token_v2(body: &[u8]) -> Result<DetectMsg, CodecError> {
-    let mut r = BitReader::new(body);
-    let n = r.read_varint()? as usize;
-    if n > r.bits_remaining() / 9 {
-        return Err(CodecError::BadLength(n));
-    }
-    let mut token = Token::new(n);
-    for g in token.g.iter_mut() {
-        *g = r.read_varint()?;
-    }
-    for i in 0..n {
-        let c = if r.read_bit()? {
-            Color::Green
-        } else {
-            Color::Red
-        };
-        token.set_color(i, c);
-    }
-    r.expect_padding()?;
-    Ok(DetectMsg::VcToken(token))
-}
-
-/// Decodes a stateless v2 group-token body: varint group, varint `n`,
-/// `n` varint `G` components, `n` colour bits, then one varint clock per
-/// set bit of the `aux` presence bitmap (same bitmap as v1).
-fn decode_group_token_v2(aux: u64, body: &[u8]) -> Result<DetectMsg, CodecError> {
-    let mut r = BitReader::new(body);
-    let group = r.read_varint()? as usize;
-    let n = r.read_varint()? as usize;
-    if n > r.bits_remaining() / 9 {
-        return Err(CodecError::BadLength(n));
-    }
-    if n > MAX_GROUP_WIDTH || aux.checked_shr(n as u32).is_some_and(|high| high != 0) {
-        return Err(CodecError::TooWide(n));
-    }
-    let mut t = GroupTokenMsg::new(group, n);
-    for g in t.token.g.iter_mut() {
-        *g = r.read_varint()?;
-    }
-    for i in 0..n {
-        let c = if r.read_bit()? {
-            Color::Green
-        } else {
-            Color::Red
-        };
-        t.token.set_color(i, c);
-    }
-    for i in 0..n {
-        if aux & (1 << i) != 0 {
-            let mut comps = Vec::with_capacity(n);
-            for _ in 0..n {
-                comps.push(r.read_varint()?);
-            }
-            t.candidates[i] = Some(VectorClock::from_components(comps));
-        }
-    }
-    r.expect_padding()?;
-    Ok(DetectMsg::GroupToken(Box::new(t)))
-}
-
-/// Byte offset of a frame's body within the full frame bytes (length
-/// prefix + fixed header).
-pub const BODY_START: usize = 4 + HEADER_LEN;
-
-/// Sequence number carried by frames outside the reliability window
-/// (acknowledgements): never deduplicated, resequenced, logged, or acked.
-pub const CONTROL_SEQ: u64 = u64::MAX;
-
-/// Appends a whole encoded frame (length prefix included) to `out`,
-/// without intermediate buffers — the batched send path encodes straight
-/// into a link's outbound batch.
-pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
-    let start = out.len();
-    put_u32(out, 0); // length placeholder, patched below
-    let (kind_byte, aux) = match &frame.payload {
-        Payload::Detect(msg) => detect_kind_aux(msg),
-        Payload::Verdict(_) => (kind::VERDICT, 0),
-        Payload::Shutdown => (kind::SHUTDOWN, 0),
-    };
-    out.push(kind_byte);
-    put_u32(out, frame.peer);
-    put_u32(out, frame.from.index() as u32);
-    put_u32(out, frame.to.index() as u32);
-    put_u64(out, frame.seq);
-    put_u64(out, aux);
-    match &frame.payload {
-        Payload::Detect(msg) => detect_body_into(msg, out),
-        Payload::Verdict(verdict) => match verdict {
-            Some(g) => {
-                out.push(1);
-                put_u64(out, g.len() as u64);
-                for &v in g {
-                    put_u64(out, v);
-                }
-            }
-            None => out.push(0),
-        },
-        Payload::Shutdown => {}
-    }
-    let len = (out.len() - start - 4) as u32;
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Encodes a whole frame, length prefix included.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_frame_into(frame, &mut out);
-    out
-}
-
-/// How [`encode_frame_into_v2`] put a frame on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireEncoding {
-    /// No v2 form for this payload — encoded exactly as v1.
-    V1,
-    /// Stateless bit-packed v2 body (tokens).
-    Packed,
-    /// Delta-chain keyframe (full clock, varint-packed).
-    Keyframe,
-    /// Delta-chain delta frame (changed bitmap + varint deltas).
-    Delta,
-}
-
-/// The v2 kind byte of a [`DetectMsg`] that has a v2 encoding. `O(1)`
-/// bodies gain nothing from bit packing and stay v1 on every link.
-fn detect_kind_v2(msg: &DetectMsg) -> Option<u8> {
-    match msg {
-        DetectMsg::App {
-            tag: ClockTag::Vector(_),
-            ..
-        } => Some(kind::APP_VECTOR_V2),
-        DetectMsg::VcSnapshot(_) => Some(kind::VC_SNAPSHOT_V2),
-        DetectMsg::VcToken(_) => Some(kind::VC_TOKEN_V2),
-        DetectMsg::GroupToken(_) => Some(kind::GROUP_TOKEN_V2),
-        _ => None,
-    }
-}
-
-/// Appends a frame encoded under wire v2 (length prefix included),
-/// advancing `chains` for delta-chained bodies. Payloads with no v2 form
-/// fall back to [`encode_frame_into`] byte for byte. The bit-packed body
-/// is written straight into `out`, so the batched send path stays
-/// allocation-free.
-pub fn encode_frame_into_v2(
-    frame: &Frame,
-    chains: &mut ClockChains,
-    out: &mut Vec<u8>,
-) -> WireEncoding {
-    let msg = match &frame.payload {
-        Payload::Detect(msg) => msg,
-        _ => {
-            encode_frame_into(frame, out);
-            return WireEncoding::V1;
-        }
-    };
-    let Some(kind2) = detect_kind_v2(msg) else {
-        encode_frame_into(frame, out);
-        return WireEncoding::V1;
-    };
-    let (_, aux) = detect_kind_aux(msg);
-    let start = out.len();
-    put_u32(out, 0); // length placeholder, patched below
-    out.push(kind2);
-    put_u32(out, frame.peer);
-    put_u32(out, frame.from.index() as u32);
-    put_u32(out, frame.to.index() as u32);
-    put_u64(out, frame.seq);
-    put_u64(out, aux);
-    let from = frame.from.index() as u32;
-    let mut w = BitWriter::new(out);
-    let encoding = match msg {
-        DetectMsg::App {
-            msg: id,
-            tag: ClockTag::Vector(v),
-        } => {
-            w.write_varint(id.as_u64());
-            match chains.encode_clock(from, CLASS_APP, v.as_slice(), &mut w) {
-                ChainFrame::Keyframe => WireEncoding::Keyframe,
-                ChainFrame::Delta => WireEncoding::Delta,
-            }
-        }
-        DetectMsg::VcSnapshot(s) => {
-            match chains.encode_clock(from, CLASS_SNAPSHOT, s.clock.as_slice(), &mut w) {
-                ChainFrame::Keyframe => WireEncoding::Keyframe,
-                ChainFrame::Delta => WireEncoding::Delta,
-            }
-        }
-        DetectMsg::VcToken(t) => {
-            w.write_varint(t.g.len() as u64);
-            for &g in &t.g {
-                w.write_varint(g);
-            }
-            for &c in t.colors() {
-                w.write_bit(c == Color::Green);
-            }
-            WireEncoding::Packed
-        }
-        DetectMsg::GroupToken(t) => {
-            w.write_varint(t.group as u64);
-            w.write_varint(t.token.g.len() as u64);
-            for &g in &t.token.g {
-                w.write_varint(g);
-            }
-            for &c in t.token.colors() {
-                w.write_bit(c == Color::Green);
-            }
-            for clock in t.candidates.iter().flatten() {
-                for &c in clock.as_slice() {
-                    w.write_varint(c);
-                }
-            }
-            WireEncoding::Packed
-        }
-        _ => unreachable!("detect_kind_v2 gated the payload"),
-    };
-    w.finish();
-    let len = (out.len() - start - 4) as u32;
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    encoding
-}
-
-/// A delta-chained v2 body reconstructed by the receiving endpoint at
-/// in-sequence promotion (the only point where the link's chain state
-/// may legally advance).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodedV2 {
-    /// `VC_SNAPSHOT_V2`: the full reconstructed clock as little-endian
-    /// bytes — exactly the v1 body layout, arena-ready for
-    /// `SnapshotBuffer::push_le_bytes`.
-    SnapshotClock(Vec<u8>),
-    /// `APP_VECTOR_V2`: the message id and reconstructed clock.
-    AppVector(MsgId, VectorClock),
-}
-
-/// Decodes a delta-chained v2 body (`APP_VECTOR_V2` / `VC_SNAPSHOT_V2`),
-/// advancing the receiver-side `chains` exactly as the sender did.
-pub fn decode_stateful_v2(
-    head: &WireHeader,
-    body: &[u8],
-    chains: &mut ClockChains,
-) -> Result<DecodedV2, CodecError> {
-    let from = head.from.index() as u32;
-    let mut r = BitReader::new(body);
-    match head.kind {
-        kind::APP_VECTOR_V2 => {
-            let id = MsgId::new(r.read_varint()?);
-            let clock = chains.decode_clock(from, CLASS_APP, &mut r)?;
-            r.expect_padding()?;
-            Ok(DecodedV2::AppVector(
-                id,
-                VectorClock::from_components(clock),
-            ))
-        }
-        kind::VC_SNAPSHOT_V2 => {
-            let clock = chains.decode_clock(from, CLASS_SNAPSHOT, &mut r)?;
-            r.expect_padding()?;
-            let mut le = Vec::with_capacity(clock.len() * 8);
-            for &c in &clock {
-                le.extend_from_slice(&c.to_le_bytes());
-            }
-            Ok(DecodedV2::SnapshotClock(le))
-        }
-        other => Err(CodecError::BadKind(other)),
-    }
-}
-
-/// Appends a cumulative-acknowledgement frame to `out`: `next_expected`
-/// is the receiver's in-order delivery cursor for the `peer → me` link,
-/// carried in `aux` with an empty body.
-pub fn encode_ack_into(me: u32, next_expected: u64, out: &mut Vec<u8>) {
-    put_u32(out, HEADER_LEN as u32);
-    out.push(kind::ACK);
-    put_u32(out, me);
-    put_u32(out, 0); // from/to unused: acks never reach an actor
-    put_u32(out, 0);
-    put_u64(out, CONTROL_SEQ);
-    put_u64(out, next_expected);
-}
-
-/// Appends a sidecar telemetry frame to `out`: `body` is an opaque blob
-/// (JSONL-framed recorder deltas plus a counter snapshot), carried with
-/// `seq = CONTROL_SEQ` and its length mirrored in `aux`.
-pub fn encode_telemetry_into(me: u32, body: &[u8], out: &mut Vec<u8>) {
-    put_u32(out, (HEADER_LEN + body.len()) as u32);
-    out.push(kind::TELEMETRY);
-    put_u32(out, me);
-    put_u32(out, 0); // from/to unused: telemetry never reaches an actor
-    put_u32(out, 0);
-    put_u64(out, CONTROL_SEQ);
-    put_u64(out, body.len() as u64);
-    out.extend_from_slice(body);
-}
-
-/// The fixed routing header of one frame, decoded without touching the
-/// body — receivers route and resequence on this alone, deferring payload
-/// decode to delivery.
+/// The header of one frame, decoded without touching the body:
+/// receivers route and resequence on it alone and decode the body at
+/// in-sequence promotion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireHeader {
     /// Frame kind byte (see [`kind`]).
     pub kind: u8,
     /// Sending peer index (the `seq` resequencing domain).
     pub peer: u32,
-    /// Originating actor.
+    /// Originating actor (actor 0 for an ack or a telemetry frame).
     pub from: ActorId,
-    /// Destination actor.
+    /// Destination actor (actor 0 for an ack or a telemetry frame).
     pub to: ActorId,
-    /// Per-link sequence number.
+    /// Per-link sequence number (0 for an ack or a telemetry frame).
     pub seq: u64,
-    /// Out-of-band auxiliary value (snapshot interval, group bitmap, or
-    /// ack cursor).
-    pub aux: u64,
 }
 
-/// Total on-wire length (length prefix included) of the frame starting at
-/// byte `at` of `buf`, if the 4-byte prefix is fully present.
-pub fn frame_len_at(buf: &[u8], at: usize) -> Option<usize> {
-    let bytes = buf.get(at..at.checked_add(4)?)?;
-    Some(4 + u32::from_le_bytes(bytes.try_into().unwrap()) as usize)
+/// Whether frames of `kind` carry actor ids and a `seq`: every kind but
+/// the endpoint-internal ack and telemetry.
+fn sequenced(kind: u8) -> bool {
+    !matches!(kind, kind::ACK | kind::TELEMETRY)
 }
 
-/// Decodes the fixed header of a buffer holding exactly one frame.
-pub fn decode_header(frame: &[u8]) -> Result<WireHeader, CodecError> {
-    let mut r = Reader::new(frame);
-    let len = r.u32()? as usize;
-    if r.remaining() != len || len < HEADER_LEN {
-        return Err(CodecError::BadLength(len));
+/// The kind byte of a payload.
+fn kind_of(payload: &Payload) -> u8 {
+    match payload {
+        Payload::Detect(msg) => match msg {
+            DetectMsg::App {
+                tag: ClockTag::Vector(_),
+                ..
+            } => kind::APP_VECTOR,
+            DetectMsg::App {
+                tag: ClockTag::Scalar(_),
+                ..
+            } => kind::APP_SCALAR,
+            DetectMsg::VcSnapshot(_) => kind::VC_SNAPSHOT,
+            DetectMsg::DdSnapshot(_) => kind::DD_SNAPSHOT,
+            DetectMsg::EndOfTrace => kind::END_OF_TRACE,
+            DetectMsg::VcToken(_) => kind::VC_TOKEN,
+            DetectMsg::DdToken => kind::DD_TOKEN,
+            DetectMsg::Poll { .. } => kind::POLL,
+            DetectMsg::PollReply { .. } => kind::POLL_REPLY,
+            DetectMsg::GroupToken(_) => kind::GROUP_TOKEN,
+            DetectMsg::MultiRegister { .. } => kind::MULTI_REGISTER,
+            DetectMsg::MultiUnregister { .. } => kind::MULTI_UNREGISTER,
+            DetectMsg::MultiVerdict { .. } => kind::MULTI_VERDICT,
+        },
+        Payload::Verdict(_) => kind::VERDICT,
+        Payload::Shutdown => kind::SHUTDOWN,
     }
-    Ok(WireHeader {
-        kind: r.u8()?,
-        peer: r.u32()?,
-        from: ActorId::new(r.u32()?),
-        to: ActorId::new(r.u32()?),
-        seq: r.u64()?,
-        aux: r.u64()?,
+}
+
+/// Appends one frame to `out`: a length varint, then the bit stream
+/// `write` produces (kind and header first), zero-padded to a byte. The
+/// length is reserved as one byte and widened in place when the frame
+/// turns out 128 bytes or longer.
+fn frame_into<R>(out: &mut Vec<u8>, write: impl FnOnce(&mut BitWriter<'_>) -> R) -> R {
+    let start = out.len();
+    out.push(0);
+    let mut w = BitWriter::new(out);
+    let written = write(&mut w);
+    w.finish();
+    let len = out.len() - start - 1;
+    debug_assert!(len <= MAX_FRAME_LEN, "a {len}-byte frame exceeds the cap");
+    if len < 0x80 {
+        out[start] = len as u8;
+    } else {
+        let mut prefix = Vec::with_capacity(MAX_PREFIX_LEN);
+        BitWriter::new(&mut prefix).write_varint(len as u64);
+        out.splice(start..start + 1, prefix);
+    }
+    written
+}
+
+/// Writes the kind byte and the sending peer, the header every frame
+/// opens with.
+fn ser_kind_peer(w: &mut BitWriter<'_>, kind: u8, peer: u32) {
+    w.write_bits(u64::from(kind), 8);
+    w.write_varint(u64::from(peer));
+}
+
+/// Appends `frame` to `out`, encoding its clock (if it carries a chained
+/// one) against `chains` and advancing them. Returns how that clock
+/// shipped, or `None` for a payload without one.
+pub fn encode_frame_into(
+    frame: &Frame,
+    chains: &mut ClockChains,
+    out: &mut Vec<u8>,
+) -> Option<ChainFrame> {
+    frame_into(out, |w| {
+        ser_kind_peer(w, kind_of(&frame.payload), frame.peer);
+        w.write_varint(frame.from.index() as u64);
+        w.write_varint(frame.to.index() as u64);
+        w.write_varint(frame.seq);
+        match &frame.payload {
+            Payload::Detect(msg) => ser_detect(msg, frame.from.index() as u32, chains, w),
+            Payload::Verdict(cut) => {
+                ser_cut(cut.as_deref(), w);
+                None
+            }
+            Payload::Shutdown => None,
+        }
     })
 }
 
-/// Decodes a frame body — control or detect — given its kind and aux.
+/// Encodes one frame on fresh chains, so a chained clock ships as a
+/// keyframe and the bytes decode on their own (tests, tooling).
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_frame_into(frame, &mut ClockChains::new(), &mut out);
+    out
+}
+
+/// Appends a cumulative-acknowledgement frame from peer `me` to `out`:
+/// `next_expected` is `me`'s in-order delivery cursor on the link it
+/// acknowledges.
+pub fn encode_ack_into(me: u32, next_expected: u64, out: &mut Vec<u8>) {
+    frame_into(out, |w| {
+        ser_kind_peer(w, kind::ACK, me);
+        w.write_varint(next_expected);
+    });
+}
+
+/// Appends a sidecar telemetry frame to `out`: `body` is an opaque delta
+/// (`telemetry.rs`) that fills the rest of the frame.
+pub fn encode_telemetry_into(me: u32, body: &[u8], out: &mut Vec<u8>) {
+    frame_into(out, |w| {
+        ser_kind_peer(w, kind::TELEMETRY, me);
+        w.write_bytes(body);
+    });
+}
+
+/// The length varint at byte `at` of `buf`: `(varint bytes, len)`, or
+/// `None` while the varint is incomplete.
+fn length_prefix(buf: &[u8], at: usize) -> Result<Option<(usize, usize)>, CodecError> {
+    let mut len = 0;
+    let bytes = buf.get(at..).unwrap_or_default();
+    for (i, &byte) in bytes.iter().take(MAX_PREFIX_LEN).enumerate() {
+        len |= usize::from(byte & 0x7F) << (7 * i);
+        if byte & 0x80 == 0 {
+            return if (1..=MAX_FRAME_LEN).contains(&len) {
+                Ok(Some((i + 1, len)))
+            } else {
+                Err(CodecError::BadLength(len))
+            };
+        }
+    }
+    if bytes.len() >= MAX_PREFIX_LEN {
+        return Err(CodecError::BadLength(len));
+    }
+    Ok(None)
+}
+
+/// Total on-wire length (length varint included) of the frame starting at
+/// byte `at` of `buf`, or `None` while its length varint is incomplete.
 ///
-/// [`kind::ACK`] frames carry no payload and are rejected here: endpoints
-/// consume them during ingest, before payload decode.
-pub fn decode_payload(kind_byte: u8, aux: u64, body: &[u8]) -> Result<Payload, CodecError> {
-    Ok(match kind_byte {
-        kind::VERDICT => {
-            let mut br = Reader::new(body);
-            match br.u8()? {
-                0 => Payload::Verdict(None),
-                _ => {
-                    let count = br.u64()? as usize;
-                    let mut g = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        g.push(br.u64()?);
-                    }
-                    Payload::Verdict(Some(g))
+/// # Errors
+///
+/// [`CodecError::BadLength`] for a zero length, one over
+/// [`MAX_FRAME_LEN`], or a length varint longer than that cap needs —
+/// each refused as soon as its bytes are in.
+pub fn frame_len_at(buf: &[u8], at: usize) -> Result<Option<usize>, CodecError> {
+    Ok(length_prefix(buf, at)?.map(|(prefix, len)| prefix + len))
+}
+
+/// Decodes the header of a buffer holding exactly one frame, returning it
+/// with the frame's body bytes.
+///
+/// # Errors
+///
+/// A [`CodecError`] when the length disagrees with the buffer, the kind
+/// is unknown, or the header is cut short.
+pub fn decode_header(frame: &[u8]) -> Result<(WireHeader, &[u8]), CodecError> {
+    let (prefix, len) = length_prefix(frame, 0)?.ok_or(CodecError::Truncated)?;
+    if prefix + len != frame.len() {
+        return Err(CodecError::BadLength(frame.len()));
+    }
+    let r = &mut BitReader::new(&frame[prefix..]);
+    let kind = r.read_bits(8)? as u8;
+    if !matches!(kind, kind::APP_VECTOR..=kind::MULTI_VERDICT | kind::VERDICT..=kind::TELEMETRY) {
+        return Err(CodecError::BadKind(kind));
+    }
+    let peer = r.read_u32()?;
+    let (from, to, seq) = if sequenced(kind) {
+        (r.read_u32()?, r.read_u32()?, r.read_varint()?)
+    } else {
+        (0, 0, 0)
+    };
+    let head = WireHeader {
+        kind,
+        peer,
+        from: ActorId::new(from),
+        to: ActorId::new(to),
+        seq,
+    };
+    Ok((head, r.rest()))
+}
+
+/// Decodes the body of a sequenced frame, advancing `chains` for a
+/// chained clock exactly as the sender's advanced.
+///
+/// # Errors
+///
+/// A [`CodecError`] for an ack or telemetry kind, or a malformed body.
+pub fn decode_payload(
+    head: &WireHeader,
+    body: &[u8],
+    chains: &mut ClockChains,
+) -> Result<Payload, CodecError> {
+    let r = &mut BitReader::new(body);
+    let payload = match head.kind {
+        kind::VERDICT => Payload::Verdict(de_cut(r)?),
+        kind::SHUTDOWN => Payload::Shutdown,
+        kind => Payload::Detect(de_detect(kind, head.from.index() as u32, chains, r)?),
+    };
+    r.expect_padding()?;
+    Ok(payload)
+}
+
+/// Decodes a buffer holding exactly one sequenced frame, advancing
+/// `chains` as [`decode_payload`] does.
+///
+/// # Errors
+///
+/// As [`decode_header`] and [`decode_payload`].
+pub fn decode_frame(buf: &[u8], chains: &mut ClockChains) -> Result<Frame, CodecError> {
+    let (head, body) = decode_header(buf)?;
+    Ok(Frame {
+        peer: head.peer,
+        from: head.from,
+        to: head.to,
+        seq: head.seq,
+        payload: decode_payload(&head, body, chains)?,
+    })
+}
+
+/// Decodes an ack frame's body: the acknowledged `next_expected` cursor.
+///
+/// # Errors
+///
+/// A [`CodecError`] for a malformed body.
+pub fn decode_ack(body: &[u8]) -> Result<u64, CodecError> {
+    let r = &mut BitReader::new(body);
+    let cursor = r.read_varint()?;
+    r.expect_padding()?;
+    Ok(cursor)
+}
+
+/// What `payload`'s frame cost under the retired fixed-width encoding:
+/// [`V1_HEADER_LEN`] plus a body of `wire_size()` bytes for a detection
+/// message, a flag byte (then, when detected, an 8-byte count and 8
+/// bytes per entry) for a verdict, and nothing for a shutdown.
+pub fn v1_frame_len(payload: &Payload) -> usize {
+    V1_HEADER_LEN
+        + match payload {
+            Payload::Detect(msg) => msg.wire_size(),
+            Payload::Verdict(cut) => 1 + cut.as_ref().map_or(0, |g| 8 + 8 * g.len()),
+            Payload::Shutdown => 0,
+        }
+}
+
+/// The `ser` of every [`DetectMsg`] kind (see the module docs for the
+/// bodies). Returns how a chained clock shipped.
+fn ser_detect(
+    msg: &DetectMsg,
+    from: u32,
+    chains: &mut ClockChains,
+    w: &mut BitWriter<'_>,
+) -> Option<ChainFrame> {
+    match msg {
+        DetectMsg::App { msg: id, tag } => {
+            w.write_varint(id.as_u64());
+            match tag {
+                ClockTag::Vector(v) => {
+                    return Some(chains.encode_clock(from, CLASS_APP, v.as_slice(), w))
+                }
+                ClockTag::Scalar(s) => w.write_varint(*s),
+            }
+        }
+        DetectMsg::VcSnapshot(s) => {
+            w.write_varint(s.interval);
+            return Some(chains.encode_clock(from, CLASS_SNAPSHOT, s.clock.as_slice(), w));
+        }
+        DetectMsg::DdSnapshot(s) => {
+            w.write_varint(s.clock);
+            w.write_varint(s.deps.len() as u64);
+            for d in &s.deps {
+                w.write_varint(d.on.index() as u64);
+                w.write_varint(d.clock);
+            }
+        }
+        DetectMsg::EndOfTrace | DetectMsg::DdToken => {}
+        DetectMsg::VcToken(t) => ser_token(t, w),
+        DetectMsg::Poll { clock, next_red } => {
+            w.write_varint(*clock);
+            w.write_varint(next_red.map_or(0, |p| p.index() as u64 + 1));
+        }
+        DetectMsg::PollReply { became_red } => w.write_bit(*became_red),
+        DetectMsg::GroupToken(t) => {
+            w.write_varint(t.group as u64);
+            ser_token(&t.token, w);
+            for cand in &t.candidates {
+                w.write_bit(cand.is_some());
+            }
+            for clock in t.candidates.iter().flatten() {
+                debug_assert_eq!(clock.len(), t.token.g.len(), "candidates span the scope");
+                for &c in clock.as_slice() {
+                    w.write_varint(c);
                 }
             }
         }
-        kind::SHUTDOWN => Payload::Shutdown,
-        detect => Payload::Detect(decode_body(detect, aux, body)?),
-    })
-}
-
-/// Decodes one frame from a buffer that contains exactly one frame
-/// (length prefix included).
-pub fn decode_frame(buf: &[u8]) -> Result<Frame, CodecError> {
-    let h = decode_header(buf)?;
-    let payload = decode_payload(h.kind, h.aux, &buf[BODY_START..])?;
-    Ok(Frame {
-        peer: h.peer,
-        from: h.from,
-        to: h.to,
-        seq: h.seq,
-        payload,
-    })
-}
-
-/// Reads one length-prefixed frame (raw bytes, prefix included) from a
-/// stream. Returns `Ok(None)` on clean end-of-stream.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_bytes[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+        DetectMsg::MultiRegister { id, scope } => {
+            w.write_varint(*id);
+            w.write_varint(scope.len() as u64);
+            for p in scope {
+                w.write_varint(p.index() as u64);
+            }
+        }
+        DetectMsg::MultiUnregister { id } => w.write_varint(*id),
+        DetectMsg::MultiVerdict { id, verdict } => {
+            w.write_varint(*id);
+            ser_cut(verdict.as_deref(), w);
         }
     }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    let mut buf = vec![0u8; 4 + len];
-    buf[..4].copy_from_slice(&len_bytes);
-    r.read_exact(&mut buf[4..])?;
-    Ok(Some(buf))
+    None
+}
+
+/// The `de` of every [`DetectMsg`] kind: reads what [`ser_detect`] wrote
+/// for `kind`, decoding a chained clock against the `from` chain.
+fn de_detect(
+    kind: u8,
+    from: u32,
+    chains: &mut ClockChains,
+    r: &mut BitReader<'_>,
+) -> Result<DetectMsg, CodecError> {
+    Ok(match kind {
+        kind::APP_VECTOR => DetectMsg::App {
+            msg: MsgId::new(r.read_varint()?),
+            tag: ClockTag::Vector(VectorClock::from_components(
+                chains.decode_clock(from, CLASS_APP, r)?,
+            )),
+        },
+        kind::APP_SCALAR => DetectMsg::App {
+            msg: MsgId::new(r.read_varint()?),
+            tag: ClockTag::Scalar(r.read_varint()?),
+        },
+        kind::VC_SNAPSHOT => DetectMsg::VcSnapshot(VcSnapshot {
+            interval: r.read_varint()?,
+            clock: VectorClock::from_components(chains.decode_clock(from, CLASS_SNAPSHOT, r)?),
+        }),
+        kind::DD_SNAPSHOT => {
+            let clock = r.read_varint()?;
+            let deps = (0..r.read_count(16)?)
+                .map(|_| {
+                    let on = ProcessId::new(r.read_u32()?);
+                    Ok(Dependence::new(on, r.read_varint()?))
+                })
+                .collect::<Result<_, CodecError>>()?;
+            DetectMsg::DdSnapshot(DdSnapshot { clock, deps })
+        }
+        kind::END_OF_TRACE => DetectMsg::EndOfTrace,
+        kind::VC_TOKEN => DetectMsg::VcToken(de_token(r)?),
+        kind::DD_TOKEN => DetectMsg::DdToken,
+        kind::POLL => DetectMsg::Poll {
+            clock: r.read_varint()?,
+            next_red: match r.read_u32()? {
+                0 => None,
+                p => Some(ProcessId::new(p - 1)),
+            },
+        },
+        kind::POLL_REPLY => DetectMsg::PollReply {
+            became_red: r.read_bit()?,
+        },
+        kind::GROUP_TOKEN => {
+            let group =
+                usize::try_from(r.read_varint()?).map_err(|_| CodecError::OutOfRange("group"))?;
+            let token = de_token(r)?;
+            let n = token.g.len();
+            let mut present = Vec::with_capacity(n);
+            for _ in 0..n {
+                present.push(r.read_bit()?);
+            }
+            // A carried candidate is n varints of at least a byte each.
+            let carried = present.iter().filter(|&&p| p).count();
+            if carried
+                .checked_mul(n)
+                .is_none_or(|cells| cells > r.bits_remaining() / 8)
+            {
+                return Err(CodecError::OutOfRange("count"));
+            }
+            let mut candidates = vec![None; n];
+            for (cand, _) in candidates.iter_mut().zip(present).filter(|(_, p)| *p) {
+                let comps = (0..n).map(|_| r.read_varint()).collect::<Result<_, _>>()?;
+                *cand = Some(VectorClock::from_components(comps));
+            }
+            DetectMsg::GroupToken(Box::new(GroupTokenMsg {
+                group,
+                token,
+                candidates,
+            }))
+        }
+        kind::MULTI_REGISTER => DetectMsg::MultiRegister {
+            id: r.read_varint()?,
+            scope: (0..r.read_count(8)?)
+                .map(|_| Ok(ProcessId::new(r.read_u32()?)))
+                .collect::<Result<_, CodecError>>()?,
+        },
+        kind::MULTI_UNREGISTER => DetectMsg::MultiUnregister {
+            id: r.read_varint()?,
+        },
+        kind::MULTI_VERDICT => DetectMsg::MultiVerdict {
+            id: r.read_varint()?,
+            verdict: de_cut(r)?,
+        },
+        other => return Err(CodecError::BadKind(other)),
+    })
+}
+
+/// A token: varint `n`, `n` varint `G` entries, `n` colour bits.
+fn ser_token(t: &Token, w: &mut BitWriter<'_>) {
+    w.write_varint(t.g.len() as u64);
+    for &g in &t.g {
+        w.write_varint(g);
+    }
+    for &c in t.colors() {
+        w.write_bit(c == Color::Green);
+    }
+}
+
+fn de_token(r: &mut BitReader<'_>) -> Result<Token, CodecError> {
+    // An entry costs at least a one-byte varint and a colour bit.
+    let n = r.read_count(9)?;
+    let mut token = Token::new(n);
+    for g in token.g.iter_mut() {
+        *g = r.read_varint()?;
+    }
+    for i in 0..n {
+        if r.read_bit()? {
+            token.set_color(i, Color::Green);
+        }
+    }
+    Ok(token)
+}
+
+/// A verdict's cut: a presence bit, then a varint count and the entries.
+fn ser_cut(cut: Option<&[u64]>, w: &mut BitWriter<'_>) {
+    w.write_bit(cut.is_some());
+    if let Some(g) = cut {
+        w.write_varint(g.len() as u64);
+        for &v in g {
+            w.write_varint(v);
+        }
+    }
+}
+
+fn de_cut(r: &mut BitReader<'_>) -> Result<Option<Vec<u64>>, CodecError> {
+    if !r.read_bit()? {
+        return Ok(None);
+    }
+    let count = r.read_count(8)?;
+    (0..count)
+        .map(|_| r.read_varint())
+        .collect::<Result<_, _>>()
+        .map(Some)
 }
 
 #[cfg(test)]
@@ -963,19 +678,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn detect_body_length_equals_wire_size() {
-        let msg = DetectMsg::VcSnapshot(VcSnapshot {
-            interval: 5,
-            clock: VectorClock::from_components(vec![1, 2, 3]),
-        });
-        let (_, aux, body) = encode_body(&msg);
-        assert_eq!(body.len(), msg.wire_size());
-        assert_eq!(aux, 5, "interval rides in aux, outside the accounted body");
+    fn decode(bytes: &[u8]) -> Result<Frame, CodecError> {
+        decode_frame(bytes, &mut ClockChains::new())
     }
 
     #[test]
-    fn frame_roundtrips() {
+    fn control_frames_roundtrip() {
         for payload in [
             Payload::Detect(DetectMsg::EndOfTrace),
             Payload::Detect(DetectMsg::DdToken),
@@ -984,49 +692,49 @@ mod tests {
             Payload::Shutdown,
         ] {
             let f = frame(payload);
-            let bytes = encode_frame(&f);
-            assert_eq!(decode_frame(&bytes).unwrap(), f);
+            assert_eq!(decode(&encode_frame(&f)).unwrap(), f);
         }
     }
 
     #[test]
-    fn read_frame_handles_stream_and_eof() {
-        let f = frame(Payload::Detect(DetectMsg::PollReply { became_red: true }));
-        let bytes = encode_frame(&f);
-        let mut stream: Vec<u8> = Vec::new();
-        stream.extend_from_slice(&bytes);
-        stream.extend_from_slice(&bytes);
-        let mut cursor = io::Cursor::new(stream);
-        let first = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!(decode_frame(&first).unwrap(), f);
-        let second = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!(first, second);
-        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    fn a_small_frame_spends_five_header_bytes_plus_its_seq() {
+        // len, kind, peer, from, to (one byte each), then seq 42.
+        let bytes = encode_frame(&frame(Payload::Detect(DetectMsg::DdToken)));
+        assert_eq!(bytes, [5, kind::DD_TOKEN, 3, 7, 11, 42]);
+        assert_eq!(frame_len_at(&bytes, 0), Ok(Some(bytes.len())));
+        assert_eq!(frame_len_at(&bytes, bytes.len()), Ok(None), "nothing yet");
+        let (head, body) = decode_header(&bytes).unwrap();
+        assert_eq!(
+            (head.kind, head.peer, head.from, head.to, head.seq),
+            (kind::DD_TOKEN, 3, ActorId::new(7), ActorId::new(11), 42)
+        );
+        assert!(body.is_empty());
     }
 
     #[test]
-    fn header_decode_and_frame_len_agree_with_full_decode() {
-        let f = frame(Payload::Detect(DetectMsg::VcSnapshot(VcSnapshot {
-            interval: 9,
-            clock: VectorClock::from_components(vec![4, 9]),
-        })));
+    fn long_frames_widen_their_length_varint() {
+        let f = frame(Payload::Verdict(Some((0..100).map(|i| i << 20).collect())));
         let bytes = encode_frame(&f);
-        assert_eq!(frame_len_at(&bytes, 0), Some(bytes.len()));
+        assert!(bytes.len() > 130);
+        assert_eq!(frame_len_at(&bytes, 0), Ok(Some(bytes.len())));
         assert_eq!(
-            frame_len_at(&bytes, bytes.len() - 3),
-            None,
-            "partial prefix"
+            frame_len_at(&bytes[..1], 0),
+            Ok(None),
+            "half a length varint"
         );
-        let h = decode_header(&bytes).unwrap();
-        assert_eq!(h.kind, kind::VC_SNAPSHOT);
-        assert_eq!(
-            (h.peer, h.from, h.to, h.seq, h.aux),
-            (3, f.from, f.to, 42, 9)
-        );
-        assert_eq!(
-            decode_payload(h.kind, h.aux, &bytes[BODY_START..]).unwrap(),
-            f.payload
-        );
+        assert_eq!(decode(&bytes).unwrap(), f);
+    }
+
+    #[test]
+    fn frame_lengths_outside_the_cap_are_refused_at_once() {
+        let mut over = Vec::new();
+        BitWriter::new(&mut over).write_varint(MAX_FRAME_LEN as u64 + 1);
+        for refused in [&[0u8][..], &over, &[0xFF, 0xFF, 0xFF, 0xFF]] {
+            assert!(frame_len_at(refused, 0).is_err(), "{refused:?}");
+        }
+        let mut at_cap = Vec::new();
+        BitWriter::new(&mut at_cap).write_varint(MAX_FRAME_LEN as u64);
+        assert_eq!(frame_len_at(&at_cap, 0), Ok(Some(4 + MAX_FRAME_LEN)));
     }
 
     #[test]
@@ -1038,11 +746,11 @@ mod tests {
         ];
         let mut batch = Vec::new();
         for f in &frames {
-            encode_frame_into(f, &mut batch);
+            encode_frame_into(f, &mut ClockChains::new(), &mut batch);
         }
         let mut at = 0;
         for f in &frames {
-            let len = frame_len_at(&batch, at).unwrap();
+            let len = frame_len_at(&batch, at).unwrap().unwrap();
             assert_eq!(&batch[at..at + len], encode_frame(f).as_slice());
             at += len;
         }
@@ -1050,16 +758,18 @@ mod tests {
     }
 
     #[test]
-    fn ack_frames_carry_the_cursor_in_aux() {
+    fn ack_frames_carry_the_cursor_in_their_body() {
         let mut bytes = Vec::new();
         encode_ack_into(2, 640, &mut bytes);
-        assert_eq!(frame_len_at(&bytes, 0), Some(bytes.len()));
-        let h = decode_header(&bytes).unwrap();
-        assert_eq!(h.kind, kind::ACK);
-        assert_eq!(h.peer, 2);
-        assert_eq!(h.seq, CONTROL_SEQ);
-        assert_eq!(h.aux, 640);
-        assert!(decode_payload(h.kind, h.aux, &bytes[BODY_START..]).is_err());
+        assert_eq!(bytes.len(), 5, "len, kind, peer, a two-byte cursor");
+        let (head, body) = decode_header(&bytes).unwrap();
+        assert_eq!((head.kind, head.peer, head.seq), (kind::ACK, 2, 0));
+        assert_eq!(decode_ack(body), Ok(640));
+        assert_eq!(
+            decode(&bytes),
+            Err(CodecError::BadKind(kind::ACK)),
+            "acks are endpoint-internal, not a protocol payload"
+        );
     }
 
     #[test]
@@ -1067,138 +777,97 @@ mod tests {
         let body = br#"{"seq":0,"monitor":1,"event":"DetectionExhausted"}"#;
         let mut bytes = Vec::new();
         encode_telemetry_into(4, body, &mut bytes);
-        assert_eq!(frame_len_at(&bytes, 0), Some(bytes.len()));
-        let h = decode_header(&bytes).unwrap();
-        assert_eq!(h.kind, kind::TELEMETRY);
-        assert_eq!(h.peer, 4);
-        assert_eq!(h.seq, CONTROL_SEQ);
-        assert_eq!(h.aux, body.len() as u64);
-        assert_eq!(&bytes[BODY_START..], body.as_slice());
+        assert_eq!(frame_len_at(&bytes, 0), Ok(Some(bytes.len())));
+        let (head, got) = decode_header(&bytes).unwrap();
+        assert_eq!((head.kind, head.peer), (kind::TELEMETRY, 4));
+        assert_eq!(got, body.as_slice(), "the body is the rest of the frame");
         assert!(
-            decode_payload(h.kind, h.aux, &bytes[BODY_START..]).is_err(),
+            decode(&bytes).is_err(),
             "telemetry is endpoint-internal, not a protocol payload"
         );
     }
 
     #[test]
-    fn v2_tokens_roundtrip_statelessly_and_pack_tighter() {
-        let mut token = Token::new(5);
-        token.g = vec![0, 3, 120, 4000, 1];
-        token.set_color(2, Color::Green);
-        let mut group = GroupTokenMsg::new(1, 3);
-        group.token.g = vec![9, 0, 2];
-        group.token.set_color(1, Color::Green);
-        group.candidates[2] = Some(VectorClock::from_components(vec![4, 5, 6]));
-        for msg in [
-            DetectMsg::VcToken(token),
-            DetectMsg::GroupToken(Box::new(group)),
-        ] {
-            let f = frame(Payload::Detect(msg.clone()));
-            let mut chains = ClockChains::new();
-            let mut v2 = Vec::new();
-            let enc = encode_frame_into_v2(&f, &mut chains, &mut v2);
-            assert_eq!(enc, WireEncoding::Packed);
-            assert_eq!(decode_frame(&v2).unwrap(), f, "stateless v2 decode");
-            assert!(v2.len() < encode_frame(&f).len(), "packs tighter than v1");
-        }
-    }
-
-    #[test]
-    fn v2_delta_chains_need_the_endpoint_and_reconstruct_v1_bodies() {
+    fn chained_clocks_ship_as_deltas_after_a_keyframe() {
         let snapshots = [vec![1, 2, 3], vec![1, 3, 3], vec![u64::MAX, 3, 4]];
-        let mut enc_chains = ClockChains::new();
-        let mut dec_chains = ClockChains::new();
+        let mut enc = ClockChains::new();
+        let mut dec = ClockChains::new();
         for (i, clock) in snapshots.iter().enumerate() {
-            let msg = DetectMsg::VcSnapshot(VcSnapshot {
+            let f = frame(Payload::Detect(DetectMsg::VcSnapshot(VcSnapshot {
                 interval: i as u64,
                 clock: VectorClock::from_components(clock.clone()),
-            });
-            let f = frame(Payload::Detect(msg.clone()));
-            let mut v2 = Vec::new();
-            let enc = encode_frame_into_v2(&f, &mut enc_chains, &mut v2);
-            assert_eq!(
-                enc,
-                if i == 0 {
-                    WireEncoding::Keyframe
-                } else {
-                    WireEncoding::Delta
+            })));
+            let mut bytes = Vec::new();
+            let shipped = encode_frame_into(&f, &mut enc, &mut bytes);
+            let want = if i == 0 {
+                ChainFrame::Keyframe
+            } else {
+                ChainFrame::Delta
+            };
+            assert_eq!(shipped, Some(want));
+            assert_eq!(decode_frame(&bytes, &mut dec).unwrap(), f);
+            if i > 0 {
+                assert!(decode(&bytes).is_err(), "a delta needs the chain");
+            }
+        }
+    }
+
+    #[test]
+    fn group_tokens_of_any_width_roundtrip() {
+        // The presence bitmap is n bits of the body, so no width is
+        // refused: past 64 processes as below.
+        for n in [1, 64, 65, 200] {
+            let mut t = GroupTokenMsg::new(1, n);
+            t.token.g = (0..n as u64).collect();
+            t.token.set_color(n - 1, Color::Green);
+            t.candidates[n - 1] = Some(VectorClock::from_components(vec![7; n]));
+            let f = frame(Payload::Detect(DetectMsg::GroupToken(Box::new(t))));
+            assert_eq!(decode(&encode_frame(&f)).unwrap(), f, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_verdict_count_the_body_cannot_hold_is_refused_before_allocating() {
+        // An encoded `Verdict(Some(vec![1, 2]))` with its count raised: a
+        // count sized allocation would abort the process (2^32 entries)
+        // or overflow the capacity (2^62).
+        for count in [1u64 << 32, 1 << 62, u64::MAX, 3] {
+            let mut bytes = Vec::new();
+            frame_into(&mut bytes, |w| {
+                ser_kind_peer(w, kind::VERDICT, 0);
+                for header in [0, 0, 5] {
+                    w.write_varint(header);
                 }
-            );
-            let h = decode_header(&v2).unwrap();
-            assert_eq!(h.kind, kind::VC_SNAPSHOT_V2);
-            assert_eq!(h.aux, i as u64, "interval still rides in aux");
-            assert!(
-                matches!(
-                    decode_payload(h.kind, h.aux, &v2[BODY_START..]),
-                    Err(CodecError::Stateful(_))
-                ),
-                "delta frames refuse stateless decode"
-            );
-            let decoded = decode_stateful_v2(&h, &v2[BODY_START..], &mut dec_chains).unwrap();
-            let (_, _, v1_body) = encode_body(&msg);
+                w.write_bit(true);
+                w.write_varint(count);
+                w.write_varint(1);
+                w.write_varint(2);
+            });
             assert_eq!(
-                decoded,
-                DecodedV2::SnapshotClock(v1_body),
-                "reconstruction is the exact v1 (paper-unit) body"
+                decode(&bytes),
+                Err(CodecError::OutOfRange("count")),
+                "count {count}"
             );
         }
     }
 
     #[test]
-    fn v2_app_vectors_roundtrip_and_scalars_fall_back_to_v1() {
-        let mut chains = ClockChains::new();
-        let mut dec_chains = ClockChains::new();
-        let vec_msg = DetectMsg::App {
-            msg: MsgId::new(77),
-            tag: ClockTag::Vector(VectorClock::from_components(vec![5, 0, 9])),
-        };
-        let f = frame(Payload::Detect(vec_msg));
-        let mut v2 = Vec::new();
-        encode_frame_into_v2(&f, &mut chains, &mut v2);
-        let h = decode_header(&v2).unwrap();
-        assert_eq!(h.kind, kind::APP_VECTOR_V2);
-        let decoded = decode_stateful_v2(&h, &v2[BODY_START..], &mut dec_chains).unwrap();
+    fn truncated_padded_and_bogus_frames_are_rejected() {
+        let f = frame(Payload::Detect(DetectMsg::PollReply { became_red: true }));
+        let bytes = encode_frame(&f);
         assert_eq!(
-            decoded,
-            DecodedV2::AppVector(MsgId::new(77), VectorClock::from_components(vec![5, 0, 9]))
+            decode(&bytes[..bytes.len() - 1]),
+            Err(CodecError::BadLength(6))
         );
-        // O(1) payloads gain nothing from bit packing: byte-identical v1.
-        for payload in [
-            Payload::Detect(DetectMsg::App {
-                msg: MsgId::new(3),
-                tag: ClockTag::Scalar(9),
-            }),
-            Payload::Detect(DetectMsg::EndOfTrace),
-            Payload::Detect(DetectMsg::DdToken),
-            Payload::Verdict(None),
-            Payload::Shutdown,
-        ] {
-            let f = frame(payload);
-            let mut v2 = Vec::new();
-            let enc = encode_frame_into_v2(&f, &mut chains, &mut v2);
-            assert_eq!(enc, WireEncoding::V1);
-            assert_eq!(v2, encode_frame(&f));
-        }
-    }
-
-    #[test]
-    fn truncated_and_bogus_frames_are_rejected() {
-        let f = frame(Payload::Detect(DetectMsg::EndOfTrace));
-        let mut bytes = encode_frame(&f);
-        bytes.pop();
-        assert!(decode_frame(&bytes).is_err());
-        let mut bad_kind = encode_frame(&f);
-        bad_kind[4] = 0x7F;
-        assert!(matches!(
-            decode_frame(&bad_kind),
-            Err(CodecError::BadKind(0x7F))
-        ));
-        let token = DetectMsg::VcToken(Token::new(2));
-        let mut bad_color = encode_frame(&frame(Payload::Detect(token)));
-        *bad_color.last_mut().unwrap() = 9;
-        assert!(matches!(
-            decode_frame(&bad_color),
-            Err(CodecError::BadColor(9))
-        ));
+        let mut bad_kind = bytes.clone();
+        bad_kind[1] = 0x7F;
+        assert_eq!(decode(&bad_kind), Err(CodecError::BadKind(0x7F)));
+        let mut dirty = bytes.clone();
+        *dirty.last_mut().unwrap() |= 1; // a set padding bit
+        assert_eq!(decode(&dirty), Err(CodecError::BadLength(1)));
+        let mut long = bytes;
+        long.push(0);
+        long[0] += 1; // a trailing byte inside the frame
+        assert_eq!(decode(&long), Err(CodecError::BadLength(2)));
     }
 }

@@ -219,14 +219,17 @@ impl Drop for FaultyTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{
-        decode_frame, decode_header, encode_frame, encode_frame_into, frame_len_at, Frame, Payload,
-    };
+    use crate::codec::{decode_header, encode_frame, frame_len_at, Frame, Payload};
     use crate::pool::{FramePool, PooledBuf};
     use crate::transport::LoopbackTransport;
     use std::sync::mpsc::channel as mpsc_channel;
     use wcp_obs::NullRecorder;
     use wcp_sim::ActorId;
+
+    /// The sequence number of a buffer holding exactly one frame.
+    fn seq_of(raw: &[u8]) -> u64 {
+        decode_header(raw).unwrap().0.seq
+    }
 
     fn frame(seq: u64) -> Frame {
         Frame {
@@ -259,8 +262,8 @@ mod tests {
         while let Ok(chunk) = rx.try_recv() {
             let mut at = 0;
             while at < chunk.len() {
-                let len = frame_len_at(&chunk, at).unwrap();
-                seqs.push(decode_frame(&chunk[at..at + len]).unwrap().seq);
+                let len = frame_len_at(&chunk, at).unwrap().unwrap();
+                seqs.push(seq_of(&chunk[at..at + len]));
                 at += len;
             }
         }
@@ -274,7 +277,7 @@ mod tests {
             t.send(&encode_frame(&frame(seq))).unwrap();
         }
         for seq in 0..5 {
-            assert_eq!(decode_frame(&rx.recv().unwrap()).unwrap(), frame(seq));
+            assert_eq!(*rx.recv().unwrap(), encode_frame(&frame(seq)));
         }
         t.close();
     }
@@ -294,7 +297,7 @@ mod tests {
         t.close(); // drains the delay worker
         let mut seen = std::collections::HashSet::new();
         while let Ok(raw) = rx.try_recv() {
-            seen.insert(decode_frame(&raw).unwrap().seq);
+            seen.insert(seq_of(&raw));
         }
         for seq in 0..total {
             assert!(seen.contains(&seq), "frame {seq} lost");
@@ -312,7 +315,7 @@ mod tests {
             t.close();
             let mut seqs = Vec::new();
             while let Ok(raw) = rx.try_recv() {
-                seqs.push(decode_frame(&raw).unwrap().seq);
+                seqs.push(seq_of(&raw));
             }
             seqs
         };
@@ -342,7 +345,7 @@ mod tests {
         let (mut batched, rx_b) = faulty(cfg);
         let mut batch = Vec::new();
         for seq in 0..40 {
-            encode_frame_into(&frame(seq), &mut batch);
+            batch.extend_from_slice(&encode_frame(&frame(seq)));
         }
         batched.send_batch(&batch).unwrap();
         batched.close();
@@ -383,8 +386,8 @@ mod tests {
         while let Ok(chunk) = rx_mixed.try_recv() {
             let mut at = 0;
             while at < chunk.len() {
-                let len = frame_len_at(&chunk, at).unwrap();
-                let head = decode_header(&chunk[at..at + len]).unwrap();
+                let len = frame_len_at(&chunk, at).unwrap().unwrap();
+                let (head, _) = decode_header(&chunk[at..at + len]).unwrap();
                 if head.kind == crate::codec::kind::TELEMETRY {
                     telemetry_delivered += 1;
                 } else {

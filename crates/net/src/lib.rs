@@ -5,12 +5,12 @@
 //! discrete-event simulator; this crate is the real-concurrency substrate
 //! and closes the loop to actual I/O. It provides, bottom to top:
 //!
-//! - [`codec`] — a hand-rolled length-prefixed binary wire format for
-//!   every [`DetectMsg`](wcp_detect::online::DetectMsg). Its v1 body size
-//!   is exactly the message's [`wire_size()`](wcp_sim::WireSize), the
-//!   paper-unit accounting; every link sends the bit-packed,
-//!   delta-compressed v2 form ([`wire2`]) from its first frame, and
-//!   [`NetStats`] counts what the same frames cost under v1;
+//! - [`codec`] — the one wire encoding: every frame kind, header
+//!   included, bit-packed by one `ser`/`de` pair over [`wire2`], with
+//!   vector clocks delta-compressed per link. Bytes on the wire are not
+//!   the paper's unit: [`wire_size()`](wcp_sim::WireSize) stays the
+//!   paper-unit accounting, and [`NetStats`] counts what the same frames
+//!   cost under the retired fixed-width encoding;
 //! - [`transport`] — the [`Transport`] trait with an in-memory loopback,
 //!   the in-process TCP link that reads its own bytes back, and the TCP
 //!   transport and reader threads of a standalone `wcp serve` peer, all
@@ -61,10 +61,10 @@ pub mod transport;
 pub mod wire2;
 mod worker;
 
-pub use codec::{decode_frame, encode_frame, read_frame, CodecError, Frame, Payload};
+pub use codec::{decode_frame, encode_frame, CodecError, Frame, Payload};
 pub use fault::{link_seed, FaultyTransport};
 pub use multi::{run_multi_net, serve_multi_peer, MultiNetReport};
-pub use peer::{Endpoint, RawFrame};
+pub use peer::Endpoint;
 pub use pool::{FramePool, PooledBuf};
 pub use runner::{
     run_net, run_vc_token_net, serve_vc_peer, NetConfig, NetReport, PeerReport, TransportKind,

@@ -24,7 +24,7 @@
 //! ## The batched data path
 //!
 //! Each link owns an outbound batch buffer: sends encode in place
-//! ([`encode_frame_into_v2`]) and *bulk* payloads (application messages and
+//! ([`encode_frame_into`]) and *bulk* payloads (application messages and
 //! snapshots) accumulate until [`MAX_BATCH_BYTES`] or an explicit flush,
 //! at which point the whole batch goes to the transport in one
 //! [`Transport::send_batch`] — one write per wakeup instead of one per
@@ -36,11 +36,12 @@
 //! is what keeps the fault model and `NetStats` semantics bit-identical
 //! to the per-frame path (`NetConfig::with_per_frame_writes`).
 //!
-//! Inbound, frames arrive in pooled chunks of one or more frames; only
-//! the fixed header is decoded for dedup/resequencing ([`RawFrame`]), and
-//! payload decode is deferred to delivery — vector-clock snapshots skip
-//! `DetectMsg` entirely and deserialize straight into the monitor's
-//! arena (`VcMonitor::on_snapshot_wire`).
+//! Inbound, frames arrive in pooled chunks of one or more frames. Only
+//! the header is decoded for dedup and resequencing; each body is
+//! decoded once, at in-sequence promotion, where the link's clock delta
+//! chains advance in the sender's order. [`Endpoint::recv`] hands out
+//! the decoded [`Frame`], and a frame that arrived ahead of a gap waits
+//! as bytes until the gap fills.
 //!
 //! Replay logs no longer grow without bound: receivers acknowledge
 //! in-order delivery every [`ACK_EVERY`] frames (advisory `ACK` frames
@@ -54,24 +55,19 @@ use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use wcp_detect::online::{DetectMsg, Hosted, OnlineDetection, SharedOutcome};
+use wcp_detect::online::{DetectActor, DetectMsg, OnlineDetection, SharedOutcome};
 use wcp_obs::{LogicalTime, Recorder, TelemetrySink, TraceEvent};
 use wcp_sim::{Actor, ActorId, Context, SimMetrics, WireSize};
 
-use wcp_clocks::VectorClock;
-use wcp_detect::online::ClockTag;
-use wcp_detect::VcSnapshot;
-
 use crate::codec::{
-    decode_header, decode_payload, decode_stateful_v2, encode_ack_into, encode_frame_into_v2,
-    encode_telemetry_into, frame_len_at, kind, CodecError, DecodedV2, Frame, Payload, WireEncoding,
-    WireHeader, BODY_START,
+    decode_ack, decode_header, decode_payload, encode_ack_into, encode_frame_into,
+    encode_telemetry_into, frame_len_at, kind, v1_frame_len, Frame, Payload, WireHeader,
 };
 use crate::pool::PooledBuf;
 use crate::stats::{NetCounters, NetStats};
 use crate::telemetry::SidecarRecorder;
 use crate::transport::Transport;
-use crate::wire2::ClockChains;
+use crate::wire2::{ChainFrame, ClockChains};
 
 /// Flush threshold of a link's outbound batch: bulk sends past this size
 /// go to the wire even without an explicit flush, bounding both batch
@@ -149,9 +145,9 @@ struct Link {
     batch: Vec<u8>,
     /// Frame count of `batch`.
     batch_frames: u64,
-    /// Sender-side delta-chain state (wire v2): the last clock shipped
-    /// per originating actor and stream class. Replay resends logged
-    /// bytes, so this never rewinds.
+    /// Sender-side delta-chain state: the last clock shipped per
+    /// originating actor and stream class. Replay resends logged bytes,
+    /// so this never rewinds.
     chains: ClockChains,
 }
 
@@ -161,107 +157,31 @@ struct Inbound {
     next_expected: u64,
     /// The `next_expected` value last acknowledged back to the sender.
     acked: u64,
-    pending: BTreeMap<u64, RawFrame>,
-    /// Receiver-side delta-chain state (wire v2), advanced only at
-    /// in-sequence promotion — after dedup — so it mirrors the sender's
-    /// chains exactly under replay, duplication, and reordering.
+    /// Frames that arrived ahead of a gap: header and body bytes, decoded
+    /// once the gap fills.
+    pending: BTreeMap<u64, (WireHeader, Vec<u8>)>,
+    /// Receiver-side delta-chain state, advanced only at in-sequence
+    /// promotion — after dedup — so it mirrors the sender's chains
+    /// exactly under replay, duplication, and reordering.
     chains: ClockChains,
 }
 
-/// One inbound frame: routing header decoded, payload bytes still inside
-/// the pooled chunk they arrived in. Payload decode is deferred to
-/// delivery ([`RawFrame::payload`]) — or skipped entirely for snapshot
-/// frames consumed arena-direct ([`RawFrame::body`]).
-pub struct RawFrame {
-    head: WireHeader,
-    chunk: Arc<PooledBuf>,
-    /// Byte offset of the frame (length prefix included) within `chunk`.
-    at: usize,
-    /// Total frame length, prefix included.
-    len: usize,
-    /// For delta-chained v2 frames: the body reconstructed at in-sequence
-    /// promotion (the chunk holds only the delta, which is meaningless
-    /// without the chain state it was promoted against).
-    decoded: Option<DecodedV2>,
-}
-
-impl RawFrame {
-    /// Sending peer index.
-    pub fn peer(&self) -> u32 {
-        self.head.peer
-    }
-
-    /// Originating actor.
-    pub fn from_actor(&self) -> ActorId {
-        self.head.from
-    }
-
-    /// Destination actor.
-    pub fn to_actor(&self) -> ActorId {
-        self.head.to
-    }
-
-    /// Per-link sequence number.
-    pub fn seq(&self) -> u64 {
-        self.head.seq
-    }
-
-    /// Frame kind byte (see [`kind`]).
-    pub fn kind(&self) -> u8 {
-        self.head.kind
-    }
-
-    /// The raw body bytes (after the fixed header).
-    pub fn body(&self) -> &[u8] {
-        &self.chunk[self.at + BODY_START..self.at + self.len]
-    }
-
-    /// The snapshot clock as little-endian component bytes — the v1 body
-    /// layout the arena-direct decode path consumes. For a v1
-    /// `VC_SNAPSHOT` frame (tests, tooling) this is the raw body; for the
-    /// `VC_SNAPSHOT_V2` frames endpoints send it is the clock
-    /// reconstructed at promotion.
-    pub fn clock_le(&self) -> &[u8] {
-        match &self.decoded {
-            Some(DecodedV2::SnapshotClock(le)) => le,
-            _ => self.body(),
-        }
-    }
-
-    /// Decodes the payload.
-    pub fn payload(&self) -> Result<Payload, CodecError> {
-        match &self.decoded {
-            Some(DecodedV2::AppVector(id, clock)) => Ok(Payload::Detect(DetectMsg::App {
-                msg: *id,
-                tag: ClockTag::Vector(clock.clone()),
-            })),
-            Some(DecodedV2::SnapshotClock(le)) => {
-                let comps = le
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                    .collect();
-                Ok(Payload::Detect(DetectMsg::VcSnapshot(VcSnapshot {
-                    interval: self.head.aux,
-                    clock: VectorClock::from_components(comps),
-                })))
-            }
-            None => decode_payload(self.head.kind, self.head.aux, self.body()),
-        }
-    }
-
-    /// Decodes the whole frame into its owned form (tests, tooling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the body bytes are corrupt.
-    pub fn to_frame(&self) -> Frame {
-        Frame {
-            peer: self.head.peer,
-            from: self.head.from,
-            to: self.head.to,
-            seq: self.head.seq,
-            payload: self.payload().expect("corrupt frame on the wire"),
-        }
+impl Inbound {
+    /// Promotes the next in-sequence frame: its body decodes here, the
+    /// unique in-sequence point after dedup, so the chains advance once
+    /// per sequence number, in step with the sender's, whatever the
+    /// transport replayed or reordered.
+    fn promote(&mut self, head: &WireHeader, body: &[u8], ready: &mut VecDeque<Frame>) {
+        self.next_expected += 1;
+        let payload =
+            decode_payload(head, body, &mut self.chains).expect("corrupt frame on the wire");
+        ready.push_back(Frame {
+            peer: head.peer,
+            from: head.from,
+            to: head.to,
+            seq: head.seq,
+            payload,
+        });
     }
 }
 
@@ -284,7 +204,7 @@ pub struct Endpoint {
     links: Vec<Option<Link>>,
     inbox: Receiver<PooledBuf>,
     inbound: Vec<Inbound>,
-    ready: VecDeque<RawFrame>,
+    ready: VecDeque<Frame>,
     counters: Arc<NetCounters>,
     recorder: Arc<dyn Recorder>,
     /// When `false`, every send flushes its frame individually (the
@@ -306,7 +226,7 @@ impl Endpoint {
     /// Builds the endpoint for peer `me` of `n_peers`. `links[j]` must be
     /// `Some` for every `j != me`. `batch` enables send coalescing;
     /// per-frame mode is behaviourally identical on the wire, one write
-    /// per frame. Every link speaks wire v2 from its first frame.
+    /// per frame.
     pub fn new(
         me: u32,
         links: Vec<Option<Box<dyn Transport>>>,
@@ -381,7 +301,7 @@ impl Endpoint {
         };
         link.next_seq += 1;
         let start = link.batch.len();
-        let encoding = encode_frame_into_v2(&frame, &mut link.chains, &mut link.batch);
+        let chained = encode_frame_into(&frame, &mut link.chains, &mut link.batch);
         let frame_len = (link.batch.len() - start) as u64;
         link.log.push(frame.seq, &link.batch[start..]);
         link.batch_frames += 1;
@@ -390,26 +310,19 @@ impl Endpoint {
         self.counters
             .bytes_sent
             .fetch_add(frame_len, Ordering::Relaxed);
-        // Compression accounting: what this frame would have cost under
-        // v1 (a Detect body is exactly `wire_size()` bytes there), the
-        // paper-unit baseline the v2 bytes are measured against.
-        let v1_equiv = match &frame.payload {
-            Payload::Detect(msg) => (BODY_START + msg.wire_size()) as u64,
-            _ => frame_len,
-        };
         self.counters
             .wire_bytes_v1_equiv
-            .fetch_add(v1_equiv, Ordering::Relaxed);
-        match encoding {
-            WireEncoding::Keyframe => {
+            .fetch_add(v1_frame_len(&frame.payload) as u64, Ordering::Relaxed);
+        match chained {
+            Some(ChainFrame::Keyframe) => {
                 self.counters.keyframes_sent.fetch_add(1, Ordering::Relaxed);
             }
-            WireEncoding::Delta => {
+            Some(ChainFrame::Delta) => {
                 self.counters
                     .delta_frames_sent
                     .fetch_add(1, Ordering::Relaxed);
             }
-            WireEncoding::V1 | WireEncoding::Packed => {}
+            None => {}
         }
         self.recorder.record(
             self.me,
@@ -526,7 +439,7 @@ impl Endpoint {
     /// Receives the next in-order frame, waiting up to `timeout`.
     /// Duplicates are dropped and out-of-order frames held until the gap
     /// fills; returns `None` on timeout.
-    pub fn recv(&mut self, timeout: Duration) -> Option<RawFrame> {
+    pub fn recv(&mut self, timeout: Duration) -> Option<Frame> {
         let deadline = Instant::now() + timeout;
         loop {
             if let Some(frame) = self.try_recv() {
@@ -539,7 +452,7 @@ impl Endpoint {
 
     /// Receives the next in-order frame if one has already arrived;
     /// never blocks.
-    pub(crate) fn try_recv(&mut self) -> Option<RawFrame> {
+    pub(crate) fn try_recv(&mut self) -> Option<Frame> {
         loop {
             if let Some(frame) = self.ready.pop_front() {
                 return Some(frame);
@@ -551,41 +464,43 @@ impl Endpoint {
     /// Walks one inbound chunk's complete frames (transports only deliver
     /// whole frames per chunk; partial reads are reassembled below them).
     fn ingest(&mut self, chunk: PooledBuf) {
-        let chunk = Arc::new(chunk);
         let mut at = 0;
         while at < chunk.len() {
             let len = frame_len_at(&chunk, at)
+                .ok()
+                .flatten()
                 .filter(|len| at + len <= chunk.len())
                 .expect("corrupt frame on the wire");
-            let head = decode_header(&chunk[at..at + len]).expect("corrupt frame on the wire");
-            self.accept(RawFrame {
-                head,
-                chunk: Arc::clone(&chunk),
-                at,
-                len,
-                decoded: None,
-            });
+            let (head, body) =
+                decode_header(&chunk[at..at + len]).expect("corrupt frame on the wire");
+            self.accept(&head, body, len);
             at += len;
         }
     }
 
-    /// Dedup/resequencing for one frame; acknowledgements short-circuit
-    /// into log truncation before the sequence machinery. A frame naming
-    /// a peer this endpoint does not have is dropped: the id comes off
-    /// the socket, so it must not index the per-peer state unchecked.
-    fn accept(&mut self, frame: RawFrame) {
-        let peer = frame.head.peer as usize;
+    /// Dedup/resequencing for one `len`-byte frame; acknowledgements
+    /// short-circuit into log truncation before the sequence machinery. A
+    /// frame naming a peer this endpoint does not have is dropped: the id
+    /// comes off the socket, so it must not index the per-peer state
+    /// unchecked.
+    fn accept(&mut self, head: &WireHeader, body: &[u8], len: usize) {
+        let peer = head.peer as usize;
         if peer >= self.inbound.len() {
             return;
         }
-        if frame.head.kind == kind::ACK {
+        if head.kind == kind::ACK {
+            // Advisory: a malformed ack is dropped like a lost one, which
+            // only defers truncation to the next.
             self.counters.acks_received.fetch_add(1, Ordering::Relaxed);
-            if let Some(link) = self.links.get_mut(peer).and_then(Option::as_mut) {
-                link.log.truncate_acked(frame.head.aux);
+            if let (Ok(cursor), Some(link)) = (
+                decode_ack(body),
+                self.links.get_mut(peer).and_then(Option::as_mut),
+            ) {
+                link.log.truncate_acked(cursor);
             }
             return;
         }
-        if frame.head.kind == kind::TELEMETRY {
+        if head.kind == kind::TELEMETRY {
             // Sidecar telemetry is endpoint-internal like acks: consumed
             // here, never deduplicated, resequenced, or delivered to an
             // actor. A malformed body is dropped — telemetry must never
@@ -594,12 +509,12 @@ impl Endpoint {
                 .telemetry_received
                 .fetch_add(1, Ordering::Relaxed);
             if let Some(collector) = &self.collector {
-                collector.ingest(frame.body());
+                collector.ingest(body);
             }
             return;
         }
         let st = &mut self.inbound[peer];
-        if frame.head.seq < st.next_expected || st.pending.contains_key(&frame.head.seq) {
+        if head.seq < st.next_expected || st.pending.contains_key(&head.seq) {
             self.counters
                 .duplicates_dropped
                 .fetch_add(1, Ordering::Relaxed);
@@ -610,31 +525,23 @@ impl Endpoint {
             .fetch_add(1, Ordering::Relaxed);
         self.counters
             .bytes_received
-            .fetch_add(frame.len as u64, Ordering::Relaxed);
+            .fetch_add(len as u64, Ordering::Relaxed);
         self.recorder.record(
             self.me,
             LogicalTime::Unknown,
             TraceEvent::FrameReceived {
-                from: frame.head.peer,
-                bytes: frame.len as u64,
+                from: head.peer,
+                bytes: len as u64,
             },
         );
-        if frame.head.seq > st.next_expected {
+        if head.seq == st.next_expected {
+            st.promote(head, body, &mut self.ready);
+        } else {
             self.counters.reordered.fetch_add(1, Ordering::Relaxed);
+            st.pending.insert(head.seq, (*head, body.to_vec()));
         }
-        st.pending.insert(frame.head.seq, frame);
-        while let Some(mut f) = st.pending.remove(&st.next_expected) {
-            st.next_expected += 1;
-            // Delta-chained v2 bodies decode here — the unique
-            // in-sequence point after dedup, so the receiver chain
-            // advances exactly once per sequence number, in step with
-            // the sender's, whatever the transport replayed or reordered.
-            if matches!(f.head.kind, kind::APP_VECTOR_V2 | kind::VC_SNAPSHOT_V2) {
-                let decoded = decode_stateful_v2(&f.head, f.body(), &mut st.chains)
-                    .expect("corrupt frame on the wire");
-                f.decoded = Some(decoded);
-            }
-            self.ready.push_back(f);
+        while let Some((head, body)) = st.pending.remove(&st.next_expected) {
+            st.promote(&head, &body, &mut self.ready);
         }
         let cursor = st.next_expected;
         let due = cursor >= st.acked + ACK_EVERY;
@@ -674,7 +581,7 @@ impl Endpoint {
     /// retransmitted), and dropped silently on error — a lost delta only
     /// thins the collected timeline, never the detection.
     pub fn send_telemetry(&mut self, to_peer: u32, body: &[u8]) {
-        let mut buf = Vec::with_capacity(BODY_START + body.len());
+        let mut buf = Vec::with_capacity(body.len() + 8);
         encode_telemetry_into(self.me, body, &mut buf);
         let Some(link) = self
             .links
@@ -777,8 +684,9 @@ pub(crate) struct PeerHost {
     pub(crate) index: u32,
     /// The peer's network endpoint.
     pub(crate) endpoint: Endpoint,
-    /// Hosted actors with their global actor ids, in id order.
-    pub(crate) actors: Vec<(ActorId, Hosted)>,
+    /// The actors this peer hosts, with their global actor ids, in id
+    /// order.
+    pub(crate) actors: Vec<(ActorId, DetectActor)>,
     /// Hosting peer of every actor, indexed by actor id.
     pub(crate) actor_peer: Arc<Vec<u32>>,
     /// Paper-unit send/work accounting (shared in-process, local when the
@@ -866,7 +774,7 @@ impl Running {
         };
         running.staged(|running| {
             for slot in 0..running.host.actors.len() {
-                running.dispatch(slot, |actor, ctx| actor.actor_mut().on_start(ctx));
+                running.dispatch(slot, |actor, ctx| actor.on_start(ctx));
             }
             if running.stop {
                 running.finish();
@@ -910,7 +818,7 @@ impl Running {
     }
 
     /// Runs `f` on the actor in `slot` with its [`NetCtx`].
-    fn dispatch(&mut self, slot: usize, f: impl FnOnce(&mut Hosted, &mut NetCtx)) {
+    fn dispatch(&mut self, slot: usize, f: impl FnOnce(&mut dyn Actor<DetectMsg>, &mut NetCtx)) {
         let host = &mut self.host;
         let (id, actor) = &mut host.actors[slot];
         let mut ctx = NetCtx {
@@ -922,7 +830,7 @@ impl Running {
             metrics: &host.metrics,
             stop: &mut self.stop,
         };
-        f(actor, &mut ctx);
+        f(&mut **actor, &mut ctx);
     }
 
     /// The hosting slot of actor `to`, counting the delivery; `None` if
@@ -965,9 +873,7 @@ impl Running {
             let slot = self
                 .receiver(to)
                 .expect("local sends go to actors this peer hosts");
-            self.dispatch(slot, |actor, ctx| {
-                actor.actor_mut().on_message(ctx, from, msg)
-            });
+            self.dispatch(slot, |actor, ctx| actor.on_message(ctx, from, msg));
         } else {
             // About to look at the wire: every coalesced frame must be on
             // its way first, or a remote peer could wait on bytes sitting
@@ -986,52 +892,33 @@ impl Running {
     }
 
     /// Delivers one inbound frame; returns `true` for a shutdown frame.
-    fn deliver(&mut self, frame: RawFrame) -> bool {
-        let frame_kind = frame.kind();
-        if matches!(frame_kind, kind::VERDICT | kind::SHUTDOWN) {
-            return match frame.payload().expect("corrupt frame on the wire") {
-                Payload::Verdict(v) => {
-                    let mut cell = self
-                        .host
-                        .result
-                        .lock()
-                        .expect("a peer panicked while publishing a verdict");
-                    if cell.is_none() {
-                        *cell = Some(match v {
-                            Some(g) => OnlineDetection::Detected(g),
-                            None => OnlineDetection::Undetected,
-                        });
-                    }
-                    false
+    fn deliver(&mut self, frame: Frame) -> bool {
+        match frame.payload {
+            Payload::Verdict(v) => {
+                let mut cell = self
+                    .host
+                    .result
+                    .lock()
+                    .expect("a peer panicked while publishing a verdict");
+                if cell.is_none() {
+                    *cell = Some(match v {
+                        Some(g) => OnlineDetection::Detected(g),
+                        None => OnlineDetection::Undetected,
+                    });
                 }
-                Payload::Shutdown => true,
-                Payload::Detect(_) => unreachable!("control kind decodes to control"),
-            };
+                false
+            }
+            Payload::Shutdown => true,
+            Payload::Detect(msg) => {
+                // The actor id comes off the socket: a frame for an actor
+                // this peer does not host is dropped, never indexed
+                // unchecked.
+                if let Some(slot) = self.receiver(frame.to) {
+                    self.dispatch(slot, |actor, ctx| actor.on_message(ctx, frame.from, msg));
+                }
+                false
+            }
         }
-        // The actor id comes off the socket: a frame for an actor this
-        // peer does not host is dropped, never indexed unchecked.
-        let Some(slot) = self.receiver(frame.to_actor()) else {
-            return false;
-        };
-        self.dispatch(slot, |actor, ctx| match actor {
-            // Arena-direct: the snapshot clock deserializes straight into
-            // the monitor's queue. A v2 frame was reconstructed to the v1
-            // little-endian layout at promotion, so both kinds feed the
-            // identical bytes (and paper units) in.
-            Hosted::Vc(monitor)
-                if frame_kind == kind::VC_SNAPSHOT || frame_kind == kind::VC_SNAPSHOT_V2 =>
-            {
-                monitor.on_snapshot_wire(ctx, frame.clock_le());
-            }
-            actor => {
-                let payload = frame.payload().expect("corrupt frame on the wire");
-                let Payload::Detect(msg) = payload else {
-                    unreachable!("detect kind decodes to detect payload")
-                };
-                actor.actor_mut().on_message(ctx, frame.from_actor(), msg);
-            }
-        });
-        false
     }
 
     /// The idle duty, run when the worker saw no inbound data for a poll
@@ -1055,7 +942,7 @@ impl Running {
 
     /// The hosted actors, for a stalled run's panic message.
     pub(crate) fn actors(&self) -> impl Iterator<Item = &dyn Actor<DetectMsg>> {
-        self.host.actors.iter().map(|(_, a)| a.actor())
+        self.host.actors.iter().map(|(_, a)| &**a)
     }
 
     /// Leaves the loop: a deciding peer broadcasts the verdict and an
@@ -1091,11 +978,13 @@ impl Running {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{encode_frame, encode_frame_into};
+    use crate::codec::encode_frame;
     use crate::pool::FramePool;
     use crate::transport::LoopbackTransport;
     use std::sync::mpsc::channel;
+    use wcp_clocks::VectorClock;
     use wcp_detect::online::ClockTag;
+    use wcp_detect::VcSnapshot;
     use wcp_obs::NullRecorder;
     use wcp_trace::MsgId;
 
@@ -1104,7 +993,7 @@ mod tests {
     /// when the test host is loaded and the reader thread is scheduled
     /// late; a deadline loop gives the whole budget to the slow case while
     /// staying fast in the common one.
-    fn recv_deadline(e: &mut Endpoint, total: Duration) -> RawFrame {
+    fn recv_deadline(e: &mut Endpoint, total: Duration) -> Frame {
         let deadline = Instant::now() + total;
         loop {
             if let Some(f) = e.recv(Duration::from_millis(10)) {
@@ -1156,8 +1045,8 @@ mod tests {
         }
         for seq in 0..3 {
             let f = recv_deadline(&mut e1, Duration::from_secs(10));
-            assert_eq!(f.seq(), seq);
-            assert_eq!(f.peer(), 0);
+            assert_eq!(f.seq, seq);
+            assert_eq!(f.peer, 0);
         }
         assert!(e1.recv(Duration::from_millis(10)).is_none());
     }
@@ -1182,8 +1071,8 @@ mod tests {
         e0.flush_link(1);
         for seq in 0..10 {
             let f = recv_deadline(&mut e1, Duration::from_secs(10));
-            assert_eq!(f.seq(), seq);
-            assert_eq!(f.to_frame().peer, 0);
+            assert_eq!(f.seq, seq);
+            assert_eq!(f.peer, 0);
         }
     }
 
@@ -1203,8 +1092,8 @@ mod tests {
         // A token is latency-sensitive: it (and the batched app frame
         // before it) hits the wire without an explicit flush.
         e0.send(1, a, a, Payload::Detect(DetectMsg::DdToken));
-        assert_eq!(recv_deadline(&mut e1, Duration::from_secs(10)).seq(), 0);
-        assert_eq!(recv_deadline(&mut e1, Duration::from_secs(10)).seq(), 1);
+        assert_eq!(recv_deadline(&mut e1, Duration::from_secs(10)).seq, 0);
+        assert_eq!(recv_deadline(&mut e1, Duration::from_secs(10)).seq, 1);
     }
 
     #[test]
@@ -1237,7 +1126,7 @@ mod tests {
         tx.send(mk(0)).unwrap();
         tx.send(mk(2)).unwrap();
         let seqs: Vec<u64> = (0..3)
-            .map(|_| recv_deadline(&mut e, Duration::from_secs(10)).seq())
+            .map(|_| recv_deadline(&mut e, Duration::from_secs(10)).seq)
             .collect();
         assert_eq!(seqs, vec![0, 1, 2], "resequenced");
         assert!(e.recv(Duration::from_millis(10)).is_none(), "dup dropped");
@@ -1245,6 +1134,54 @@ mod tests {
         assert_eq!(stats.duplicates_dropped, 1);
         assert_eq!(stats.reordered, 1);
         assert!(stats.max_ready_depth >= 1, "backpressure HWM tracked");
+    }
+
+    #[test]
+    fn chained_frames_that_arrive_out_of_order_decode_in_sequence_order() {
+        // A delta is meaningless without the frames before it: a frame
+        // held for resequencing decodes only once the gap fills, against
+        // the chain its predecessors advanced.
+        let (tx, rx) = channel();
+        let counters = NetCounters::shared();
+        let pool = FramePool::shared(counters.clone());
+        let mut e = Endpoint::new(
+            1,
+            vec![None, None],
+            rx,
+            counters,
+            Arc::new(NullRecorder),
+            true,
+        );
+        let frames: Vec<Frame> = (0..3u64)
+            .map(|seq| Frame {
+                peer: 0,
+                from: ActorId::new(0),
+                to: ActorId::new(1),
+                seq,
+                payload: Payload::Detect(DetectMsg::VcSnapshot(VcSnapshot {
+                    interval: seq + 1,
+                    clock: VectorClock::from_components(vec![seq + 1, 4, seq]),
+                })),
+            })
+            .collect();
+        let mut chains = ClockChains::new();
+        let encoded: Vec<Vec<u8>> = frames
+            .iter()
+            .map(|f| {
+                let mut bytes = Vec::new();
+                encode_frame_into(f, &mut chains, &mut bytes);
+                bytes
+            })
+            .collect();
+        for i in [2, 1, 2, 0] {
+            let mut chunk = pool.take();
+            chunk.extend_from_slice(&encoded[i]);
+            tx.send(chunk).unwrap();
+        }
+        for want in &frames {
+            assert_eq!(&recv_deadline(&mut e, Duration::from_secs(10)), want);
+        }
+        assert!(e.recv(Duration::from_millis(10)).is_none(), "dup dropped");
     }
 
     #[test]
@@ -1264,20 +1201,17 @@ mod tests {
         );
         let mut chunk = pool.take();
         for seq in 0..4 {
-            encode_frame_into(
-                &Frame {
-                    peer: 0,
-                    from: ActorId::new(0),
-                    to: ActorId::new(1),
-                    seq,
-                    payload: Payload::Detect(DetectMsg::DdToken),
-                },
-                &mut chunk,
-            );
+            chunk.extend_from_slice(&encode_frame(&Frame {
+                peer: 0,
+                from: ActorId::new(0),
+                to: ActorId::new(1),
+                seq,
+                payload: Payload::Detect(DetectMsg::DdToken),
+            }));
         }
         tx.send(chunk).unwrap();
         for seq in 0..4 {
-            assert_eq!(recv_deadline(&mut e, Duration::from_secs(10)).seq(), seq);
+            assert_eq!(recv_deadline(&mut e, Duration::from_secs(10)).seq, seq);
         }
     }
 
@@ -1298,20 +1232,17 @@ mod tests {
         );
         let mut chunk = pool.take();
         for peer in [2, u32::MAX, 0] {
-            encode_frame_into(
-                &Frame {
-                    peer,
-                    from: ActorId::new(0),
-                    to: ActorId::new(1),
-                    seq: 0,
-                    payload: Payload::Detect(DetectMsg::DdToken),
-                },
-                &mut chunk,
-            );
+            chunk.extend_from_slice(&encode_frame(&Frame {
+                peer,
+                from: ActorId::new(0),
+                to: ActorId::new(1),
+                seq: 0,
+                payload: Payload::Detect(DetectMsg::DdToken),
+            }));
         }
         tx.send(chunk).unwrap();
         let f = recv_deadline(&mut e, Duration::from_secs(10));
-        assert_eq!((f.peer(), f.seq()), (0, 0));
+        assert_eq!((f.peer, f.seq), (0, 0));
         assert!(
             e.recv(Duration::from_millis(10)).is_none(),
             "only one frame"
@@ -1347,10 +1278,7 @@ mod tests {
         let mut running = Running::start(PeerHost {
             index: 1,
             endpoint,
-            actors: vec![(
-                ActorId::new(1),
-                Hosted::boxed(Tally(Arc::clone(&delivered))),
-            )],
+            actors: vec![(ActorId::new(1), Box::new(Tally(Arc::clone(&delivered))))],
             actor_peer: Arc::new(vec![0, 1]),
             metrics: Arc::new(Mutex::new(SimMetrics::new(2))),
             result: Arc::new(Mutex::new(None)),
@@ -1359,16 +1287,13 @@ mod tests {
         });
         let mut chunk = pool.take();
         for (seq, to) in [(0, 0), (1, u32::MAX), (2, 1)] {
-            encode_frame_into(
-                &Frame {
-                    peer: 0,
-                    from: ActorId::new(0),
-                    to: ActorId::new(to),
-                    seq,
-                    payload: Payload::Detect(DetectMsg::DdToken),
-                },
-                &mut chunk,
-            );
+            chunk.extend_from_slice(&encode_frame(&Frame {
+                peer: 0,
+                from: ActorId::new(0),
+                to: ActorId::new(to),
+                seq,
+                payload: Payload::Detect(DetectMsg::DdToken),
+            }));
         }
         tx.send(chunk).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -1442,7 +1367,7 @@ mod tests {
         let a = ActorId::new(0);
         e0.send(1, a, a, Payload::Detect(DetectMsg::DdToken));
         let f = recv_deadline(&mut e1, Duration::from_secs(10));
-        assert_eq!(f.seq(), 0);
+        assert_eq!(f.seq, 0);
         let stats = counters.snapshot();
         assert!(stats.reconnects >= 1, "reconnect counted");
         assert!(stats.retransmits >= 1, "replay counted");

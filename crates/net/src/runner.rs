@@ -17,13 +17,14 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use wcp_detect::online::{Family, Hosted, Layout, Placed, ReportFn, RunOptions, SharedOutcome};
+use wcp_detect::online::{
+    DetectActor, Family, Layout, Placed, ReportFn, RunOptions, SharedOutcome,
+};
 use wcp_detect::DetectionReport;
 use wcp_obs::{Recorder, TeeRecorder, TelemetrySink};
 use wcp_sim::{ActorId, FaultConfig, SimMetrics};
 use wcp_trace::{Computation, Wcp};
 
-use crate::codec::{CodecError, MAX_GROUP_WIDTH};
 use crate::fault::FaultyTransport;
 use crate::peer::{Endpoint, PeerHost, TelemetrySidecar};
 use crate::pool::{FramePool, PooledBuf};
@@ -218,11 +219,11 @@ impl RunShared {
         index: u32,
         links: Vec<Option<Box<dyn Transport>>>,
         inbox: Receiver<PooledBuf>,
-        mut actors: Vec<(ActorId, Hosted)>,
+        mut actors: Vec<(ActorId, DetectActor)>,
     ) -> PeerHost {
         let recorder = &self.recorders[index as usize];
         for (_, actor) in &mut actors {
-            actor.actor_mut().set_recorder(recorder);
+            actor.set_recorder(recorder);
         }
         let mut endpoint = Endpoint::new(
             index,
@@ -262,8 +263,8 @@ impl RunShared {
 }
 
 /// Each peer's actors with their ids, in id order.
-fn per_peer(actors: Vec<Placed>, n_peers: usize) -> Vec<Vec<(ActorId, Hosted)>> {
-    let mut peers: Vec<Vec<(ActorId, Hosted)>> = (0..n_peers).map(|_| Vec::new()).collect();
+fn per_peer(actors: Vec<Placed>, n_peers: usize) -> Vec<Vec<(ActorId, DetectActor)>> {
+    let mut peers: Vec<Vec<_>> = (0..n_peers).map(|_| Vec::new()).collect();
     for (id, (peer, actor)) in actors.into_iter().enumerate() {
         peers[peer as usize].push((ActorId::new(id as u32), actor));
     }
@@ -445,11 +446,6 @@ pub(crate) fn serve<R>(
 
 /// Runs `family` over real transport, every peer in-process.
 ///
-/// # Errors
-///
-/// [`CodecError::TooWide`] before any peer starts when a multi-token
-/// scope is wider than a group token's candidate bitmap.
-///
 /// # Panics
 ///
 /// As [`Family::layout`], or if the run stalls past the configured
@@ -460,12 +456,13 @@ pub fn run_net(
     wcp: &Wcp,
     config: NetConfig,
     options: &RunOptions,
-) -> Result<NetReport, CodecError> {
-    if matches!(family, Family::MultiToken { .. }) && wcp.n() > MAX_GROUP_WIDTH {
-        return Err(CodecError::TooWide(wcp.n()));
-    }
-    let layout = family.layout(computation, wcp);
-    Ok(host(layout, &config, options, NetCounters::shared()))
+) -> NetReport {
+    host(
+        family.layout(computation, wcp),
+        &config,
+        options,
+        NetCounters::shared(),
+    )
 }
 
 /// Runs the Section 3 single-token algorithm over real transport: one peer
@@ -483,7 +480,6 @@ pub fn run_vc_token_net(computation: &Computation, wcp: &Wcp, config: NetConfig)
         config,
         &RunOptions::default(),
     )
-    .expect("a single token fits every scope")
 }
 
 /// Runs peer `peer` of a vector-clock token detection as its own process,
@@ -514,7 +510,8 @@ mod tests {
     use super::*;
     use crate::multi::run_multi_net;
     use wcp_clocks::ProcessId;
-    use wcp_detect::online::{run_vc_token, DetectMsg};
+    use wcp_detect::online::{run_online, run_vc_token, DetectMsg};
+    use wcp_detect::DetectionMetrics;
     use wcp_session::Service;
     use wcp_sim::{Actor, Context, SimConfig};
     use wcp_trace::generate::{generate, GeneratorConfig};
@@ -538,7 +535,7 @@ mod tests {
 
     /// Runs `family` in-process with default options.
     fn net(family: Family, c: &Computation, wcp: &Wcp, config: NetConfig) -> NetReport {
-        run_net(family, c, wcp, config, &RunOptions::default()).expect("the scope fits")
+        run_net(family, c, wcp, config, &RunOptions::default())
     }
 
     #[test]
@@ -600,7 +597,7 @@ mod tests {
         }
         let computation = b.build().expect("valid");
         let mut layout = Family::VcToken.layout(&computation, &Wcp::over_all(&computation));
-        layout.actors[1].1 = Hosted::boxed(Silent);
+        layout.actors[1].1 = Box::new(Silent);
         let config = NetConfig::loopback().with_deadline(Duration::from_millis(100));
         let stall = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             host(
@@ -623,28 +620,30 @@ mod tests {
     }
 
     #[test]
-    fn a_multi_token_scope_wider_than_a_group_token_is_refused_up_front() {
-        let mut b = ComputationBuilder::new(MAX_GROUP_WIDTH + 1);
-        for p in ProcessId::all(MAX_GROUP_WIDTH + 1) {
+    fn a_multi_token_run_wider_than_64_processes_matches_the_simulator() {
+        // A group token's presence bitmap is n bits of its body, so no
+        // scope width is refused; 65 processes is one more than a 64-bit
+        // word holds.
+        let n = 65;
+        let mut b = ComputationBuilder::new(n);
+        for p in ProcessId::all(n) {
             b.mark_true(p);
         }
         let computation = b.build().expect("valid");
         let wcp = Wcp::over_all(&computation);
         let family = Family::MultiToken { groups: 2 };
-        let refused = run_net(
-            family,
-            &computation,
-            &wcp,
-            NetConfig::loopback(),
-            &RunOptions::default(),
-        );
+        let sim = run_online(family, &computation, &wcp, SimConfig::seeded(1)).report;
+        let net = net(family, &computation, &wcp, NetConfig::loopback());
+        assert!(sim.detection.is_detected());
+        assert_eq!(net.report.detection, sim.detection);
+        let schedule_free = |m: &DetectionMetrics| DetectionMetrics {
+            parallel_time: 0,
+            max_buffered_snapshots: 0,
+            ..m.clone()
+        };
         assert_eq!(
-            refused.map(|r| r.net.frames_sent).err(),
-            Some(CodecError::TooWide(MAX_GROUP_WIDTH + 1))
+            schedule_free(&net.report.metrics),
+            schedule_free(&sim.metrics)
         );
-        // At the limit the run goes ahead.
-        let wcp = Wcp::over_first(MAX_GROUP_WIDTH);
-        let fits = net(family, &computation, &wcp, NetConfig::loopback());
-        assert!(fits.report.detection.is_detected());
     }
 }

@@ -1,8 +1,8 @@
 //! Saturation harness: pump a stream of snapshot frames through one
 //! directed link as fast as the transport allows, and measure the data
 //! path end to end — encode into the outbound batch, coalesced writes,
-//! pooled inbound chunks, and arena-direct decode of every snapshot body
-//! into a [`SnapshotBuffer`].
+//! pooled inbound chunks, and the decode of every snapshot frame, whose
+//! clock then goes into a [`SnapshotBuffer`] as a monitor's would.
 //!
 //! This is the measured half of the batching claim: the same frame count
 //! over the same substrate, batched vs per-frame, gives the throughput
@@ -21,7 +21,7 @@ use wcp_detect::{SnapshotBuffer, VcSnapshot};
 use wcp_obs::{NullRecorder, Recorder};
 use wcp_sim::ActorId;
 
-use crate::codec::{kind, Payload};
+use crate::codec::Payload;
 use crate::peer::Endpoint;
 use crate::pool::FramePool;
 use crate::runner::NetConfig;
@@ -62,12 +62,12 @@ impl SaturationReport {
         self.frames as f64 / self.net.batch_flushes.max(1) as f64
     }
 
-    /// Bytes actually sent per delivered frame (header plus wire-v2 body).
+    /// Bytes actually sent per delivered frame (header plus body).
     pub fn bytes_per_frame(&self) -> f64 {
         self.net.bytes_sent as f64 / self.frames.max(1) as f64
     }
 
-    /// Fraction of wire-v2 clock frames that shipped as deltas rather
+    /// Fraction of chained clock frames that shipped as deltas rather
     /// than keyframes.
     pub fn delta_hit_rate(&self) -> f64 {
         let chained = self.net.delta_frames_sent + self.net.keyframes_sent;
@@ -77,8 +77,8 @@ impl SaturationReport {
         self.net.delta_frames_sent as f64 / chained as f64
     }
 
-    /// Actual bytes sent over what wire v1 would have cost — the
-    /// compression ratio (lower is better).
+    /// Actual bytes sent over what the retired fixed-width encoding
+    /// would have cost — the compression ratio (lower is better).
     pub fn v1_equiv_ratio(&self) -> f64 {
         self.net.bytes_sent as f64 / self.net.wire_bytes_v1_equiv.max(1) as f64
     }
@@ -99,7 +99,7 @@ struct SaturationTelemetry {
 }
 
 /// Drives `frames` snapshot frames from `sender` (peer 0) to `receiver`
-/// (peer 1) and decodes every body arena-direct.
+/// (peer 1), buffering every decoded snapshot.
 fn drive(
     mut sender: Endpoint,
     mut receiver: Endpoint,
@@ -147,11 +147,10 @@ fn drive(
         let frame = receiver
             .recv(Duration::from_secs(10))
             .expect("saturation stream stalled");
-        assert!(matches!(
-            frame.kind(),
-            kind::VC_SNAPSHOT | kind::VC_SNAPSHOT_V2
-        ));
-        buffer.push_le_bytes(frame.clock_le());
+        let Payload::Detect(DetectMsg::VcSnapshot(snapshot)) = frame.payload else {
+            panic!("the saturation stream carries snapshots only");
+        };
+        buffer.push(&snapshot);
         got += 1;
         // Consume the row the way the monitor's Figure 3 loop does.
         buffer.pop();
@@ -188,10 +187,10 @@ fn drive(
 /// receiver (the collector peer) on its ack-poll cadence: the A/B against
 /// the same run without it is the marginal cost of telemetry at wire
 /// saturation (`scripts/bench.sh telemetry`). The report carries both the
-/// v2 bytes sent and their v1 equivalent
-/// (`NetStats::wire_bytes_v1_equiv`), so one run gives the
-/// delta-compression ratio (`scripts/bench.sh wire-v2`). Faults and the
-/// deadline do not apply.
+/// bytes sent and what the fixed-width encoding would have cost
+/// (`NetStats::wire_bytes_v1_equiv`), so one run gives the compression
+/// ratio (`scripts/bench.sh wire-v2`). Faults and the deadline do not
+/// apply.
 pub fn saturate(frames: u64, scope_n: usize, config: NetConfig) -> SaturationReport {
     let counters = NetCounters::shared();
     let dialer = Dialer::new(config.transport, FramePool::shared(counters.clone()));

@@ -44,13 +44,14 @@ pub struct NetCounters {
     pub telemetry_received: AtomicU64,
     /// Bytes of telemetry bodies shipped (outside paper accounting).
     pub telemetry_bytes: AtomicU64,
-    /// What every sent frame would have cost under wire v1 (a `Detect`
-    /// body is exactly `wire_size()` bytes there), so
-    /// `bytes_sent / wire_bytes_v1_equiv` is the v2 compression ratio.
+    /// What every sent frame would have cost under the retired
+    /// fixed-width encoding ([`v1_frame_len`](crate::codec::v1_frame_len):
+    /// a 33-byte header plus a `wire_size()` body), so
+    /// `bytes_sent / wire_bytes_v1_equiv` is the compression ratio.
     pub wire_bytes_v1_equiv: AtomicU64,
-    /// Wire-v2 delta frames sent (changed bitmap + varint deltas).
+    /// Chained clocks sent as deltas (changed bitmap + varint deltas).
     pub delta_frames_sent: AtomicU64,
-    /// Wire-v2 full-clock keyframes sent.
+    /// Chained clocks sent as full-clock keyframes.
     pub keyframes_sent: AtomicU64,
     /// Multi-tenant service: predicate sessions currently registered.
     pub multi_sessions_active: AtomicU64,
@@ -139,12 +140,12 @@ pub struct NetStats {
     pub telemetry_received: u64,
     /// Bytes of telemetry bodies shipped (outside paper accounting).
     pub telemetry_bytes: u64,
-    /// What every sent frame would have cost under wire v1; see
-    /// [`NetCounters::wire_bytes_v1_equiv`].
+    /// What every sent frame would have cost under the retired
+    /// fixed-width encoding; see [`NetCounters::wire_bytes_v1_equiv`].
     pub wire_bytes_v1_equiv: u64,
-    /// Wire-v2 delta frames sent (changed bitmap + varint deltas).
+    /// Chained clocks sent as deltas (changed bitmap + varint deltas).
     pub delta_frames_sent: u64,
-    /// Wire-v2 full-clock keyframes sent.
+    /// Chained clocks sent as full-clock keyframes.
     pub keyframes_sent: u64,
     /// Multi-tenant service: predicate sessions registered at snapshot.
     pub multi_sessions_active: u64,

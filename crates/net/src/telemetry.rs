@@ -9,8 +9,9 @@
 //! - sent via [`Transport::resend`](crate::transport::Transport::resend),
 //!   the un-faulted recovery path, so seeded fault schedules draw exactly
 //!   the same random numbers with telemetry on or off;
-//! - `seq = CONTROL_SEQ`, so they are never logged, acknowledged,
-//!   deduplicated, or resequenced;
+//! - outside the sequence space (a `TELEMETRY` frame carries no `seq`),
+//!   so they are never logged, acknowledged, deduplicated, or
+//!   resequenced;
 //! - dropped silently on any error — a lost delta thins the collected
 //!   timeline, never the detection.
 //!
@@ -262,19 +263,19 @@ pub fn decode_delta(body: &[u8]) -> Result<TelemetryDelta, CodecError> {
     if r.read_varint()? != TELEMETRY_VERSION {
         return Err(CodecError::OutOfRange("telemetry version"));
     }
-    let source = read_u32(r)?;
+    let source = r.read_u32()?;
     macro_rules! get {
         ($($field:ident),*) => { NetStats { $($field: r.read_varint()?,)* } };
     }
     let stats = stats_fields!(get);
-    let count = read_count(r, MIN_EVENT_BITS)?;
+    let count = r.read_count(MIN_EVENT_BITS)?;
     let mut events = Vec::with_capacity(count);
     let (mut next_seq, mut last_wall) = (0u64, 0u64);
     for _ in 0..count {
         let head = r.read_bits(8)?;
         let seq = next_seq.wrapping_add(unzigzag(r.read_varint()?) as u64);
         next_seq = seq.wrapping_add(1);
-        let monitor = read_u32(r)?;
+        let monitor = r.read_u32()?;
         let time = match head >> 6 {
             0 => LogicalTime::Unknown,
             1 => LogicalTime::Tick(r.read_varint()?),
@@ -314,21 +315,21 @@ fn read_event(kind: u64, r: &mut BitReader<'_>) -> Result<TraceEvent, CodecError
             },
         },
         1 => E::TokenForwarded {
-            to: read_u32(r)?,
+            to: r.read_u32()?,
             bytes: r.read_varint()?,
         },
         2 => E::CandidateEliminated {
-            process: read_u32(r)?,
+            process: r.read_u32()?,
             interval: r.read_varint()?,
             work: r.read_varint()?,
         },
         3 => E::CandidateAccepted {
-            process: read_u32(r)?,
+            process: r.read_u32()?,
             interval: r.read_varint()?,
             work: r.read_varint()?,
         },
         4 => E::CandidateInvalidated {
-            process: read_u32(r)?,
+            process: r.read_u32()?,
             interval: r.read_varint()?,
         },
         5 => E::SnapshotBuffered {
@@ -339,11 +340,11 @@ fn read_event(kind: u64, r: &mut BitReader<'_>) -> Result<TraceEvent, CodecError
             depth: r.read_varint()?,
         },
         7 => E::PollSent {
-            to: read_u32(r)?,
+            to: r.read_u32()?,
             bytes: r.read_varint()?,
         },
         8 => E::PollAnswered {
-            to: read_u32(r)?,
+            to: r.read_u32()?,
             alive: match r.read_varint()? {
                 0 => false,
                 1 => true,
@@ -352,11 +353,11 @@ fn read_event(kind: u64, r: &mut BitReader<'_>) -> Result<TraceEvent, CodecError
             bytes: r.read_varint()?,
         },
         9 => E::RedChainHop {
-            to: read_u32(r)?,
+            to: r.read_u32()?,
             bytes: r.read_varint()?,
         },
         10 => E::ControlSent {
-            to: read_u32(r)?,
+            to: r.read_u32()?,
             count: r.read_varint()?,
             bytes: r.read_varint()?,
         },
@@ -370,7 +371,7 @@ fn read_event(kind: u64, r: &mut BitReader<'_>) -> Result<TraceEvent, CodecError
             states: r.read_varint()?,
         },
         14 => {
-            let len = read_count(r, 8)?;
+            let len = r.read_count(8)?;
             let mut cut = Vec::with_capacity(len);
             for _ in 0..len {
                 cut.push(r.read_varint()?);
@@ -379,28 +380,28 @@ fn read_event(kind: u64, r: &mut BitReader<'_>) -> Result<TraceEvent, CodecError
         }
         15 => E::DetectionExhausted,
         16 => E::MessageDelivered {
-            from: read_u32(r)?,
-            to: read_u32(r)?,
+            from: r.read_u32()?,
+            to: r.read_u32()?,
             delay: r.read_varint()?,
         },
         17 => E::FrameSent {
-            to: read_u32(r)?,
+            to: r.read_u32()?,
             bytes: r.read_varint()?,
         },
         18 => E::FrameReceived {
-            from: read_u32(r)?,
+            from: r.read_u32()?,
             bytes: r.read_varint()?,
         },
         19 => E::Retransmit {
-            to: read_u32(r)?,
+            to: r.read_u32()?,
             attempt: r.read_varint()?,
         },
         20 => E::Reconnect {
-            peer: read_u32(r)?,
+            peer: r.read_u32()?,
             attempt: r.read_varint()?,
         },
         21 => E::BatchFlushed {
-            to: read_u32(r)?,
+            to: r.read_u32()?,
             frames: r.read_varint()?,
             bytes: r.read_varint()?,
         },
@@ -408,22 +409,8 @@ fn read_event(kind: u64, r: &mut BitReader<'_>) -> Result<TraceEvent, CodecError
     })
 }
 
-fn read_u32(r: &mut BitReader<'_>) -> Result<u32, CodecError> {
-    narrow(r.read_varint()?)
-}
-
 fn narrow(v: u64) -> Result<u32, CodecError> {
     u32::try_from(v).map_err(|_| CodecError::OutOfRange("32-bit field"))
-}
-
-/// Reads a count of items of at least `min_bits` each, refusing one the
-/// bits left cannot hold before anything is sized by it.
-fn read_count(r: &mut BitReader<'_>, min_bits: usize) -> Result<usize, CodecError> {
-    let count = r.read_varint()?;
-    if count > (r.bits_remaining() / min_bits) as u64 {
-        return Err(CodecError::OutOfRange("count"));
-    }
-    Ok(count as usize)
 }
 
 /// Identities of [`SidecarRecorder`]s for the stepping scope; 0 names

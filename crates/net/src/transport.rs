@@ -20,7 +20,9 @@
 //! reader thread. Both read through one frame reader, which keeps a
 //! persistent per-connection buffer that survives partial reads (so
 //! steady-state traffic allocates nothing per frame) and refuses a frame
-//! length outside `HEADER_LEN..=`[`MAX_FRAME_LEN`].
+//! length that [`frame_len_at`] refuses: zero, over
+//! [`MAX_FRAME_LEN`](crate::codec::MAX_FRAME_LEN), or a length varint
+//! longer than that cap needs.
 
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -30,7 +32,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::codec::{frame_len_at, BODY_START, MAX_FRAME_LEN};
+use crate::codec::frame_len_at;
 use crate::pool::{FramePool, PooledBuf};
 use crate::runner::TransportKind;
 use crate::worker::Doorbell;
@@ -82,6 +84,8 @@ pub trait Transport: Send {
         let mut at = 0;
         while at < batch.len() {
             let len = frame_len_at(batch, at)
+                .ok()
+                .flatten()
                 .filter(|len| at + len <= batch.len())
                 .ok_or_else(|| io::Error::from(io::ErrorKind::InvalidData))?;
             self.send(&batch[at..at + len])?;
@@ -432,8 +436,8 @@ impl Drop for Acceptor {
 /// Blocking accept loop for a standalone peer's listening socket: every
 /// accepted connection gets a detached reader thread that forwards
 /// complete-frame chunks to `inbox`, and ends the connection on a frame
-/// length outside `HEADER_LEN..=`[`MAX_FRAME_LEN`]. Runs until the
-/// returned [`Acceptor`] is dropped.
+/// length [`frame_len_at`] refuses. Runs until the returned [`Acceptor`]
+/// is dropped.
 ///
 /// # Panics
 ///
@@ -504,9 +508,9 @@ const READ_BUF: usize = 64 * 1024;
 /// frames for an inbox. Reads append to a persistent buffer; the complete
 /// frames at its front move into one chunk, and a partial frame's bytes
 /// stay for the next read, so frames may straddle reads and batches
-/// arbitrarily and nothing is allocated per frame. A frame length
-/// outside `HEADER_LEN..=MAX_FRAME_LEN` is refused before the buffer
-/// grows for it.
+/// arbitrarily and nothing is allocated per frame. A frame length that
+/// [`frame_len_at`] refuses ends the connection before the buffer grows
+/// for it.
 #[derive(Debug)]
 struct FrameReader {
     buf: Vec<u8>,
@@ -528,12 +532,7 @@ impl FrameReader {
     /// Whole length of the frame starting at byte `at`, once its length
     /// prefix is in; `InvalidData` for a length the reader refuses.
     fn frame_len(&self, at: usize) -> io::Result<Option<usize>> {
-        match frame_len_at(&self.buf[..self.filled], at) {
-            Some(len) if !(BODY_START..=4 + MAX_FRAME_LEN).contains(&len) => {
-                Err(io::ErrorKind::InvalidData.into())
-            }
-            len => Ok(len),
-        }
+        frame_len_at(&self.buf[..self.filled], at).map_err(|_| io::ErrorKind::InvalidData.into())
     }
 
     /// One read from `stream` into the buffer's free tail; `Ok(0)` is end
@@ -580,10 +579,9 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{
-        decode_frame, encode_frame, encode_frame_into, encode_telemetry_into, Frame, Payload,
-    };
+    use crate::codec::{decode_frame, encode_frame, encode_telemetry_into, Frame, Payload};
     use crate::stats::NetCounters;
+    use crate::wire2::ClockChains;
     use std::sync::mpsc::{channel, Receiver};
 
     use wcp_sim::ActorId;
@@ -611,8 +609,10 @@ mod tests {
                 .expect("chunk arrives");
             let mut at = 0;
             while at < chunk.len() {
-                let len = frame_len_at(&chunk, at).expect("whole frames per chunk");
-                frames.push(decode_frame(&chunk[at..at + len]).unwrap());
+                let len = frame_len_at(&chunk, at)
+                    .unwrap()
+                    .expect("whole frames per chunk");
+                frames.push(decode_frame(&chunk[at..at + len], &mut ClockChains::new()).unwrap());
                 at += len;
             }
         }
@@ -638,7 +638,7 @@ mod tests {
         let mut t = LoopbackTransport::new(tx, pool());
         let mut batch = Vec::new();
         for seq in 0..5 {
-            encode_frame_into(&frame(seq), &mut batch);
+            batch.extend_from_slice(&encode_frame(&frame(seq)));
         }
         t.send_batch(&batch).unwrap();
         let chunk = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -651,7 +651,7 @@ mod tests {
         let mut t = Dialer::new(TransportKind::Tcp, pool()).dial(&tx.into());
         let mut batch = Vec::new();
         for seq in 0..3 {
-            encode_frame_into(&frame(seq), &mut batch);
+            batch.extend_from_slice(&encode_frame(&frame(seq)));
         }
         t.send_batch(&batch).unwrap();
         // Read back on this thread: already in the inbox, as one chunk.
@@ -696,7 +696,9 @@ mod tests {
         while let Ok(chunk) = rx.try_recv() {
             let mut at = 0;
             while at < chunk.len() {
-                at += frame_len_at(&chunk, at).expect("whole frames per chunk");
+                at += frame_len_at(&chunk, at)
+                    .unwrap()
+                    .expect("whole frames per chunk");
             }
             assert_eq!(at, chunk.len(), "whole frames per chunk");
             received.extend_from_slice(&chunk);
@@ -710,11 +712,13 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let (tx, rx) = channel();
         let acceptor = spawn_listener(listener, tx, pool());
-        // Over the cap, then under a header: each is refused at once,
-        // before any body byte arrives.
-        for (seq, len) in [u32::MAX, 3].into_iter().enumerate() {
+        // A length varint longer than the cap needs, a length over the
+        // cap, and a zero length: each is refused at once, before any
+        // body byte arrives.
+        let over = [0x81, 0x80, 0x80, 0x08]; // MAX_FRAME_LEN + 1
+        for (seq, len) in [&[0xFF; 4][..], &over, &[0]].into_iter().enumerate() {
             let mut hostile = TcpStream::connect(addr).unwrap();
-            hostile.write_all(&len.to_le_bytes()).unwrap();
+            hostile.write_all(len).unwrap();
             hostile
                 .set_read_timeout(Some(Duration::from_secs(10)))
                 .unwrap();
@@ -722,7 +726,7 @@ mod tests {
                 Ok(n) => n == 0,
                 Err(e) => e.kind() == io::ErrorKind::ConnectionReset,
             };
-            assert!(closed, "a frame length of {len} left the connection open");
+            assert!(closed, "a frame length of {len:?} left the connection open");
             let mut honest = TcpTransport::connect(addr, 4, Duration::from_millis(1)).unwrap();
             honest.send(&encode_frame(&frame(seq as u64))).unwrap();
             assert_eq!(drain_frames(&rx, 1), vec![frame(seq as u64)]);
@@ -751,7 +755,7 @@ mod tests {
         // A coalesced batch decodes identically.
         let mut batch = Vec::new();
         for seq in 10..13 {
-            encode_frame_into(&frame(seq), &mut batch);
+            batch.extend_from_slice(&encode_frame(&frame(seq)));
         }
         t.send_batch(&batch).unwrap();
         assert_eq!(drain_frames(&rx, 3), vec![frame(10), frame(11), frame(12)]);

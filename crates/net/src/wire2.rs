@@ -1,13 +1,13 @@
-//! Wire format v2: bit-level packing and per-link clock delta chains.
+//! Bit-level packing and per-link clock delta chains: the primitives of
+//! the wire codec (`codec.rs`).
 //!
 //! The paper's bit bound is `O(n²m)` because every snapshot carries a
-//! full n-component vector clock, and the v1 codec spends exactly that
-//! (`wire_size()` bytes per body). Consecutive clocks shipped on one
-//! link differ in few components, so v2 encodes clock-carrying bodies as
-//! a delta against the last clock shipped on that link: a
-//! changed-component bitmap plus zigzag varint deltas, with a periodic
-//! full-clock *keyframe* bounding the chain. The primitives here are
-//! std-only and deliberately small:
+//! full n-component vector clock (`wire_size()` counts `8n` bytes for
+//! it). Consecutive clocks shipped on one link differ in few components,
+//! so the codec encodes a clock as a delta against the last clock
+//! shipped on that link: a changed-component bitmap plus zigzag varint
+//! deltas, with a periodic full-clock *keyframe* bounding the chain. The
+//! primitives here are std-only and deliberately small:
 //!
 //! - [`BitWriter`] / [`BitReader`] — MSB-first bit streams over plain
 //!   byte buffers (the writer appends straight into the outbound batch,
@@ -17,11 +17,11 @@
 //!   components round-trip under wrapping delta arithmetic;
 //! - [`ClockChains`] — the per-link delta state, keyed by originating
 //!   actor and stream class, advanced in lockstep by the sending and
-//!   receiving endpoints (receivers apply deltas at in-sequence
-//!   promotion, after dedup, so ACK-truncated replay and reconnect
-//!   recovery replay the exact bytes and never double-advance a chain).
+//!   receiving endpoints (receivers decode at in-sequence promotion,
+//!   after dedup, so ACK-truncated replay and reconnect recovery replay
+//!   the exact bytes and never double-advance a chain).
 //!
-//! Chain framing (one clock, inside a v2 body):
+//! Chain framing (one clock, inside a frame body):
 //!
 //! ```text
 //! keyframe: 1 ┆ varint n ┆ n × varint component
@@ -41,9 +41,9 @@ use crate::codec::CodecError;
 /// how much history a (hypothetically) diverged chain can poison.
 pub const KEYFRAME_EVERY: u32 = 32;
 
-/// Chain class of an app-message vector clock (`APP_VECTOR_V2` bodies).
+/// Chain class of an app-message vector clock (`APP_VECTOR` bodies).
 pub const CLASS_APP: u8 = 0;
-/// Chain class of a local-snapshot clock (`VC_SNAPSHOT_V2` bodies).
+/// Chain class of a local-snapshot clock (`VC_SNAPSHOT` bodies).
 pub const CLASS_SNAPSHOT: u8 = 1;
 
 /// MSB-first bit appender over a borrowed byte buffer.
@@ -99,6 +99,18 @@ impl<'a> BitWriter<'a> {
                 self.cur = 0;
                 self.filled = 0;
             }
+        }
+    }
+
+    /// Appends whole bytes: straight onto the buffer when the stream is
+    /// byte-aligned.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        if self.filled == 0 {
+            self.out.extend_from_slice(bytes);
+            return;
+        }
+        for &byte in bytes {
+            self.write_bits(u64::from(byte), 8);
         }
     }
 
@@ -190,8 +202,28 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Verifies only zero padding (less than one byte of it) remains —
-    /// the bit-stream analogue of `Reader::done`.
+    /// Reads a varint that must fit 32 bits (a peer, actor or process id).
+    pub fn read_u32(&mut self) -> Result<u32, CodecError> {
+        u32::try_from(self.read_varint()?).map_err(|_| CodecError::OutOfRange("32-bit field"))
+    }
+
+    /// Reads a count of items of at least `min_bits` each, refusing one
+    /// the bits left cannot hold before anything is sized by it.
+    pub fn read_count(&mut self, min_bits: usize) -> Result<usize, CodecError> {
+        let count = self.read_varint()?;
+        if count > (self.bits_remaining() / min_bits) as u64 {
+            return Err(CodecError::OutOfRange("count"));
+        }
+        Ok(count as usize)
+    }
+
+    /// The unread bytes, from the next whole byte on.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.at_bit.div_ceil(8)..]
+    }
+
+    /// Verifies only zero padding (less than one byte of it) remains: a
+    /// body ends where its last field ends.
     pub fn expect_padding(&mut self) -> Result<(), CodecError> {
         if self.bits_remaining() >= 8 {
             return Err(CodecError::BadLength(self.buf.len()));
@@ -219,6 +251,7 @@ pub fn unzigzag(v: u64) -> i64 {
 
 /// One directed chain: the last clock shipped (or decoded) and how many
 /// delta frames have run since the last keyframe.
+#[derive(Clone)]
 struct Chain {
     last: Vec<u64>,
     since_key: u32,
@@ -239,7 +272,7 @@ pub enum ChainFrame {
 /// advances it in sequence order, so both ends replay the identical
 /// chain no matter how the transport batched, dropped, or replayed the
 /// frames in between.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct ClockChains {
     chains: BTreeMap<(u32, u8), Chain>,
 }
@@ -384,6 +417,23 @@ mod tests {
         let mut r = BitReader::new(&dirty);
         assert!(!r.read_bit().unwrap());
         assert!(r.expect_padding().is_err());
+    }
+
+    #[test]
+    fn counts_and_ids_beyond_their_range_are_refused() {
+        let mut buf = Vec::new();
+        let mut w = BitWriter::new(&mut buf);
+        w.write_varint(u64::from(u32::MAX) + 1);
+        w.write_varint(3); // a count of three one-byte items...
+        w.write_varint(1);
+        w.write_varint(2); // ...with two in the stream
+        w.finish();
+        let mut r = BitReader::new(&buf);
+        assert_eq!(r.read_u32(), Err(CodecError::OutOfRange("32-bit field")));
+        assert_eq!(r.read_count(8), Err(CodecError::OutOfRange("count")));
+        let mut r = BitReader::new(&[1, 1, 2]);
+        assert_eq!(r.read_count(16), Ok(1), "two bytes hold one 16-bit item");
+        assert_eq!(r.rest(), [1, 2]);
     }
 
     #[test]

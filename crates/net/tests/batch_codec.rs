@@ -1,10 +1,10 @@
 //! Property tests for the batched wire format: a batch is *defined* as the
 //! concatenation of individually encoded frames, so any reassembly of the
 //! byte stream — split at every possible byte boundary — must decode to
-//! exactly the frame sequence the unbatched codec produces. The same holds
-//! end to end: a TCP reader fed the batch in arbitrary dribbles, and a
-//! batching endpoint versus a per-frame endpoint, all deliver identical
-//! frame sequences.
+//! exactly the frames that were encoded, delta-chained clocks included.
+//! The same holds end to end: a TCP reader fed the batch in arbitrary
+//! dribbles, and a batching endpoint versus a per-frame endpoint, all
+//! deliver identical frame sequences.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -16,10 +16,7 @@ use wcp_clocks::{ProcessId, VectorClock};
 use wcp_detect::offline::token::{Color, Token};
 use wcp_detect::online::{ClockTag, DetectMsg, GroupTokenMsg};
 use wcp_detect::VcSnapshot;
-use wcp_net::codec::{
-    decode_frame, decode_header, decode_payload, decode_stateful_v2, encode_frame,
-    encode_frame_into_v2, frame_len_at, kind, DecodedV2, BODY_START,
-};
+use wcp_net::codec::{decode_frame, encode_frame_into, frame_len_at, v1_frame_len};
 use wcp_net::{
     spawn_listener, ClockChains, Endpoint, Frame, FramePool, LoopbackTransport, NetCounters,
     Payload, Transport,
@@ -72,13 +69,28 @@ fn sample_frames() -> Vec<Frame> {
     frames
 }
 
+/// `frames` encoded back to back on one link's chains, as a sender
+/// batches them.
+fn encode_stream(frames: &[Frame]) -> Vec<u8> {
+    let mut chains = ClockChains::new();
+    let mut stream = Vec::new();
+    for f in frames {
+        encode_frame_into(f, &mut chains, &mut stream);
+    }
+    stream
+}
+
 /// The persistent-read-buffer contract, expressed via the public codec
-/// only: consume the maximal prefix of complete frames, keep the rest.
-fn drain_complete(buf: &mut Vec<u8>) -> Vec<Frame> {
+/// only: consume the maximal prefix of complete frames, decoding them on
+/// the receiver's `chains`, and keep the rest.
+fn drain_complete(buf: &mut Vec<u8>, chains: &mut ClockChains) -> Vec<Frame> {
     let mut out = Vec::new();
     let mut at = 0;
-    while let Some(len) = frame_len_at(buf, at).filter(|len| at + len <= buf.len()) {
-        out.push(decode_frame(&buf[at..at + len]).expect("complete frame decodes"));
+    while let Some(len) = frame_len_at(buf, at)
+        .unwrap()
+        .filter(|len| at + len <= buf.len())
+    {
+        out.push(decode_frame(&buf[at..at + len], chains).expect("complete frame decodes"));
         at += len;
     }
     buf.drain(..at);
@@ -88,18 +100,21 @@ fn drain_complete(buf: &mut Vec<u8>) -> Vec<Frame> {
 #[test]
 fn batch_split_at_every_byte_boundary_decodes_like_the_unbatched_codec() {
     let frames = sample_frames();
-    let batch: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+    let batch = encode_stream(&frames);
     for split in 0..=batch.len() {
+        let mut chains = ClockChains::new();
         let mut pending = batch[..split].to_vec();
-        let mut decoded = drain_complete(&mut pending);
+        let mut decoded = drain_complete(&mut pending, &mut chains);
         // Whatever the split holds back must be a strict prefix of one
         // frame — never something the walker misparses.
         assert!(
-            frame_len_at(&pending, 0).is_none_or(|len| len > pending.len()),
+            frame_len_at(&pending, 0)
+                .unwrap()
+                .is_none_or(|len| len > pending.len()),
             "split {split}: leftover parsed as complete"
         );
         pending.extend_from_slice(&batch[split..]);
-        decoded.extend(drain_complete(&mut pending));
+        decoded.extend(drain_complete(&mut pending, &mut chains));
         assert!(pending.is_empty(), "split {split}: bytes left over");
         assert_eq!(decoded, frames, "split {split}: decode diverged");
     }
@@ -108,7 +123,7 @@ fn batch_split_at_every_byte_boundary_decodes_like_the_unbatched_codec() {
 #[test]
 fn tcp_reader_fed_arbitrary_dribbles_reassembles_the_exact_frame_stream() {
     let frames = sample_frames();
-    let batch: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+    let batch = encode_stream(&frames);
 
     let counters = NetCounters::shared();
     let pool = FramePool::shared(counters.clone());
@@ -133,13 +148,14 @@ fn tcp_reader_fed_arbitrary_dribbles_reassembles_the_exact_frame_stream() {
     drop(stream);
 
     let mut received = Vec::new();
+    let mut chains = ClockChains::new();
     while received.len() < batch.len() {
         let chunk = rx
             .recv_timeout(Duration::from_secs(10))
             .expect("reader delivered all bytes");
         // Each delivered chunk must hold only whole frames.
         let mut copy = chunk.to_vec();
-        let in_chunk = drain_complete(&mut copy);
+        let in_chunk = drain_complete(&mut copy, &mut chains);
         assert!(
             !in_chunk.is_empty() && copy.is_empty(),
             "partial frame leaked"
@@ -150,7 +166,7 @@ fn tcp_reader_fed_arbitrary_dribbles_reassembles_the_exact_frame_stream() {
 
     assert_eq!(received, batch, "byte stream mutated in flight");
     let mut all = received;
-    assert_eq!(drain_complete(&mut all), frames);
+    assert_eq!(drain_complete(&mut all, &mut ClockChains::new()), frames);
 }
 
 /// A connected endpoint pair over loopback with its own counter block.
@@ -192,10 +208,11 @@ fn deliver_all(batch: bool) -> (Vec<Frame>, Arc<NetCounters>) {
     sender.flush_all();
     let mut got = Vec::new();
     while got.len() < total {
-        let raw = receiver
-            .recv(Duration::from_secs(10))
-            .expect("all frames delivered");
-        got.push(raw.to_frame());
+        got.push(
+            receiver
+                .recv(Duration::from_secs(10))
+                .expect("all frames delivered"),
+        );
     }
     sender.close();
     receiver.close();
@@ -242,8 +259,8 @@ fn steady_state_traffic_recycles_pooled_buffers() {
         // Flush every round so buffers cycle through the pool rather than
         // accumulating in one giant batch.
         sender.flush_all();
-        let raw = receiver.recv(Duration::from_secs(10)).expect("delivered");
-        assert_eq!(raw.seq(), i);
+        let frame = receiver.recv(Duration::from_secs(10)).expect("delivered");
+        assert_eq!(frame.seq, i);
     }
     let stats = counters.snapshot();
     assert!(
@@ -281,7 +298,7 @@ impl Rng {
 /// An arbitrary `DetectMsg` stream mixing every wire class: delta-chained
 /// clocks (mostly small increments, occasionally wild jumps or width
 /// changes, from two distinct sending actors so per-actor chains
-/// interleave), stateless bit-packed tokens, and v1-only scalar bodies.
+/// interleave), tokens, and scalar bodies.
 fn arbitrary_stream(seed: u64, count: usize) -> Vec<Frame> {
     let mut rng = Rng(seed | 1);
     // Evolving clock per (actor, class) so deltas and keyframes both occur.
@@ -374,82 +391,23 @@ fn arbitrary_stream(seed: u64, count: usize) -> Vec<Frame> {
         .collect()
 }
 
-/// Decodes one complete v2 frame (raw bytes, length prefix included),
-/// advancing the receiver-side chains for the stateful kinds.
-fn decode_v2_frame(raw: &[u8], chains: &mut ClockChains) -> Payload {
-    let head = decode_header(raw).expect("header decodes");
-    let body = &raw[BODY_START..];
-    match head.kind {
-        kind::APP_VECTOR_V2 | kind::VC_SNAPSHOT_V2 => {
-            match decode_stateful_v2(&head, body, chains).expect("stateful body decodes") {
-                DecodedV2::AppVector(id, clock) => Payload::Detect(DetectMsg::App {
-                    msg: id,
-                    tag: ClockTag::Vector(clock),
-                }),
-                DecodedV2::SnapshotClock(le) => {
-                    Payload::Detect(DetectMsg::VcSnapshot(VcSnapshot {
-                        interval: head.aux,
-                        clock: VectorClock::from_components(
-                            le.chunks_exact(8)
-                                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                                .collect(),
-                        ),
-                    }))
-                }
-            }
-        }
-        _ => decode_payload(head.kind, head.aux, body).expect("stateless body decodes"),
-    }
-}
-
-/// The raw-slice sibling of `drain_complete`: consume the maximal prefix
-/// of complete frames as raw byte vectors, keep the rest.
-fn drain_complete_raw(buf: &mut Vec<u8>) -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
-    let mut at = 0;
-    while let Some(len) = frame_len_at(buf, at).filter(|len| at + len <= buf.len()) {
-        out.push(buf[at..at + len].to_vec());
-        at += len;
-    }
-    buf.drain(..at);
-    out
-}
-
 #[test]
-fn v2_streams_decode_identically_to_v1_at_every_dribble_split() {
+fn chained_streams_decode_to_the_sent_frames_at_every_dribble_split() {
     for seed in [3u64, 77, 0xDEAD_BEEF] {
         let frames = arbitrary_stream(seed, 40);
-        // Ground truth: each frame's v1 encoding decodes back to itself.
-        let expected: Vec<Payload> = frames
-            .iter()
-            .map(|f| {
-                let decoded = decode_frame(&encode_frame(f)).expect("v1 roundtrip");
-                assert_eq!(decoded.payload, f.payload, "v1 codec diverged");
-                decoded.payload
-            })
-            .collect();
-        // The whole stream under v2, one sender chain set.
-        let mut tx_chains = ClockChains::default();
-        let mut stream = Vec::new();
-        for f in &frames {
-            encode_frame_into_v2(f, &mut tx_chains, &mut stream);
-        }
-        // Reassemble at every possible byte boundary: the split may hold
-        // back at most a strict prefix of one frame, and the stateful
-        // decode across the boundary must equal the v1 payloads exactly.
+        // The whole stream on one sender chain set, reassembled at every
+        // possible byte boundary: the split may hold back at most a
+        // strict prefix of one frame, and the chained decode across the
+        // boundary must give back the sent frames exactly.
+        let stream = encode_stream(&frames);
         for split in 0..=stream.len() {
-            let mut rx_chains = ClockChains::default();
-            let mut decoded = Vec::new();
+            let mut chains = ClockChains::new();
             let mut pending = stream[..split].to_vec();
-            for raw in drain_complete_raw(&mut pending) {
-                decoded.push(decode_v2_frame(&raw, &mut rx_chains));
-            }
+            let mut decoded = drain_complete(&mut pending, &mut chains);
             pending.extend_from_slice(&stream[split..]);
-            for raw in drain_complete_raw(&mut pending) {
-                decoded.push(decode_v2_frame(&raw, &mut rx_chains));
-            }
+            decoded.extend(drain_complete(&mut pending, &mut chains));
             assert!(pending.is_empty(), "seed {seed} split {split}: leftovers");
-            assert_eq!(decoded, expected, "seed {seed} split {split}: diverged");
+            assert_eq!(decoded, frames, "seed {seed} split {split}: diverged");
         }
     }
 }
@@ -464,10 +422,11 @@ fn endpoints_deliver_the_sent_frames_for_fewer_bytes_than_v1() {
     sender.flush_all();
     let mut got = Vec::new();
     while got.len() < frames.len() {
-        let raw = receiver
-            .recv(Duration::from_secs(10))
-            .expect("all frames delivered");
-        got.push(raw.to_frame());
+        got.push(
+            receiver
+                .recv(Duration::from_secs(10))
+                .expect("all frames delivered"),
+        );
     }
     sender.close();
     receiver.close();
@@ -480,9 +439,10 @@ fn endpoints_deliver_the_sent_frames_for_fewer_bytes_than_v1() {
         );
     }
     assert_eq!(v2.frames_sent, frames.len() as u64);
-    // The v1-equivalent accounting is exactly what the v1 codec writes
-    // for the same frames; the v2 wire sends less.
-    let v1_bytes: usize = frames.iter().map(|f| encode_frame(f).len()).sum();
+    // The v1-equivalent accounting is what the fixed-width encoding
+    // spent on the same frames (33 header bytes plus `wire_size()` per
+    // detection frame); the wire sends less.
+    let v1_bytes: usize = frames.iter().map(|f| v1_frame_len(&f.payload)).sum();
     assert_eq!(v2.wire_bytes_v1_equiv, v1_bytes as u64);
     assert!(
         v2.bytes_sent < v2.wire_bytes_v1_equiv,

@@ -45,7 +45,7 @@ fn run_direct(c: &Computation, wcp: &Wcp, sim: SimConfig, parallel: bool) -> Onl
 
 fn run_direct_net(c: &Computation, wcp: &Wcp, parallel: bool, config: NetConfig) -> NetReport {
     let family = Family::Direct { parallel };
-    run_net(family, c, wcp, config, &RunOptions::default()).expect("no group token")
+    run_net(family, c, wcp, config, &RunOptions::default())
 }
 
 /// The Theorem 5.1 staircase: the token circles the ring `rounds` times,
@@ -114,8 +114,7 @@ fn every_family_matches_the_simulator_on_every_substrate() {
                 let config = base.with_deadline(deadline());
                 let config = faults.map_or(config, |f| config.with_faults(f));
                 let label = format!("{family}, {schedule}, {:?}", base.transport);
-                let net = run_net(family, &computation, &wcp, config, &RunOptions::default())
-                    .expect("the scope fits a group token");
+                let net = run_net(family, &computation, &wcp, config, &RunOptions::default());
                 assert_eq!(net.report.detection, sim.detection, "{label}");
                 assert_eq!(
                     schedule_free(&net.report.metrics),
@@ -600,8 +599,7 @@ fn paper_unit_accounting_matches_the_wire_free_simulator() {
             &wcp,
             NetConfig::loopback().with_deadline(deadline()),
             &RunOptions::recorded(net_ring.clone()),
-        )
-        .expect("no group token");
+        );
         let (a_sim, a_net) = (audit(&sim_ring), audit(&net_ring));
         assert_eq!(
             net.report.detection, sim.report.detection,

@@ -4,226 +4,20 @@
 //! by `wcp trace --events out.jsonl` and consumed by external analysis
 //! tooling (or [`read_str`] here).
 
-use std::io::{self, Write};
+use std::fmt::Write;
 
-use crate::event::{LogicalTime, StampedEvent, TraceEvent};
-use crate::json::{FromJson, Json, JsonError};
+use crate::event::StampedEvent;
+use crate::json::{FromJson, Json, JsonError, ToJson};
 
-/// Writes events as JSONL to `out`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `out`.
-pub fn write<W: Write>(out: &mut W, events: &[StampedEvent]) -> io::Result<()> {
-    let mut line = String::new();
-    for event in events {
-        line.clear();
-        append_event(&mut line, event);
-        writeln!(out, "{line}")?;
-    }
-    Ok(())
-}
-
-/// Renders events as one JSONL string.
+/// Renders events as one JSONL string: each event's compact
+/// [`ToJson`] rendering, one per line.
 pub fn to_string(events: &[StampedEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 64);
     for event in events {
-        append_event(&mut out, event);
-        out.push('\n');
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(out, "{}", event.to_json());
     }
     out
-}
-
-/// Appends one event as a compact JSON line (no trailing newline),
-/// byte-identical to `event.to_json().to_string()` but without building
-/// the intermediate [`Json`] tree or going through `fmt` machinery.
-/// Every field name is a plain ASCII identifier, so quoting needs no
-/// escape pass. This is the telemetry sidecar's flush path: peers
-/// serialize their ring delta right before shipping it, so every
-/// nanosecond here sits on the detection thread.
-pub fn append_event(out: &mut String, e: &StampedEvent) {
-    out.push_str("{\"seq\":");
-    push_u64(out, e.seq);
-    out.push_str(",\"monitor\":");
-    push_u64(out, u64::from(e.monitor));
-    out.push_str(",\"time\":");
-    match e.time {
-        LogicalTime::Unknown => out.push_str("null"),
-        LogicalTime::Tick(t) => {
-            out.push_str("{\"tick\":");
-            push_u64(out, t);
-            out.push('}');
-        }
-        LogicalTime::Scalar(t) => {
-            out.push_str("{\"scalar\":");
-            push_u64(out, t);
-            out.push('}');
-        }
-    }
-    if let Some(ns) = e.wall_nanos {
-        out.push_str(",\"wall_nanos\":");
-        push_u64(out, ns);
-    }
-    out.push_str(",\"event\":");
-    append_trace_event(out, &e.event);
-    out.push('}');
-}
-
-/// Appends `v` in decimal without the `fmt` machinery.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are UTF-8"));
-}
-
-/// Appends one `"key":value` pair (`lead` is `{` for the first field,
-/// `,` after).
-fn push_field(out: &mut String, lead: char, key: &str, v: u64) {
-    out.push(lead);
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    push_u64(out, v);
-}
-
-/// The `TraceEvent` half of [`append_event`]: `{"Kind":{fields…}}`, with
-/// the same two irregular shapes as `ToJson` (`DetectionExhausted` is a
-/// bare string, a root token's `from` is `null`).
-fn append_trace_event(out: &mut String, event: &TraceEvent) {
-    let (kind, fields): (&str, &[(&str, u64)]) = match event {
-        TraceEvent::TokenAcquired { from } => {
-            match from {
-                Some(f) => {
-                    out.push_str("{\"TokenAcquired\":");
-                    push_field(out, '{', "from", u64::from(*f));
-                    out.push_str("}}");
-                }
-                None => out.push_str("{\"TokenAcquired\":{\"from\":null}}"),
-            }
-            return;
-        }
-        TraceEvent::PollAnswered { to, alive, bytes } => {
-            out.push_str("{\"PollAnswered\":");
-            push_field(out, '{', "to", u64::from(*to));
-            out.push_str(",\"alive\":");
-            out.push_str(if *alive { "true" } else { "false" });
-            push_field(out, ',', "bytes", *bytes);
-            out.push_str("}}");
-            return;
-        }
-        TraceEvent::DetectionFound { cut } => {
-            out.push_str("{\"DetectionFound\":{\"cut\":[");
-            for (i, g) in cut.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_u64(out, *g);
-            }
-            out.push_str("]}}");
-            return;
-        }
-        TraceEvent::DetectionExhausted => {
-            out.push_str("\"DetectionExhausted\"");
-            return;
-        }
-        TraceEvent::TokenForwarded { to, bytes } => (
-            "TokenForwarded",
-            &[("to", u64::from(*to)), ("bytes", *bytes)],
-        ),
-        TraceEvent::CandidateEliminated {
-            process,
-            interval,
-            work,
-        } => (
-            "CandidateEliminated",
-            &[
-                ("process", u64::from(*process)),
-                ("interval", *interval),
-                ("work", *work),
-            ],
-        ),
-        TraceEvent::CandidateAccepted {
-            process,
-            interval,
-            work,
-        } => (
-            "CandidateAccepted",
-            &[
-                ("process", u64::from(*process)),
-                ("interval", *interval),
-                ("work", *work),
-            ],
-        ),
-        TraceEvent::CandidateInvalidated { process, interval } => (
-            "CandidateInvalidated",
-            &[("process", u64::from(*process)), ("interval", *interval)],
-        ),
-        TraceEvent::SnapshotBuffered { depth, bytes } => {
-            ("SnapshotBuffered", &[("depth", *depth), ("bytes", *bytes)])
-        }
-        TraceEvent::SnapshotDrained { depth } => ("SnapshotDrained", &[("depth", *depth)]),
-        TraceEvent::PollSent { to, bytes } => {
-            ("PollSent", &[("to", u64::from(*to)), ("bytes", *bytes)])
-        }
-        TraceEvent::RedChainHop { to, bytes } => {
-            ("RedChainHop", &[("to", u64::from(*to)), ("bytes", *bytes)])
-        }
-        TraceEvent::ControlSent { to, count, bytes } => (
-            "ControlSent",
-            &[("to", u64::from(*to)), ("count", *count), ("bytes", *bytes)],
-        ),
-        TraceEvent::Work { units } => ("Work", &[("units", *units)]),
-        TraceEvent::ParallelAdvance { units } => ("ParallelAdvance", &[("units", *units)]),
-        TraceEvent::LatticeVisited { states } => ("LatticeVisited", &[("states", *states)]),
-        TraceEvent::MessageDelivered { from, to, delay } => (
-            "MessageDelivered",
-            &[
-                ("from", u64::from(*from)),
-                ("to", u64::from(*to)),
-                ("delay", *delay),
-            ],
-        ),
-        TraceEvent::FrameSent { to, bytes } => {
-            ("FrameSent", &[("to", u64::from(*to)), ("bytes", *bytes)])
-        }
-        TraceEvent::FrameReceived { from, bytes } => (
-            "FrameReceived",
-            &[("from", u64::from(*from)), ("bytes", *bytes)],
-        ),
-        TraceEvent::Retransmit { to, attempt } => (
-            "Retransmit",
-            &[("to", u64::from(*to)), ("attempt", *attempt)],
-        ),
-        TraceEvent::Reconnect { peer, attempt } => (
-            "Reconnect",
-            &[("peer", u64::from(*peer)), ("attempt", *attempt)],
-        ),
-        TraceEvent::BatchFlushed { to, frames, bytes } => (
-            "BatchFlushed",
-            &[
-                ("to", u64::from(*to)),
-                ("frames", *frames),
-                ("bytes", *bytes),
-            ],
-        ),
-    };
-    out.push_str("{\"");
-    out.push_str(kind);
-    out.push_str("\":");
-    let mut lead = '{';
-    for (key, v) in fields {
-        push_field(out, lead, key, *v);
-        lead = ',';
-    }
-    out.push_str("}}");
 }
 
 /// Parses a JSONL document back into events. Blank lines are skipped.
@@ -289,12 +83,10 @@ mod tests {
         assert!(err.message.contains("line 2"), "{err}");
     }
 
-    /// Pins the streaming fast path to the `ToJson` tree rendering: one
-    /// exemplar per `TraceEvent` variant (plus every stamp shape) must
-    /// serialize byte-identically through both, and round-trip.
+    /// One exemplar per `TraceEvent` variant, under every stamp shape,
+    /// round-trips through the JSONL text.
     #[test]
-    fn fast_path_matches_tree_rendering_for_every_variant() {
-        use crate::json::ToJson;
+    fn every_variant_roundtrips_through_text() {
         let variants = vec![
             TraceEvent::TokenAcquired { from: None },
             TraceEvent::TokenAcquired { from: Some(4) },
@@ -364,20 +156,22 @@ mod tests {
             (LogicalTime::Tick(17), Some(123_456)),
             (LogicalTime::Scalar(9), None),
         ];
-        for (i, event) in variants.into_iter().enumerate() {
-            let (time, wall_nanos) = stamps[i % stamps.len()];
-            let stamped = StampedEvent {
-                seq: i as u64,
-                monitor: (i % 4) as u32,
-                time,
-                wall_nanos,
-                event,
-            };
-            let mut fast = String::new();
-            append_event(&mut fast, &stamped);
-            assert_eq!(fast, stamped.to_json().to_string(), "variant {i}");
-            let parsed = read_str(&fast).unwrap();
-            assert_eq!(parsed, vec![stamped], "variant {i} round-trip");
-        }
+        let events: Vec<StampedEvent> = variants
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| {
+                let (time, wall_nanos) = stamps[i % stamps.len()];
+                StampedEvent {
+                    seq: i as u64,
+                    monitor: (i % 4) as u32,
+                    time,
+                    wall_nanos,
+                    event,
+                }
+            })
+            .collect();
+        let text = to_string(&events);
+        assert_eq!(text.lines().count(), events.len());
+        assert_eq!(read_str(&text).unwrap(), events);
     }
 }

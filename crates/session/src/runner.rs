@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use wcp_clocks::{ProcessId, StateId};
 use wcp_detect::online::{
-    apps, simulate, ClockMode, Hosted, Layout, RunOptions, SharedOutcome, SharedStats,
+    apps, simulate, ClockMode, Layout, RunOptions, SharedOutcome, SharedStats,
 };
 use wcp_detect::{Detection, DetectionMetrics, DetectionReport};
 use wcp_sim::{ActorId, SimConfig, SimMetrics};
@@ -233,8 +233,8 @@ impl Service {
         let ctrl =
             MultiController::new(service, self.registrations.clone(), self.unregister.clone());
         let verdicts = ctrl.verdicts();
-        actors.push((n_total as u32, Hosted::boxed(multi)));
-        actors.push((0, Hosted::boxed(ctrl)));
+        actors.push((n_total as u32, Box::new(multi)));
+        actors.push((0, Box::new(ctrl)));
         let Service {
             registrations,
             unregister,

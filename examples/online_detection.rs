@@ -64,8 +64,7 @@ fn main() {
             &wcp,
             NetConfig::loopback(),
             &RunOptions::default(),
-        )
-        .expect("six processes fit a group token");
+        );
         println!(
             "{:<12}: {:<28} frames {:>5}  bytes {:>6}",
             family.to_string(),

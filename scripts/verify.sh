@@ -35,8 +35,8 @@ echo "== fuzz smoke campaign (fixed seed, bounded) =="
 # without the §4.5 chain), each hosting the layout the simulator hosts.
 # --net-batch forces every net case onto the batched (coalesced-write)
 # data path, so the smoke run always exercises it; every net case runs
-# the delta-compressed wire v2. The nightly campaign
-# (scripts/nightly-fuzz.sh) fuzzes both write modes.
+# the one bit-packed wire encoding, its clocks delta-compressed. The
+# nightly campaign (scripts/nightly-fuzz.sh) fuzzes both write modes.
 ./target/release/wcp fuzz --seed 1 --cases 50 --shrink --net-batch
 
 echo "== fuzz multi-tenant smoke slice =="
