@@ -82,7 +82,9 @@ pub fn detectors(scope_n: usize) -> Vec<(String, Box<dyn Detector>)> {
 }
 
 /// Measures the vector-clock snapshot substrate on one workload: how long
-/// one queue build takes and how many clock heap allocations it performs.
+/// one queue build takes (each on a fresh annotation, which would
+/// otherwise hand back the queues it kept) and how many clock heap
+/// allocations it performs.
 ///
 /// The arena path packs every snapshot clock into one flat buffer, so
 /// `clock_allocations` is 1 regardless of snapshot count (0 when empty).
@@ -94,9 +96,14 @@ fn substrate_stats(
     let queues = VcSnapshotQueues::build(annotated, wcp);
     let snapshots = queues.total_snapshots() as u64;
     let clock_allocations = queues.clock_allocations();
-    let build = timing::run("substrate/build", samples, || {
-        std::hint::black_box(VcSnapshotQueues::build(annotated, wcp));
-    });
+    let build = timing::run_fresh(
+        "substrate/build",
+        samples,
+        || annotated.computation().annotate(),
+        |fresh| {
+            std::hint::black_box(VcSnapshotQueues::build(fresh, wcp));
+        },
+    );
     Json::obj([
         ("kind", Json::Str("arena".into())),
         ("snapshots", Json::UInt(snapshots)),
@@ -115,7 +122,8 @@ fn substrate_stats(
 }
 
 /// Times every detector family on one workload and renders the
-/// measurements plus paper-unit cost counters.
+/// measurements plus paper-unit cost counters. Every call runs on one
+/// annotation, so after the first it reuses the scope's snapshot queues.
 fn measure_workload(spec: WorkloadSpec, samples: usize) -> Json {
     let computation = workloads::detectable(spec.processes, spec.events, spec.seed);
     let annotated = computation.annotate();
@@ -729,7 +737,8 @@ const INGEST_EVENTS: usize = 24;
 /// by layer, on one detectable trace per scope width: parsing the JSON
 /// text `wcp generate` writes (`Json::parse` + `Computation::from_json`),
 /// `validate`, `annotate` (which validates as well, since callers may
-/// skip `validate`) and the Figure 2 snapshot-queue build.
+/// skip `validate`) and the Figure 2 snapshot-queue build (on a fresh
+/// annotation each time).
 fn ingest_stats_sized(samples: usize, scopes: &[usize], events: usize) -> Json {
     let per_scope = scopes
         .iter()
@@ -749,10 +758,14 @@ fn ingest_stats_sized(samples: usize, scopes: &[usize], events: usize) -> Json {
             let annotate = timing::run(&format!("ingest/{n}/annotate"), samples, || {
                 std::hint::black_box(computation.annotate());
             });
-            let annotated = computation.annotate();
-            let queue_build = timing::run(&format!("ingest/{n}/queue_build"), samples, || {
-                std::hint::black_box(VcSnapshotQueues::build(&annotated, &wcp));
-            });
+            let queue_build = timing::run_fresh(
+                &format!("ingest/{n}/queue_build"),
+                samples,
+                || computation.annotate(),
+                |annotated| {
+                    std::hint::black_box(VcSnapshotQueues::build(annotated, &wcp));
+                },
+            );
             let us = |ns: u64| Json::Float(ns as f64 / 1e3);
             Json::obj([
                 ("scope", Json::UInt(n as u64)),

@@ -267,6 +267,7 @@ pub fn detect(raw: &[String]) -> Result<String, CliError> {
     let detector = parse_detector(args.get("algorithm").unwrap_or("token"))?;
 
     let annotated = computation.annotate();
+    detector.check_clock_budget(&annotated, &wcp)?;
     let report = detector.detect(&annotated, &wcp);
     let mut out = format!("algorithm: {}\npredicate: {wcp}\n", detector.name());
     out.push_str(&describe(&report, args.switch("json"))?);
@@ -292,6 +293,7 @@ pub fn detect(raw: &[String]) -> Result<String, CliError> {
                             })
                     })
                     .collect::<Result<Vec<_>, CliError>>()?;
+                annotated.check_full_clocks()?;
                 annotated
                     .least_consistent_extension(&states)
                     .ok_or_else(|| CliError::runtime("no consistent extension for the cut"))?
@@ -332,6 +334,7 @@ pub fn trace(raw: &[String]) -> Result<String, CliError> {
     let ring = Arc::new(RingRecorder::new(capacity));
     let detector = parse_recorded_detector(args.get("algorithm").unwrap_or("token"), ring.clone())?;
     let annotated = computation.annotate();
+    detector.check_clock_budget(&annotated, &wcp)?;
     let report = detector.detect(&annotated, &wcp);
 
     let events = ring.events();
@@ -513,7 +516,9 @@ pub fn gcp(raw: &[String]) -> Result<String, CliError> {
     }
     let gcp = Gcp::new(wcp, terms);
     let annotated = computation.annotate();
-    let report = GcpChecker::new().detect(&annotated, &gcp);
+    let checker = GcpChecker::new();
+    annotated.check_scope_clocks(gcp.wcp())?;
+    let report = checker.detect(&annotated, &gcp);
     let mut out = format!("predicate: {gcp}\n");
     out.push_str(&describe(&report, args.switch("json"))?);
     Ok(out)
@@ -795,7 +800,7 @@ pub fn serve(raw: &[String]) -> Result<String, CliError> {
         collector: telemetry.clone().map(|c| c as _),
         ..RunOptions::default()
     };
-    let report = serve_vc_peer(&computation, &wcp, peer, &addrs, config, &options);
+    let report = serve_vc_peer(&computation, &wcp, peer, &addrs, config, &options)?;
     let mut out = format!(
         "peer {peer}/{} listening on {}\npredicate: {wcp}\n",
         wcp.n(),
@@ -844,7 +849,7 @@ fn serve_multi(args: &Args) -> Result<String, CliError> {
         &addrs,
         config,
         &pump_options(args)?,
-    );
+    )?;
     let (outcomes, verdicts) = (&report.report.outcomes, &report.report.wire_verdicts);
     let role = if peer == n { "service" } else { "app" };
     let mut out = format!(
@@ -899,7 +904,7 @@ fn spawn_observed(
     wcp: &Wcp,
     collector: &Arc<TelemetryCollector>,
     done: &Arc<AtomicBool>,
-) -> Result<(String, std::thread::JoinHandle<Detection>), CliError> {
+) -> Result<(String, std::thread::JoinHandle<Result<Detection, CliError>>), CliError> {
     let deadline = Duration::from_secs(args.get_or("deadline", 60)?);
     let computation = computation.clone();
     let wcp = wcp.clone();
@@ -915,7 +920,7 @@ fn spawn_observed(
             let config = NetConfig::tcp().with_deadline(deadline);
             let report = serve_vc_peer(&computation, &wcp, peer, &addrs, config, &options);
             done.store(true, Ordering::Relaxed);
-            report.report.detection
+            Ok(report?.report.detection)
         });
         Ok((title, handle))
     } else {
@@ -929,7 +934,7 @@ fn spawn_observed(
         let handle = std::thread::spawn(move || {
             let report = run_net(Family::VcToken, &computation, &wcp, config, &options);
             done.store(true, Ordering::Relaxed);
-            report.report.detection
+            Ok(report.report.detection)
         });
         Ok((title, handle))
     }
@@ -980,7 +985,7 @@ fn top_with_sink(args: &Args, sink: &mut dyn FnMut(&str)) -> Result<String, CliE
     }
     handle
         .join()
-        .map_err(|_| CliError::runtime("detection thread panicked (peer deadline exceeded?)"))?;
+        .map_err(|_| CliError::runtime("detection thread panicked (peer deadline exceeded?)"))??;
     let mut out = collector.dashboard(&title);
     out.push_str(&format!(
         "{} refreshes, {} events collected, {} malformed deltas\n",
@@ -1009,7 +1014,7 @@ pub fn obs_report(raw: &[String]) -> Result<String, CliError> {
     let (title, handle) = spawn_observed(&args, path, &computation, &wcp, &collector, &done)?;
     let detection = handle
         .join()
-        .map_err(|_| CliError::runtime("detection thread panicked (peer deadline exceeded?)"))?;
+        .map_err(|_| CliError::runtime("detection thread panicked (peer deadline exceeded?)"))??;
 
     let merged = collector.merged();
     let sources = collector.source_stats();
@@ -1188,6 +1193,52 @@ mod tests {
         assert_eq!(cuts[0].1, cuts[4].1);
         assert_eq!(cuts[0].1, cuts[5].1);
         assert_eq!(cuts[0].1, cuts[6].1);
+    }
+
+    /// 30,000 processes with no events, every interval true: 2.1 MB of
+    /// JSON. Full-scope vector clocks would need 2·N² cells, over the
+    /// budget; the §4 detector needs none, and a two-process scope needs
+    /// `O(N)` cells.
+    #[test]
+    fn wide_traces_refuse_full_scope_vector_clocks_before_allocating() {
+        let wide = Computation::from_traces(vec![
+            wcp_trace::ProcessTrace {
+                events: Vec::new(),
+                pred: vec![true],
+            };
+            30_000
+        ]);
+        let path = tmpfile("wide.json");
+        fs::write(&path, wide.to_json().pretty()).unwrap();
+        assert!(fs::metadata(&path).unwrap().len() >= 2_000_000);
+        assert!(info(&argv(&[&path])).unwrap().contains("N=30000"));
+        for scoped in [
+            detect(&argv(&[&path, "--algorithm", "direct"])),
+            detect(&argv(&[&path, "--scope", "0,1"])),
+        ] {
+            assert!(scoped.unwrap().contains("DETECTED at cut ⟨1,1,"));
+        }
+        let events = tmpfile("wide.jsonl");
+        let mut refused = vec![gcp(&argv(&[&path]))];
+        for alg in ["token", "checker", "parallel", "multi:3"] {
+            refused.push(detect(&argv(&[&path, "--algorithm", alg])));
+            refused.push(trace(&argv(&[
+                &path,
+                "--algorithm",
+                alg,
+                "--events",
+                &events,
+            ])));
+        }
+        for err in refused {
+            let err = err.unwrap_err();
+            assert_eq!(err.code, 1, "{err}");
+            assert_eq!(
+                err.message,
+                "vector clocks 30000 wide need 1800000000 cells, \
+                 over the budget of 134217728 cells"
+            );
+        }
     }
 
     #[test]
@@ -1387,68 +1438,51 @@ mod tests {
     fn top_and_obs_report_join_a_tcp_serve_session() {
         for watcher in ["top", "obs-report"] {
             let path = generated_trace(&format!("tcp_{watcher}.json"));
-            let ports: Vec<u16> = (0..3)
-                .map(|_| {
-                    std::net::TcpListener::bind("127.0.0.1:0")
-                        .unwrap()
-                        .local_addr()
-                        .unwrap()
-                        .port()
-                })
-                .collect();
-            let addrs = ports
-                .iter()
-                .map(|p| format!("127.0.0.1:{p}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            let (watched, served): (String, Vec<String>) = std::thread::scope(|s| {
-                let watch = {
-                    let path = path.clone();
-                    let addrs = addrs.clone();
-                    s.spawn(move || {
-                        let base = [
-                            path.as_str(),
-                            "--scope",
-                            "0,1,2",
-                            "--peer",
-                            "0",
-                            "--addrs",
-                            &addrs,
-                        ];
-                        if watcher == "top" {
-                            let mut raw = argv(&base);
-                            raw.extend(argv(&["--interval-ms", "20", "--frames", "500"]));
-                            let args = Args::parse(&raw).unwrap();
-                            top_with_sink(&args, &mut |_| {}).unwrap()
-                        } else {
-                            obs_report(&argv(&base)).unwrap()
-                        }
-                    })
-                };
+            let addrs = &serve_addrs(3);
+            let mut outputs: Vec<String> = std::thread::scope(|s| {
+                let watch = s.spawn(|| {
+                    let base = [
+                        path.as_str(),
+                        "--scope",
+                        "0,1,2",
+                        "--peer",
+                        "0",
+                        "--addrs",
+                        addrs,
+                    ];
+                    if watcher == "top" {
+                        let mut raw = argv(&base);
+                        raw.extend(argv(&["--interval-ms", "20", "--frames", "500"]));
+                        let args = Args::parse(&raw).unwrap();
+                        top_with_sink(&args, &mut |_| {})
+                    } else {
+                        obs_report(&argv(&base))
+                    }
+                });
                 let peers: Vec<_> = (1..3)
                     .map(|peer: usize| {
-                        let path = path.clone();
-                        let addrs = addrs.clone();
+                        let path = &path;
                         s.spawn(move || {
                             serve(&argv(&[
-                                &path,
+                                path,
                                 "--scope",
                                 "0,1,2",
                                 "--peer",
                                 &peer.to_string(),
                                 "--addrs",
-                                &addrs,
+                                addrs,
                                 "--telemetry",
                             ]))
-                            .unwrap()
                         })
                     })
                     .collect();
-                (
-                    watch.join().unwrap(),
-                    peers.into_iter().map(|h| h.join().unwrap()).collect(),
-                )
+                std::iter::once(watch)
+                    .chain(peers)
+                    .map(|h| h.join().unwrap().unwrap())
+                    .collect()
             });
+            let watched = outputs.remove(0);
+            let served = outputs;
             // Peer 0 collected telemetry from every peer in the session.
             for src in ["S0", "S1", "S2"] {
                 assert!(watched.contains(src), "{watcher} missing {src}:\n{watched}");
@@ -1541,44 +1575,67 @@ mod tests {
         assert!(net_demo(&argv(&[&path, "--transport", "carrier-pigeon"])).is_err());
     }
 
+    /// Loopback addresses for a `count`-peer `serve` deployment, on ports
+    /// below the kernel's ephemeral range (32768 and up by default): a
+    /// listener bound to port 0 never gets one, so no other test's
+    /// in-process TCP run can take one before `serve` binds it. A
+    /// process-wide counter keeps this binary's deployments apart.
+    fn serve_addrs(count: usize) -> String {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let base = 20_000 + (std::process::id() as usize % 64) * 128;
+        (0..count)
+            .map(|_| {
+                let port = base + NEXT.fetch_add(1, Ordering::Relaxed) % 128;
+                format!("127.0.0.1:{port}")
+            })
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+
+    #[test]
+    fn serve_on_a_taken_address_exits_1_and_names_it() {
+        let path = generated_trace("serve_taken.json");
+        let holder = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let taken = holder.local_addr().unwrap();
+        let addrs = format!("{taken},{}", serve_addrs(2));
+        let err = serve(&argv(&[
+            &path, "--scope", "0,1,2", "--peer", "0", "--addrs", &addrs,
+        ]))
+        .unwrap_err();
+        assert_eq!(err.code, 1, "{err}");
+        assert!(
+            err.message
+                .starts_with(&format!("io error: cannot bind {taken}: ")),
+            "{err}"
+        );
+        assert!(err.message.contains("in use"), "{err}");
+    }
+
     #[test]
     fn serve_peers_agree_on_the_verdict() {
         let path = generated_trace("serve.json");
-        // Reserve three localhost ports, then release them for the peers.
-        let ports: Vec<u16> = (0..3)
-            .map(|_| {
-                std::net::TcpListener::bind("127.0.0.1:0")
-                    .unwrap()
-                    .local_addr()
-                    .unwrap()
-                    .port()
-            })
-            .collect();
-        let addrs = ports
-            .iter()
-            .map(|p| format!("127.0.0.1:{p}"))
-            .collect::<Vec<_>>()
-            .join(",");
+        let addrs = &serve_addrs(3);
         let outputs: Vec<String> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..3)
-                .map(|peer| {
-                    let path = path.clone();
-                    let addrs = addrs.clone();
+                .map(|peer: usize| {
+                    let path = &path;
                     s.spawn(move || {
                         serve(&argv(&[
-                            &path,
+                            path,
                             "--scope",
                             "0,1,2",
                             "--peer",
                             &peer.to_string(),
                             "--addrs",
-                            &addrs,
+                            addrs,
                         ]))
-                        .unwrap()
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap().unwrap())
+                .collect()
         });
         let verdicts: Vec<&str> = outputs
             .iter()
@@ -1603,6 +1660,7 @@ mod tests {
             expects_detected,
             "{verdicts:?}"
         );
+        let addrs = serve_addrs(3);
         assert!(serve(&argv(&[&path, "--peer", "9", "--addrs", &addrs])).is_err());
     }
 
@@ -1677,41 +1735,29 @@ mod tests {
     fn serve_multi_peers_share_one_service() {
         let path = generated_trace("serve_multi.json");
         // 4 app peers + 1 service peer.
-        let ports: Vec<u16> = (0..5)
-            .map(|_| {
-                std::net::TcpListener::bind("127.0.0.1:0")
-                    .unwrap()
-                    .local_addr()
-                    .unwrap()
-                    .port()
-            })
-            .collect();
-        let addrs = ports
-            .iter()
-            .map(|p| format!("127.0.0.1:{p}"))
-            .collect::<Vec<_>>()
-            .join(",");
+        let addrs = &serve_addrs(5);
         let outputs: Vec<String> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..5)
-                .map(|peer| {
-                    let path = path.clone();
-                    let addrs = addrs.clone();
+                .map(|peer: usize| {
+                    let path = &path;
                     s.spawn(move || {
                         serve(&argv(&[
-                            &path,
+                            path,
                             "--multi",
                             "--predicates",
                             "4",
                             "--peer",
                             &peer.to_string(),
                             "--addrs",
-                            &addrs,
+                            addrs,
                         ]))
-                        .unwrap()
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap().unwrap())
+                .collect()
         });
         // The service peer (peer 4) prints the outcome table; peer 0 the
         // controller's collected verdicts; both agree with the offline

@@ -65,6 +65,12 @@ impl From<std::io::Error> for CliError {
     }
 }
 
+impl From<wcp_trace::ComputationError> for CliError {
+    fn from(e: wcp_trace::ComputationError) -> Self {
+        CliError::runtime(e.to_string())
+    }
+}
+
 impl From<wcp_obs::json::JsonError> for CliError {
     fn from(e: wcp_obs::json::JsonError) -> Self {
         CliError::runtime(format!("json error: {e}"))

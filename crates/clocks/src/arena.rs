@@ -196,6 +196,15 @@ impl ClockArena {
         }
     }
 
+    /// Creates an arena of `rows` all-zero clocks, for callers that fill
+    /// rows out of order.
+    pub fn zeroed(stride: usize, rows: usize) -> Self {
+        ClockArena {
+            stride,
+            data: vec![0; stride * rows],
+        }
+    }
+
     /// Width of every row.
     pub fn stride(&self) -> usize {
         self.stride
@@ -227,26 +236,6 @@ impl ClockArena {
         id
     }
 
-    /// Appends an all-zero row and returns a mutable view of it, so callers
-    /// can fill components in place without a temporary buffer.
-    pub fn push_zeroed(&mut self) -> &mut [u64] {
-        let start = self.data.len();
-        self.data.resize(start + self.stride, 0);
-        &mut self.data[start..]
-    }
-
-    /// Appends a copy of row `src` and returns the new row's index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range.
-    pub fn push_copy(&mut self, src: usize) -> usize {
-        let s = self.stride;
-        let id = self.len();
-        self.data.extend_from_within(src * s..src * s + s);
-        id
-    }
-
     /// Returns the row at `index`.
     ///
     /// # Panics
@@ -265,6 +254,16 @@ impl ClockArena {
     pub fn row_mut(&mut self, index: usize) -> &mut [u64] {
         let start = index * self.stride;
         &mut self.data[start..start + self.stride]
+    }
+
+    /// Overwrites row `dst` with a copy of row `src`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn copy_row(&mut self, src: usize, dst: usize) {
+        let s = self.stride;
+        self.data.copy_within(src * s..src * s + s, dst * s);
     }
 
     /// Raises row `dst` to the componentwise maximum of itself and row
@@ -319,11 +318,11 @@ mod tests {
     }
 
     #[test]
-    fn push_zeroed_fills_in_place() {
-        let mut arena = ClockArena::new(2);
-        arena.push_zeroed().copy_from_slice(&[7, 8]);
-        let row = arena.push_zeroed();
-        row[1] = 9;
+    fn zeroed_rows_fill_in_place() {
+        let mut arena = ClockArena::zeroed(2, 2);
+        arena.row_mut(1)[1] = 9;
+        arena.row_mut(0).copy_from_slice(&[7, 8]);
+        assert_eq!(arena.len(), 2);
         assert_eq!(arena.row(0).as_slice(), &[7, 8]);
         assert_eq!(arena.row(1).as_slice(), &[0, 9]);
     }
@@ -333,8 +332,9 @@ mod tests {
         let mut arena = ClockArena::new(3);
         arena.push(&[1, 0, 4]);
         arena.push(&[0, 2, 3]);
-        let copy = arena.push_copy(0);
-        assert_eq!(copy, 2);
+        let copy = arena.push(&[9, 9, 9]);
+        arena.copy_row(0, copy);
+        assert_eq!(arena.row(copy).as_slice(), &[1, 0, 4]);
         arena.join_row(copy, 1);
         arena.row_mut(copy)[2] += 1;
         assert_eq!(arena.row(copy).as_slice(), &[1, 2, 5]);

@@ -4,7 +4,7 @@ use std::fmt;
 
 use wcp_clocks::Cut;
 use wcp_obs::json::{FromJson, Json, JsonError, ToJson};
-use wcp_trace::{AnnotatedComputation, Wcp};
+use wcp_trace::{AnnotatedComputation, ComputationError, Wcp};
 
 use crate::metrics::DetectionMetrics;
 
@@ -123,6 +123,24 @@ pub trait Detector {
 
     /// Runs detection of `wcp` over the annotated computation.
     fn detect(&self, annotated: &AnnotatedComputation<'_>, wcp: &Wcp) -> DetectionReport;
+
+    /// Checks, without building them, that the vector clocks
+    /// [`detect`](Self::detect) builds fit
+    /// [`CLOCK_CELL_BUDGET`](wcp_trace::CLOCK_CELL_BUDGET). The default
+    /// checks the scope's snapshot clocks, which every vector-clock
+    /// family builds ([`VcSnapshotQueues::build`](crate::VcSnapshotQueues::build));
+    /// a detector that reads no vector clock overrides it.
+    ///
+    /// # Errors
+    ///
+    /// [`ComputationError::ClockBudget`] if they do not fit.
+    fn check_clock_budget(
+        &self,
+        annotated: &AnnotatedComputation<'_>,
+        wcp: &Wcp,
+    ) -> Result<(), ComputationError> {
+        annotated.check_scope_clocks(wcp)
+    }
 }
 
 #[cfg(test)]

@@ -26,13 +26,14 @@
 
 use std::fmt;
 
-use wcp_clocks::{Cut, ProcessId, StateId};
+use wcp_clocks::Cut;
 use wcp_trace::channel::{ChannelId, ChannelIndex};
 use wcp_trace::{AnnotatedComputation, Wcp};
 
 use crate::detector::{Detection, DetectionReport};
-use crate::elimination::{Elimination, Heads, ScopedRow};
+use crate::elimination::{Elimination, Heads};
 use crate::metrics::DetectionMetrics;
+use crate::snapshot::VcSnapshotQueues;
 use crate::streaming::StreamingStatus;
 
 /// A linear (monotone) predicate on one channel's in-flight message count.
@@ -177,10 +178,10 @@ impl GcpChecker {
     ///
     /// # Panics
     ///
-    /// Panics if the predicate scope is empty.
+    /// Panics if the predicate scope is empty, or as
+    /// [`VcSnapshotQueues::build`].
     pub fn detect(&self, annotated: &AnnotatedComputation<'_>, gcp: &Gcp) -> DetectionReport {
         let wcp = gcp.wcp();
-        let scope = wcp.scope();
         let n = wcp.n();
         assert!(n >= 1, "GCP scope must name at least one process");
         let index = ChannelIndex::new(annotated.computation());
@@ -189,19 +190,18 @@ impl GcpChecker {
         // Candidate queues: pred-true intervals per scope process, every
         // one closed up front. Each queue's first interval is its initial
         // candidate, up to the first empty queue.
-        let mut rows = TrueIntervals {
-            annotated,
-            scope,
-            queues: scope.iter().map(|&p| annotated.true_intervals(p)).collect(),
+        let queues = VcSnapshotQueues::build(annotated, wcp);
+        let mut rows = QueueHeads {
+            queues: &queues,
             heads: vec![0; n],
         };
-        metrics.snapshot_messages = rows.queues.iter().map(|q| q.len() as u64).sum();
+        metrics.snapshot_messages = queues.total_snapshots() as u64;
         // §3.4 units, as the centralized checker charges: one
         // scope-projected clock component per scope process.
         metrics.snapshot_bytes = 8 * n as u64 * metrics.snapshot_messages;
         metrics.max_buffered_snapshots = metrics.snapshot_messages;
         metrics.candidates_consumed =
-            rows.queues.iter().take_while(|q| !q.is_empty()).count() as u64;
+            (0..n).take_while(|&i| queues.queue_len(i) > 0).count() as u64;
         let mut elimination = Elimination::new(n);
         for i in 0..n {
             elimination.close(i);
@@ -241,28 +241,25 @@ impl GcpChecker {
     }
 }
 
-/// Phase 1's row source: one cursor per scope process into its pred-true
-/// intervals, each head's clock read from the trace.
-struct TrueIntervals<'a, 'c> {
-    annotated: &'a AnnotatedComputation<'c>,
-    scope: &'a [ProcessId],
-    queues: Vec<&'a [u64]>,
+/// Phase 1's row source: one cursor per scope position into its snapshot
+/// queue.
+struct QueueHeads<'a> {
+    queues: &'a VcSnapshotQueues,
     heads: Vec<usize>,
 }
 
-impl Heads for TrueIntervals<'_, '_> {
+impl Heads for QueueHeads<'_> {
     type Row<'a>
-        = ScopedRow<'a>
+        = &'a [u64]
     where
         Self: 'a;
 
     fn has_head(&self, i: usize) -> bool {
-        self.heads[i] < self.queues[i].len()
+        self.heads[i] < self.queues.queue_len(i)
     }
 
-    fn head(&self, j: usize) -> ScopedRow<'_> {
-        let head = StateId::new(self.scope[j], self.queues[j][self.heads[j]]);
-        ScopedRow::new(self.annotated.clock(head).as_slice(), self.scope)
+    fn head(&self, j: usize) -> &[u64] {
+        self.queues.clock(j, self.heads[j]).as_slice()
     }
 
     fn pop(&mut self, i: usize) {

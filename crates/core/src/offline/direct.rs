@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use wcp_clocks::{Cut, ProcessId, StateId};
 use wcp_obs::{NullRecorder, Recorder};
-use wcp_trace::{AnnotatedComputation, Wcp};
+use wcp_trace::{AnnotatedComputation, ComputationError, Wcp};
 
 use crate::detector::{Detection, DetectionReport, Detector};
 use crate::meter::Meter;
@@ -94,6 +94,15 @@ impl Default for DirectDependenceDetector {
 impl Detector for DirectDependenceDetector {
     fn name(&self) -> &str {
         "direct"
+    }
+
+    /// Reads dependences only: no vector clock.
+    fn check_clock_budget(
+        &self,
+        _: &AnnotatedComputation<'_>,
+        _: &Wcp,
+    ) -> Result<(), ComputationError> {
+        Ok(())
     }
 
     /// Runs the direct-dependence protocol to completion.

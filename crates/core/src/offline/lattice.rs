@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use wcp_obs::{NullRecorder, Recorder};
 use wcp_trace::lattice::LatticeExplorer;
-use wcp_trace::{AnnotatedComputation, Wcp};
+use wcp_trace::{AnnotatedComputation, ComputationError, Wcp};
 
 use crate::detector::{Detection, DetectionReport, Detector};
 use crate::meter::Meter;
@@ -62,6 +62,15 @@ impl Default for LatticeDetector {
 impl Detector for LatticeDetector {
     fn name(&self) -> &str {
         "lattice"
+    }
+
+    /// Walks the lattice by message closure: no vector clock.
+    fn check_clock_budget(
+        &self,
+        _: &AnnotatedComputation<'_>,
+        _: &Wcp,
+    ) -> Result<(), ComputationError> {
+        Ok(())
     }
 
     /// Runs breadth-first lattice search.

@@ -47,10 +47,9 @@ impl DdSnapshot {
 /// Indexed by **scope position** (not [`ProcessId`]).
 ///
 /// This is the reference per-`Vec` path: it heap-allocates one clock per
-/// snapshot. The offline detectors use the arena-backed
-/// [`VcSnapshotQueues`] instead (property-tested equal to this function in
-/// `tests/substrate.rs`); this form remains the building block for the
-/// online monitors' wire messages, which arrive one snapshot at a time.
+/// snapshot, projected from the `N`-wide table. The offline detectors use
+/// the arena-backed [`VcSnapshotQueues`] instead, whose scope-wide replay
+/// is property-tested equal to this function in `tests/substrate.rs`.
 pub fn vc_snapshot_queues(annotated: &AnnotatedComputation<'_>, wcp: &Wcp) -> Vec<Vec<VcSnapshot>> {
     let scope = wcp.scope();
     scope
@@ -69,124 +68,9 @@ pub fn vc_snapshot_queues(annotated: &AnnotatedComputation<'_>, wcp: &Wcp) -> Ve
         .collect()
 }
 
-/// Arena-backed Figure 2 snapshot queues: every scope-projected snapshot
-/// clock of a run stored in one flat [`ClockArena`] with stride `n`.
-///
-/// Queues are laid out back-to-back in scope order, so building performs a
-/// single clock allocation for the whole run (the backing buffer is sized
-/// exactly up front) instead of one `Vec<u64>` per snapshot. A snapshot's
-/// interval index needs no separate storage: by the Figure 2 protocol the
-/// own-component of a state's clock *is* its 1-based interval index, so
-/// `interval(pos, i) == clock(pos, i)[pos]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VcSnapshotQueues {
-    arena: ClockArena,
-    /// Per scope position: index of the queue's first row in `arena`.
-    starts: Vec<usize>,
-    /// Per scope position: number of snapshots in the queue.
-    lens: Vec<usize>,
-}
-
-impl VcSnapshotQueues {
-    /// Builds the queues in a single pass over `true_intervals`.
-    pub fn build(annotated: &AnnotatedComputation<'_>, wcp: &Wcp) -> Self {
-        let scope = wcp.scope();
-        let total: usize = scope
-            .iter()
-            .map(|&p| annotated.true_intervals(p).len())
-            .sum();
-        let mut arena = ClockArena::with_capacity(scope.len(), total);
-        let mut starts = Vec::with_capacity(scope.len());
-        let mut lens = Vec::with_capacity(scope.len());
-        for &p in scope {
-            starts.push(arena.len());
-            for &k in annotated.true_intervals(p) {
-                let full = annotated.clock(StateId::new(p, k));
-                let row = arena.push_zeroed();
-                for (slot, &q) in row.iter_mut().zip(scope) {
-                    *slot = full[q];
-                }
-            }
-            lens.push(arena.len() - starts.last().unwrap());
-        }
-        VcSnapshotQueues {
-            arena,
-            starts,
-            lens,
-        }
-    }
-
-    /// The build the parallel detectors once split one thread per scope
-    /// process; now the same single pass as [`build`](Self::build). The
-    /// pass reads the borrowed trace, which the persistent worker pool
-    /// cannot share, and it costs about 50 µs at n = 128 — less than
-    /// handing it to threads at any scope the detectors run on.
-    pub fn build_parallel(annotated: &AnnotatedComputation<'_>, wcp: &Wcp) -> Self {
-        Self::build(annotated, wcp)
-    }
-
-    /// Scope width `n` (also the width of every clock row).
-    pub fn scope_width(&self) -> usize {
-        self.starts.len()
-    }
-
-    /// Number of snapshots queued for scope position `pos`.
-    pub fn queue_len(&self, pos: usize) -> usize {
-        self.lens[pos]
-    }
-
-    /// Total snapshots across all queues.
-    pub fn total_snapshots(&self) -> usize {
-        self.lens.iter().sum()
-    }
-
-    /// The `i`-th snapshot clock in scope position `pos`'s queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` or `i` is out of range.
-    pub fn clock(&self, pos: usize, i: usize) -> ClockRow<'_> {
-        assert!(i < self.lens[pos], "snapshot index out of range");
-        self.arena.row(self.starts[pos] + i)
-    }
-
-    /// Arena row id of the `i`-th snapshot in `pos`'s queue — stable across
-    /// the run, usable as a compact candidate-clock handle
-    /// (see [`arena`](Self::arena)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` or `i` is out of range.
-    pub fn row_id(&self, pos: usize, i: usize) -> usize {
-        assert!(i < self.lens[pos], "snapshot index out of range");
-        self.starts[pos] + i
-    }
-
-    /// The `i`-th snapshot's candidate interval index on scope position
-    /// `pos` (its own clock component).
-    pub fn interval(&self, pos: usize, i: usize) -> u64 {
-        self.clock(pos, i)[pos]
-    }
-
-    /// Copies the `i`-th snapshot of `pos`'s queue into the owned wire form.
-    pub fn to_vc_snapshot(&self, pos: usize, i: usize) -> VcSnapshot {
-        VcSnapshot {
-            interval: self.interval(pos, i),
-            clock: self.clock(pos, i).to_vector_clock(),
-        }
-    }
-
-    /// The shared backing arena.
-    pub fn arena(&self) -> &ClockArena {
-        &self.arena
-    }
-
-    /// Heap allocations holding clock components: `1` for the whole run
-    /// (the flat backing buffer), vs one per snapshot on the per-`Vec` path.
-    pub fn clock_allocations(&self) -> u64 {
-        u64::from(!self.arena.is_empty())
-    }
-}
+/// The arena-backed Figure 2 snapshot queues every offline vector-clock
+/// detector starts from, built from the annotation's replay.
+pub use wcp_trace::VcSnapshotQueues;
 
 /// A monitor's incoming snapshot queue, arena-backed: clocks of buffered
 /// [`VcSnapshot`] messages are copied into one grow-only [`ClockArena`]
@@ -398,7 +282,6 @@ mod tests {
             for (i, snap) in queue.iter().enumerate() {
                 assert_eq!(arena.interval(pos, i), snap.interval);
                 assert_eq!(arena.clock(pos, i).as_slice(), snap.clock.as_slice());
-                assert_eq!(&arena.to_vc_snapshot(pos, i), snap);
             }
         }
     }

@@ -20,6 +20,7 @@
 //! simulator and to `k` standalone single-predicate runs. The equivalence
 //! tests pin exactly that.
 
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -94,10 +95,15 @@ pub fn run_multi_net(
 /// Every peer must be started with the same computation and service;
 /// peers dial with generous retries so start order does not matter.
 ///
+/// # Errors
+///
+/// An I/O error naming the address if its own address cannot be bound or
+/// another peer's cannot be dialled.
+///
 /// # Panics
 ///
-/// Panics on bad indices, an invalid registration, undialable peers, or a
-/// stall past the deadline.
+/// Panics on bad indices, an invalid registration, or a stall past the
+/// deadline.
 pub fn serve_multi_peer(
     computation: &Computation,
     service: &Service,
@@ -105,7 +111,7 @@ pub fn serve_multi_peer(
     addrs: &[SocketAddr],
     config: NetConfig,
     options: &RunOptions,
-) -> PeerReport<MultiReport> {
+) -> io::Result<PeerReport<MultiReport>> {
     let counters = NetCounters::shared();
     let layout = layout(computation, service, options, &counters);
     serve(layout, peer, addrs, &config, options, counters)

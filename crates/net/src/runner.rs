@@ -12,6 +12,7 @@
 //! bit-identical to the simulator's, including under tolerated fault
 //! schedules; the report is the layout's own mapping, the simulator's.
 
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
@@ -405,9 +406,14 @@ pub(crate) fn host<R>(
 /// listening on `addrs[peer]` and dialling every other address. Peers
 /// dial with generous retries, so start order does not matter.
 ///
+/// # Errors
+///
+/// An I/O error naming the address if its own address cannot be bound or
+/// another peer's cannot be dialled.
+///
 /// # Panics
 ///
-/// Panics on bad indices, undialable peers, or a stall past the deadline.
+/// Panics on bad indices or a stall past the deadline.
 pub(crate) fn serve<R>(
     layout: Layout<R>,
     peer: usize,
@@ -415,33 +421,40 @@ pub(crate) fn serve<R>(
     config: &NetConfig,
     options: &RunOptions,
     counters: Arc<NetCounters>,
-) -> PeerReport<R> {
+) -> io::Result<PeerReport<R>> {
     let n_peers = layout.peers();
     assert_eq!(addrs.len(), n_peers, "one address per peer");
     assert!(peer < n_peers, "peer index out of range");
     let run = RunShared::new(&layout, config, options, counters);
     let pool = FramePool::shared(run.counters.clone());
-    let listener = TcpListener::bind(addrs[peer]).expect("bind serve address");
+    let listener = TcpListener::bind(addrs[peer])
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot bind {}: {e}", addrs[peer])))?;
     let (tx, rx) = channel();
     let bell = Arc::new(Doorbell::default());
     let acceptor = spawn_listener(listener, InboxSender::new(tx, bell.clone()), pool);
     // Other peers may not have started yet: dial patiently.
-    let links = (0..n_peers)
-        .map(|j| {
-            (j != peer).then(|| {
-                let base: Box<dyn Transport> = Box::new(
-                    TcpTransport::connect(addrs[j], 12, Duration::from_millis(5))
-                        .expect("dial peer"),
-                );
-                let recorder = &run.recorders[peer];
-                wrap_faults(base, config, peer as u32, j as u32, &run.counters, recorder)
-            })
-        })
-        .collect();
+    let mut links = Vec::with_capacity(n_peers);
+    for (j, &addr) in addrs.iter().enumerate() {
+        if j == peer {
+            links.push(None);
+            continue;
+        }
+        let tcp = TcpTransport::connect(addr, 12, Duration::from_millis(5))
+            .map_err(|e| io::Error::new(e.kind(), format!("cannot dial peer at {addr}: {e}")))?;
+        let recorder = &run.recorders[peer];
+        links.push(Some(wrap_faults(
+            Box::new(tcp),
+            config,
+            peer as u32,
+            j as u32,
+            &run.counters,
+            recorder,
+        )));
+    }
     let actors = per_peer(layout.actors, n_peers).swap_remove(peer);
     let host = run.host(peer as u32, links, rx, actors);
     serve_alone(host, &bell, acceptor);
-    run.report(layout.report)
+    Ok(run.report(layout.report))
 }
 
 /// Runs `family` over real transport, every peer in-process.
@@ -490,9 +503,14 @@ pub fn run_vc_token_net(computation: &Computation, wcp: &Wcp, config: NetConfig)
 /// address list. With telemetry on, every peer ships its deltas to peer
 /// 0, whose report (or the options' collector) holds them all.
 ///
+/// # Errors
+///
+/// An I/O error naming the address if its own address cannot be bound or
+/// another peer's cannot be dialled.
+///
 /// # Panics
 ///
-/// Panics on bad indices, undialable peers, or a stall past the deadline.
+/// Panics on bad indices or a stall past the deadline.
 pub fn serve_vc_peer(
     computation: &Computation,
     wcp: &Wcp,
@@ -500,7 +518,7 @@ pub fn serve_vc_peer(
     addrs: &[SocketAddr],
     config: NetConfig,
     options: &RunOptions,
-) -> PeerReport {
+) -> io::Result<PeerReport> {
     let layout = Family::VcToken.layout(computation, wcp);
     serve(layout, peer, addrs, &config, options, NetCounters::shared())
 }

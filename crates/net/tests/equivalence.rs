@@ -8,7 +8,7 @@
 //! consistent cut satisfying a WCP is a function of the computation alone,
 //! so no amount of (masked) transport nondeterminism may change it.
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -142,12 +142,13 @@ fn standalone_serve_peers_match_the_simulator() {
     let computation = staircase(4, 6);
     let wcp = Wcp::over_all(&computation);
     let sim = run_vc_token(&computation, &wcp, SimConfig::seeded(1)).report;
-    for (schedule, faults) in [schedules()[0], schedules()[2]] {
+    for (round, (schedule, faults)) in [schedules()[0], schedules()[2]].into_iter().enumerate() {
+        // Ports below the kernel's ephemeral range (32768 and up by
+        // default): no listener bound to port 0 elsewhere in this binary
+        // can take one before its peer binds it.
+        let base = 29_000 + (std::process::id() as u16 % 256) * 8;
         let addrs: Vec<SocketAddr> = (0..4)
-            .map(|_| {
-                let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-                probe.local_addr().unwrap()
-            })
+            .map(|i| SocketAddr::from(([127, 0, 0, 1], base + 4 * round as u16 + i)))
             .collect();
         let config = NetConfig::tcp().with_deadline(deadline());
         let config = faults.map_or(config, |f| config.with_faults(f));
@@ -164,6 +165,7 @@ fn standalone_serve_peers_match_the_simulator() {
                             config,
                             &RunOptions::default(),
                         )
+                        .expect("every peer binds and dials")
                     })
                 })
                 .collect();

@@ -12,7 +12,7 @@
 //!   variants as bare strings (`"Undetected"`).
 
 use std::borrow::Cow;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::Deref;
 
 /// A JSON value.
@@ -303,7 +303,8 @@ impl Json {
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     out.push_str(if i == 0 { "\n" } else { ",\n" });
                     push_indent(out, indent + 1);
-                    write_escaped(out, k);
+                    // Writing into a `String` cannot fail.
+                    let _ = write_escaped(out, k);
                     out.push_str(": ");
                     v.write_pretty(out, indent + 1);
                 }
@@ -312,7 +313,6 @@ impl Json {
                 out.push('}');
             }
             other => {
-                use fmt::Write as _;
                 let _ = write!(out, "{other}");
             }
         }
@@ -349,25 +349,35 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `s` as a JSON string literal: the one escaper of every
+/// rendering. Runs of characters that need no escape are written whole.
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut plain = 0;
+    // Every escaped character is ASCII, so byte offsets split `s` only at
+    // character boundaries.
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0..0x20 => "",
+            _ => continue,
+        };
+        out.write_str(&s[plain..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
         }
+        plain = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[plain..])?;
+    out.write_char('"')
 }
 
 impl fmt::Display for Json {
@@ -390,18 +400,14 @@ impl fmt::Display for Json {
                     f.write_str("null")
                 }
             }
-            Json::Str(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                write_escaped(&mut buf, s);
-                f.write_str(&buf)
-            }
+            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
                 f.write_str("]")
             }
@@ -411,9 +417,9 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    let mut buf = String::with_capacity(k.len() + 2);
-                    write_escaped(&mut buf, k);
-                    write!(f, "{buf}:{v}")?;
+                    write_escaped(f, k)?;
+                    f.write_str(":")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("}")
             }

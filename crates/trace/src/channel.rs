@@ -77,11 +77,13 @@ pub struct ChannelIndex {
 impl ChannelIndex {
     /// Builds the index for `computation` (which must be valid).
     pub fn new(computation: &Computation) -> Self {
-        let mut recv_at: HashMap<MsgId, u64> = HashMap::new();
-        for (_, trace) in computation.iter() {
-            for (e, ev) in trace.events.iter().enumerate() {
-                if let Event::Receive { msg, .. } = *ev {
-                    recv_at.insert(msg, e as u64 + 1);
+        let matching = computation.matching();
+        // By the send's global event index: its receive's event index.
+        let mut received_at = vec![None; computation.total_events()];
+        for (p, trace) in computation.iter() {
+            for e in 0..trace.events.len() {
+                if let Some((q, j)) = matching.send_of(p, e) {
+                    received_at[matching.index(q, j)] = Some(e as u64 + 1);
                 }
             }
         }
@@ -95,7 +97,7 @@ impl ChannelIndex {
                         .push(MessageSpan {
                             msg,
                             sent_at: e as u64 + 1,
-                            received_at: recv_at.get(&msg).copied(),
+                            received_at: received_at[matching.index(p, e)],
                         });
                 }
             }

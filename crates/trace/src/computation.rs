@@ -156,6 +156,17 @@ pub enum ComputationError {
         /// Per-process count of events that could not be scheduled.
         stuck_events: usize,
     },
+    /// A vector-clock table would hold more cells than
+    /// [`CLOCK_CELL_BUDGET`](crate::CLOCK_CELL_BUDGET) allows; it was not
+    /// allocated.
+    ClockBudget {
+        /// Width of the table's clocks.
+        width: usize,
+        /// `u64` components the table would hold.
+        cells: u64,
+        /// The budget it exceeds.
+        budget: u64,
+    },
 }
 
 impl fmt::Display for ComputationError {
@@ -189,6 +200,14 @@ impl fmt::Display for ComputationError {
             ComputationError::CausalCycle { stuck_events } => write!(
                 f,
                 "event sequences admit no valid interleaving ({stuck_events} events unschedulable)"
+            ),
+            ComputationError::ClockBudget {
+                width,
+                cells,
+                budget,
+            } => write!(
+                f,
+                "vector clocks {width} wide need {cells} cells, over the budget of {budget} cells"
             ),
         }
     }
@@ -266,7 +285,9 @@ impl Computation {
         self.process(s.process).pred_at(s.index)
     }
 
-    /// Computes per-interval clocks and dependences for this computation.
+    /// Replays this computation once for its dependences, pred-true
+    /// intervals and replay order; vector clocks are built from these on
+    /// demand.
     ///
     /// This is the entry point for all happened-before queries; see
     /// [`AnnotatedComputation`].
@@ -342,7 +363,10 @@ impl Computation {
         mut visit: impl FnMut(ProcessId, usize, Option<Position>),
     ) -> Result<(), ComputationError> {
         self.check_shape()?;
-        let (first_event, send_of) = self.match_messages()?;
+        let Matching {
+            first_event,
+            send_of,
+        } = self.match_messages()?;
         let mut next = vec![0usize; self.processes.len()];
         let total = send_of.len();
         let mut done = 0usize;
@@ -404,11 +428,21 @@ impl Computation {
         Ok(())
     }
 
+    /// Pairs every receive with its send: the one message matching of the
+    /// crate, for computations already validated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a message is sent or received twice, or received with no
+    /// matching send.
+    pub(crate) fn matching(&self) -> Matching {
+        self.match_messages()
+            .expect("matching messages of an invalid computation")
+    }
+
     /// Pairs every receive with its send by sorting all events on
-    /// `(msg, kind, process, event)` once. Returns each process's first
-    /// global event index and, per global event, the position of the
-    /// matching send (`None` for sends).
-    fn match_messages(&self) -> Result<(Vec<usize>, Vec<Option<Position>>), ComputationError> {
+    /// `(msg, kind, process, event)` once.
+    fn match_messages(&self) -> Result<Matching, ComputationError> {
         let mut first_event = Vec::with_capacity(self.processes.len());
         let mut events = Vec::with_capacity(self.total_events());
         for (p, trace) in self.iter() {
@@ -458,13 +492,40 @@ impl Computation {
         }
         match duplicate.0.or(bad_receive.0) {
             Some((_, err)) => Err(err),
-            None => Ok((first_event, send_of)),
+            None => Ok(Matching {
+                first_event,
+                send_of,
+            }),
         }
     }
 }
 
 /// An event's position: its process and 0-based index in that process.
 pub(crate) type Position = (ProcessId, usize);
+
+/// Every receive of a computation paired with its send.
+#[derive(Debug, Clone)]
+pub(crate) struct Matching {
+    /// Each process's first global event index.
+    first_event: Vec<usize>,
+    /// Per global event: the position of the matching send (`None` for
+    /// sends).
+    send_of: Vec<Option<Position>>,
+}
+
+impl Matching {
+    /// Global index of event `e` of `p`: process by process, in program
+    /// order.
+    pub(crate) fn index(&self, p: ProcessId, e: usize) -> usize {
+        self.first_event[p.index()] + e
+    }
+
+    /// The position of the send that event `e` of `p` receives, `None`
+    /// for a send.
+    pub(crate) fn send_of(&self, p: ProcessId, e: usize) -> Option<Position> {
+        self.send_of[self.index(p, e)]
+    }
+}
 
 /// The defect found at the smallest position so far.
 #[derive(Default)]

@@ -34,13 +34,12 @@
 //! # Ok::<(), wcp_trace::ComputationError>(())
 //! ```
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 use wcp_clocks::{ClockArena, Cut, ProcessId};
 
-use crate::computation::Computation;
-use crate::event::{Event, MsgId};
+use crate::computation::{Computation, Matching};
 use crate::predicate::Wcp;
 
 /// Error returned when lattice exploration exceeds its state budget.
@@ -66,24 +65,16 @@ impl std::error::Error for LatticeTruncated {}
 #[derive(Debug, Clone)]
 pub struct LatticeExplorer<'a> {
     computation: &'a Computation,
-    /// `msg → (sender, 1-based send event index)`.
-    send_index: HashMap<MsgId, (ProcessId, u64)>,
+    /// The send each receive matches.
+    matching: Matching,
 }
 
 impl<'a> LatticeExplorer<'a> {
     /// Prepares exploration of `computation` (which must be valid).
     pub fn new(computation: &'a Computation) -> Self {
-        let mut send_index = HashMap::new();
-        for (p, trace) in computation.iter() {
-            for (e, ev) in trace.events.iter().enumerate() {
-                if let Event::Send { msg, .. } = *ev {
-                    send_index.insert(msg, (p, e as u64 + 1));
-                }
-            }
-        }
         LatticeExplorer {
             computation,
-            send_index,
+            matching: computation.matching(),
         }
     }
 
@@ -96,18 +87,15 @@ impl<'a> LatticeExplorer<'a> {
     /// global state `cut` (its next event is a send, or a receive whose
     /// message has already been sent below the cut).
     pub fn can_advance(&self, cut: &Cut, p: ProcessId) -> bool {
-        let trace = self.computation.process(p);
         let k = cut[p]; // executing 1-based event k
-        if k as usize > trace.events.len() {
+        if k as usize > self.computation.process(p).events.len() {
             return false;
         }
-        match trace.events[(k - 1) as usize] {
-            Event::Send { .. } => true,
-            Event::Receive { msg, .. } => {
-                let (sender, send_idx) = self.send_index[&msg];
-                // Sender must have executed its send event: interval > send_idx.
-                cut[sender] > send_idx
-            }
+        match self.matching.send_of(p, (k - 1) as usize) {
+            None => true,
+            // The sender must have executed its send, 0-based event `j`:
+            // its interval is past `j + 1`.
+            Some((sender, j)) => cut[sender] > j as u64 + 1,
         }
     }
 
@@ -140,10 +128,9 @@ impl<'a> LatticeExplorer<'a> {
                 return false;
             }
             // Events 1..k-1 are below the cut.
-            for ev in &trace.events[..(k - 1) as usize] {
-                if let Event::Receive { msg, .. } = ev {
-                    let (sender, send_idx) = self.send_index[msg];
-                    if cut.get(sender).is_none_or(|ks| ks <= send_idx) {
+            for e in 0..(k - 1) as usize {
+                if let Some((sender, j)) = self.matching.send_of(p, e) {
+                    if cut.get(sender).is_none_or(|ks| ks <= j as u64 + 1) {
                         return false;
                     }
                 }

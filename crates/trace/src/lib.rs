@@ -15,8 +15,10 @@
 //!   hand (used heavily in tests and examples),
 //! - [`Wcp`] — a weak conjunctive predicate: the subset of processes whose
 //!   local predicates are conjoined,
-//! - [`AnnotatedComputation`] — per-interval vector clocks, direct
-//!   dependences, happened-before queries, and cut-consistency checks,
+//! - [`AnnotatedComputation`] — direct dependences and pred-true
+//!   intervals from one replay, vector clocks built on demand (scope-wide
+//!   for the [`VcSnapshotQueues`], full-width for happened-before
+//!   queries), and cut-consistency checks,
 //! - [`generate`] — seeded random workload generators with plantable
 //!   satisfying cuts (the repo's substitute for the paper's example
 //!   programs),
@@ -59,7 +61,7 @@ mod predicate;
 pub mod render;
 mod stats;
 
-pub use annotate::AnnotatedComputation;
+pub use annotate::{AnnotatedComputation, VcSnapshotQueues, CLOCK_CELL_BUDGET};
 pub use builder::ComputationBuilder;
 pub use channel::{ChannelId, ChannelIndex, MessageSpan};
 pub use computation::{Computation, ComputationError, ProcessTrace};

@@ -24,13 +24,12 @@
 //! # Ok::<(), wcp_trace::ComputationError>(())
 //! ```
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use wcp_clocks::{Cut, ProcessId};
+use wcp_clocks::Cut;
 
 use crate::computation::Computation;
-use crate::event::{Event, MsgId};
+use crate::event::Event;
 
 /// Rendering options.
 #[derive(Debug, Clone, Default)]
@@ -201,25 +200,18 @@ pub fn dot(computation: &Computation, options: &DiagramOptions) -> String {
         out.push_str("  }\n");
     }
     // Message edges: send interval → receive interval.
-    let mut send_at: HashMap<MsgId, (ProcessId, u64)> = HashMap::new();
+    let matching = computation.matching();
     for (p, trace) in computation.iter() {
         for (e, ev) in trace.events.iter().enumerate() {
-            if let Event::Send { msg, .. } = *ev {
-                send_at.insert(msg, (p, e as u64 + 1));
-            }
-        }
-    }
-    for (p, trace) in computation.iter() {
-        for (e, ev) in trace.events.iter().enumerate() {
-            if let Event::Receive { msg, .. } = *ev {
-                let (sp, sk) = send_at[&msg];
+            if let Some((sp, j)) = matching.send_of(p, e) {
                 let _ = writeln!(
                     out,
-                    "  s_{}_{sk} -> s_{}_{} [style=dashed, color=blue, label=\"m{}\", fontsize=8];",
+                    "  s_{}_{} -> s_{}_{} [style=dashed, color=blue, label=\"m{}\", fontsize=8];",
                     sp.index(),
+                    j + 1,
                     p.index(),
-                    e as u64 + 2,
-                    msg.as_u64()
+                    e + 2,
+                    ev.msg().as_u64()
                 );
             }
         }
@@ -232,6 +224,7 @@ pub fn dot(computation: &Computation, options: &DiagramOptions) -> String {
 mod tests {
     use super::*;
     use crate::ComputationBuilder;
+    use wcp_clocks::ProcessId;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)

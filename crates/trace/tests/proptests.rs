@@ -13,7 +13,8 @@ use wcp_obs::rng::Rng;
 use wcp_trace::generate::{generate, GeneratorConfig, Topology};
 use wcp_trace::lattice::LatticeExplorer;
 use wcp_trace::{
-    Computation, ComputationBuilder, ComputationError, Event, MsgId, ProcessTrace, Wcp,
+    Computation, ComputationBuilder, ComputationError, Event, MsgId, ProcessTrace,
+    VcSnapshotQueues, Wcp,
 };
 
 const CASES: usize = 64;
@@ -104,6 +105,59 @@ fn advancing_cut_matches_lattice() {
         if let (Some(s), Some(f)) = (scoped, via_clocks) {
             assert_eq!(wcp.project(&s), wcp.project(&f));
         }
+    }
+}
+
+/// Snapshot queues propagate only the scope's columns. Over random traces
+/// and subset scopes (processes outside the scope relay causality), every
+/// row equals the projection of the `N`-wide table, a build that projects
+/// that table gives the same queues, and the first cut compared on the
+/// rows is the scope projection of the one compared on the full table.
+#[test]
+fn scope_clocks_equal_projections_of_the_full_table() {
+    let mut rng = Rng::seed_from_u64(29);
+    for _ in 0..CASES {
+        let n = rng.gen_range(2usize..10);
+        let cfg = GeneratorConfig::new(n, rng.gen_range(1usize..10))
+            .with_seed(rng.next_u64())
+            .with_send_fraction(rng.gen_f64())
+            .with_predicate_density(rng.gen_f64() * 0.7);
+        let g = generate(&cfg);
+        let mut scope: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.4)).collect();
+        scope.push(rng.gen_range(0..n));
+        let wcp = Wcp::over(scope.into_iter().map(|p| ProcessId::new(p as u32)));
+        // No N-wide table on this annotation: the queues replay the
+        // scope's columns, and the cut is compared on them.
+        let scoped = g.computation.annotate();
+        let queues = VcSnapshotQueues::build(&scoped, &wcp);
+        let cut = scoped.first_satisfying_cut(&wcp);
+
+        // This one builds the N-wide table first.
+        let full = g.computation.annotate();
+        assert_eq!(queues.scope_width(), wcp.n());
+        for (pos, &p) in wcp.scope().iter().enumerate() {
+            assert_eq!(queues.queue_len(pos), full.true_intervals(p).len());
+            for (i, &k) in full.true_intervals(p).iter().enumerate() {
+                let clock = full.clock(StateId::new(p, k));
+                let projected: Vec<u64> = wcp.scope().iter().map(|&q| clock[q]).collect();
+                assert_eq!(
+                    queues.clock(pos, i).as_slice(),
+                    projected,
+                    "{cfg:?} {wcp} {p}"
+                );
+            }
+        }
+        assert_eq!(
+            VcSnapshotQueues::build(&full, &wcp),
+            queues,
+            "{cfg:?} {wcp}"
+        );
+        assert_eq!(
+            cut.map(|c| wcp.project(&c)),
+            full.first_satisfying_full_cut(&wcp)
+                .map(|c| wcp.project(&c)),
+            "{cfg:?} {wcp}"
+        );
     }
 }
 

@@ -36,7 +36,12 @@
 # detector runs — JSON parse, `validate`, `annotate` and the snapshot-queue
 # build — at n ∈ {8, 32, 128} × 24 events; `scripts/bench.sh ingest`
 # labels an entry for it, and docs/performance.md ("Trace ingest") quotes
-# it.
+# it. The `scoped-clocks-parent` and `scoped-clocks` entries are that
+# section before and after annotation stopped writing clocks (the queue
+# build now carries the scope's clock propagation); docs/performance.md
+# ("Vector clocks only where a detector reads them") quotes them. Run the
+# parent commit's harness with `bench BENCH_wcp.json --label LABEL` to
+# add a `-parent` entry.
 #
 # This is informational tooling, NOT part of tier-1 verification
 # (scripts/verify.sh); timings are machine-dependent and must never
