@@ -19,7 +19,6 @@ const SWITCHES: &[&str] = &[
     "dot",
     "shrink",
     "no-net",
-    "net-batch",
     "audit-bounds",
     "telemetry",
     "multi",

@@ -22,7 +22,7 @@ use wcp_net::{
     TelemetryCollector, TransportKind,
 };
 use wcp_obs::json::{FromJson, Json, ToJson};
-use wcp_obs::{jsonl, Recorder, RingRecorder, RunReport};
+use wcp_obs::{jsonl, NullRecorder, Recorder, RingRecorder, RunReport};
 use wcp_session::{run_multi_sim, PredicateOutcome, Service};
 use wcp_sim::{FaultConfig, SimConfig};
 use wcp_trace::channel::ChannelId;
@@ -192,33 +192,9 @@ fn parse_multi_groups(groups: &str) -> Result<usize, CliError> {
         .ok_or_else(|| CliError::usage("--algorithm multi:G needs a group count"))
 }
 
-fn parse_detector(spec: &str) -> Result<Box<dyn Detector>, CliError> {
-    Ok(match spec {
-        "token" => Box::new(TokenDetector::new()),
-        "checker" => Box::new(CentralizedChecker::new()),
-        "direct" => Box::new(DirectDependenceDetector::new()),
-        "lattice" => Box::new(LatticeDetector::new()),
-        other => {
-            if let Some(g) = other.strip_prefix("multi:") {
-                Box::new(MultiTokenDetector::new(parse_multi_groups(g)?))
-            } else if let Some(threads) = parse_parallel_threads(other)? {
-                Box::new(ParallelDetector::new().with_threads(threads))
-            } else {
-                return Err(CliError::usage(format!(
-                    "unknown algorithm `{other}` \
-                     (token|checker|direct|lattice|multi:G|parallel[:T])"
-                )));
-            }
-        }
-    })
-}
-
-/// Like [`parse_detector`], but attaches `recorder` so the run streams
-/// [`wcp_obs::TraceEvent`]s.
-fn parse_recorded_detector(
-    spec: &str,
-    recorder: Arc<dyn Recorder>,
-) -> Result<Box<dyn Detector>, CliError> {
+/// The offline detector `spec` names, streaming its
+/// [`wcp_obs::TraceEvent`]s to `recorder`.
+fn parse_detector(spec: &str, recorder: Arc<dyn Recorder>) -> Result<Box<dyn Detector>, CliError> {
     Ok(match spec {
         "token" => Box::new(TokenDetector::new().with_recorder(recorder)),
         "checker" => Box::new(CentralizedChecker::new().with_recorder(recorder)),
@@ -264,11 +240,13 @@ pub fn detect(raw: &[String]) -> Result<String, CliError> {
     let path = args.require_positional(0, "FILE")?;
     let computation = load(path)?;
     let wcp = parse_scope(&args, &computation)?;
-    let detector = parse_detector(args.get("algorithm").unwrap_or("token"))?;
+    let detector = parse_detector(
+        args.get("algorithm").unwrap_or("token"),
+        Arc::new(NullRecorder),
+    )?;
 
     let annotated = computation.annotate();
-    detector.check_clock_budget(&annotated, &wcp)?;
-    let report = detector.detect(&annotated, &wcp);
+    let report = detector.try_detect(&annotated, &wcp)?;
     let mut out = format!("algorithm: {}\npredicate: {wcp}\n", detector.name());
     out.push_str(&describe(&report, args.switch("json"))?);
     if let Some(slice_path) = args.get("slice") {
@@ -332,10 +310,9 @@ pub fn trace(raw: &[String]) -> Result<String, CliError> {
     let capacity: usize = args.get_or("capacity", 1 << 20)?;
 
     let ring = Arc::new(RingRecorder::new(capacity));
-    let detector = parse_recorded_detector(args.get("algorithm").unwrap_or("token"), ring.clone())?;
+    let detector = parse_detector(args.get("algorithm").unwrap_or("token"), ring.clone())?;
     let annotated = computation.annotate();
-    detector.check_clock_budget(&annotated, &wcp)?;
-    let report = detector.detect(&annotated, &wcp);
+    let report = detector.try_detect(&annotated, &wcp)?;
 
     let events = ring.events();
     fs::write(&events_path, jsonl::to_string(&events))?;
@@ -603,15 +580,7 @@ pub fn net_demo(raw: &[String]) -> Result<String, CliError> {
     let family: Family = algorithm
         .parse()
         .map_err(|e| CliError::usage(format!("--algorithm: {e}")))?;
-    let transport = match args.get("transport").unwrap_or("tcp") {
-        "tcp" => TransportKind::Tcp,
-        "loopback" => TransportKind::Loopback,
-        other => {
-            return Err(CliError::usage(format!(
-                "--transport: `{other}` (want tcp|loopback)"
-            )))
-        }
-    };
+    let (transport, _) = parse_transport(&args, "tcp")?;
     let mut config = NetConfig {
         transport,
         ..NetConfig::default()
@@ -693,7 +662,7 @@ pub fn multi_demo(raw: &[String]) -> Result<String, CliError> {
     if k == 0 {
         return Err(CliError::usage("multi-demo needs --predicates ≥ 1"));
     }
-    let (transport, transport_name) = parse_transport(&args)?;
+    let (transport, transport_name) = parse_transport(&args, "loopback")?;
     let mut config = NetConfig {
         transport,
         ..NetConfig::default()
@@ -883,8 +852,10 @@ fn pump_options(args: &Args) -> Result<RunOptions, CliError> {
     })
 }
 
-fn parse_transport(args: &Args) -> Result<(TransportKind, &'static str), CliError> {
-    match args.get("transport").unwrap_or("loopback") {
+/// `--transport tcp|loopback`, `default` when absent: the kind and its
+/// display name.
+fn parse_transport(args: &Args, default: &str) -> Result<(TransportKind, &'static str), CliError> {
+    match args.get("transport").unwrap_or(default) {
         "tcp" => Ok((TransportKind::Tcp, "tcp (localhost sockets)")),
         "loopback" => Ok((TransportKind::Loopback, "loopback (in-memory)")),
         other => Err(CliError::usage(format!(
@@ -924,7 +895,7 @@ fn spawn_observed(
         });
         Ok((title, handle))
     } else {
-        let (transport, name) = parse_transport(args)?;
+        let (transport, name) = parse_transport(args, "loopback")?;
         let title = format!("{path} — {name}");
         let config = NetConfig {
             transport,
@@ -1058,9 +1029,7 @@ pub fn obs_report(raw: &[String]) -> Result<String, CliError> {
 /// lattice oracle. Divergences exit nonzero, with repro JSON suitable for
 /// `tests/corpus/` in the error output; `--shrink` first reduces each
 /// repro to its minimal form. `--no-net` skips the (slower) real-socket
-/// loopback stacks; `--net-batch` forces coalesced writes on every net
-/// run (by default each case draws batched or per-frame at random; every
-/// net run speaks wire v2); `--multi` forces the socket-backed
+/// loopback stacks; `--multi` forces the socket-backed
 /// multi-tenant session leg on every case (the offline session
 /// cross-check runs on every case regardless);
 /// `--pump-parallel` forces the parallel-pump cross-check on
@@ -1079,7 +1048,6 @@ pub fn fuzz(raw: &[String]) -> Result<String, CliError> {
     let mut config = wcp_fuzz::CampaignConfig::new(seed, cases);
     config.shrink = args.switch("shrink");
     config.check.include_net = !args.switch("no-net");
-    config.check.force_net_batch = args.switch("net-batch");
     config.check.force_multi = args.switch("multi");
     config.check.force_pump_parallel = args.switch("pump-parallel");
     config.check.force_parallel_detect = args.switch("parallel-detect");
@@ -1239,6 +1207,54 @@ mod tests {
                  over the budget of 134217728 cells"
             );
         }
+    }
+
+    /// The seed-11 9×10 trace: 10.8 KB, with more consistent global
+    /// states than the lattice detector may visit.
+    fn assert_lattice_budget_error(name: &str, run: impl Fn(&str) -> Result<String, CliError>) {
+        let path = tmpfile(name);
+        generate(&argv(&[
+            "--processes",
+            "9",
+            "--events",
+            "10",
+            "--seed",
+            "11",
+            "--density",
+            "0.3",
+            "-o",
+            &path,
+        ]))
+        .unwrap();
+        let err = run(&path).unwrap_err();
+        assert_eq!(err.code, 1, "{err}");
+        assert_eq!(
+            err.message,
+            "global-state lattice exceeds the exploration budget of 1000000 states"
+        );
+    }
+
+    #[test]
+    fn lattice_detection_past_its_budget_is_an_error() {
+        assert_lattice_budget_error("lattice_budget_detect.json", |path| {
+            detect(&argv(&[path, "--algorithm", "lattice"]))
+        });
+    }
+
+    #[test]
+    fn lattice_trace_past_its_budget_is_an_error_and_writes_nothing() {
+        let events = tmpfile("lattice_budget.jsonl");
+        let _ = fs::remove_file(&events);
+        assert_lattice_budget_error("lattice_budget_trace.json", |path| {
+            trace(&argv(&[
+                path,
+                "--algorithm",
+                "lattice",
+                "--events",
+                &events,
+            ]))
+        });
+        assert!(fs::metadata(&events).is_err(), "no event stream written");
     }
 
     #[test]

@@ -143,7 +143,7 @@ USAGE:
   wcp serve FILE --peer I --addrs HOST:PORT,HOST:PORT,...
             [--scope 0,1,2] [--deadline SECS] [--telemetry]
             [--multi [--predicates K] [--pump-threads T]]
-  wcp fuzz [--seed S] [--cases K] [--shrink] [--no-net] [--net-batch]
-           [--multi] [--pump-parallel] [--parallel-detect] [--audit-bounds]
+  wcp fuzz [--seed S] [--cases K] [--shrink] [--no-net] [--multi]
+           [--pump-parallel] [--parallel-detect] [--audit-bounds]
   wcp bound --n N --m M    (2 ≤ N ≤ 1000, M ≥ 1, N·M ≤ 1000000)
   wcp help";

@@ -124,22 +124,27 @@ pub trait Detector {
     /// Runs detection of `wcp` over the annotated computation.
     fn detect(&self, annotated: &AnnotatedComputation<'_>, wcp: &Wcp) -> DetectionReport;
 
-    /// Checks, without building them, that the vector clocks
-    /// [`detect`](Self::detect) builds fit
-    /// [`CLOCK_CELL_BUDGET`](wcp_trace::CLOCK_CELL_BUDGET). The default
-    /// checks the scope's snapshot clocks, which every vector-clock
-    /// family builds ([`VcSnapshotQueues::build`](crate::VcSnapshotQueues::build));
-    /// a detector that reads no vector clock overrides it.
+    /// [`detect`](Self::detect), or a typed error where the run would
+    /// exceed a budget. The default first checks, without building them,
+    /// that the scope's snapshot clocks fit
+    /// [`CLOCK_CELL_BUDGET`](wcp_trace::CLOCK_CELL_BUDGET): every
+    /// vector-clock family builds them
+    /// ([`VcSnapshotQueues::build`](crate::VcSnapshotQueues::build)). A
+    /// detector that reads no vector clock, or has a budget of its own,
+    /// overrides it.
     ///
     /// # Errors
     ///
-    /// [`ComputationError::ClockBudget`] if they do not fit.
-    fn check_clock_budget(
+    /// [`ComputationError::ClockBudget`] if the clocks do not fit;
+    /// [`ComputationError::LatticeBudget`] if the lattice baseline
+    /// exceeds its state budget.
+    fn try_detect(
         &self,
         annotated: &AnnotatedComputation<'_>,
         wcp: &Wcp,
-    ) -> Result<(), ComputationError> {
-        annotated.check_scope_clocks(wcp)
+    ) -> Result<DetectionReport, ComputationError> {
+        annotated.check_scope_clocks(wcp)?;
+        Ok(self.detect(annotated, wcp))
     }
 }
 

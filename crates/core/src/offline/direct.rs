@@ -14,11 +14,16 @@
 //! process); total work, messages and space are `O(Nm)` with `O(m)` per
 //! process.
 //!
+//! Figure 4's repeat-until and Figure 5's transition are the ones the
+//! online monitors run (`crate::visit`); this emulation keeps the
+//! synchronous poll loop, the chain splice and the Lemma 4.2 checks.
+//!
 //! Note on Figure 4: the pseudocode omits the assignment `G := candidate.clock`
 //! after the repeat-until loop, but the correctness argument (Lemma 4.2) and
 //! Table 1 both require `M_i.G` to hold the clock of the current candidate;
 //! we perform the assignment. See DESIGN.md §3.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -28,21 +33,10 @@ use wcp_trace::{AnnotatedComputation, ComputationError, Wcp};
 
 use crate::detector::{Detection, DetectionReport, Detector};
 use crate::meter::Meter;
+use crate::offline::token::Color;
+use crate::online::messages::{DD_TOKEN_BYTES, POLL_BYTES, REPLY_BYTES};
 use crate::snapshot::dd_snapshot_queues;
-
-/// Poll message size: "two integers" (Section 4.2) — the dependence clock
-/// and the chain pointer.
-const POLL_BYTES: u64 = 16;
-/// Poll responses are one bit; we charge one byte.
-const REPLY_BYTES: u64 = 1;
-/// "The token carries no actual information" — charge one byte.
-const TOKEN_BYTES: u64 = 1;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Color {
-    Red,
-    Green,
-}
+use crate::visit::{collect, poll, Visit};
 
 /// Offline emulation of the Figures 4–5 monitor protocol.
 #[derive(Clone)]
@@ -97,12 +91,12 @@ impl Detector for DirectDependenceDetector {
     }
 
     /// Reads dependences only: no vector clock.
-    fn check_clock_budget(
+    fn try_detect(
         &self,
-        _: &AnnotatedComputation<'_>,
-        _: &Wcp,
-    ) -> Result<(), ComputationError> {
-        Ok(())
+        annotated: &AnnotatedComputation<'_>,
+        wcp: &Wcp,
+    ) -> Result<DetectionReport, ComputationError> {
+        Ok(self.detect(annotated, wcp))
     }
 
     /// Runs the direct-dependence protocol to completion.
@@ -121,6 +115,7 @@ impl Detector for DirectDependenceDetector {
                 meter.snapshot_buffered(i, pos as u64 + 1, s.wire_size() as u64);
             }
         }
+        let mut queues: Vec<VecDeque<_>> = queues.into_iter().map(VecDeque::from).collect();
 
         // Distributed token state (Table 1): per-monitor G and colour, plus
         // the red-chain pointers. Initially every monitor is red and the
@@ -129,36 +124,31 @@ impl Detector for DirectDependenceDetector {
         let mut color = vec![Color::Red; n];
         let mut next_red: Vec<Option<usize>> =
             (0..n).map(|i| (i + 1 < n).then_some(i + 1)).collect();
-        let mut heads = vec![0usize; n];
         let mut holder = 0usize;
+        let mut deplist = Vec::new();
         meter.token_acquired(holder, None);
 
         loop {
             debug_assert_eq!(color[holder], Color::Red, "token held by a green monitor");
             // Figure 4 repeat-until: collect dependences until a candidate
             // survives the (possibly poll-advanced) G.
-            let mut deplist = Vec::new();
-            let final_clock = loop {
-                let Some(snapshot) = queues[holder].get(heads[holder]) else {
-                    meter.exhausted(holder);
-                    meter.finish_sequential();
-                    return DetectionReport {
-                        detection: Detection::Undetected,
-                        metrics: meter.metrics,
-                    };
+            deplist.clear();
+            let Visit::Accepted(clock) = collect(
+                holder,
+                g[holder],
+                &mut queues[holder],
+                true,
+                &mut deplist,
+                &mut meter,
+            ) else {
+                meter.exhausted(holder);
+                meter.finish_sequential();
+                return DetectionReport {
+                    detection: Detection::Undetected,
+                    metrics: meter.metrics,
                 };
-                heads[holder] += 1;
-                // Consuming a candidate costs one unit plus one per
-                // collected dependence.
-                let cost = 1 + snapshot.deps.len() as u64;
-                deplist.extend(snapshot.deps.iter().copied());
-                if snapshot.clock > g[holder] {
-                    meter.candidate_accepted(holder, holder, snapshot.clock, cost);
-                    break snapshot.clock;
-                }
-                meter.candidate_eliminated(holder, holder, snapshot.clock, cost);
             };
-            g[holder] = final_clock;
+            g[holder] = clock;
             color[holder] = Color::Green;
 
             // Poll the source of every dependence, splicing newly-red
@@ -170,16 +160,12 @@ impl Detector for DirectDependenceDetector {
                 meter.work(holder, 1);
 
                 // Figure 5 at the target.
-                let old = color[target];
-                if dep.clock >= g[target] {
-                    color[target] = Color::Red;
-                    g[target] = dep.clock;
-                }
+                let was = poll(&mut g[target], &mut color[target], dep.clock);
                 meter.poll_answered(target, holder, color[target] == Color::Red, REPLY_BYTES);
                 meter.work(target, 1);
-                if color[target] == Color::Red && old == Color::Green {
-                    // "became red": target adopts the holder's chain tail,
-                    // holder points at the target.
+                if was == Some(Color::Green) {
+                    // The target became red: it adopts the holder's chain
+                    // tail, and the holder points at the target.
                     meter.candidate_invalidated(holder, target, g[target]);
                     next_red[target] = next_red[holder];
                     next_red[holder] = Some(target);
@@ -201,7 +187,7 @@ impl Detector for DirectDependenceDetector {
                     };
                 }
                 Some(next) => {
-                    meter.red_chain_hop(holder, next, TOKEN_BYTES);
+                    meter.red_chain_hop(holder, next, DD_TOKEN_BYTES);
                     holder = next;
                 }
             }

@@ -64,15 +64,6 @@ impl Detector for LatticeDetector {
         "lattice"
     }
 
-    /// Walks the lattice by message closure: no vector clock.
-    fn check_clock_budget(
-        &self,
-        _: &AnnotatedComputation<'_>,
-        _: &Wcp,
-    ) -> Result<(), ComputationError> {
-        Ok(())
-    }
-
     /// Runs breadth-first lattice search.
     ///
     /// # Panics
@@ -80,16 +71,30 @@ impl Detector for LatticeDetector {
     /// Panics if the lattice exceeds the configured state budget — this
     /// detector is a test/benchmark baseline, not a production path, and a
     /// truncated search cannot soundly report `Undetected`.
+    /// [`try_detect`](Detector::try_detect) reports it as an error.
     fn detect(&self, annotated: &AnnotatedComputation<'_>, wcp: &Wcp) -> DetectionReport {
+        self.try_detect(annotated, wcp)
+            .unwrap_or_else(|e| panic!("lattice baseline exceeded its budget: {e}"))
+    }
+
+    /// Walks the lattice by message closure (no vector clock), within the
+    /// state budget.
+    fn try_detect(
+        &self,
+        annotated: &AnnotatedComputation<'_>,
+        wcp: &Wcp,
+    ) -> Result<DetectionReport, ComputationError> {
         let computation = annotated.computation();
         let explorer = LatticeExplorer::new(computation);
         let mut meter = Meter::new(1, self.recorder.clone());
         // Count exactly the states BFS visits to answer: all states at
         // levels up to the detected cut, or the whole lattice if undetected.
-        let (detection, visited) = match explorer.first_satisfying_counted(wcp, self.max_states) {
-            Ok((Some(cut), visited)) => (Detection::Detected { cut }, visited),
-            Ok((None, visited)) => (Detection::Undetected, visited),
-            Err(e) => panic!("lattice baseline exceeded its budget: {e}"),
+        let (cut, visited) = explorer
+            .first_satisfying_counted(wcp, self.max_states)
+            .map_err(ComputationError::LatticeBudget)?;
+        let detection = match cut {
+            Some(cut) => Detection::Detected { cut },
+            None => Detection::Undetected,
         };
         meter.lattice_visited(0, visited as u64);
         meter.work(0, visited as u64);
@@ -98,10 +103,10 @@ impl Detector for LatticeDetector {
             Detection::Undetected => meter.exhausted(0),
         }
         meter.finish_sequential();
-        DetectionReport {
+        Ok(DetectionReport {
             detection,
             metrics: meter.metrics,
-        }
+        })
     }
 }
 

@@ -21,7 +21,8 @@ use crate::meter::Meter;
 use crate::snapshot::VcSnapshotQueues;
 use crate::visit::{visit, Queue, Visit};
 
-/// Colour of a candidate state, as in Figure 3.
+/// Colour of a candidate state, as in Figure 3. The Section 4 monitors
+/// keep one each (Table 1's `M_i.color`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Color {
     /// The state is eliminated; the token must visit this monitor.

@@ -17,6 +17,11 @@
 //! visit defers replying to incoming polls until its visit completes
 //! (indistinguishable from network latency), so a holder is never
 //! re-reddened while splicing the chain.
+//!
+//! Figure 4's repeat-until and Figure 5's transition are the ones the
+//! offline emulation runs (`crate::visit`); this actor keeps the
+//! one-outstanding-poll state machine, the proactive search, staging and
+//! deferred polls.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -30,17 +35,13 @@ use wcp_sim::{Actor, ActorId, Context};
 use wcp_trace::{Computation, Wcp};
 
 use crate::detector::DetectionReport;
+use crate::offline::token::Color;
 use crate::online::app::ClockMode;
 use crate::online::harness::{detection_layout, DetectActor, Layout};
-use crate::online::messages::DetectMsg;
+use crate::online::messages::{DetectMsg, DD_TOKEN_BYTES, POLL_BYTES, REPLY_BYTES};
 use crate::online::vc_monitor::{stall_row, OnlineDetection, SharedOutcome, SharedStats};
 use crate::snapshot::DdSnapshot;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Color {
-    Red,
-    Green,
-}
+use crate::visit::{collect, poll, ActorEffects, Visit};
 
 #[derive(Debug)]
 enum Phase {
@@ -185,51 +186,18 @@ impl DdMonitor {
         let Phase::Collecting { deps } = &mut self.phase else {
             return;
         };
-        loop {
-            let Some(snapshot) = self.queue.pop_front() else {
-                if self.eot && self.holds_token {
-                    self.done = true;
-                    if self.recorder.is_enabled() {
-                        self.recorder.record(
-                            self.pid.index() as u32,
-                            LogicalTime::Tick(ctx.now()),
-                            TraceEvent::DetectionExhausted,
-                        );
-                    }
-                    *self.result.lock().unwrap() = Some(OnlineDetection::Undetected);
-                    ctx.stop();
-                }
-                // Proactive searcher out of candidates: fall back to idle
-                // so the token-arrival path restarts the search; collected
-                // deps are preserved? No — restart is from scratch, so we
-                // must not lose eliminations: deps collected so far belong
-                // to discarded candidates and must still be polled when the
-                // token arrives. Keep collecting state.
-                return;
-            };
-            ctx.add_work(1 + snapshot.deps.len() as u64);
-            if self.recorder.is_enabled() {
-                let work = 1 + snapshot.deps.len() as u64;
-                let event = if snapshot.clock > self.g {
-                    TraceEvent::CandidateAccepted {
-                        process: self.pid.index() as u32,
-                        interval: snapshot.clock,
-                        work,
-                    }
-                } else {
-                    TraceEvent::CandidateEliminated {
-                        process: self.pid.index() as u32,
-                        interval: snapshot.clock,
-                        work,
-                    }
-                };
-                self.recorder
-                    .record(self.pid.index() as u32, LogicalTime::Tick(ctx.now()), event);
-            }
-            deps.extend(snapshot.deps.iter().copied());
-            if snapshot.clock > self.g {
+        let mut fx = ActorEffects::new(ctx, &*self.recorder);
+        match collect(
+            self.pid.index(),
+            self.g,
+            &mut self.queue,
+            self.eot,
+            deps,
+            &mut fx,
+        ) {
+            Visit::Accepted(clock) => {
                 let deps = std::mem::take(deps);
-                self.g = snapshot.clock;
+                self.g = clock;
                 self.publish_g();
                 if self.holds_token {
                     self.color = Color::Green;
@@ -240,8 +208,19 @@ impl DdMonitor {
                     candidate_dead: false,
                 };
                 self.advance_polls(ctx);
-                return;
             }
+            Visit::Exhausted if self.holds_token => {
+                self.done = true;
+                if self.recorder.is_enabled() {
+                    self.emit(ctx, TraceEvent::DetectionExhausted);
+                }
+                *self.result.lock().unwrap() = Some(OnlineDetection::Undetected);
+                ctx.stop();
+            }
+            // Out of candidates for now: stay collecting. The dependences
+            // gathered so far belong to eliminated candidates and are
+            // polled with the next one that survives.
+            Visit::Blocked | Visit::Exhausted => {}
         }
     }
 
@@ -259,12 +238,11 @@ impl DdMonitor {
             debug_assert_ne!(dep.on, self.pid, "self-dependence is impossible");
             ctx.add_work(1);
             if self.recorder.is_enabled() {
-                self.recorder.record(
-                    self.pid.index() as u32,
-                    LogicalTime::Tick(ctx.now()),
+                self.emit(
+                    ctx,
                     TraceEvent::PollSent {
                         to: dep.on.index() as u32,
-                        bytes: 16,
+                        bytes: POLL_BYTES,
                     },
                 );
             }
@@ -319,7 +297,7 @@ impl DdMonitor {
                         ctx,
                         TraceEvent::RedChainHop {
                             to: next.index() as u32,
-                            bytes: 1,
+                            bytes: DD_TOKEN_BYTES,
                         },
                     );
                 }
@@ -353,17 +331,15 @@ impl DdMonitor {
             return;
         }
         ctx.add_work(1);
-        let old = self.color;
-        if clock >= self.g {
-            self.color = Color::Red;
-            self.g = clock;
+        let was = poll(&mut self.g, &mut self.color, clock);
+        if was.is_some() {
             self.publish_g();
             self.staged = false;
             if let Phase::Polling { candidate_dead, .. } = &mut self.phase {
                 *candidate_dead = true;
             }
         }
-        let became_red = self.color == Color::Red && old == Color::Green;
+        let became_red = was == Some(Color::Green);
         if became_red {
             self.next_red = poll_next_red;
         }
@@ -374,7 +350,7 @@ impl DdMonitor {
                 TraceEvent::PollAnswered {
                     to: poller as u32,
                     alive: self.color == Color::Red,
-                    bytes: 1,
+                    bytes: REPLY_BYTES,
                 },
             );
         }

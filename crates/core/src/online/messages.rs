@@ -7,6 +7,14 @@ use wcp_trace::MsgId;
 use crate::offline::token::Token;
 use crate::snapshot::{DdSnapshot, VcSnapshot};
 
+/// Poll message size: "two integers" (Section 4.2) — the dependence clock
+/// and the chain pointer.
+pub(crate) const POLL_BYTES: u64 = 16;
+/// Poll responses are one bit; we charge one byte.
+pub(crate) const REPLY_BYTES: u64 = 1;
+/// "The token carries no actual information" — charge one byte.
+pub(crate) const DD_TOKEN_BYTES: u64 = 1;
+
 /// Clock information attached to an application message (Figure 2 attaches
 /// a vector; Section 4.1 attaches a scalar).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,9 +142,9 @@ impl WireSize for DetectMsg {
             DetectMsg::DdSnapshot(s) => s.wire_size(),
             DetectMsg::EndOfTrace => 1,
             DetectMsg::VcToken(t) => t.wire_size(),
-            DetectMsg::DdToken => 1,
-            DetectMsg::Poll { .. } => 16,
-            DetectMsg::PollReply { .. } => 1,
+            DetectMsg::DdToken => DD_TOKEN_BYTES as usize,
+            DetectMsg::Poll { .. } => POLL_BYTES as usize,
+            DetectMsg::PollReply { .. } => REPLY_BYTES as usize,
             DetectMsg::GroupToken(t) => t.wire_size(),
             DetectMsg::MultiRegister { scope, .. } => 8 + 4 * scope.len(),
             DetectMsg::MultiUnregister { .. } => 8,

@@ -1,6 +1,7 @@
-//! The Figure 3 monitor visit and the §3.5 leader merge, each written
-//! once: the offline emulations and the online actors run the same code,
-//! so their walks cannot drift apart (`tests/token_walks.rs` pins them).
+//! The Section 3 and Section 4 monitor visits and the §3.5 leader merge,
+//! each written once: the offline emulations and the online actors run
+//! the same code, so their walks cannot drift apart
+//! (`tests/token_walks.rs` pins them).
 //!
 //! A visit is what a monitor does while it holds a red token: the `while`
 //! loop consumes candidates until one survives, then the `for j ≠ i` loop
@@ -13,6 +14,10 @@
 //! candidate (receive and examine an `n`-vector) and `n` for the `for`
 //! loop.
 //!
+//! In Section 4 the holder runs Figure 4's repeat-until ([`collect`]) into
+//! the same sink, then polls the source of every dependence it collected;
+//! each polled monitor runs Figure 5's transition ([`poll`]).
+//!
 //! Section 3.5 runs the visit inside `g` groups. Its rules, for the
 //! offline emulation and the online monitors alike:
 //! - the scope splits into `min(g, n)` contiguous groups ([`groups`]);
@@ -23,15 +28,17 @@
 //!   left it returns to the leader, a control message and not a hop;
 //! - once every token is home the leader merges them ([`merge`]).
 
+use std::collections::VecDeque;
 use std::ops::Range;
 
+use wcp_clocks::Dependence;
 use wcp_obs::{LogicalTime, Recorder, TraceEvent};
 use wcp_sim::Context;
 
 use crate::meter::Meter;
 use crate::offline::token::{Color, Token};
 use crate::online::messages::{DetectMsg, GroupTokenMsg};
-use crate::snapshot::{SnapshotBuffer, VcSnapshotQueues};
+use crate::snapshot::{DdSnapshot, SnapshotBuffer, VcSnapshotQueues};
 
 /// A monitor's candidate queue: its process's snapshots, oldest first.
 pub(crate) trait Candidates {
@@ -59,10 +66,10 @@ pub(crate) trait Effects {
 
 /// How a visit ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Visit {
-    /// A candidate survived and the holder is green; carries the
-    /// candidate's row handle.
-    Accepted(usize),
+pub(crate) enum Visit<A> {
+    /// A candidate survived; carries its row handle (Figure 3, where the
+    /// holder is now green) or its clock (Figure 4).
+    Accepted(A),
     /// The queue ran dry but may still grow: resume on the next candidate.
     Blocked,
     /// The queue ran dry and is closed: the predicate cannot hold on a
@@ -77,7 +84,7 @@ pub(crate) fn visit<C: Candidates, E: Effects>(
     at: usize,
     queue: &mut C,
     fx: &mut E,
-) -> Visit {
+) -> Visit<usize> {
     debug_assert_eq!(token.color(at), Color::Red, "token visits a green monitor");
     let n = token.g.len() as u64;
     // `while (color[i] = red)`: consume candidates until one survives.
@@ -121,6 +128,49 @@ pub(crate) fn visit<C: Candidates, E: Effects>(
         }
     }
     Visit::Accepted(id)
+}
+
+/// Runs monitor `at`'s Figure 4 repeat-until against its candidate clock
+/// `g`: consumes snapshots, appending each one's direct dependences to
+/// `deps`, until one's clock exceeds `g`. A consumed candidate costs
+/// `1 + |deps|` (§4.4). `closed` says end-of-trace arrived, which turns a
+/// dry queue from [`Visit::Blocked`] into [`Visit::Exhausted`]. The caller
+/// sets `G` to the accepted clock and polls `deps`.
+pub(crate) fn collect<E: Effects>(
+    at: usize,
+    g: u64,
+    queue: &mut VecDeque<DdSnapshot>,
+    closed: bool,
+    deps: &mut Vec<Dependence>,
+    fx: &mut E,
+) -> Visit<u64> {
+    loop {
+        let Some(snapshot) = queue.pop_front() else {
+            return if closed {
+                Visit::Exhausted
+            } else {
+                Visit::Blocked
+            };
+        };
+        let accepted = snapshot.clock > g;
+        fx.candidate(at, snapshot.clock, accepted, 1 + snapshot.deps.len() as u64);
+        deps.extend(snapshot.deps);
+        if accepted {
+            return Visit::Accepted(snapshot.clock);
+        }
+    }
+}
+
+/// Figure 5 at a monitor whose candidate is `(g, color)`, polled with a
+/// dependence on its interval `k`: if `k ≥ G`, the candidate happened
+/// before a selected state, so the monitor turns red and sets `G := k`.
+/// Returns the colour it had then, or `None` if the candidate stands; it
+/// "became red" iff that colour was green.
+pub(crate) fn poll(g: &mut u64, color: &mut Color, k: u64) -> Option<Color> {
+    (k >= *g).then(|| {
+        *g = k;
+        std::mem::replace(color, Color::Red)
+    })
 }
 
 /// An offline monitor's queue: a cursor into the run's precomputed

@@ -13,14 +13,19 @@
 //!   once, so those runs are left out.
 //! - One group walks exactly like the single token; its control traffic
 //!   adds the leader's dispatch and, when the walk completes, the return.
+//!
+//! `DirectDependenceDetector` and the online §4 monitors run one Figure 4
+//! collect loop and one Figure 5 transition, so the sequential red chain
+//! agrees on the same counters on every run. The §4.5 parallel chain
+//! searches ahead of the token, so it agrees on the verdict only.
 
 use std::sync::Arc;
 
 use wcp_clocks::ProcessId;
 use wcp_detect::online::{run_online, run_vc_token, simulate, Family, RunOptions};
 use wcp_detect::{
-    CentralizedChecker, DetectionMetrics, Detector, HierarchicalChecker, LatticeDetector,
-    MultiTokenDetector, ParallelDetector, TokenDetector,
+    CentralizedChecker, DetectionMetrics, Detector, DirectDependenceDetector, HierarchicalChecker,
+    LatticeDetector, MultiTokenDetector, ParallelDetector, TokenDetector,
 };
 use wcp_obs::{RingRecorder, TraceEvent};
 use wcp_sim::SimConfig;
@@ -94,6 +99,18 @@ fn multi_token_detector_costs_equal_the_simulated_groups() {
         detected >= SEEDS,
         "only {detected} detected multi-group runs"
     );
+}
+
+#[test]
+fn direct_detector_costs_equal_the_simulated_red_chain() {
+    for (label, c, wcp, sim) in cases() {
+        let offline = DirectDependenceDetector::new().detect(&c.annotate(), &wcp);
+        let online = run_online(Family::Direct { parallel: false }, &c, &wcp, sim.clone()).report;
+        assert_eq!(online.detection, offline.detection, "{label}");
+        assert_eq!(costs(&online.metrics), costs(&offline.metrics), "{label}");
+        let parallel = run_online(Family::Direct { parallel: true }, &c, &wcp, sim).report;
+        assert_eq!(parallel.detection, offline.detection, "{label} parallel");
+    }
 }
 
 #[test]

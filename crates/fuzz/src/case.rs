@@ -41,10 +41,6 @@ pub struct FuzzCase {
     /// Whether to run the detectors on socket peers, over loopback and
     /// in-process TCP (slow).
     pub net: bool,
-    /// Whether the net runs use batched (coalesced) writes or the
-    /// per-frame path — fuzzed so both wire behaviours stay equivalent.
-    /// Corpus files written before this field existed default to `true`.
-    pub net_batch: bool,
     /// Concurrent predicate count for the multi-tenant session engine
     /// (`>= 1`); each is cross-checked predicate-by-predicate against the
     /// Theorem 3.2 oracle and the alone-metrics identity. Corpus files
@@ -153,10 +149,8 @@ impl FuzzCase {
             fault,
             net: rng.gen_bool(0.08),
             // Derived from entropy already drawn (no extra rng draw), so
-            // the seeded case stream is unchanged from pre-batching
-            // campaigns and existing seeds reproduce the same cases.
-            net_batch: stream_seed.count_ones().is_multiple_of(2),
-            // Also entropy already drawn: 1..=8 concurrent predicates.
+            // existing seeds reproduce the same cases: 1..=8 concurrent
+            // predicates.
             multi_predicates: 1 + ((stream_seed >> 16) % 8) as usize,
             // One more derived bit: about half the cases cross-check the
             // parallel pump against the serial engine.
@@ -207,7 +201,6 @@ impl ToJson for FuzzCase {
                 },
             ),
             ("net", Json::Bool(self.net)),
-            ("net_batch", Json::Bool(self.net_batch)),
             ("multi_predicates", Json::UInt(self.multi_predicates as u64)),
             ("pump_parallel", Json::Bool(self.pump_parallel)),
             ("parallel_detect", Json::Bool(self.parallel_detect)),
@@ -233,14 +226,6 @@ impl FromJson for FuzzCase {
                 .field("net")?
                 .as_bool()
                 .ok_or_else(|| JsonError::shape("net: expected a bool"))?,
-            // Absent in pre-batching corpus files: those pinned the (then
-            // only) coalescing-equivalent wire behaviour, now `batch`.
-            net_batch: match value.get("net_batch") {
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| JsonError::shape("net_batch: expected a bool"))?,
-                None => true,
-            },
             // Absent in pre-session corpus files: those pinned the
             // single-tenant behaviour, replayed as one session.
             multi_predicates: match value.get("multi_predicates") {
@@ -323,8 +308,6 @@ mod tests {
         assert!(cases.iter().any(|c| c.gen.predicate_density == 0.0));
         assert!(cases.iter().any(|c| c.fault.is_some()));
         assert!(cases.iter().any(|c| c.net));
-        assert!(cases.iter().any(|c| c.net_batch));
-        assert!(cases.iter().any(|c| !c.net_batch));
         assert!(cases.iter().any(|c| c.multi_predicates == 1));
         assert!(cases.iter().any(|c| c.multi_predicates >= 4));
         assert!(cases.iter().any(|c| c.pump_parallel));
@@ -350,31 +333,22 @@ mod tests {
     }
 
     #[test]
-    fn pre_batching_corpus_files_default_to_batched_writes() {
+    fn retired_wire_fields_still_parse() {
         let mut rng = Rng::seed_from_u64(17);
-        let mut case = FuzzCase::random(&mut rng);
-        case.net_batch = false;
-        // An old corpus entry simply lacks the field. Files written while
-        // the wire version was a fuzz bit also carry a `wire_v2` field, at
-        // either value; it is ignored, and every net case runs v2.
-        for wire_v2 in [None, Some(false), Some(true)] {
-            let mut json = case.to_json();
-            if let Json::Obj(pairs) = &mut json {
-                pairs.retain(|(k, _)| k != "net_batch");
-                if let Some(v) = wire_v2 {
-                    pairs.push(("wire_v2".into(), Json::Bool(v)));
+        let case = FuzzCase::random(&mut rng);
+        // Files written while the write mode and the wire version were
+        // fuzz bits carry `net_batch` and `wire_v2` fields, at either
+        // value. Both are ignored: every net case runs batched writes and
+        // the one encoding.
+        for field in ["net_batch", "wire_v2"] {
+            for value in [false, true] {
+                let mut json = case.to_json();
+                if let Json::Obj(pairs) = &mut json {
+                    pairs.push((field.into(), Json::Bool(value)));
                 }
+                let back = FuzzCase::from_json(&json).unwrap();
+                assert_eq!(back, case, "{field}: {value}");
             }
-            let back = FuzzCase::from_json(&json).unwrap();
-            assert!(back.net_batch, "missing field defaults to batched");
-            assert_eq!(
-                FuzzCase {
-                    net_batch: false,
-                    ..back
-                },
-                case,
-                "wire_v2 {wire_v2:?}: every other field parses as written"
-            );
         }
     }
 

@@ -105,9 +105,6 @@ pub struct CheckOptions {
     /// Test-only: add a [`SabotagedDetector`] to the battery so the
     /// shrinker self-test has a known planted bug to reduce.
     pub sabotage: bool,
-    /// Force coalesced (batched) writes on every net run, overriding the
-    /// case's own `net_batch` draw — the `wcp fuzz --net-batch` smoke knob.
-    pub force_net_batch: bool,
     /// Force the multi-tenant session cross-check to run its socket
     /// loopback leg even when the case's `net` draw is false — the
     /// `wcp fuzz --multi` smoke knob. (The offline engine cross-check
@@ -136,7 +133,6 @@ impl Default for CheckOptions {
         CheckOptions {
             include_net: true,
             sabotage: false,
-            force_net_batch: false,
             force_multi: false,
             force_pump_parallel: false,
             force_parallel_detect: false,
@@ -341,7 +337,8 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             replay_exact: false,
         });
     }
-    let (mut central_report, mut token_report, mut multi_report) = (None, None, None);
+    let (mut central_report, mut token_report, mut multi_report, mut direct_report) =
+        (None, None, None, None);
     for entry in &battery {
         let ring = Arc::new(RingRecorder::new(RING_CAPACITY));
         let detector = (entry.build)(ring.clone());
@@ -372,6 +369,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
                     "centralized" => central_report = Some(report),
                     "token" => token_report = Some(report),
                     "multi-token" => multi_report = Some(report),
+                    "direct" => direct_report = Some(report),
                     _ => {}
                 }
             }
@@ -514,12 +512,12 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
     }
 
     // ---- online simulated actor stacks ---------------------------------
-    // The online token and group monitors run the offline legs' visit,
-    // routing and merge, so they must also report the same work, hops and
-    // control traffic: always for the single token; for the groups on
-    // detected runs and with one group. With more groups an undetected
-    // online run keeps walking the other groups until the stop reaches
-    // them, where the emulation stops at once.
+    // The online token, group and §4 monitors run the offline legs'
+    // visits, routing and merge, so they must also report the same work,
+    // hops and control traffic: always for the single token and the §4
+    // red chain; for the groups on detected runs and with one group. With
+    // more groups an undetected online run keeps walking the other groups
+    // until the stop reaches them, where the emulation stops at once.
     let sim = SimConfig::seeded(case.sim_seed).with_latency(case.latency);
     let one_group = groups.min(scope_n) == 1;
     // The one list of online families: the simulator leg runs each here,
@@ -550,7 +548,8 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
                 Family::MultiToken { .. } => multi_report
                     .as_ref()
                     .filter(|_| truth.is_some() || one_group),
-                Family::Checker | Family::Direct { .. } => None,
+                Family::Direct { parallel: false } => direct_report.as_ref(),
+                Family::Checker | Family::Direct { parallel: true } => None,
             },
         })
         .collect();
@@ -814,9 +813,6 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             if let Some(f) = &case.fault {
                 config = config.with_faults(*f);
             }
-            if !(case.net_batch || opts.force_net_batch) {
-                config = config.with_per_frame_writes();
-            }
             let service = Service::new(&predicates);
             match guarded(|| run_multi_net(computation, &service, config, &RunOptions::default())) {
                 Ok(net) => {
@@ -873,9 +869,6 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             let mut config = base.with_deadline(NET_DEADLINE);
             if let Some(f) = &case.fault {
                 config = config.with_faults(*f);
-            }
-            if !(case.net_batch || opts.force_net_batch) {
-                config = config.with_per_frame_writes();
             }
             for family in families {
                 let label = format!("{substrate}:{}", label(family));

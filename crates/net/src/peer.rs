@@ -32,9 +32,9 @@
 //! verdict, shutdown) flush their link immediately so control traffic is
 //! never stalled behind batching, and the event loop flushes every link
 //! before it looks at the wire, so no frame sits unflushed while a peer
-//! waits. Sequencing, logging, counters, and events stay per-frame, which
-//! is what keeps the fault model and `NetStats` semantics bit-identical
-//! to the per-frame path (`NetConfig::with_per_frame_writes`).
+//! waits. Sequencing, logging, counters, and events stay per-frame, so
+//! the fault model and `NetStats` do not depend on how frames are grouped
+//! into writes.
 //!
 //! Inbound, frames arrive in pooled chunks of one or more frames. Only
 //! the header is decoded for dedup and resequencing; each body is
@@ -207,9 +207,6 @@ pub struct Endpoint {
     ready: VecDeque<Frame>,
     counters: Arc<NetCounters>,
     recorder: Arc<dyn Recorder>,
-    /// When `false`, every send flushes its frame individually (the
-    /// pre-batching wire behaviour).
-    batch: bool,
     /// Reusable encode buffer for outgoing acknowledgements.
     ack_buf: Vec<u8>,
     /// Sink for inbound sidecar telemetry frames (the collector peer).
@@ -224,16 +221,13 @@ const BACKOFF_BASE: Duration = Duration::from_millis(1);
 
 impl Endpoint {
     /// Builds the endpoint for peer `me` of `n_peers`. `links[j]` must be
-    /// `Some` for every `j != me`. `batch` enables send coalescing;
-    /// per-frame mode is behaviourally identical on the wire, one write
-    /// per frame.
+    /// `Some` for every `j != me`.
     pub fn new(
         me: u32,
         links: Vec<Option<Box<dyn Transport>>>,
         inbox: Receiver<PooledBuf>,
         counters: Arc<NetCounters>,
         recorder: Arc<dyn Recorder>,
-        batch: bool,
     ) -> Self {
         let n_peers = links.len();
         Endpoint {
@@ -256,7 +250,6 @@ impl Endpoint {
             ready: VecDeque::new(),
             counters,
             recorder,
-            batch,
             ack_buf: Vec::new(),
             collector: None,
         }
@@ -281,14 +274,13 @@ impl Endpoint {
     /// Sends `payload` to `to_peer`: assigns the link sequence number,
     /// encodes straight into the link's outbound batch, and logs the
     /// frame. Bulk payloads ride until the next flush (or the batch cap);
-    /// control payloads — and every payload in per-frame mode — flush the
-    /// link immediately.
+    /// control payloads flush the link immediately.
     ///
     /// # Panics
     ///
     /// Panics if the link stays down after [`RECOVERY_RETRIES`] reconnects.
     pub fn send(&mut self, to_peer: u32, from: ActorId, to: ActorId, payload: Payload) {
-        let flush_now = !self.batch || immediate(&payload);
+        let flush_now = immediate(&payload);
         let link = self.links[to_peer as usize]
             .as_mut()
             .expect("send to unlinked peer");
@@ -1020,7 +1012,6 @@ mod tests {
             rx0,
             counters.clone(),
             Arc::new(NullRecorder),
-            true,
         );
         let e1 = Endpoint::new(
             1,
@@ -1031,7 +1022,6 @@ mod tests {
             rx1,
             counters,
             Arc::new(NullRecorder),
-            true,
         );
         (e0, e1)
     }
@@ -1107,7 +1097,6 @@ mod tests {
             rx,
             counters.clone(),
             Arc::new(NullRecorder),
-            true,
         );
         let mk = |seq: u64| {
             let mut chunk = pool.take();
@@ -1144,14 +1133,7 @@ mod tests {
         let (tx, rx) = channel();
         let counters = NetCounters::shared();
         let pool = FramePool::shared(counters.clone());
-        let mut e = Endpoint::new(
-            1,
-            vec![None, None],
-            rx,
-            counters,
-            Arc::new(NullRecorder),
-            true,
-        );
+        let mut e = Endpoint::new(1, vec![None, None], rx, counters, Arc::new(NullRecorder));
         let frames: Vec<Frame> = (0..3u64)
             .map(|seq| Frame {
                 peer: 0,
@@ -1191,14 +1173,7 @@ mod tests {
         let (tx, rx) = channel();
         let counters = NetCounters::shared();
         let pool = FramePool::shared(counters.clone());
-        let mut e = Endpoint::new(
-            1,
-            vec![None, None],
-            rx,
-            counters,
-            Arc::new(NullRecorder),
-            true,
-        );
+        let mut e = Endpoint::new(1, vec![None, None], rx, counters, Arc::new(NullRecorder));
         let mut chunk = pool.take();
         for seq in 0..4 {
             chunk.extend_from_slice(&encode_frame(&Frame {
@@ -1222,14 +1197,7 @@ mod tests {
         let (tx, rx) = channel();
         let counters = NetCounters::shared();
         let pool = FramePool::shared(counters.clone());
-        let mut e = Endpoint::new(
-            1,
-            vec![None, None],
-            rx,
-            counters,
-            Arc::new(NullRecorder),
-            true,
-        );
+        let mut e = Endpoint::new(1, vec![None, None], rx, counters, Arc::new(NullRecorder));
         let mut chunk = pool.take();
         for peer in [2, u32::MAX, 0] {
             chunk.extend_from_slice(&encode_frame(&Frame {
@@ -1266,14 +1234,7 @@ mod tests {
         let (tx, rx) = channel();
         let counters = NetCounters::shared();
         let pool = FramePool::shared(counters.clone());
-        let endpoint = Endpoint::new(
-            1,
-            vec![None, None],
-            rx,
-            counters,
-            Arc::new(NullRecorder),
-            true,
-        );
+        let endpoint = Endpoint::new(1, vec![None, None], rx, counters, Arc::new(NullRecorder));
         let delivered = Arc::new(Mutex::new(0));
         let mut running = Running::start(PeerHost {
             index: 1,
@@ -1354,7 +1315,6 @@ mod tests {
             rx0,
             counters.clone(),
             Arc::new(NullRecorder),
-            true,
         );
         let mut e1 = Endpoint::new(
             1,
@@ -1362,7 +1322,6 @@ mod tests {
             rx1,
             counters.clone(),
             Arc::new(NullRecorder),
-            true,
         );
         let a = ActorId::new(0);
         e0.send(1, a, a, Payload::Detect(DetectMsg::DdToken));

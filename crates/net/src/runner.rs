@@ -53,10 +53,6 @@ pub struct NetConfig {
     pub faults: Option<FaultConfig>,
     /// Watchdog: a peer making no progress for this long panics the run.
     pub deadline: Duration,
-    /// Coalesce bulk sends into batched writes (the default). `false`
-    /// writes one frame at a time — the pre-batching wire behaviour, kept
-    /// for A/B benchmarks and equivalence pinning.
-    pub batch: bool,
     /// Run the sidecar telemetry plane: every peer tees its events into a
     /// private ring and periodically frames the deltas to the collector
     /// peer as `TELEMETRY` frames on the un-faulted recovery path.
@@ -71,7 +67,6 @@ impl Default for NetConfig {
             transport: TransportKind::Loopback,
             faults: None,
             deadline: Duration::from_secs(60),
-            batch: true,
             telemetry: false,
         }
     }
@@ -100,15 +95,6 @@ impl NetConfig {
     /// Replaces the stall deadline.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = deadline;
-        self
-    }
-
-    /// Disables send coalescing: one transport write per frame, as before
-    /// the batched data path. Verdicts are identical either way (the
-    /// equivalence tests pin both); this exists for A/B measurement and
-    /// as the conservative fallback.
-    pub fn with_per_frame_writes(mut self) -> Self {
-        self.batch = false;
         self
     }
 
@@ -226,14 +212,8 @@ impl RunShared {
         for (_, actor) in &mut actors {
             actor.set_recorder(recorder);
         }
-        let mut endpoint = Endpoint::new(
-            index,
-            links,
-            inbox,
-            self.counters.clone(),
-            recorder.clone(),
-            self.config.batch,
-        );
+        let mut endpoint =
+            Endpoint::new(index, links, inbox, self.counters.clone(), recorder.clone());
         if let Some(plane) = &self.plane {
             endpoint.set_collector(plane.sink.clone());
         }

@@ -5,10 +5,10 @@
 //! clock then goes into a [`SnapshotBuffer`] as a monitor's would.
 //!
 //! This is the measured half of the batching claim: the same frame count
-//! over the same substrate, batched vs per-frame, gives the throughput
-//! ratio, and `pool_allocs / frames` gives steady-state allocations per
-//! frame (the pool recycles a fixed working set, so it tends to zero as
-//! the frame count grows). `scripts/bench.sh net-batch` records these in
+//! over the same substrate, batched vs flushed after every send, gives
+//! the throughput ratio, and `pool_allocs / frames` gives steady-state
+//! allocations per frame (the pool recycles a fixed working set, so it
+//! tends to zero as the frame count grows). `scripts/bench.sh net-batch` records these in
 //! `BENCH_wcp.json`.
 
 use std::sync::mpsc::channel;
@@ -99,12 +99,14 @@ struct SaturationTelemetry {
 }
 
 /// Drives `frames` snapshot frames from `sender` (peer 0) to `receiver`
-/// (peer 1), buffering every decoded snapshot.
+/// (peer 1), buffering every decoded snapshot. Without `batch` the sender
+/// flushes after every send: one write per frame.
 fn drive(
     mut sender: Endpoint,
     mut receiver: Endpoint,
     frames: u64,
     scope_n: usize,
+    batch: bool,
     counters: &Arc<NetCounters>,
     telemetry: Option<SaturationTelemetry>,
 ) -> SaturationReport {
@@ -130,6 +132,9 @@ fn drive(
                     clock: VectorClock::from_components(clock.clone()),
                 })),
             );
+            if !batch {
+                sender.flush_link(1);
+            }
             if i % ACK_POLL_EVERY == ACK_POLL_EVERY - 1 {
                 // Ingest returning acks so the replay log stays truncated.
                 while sender.recv(Duration::ZERO).is_some() {}
@@ -181,9 +186,9 @@ fn drive(
 }
 
 /// Saturates one link of `config`'s transport with `frames` snapshot
-/// frames of scope width `scope_n`, coalescing writes when `config.batch`
-/// (the A/B knob). With `config.telemetry` both endpoints record into
-/// private [`SidecarRecorder`]s, and the sender ships deltas towards the
+/// frames of scope width `scope_n`, with coalesced writes. With
+/// `config.telemetry` both endpoints record into private
+/// [`SidecarRecorder`]s, and the sender ships deltas towards the
 /// receiver (the collector peer) on its ack-poll cadence: the A/B against
 /// the same run without it is the marginal cost of telemetry at wire
 /// saturation (`scripts/bench.sh telemetry`). The report carries both the
@@ -192,6 +197,18 @@ fn drive(
 /// ratio (`scripts/bench.sh wire-v2`). Faults and the deadline do not
 /// apply.
 pub fn saturate(frames: u64, scope_n: usize, config: NetConfig) -> SaturationReport {
+    saturate_link(frames, scope_n, config, true)
+}
+
+/// [`saturate`] over an in-memory loopback link, clean and without
+/// telemetry; without `batch` the sender flushes after every send, one
+/// write per frame (the A/B knob).
+pub fn saturate_loopback(frames: u64, scope_n: usize, batch: bool) -> SaturationReport {
+    saturate_link(frames, scope_n, NetConfig::loopback(), batch)
+}
+
+/// The run behind [`saturate`] and [`saturate_loopback`].
+fn saturate_link(frames: u64, scope_n: usize, config: NetConfig, batch: bool) -> SaturationReport {
     let counters = NetCounters::shared();
     let dialer = Dialer::new(config.transport, FramePool::shared(counters.clone()));
     let (txs, mut inboxes): (Vec<_>, Vec<_>) = (0..2).map(|_| channel()).unzip();
@@ -216,23 +233,14 @@ pub fn saturate(frames: u64, scope_n: usize, config: NetConfig) -> SaturationRep
             inbox,
             counters.clone(),
             recorders[i].clone(),
-            config.batch,
         )
     });
     if let Some(t) = &telemetry {
         receiver.set_collector(t.collector.clone());
     }
-    drive(sender, receiver, frames, scope_n, &counters, telemetry)
-}
-
-/// [`saturate`] over an in-memory loopback link, clean and without
-/// telemetry; `batch` toggles send coalescing.
-pub fn saturate_loopback(frames: u64, scope_n: usize, batch: bool) -> SaturationReport {
-    let config = NetConfig {
-        batch,
-        ..NetConfig::loopback()
-    };
-    saturate(frames, scope_n, config)
+    drive(
+        sender, receiver, frames, scope_n, batch, &counters, telemetry,
+    )
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! byte stream — split at every possible byte boundary — must decode to
 //! exactly the frames that were encoded, delta-chained clocks included.
 //! The same holds end to end: a TCP reader fed the batch in arbitrary
-//! dribbles, and a batching endpoint versus a per-frame endpoint, all
-//! deliver identical frame sequences.
+//! dribbles, and an endpoint that batches versus one flushed after every
+//! send, all deliver identical frame sequences.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -170,7 +170,7 @@ fn tcp_reader_fed_arbitrary_dribbles_reassembles_the_exact_frame_stream() {
 }
 
 /// A connected endpoint pair over loopback with its own counter block.
-fn endpoint_pair(batch: bool) -> (Endpoint, Endpoint, Arc<NetCounters>) {
+fn endpoint_pair() -> (Endpoint, Endpoint, Arc<NetCounters>) {
     let (tx0, rx0) = channel();
     let (tx1, rx1) = channel();
     let counters = NetCounters::shared();
@@ -185,7 +185,6 @@ fn endpoint_pair(batch: bool) -> (Endpoint, Endpoint, Arc<NetCounters>) {
             rx,
             counters.clone(),
             Arc::new(NullRecorder),
-            batch,
         )
     };
     let e0 = mk(0, tx1, rx0);
@@ -194,14 +193,18 @@ fn endpoint_pair(batch: bool) -> (Endpoint, Endpoint, Arc<NetCounters>) {
 }
 
 /// Drives `traffic` payloads through a fresh pair and returns the
-/// delivered `(seq, frame)` sequence plus the pair's counters.
+/// delivered `(seq, frame)` sequence plus the pair's counters. Without
+/// `batch` the sender flushes after every send.
 fn deliver_all(batch: bool) -> (Vec<Frame>, Arc<NetCounters>) {
-    let (mut sender, mut receiver, counters) = endpoint_pair(batch);
+    let (mut sender, mut receiver, counters) = endpoint_pair();
     let a = ActorId::new(0);
     let total = {
         let frames = sample_frames();
         for f in &frames {
             sender.send(1, a, a, f.payload.clone());
+            if !batch {
+                sender.flush_link(1);
+            }
         }
         frames.len()
     };
@@ -243,7 +246,7 @@ fn batched_and_per_frame_endpoints_deliver_identical_frame_sequences() {
 
 #[test]
 fn steady_state_traffic_recycles_pooled_buffers() {
-    let (mut sender, mut receiver, counters) = endpoint_pair(true);
+    let (mut sender, mut receiver, counters) = endpoint_pair();
     let a = ActorId::new(0);
     let rounds = 200u64;
     for i in 0..rounds {
@@ -414,7 +417,7 @@ fn chained_streams_decode_to_the_sent_frames_at_every_dribble_split() {
 
 #[test]
 fn endpoints_deliver_the_sent_frames_for_fewer_bytes_than_v1() {
-    let (mut sender, mut receiver, counters) = endpoint_pair(true);
+    let (mut sender, mut receiver, counters) = endpoint_pair();
     let frames = arbitrary_stream(11, 120);
     for f in &frames {
         sender.send(1, f.from, f.to, f.payload.clone());

@@ -7,6 +7,7 @@ use wcp_obs::json::{FromJson, Json, JsonError, ToJson};
 
 use crate::annotate::AnnotatedComputation;
 use crate::event::{Event, MsgId};
+use crate::lattice::LatticeTruncated;
 use crate::stats::ComputationStats;
 
 /// The recorded execution of one process: its communication events and the
@@ -167,6 +168,9 @@ pub enum ComputationError {
         /// The budget it exceeds.
         budget: u64,
     },
+    /// The lattice of consistent global states has more states than an
+    /// exploration may visit.
+    LatticeBudget(LatticeTruncated),
 }
 
 impl fmt::Display for ComputationError {
@@ -209,6 +213,7 @@ impl fmt::Display for ComputationError {
                 f,
                 "vector clocks {width} wide need {cells} cells, over the budget of {budget} cells"
             ),
+            ComputationError::LatticeBudget(e) => e.fmt(f),
         }
     }
 }

@@ -36,9 +36,8 @@ status=0
 # No pipe to tee: POSIX sh would report tee's status, not the campaign's.
 # --audit-bounds folds the paper-bound auditor into the battery: each
 # case's merged telemetry timeline must stay inside the §3.4 limits.
-# No --net-batch override here: each case draws its own write mode, so
-# the night covers batched and per-frame writes under fault schedules
-# (every net case runs the delta-compressed wire v2).
+# Every net case runs batched writes and the one bit-packed wire
+# encoding, its clocks delta-compressed, under its drawn fault schedule.
 # Each case also draws a multi-predicate session count (1–8): the
 # session-layer engine is cross-checked offline on every case, and net
 # cases additionally run the socket-backed multi service. Each case

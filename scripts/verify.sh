@@ -33,11 +33,9 @@ echo "== fuzz smoke campaign (fixed seed, bounded) =="
 # families over loopback peers and again over in-process TCP peers: the
 # four detector families (token, multi-token, checker, direct with and
 # without the §4.5 chain), each hosting the layout the simulator hosts.
-# --net-batch forces every net case onto the batched (coalesced-write)
-# data path, so the smoke run always exercises it; every net case runs
-# the one bit-packed wire encoding, its clocks delta-compressed. The
-# nightly campaign (scripts/nightly-fuzz.sh) fuzzes both write modes.
-./target/release/wcp fuzz --seed 1 --cases 50 --shrink --net-batch
+# Every net case runs batched writes and the one bit-packed wire
+# encoding, its clocks delta-compressed.
+./target/release/wcp fuzz --seed 1 --cases 50 --shrink
 
 echo "== fuzz multi-tenant smoke slice =="
 # Session-layer conformance: the offline multi-predicate cross-check runs
