@@ -145,7 +145,7 @@ fn parse_topology(spec: &str) -> Result<Topology, CliError> {
 
 /// `wcp info` — validate and summarize a trace file.
 pub fn info(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("info", raw)?;
     let path = args.require_positional(0, "FILE")?;
     let computation = load(path)?;
     let stats = computation.stats();
@@ -163,7 +163,7 @@ pub fn info(raw: &[String]) -> Result<String, CliError> {
 
 /// `wcp generate` entry point.
 pub fn generate(raw: &[String]) -> Result<String, CliError> {
-    generate_cmd(&Args::parse(raw)?)
+    generate_cmd(&Args::parse("generate", raw)?)
 }
 
 /// Parses a `parallel` / `parallel:T` spec into a worker count.
@@ -236,7 +236,7 @@ fn describe(report: &DetectionReport, json: bool) -> Result<String, CliError> {
 
 /// `wcp detect` — run a WCP detector on a trace file.
 pub fn detect(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("detect", raw)?;
     let path = args.require_positional(0, "FILE")?;
     let computation = load(path)?;
     let wcp = parse_scope(&args, &computation)?;
@@ -302,7 +302,7 @@ pub fn detect(raw: &[String]) -> Result<String, CliError> {
 /// `wcp trace` — run an offline detector with a recorder attached and
 /// write the event stream as JSONL.
 pub fn trace(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("trace", raw)?;
     let path = args.require_positional(0, "FILE")?;
     let computation = load(path)?;
     let wcp = parse_scope(&args, &computation)?;
@@ -337,7 +337,7 @@ pub fn trace(raw: &[String]) -> Result<String, CliError> {
 /// attached and print their [`RunReport`]s: per-monitor token-hop counts,
 /// queue-delay histograms and the candidate-elimination timeline.
 pub fn stats(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("stats", raw)?;
     let path = args.require_positional(0, "FILE")?;
     let computation = load(path)?;
     let wcp = parse_scope(&args, &computation)?;
@@ -475,7 +475,7 @@ fn parse_channel_term(spec: &str) -> Result<ChannelTerm, CliError> {
 /// `wcp gcp` — detect a generalized conjunctive predicate with channel
 /// terms.
 pub fn gcp(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("gcp", raw)?;
     let path = args.require_positional(0, "FILE")?;
     let computation = load(path)?;
     let wcp = parse_scope(&args, &computation)?;
@@ -503,7 +503,7 @@ pub fn gcp(raw: &[String]) -> Result<String, CliError> {
 
 /// `wcp render` — print a space-time diagram (text or Graphviz DOT).
 pub fn render(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("render", raw)?;
     let path = args.require_positional(0, "FILE")?;
     let computation = load(path)?;
     // `--scope` is advertised in USAGE; out-of-range ids must be a proper
@@ -522,18 +522,18 @@ pub fn render(raw: &[String]) -> Result<String, CliError> {
 
 /// `wcp lattice` — explore the global-state lattice of a trace.
 pub fn lattice(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("lattice", raw)?;
     let path = args.require_positional(0, "FILE")?;
     let computation = load(path)?;
     let wcp = parse_scope(&args, &computation)?;
     let max_states: usize = args.get_or("max-states", 1_000_000)?;
-    let explorer = LatticeExplorer::new(&computation);
+    let survey = LatticeExplorer::new(&computation).survey(&wcp, max_states);
     let mut out = String::new();
-    match explorer.count_states(max_states) {
+    match survey.states {
         Ok(count) => out.push_str(&format!("consistent global states: {count}\n")),
         Err(e) => out.push_str(&format!("consistent global states: {e}\n")),
     }
-    match explorer.first_satisfying_counted(&wcp, max_states) {
+    match survey.first {
         Ok((Some(cut), visited)) => out.push_str(&format!(
             "first cut satisfying {wcp}: {cut} (after visiting {visited} states)\n"
         )),
@@ -572,7 +572,7 @@ fn parse_fault_config(args: &Args) -> Result<Option<FaultConfig>, CliError> {
 /// over TCP localhost or loopback channels, optionally with injected
 /// faults) and cross-check the verdict against the simulator.
 pub fn net_demo(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("net-demo", raw)?;
     let path = args.require_positional(0, "FILE")?;
     let computation = load(path)?;
     let wcp = parse_scope(&args, &computation)?;
@@ -654,7 +654,7 @@ fn outcome_row(outcome: &PredicateOutcome) -> String {
 /// `--pump-threads T` fans deliveries out over `T` parallel pump workers
 /// (bit-identical to the serial pump either way).
 pub fn multi_demo(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("multi-demo", raw)?;
     let path = args.require_positional(0, "FILE")?;
     let computation = load(path)?;
     let n = computation.process_count();
@@ -755,7 +755,7 @@ fn parse_peer_addrs(args: &Args, n: usize) -> Result<(usize, Vec<SocketAddr>), C
 /// the merged cross-peer summary. With `--multi` the peer instead joins
 /// a multi-tenant session-layer deployment (see `serve_multi`).
 pub fn serve(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("serve", raw)?;
     if args.switch("multi") {
         return serve_multi(&args);
     }
@@ -920,7 +920,7 @@ fn spawn_observed(
 /// real `wcp serve` session as one standalone peer — run it as peer 0 to
 /// watch every peer's telemetry converge on the collector.
 pub fn top(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("top", raw)?;
     top_with_sink(&args, &mut |frame| {
         // ANSI clear + home so successive frames repaint in place.
         print!("\x1b[2J\x1b[H{frame}");
@@ -975,7 +975,7 @@ fn top_with_sink(args: &Args, sink: &mut dyn FnMut(&str)) -> Result<String, CliE
 /// `wcp top`: in-process by default, `--peer I --addrs ...` for a real
 /// TCP serve session.
 pub fn obs_report(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("obs-report", raw)?;
     let path = args.require_positional(0, "FILE")?;
     let computation = load(path)?;
     let wcp = parse_scope(&args, &computation)?;
@@ -1039,7 +1039,7 @@ pub fn obs_report(raw: &[String]) -> Result<String, CliError> {
 /// `--audit-bounds` additionally audits every case's merged telemetry
 /// timeline against the paper's §3.4 message/bit/latency bounds.
 pub fn fuzz(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("fuzz", raw)?;
     let seed: u64 = args.get_or("seed", 1)?;
     let cases: usize = args.get_or("cases", 50)?;
     if cases == 0 {
@@ -1073,7 +1073,7 @@ pub const BOUND_MAX_STATES: u64 = 1_000_000;
 
 /// `wcp bound` — run the Theorem 5.1 adversary game.
 pub fn bound(raw: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse("bound", raw)?;
     let n: usize = args.require("n")?;
     let m: u64 = args.require("m")?;
     // The game holds n·m states and scans all n queues per deletion, so
@@ -1302,7 +1302,11 @@ mod tests {
         let sliced = load(&out_path).unwrap();
         let full = load(&path).unwrap();
         assert!(sliced.total_events() <= full.total_events());
-        let wcp = parse_scope(&Args::parse(&argv(&["--scope", "0,1"])).unwrap(), &sliced).unwrap();
+        let wcp = parse_scope(
+            &Args::parse("detect", &argv(&["--scope", "0,1"])).unwrap(),
+            &sliced,
+        )
+        .unwrap();
         let before = wcp_detect::TokenDetector::new()
             .detect(&full.annotate(), &wcp)
             .detection;
@@ -1415,7 +1419,11 @@ mod tests {
     #[test]
     fn top_streams_frames_and_reports_the_verdict() {
         let path = generated_trace("top.json");
-        let args = Args::parse(&argv(&[&path, "--interval-ms", "20", "--frames", "500"])).unwrap();
+        let args = Args::parse(
+            "top",
+            &argv(&[&path, "--interval-ms", "20", "--frames", "500"]),
+        )
+        .unwrap();
         let mut frames = Vec::new();
         let out = top_with_sink(&args, &mut |f| frames.push(f.to_string())).unwrap();
         // The final frame carries the merged dashboard and a settled verdict.
@@ -1469,7 +1477,7 @@ mod tests {
                     if watcher == "top" {
                         let mut raw = argv(&base);
                         raw.extend(argv(&["--interval-ms", "20", "--frames", "500"]));
-                        let args = Args::parse(&raw).unwrap();
+                        let args = Args::parse("top", &raw).unwrap();
                         top_with_sink(&args, &mut |_| {})
                     } else {
                         obs_report(&argv(&base))

@@ -10,9 +10,11 @@
 //! path) each edge value in turn, so every single-argument fault is tried.
 //! The second draws seeded combinations of several slots at once.
 //!
-//! `serve`, `top`, `fuzz`, `net-demo` and `multi-demo` are left out: they
-//! dial peers, watch runs or run campaigns whose legal sizes take long by
-//! design.
+//! `serve`, `top`, `obs-report`, `fuzz`, `net-demo` and `multi-demo` are
+//! left out: they dial peers, watch runs or run campaigns whose legal
+//! sizes take long by design. A second test holds this table's flags
+//! equal to the flags the parser lets each command take
+//! (`wcp_cli::args::COMMANDS`).
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -127,6 +129,16 @@ const COMMANDS: &[Command] = &[
         outputs: &[],
         switches: &[],
     },
+];
+
+/// The commands [`COMMANDS`] leaves out.
+const UNFUZZED: &[&str] = &[
+    "serve",
+    "top",
+    "obs-report",
+    "fuzz",
+    "net-demo",
+    "multi-demo",
 ];
 
 /// Scratch directory for the fixture trace and every output file.
@@ -285,4 +297,34 @@ fn every_argument_yields_ok_or_an_exit_1_or_2_error() {
         let switches: Vec<bool> = command.switches.iter().map(|_| rng.gen_bool(0.5)).collect();
         check(argv(command, &case, &outputs, &switches));
     }
+}
+
+#[test]
+fn the_fuzzed_flags_are_the_flags_each_command_takes() {
+    fn sorted(mut flags: Vec<&str>) -> Vec<&str> {
+        flags.sort_unstable();
+        flags
+    }
+    for &(name, flags, switches) in wcp_cli::args::COMMANDS {
+        let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+            assert!(UNFUZZED.contains(&name), "`{name}` is not fuzzed");
+            continue;
+        };
+        let fuzzed = command
+            .slots
+            .iter()
+            .chain(command.outputs)
+            .copied()
+            .filter(|&slot| slot != FILE)
+            .collect();
+        let takes = flags.split_whitespace().collect();
+        assert_eq!(sorted(fuzzed), sorted(takes), "`{name}` flags");
+        let fuzzed = command.switches.to_vec();
+        let takes = switches.split_whitespace().collect();
+        assert_eq!(sorted(fuzzed), sorted(takes), "`{name}` switches");
+    }
+    assert_eq!(
+        COMMANDS.len() + UNFUZZED.len(),
+        wcp_cli::args::COMMANDS.len()
+    );
 }

@@ -12,6 +12,13 @@
 //!   before another head; a round with no such head detects.
 //! - A closed, dry queue anywhere makes the verdict
 //!   [`Impossible`](StreamingStatus::Impossible).
+//! - Like every Figure 3 monitor, the loop waits on an empty queue: a
+//!   row changes its state only when it fills one. It counts its empty
+//!   queues, and a row source that reports each row landing in an empty
+//!   queue through [`Elimination::arrive`] gets the
+//!   [`Pending`](StreamingStatus::Pending) answer in `O(1)` until the
+//!   report that fills the last one. A row appended behind an existing
+//!   head needs no call.
 //! - Comparisons are amortized `O(n)` per round. A new head is compared
 //!   once with every other head, then only with later new heads while it
 //!   is known concurrent: clocks of a process only grow, so an eliminable
@@ -109,6 +116,10 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct Elimination {
     slots: Vec<Slot>,
+    /// Positions whose status is `Absent`.
+    empty: usize,
+    /// Some position was [`close`](Self::close)d.
+    closing: bool,
     work: u64,
     eliminated: u64,
 }
@@ -123,6 +134,8 @@ impl Elimination {
         assert!(n >= 1, "need at least one scope position");
         Elimination {
             slots: vec![Slot::default(); n],
+            empty: n,
+            closing: false,
             work: 0,
             eliminated: 0,
         }
@@ -142,6 +155,7 @@ impl Elimination {
     /// Declares that position `i`'s queue gets no more rows. Idempotent.
     pub fn close(&mut self, i: usize) {
         self.slots[i].closed = true;
+        self.closing = true;
     }
 
     /// Whether position `i` was [`close`](Self::close)d.
@@ -154,23 +168,23 @@ impl Elimination {
     /// closed; a [`Detected`](StreamingStatus::Detected) verdict repeats
     /// (at `n` more work) unless a head is consumed in between.
     pub fn run<H: Heads + ?Sized>(&mut self, heads: &mut H) -> StreamingStatus {
-        // Rows added since the last run may have filled an empty queue.
-        // Look at every position before settling for Pending: a closed,
-        // dry queue anywhere means no cut can ever form.
-        let mut missing = false;
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.status == Status::Absent {
-                if heads.has_head(i) {
-                    slot.status = Status::Unchecked;
-                } else if slot.closed {
-                    return StreamingStatus::Impossible;
-                } else {
-                    missing = true;
+        // Unreported rows may have filled an empty queue. Look at every
+        // empty position before settling for Pending: a closed, dry queue
+        // anywhere means no cut can ever form.
+        if self.empty > 0 {
+            for (i, slot) in self.slots.iter_mut().enumerate() {
+                if slot.status == Status::Absent {
+                    if heads.has_head(i) {
+                        slot.status = Status::Unchecked;
+                        self.empty -= 1;
+                    } else if slot.closed {
+                        return StreamingStatus::Impossible;
+                    }
                 }
             }
-        }
-        if missing {
-            return StreamingStatus::Pending;
+            if self.empty > 0 {
+                return StreamingStatus::Pending;
+            }
         }
         let n = self.slots.len();
         for k in 0..n {
@@ -200,6 +214,29 @@ impl Elimination {
         }
     }
 
+    /// Reports a row that arrived in position `i`'s queue, and answers
+    /// what [`run`](Self::run) would. While another queue is still empty
+    /// and no queue is closed, that is
+    /// [`Pending`](StreamingStatus::Pending), told in `O(1)` without a
+    /// look at the row source; otherwise the loop runs.
+    ///
+    /// A source that calls this for every row landing in an empty queue
+    /// need not call anything for a row appended behind an existing head:
+    /// the loop's last answer stands. A source that reports no rows calls
+    /// `run` instead.
+    pub fn arrive<H: Heads + ?Sized>(&mut self, heads: &mut H, i: usize) -> StreamingStatus {
+        debug_assert!(heads.has_head(i), "position {i} reported a row it lacks");
+        let slot = &mut self.slots[i];
+        if slot.status == Status::Absent {
+            slot.status = Status::Unchecked;
+            self.empty -= 1;
+        }
+        if self.empty > 0 && !self.closing {
+            return StreamingStatus::Pending;
+        }
+        self.run(heads)
+    }
+
     /// Consumes position `i`'s head outside the rule — for a caller with
     /// its own reason to reject it, like a GCP channel term blaming that
     /// endpoint. The next [`run`](Self::run) examines the new head.
@@ -209,6 +246,7 @@ impl Elimination {
         self.slots[i].status = if heads.has_head(i) {
             Status::Unchecked
         } else {
+            self.empty += 1;
             Status::Absent
         };
     }
@@ -332,15 +370,36 @@ mod tests {
         }
     }
 
+    /// How a case hands its rows to the loop.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Feed {
+        /// All rows pushed and every queue closed up front, one run: the
+        /// offline checker.
+        Offline,
+        /// `run` after every push and close.
+        Run,
+        /// `arrive` for a row that fills an empty queue, no call for one
+        /// behind a head, `run` after a close: a session.
+        Filling,
+        /// `arrive` after every push, `run` after a close: the streaming
+        /// checker.
+        Every,
+    }
+
     /// Drives the loop and the re-scan through the same pushes and closes
     /// over random queues whose clocks only grow, each row's own component
-    /// its interval, and asserts every status and counter agree. Every
-    /// third case is the offline shape: all rows pushed, all queues closed
-    /// up front, one run.
+    /// its interval, and asserts that status, `work` and `eliminated`
+    /// agree after every push and close. Rows reach the loop each of the
+    /// ways of [`Feed`]; a push that makes no call answers the last
+    /// status.
     #[test]
     fn matches_the_rescan_over_random_interleavings() {
         let mut rng = Rng::seed_from_u64(19);
-        for case in 0..600 {
+        let feeds = [Feed::Offline, Feed::Run, Feed::Filling, Feed::Every];
+        // Pushes behind a head that made no call.
+        let mut skipped = 0;
+        for case in 0..800 {
+            let feed = feeds[case % feeds.len()];
             let n = rng.gen_range(1usize..7);
             let rows: Vec<Vec<Vec<u64>>> = (0..n)
                 .map(|p| {
@@ -355,30 +414,40 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let offline = case % 3 == 0;
+            let offline = feed == Feed::Offline;
             let full: Vec<usize> = rows.iter().map(Vec::len).collect();
             let pushed = if offline { full.clone() } else { vec![0; n] };
             let mut a = Queues::new(rows, pushed);
             let mut b = a.clone();
             let (mut elimination, mut closed, mut counters) =
                 (Elimination::new(n), vec![false; n], (0, 0));
+            let mut last = StreamingStatus::Pending;
             loop {
                 let open: Vec<usize> = (0..n).filter(|&i| !closed[i]).collect();
                 if open.is_empty() {
                     break;
                 }
                 let pos = open[rng.gen_range(0..open.len())];
-                if offline || a.pushed[pos] == full[pos] {
+                let got = if offline || a.pushed[pos] == full[pos] {
                     elimination.close(pos);
                     closed[pos] = true;
                     if offline && closed.iter().any(|&c| !c) {
                         continue;
                     }
+                    elimination.run(&mut a)
                 } else {
+                    let filled = !a.has_head(pos);
                     a.pushed[pos] += 1;
                     b.pushed[pos] += 1;
-                }
-                let got = elimination.run(&mut a);
+                    match feed {
+                        Feed::Filling if !filled => {
+                            skipped += 1;
+                            last.clone()
+                        }
+                        Feed::Filling | Feed::Every => elimination.arrive(&mut a, pos),
+                        Feed::Run | Feed::Offline => elimination.run(&mut a),
+                    }
+                };
                 assert_eq!(got, rescan(&mut b, &closed, &mut counters), "case {case}");
                 assert_eq!(
                     (elimination.work(), elimination.eliminated()),
@@ -388,8 +457,36 @@ mod tests {
                 if matches!(got, StreamingStatus::Detected(_)) {
                     break;
                 }
+                last = got;
             }
         }
+        assert!(skipped > 1000, "only {skipped} pushes landed behind a head");
+    }
+
+    /// An arrival into one of several empty queues, and one behind a
+    /// head, fetch no row and read no component; the arrival that fills
+    /// the last empty queue runs the loop.
+    #[test]
+    fn arrivals_before_the_last_empty_queue_fills_read_nothing() {
+        let rows = vec![
+            vec![vec![1, 0, 0], vec![2, 0, 0]],
+            vec![vec![0, 1, 0]],
+            vec![vec![0, 0, 1]],
+        ];
+        let mut q = Queues::new(rows, vec![0; 3]);
+        let mut elimination = Elimination::new(3);
+        for pos in [0, 0, 1] {
+            q.pushed[pos] += 1;
+            assert_eq!(elimination.arrive(&mut q, pos), StreamingStatus::Pending);
+            assert_eq!((q.fetches.get(), q.reads.get()), (0, 0));
+        }
+        q.pushed[2] += 1;
+        assert_eq!(
+            elimination.arrive(&mut q, 2),
+            StreamingStatus::Detected(vec![1, 1, 1])
+        );
+        assert!(q.fetches.get() > 0);
+        assert_eq!(elimination.work(), 3);
     }
 
     /// The Theorem 5.1 staircase: a token circles the ring `rounds` times,

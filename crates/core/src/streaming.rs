@@ -7,7 +7,8 @@
 //! it reports the first satisfying cut the moment one exists. It runs the
 //! one [`Elimination`] loop over per-position snapshot buffers, so each
 //! round costs `n` work units and amortized `O(n)` comparisons, exactly
-//! the centralized checker's budget.
+//! the centralized checker's budget. While every position is open, a
+//! push that does not fill the last empty queue answers in `O(1)`.
 //!
 //! This is how a monitoring sidecar or test harness would consume the
 //! library in production: no simulator, no trace files.
@@ -73,6 +74,8 @@ pub struct StreamingChecker {
     elimination: Elimination,
     last_interval: Vec<u64>,
     detected: Option<Vec<u64>>,
+    /// Snapshots pushed; those not yet eliminated are buffered.
+    pushed: u64,
     peak_buffered: u64,
 }
 
@@ -105,6 +108,7 @@ impl StreamingChecker {
             elimination: Elimination::new(n),
             last_interval: vec![0; n],
             detected: None,
+            pushed: 0,
             peak_buffered: 0,
         }
     }
@@ -165,9 +169,11 @@ impl StreamingChecker {
         }
         self.last_interval[pos] = snapshot.interval;
         self.queues[pos].push(&snapshot);
-        let buffered: u64 = self.queues.iter().map(|q| q.len() as u64).sum();
+        self.pushed += 1;
+        let buffered = self.pushed - self.elimination.eliminated();
         self.peak_buffered = self.peak_buffered.max(buffered);
-        self.advance()
+        let status = self.elimination.arrive(self.queues.as_mut_slice(), pos);
+        self.settle(status)
     }
 
     /// Declares that position `pos` will produce no more snapshots (end of
@@ -187,7 +193,8 @@ impl StreamingChecker {
         if self.detected.is_some() {
             return StreamingStatus::AlreadyDetected;
         }
-        self.advance()
+        let status = self.elimination.run(self.queues.as_mut_slice());
+        self.settle(status)
     }
 
     /// The detected cut, if any push reported one.
@@ -195,11 +202,9 @@ impl StreamingChecker {
         self.detected.as_deref()
     }
 
-    /// Runs the elimination loop over the current queue heads. A closed
-    /// queue never refills, so once a closed queue is dry every later run
-    /// reports `Impossible` again.
-    fn advance(&mut self) -> StreamingStatus {
-        let status = self.elimination.run(self.queues.as_mut_slice());
+    /// Keeps a detected cut. A closed queue never refills, so once a
+    /// closed queue is dry every later answer is `Impossible` again.
+    fn settle(&mut self, status: StreamingStatus) -> StreamingStatus {
         if let StreamingStatus::Detected(g) = &status {
             self.detected = Some(g.clone());
         }

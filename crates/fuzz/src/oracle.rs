@@ -390,7 +390,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
                     DivergenceKind::Verdict,
                     format!("expected {}, got {}", fmt_proj(&truth), fmt_proj(&got)),
                 );
-            } else if let Some(central) = central_report.filter(|c| *c != report) {
+            } else if let Some(central) = central_report.as_ref().filter(|c| **c != report) {
                 diverge(
                     "gcp",
                     DivergenceKind::Metrics,
@@ -506,6 +506,17 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
                      reported Impossible"
                         .to_string(),
                 );
+            } else if let Some(central) = &central_report {
+                // Pushes only pause the offline run's sequence of rounds,
+                // so the work matches whatever the interleave.
+                let want = central.metrics.total_work();
+                if outcome.work != want {
+                    diverge(
+                        "streaming",
+                        DivergenceKind::Metrics,
+                        format!("checker work {want}, streaming work {}", outcome.work),
+                    );
+                }
             }
         }
         Err(p) => diverge("streaming", DivergenceKind::Crash, p),
@@ -660,9 +671,12 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
     // ---- multi-tenant session engine ------------------------------------
     // Serve `multi_predicates` predicates with diverse scopes over the
     // shared stream and cross-check **predicate by predicate**: each
-    // verdict against the Theorem 3.2 oracle for *that* predicate, and
-    // each session's `DetectionMetrics` against a run of the same
-    // predicate alone (the bit-identity claim of DESIGN.md S25).
+    // verdict against the Theorem 3.2 oracle for *that* predicate, each
+    // session's `DetectionMetrics` against a run of the same predicate
+    // alone (the bit-identity claim of DESIGN.md S25), and each verdict
+    // and `total_work` against the offline checker on the same scope. The
+    // alone run is session code too; the checker runs the loop once over
+    // full queues, so a drift in how routed rows reach the loop shows.
     {
         let n = computation.process_count().max(1);
         let k = case.multi_predicates.max(1);
@@ -717,6 +731,11 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
                                     outcome.metrics
                                 ),
                             );
+                        } else if let Some((kind, detail)) =
+                            checker_twin(&annotated, &outcome.wcp, &got, &outcome.metrics)
+                        {
+                            engine_clean = false;
+                            diverge(&format!("multi:checker#{}", outcome.id), kind, detail);
                         }
                     }
                     Some(report)
@@ -894,6 +913,32 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
     out
 }
 
+/// Where a session's verdict or `total_work` differs from the offline
+/// checker's on the same scope, the difference.
+fn checker_twin(
+    annotated: &AnnotatedComputation<'_>,
+    wcp: &Wcp,
+    got: &Option<Vec<u64>>,
+    metrics: &DetectionMetrics,
+) -> Option<(DivergenceKind, String)> {
+    let twin = CentralizedChecker::new().detect(annotated, wcp);
+    let want = twin.detection.cut().map(|c| wcp.project(c));
+    let (work, twin_work) = (metrics.total_work(), twin.metrics.total_work());
+    let kind = if want != *got {
+        DivergenceKind::Verdict
+    } else if work != twin_work {
+        DivergenceKind::Metrics
+    } else {
+        return None;
+    };
+    let detail = format!(
+        "checker {} at {twin_work} work, session {} at {work}",
+        fmt_proj(&want),
+        fmt_proj(got)
+    );
+    Some((kind, detail))
+}
+
 /// A family's divergence label, without its group count.
 fn label(family: Family) -> &'static str {
     match family {
@@ -916,6 +961,8 @@ struct StreamingOutcome {
     /// had (and never will have) a snapshot must report `Impossible` on
     /// that very call, not linger `Pending` until a later operation.
     contract_violation: Option<String>,
+    /// The checker's work when the drive ended.
+    work: u64,
 }
 
 /// Drives the [`StreamingChecker`] with the case's seeded interleave:
@@ -999,5 +1046,6 @@ fn run_streaming(
         detected,
         settled,
         contract_violation,
+        work: checker.work(),
     }
 }

@@ -225,10 +225,13 @@ struct PumpTally {
 }
 
 /// Deliveries each worker must get before a pump is split across the pool
-/// (the [`par::width`] cutoff). A delivery costs on the order of 100 ns,
-/// while a 2-unit pool dispatch measured about 2 µs with the worker
-/// spinning and 3 µs with it parked (2-vCPU x86-64 VM), so smaller pumps
-/// run faster on the calling thread.
+/// (the [`par::width`] cutoff). A delivery costs about 50 ns
+/// (`session.ns_per_delivery` in traced perfbench `session-stream` runs,
+/// 48–54 ns), while a 2-unit pool dispatch measured about 2 µs with the
+/// worker spinning and 3 µs with it parked, and the traced runs'
+/// `par.dispatch_us` reads 1.0–1.6 µs (2-vCPU x86-64 VM). A worker's 64
+/// deliveries, about 3 µs, are the least that pays for a dispatch;
+/// smaller pumps run faster on the calling thread.
 const DELIVERY_GRAIN: usize = 64;
 
 /// One entry of a class's routed stream.

@@ -13,7 +13,11 @@
 //! The loop is the one [`StreamingChecker`](wcp_detect::StreamingChecker)
 //! runs, fed the same rows in the same order, and detection freezes every
 //! counter, so per-session [`DetectionMetrics`] equal a standalone run in
-//! every field.
+//! every field. A routed snapshot that lands behind an existing head
+//! only moves its position's tail cursor and the session's counters; one
+//! that fills an empty queue is reported to the loop
+//! ([`Elimination::arrive`]), which runs its rounds only once no queue is
+//! empty.
 
 use std::fmt;
 
@@ -65,19 +69,15 @@ pub struct SessionState {
     /// The loop's per-position state, closed flags included.
     elimination: Elimination,
     verdict: Option<SessionVerdict>,
-    /// Routed rows not yet consumed, over every position.
-    buffered: u64,
     peak_buffered: u64,
+    /// Routed snapshots; those the loop has not consumed are buffered.
     snapshot_messages: u64,
-    snapshot_bytes: u64,
 }
 
-/// The loop's row source: a session's cursors over the store. Consuming a
-/// head takes it off the buffered count.
+/// The loop's row source: a session's cursors over the store.
 struct Cursors<'a> {
     scope: &'a [ProcessId],
     cursors: &'a mut [(usize, usize)],
-    buffered: &'a mut u64,
     view: &'a StoreView<'a>,
 }
 
@@ -100,7 +100,6 @@ impl Heads for Cursors<'_> {
 
     fn pop(&mut self, i: usize) {
         self.cursors[i].0 += 1;
-        *self.buffered -= 1;
     }
 }
 
@@ -114,10 +113,8 @@ impl SessionState {
             cursors: vec![(0, 0); n],
             elimination: Elimination::new(n),
             verdict: None,
-            buffered: 0,
             peak_buffered: 0,
             snapshot_messages: 0,
-            snapshot_bytes: 0,
         }
     }
 
@@ -142,31 +139,44 @@ impl SessionState {
     ) -> Option<SessionVerdict> {
         debug_assert!(!self.resolved(), "resolved sessions must be skipped");
         debug_assert!(!self.elimination.is_closed(pos), "snapshot after close");
-        self.cursors[pos].1 += 1;
+        let (head, tail) = &mut self.cursors[pos];
+        let filled = *head == *tail;
+        *tail += 1;
         self.snapshot_messages += 1;
-        // §3.4 units: one scope-projected clock component per scope process.
-        self.snapshot_bytes += 8 * self.scope.len() as u64;
-        self.buffered += 1;
-        self.peak_buffered = self.peak_buffered.max(self.buffered);
-        self.advance(view)
+        let buffered = self.snapshot_messages - self.elimination.eliminated();
+        self.peak_buffered = self.peak_buffered.max(buffered);
+        if !filled {
+            // Behind an existing head: the loop's last answer, Pending,
+            // stands.
+            return None;
+        }
+        let (elimination, mut cursors) = self.split(view);
+        let status = elimination.arrive(&mut cursors, pos);
+        self.settle(status)
     }
 
     /// Declares scope position `pos`'s stream finished.
     pub(crate) fn on_close(&mut self, pos: usize, view: &StoreView<'_>) -> Option<SessionVerdict> {
         debug_assert!(!self.resolved(), "resolved sessions must be skipped");
         self.elimination.close(pos);
-        self.advance(view)
+        let (elimination, mut cursors) = self.split(view);
+        let status = elimination.run(&mut cursors);
+        self.settle(status)
     }
 
-    /// Runs the elimination loop over the current queue heads.
-    fn advance(&mut self, view: &StoreView<'_>) -> Option<SessionVerdict> {
-        let mut cursors = Cursors {
+    /// The loop and its row source over `view`.
+    fn split<'a>(&'a mut self, view: &'a StoreView<'a>) -> (&'a mut Elimination, Cursors<'a>) {
+        let cursors = Cursors {
             scope: &self.scope,
             cursors: &mut self.cursors,
-            buffered: &mut self.buffered,
             view,
         };
-        self.verdict = match self.elimination.run(&mut cursors) {
+        (&mut self.elimination, cursors)
+    }
+
+    /// Keeps a final verdict and returns it.
+    fn settle(&mut self, status: StreamingStatus) -> Option<SessionVerdict> {
+        self.verdict = match status {
             StreamingStatus::Detected(g) => Some(SessionVerdict::Detected(g)),
             StreamingStatus::Impossible => Some(SessionVerdict::Impossible),
             StreamingStatus::Pending | StreamingStatus::AlreadyDetected => None,
@@ -180,7 +190,8 @@ impl SessionState {
         let mut m = DetectionMetrics::new(1);
         m.add_work(0, self.elimination.work());
         m.snapshot_messages = self.snapshot_messages;
-        m.snapshot_bytes = self.snapshot_bytes;
+        // §3.4 units: one scope-projected clock component per scope process.
+        m.snapshot_bytes = 8 * self.scope.len() as u64 * self.snapshot_messages;
         m.max_buffered_snapshots = self.peak_buffered;
         m.candidates_consumed = self.elimination.eliminated();
         m.finish_sequential();

@@ -61,6 +61,16 @@ impl fmt::Display for LatticeTruncated {
 
 impl std::error::Error for LatticeTruncated {}
 
+/// What one [`LatticeExplorer::survey`] pass found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LatticeSurvey {
+    /// The number of consistent global states.
+    pub states: Result<usize, LatticeTruncated>,
+    /// The first cut satisfying the predicate, if any, and the states
+    /// visited to reach that answer.
+    pub first: Result<(Option<Cut>, usize), LatticeTruncated>,
+}
+
 /// Breadth-first explorer of a computation's consistent global states.
 #[derive(Debug, Clone)]
 pub struct LatticeExplorer<'a> {
@@ -139,20 +149,32 @@ impl<'a> LatticeExplorer<'a> {
         true
     }
 
-    /// Number of consistent global states, or an error if it exceeds
-    /// `max_states`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LatticeTruncated`] when the lattice has more than
-    /// `max_states` states.
-    pub fn count_states(&self, max_states: usize) -> Result<usize, LatticeTruncated> {
+    /// Counts the consistent global states and finds the first one
+    /// satisfying `wcp`, in one level-order pass within the same budget.
+    /// The pass visits every state the search would, in the same order,
+    /// so its answer is the one
+    /// [`first_satisfying_counted`](Self::first_satisfying_counted) gives.
+    pub fn survey(&self, wcp: &Wcp, max_states: usize) -> LatticeSurvey {
         let mut count = 0usize;
-        self.bfs(max_states, |_| {
+        let mut found = None;
+        let walked = self.bfs(max_states, |cut| {
             count += 1;
+            if found.is_none() && wcp.holds_on(self.computation, cut) {
+                found = Some((cut.clone(), count));
+            }
             false
-        })?;
-        Ok(count)
+        });
+        // The search stops at its cut, so only a truncation before the
+        // cut is visited cuts it short.
+        let first = match (found, walked) {
+            (Some((cut, visited)), _) => Ok((Some(cut), visited)),
+            (None, Ok(())) => Ok((None, count)),
+            (None, Err(e)) => Err(e),
+        };
+        LatticeSurvey {
+            states: walked.map(|()| count),
+            first,
+        }
     }
 
     /// The first (minimum) consistent cut satisfying `wcp`, in
@@ -320,7 +342,8 @@ mod tests {
         let c = b.build_unchecked();
         assert!(c.validate().is_ok());
         let ex = LatticeExplorer::new(&c);
-        assert_eq!(ex.count_states(100).unwrap(), 9);
+        let states = ex.survey(&Wcp::over_all(&c), 100).states;
+        assert_eq!(states, Ok(9));
     }
 
     /// A message removes the states where the receive precedes the send.
@@ -332,7 +355,7 @@ mod tests {
         let c = b.build().unwrap();
         let ex = LatticeExplorer::new(&c);
         // States: (1,1) (2,1) (2,2) — (1,2) is inconsistent.
-        assert_eq!(ex.count_states(100).unwrap(), 3);
+        assert_eq!(ex.survey(&Wcp::over_all(&c), 100).states, Ok(3));
         assert!(!ex.is_consistent_cut(&Cut::from_indices(vec![1, 2])));
         assert!(ex.is_consistent_cut(&Cut::from_indices(vec![2, 2])));
     }
@@ -344,9 +367,50 @@ mod tests {
         b.send(p(1), p(0));
         let c = b.build().unwrap();
         let ex = LatticeExplorer::new(&c);
-        assert_eq!(ex.count_states(2), Err(LatticeTruncated { max_states: 2 }));
+        let truncated = LatticeTruncated { max_states: 2 };
+        let survey = ex.survey(&Wcp::over_all(&c), 2);
+        assert_eq!(survey.states, Err(truncated));
+        assert_eq!(survey.first, Err(truncated));
         let msg = LatticeTruncated { max_states: 2 }.to_string();
         assert!(msg.contains("budget of 2"));
+    }
+
+    /// One survey pass answers what a full count and a separate search
+    /// answer, truncations included: planted cuts on even seeds give
+    /// searches that end before the count truncates.
+    #[test]
+    fn survey_counts_and_searches_like_two_passes() {
+        use crate::generate::{generate, GeneratorConfig};
+        for seed in 0..12 {
+            let mut cfg = GeneratorConfig::new(4, 6)
+                .with_seed(seed)
+                .with_predicate_density(0.3);
+            if seed % 2 == 0 {
+                cfg = cfg.with_plant(0.2);
+            }
+            let c = generate(&cfg).computation;
+            let ex = LatticeExplorer::new(&c);
+            let wcp = Wcp::over_all(&c);
+            for max_states in [2, 40, 300, 100_000] {
+                let mut count = 0;
+                let states = ex
+                    .first_satisfying_where(
+                        |_| {
+                            count += 1;
+                            false
+                        },
+                        max_states,
+                    )
+                    .map(|_| count);
+                let survey = ex.survey(&wcp, max_states);
+                assert_eq!(survey.states, states, "seed {seed}, budget {max_states}");
+                assert_eq!(
+                    survey.first,
+                    ex.first_satisfying_counted(&wcp, max_states),
+                    "seed {seed}, budget {max_states}"
+                );
+            }
+        }
     }
 
     #[test]

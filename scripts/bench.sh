@@ -39,9 +39,13 @@
 # it. The `scoped-clocks-parent` and `scoped-clocks` entries are that
 # section before and after annotation stopped writing clocks (the queue
 # build now carries the scope's clock propagation); docs/performance.md
-# ("Vector clocks only where a detector reads them") quotes them. Run the
-# parent commit's harness with `bench BENCH_wcp.json --label LABEL` to
-# add a `-parent` entry.
+# ("Vector clocks only where a detector reads them") quotes them. The
+# `arrivals-parent` and `arrivals` entries are the `multi_saturation`
+# section before and after session deliveries stopped running the
+# elimination loop unless they fill its last empty queue;
+# docs/performance.md ("Deliveries wait on an empty queue") quotes them.
+# Run the parent commit's harness with `bench BENCH_wcp.json --label
+# LABEL` to add a `-parent` entry.
 #
 # This is informational tooling, NOT part of tier-1 verification
 # (scripts/verify.sh); timings are machine-dependent and must never
