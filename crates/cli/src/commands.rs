@@ -545,14 +545,27 @@ pub fn lattice(raw: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn parse_fault_config(args: &Args) -> Result<Option<FaultConfig>, CliError> {
+/// A socket run's config and its transport's display name, from
+/// `--transport` (`default` when absent), `--deadline` and the fault
+/// flags; flags a command does not take keep their defaults.
+fn net_config(args: &Args, default: &str) -> Result<(NetConfig, &'static str), CliError> {
+    let (transport, name) = match args.get("transport").unwrap_or(default) {
+        "tcp" => (TransportKind::Tcp, "tcp (localhost sockets)"),
+        "loopback" => (TransportKind::Loopback, "loopback (in-memory)"),
+        other => {
+            return Err(CliError::usage(format!(
+                "--transport: `{other}` (want tcp|loopback)"
+            )))
+        }
+    };
+    let deadline = Duration::from_secs(args.get_or("deadline", 60)?);
     let faults = FaultConfig::seeded(args.get_or("fault-seed", 0)?)
         .with_drop(args.get_or("drop", 0.0)?)
         .with_delay(args.get_or("delay", 0.0)?)
         .with_duplicate(args.get_or("duplicate", 0.0)?)
         .with_reorder(args.get_or("reorder", 0.0)?)
         .with_reset(args.get_or("reset", 0.0)?);
-    for (name, p) in [
+    for (flag, p) in [
         ("drop", faults.drop),
         ("delay", faults.delay),
         ("duplicate", faults.duplicate),
@@ -561,11 +574,27 @@ fn parse_fault_config(args: &Args) -> Result<Option<FaultConfig>, CliError> {
     ] {
         if !(0.0..=1.0).contains(&p) {
             return Err(CliError::usage(format!(
-                "--{name}: probability {p} outside [0, 1]"
+                "--{flag}: probability {p} outside [0, 1]"
             )));
         }
     }
-    Ok((!faults.is_quiet()).then_some(faults))
+    let config = NetConfig {
+        transport,
+        faults: (!faults.is_quiet()).then_some(faults),
+        deadline,
+        telemetry: false,
+    };
+    Ok((config, name))
+}
+
+/// The `faults:` line of a demo run under a fault schedule.
+fn faults_line(config: &NetConfig) -> String {
+    config.faults.map_or_else(String::new, |f| {
+        format!(
+            "faults: drop {} delay {} duplicate {} reorder {} reset {} (seed {})\n",
+            f.drop, f.delay, f.duplicate, f.reorder, f.reset, f.seed
+        )
+    })
 }
 
 /// `wcp net-demo` — run a detection over real transport (in-process peers
@@ -580,30 +609,13 @@ pub fn net_demo(raw: &[String]) -> Result<String, CliError> {
     let family: Family = algorithm
         .parse()
         .map_err(|e| CliError::usage(format!("--algorithm: {e}")))?;
-    let (transport, _) = parse_transport(&args, "tcp")?;
-    let mut config = NetConfig {
-        transport,
-        ..NetConfig::default()
-    }
-    .with_deadline(Duration::from_secs(args.get_or("deadline", 60)?));
-    if let Some(faults) = parse_fault_config(&args)? {
-        config = config.with_faults(faults);
-    }
+    let (config, transport_name) = net_config(&args, "tcp")?;
 
     let net = run_net(family, &computation, &wcp, config, &RunOptions::default());
     let sim = run_online(family, &computation, &wcp, SimConfig::seeded(0)).report;
 
-    let transport_name = match transport {
-        TransportKind::Tcp => "tcp (localhost sockets)",
-        TransportKind::Loopback => "loopback (in-memory)",
-    };
     let mut out = format!("algorithm: {family} over {transport_name}\npredicate: {wcp}\n");
-    if let Some(faults) = config.faults {
-        out.push_str(&format!(
-            "faults: drop {} delay {} duplicate {} reorder {} reset {} (seed {})\n",
-            faults.drop, faults.delay, faults.duplicate, faults.reorder, faults.reset, faults.seed
-        ));
-    }
+    out.push_str(&faults_line(&config));
     out.push_str(&describe(&net.report, args.switch("json"))?);
     out.push_str(&format!("wire: {}\n", net.net));
     if net.report.detection == sim.detection {
@@ -662,15 +674,7 @@ pub fn multi_demo(raw: &[String]) -> Result<String, CliError> {
     if k == 0 {
         return Err(CliError::usage("multi-demo needs --predicates ≥ 1"));
     }
-    let (transport, transport_name) = parse_transport(&args, "loopback")?;
-    let mut config = NetConfig {
-        transport,
-        ..NetConfig::default()
-    }
-    .with_deadline(Duration::from_secs(args.get_or("deadline", 60)?));
-    if let Some(faults) = parse_fault_config(&args)? {
-        config = config.with_faults(faults);
-    }
+    let (config, transport_name) = net_config(&args, "loopback")?;
     let service = Service::new(&derived_predicates(n, k));
     let options = pump_options(&args)?;
     let net = run_multi_net(&computation, &service, config, &options);
@@ -679,12 +683,7 @@ pub fn multi_demo(raw: &[String]) -> Result<String, CliError> {
 
     let mut out =
         format!("multi-tenant demo over {transport_name}\nprocesses: {n}, sessions: {k}\n");
-    if let Some(faults) = config.faults {
-        out.push_str(&format!(
-            "faults: drop {} delay {} duplicate {} reorder {} reset {} (seed {})\n",
-            faults.drop, faults.delay, faults.duplicate, faults.reorder, faults.reset, faults.seed
-        ));
-    }
+    out.push_str(&faults_line(&config));
     out.push_str("   id | scope | verdict\n");
     for outcome in &net.report.outcomes {
         out.push_str(&outcome_row(outcome));
@@ -763,7 +762,7 @@ pub fn serve(raw: &[String]) -> Result<String, CliError> {
     let computation = load(path)?;
     let wcp = parse_scope(&args, &computation)?;
     let (peer, addrs) = parse_peer_addrs(&args, wcp.n())?;
-    let config = NetConfig::tcp().with_deadline(Duration::from_secs(args.get_or("deadline", 60)?));
+    let (config, _) = net_config(&args, "tcp")?;
     let telemetry = args.switch("telemetry").then(TelemetryCollector::shared);
     let options = RunOptions {
         collector: telemetry.clone().map(|c| c as _),
@@ -809,7 +808,7 @@ fn serve_multi(args: &Args) -> Result<String, CliError> {
         return Err(CliError::usage("serve --multi needs --predicates ≥ 1"));
     }
     let (peer, addrs) = parse_peer_addrs(args, n + 1)?;
-    let config = NetConfig::tcp().with_deadline(Duration::from_secs(args.get_or("deadline", 60)?));
+    let (config, _) = net_config(args, "tcp")?;
     let service = Service::new(&derived_predicates(n, k));
     let report = serve_multi_peer(
         &computation,
@@ -852,18 +851,6 @@ fn pump_options(args: &Args) -> Result<RunOptions, CliError> {
     })
 }
 
-/// `--transport tcp|loopback`, `default` when absent: the kind and its
-/// display name.
-fn parse_transport(args: &Args, default: &str) -> Result<(TransportKind, &'static str), CliError> {
-    match args.get("transport").unwrap_or(default) {
-        "tcp" => Ok((TransportKind::Tcp, "tcp (localhost sockets)")),
-        "loopback" => Ok((TransportKind::Loopback, "loopback (in-memory)")),
-        other => Err(CliError::usage(format!(
-            "--transport: `{other}` (want tcp|loopback)"
-        ))),
-    }
-}
-
 /// Spawns the observed detection for `top`/`obs-report` on a worker
 /// thread and returns `(title, join handle)`. With `--peer`/`--addrs`
 /// the run is one standalone TCP peer of a `wcp serve` session;
@@ -876,7 +863,8 @@ fn spawn_observed(
     collector: &Arc<TelemetryCollector>,
     done: &Arc<AtomicBool>,
 ) -> Result<(String, std::thread::JoinHandle<Result<Detection, CliError>>), CliError> {
-    let deadline = Duration::from_secs(args.get_or("deadline", 60)?);
+    // A standalone peer runs over TCP, whatever `--transport` says.
+    let (config, name) = net_config(args, "loopback")?;
     let computation = computation.clone();
     let wcp = wcp.clone();
     let options = RunOptions {
@@ -888,20 +876,13 @@ fn spawn_observed(
         let (peer, addrs) = parse_peer_addrs(args, wcp.n())?;
         let title = format!("{path} — tcp peer {peer}/{}", wcp.n());
         let handle = std::thread::spawn(move || {
-            let config = NetConfig::tcp().with_deadline(deadline);
             let report = serve_vc_peer(&computation, &wcp, peer, &addrs, config, &options);
             done.store(true, Ordering::Relaxed);
             Ok(report?.report.detection)
         });
         Ok((title, handle))
     } else {
-        let (transport, name) = parse_transport(args, "loopback")?;
         let title = format!("{path} — {name}");
-        let config = NetConfig {
-            transport,
-            ..NetConfig::default()
-        }
-        .with_deadline(deadline);
         let handle = std::thread::spawn(move || {
             let report = run_net(Family::VcToken, &computation, &wcp, config, &options);
             done.store(true, Ordering::Relaxed);

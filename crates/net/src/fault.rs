@@ -4,29 +4,32 @@
 //! draws one fault decision per frame from a per-link RNG stream derived
 //! from [`FaultConfig::seed`] — so *which* frames are dropped, delayed,
 //! duplicated, reordered, or hit by a connection reset is reproducible.
-//! *When* a delayed frame lands is wall-clock timing (a worker thread
-//! sleeps and sends), which the receiving endpoint's per-link
-//! resequencing masks; see `docs/networking.md` for the determinism
-//! boundary.
+//! A frame that does not go out at once waits in the link's held list,
+//! due at the virtual millisecond it was sent plus its drawn delay. The
+//! worker stepping the sending peer owns that clock (`worker.rs`): it
+//! stands still while any peer progresses, and when none does it jumps
+//! to the earliest due frame and releases it through
+//! [`Transport::release`]. Nothing sleeps and no thread is involved, so
+//! *when* a held frame lands repeats as exactly as *which* frames are
+//! held; see `docs/networking.md` for the determinism boundary.
 //!
 //! Faults and their recovery:
 //!
 //! - **drop** — the first `k` transmissions fail (`k` geometric in the
 //!   drop probability, capped at `max_retries`); the link layer
 //!   retransmits with exponential backoff, so the frame still arrives,
-//!   late. Counted as `k` retransmits.
+//!   late: it is held for the backoffs' sum. Counted as `k` retransmits.
 //! - **delay** — the frame is held `1..=max_delay_ms` ms; later frames
 //!   overtake it on the wire.
-//! - **duplicate** — the frame is sent now *and* once more shortly after;
-//!   the receiver drops the copy by sequence number.
-//! - **reorder** — the frame is handed to the worker with a minimal delay
-//!   so immediately following frames overtake it on the wire; unlike an
-//!   open-ended hold, delivery stays guaranteed even when the reordered
-//!   frame is the last one on the link.
+//! - **duplicate** — the frame is sent now *and* held 1 ms for a second
+//!   copy; the receiver drops the copy by sequence number.
+//! - **reorder** — the frame is held 1 ms, so the frames sent after it
+//!   until the clock next moves overtake it; delivery stays guaranteed
+//!   even when it is the last frame on the link.
 //! - **reset** — the underlying connection is torn down and the send
-//!   fails; the endpoint reconnects with exponential backoff and replays
-//!   its send log (replays bypass fault injection via
-//!   [`Transport::resend`], so recovery always converges).
+//!   fails; the endpoint reconnects and replays its send log (replays
+//!   bypass fault injection via [`Transport::resend`], so recovery always
+//!   converges).
 //!
 //! Batched sends keep seeded schedules unchanged: `FaultyTransport`
 //! deliberately inherits the trait's default [`Transport::send_batch`],
@@ -37,10 +40,7 @@
 //! `batching_consumes_the_same_fault_schedule` below).
 
 use std::io;
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Arc;
 
 use wcp_obs::rng::Rng;
 use wcp_obs::{LogicalTime, Recorder, TraceEvent};
@@ -59,11 +59,14 @@ pub fn link_seed(config_seed: u64, me: u32, to: u32) -> u64 {
 
 /// A [`Transport`] wrapper injecting the [`FaultConfig`] schedule.
 pub struct FaultyTransport {
-    inner: Arc<Mutex<Box<dyn Transport>>>,
+    inner: Box<dyn Transport>,
     cfg: FaultConfig,
     rng: Rng,
-    worker_tx: Option<Sender<(Duration, Vec<u8>)>>,
-    worker: Option<JoinHandle<()>>,
+    /// The virtual millisecond of the last [`release`](Transport::release).
+    now: u64,
+    /// Frames not yet on the wire, each with the millisecond it is due,
+    /// in the order they were held.
+    held: Vec<(u64, Vec<u8>)>,
     counters: Arc<NetCounters>,
     recorder: Arc<dyn Recorder>,
     /// Sending peer (event attribution) and destination peer.
@@ -82,38 +85,12 @@ impl FaultyTransport {
         counters: Arc<NetCounters>,
         recorder: Arc<dyn Recorder>,
     ) -> Self {
-        let inner = Arc::new(Mutex::new(inner));
-        let (tx, rx) = channel::<(Duration, Vec<u8>)>();
-        let worker_inner = Arc::clone(&inner);
-        let max_retries = cfg.max_retries;
-        let backoff = Duration::from_millis(cfg.backoff_base_ms.max(1));
-        // The delay worker: sleeps, then transmits. Frames routed through
-        // here are already "committed" — on transient errors (a reset
-        // injected in between) it retries until the endpoint's recovery
-        // has restored the link, so injected delay never becomes loss.
-        let worker = std::thread::spawn(move || {
-            while let Ok((delay, frame)) = rx.recv() {
-                std::thread::sleep(delay);
-                let mut attempt = 0u32;
-                loop {
-                    let result = worker_inner.lock().unwrap().resend(&frame);
-                    match result {
-                        Ok(()) => break,
-                        Err(_) if attempt < max_retries.max(1) => {
-                            std::thread::sleep(backoff.saturating_mul(1 << attempt.min(16)));
-                            attempt += 1;
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-        });
         FaultyTransport {
             rng: Rng::seed_from_u64(link_seed(cfg.seed, me, to)),
             inner,
             cfg,
-            worker_tx: Some(tx),
-            worker: Some(worker),
+            now: 0,
+            held: Vec::new(),
             counters,
             recorder,
             me,
@@ -121,14 +98,10 @@ impl FaultyTransport {
         }
     }
 
-    fn schedule(&self, delay: Duration, frame: Vec<u8>) {
-        if let Some(tx) = &self.worker_tx {
-            let _ = tx.send((delay, frame));
-        }
-    }
-
-    fn backoff(&self, attempt: u32) -> Duration {
-        Duration::from_millis(self.cfg.backoff_base_ms.max(1)).saturating_mul(1 << attempt.min(16))
+    /// Holds `frame` until `ms` virtual milliseconds from now.
+    fn hold(&mut self, ms: u64, frame: &[u8]) {
+        self.held
+            .push((self.now.saturating_add(ms), frame.to_vec()));
     }
 }
 
@@ -137,7 +110,7 @@ impl Transport for FaultyTransport {
         // Decision order is fixed so the per-link stream is reproducible:
         // reset, drop, delay, reorder, duplicate — first match wins.
         if self.rng.gen_bool(self.cfg.reset) {
-            self.inner.lock().unwrap().inject_reset();
+            self.inner.inject_reset();
             return Err(io::ErrorKind::ConnectionReset.into());
         }
         if self.rng.gen_bool(self.cfg.drop) {
@@ -146,9 +119,9 @@ impl Transport for FaultyTransport {
             while k < self.cfg.max_retries.max(1) && self.rng.gen_bool(self.cfg.drop) {
                 k += 1;
             }
-            let mut delay = Duration::ZERO;
+            let (base, mut ms) = (self.cfg.backoff_base_ms.max(1), 0u64);
             for attempt in 1..=k {
-                delay += self.backoff(attempt);
+                ms = ms.saturating_add(base.saturating_mul(1 << attempt.min(16)));
                 self.counters
                     .retransmits
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -161,58 +134,56 @@ impl Transport for FaultyTransport {
                     },
                 );
             }
-            self.schedule(delay, frame.to_vec());
+            self.hold(ms, frame);
             return Ok(());
         }
         if self.rng.gen_bool(self.cfg.delay) {
             let ms = self.rng.gen_range(1..=self.cfg.max_delay_ms.max(1));
-            self.schedule(Duration::from_millis(ms), frame.to_vec());
+            self.hold(ms, frame);
             return Ok(());
         }
         if self.rng.gen_bool(self.cfg.reorder) {
-            // A minimal worker delay: frames sent right after this one
-            // overtake it, but delivery stays guaranteed even when no
-            // further frame ever crosses this link.
-            self.schedule(Duration::from_millis(1), frame.to_vec());
+            self.hold(1, frame);
             return Ok(());
         }
         if self.rng.gen_bool(self.cfg.duplicate) {
-            self.inner.lock().unwrap().send(frame)?;
-            self.schedule(Duration::from_millis(1), frame.to_vec());
+            self.inner.send(frame)?;
+            self.hold(1, frame);
             return Ok(());
         }
-        self.inner.lock().unwrap().send(frame)
+        self.inner.send(frame)
     }
 
     fn resend(&mut self, frame: &[u8]) -> io::Result<()> {
         // Recovery traffic bypasses injection so replay converges.
-        self.inner.lock().unwrap().resend(frame)
+        self.inner.resend(frame)
+    }
+
+    fn release(&mut self, now: u64) -> Option<u64> {
+        self.now = now;
+        // Due order; the sort is stable, so ties go in the order held.
+        self.held.sort_by_key(|&(due, _)| due);
+        let ready = self.held.partition_point(|&(due, _)| due <= now);
+        for (_, frame) in self.held.drain(..ready) {
+            // A held frame is committed: it is in the endpoint's send log,
+            // which the link's next failed send replays.
+            let _ = self.inner.resend(&frame);
+        }
+        self.held.first().map(|&(due, _)| due)
     }
 
     fn reconnect(&mut self) -> io::Result<()> {
-        self.inner.lock().unwrap().reconnect()
+        self.inner.reconnect()
     }
 
     fn inject_reset(&mut self) {
-        self.inner.lock().unwrap().inject_reset();
+        self.inner.inject_reset();
     }
 
     fn close(&mut self) {
-        // Drain the delay worker (so every committed frame is on the
-        // wire), then close the inner link.
-        drop(self.worker_tx.take());
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-        self.inner.lock().unwrap().close();
-    }
-}
-
-impl Drop for FaultyTransport {
-    fn drop(&mut self) {
-        if self.worker.is_some() {
-            self.close();
-        }
+        // Every committed frame goes on the wire before the link closes.
+        self.release(u64::MAX);
+        self.inner.close();
     }
 }
 
@@ -313,18 +284,43 @@ mod tests {
                 t.send(&encode_frame(&frame(seq))).unwrap();
             }
             t.close();
-            let mut seqs = Vec::new();
-            while let Ok(raw) = rx.try_recv() {
-                seqs.push(seq_of(&raw));
-            }
-            seqs
+            drain_seqs(&rx)
         };
-        // Same seed: identical decision stream. (Wire order may still vary
-        // by worker timing; compare the deterministic immediate
-        // transmissions only by filtering to first occurrences.)
+        // Same seed: identical decision stream, and held frames land by
+        // the virtual clock, not a thread's timing, so the delivered
+        // sequence repeats exactly, duplicates and overtakes included.
         let a = order(cfg);
-        let b = order(cfg);
-        assert_eq!(a.len(), b.len(), "same duplicate/drop decisions");
+        assert_eq!(a, order(cfg), "same delivered sequence");
+        assert!(a.len() > 30, "some frame was duplicated");
+        assert!(a.windows(2).any(|w| w[0] > w[1]), "some frame overtaken");
+    }
+
+    #[test]
+    fn held_frames_wait_for_the_virtual_clock() {
+        let cfg = FaultConfig {
+            max_delay_ms: 3,
+            ..FaultConfig::seeded(5).with_delay(1.0)
+        };
+        let (mut t, rx) = faulty(cfg);
+        for seq in 0..8 {
+            t.send(&encode_frame(&frame(seq))).unwrap();
+        }
+        // Nothing is due at time 0, and nothing moves until released.
+        let first = t.release(0).expect("every frame is held");
+        assert!((1..=3).contains(&first));
+        assert!(drain_seqs(&rx).is_empty(), "held until due");
+        let mut delivered = Vec::new();
+        let mut next = Some(first);
+        while let Some(now) = next {
+            next = t.release(now);
+            let landed = drain_seqs(&rx);
+            assert!(!landed.is_empty(), "the earliest due frame lands at {now}");
+            delivered.extend(landed);
+            assert!(next.is_none_or(|due| due > now), "the clock only moves on");
+        }
+        delivered.sort_unstable();
+        assert_eq!(delivered, (0..8).collect::<Vec<_>>(), "each frame once");
+        t.close();
     }
 
     #[test]

@@ -17,13 +17,15 @@
 //!   over `std::net`;
 //! - [`fault`] — seeded deterministic injection of drops, delays,
 //!   duplicates, reorders and connection resets, recovered by
-//!   retransmission, reconnect-with-backoff and receiver-side dedup;
+//!   retransmission, reconnect and receiver-side dedup; a delayed frame
+//!   waits on the worker's virtual clock, not on a thread;
 //! - [`peer`] — the per-peer endpoint (sequence numbers, dedup,
 //!   resequencing, send-log replay) and the event loop hosting the
 //!   unmodified detection actors;
 //! - `worker` — the one thread that steps every peer of a run (the
-//!   caller's, for an in-process run), parked on a doorbell that
-//!   fault-delay threads and a standalone peer's TCP reader threads ring;
+//!   caller's, for an in-process run) and owns the virtual clock held
+//!   frames wait on; it parks on a doorbell that only a standalone
+//!   peer's TCP reader threads ring;
 //! - [`runner`] — the two socket hosts of an online family's layout
 //!   (`wcp_detect::online::Layout`): every peer in-process, or one
 //!   standalone peer. [`run_net`] runs any detection family in-process,

@@ -216,9 +216,6 @@ pub struct Endpoint {
 /// Reconnect attempts before a link counts as permanently down.
 pub const RECOVERY_RETRIES: u32 = 10;
 
-/// The first reconnect attempt's backoff; each further attempt doubles it.
-const BACKOFF_BASE: Duration = Duration::from_millis(1);
-
 impl Endpoint {
     /// Builds the endpoint for peer `me` of `n_peers`. `links[j]` must be
     /// `Some` for every `j != me`.
@@ -331,7 +328,7 @@ impl Endpoint {
 
     /// Hands `to_peer`'s outbound batch to the transport in one coalesced
     /// write (no-op when empty), recovering from connection errors by
-    /// reconnect-with-backoff plus replay of the unacknowledged log.
+    /// reconnecting and replaying the unacknowledged log.
     ///
     /// # Panics
     ///
@@ -386,8 +383,20 @@ impl Endpoint {
             .map_or(0, |l| l.log.len())
     }
 
-    /// Reconnect-with-backoff plus full replay of the unacknowledged log
-    /// (receiver-side dedup drops what already arrived).
+    /// Puts on the wire every link's held frames due by the virtual
+    /// millisecond `now`, and returns when the next one is due (see
+    /// [`Transport::release`]).
+    pub(crate) fn release(&mut self, now: u64) -> Option<u64> {
+        self.links
+            .iter_mut()
+            .flatten()
+            .filter_map(|link| link.transport.release(now))
+            .min()
+    }
+
+    /// Reconnect plus full replay of the unacknowledged log (receiver-side
+    /// dedup drops what already arrived). Nothing sleeps here: only a
+    /// standalone peer's `TcpTransport` waits, dialling with backoff.
     fn recover(&mut self, to_peer: u32) {
         for attempt in 1..=RECOVERY_RETRIES {
             self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -399,7 +408,6 @@ impl Endpoint {
                     attempt: attempt as u64,
                 },
             );
-            std::thread::sleep(BACKOFF_BASE.saturating_mul(1 << (attempt - 1)));
             let link = self.links[to_peer as usize]
                 .as_mut()
                 .expect("recovery of unlinked peer");
@@ -455,17 +463,26 @@ impl Endpoint {
 
     /// Walks one inbound chunk's complete frames (transports only deliver
     /// whole frames per chunk; partial reads are reassembled below them).
+    /// The bytes come off the socket: a frame whose header does not decode
+    /// is dropped, and so is the rest of a chunk that cannot be framed,
+    /// each counted in `corrupt_frames`.
     fn ingest(&mut self, chunk: PooledBuf) {
         let mut at = 0;
         while at < chunk.len() {
-            let len = frame_len_at(&chunk, at)
+            let Some(len) = frame_len_at(&chunk, at)
                 .ok()
                 .flatten()
                 .filter(|len| at + len <= chunk.len())
-                .expect("corrupt frame on the wire");
-            let (head, body) =
-                decode_header(&chunk[at..at + len]).expect("corrupt frame on the wire");
-            self.accept(&head, body, len);
+            else {
+                self.counters.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+                return;
+            };
+            match decode_header(&chunk[at..at + len]) {
+                Ok((head, body)) => self.accept(&head, body, len),
+                Err(_) => {
+                    self.counters.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+                }
+            }
             at += len;
         }
     }
@@ -591,7 +608,7 @@ impl Endpoint {
     }
 
     /// Gracefully closes every outbound link, flushing pending batches
-    /// (and fault-delay threads) first.
+    /// first; a faulty link puts whatever it still holds on the wire.
     pub fn close(&mut self) {
         self.flush_all();
         for link in self.links.iter_mut().flatten() {
@@ -913,6 +930,12 @@ impl Running {
         }
     }
 
+    /// Releases this peer's held frames due by `now`, finished or not: a
+    /// deciding peer's verdict and shutdown may be among them.
+    pub(crate) fn release(&mut self, now: u64) -> Option<u64> {
+        self.host.endpoint.release(now)
+    }
+
     /// The idle duty, run when the worker saw no inbound data for a poll
     /// interval: ship whatever telemetry accumulated.
     pub(crate) fn idle(&mut self) {
@@ -1188,6 +1211,45 @@ mod tests {
         for seq in 0..4 {
             assert_eq!(recv_deadline(&mut e, Duration::from_secs(10)).seq, seq);
         }
+    }
+
+    #[test]
+    fn frames_whose_header_does_not_decode_are_dropped() {
+        // Length 1, kind 0xFF: a header the codec refuses. Then, in one
+        // chunk, that frame again, an honest one, and a length running
+        // past the chunk's end. Each bad frame is dropped and counted,
+        // and the honest frames still arrive.
+        let (tx, rx) = channel();
+        let counters = NetCounters::shared();
+        let pool = FramePool::shared(counters.clone());
+        let mut link = LoopbackTransport::new(tx, pool);
+        let mut e = Endpoint::new(
+            1,
+            vec![None, None],
+            rx,
+            counters.clone(),
+            Arc::new(NullRecorder),
+        );
+        let honest = |seq| {
+            encode_frame(&Frame {
+                peer: 0,
+                from: ActorId::new(0),
+                to: ActorId::new(1),
+                seq,
+                payload: Payload::Detect(DetectMsg::DdToken),
+            })
+        };
+        link.send(&[0x01, 0xFF]).unwrap();
+        assert!(e.recv(Duration::from_millis(10)).is_none(), "dropped");
+        let mut chunk = vec![0x01, 0xFF];
+        chunk.extend(honest(0));
+        chunk.extend([0x05, 0x01]);
+        link.send_batch(&chunk).unwrap();
+        link.send(&honest(1)).unwrap();
+        for seq in 0..2 {
+            assert_eq!(recv_deadline(&mut e, Duration::from_secs(10)).seq, seq);
+        }
+        assert_eq!(counters.snapshot().corrupt_frames, 3);
     }
 
     #[test]

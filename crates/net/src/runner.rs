@@ -537,12 +537,19 @@ mod tests {
     }
 
     #[test]
-    fn clean_in_process_runs_repeat_exactly() {
+    fn in_process_runs_repeat_exactly() {
         // One thread steps every peer and delivers every frame, on
         // loopback and in-process TCP alike (a TCP link reads its own
-        // bytes back), so a clean run has no cross-thread hand-off:
-        // running it again repeats every wire counter, not only the
-        // verdict.
+        // bytes back), and frames held by fault injection wait on that
+        // thread's virtual clock: a run, clean or under the equivalence
+        // suite's fault schedules, has no cross-thread hand-off, so
+        // running it again repeats every wire counter and every metric,
+        // not only the verdict.
+        let schedules = [
+            None,
+            Some(FaultConfig::delay_duplicate_reorder(7)),
+            Some(FaultConfig::seeded(9).with_drop(0.15).with_reset(0.05)),
+        ];
         for seed in 0..6 {
             let g = generate(
                 &GeneratorConfig::new(5, 30)
@@ -552,8 +559,12 @@ mod tests {
             );
             let c = &g.computation;
             let wcp = Wcp::over_all(c);
-            for config in [NetConfig::loopback(), NetConfig::tcp()] {
-                let transport = config.transport;
+            for (base, faults) in [NetConfig::loopback(), NetConfig::tcp()]
+                .into_iter()
+                .flat_map(|base| schedules.map(|faults| (base, faults)))
+            {
+                let config = NetConfig { faults, ..base };
+                let label = format!("seed {seed}, {:?}, {faults:?}", base.transport);
                 for family in [
                     Family::VcToken,
                     Family::MultiToken { groups: 1 },
@@ -562,17 +573,15 @@ mod tests {
                     Family::Direct { parallel: true },
                 ] {
                     let [a, b] = [0, 1].map(|_| net(family, c, &wcp, config));
-                    assert_eq!(a.net, b.net, "seed {seed}, {family}, {transport:?}");
-                    assert_eq!(a.report, b.report, "seed {seed}, {family}, {transport:?}");
+                    assert_eq!(a.net, b.net, "{family}, {label}");
+                    assert_eq!(a.report.metrics, b.report.metrics, "{family}, {label}");
+                    assert_eq!(a.report, b.report, "{family}, {label}");
                 }
                 let service = Service::new(&(1..=3).map(Wcp::over_first).collect::<Vec<_>>());
                 let options = RunOptions::default();
                 let [a, b] = [0, 1].map(|_| run_multi_net(c, &service, config, &options));
-                assert_eq!(a.net, b.net, "seed {seed}, multi, {transport:?}");
-                assert_eq!(
-                    a.report.outcomes, b.report.outcomes,
-                    "seed {seed}, multi, {transport:?}"
-                );
+                assert_eq!(a.net, b.net, "multi, {label}");
+                assert_eq!(a.report.outcomes, b.report.outcomes, "multi, {label}");
             }
         }
     }

@@ -1,5 +1,5 @@
-//! Transport-level counters, shared by a run's worker, its TCP reader
-//! threads and its fault-delay threads, and their plain snapshot form.
+//! Transport-level counters, shared by a run's worker and a standalone
+//! peer's TCP reader threads, and their plain snapshot form.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,7 +61,46 @@ pub struct NetCounters {
     pub multi_detections: AtomicU64,
     /// Multi-tenant service: messages it refused and dropped.
     pub multi_rejected: AtomicU64,
+    /// Inbound frames dropped because their header did not decode, or
+    /// chunk tails dropped because they could not be framed.
+    pub corrupt_frames: AtomicU64,
 }
+
+/// Applies `$apply` to every [`NetStats`] field name, in declaration
+/// order, which is also their order in a telemetry delta.
+macro_rules! stats_fields {
+    ($apply:ident) => {
+        $apply!(
+            frames_sent,
+            bytes_sent,
+            frames_received,
+            bytes_received,
+            retransmits,
+            reconnects,
+            duplicates_dropped,
+            reordered,
+            batch_flushes,
+            max_batch_bytes,
+            max_ready_depth,
+            acks_sent,
+            acks_received,
+            pool_allocs,
+            pool_reuses,
+            telemetry_sent,
+            telemetry_received,
+            telemetry_bytes,
+            wire_bytes_v1_equiv,
+            delta_frames_sent,
+            keyframes_sent,
+            multi_sessions_active,
+            multi_routed_events,
+            multi_detections,
+            multi_rejected,
+            corrupt_frames
+        )
+    };
+}
+pub(crate) use stats_fields;
 
 impl NetCounters {
     /// A fresh shared counter block.
@@ -71,33 +110,12 @@ impl NetCounters {
 
     /// Plain-value snapshot.
     pub fn snapshot(&self) -> NetStats {
-        NetStats {
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            duplicates_dropped: self.duplicates_dropped.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            batch_flushes: self.batch_flushes.load(Ordering::Relaxed),
-            max_batch_bytes: self.max_batch_bytes.load(Ordering::Relaxed),
-            max_ready_depth: self.max_ready_depth.load(Ordering::Relaxed),
-            acks_sent: self.acks_sent.load(Ordering::Relaxed),
-            acks_received: self.acks_received.load(Ordering::Relaxed),
-            pool_allocs: self.pool_allocs.load(Ordering::Relaxed),
-            pool_reuses: self.pool_reuses.load(Ordering::Relaxed),
-            telemetry_sent: self.telemetry_sent.load(Ordering::Relaxed),
-            telemetry_received: self.telemetry_received.load(Ordering::Relaxed),
-            telemetry_bytes: self.telemetry_bytes.load(Ordering::Relaxed),
-            wire_bytes_v1_equiv: self.wire_bytes_v1_equiv.load(Ordering::Relaxed),
-            delta_frames_sent: self.delta_frames_sent.load(Ordering::Relaxed),
-            keyframes_sent: self.keyframes_sent.load(Ordering::Relaxed),
-            multi_sessions_active: self.multi_sessions_active.load(Ordering::Relaxed),
-            multi_routed_events: self.multi_routed_events.load(Ordering::Relaxed),
-            multi_detections: self.multi_detections.load(Ordering::Relaxed),
-            multi_rejected: self.multi_rejected.load(Ordering::Relaxed),
+        macro_rules! load {
+            ($($field:ident),*) => {
+                NetStats { $($field: self.$field.load(Ordering::Relaxed)),* }
+            };
         }
+        stats_fields!(load)
     }
 }
 
@@ -155,6 +173,8 @@ pub struct NetStats {
     pub multi_detections: u64,
     /// Multi-tenant service: messages it refused and dropped.
     pub multi_rejected: u64,
+    /// Inbound frames (or unframeable chunk tails) dropped as corrupt.
+    pub corrupt_frames: u64,
 }
 
 impl std::fmt::Display for NetStats {
@@ -192,6 +212,11 @@ impl std::fmt::Display for NetStats {
             self.multi_routed_events,
             self.multi_detections,
             self.multi_rejected
-        )
+        )?;
+        // Shown only once a peer has met one, so honest runs print as before.
+        if self.corrupt_frames > 0 {
+            write!(f, ", {} corrupt frames dropped", self.corrupt_frames)?;
+        }
+        Ok(())
     }
 }

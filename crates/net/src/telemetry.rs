@@ -20,7 +20,7 @@
 //! `wcp obs-report` renders, `wcp top` refreshes from, and the bound
 //! auditor counts paper units over.
 //!
-//! ## Delta body format (`wcp-telemetry/2`)
+//! ## Delta body format (`wcp-telemetry/3`)
 //!
 //! One MSB-first bit stream ([`BitWriter`]), zero-padded to a byte.
 //! Every number is a [`wire2`](crate::wire2) varint (a continuation bit
@@ -28,7 +28,7 @@
 //! difference:
 //!
 //! ```text
-//! body:  version=2 ┆ source ┆ 25 NetStats counters ┆ count ┆ count × event
+//! body:  version=3 ┆ source ┆ 26 NetStats counters ┆ count ┆ count × event
 //! event: time tag:2 ┆ wall flag:1 ┆ kind:5 ┆ zz(seq − previous seq − 1)
 //!        ┆ monitor ┆ time value ┆ zz(wall_nanos − previous wall_nanos)
 //!        ┆ fields
@@ -58,11 +58,11 @@ use wcp_obs::{
 };
 
 use crate::codec::CodecError;
-use crate::stats::NetStats;
+use crate::stats::{stats_fields, NetStats};
 use crate::wire2::{unzigzag, zigzag, BitReader, BitWriter};
 
 /// Version tag that opens a telemetry delta body.
-pub const TELEMETRY_VERSION: u64 = 2;
+pub const TELEMETRY_VERSION: u64 = 3;
 
 /// Bits of the shortest encoded event: the byte holding the time tag,
 /// the wall flag and the kind, then one-group seq and monitor varints.
@@ -77,39 +77,6 @@ pub struct TelemetryDelta {
     pub stats: NetStats,
     /// Events recorded since the previous delta.
     pub events: Vec<StampedEvent>,
-}
-
-/// Applies `$apply` to every [`NetStats`] field name, in wire order.
-macro_rules! stats_fields {
-    ($apply:ident) => {
-        $apply!(
-            frames_sent,
-            bytes_sent,
-            frames_received,
-            bytes_received,
-            retransmits,
-            reconnects,
-            duplicates_dropped,
-            reordered,
-            batch_flushes,
-            max_batch_bytes,
-            max_ready_depth,
-            acks_sent,
-            acks_received,
-            pool_allocs,
-            pool_reuses,
-            telemetry_sent,
-            telemetry_received,
-            telemetry_bytes,
-            wire_bytes_v1_equiv,
-            delta_frames_sent,
-            keyframes_sent,
-            multi_sessions_active,
-            multi_routed_events,
-            multi_detections,
-            multi_rejected
-        )
-    };
 }
 
 /// Encodes one delta body (see the module docs for the layout).
@@ -838,7 +805,7 @@ mod tests {
         let mut huge_count = Vec::new();
         let mut w = BitWriter::new(&mut huge_count);
         w.write_varint(TELEMETRY_VERSION);
-        for _ in 0..26 {
+        for _ in 0..27 {
             w.write_varint(0);
         }
         w.write_varint(u64::MAX);

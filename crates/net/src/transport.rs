@@ -102,6 +102,14 @@ pub trait Transport: Send {
         self.send(frame)
     }
 
+    /// Puts on the wire the frames a fault-injecting wrapper holds that
+    /// are due by the virtual millisecond `now`, and returns when the
+    /// next held frame is due. The worker stepping the sending peer owns
+    /// that clock. Defaults to holding nothing.
+    fn release(&mut self, _now: u64) -> Option<u64> {
+        None
+    }
+
     /// Re-establishes the link after a send error (no-op for loopback).
     fn reconnect(&mut self) -> io::Result<()> {
         Ok(())

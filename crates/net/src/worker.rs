@@ -8,15 +8,18 @@
 //! byte it writes before the step goes on, and a standalone peer's writes
 //! drain into the remote peer's reader threads. On loopback and
 //! in-process TCP alike every frame is delivered by the worker itself,
-//! so a clean in-process run has no cross-thread hand-off at all.
+//! so an in-process run, clean or faulted, has no cross-thread hand-off
+//! at all.
 //!
-//! When a whole round makes no progress the worker parks on its
-//! [`Doorbell`], which whatever delivers into one of its peers' inboxes
-//! from another thread rings after each chunk: a fault-injection delay
-//! thread releasing a held frame, or a standalone peer's TCP reader
-//! thread. A wait that sees
-//! no ring for [`POLL`] runs the idle duties: the forced telemetry flush
-//! and the stall watchdog, whose panic names every hosted actor's state.
+//! The worker owns the virtual millisecond clock that frames held by
+//! fault injection wait on ([`release`](crate::Transport::release)). It
+//! stands still while any peer progresses; on a round where none does,
+//! the worker jumps it to the earliest due frame and releases, finished
+//! peers' links included. Only with nothing held does it park on its
+//! [`Doorbell`], which a standalone peer's TCP reader threads ring after
+//! each chunk. A wait that sees no ring for [`POLL`] runs the idle
+//! duties: the forced telemetry flush and the stall watchdog, whose
+//! panic names every hosted actor's state.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -90,7 +93,8 @@ impl Doorbell {
 }
 
 /// Runs `hosts` on the calling thread until every one has left its event
-/// loop, waiting on `bell` whenever a round makes no progress. Returns the
+/// loop and no link holds a frame, releasing held frames whenever a round
+/// makes no progress and waiting on `bell` when none is held. Returns the
 /// hosts with their endpoints still open: the caller closes them once no
 /// peer is still delivering.
 ///
@@ -100,12 +104,27 @@ impl Doorbell {
 /// its deadline (a protocol bug, not an input error).
 pub(crate) fn run(hosts: Vec<PeerHost>, bell: &Doorbell) -> Vec<PeerHost> {
     let mut peers: Vec<Running> = hosts.into_iter().map(Running::start).collect();
-    while !peers.iter().all(Running::is_done) {
+    let mut now = 0;
+    loop {
         let mut progressed = false;
         for peer in &mut peers {
             progressed |= peer.step();
         }
-        if !progressed && !bell.wait(POLL) {
+        if progressed {
+            continue;
+        }
+        // Nothing held is due yet, so this pass only finds the earliest.
+        if let Some(due) = peers.iter_mut().filter_map(|p| p.release(now)).min() {
+            now = due;
+            for peer in &mut peers {
+                peer.release(now);
+            }
+            continue;
+        }
+        if peers.iter().all(Running::is_done) {
+            break;
+        }
+        if !bell.wait(POLL) {
             for peer in &mut peers {
                 peer.idle();
             }

@@ -122,9 +122,9 @@ fn every_family_matches_the_simulator_on_every_substrate() {
                     "{label}"
                 );
                 if schedule == "drop+reset" {
-                    // A reconnect backoff sleeps on the one thread that
-                    // also hosts the receiving peer, and the run still
-                    // finishes.
+                    // A reset reconnects and replays the send log on the
+                    // one thread that also hosts the receiving peer, and
+                    // the run still finishes.
                     assert!(net.net.reconnects > 0, "{label}: no reset drawn");
                 }
             }

@@ -146,6 +146,7 @@ fn delta(rng: &mut Rng) -> TelemetryDelta {
         &mut stats.multi_routed_events,
         &mut stats.multi_detections,
         &mut stats.multi_rejected,
+        &mut stats.corrupt_frames,
     ] {
         *field = num(rng);
     }
@@ -267,7 +268,7 @@ fn header(out: &mut Vec<u8>, count: u64) -> BitWriter<'_> {
     let mut w = BitWriter::new(out);
     w.write_varint(TELEMETRY_VERSION);
     w.write_varint(1); // source
-    for _ in 0..25 {
+    for _ in 0..26 {
         w.write_varint(0);
     }
     w.write_varint(count);

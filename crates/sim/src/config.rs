@@ -59,15 +59,15 @@ impl FromJson for LatencyModel {
     }
 }
 
-/// A seeded, per-link fault schedule: the shared vocabulary between the
-/// simulator's adversarial latency models and `wcp-net`'s `FaultyTransport`.
+/// A seeded, per-link fault schedule, which `wcp-net`'s `FaultyTransport`
+/// injects on a socket run's links.
 ///
-/// Each field is the probability (in `0.0..=1.0`) that the corresponding
+/// Each probability (in `0.0..=1.0`) is the chance the corresponding
 /// fault is injected on one frame transmission. Which frames are hit is
 /// fully determined by `seed` (each link derives its own RNG stream from
-/// it), so a fault schedule reproduces exactly across runs; *when* a
-/// delayed frame actually lands is wall-clock timing and is masked by the
-/// receiver's per-link resequencing.
+/// it). A frame not sent at once waits for a virtual millisecond on the
+/// clock of the worker stepping its sender, which moves only when no
+/// peer can, so an in-process run repeats exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// RNG seed the per-link fault streams are derived from.
@@ -77,20 +77,20 @@ pub struct FaultConfig {
     pub drop: f64,
     /// Probability a frame is transmitted twice (receiver dedups by seq).
     pub duplicate: f64,
-    /// Probability a frame is held back `1..=max_delay_ms` milliseconds,
-    /// letting later frames overtake it.
+    /// Probability a frame is held back `1..=max_delay_ms` virtual
+    /// milliseconds, letting later frames overtake it.
     pub delay: f64,
     /// Upper bound on an injected delay, in milliseconds.
     pub max_delay_ms: u64,
-    /// Probability a frame is swapped with the next frame on the link
-    /// (deterministic reorder, independent of wall-clock timing).
+    /// Probability a frame is held back one virtual millisecond, so the
+    /// frames sent after it before that clock next moves overtake it.
     pub reorder: f64,
     /// Probability the connection is torn down before a transmission; the
-    /// sender reconnects with exponential backoff and replays its log.
+    /// sender reconnects and replays its log.
     pub reset: f64,
-    /// Maximum retransmit/reconnect attempts before the link gives up.
+    /// Most consecutive lost transmissions of one dropped frame.
     pub max_retries: u32,
-    /// Base backoff, in milliseconds; attempt `k` waits `base << k`.
+    /// Base retransmit backoff, in virtual ms; lost attempt `k` waits `base << k`.
     pub backoff_base_ms: u64,
 }
 
